@@ -2,10 +2,11 @@
 
 Also hosts the scale point past the vectorized backend's batch
 materialization budget: at ``BUDGET_SCALE`` the ``lineitem`` base
-relation exceeds ``MATERIALIZATION_CAP`` rows, so building its
-monolithic columnar image (``chunk_size=0``) is refused while the
-paged chunked layout streams the same query page-by-page and
-completes (``test_streaming_completes_where_materialization_cannot``).
+relation exceeds ``MATERIALIZATION_CAP`` rows, so producing its
+whole-table columnar image (an unfiltered scan of a single-chunk
+store, ``chunk_size`` = table rows) is refused while the paged chunked
+layout streams a selective query page-by-page and completes
+(``test_streaming_completes_where_materialization_cannot``).
 """
 
 import pytest
@@ -59,7 +60,12 @@ def test_streaming_completes_where_materialization_cannot(benchmark):
 
     with materialization_budget(MATERIALIZATION_CAP):
         with pytest.raises(MaterializationBudgetError):
-            evaluate_det(plan, world, backend="vectorized", chunk_size=0)
+            evaluate_det(
+                TableRef("lineitem"),
+                world,
+                backend="vectorized",
+                chunk_size=len(lineitem.rows),
+            )
         got = evaluate_det(plan, world, backend="vectorized")
         assert got.rows == want.rows
 

@@ -13,9 +13,10 @@ produces (det shown; the AU plan swaps the partial aggregate for
             ParallelScan lineitem [4 morsels]
             Scan orders              <- build side, evaluated once
 
-The deterministic lane executes through the ``evaluate_det`` shim (one
-ephemeral connection per call — per-query forked workers).  The AU lane
-holds a long-lived :class:`repro.session.Connection` and a
+The deterministic lane executes through the ``evaluate_det`` shim: one
+ephemeral connection per call, so every call forks its own worker pool
+and reaps it on return — the fork cost is inside the timed region.  The
+AU lane holds a long-lived :class:`repro.session.Connection` and a
 ``PreparedQuery``, so repeated executions reuse the session's
 **persistent worker pool**: the gate checks the
 ``repro_parallel_pool_*`` counters to prove the timed runs re-dispatch

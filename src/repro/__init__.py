@@ -154,7 +154,7 @@ __all__ = [
     "QueryTrace", "MetricsRegistry", "EventLog",
     "get_registry", "tracing_enabled", "set_tracing",
     "configure_slow_log", "slow_queries",
-    # paper accuracy metrics (formerly repro.metrics)
+    # paper accuracy metrics (repro.accuracy)
     "certain_tuple_recall", "possible_recall_by_id",
     "possible_recall_by_value", "bound_tightness",
     "over_grouping_percent", "range_overestimation_factor",

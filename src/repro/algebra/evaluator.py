@@ -89,18 +89,17 @@ class EvalConfig:
     are identical.  ``physical=False`` keeps the legacy direct
     interpretation of logical plans (tuple backend only).
 
-    ``parallelism`` is accepted for symmetry with ``evaluate_det`` and
-    threaded to the physical planner, but partition-parallel regions are
-    currently only generated for the *deterministic* vectorized backend:
-    AU merges would have to SG-combine annotations across morsels, which
-    remains future work (see ROADMAP) — AU plans execute serially at any
+    ``parallelism`` > 1 adds morsel-parallel regions to vectorized plans
+    on both engines (:mod:`repro.exec.parallel`): AU linear operators
+    and certain-group partial aggregates run per morsel and merge
+    bit-exactly at the Exchange; the globally SG-combining fragment
+    stays a serial ``TupleFallback``.  Results are identical at every
     setting.
 
     ``chunk_size`` sets the paged-storage chunk size for the vectorized
     backends (:mod:`repro.db.chunks`): ``None`` selects the default page
-    size, ``0`` disables chunked storage (scans materialize whole-table
-    columnar images, no zone-map skipping), any positive integer fixes
-    the rows-per-chunk.  Results are identical at every setting.
+    size, a positive integer fixes the rows-per-chunk (anything else is
+    a ``ValueError``).  Results are identical at every setting.
     """
 
     join_buckets: Optional[int] = None
@@ -142,9 +141,8 @@ def evaluate_audb(
     """
     from ..session import Connection
 
-    return Connection(db, engine="au", config=config).execute(
-        plan, actuals=actuals
-    )
+    with Connection(db, engine="au", config=config) as conn:
+        return conn.execute(plan, actuals=actuals)
 
 
 # ----------------------------------------------------------------------

@@ -522,7 +522,7 @@ def verify_physical(
       lowered with (so Exchange morsels align with the table's chunk
       boundaries), and chunk-skip predicates use only the supported
       comparison kinds over zone-mapped (real) columns of the scanned
-      table, never on a scan with chunking disabled;
+      table;
     * ``TupleFallback`` shape — known ``kind``, input arity, and a
       logical node of the matching class.
     """
@@ -644,7 +644,7 @@ def verify_physical(
 
         name = _node_name(node)
         try:
-            size = resolve_chunk_size(node.chunk_size)
+            resolve_chunk_size(node.chunk_size)
         except ValueError as exc:
             raise PlanCompatibilityError(
                 f"{name} on {node.table!r}: {exc}"
@@ -668,12 +668,6 @@ def verify_physical(
             raise PlanCompatibilityError(
                 f"{name} on {node.table!r} carries a non-predicate skip "
                 f"object {type(skip).__name__}"
-            )
-        if size == 0:
-            raise PlanCompatibilityError(
-                f"{name} on {node.table!r} carries a chunk-skip predicate "
-                "but chunked storage is disabled (chunk_size=0): the "
-                "predicate could never be evaluated"
             )
         schema = table_schema(node.table, catalog)
         for c in skip.constraints:

@@ -44,7 +44,6 @@ class AURelation:
         "_rows",
         "stats_epoch",
         "_column_stats_cache",
-        "_columnar_cache",
         "_chunk_cache",
         "_stats_acc",
         "_delta_sinks",
@@ -62,13 +61,10 @@ class AURelation:
         #: monotonically increasing write counter — every add() bumps it;
         #: databases sum it into their catalog epoch (repro.session)
         self.stats_epoch = 0
-        # memoized per-column statistics (repro.algebra.stats) and the
-        # columnar image used by the vectorized backend (repro.exec).
-        # add() drops the columnar image; column statistics are kept
+        # memoized per-column statistics (repro.algebra.stats), kept
         # current *incrementally* (_stats_acc) — operators treat
         # relations as immutable, so add() is the only mutation path
         self._column_stats_cache = None
-        self._columnar_cache = None
         # chunked columnar store (repro.db.chunks.AUChunkStore) with
         # per-chunk zone maps; maintained in place by add()/delete()
         self._chunk_cache = None
@@ -107,15 +103,6 @@ class AURelation:
         existing = self._rows.get(t)
         self._rows[t] = au_add(existing, annotation) if existing else annotation
         self.stats_epoch += 1
-        cache = self._columnar_cache
-        if cache is not None and not (
-            # a new tuple appends one columnar row in place; an
-            # annotation merge would rewrite an interior row, so it
-            # drops the cache instead
-            existing is None
-            and cache.append_row(t, self._rows[t])
-        ):
-            self._columnar_cache = None
         store = self._chunk_cache
         if store is not None and not store.on_add(
             t, self._rows[t], existing is None
@@ -162,7 +149,6 @@ class AURelation:
         else:
             self._rows[t] = remaining  # type: ignore[assignment]
         self.stats_epoch += 2
-        self._columnar_cache = None
         self._column_stats_cache = None
         store = self._chunk_cache
         if store is not None and not store.on_delete(
@@ -246,20 +232,11 @@ class AURelation:
         at ``chunk_size`` if none is cached yet, then sums the chunk
         payloads: the split lb/sg/ub scalar arrays, the serving
         ``RangeValue`` columns, and the three ``K^AU`` annotation
-        arrays.  With chunking disabled (``chunk_size=0``) falls back
-        to a shallow estimate of the row dictionary itself.
+        arrays.
         """
         from ..db.chunks import au_store
 
-        store = au_store(self, chunk_size)
-        if store is not None:
-            return store.memory_footprint()
-        import sys
-
-        return sys.getsizeof(self._rows) + sum(
-            sys.getsizeof(t) + sum(sys.getsizeof(v) for v in t)
-            for t in self._rows
-        )
+        return au_store(self, chunk_size).memory_footprint()
 
     def __repr__(self) -> str:
         header = ", ".join(self.schema)

@@ -1,7 +1,7 @@
 """Paged chunked columnar storage with zone-map chunk skipping.
 
-This module backs base-table scans with fixed-size **column chunks**
-instead of one monolithic columnar image:
+This module is the only columnar image of a base table: scans, streamed
+selections and Exchange morsels all read fixed-size **column chunks**:
 
 * :class:`DetChunkStore` — a :class:`~repro.db.storage.DetRelation`
   split into :class:`DetChunk` pages, each a small
@@ -97,7 +97,6 @@ __all__ = [
 ]
 
 #: Rows per chunk when ``EvalConfig.chunk_size`` is left unset (``None``).
-#: ``chunk_size=0`` disables chunked storage entirely (monolithic scans).
 DEFAULT_CHUNK_SIZE = 1024
 
 _CHUNKS_SCANNED = _tm.get_registry().counter(
@@ -115,11 +114,11 @@ _ZONE_REBUILDS = _tm.get_registry().counter(
 
 
 def resolve_chunk_size(chunk_size: Optional[int]) -> int:
-    """Normalize a configured chunk size (``None`` → default, ``0`` → off)."""
+    """Normalize a configured chunk size (``None`` → the default)."""
     if chunk_size is None:
         return DEFAULT_CHUNK_SIZE
-    if chunk_size < 0:
-        raise ValueError(f"chunk_size must be >= 0, got {chunk_size}")
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     return chunk_size
 
 
@@ -493,6 +492,22 @@ class _BaseStore:
         kept, total, skipped = self.survivor_indices(skip)
         return [self.chunks[ci] for ci in kept], total, skipped
 
+    def scan(self, skip: Optional[ChunkSkipPredicate] = None):
+        """One batch of every surviving chunk: ``(batch, total, skipped)``.
+
+        The concatenation is the one whole-table materialization left,
+        so it charges the materialization budget; the unfiltered image
+        is cached until the next write."""
+        if skip is None and self._scan_cache is not None:
+            batch, total = self._scan_cache
+            return batch, total, 0
+        kept, total, skipped = self.survivors(skip)
+        charge_materialization(sum(len(ch) for ch in kept))
+        batch = self._concat(kept)
+        if skip is None:
+            self._scan_cache = (batch, total)
+        return batch, total, skipped
+
     def batch_for_chunks(self, indices: Sequence[int]):
         """Materialize the batch of an explicit chunk-index run.
 
@@ -518,14 +533,6 @@ class _BaseStore:
         it = iter(sizes)
         rows = [sum(next(it) for _ in g) for g in groups]
         return groups, rows, total, skipped
-
-    def morsel_batches(
-        self, partitions: int, skip: Optional[ChunkSkipPredicate] = None
-    ) -> Tuple[List[Any], int, int]:
-        """Chunk-aligned morsels: contiguous runs of surviving chunks,
-        balanced to ≈ rows/partitions each, never splitting a chunk."""
-        groups, _rows, total, skipped = self.morsel_chunk_groups(partitions, skip)
-        return [self.batch_for_chunks(g) for g in groups], total, skipped
 
     def memory_footprint(self) -> int:
         """Resident bytes of the store's chunk payloads (see
@@ -685,20 +692,6 @@ class DetChunkStore(_BaseStore):
         ]
         mult = _concat_cols([ch.batch.mult for ch in kept])
         return ColumnBatch(self.schema, columns, mult)
-
-    def scan(
-        self, skip: Optional[ChunkSkipPredicate] = None
-    ) -> Tuple[ColumnBatch, int, int]:
-        """One batch of every surviving chunk: ``(batch, total, skipped)``."""
-        if skip is None and self._scan_cache is not None:
-            batch, total = self._scan_cache
-            return batch, total, 0
-        kept, total, skipped = self.survivors(skip)
-        charge_materialization(sum(len(ch) for ch in kept))
-        batch = self._concat(kept)
-        if skip is None:
-            self._scan_cache = (batch, total)
-        return batch, total, skipped
 
     def iter_batches(
         self, skip: Optional[ChunkSkipPredicate] = None
@@ -943,19 +936,6 @@ class AUChunkStore(_BaseStore):
             _concat_cols([ch.ann_ub for ch in kept]),
         )
 
-    def scan(
-        self, skip: Optional[ChunkSkipPredicate] = None
-    ) -> Tuple[AUColumnBatch, int, int]:
-        if skip is None and self._scan_cache is not None:
-            batch, total = self._scan_cache
-            return batch, total, 0
-        kept, total, skipped = self.survivors(skip)
-        charge_materialization(sum(len(ch) for ch in kept))
-        batch = self._concat(kept)
-        if skip is None:
-            self._scan_cache = (batch, total)
-        return batch, total, skipped
-
     def iter_batches(
         self, skip: Optional[ChunkSkipPredicate] = None
     ) -> Tuple[List[AUColumnBatch], int, int]:
@@ -968,20 +948,27 @@ class AUChunkStore(_BaseStore):
 # ---------------------------------------------------------------------------
 
 
-def det_store(rel, chunk_size: Optional[int]) -> Optional[DetChunkStore]:
-    """The relation's chunk store at ``chunk_size`` (``0`` → ``None``)."""
+def _store(cls, rel, chunk_size: Optional[int]):
     size = resolve_chunk_size(chunk_size)
-    if size == 0:
-        return None
     cached = getattr(rel, "_chunk_cache", None)
-    if isinstance(cached, DetChunkStore) and cached.chunk_size == size:
+    if isinstance(cached, cls) and cached.chunk_size == size:
         return cached
-    store = DetChunkStore.build(rel, size)
+    store = cls.build(rel, size)
     try:
         rel._chunk_cache = store
     except AttributeError:
         pass  # duck-typed relation: usable for this scan, not cached
     return store
+
+
+def det_store(rel, chunk_size: Optional[int]) -> DetChunkStore:
+    """The relation's chunk store at ``chunk_size`` (built on first use)."""
+    return _store(DetChunkStore, rel, chunk_size)
+
+
+def au_store(rel, chunk_size: Optional[int]) -> AUChunkStore:
+    """The AU relation's chunk store at ``chunk_size`` (built on first use)."""
+    return _store(AUChunkStore, rel, chunk_size)
 
 
 def storage_report(db, chunk_size: Optional[int] = None) -> Dict[str, int]:
@@ -1002,18 +989,3 @@ def storage_report(db, chunk_size: Optional[int] = None) -> Dict[str, int]:
             table=name,
         ).set(bytes_)
     return report
-
-
-def au_store(rel, chunk_size: Optional[int]) -> Optional[AUChunkStore]:
-    size = resolve_chunk_size(chunk_size)
-    if size == 0:
-        return None
-    cached = getattr(rel, "_chunk_cache", None)
-    if isinstance(cached, AUChunkStore) and cached.chunk_size == size:
-        return cached
-    store = AUChunkStore.build(rel, size)
-    try:
-        rel._chunk_cache = store
-    except AttributeError:
-        pass
-    return store

@@ -99,8 +99,8 @@ def evaluate_det(
     (:mod:`repro.exec`: columnar batches, fused compiled predicates,
     hash joins/aggregates).  ``parallelism`` > 1 adds morsel-parallel
     regions to vectorized plans (:mod:`repro.exec.parallel`).
-    ``chunk_size`` configures paged chunked storage for vectorized
-    scans (:mod:`repro.db.chunks`; ``0`` disables it).  Results are
+    ``chunk_size`` sets the rows per storage chunk for vectorized
+    scans (:mod:`repro.db.chunks`; ``None`` → the default).  Results are
     identical on every backend, parallelism level, and chunk size,
     floats included (:mod:`repro.core.sums`).
 
@@ -122,9 +122,8 @@ def evaluate_det(
         physical=physical,
         chunk_size=chunk_size,
     )
-    return Connection(db, engine="det", config=config).execute(
-        plan, actuals=actuals
-    )
+    with Connection(db, engine="det", config=config) as conn:
+        return conn.execute(plan, actuals=actuals)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ class DetRelation:
         "rows",
         "stats_epoch",
         "_column_stats_cache",
-        "_columnar_cache",
         "_chunk_cache",
         "_stats_acc",
         "_delta_sinks",
@@ -44,14 +43,11 @@ class DetRelation:
         #: databases sum it into their catalog epoch, which keys the
         #: session layer's plan cache (repro.session)
         self.stats_epoch = 0
-        # memoized per-column statistics (repro.algebra.stats) and the
-        # columnar image used by the vectorized backend (repro.exec).
-        # add() drops the columnar image and the finalized stats snapshot
-        # but keeps the incremental accumulator (_stats_acc) current, so
-        # the next harvest is O(columns) — mutate through add() only, as
-        # documented
+        # memoized per-column statistics (repro.algebra.stats).  add()
+        # drops the finalized stats snapshot but keeps the incremental
+        # accumulator (_stats_acc) current, so the next harvest is
+        # O(columns) — mutate through add() only, as documented
         self._column_stats_cache = None
-        self._columnar_cache = None
         # chunked columnar store (repro.db.chunks.DetChunkStore) with
         # per-chunk zone maps; maintained in place by add()/delete()
         self._chunk_cache = None
@@ -83,15 +79,6 @@ class DetRelation:
         self.rows[t] = (existing or 0) + multiplicity
         self.stats_epoch += 1
         self._column_stats_cache = None
-        cache = self._columnar_cache
-        if cache is not None and not (
-            # a *new* distinct tuple is exactly one appended row of the
-            # columnar image, so the cache can grow in place; merges into
-            # an existing row (and type surprises) drop the cache
-            existing is None
-            and cache.append_row(t, multiplicity)
-        ):
-            self._columnar_cache = None
         store = self._chunk_cache
         if store is not None and not store.on_add(
             t, self.rows[t], existing is None
@@ -131,7 +118,6 @@ class DetRelation:
             del self.rows[t]
         self.stats_epoch += 2
         self._column_stats_cache = None
-        self._columnar_cache = None
         store = self._chunk_cache
         if store is not None and not store.on_delete(t, remaining):
             self._chunk_cache = None
@@ -164,21 +150,11 @@ class DetRelation:
         Builds (and caches) the chunk store at ``chunk_size`` if the
         relation has none yet, then sums the per-chunk column payloads —
         typed array buffers exactly, object columns as pointer vector
-        plus per-element headers.  With chunking disabled
-        (``chunk_size=0``) falls back to a shallow estimate of the row
-        dictionary itself.
+        plus per-element headers.
         """
         from .chunks import det_store
 
-        store = det_store(self, chunk_size)
-        if store is not None:
-            return store.memory_footprint()
-        import sys
-
-        return sys.getsizeof(self.rows) + sum(
-            sys.getsizeof(t) + sum(sys.getsizeof(v) for v in t)
-            for t in self.rows
-        )
+        return det_store(self, chunk_size).memory_footprint()
 
     def __len__(self) -> int:
         return len(self.rows)

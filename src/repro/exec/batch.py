@@ -1,6 +1,6 @@
 """Columnar batches: the data representation of the vectorized backend.
 
-A batch is the columnar ("decomposed storage") image of a relation:
+A batch is a columnar ("decomposed storage") image of a relation:
 parallel per-attribute arrays plus a multiplicity column, so operators
 touch only the columns they need and run tight set-at-a-time loops
 instead of interpreting one tuple dictionary at a time.
@@ -22,9 +22,10 @@ projection, rename, join, cross product, union) because the annotation
 semirings distribute over addition; the executors materialize before
 every non-linear operator (difference, distinct, aggregation, top-k).
 
-Conversions are cached on the source relation (``_columnar_cache``,
-invalidated by ``add()``), so repeated queries over the same database
-scan the columnar image for free.
+Base tables reach the executors as batches of their chunk store
+(:mod:`repro.db.chunks`, the one columnar image kept per relation and
+maintained by its write path); ``from_relation`` is the plain converter
+for *intermediate* relations coming back from the tuple operators.
 """
 
 from __future__ import annotations
@@ -164,9 +165,6 @@ class ColumnBatch:
 
     @classmethod
     def from_relation(cls, rel: DetRelation) -> "ColumnBatch":
-        cached = getattr(rel, "_columnar_cache", None)
-        if cached is not None:
-            return cached
         charge_materialization(len(rel.rows))
         n_cols = len(rel.schema)
         if rel.rows:
@@ -175,12 +173,7 @@ class ColumnBatch:
         else:
             columns = [[] for _ in range(n_cols)]
             mult = array("q")
-        batch = cls(rel.schema, columns, mult)
-        try:
-            rel._columnar_cache = batch
-        except AttributeError:
-            pass  # duck-typed relation without the cache slot
-        return batch
+        return cls(rel.schema, columns, mult)
 
     def to_relation(self) -> DetRelation:
         """Materialize back into a (merged) :class:`DetRelation`."""
@@ -194,33 +187,6 @@ class ColumnBatch:
             if total:
                 rows[()] = total
         return out
-
-    def append_row(self, t: Tuple[Any, ...], multiplicity: int) -> bool:
-        """Grow the batch by one row in place, if types permit.
-
-        The incremental-maintenance path appends a relation's per-write
-        delta directly to the cached columnar image — the delta batch
-        *is* the appended column image.  Returns ``False`` (leaving the
-        batch untouched) when a value cannot join its typed column:
-        appending a bool/NaN/overflowing int to a packed array would
-        change the column's representation invariants, so the caller
-        must invalidate and rebuild instead.
-        """
-        if len(t) != len(self.columns):
-            return False
-        if not -(2**63) <= multiplicity < 2**63:
-            return False
-        for col, v in zip(self.columns, t):
-            if type(col) is array:
-                if col.typecode == "q":
-                    if type(v) is not int or not -(2**63) <= v < 2**63:
-                        return False
-                elif type(v) is not float or v != v:
-                    return False
-        for col, v in zip(self.columns, t):
-            col.append(v)
-        self.mult.append(multiplicity)
-        return True
 
     def row_view(self) -> BatchRowView:
         return BatchRowView(
@@ -253,9 +219,6 @@ class AUColumnBatch:
 
     @classmethod
     def from_relation(cls, rel: AURelation) -> "AUColumnBatch":
-        cached = getattr(rel, "_columnar_cache", None)
-        if cached is not None:
-            return cached
         charge_materialization(len(rel))
         n_cols = len(rel.schema)
         rows = list(rel.tuples())
@@ -267,12 +230,7 @@ class AUColumnBatch:
         else:
             columns = [[] for _ in range(n_cols)]
             ann_lb, ann_sg, ann_ub = array("q"), array("q"), array("q")
-        batch = cls(rel.schema, columns, ann_lb, ann_sg, ann_ub)
-        try:
-            rel._columnar_cache = batch
-        except AttributeError:
-            pass
-        return batch
+        return cls(rel.schema, columns, ann_lb, ann_sg, ann_ub)
 
     def to_relation(self) -> AURelation:
         """Materialize back into a (merged) :class:`AURelation`."""
@@ -286,19 +244,6 @@ class AUColumnBatch:
             for lb, sg, ub in zip(self.ann_lb, self.ann_sg, self.ann_ub):
                 out.add((), (lb, sg, ub))
         return out
-
-    def append_row(self, t: Tuple[Any, ...], annotation: AUAnnotation) -> bool:
-        """Grow the batch by one AU row in place (see ``ColumnBatch``)."""
-        if len(t) != len(self.columns):
-            return False
-        if not all(0 <= a < 2**63 for a in annotation):
-            return False
-        for col, v in zip(self.columns, t):
-            col.append(v)
-        self.ann_lb.append(annotation[0])
-        self.ann_sg.append(annotation[1])
-        self.ann_ub.append(annotation[2])
-        return True
 
     def annotations(self) -> List[AUAnnotation]:
         return list(zip(self.ann_lb, self.ann_sg, self.ann_ub))

@@ -12,12 +12,10 @@ add back together at the merge.
 
 Execution of one Exchange:
 
-1. the driver table is split into one morsel per partition.  When the
-   table has a chunk store (:mod:`repro.db.chunks`) the morsels are
-   contiguous runs of surviving chunks — the scan's zone-map skip
-   predicate prunes chunks before any worker sees them; otherwise the
-   cached columnar image is split row-wise (:func:`split_batch` /
-   :func:`split_au_batch`);
+1. the driver table's chunk store (:mod:`repro.db.chunks`) is split
+   into one morsel per partition: contiguous runs of surviving chunks —
+   the scan's zone-map skip predicate prunes chunks before any worker
+   sees them, and a morsel never splits a chunk;
 2. subtrees of the region that do *not* contain the ParallelScan are
    partition-invariant — they are evaluated **once** in the parent and
    injected into the workers as pre-bound results, and hash-join build
@@ -28,9 +26,10 @@ Execution of one Exchange:
    by :class:`repro.session.Connection` — forked once, reused across
    queries, invalidated when ``db.epoch`` advances) when one is
    attached and the driver is large enough to amortize transport
-   (:data:`PROCESS_MIN_ROWS`); else from a per-query ``fork`` pool;
-   else the morsels run in-process, through the *same*
-   partition-and-merge code path, so results are identical either way;
+   (:data:`PROCESS_MIN_ROWS`); else — and whenever the pool cannot
+   serve the region (:class:`PoolBrokenError`) — the morsels run
+   in-process, through the *same* partition-and-merge code path, so
+   results are identical either way;
 4. the per-partition results merge: batches concatenate (``concat``),
    partial aggregation states combine exactly (``aggregate`` /
    ``au_aggregate`` — SUM/AVG through :mod:`repro.core.sums`, and the
@@ -72,8 +71,6 @@ from .batch import AUColumnBatch, ColumnBatch
 __all__ = [
     "PARALLEL_MIN_ROWS",
     "PROCESS_MIN_ROWS",
-    "split_batch",
-    "split_au_batch",
     "execute_exchange",
     "WorkerPool",
     "PoolBrokenError",
@@ -84,8 +81,8 @@ __all__ = [
 PARALLEL_MIN_ROWS = 2048
 
 #: Below this many driver rows the morsels run in-process even when
-#: partitioned: forking a worker pool costs milliseconds, which only
-#: pays off on batches with real per-morsel work.
+#: partitioned: shipping a region to pool workers costs milliseconds,
+#: which only pays off on batches with real per-morsel work.
 PROCESS_MIN_ROWS = 8192
 
 _REGISTRY = _tm.get_registry()
@@ -109,40 +106,6 @@ _AU_SERIAL_FALLBACKS = _REGISTRY.counter(
     "repro_parallel_au_serial_fallbacks_total",
     "AU parallel aggregates re-run serially (uncertain group-by values).",
 )
-
-
-def split_batch(batch: ColumnBatch, partitions: int) -> List[ColumnBatch]:
-    """Split ``batch`` row-wise into at most ``partitions`` morsels."""
-    n = len(batch)
-    if n == 0 or partitions <= 1:
-        return [batch]
-    size = (n + partitions - 1) // partitions
-    return [
-        ColumnBatch(
-            batch.schema,
-            [col[s : s + size] for col in batch.columns],
-            batch.mult[s : s + size],
-        )
-        for s in range(0, n, size)
-    ]
-
-
-def split_au_batch(batch: AUColumnBatch, partitions: int) -> List[AUColumnBatch]:
-    """Split an AU batch row-wise into at most ``partitions`` morsels."""
-    n = len(batch)
-    if n == 0 or partitions <= 1:
-        return [batch]
-    size = (n + partitions - 1) // partitions
-    return [
-        AUColumnBatch(
-            batch.schema,
-            [col[s : s + size] for col in batch.columns],
-            batch.ann_lb[s : s + size],
-            batch.ann_sg[s : s + size],
-            batch.ann_ub[s : s + size],
-        )
-        for s in range(0, n, size)
-    ]
 
 
 def _contains(pnode: phys.PhysNode, target: phys.PhysNode) -> bool:
@@ -196,108 +159,57 @@ def _prebuild_join_tables(
 
 def execute_exchange(parent_exec, node: phys.Exchange):
     """Run the parallel region under ``node`` and merge the partitions."""
-    from .vectorized import _AUExec, _DetExec
+    from .vectorized import _AUExec
 
     au = isinstance(parent_exec, _AUExec)
     scan = next(
         p for p in node.child.walk() if isinstance(p, phys.ParallelScan)
     )
     db = parent_exec.db
-    rel = db[scan.table]
-    store = (
-        _chunks.au_store(rel, scan.chunk_size)
-        if au
-        else _chunks.det_store(rel, scan.chunk_size)
+    # morsels map 1:1 onto contiguous runs of surviving chunks, so
+    # zone-map skipping prunes work *before* it is handed to workers
+    store = _scan_store(db, scan, au)
+    chunk_groups, group_rows, chunks_total, chunks_skipped = (
+        store.morsel_chunk_groups(node.partitions, scan.skip)
     )
-    chunks_total = chunks_skipped = 0
-    chunk_groups: Optional[List[List[int]]] = None
-    parts: Optional[List[Any]] = None
-    if store is None:
-        base = (
-            AUColumnBatch.from_relation(rel)
-            if au
-            else ColumnBatch.from_relation(rel)
-        )
-        driver_rows = len(base)
-        if node.partitions <= 1 or driver_rows < PARALLEL_MIN_ROWS:
-            parts = [base]
-        else:
-            split = split_au_batch if au else split_batch
-            parts = split(base, node.partitions)
-        n_parts = len(parts)
-    else:
-        # morsels map 1:1 onto contiguous runs of surviving chunks, so
-        # zone-map skipping prunes work *before* it is handed to workers
-        chunk_groups, group_rows, chunks_total, chunks_skipped = (
-            store.morsel_chunk_groups(node.partitions, scan.skip)
-        )
-        driver_rows = sum(group_rows)
-        if len(chunk_groups) > 1 and driver_rows < PARALLEL_MIN_ROWS:
-            chunk_groups = [[ci for g in chunk_groups for ci in g]]
-        n_parts = len(chunk_groups)
+    driver_rows = sum(group_rows)
+    if len(chunk_groups) > 1 and driver_rows < PARALLEL_MIN_ROWS:
+        chunk_groups = [[ci for g in chunk_groups for ci in g]]
 
     bindings: Dict[int, Any] = dict(parent_exec.bindings)
     _bind_invariants(node.child, scan, parent_exec, bindings)
-    join_tables: Dict[int, Any] = {}
-    _prebuild_join_tables(node.child, scan, bindings, join_tables, au)
 
-    use_processes = (
-        n_parts > 1
-        and driver_rows >= PROCESS_MIN_ROWS
-        and hasattr(os, "fork")
-    )
     pool: Optional[WorkerPool] = getattr(parent_exec, "pool", None)
-    use_pool = use_processes and pool is not None and pool.ensure(db)
+    use_pool = (
+        len(chunk_groups) > 1
+        and driver_rows >= PROCESS_MIN_ROWS
+        and pool is not None
+        and pool.ensure(db)
+    )
     if _tm._ACTIVE is not None:
         # the Exchange's operator span is the innermost open one here;
-        # in-process morsels emit their own nested spans, forked workers
+        # in-process morsels emit their own nested spans, pool workers
         # trace nothing (spans die with the child's address space) but
-        # pool workers report per-task wall times back
-        attrs: Dict[str, Any] = dict(
-            morsels=n_parts,
-            forked=use_processes,
+        # report per-task wall times back
+        _tm.annotate(
+            morsels=len(chunk_groups),
             pooled=use_pool,
             driver_rows=driver_rows,
+            chunks_total=chunks_total,
+            chunks_skipped=chunks_skipped,
         )
-        if store is not None:
-            attrs["chunks_total"] = chunks_total
-            attrs["chunks_skipped"] = chunks_skipped
-        _tm.annotate(**attrs)
 
     try:
         results = None
         if use_pool:
             try:
-                results = _run_pooled(
-                    pool, node, scan, au, bindings, chunk_groups, parts
-                )
+                results = _run_pooled(pool, node, scan, au, bindings, chunk_groups)
             except PoolBrokenError:
-                results = None  # fall through to the per-query paths
+                pass  # the in-process path below serves the region
         if results is None:
-            if parts is None:
-                parts = [store.batch_for_chunks(g) for g in chunk_groups]
-            if use_processes:
-                results = _run_forked(
-                    db, node.child, scan, parts, bindings, join_tables, au
-                )
-            else:
-                # same worker + transport code as the pools, minus the
-                # fork: results round-trip through encode/decode so all
-                # paths are byte-for-byte the same computation
-                cls = _AUExec if au else _DetExec
-                results = [
-                    _decode(
-                        _encode(
-                            cls(
-                                db,
-                                None,
-                                {**bindings, id(scan): part},
-                                join_tables,
-                            ).eval(node.child)
-                        )
-                    )
-                    for part in parts
-                ]
+            results = _run_inline(
+                db, node, scan, au, bindings, store, chunk_groups
+            )
         return _merge_au(node, results) if au else _merge(node, results)
     except UncertainGroupError:
         # a morsel met uncertain group-by values: partial aggregation is
@@ -306,6 +218,50 @@ def execute_exchange(parent_exec, node: phys.Exchange):
         if _tm._ACTIVE is not None:
             _tm.annotate(au_serial_fallback=True)
         return parent_exec.eval(node.final)
+
+
+def _scan_store(db, scan: phys.ParallelScan, au: bool):
+    rel = db[scan.table]
+    return (
+        _chunks.au_store(rel, scan.chunk_size)
+        if au
+        else _chunks.det_store(rel, scan.chunk_size)
+    )
+
+
+def _run_inline(
+    db,
+    node: phys.Exchange,
+    scan: phys.ParallelScan,
+    au: bool,
+    bindings: Dict[int, Any],
+    store,
+    chunk_groups: List[List[int]],
+) -> List[Any]:
+    """Interpret the region once per morsel in this process.
+
+    Same worker + transport code as the pool, minus the processes:
+    results round-trip through encode/decode so both transports are
+    byte-for-byte the same computation.
+    """
+    from .vectorized import _AUExec, _DetExec
+
+    join_tables: Dict[int, Any] = {}
+    _prebuild_join_tables(node.child, scan, bindings, join_tables, au)
+    cls = _AUExec if au else _DetExec
+    return [
+        _decode(
+            _encode(
+                cls(
+                    db,
+                    None,
+                    {**bindings, id(scan): store.batch_for_chunks(g)},
+                    join_tables,
+                ).eval(node.child)
+            )
+        )
+        for g in chunk_groups
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -349,46 +305,31 @@ def _decode(payload: tuple):
     return ColumnBatch(schema, columns, mult)
 
 
-def _decode_morsel(db, spec: tuple, au: bool):
-    """Rebuild a worker's morsel from its transport spec.
-
-    ``("chunks", table, chunk_size, indices)`` rebuilds from the chunk
-    store (the fork-inherited relation state is identical at the same
-    epoch, so chunk boundaries — and therefore the batch — are
-    bit-identical to the parent's); any other tag is an encoded batch.
-    """
-    if spec[0] == "chunks":
-        _tag, table, chunk_size, indices = spec
-        rel = db[table]
-        store = (
-            _chunks.au_store(rel, chunk_size)
-            if au
-            else _chunks.det_store(rel, chunk_size)
-        )
-        return store.batch_for_chunks(indices)
-    return _decode(spec)
-
-
 # ----------------------------------------------------------------------
 # persistent worker pool (Connection-owned, lives across queries)
 # ----------------------------------------------------------------------
 class PoolBrokenError(RuntimeError):
     """The persistent pool cannot serve this region (worker death or an
-    untransportable plan); the caller falls back to per-query workers."""
+    untransportable plan); the caller falls back to in-process morsels."""
 
 
 def _run_task(db, task: tuple) -> tuple:
     """Execute one morsel task inside a pool worker."""
     from .vectorized import _AUExec, _DetExec
 
-    region_bytes, au, scan_idx, enc_bindings, spec = task
+    region_bytes, au, scan_idx, enc_bindings, chunk_indices = task
     region = pickle.loads(region_bytes)
     # node identities do not survive pickling: bindings travel keyed by
     # preorder walk index and re-key against the worker's copy
     nodes = list(region.walk())
     bindings = {id(nodes[i]): _decode(p) for i, p in enc_bindings}
     scan = nodes[scan_idx]
-    bindings[id(scan)] = _decode_morsel(db, spec, au)
+    # the fork-inherited relation state is identical at the same epoch,
+    # so chunk boundaries — and therefore the morsel batch — are
+    # bit-identical to the parent's
+    bindings[id(scan)] = _scan_store(db, scan, au).batch_for_chunks(
+        chunk_indices
+    )
     join_tables: Dict[int, Any] = {}
     _prebuild_join_tables(region, scan, bindings, join_tables, au)
     cls = _AUExec if au else _DetExec
@@ -427,8 +368,8 @@ class WorkerPool:
     """A persistent fork-based worker pool owned by a Connection.
 
     Workers are forked once and live across queries; each query ships
-    its region plan, invariant bindings, and morsel specs over pipes and
-    receives encoded results back.  The pool is keyed to one database
+    its region plan, invariant bindings, and chunk-index morsel specs
+    over pipes and receives encoded results back.  The pool is keyed to one database
     *snapshot* — ``(database identity, epoch)`` — because forked workers
     hold a copy-on-write image of the parent's relations: when the epoch
     advances (any write), :meth:`ensure` tears the stale workers down
@@ -551,15 +492,13 @@ def _run_pooled(
     scan: phys.ParallelScan,
     au: bool,
     bindings: Dict[int, Any],
-    chunk_groups: Optional[List[List[int]]],
-    parts: Optional[List[Any]],
+    chunk_groups: List[List[int]],
 ) -> List[Any]:
     """Dispatch the region to the persistent pool.
 
     The region subtree is pickled once per query; morsels travel as
-    chunk-index specs when the driver has a chunk store (the workers'
-    fork-inherited stores rebuild the batches locally) and as encoded
-    batches otherwise.  Invariant bindings are keyed by walk index so
+    chunk-index runs (the workers' fork-inherited stores rebuild the
+    batches locally).  Invariant bindings are keyed by walk index so
     they re-attach to the workers' unpickled plan copies.
     """
     nodes = list(node.child.walk())
@@ -571,62 +510,18 @@ def _run_pooled(
             for key, batch in bindings.items()
             if key in idx_of
         )
-        if chunk_groups is not None:
-            specs = [
-                ("chunks", scan.table, scan.chunk_size, g) for g in chunk_groups
-            ]
-        else:
-            specs = [_encode(p) for p in parts]
         tasks = [
-            (region_bytes, au, idx_of[id(scan)], enc_bindings, spec)
-            for spec in specs
+            (region_bytes, au, idx_of[id(scan)], enc_bindings, g)
+            for g in chunk_groups
         ]
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         # untransportable plan (exotic expression state): the pool stays
-        # alive for other queries, this region uses per-query workers
+        # alive for other queries, this region runs in-process
         raise PoolBrokenError(f"region not picklable: {exc!r}") from exc
     payloads, timings = pool.run(tasks)
     if _tm._ACTIVE is not None:
         _tm.annotate(pool_worker_seconds=[round(t, 6) for t in timings])
     return [_decode(p) for p in payloads]
-
-
-# ----------------------------------------------------------------------
-# per-query forked worker pool (no persistent pool attached)
-# ----------------------------------------------------------------------
-#: Inherited-by-fork work description; only partition indices travel to
-#: the workers and only encoded results travel back.
-_WORK: Optional[tuple] = None
-
-
-def _worker(i: int):
-    from .vectorized import _AUExec, _DetExec
-
-    # the fork inherited the parent's active trace; spans recorded here
-    # could never travel back over the result pipe, so don't record any
-    _tm._ACTIVE = None
-    db, region, scan, parts, bindings, join_tables, au = _WORK
-    cls = _AUExec if au else _DetExec
-    result = cls(
-        db, None, {**bindings, id(scan): parts[i]}, join_tables
-    ).eval(region)
-    return _encode(result)
-
-
-def _run_forked(
-    db, region, scan, parts, bindings, join_tables, au: bool = False
-) -> List[Any]:
-    import multiprocessing
-
-    global _WORK
-    ctx = multiprocessing.get_context("fork")
-    _WORK = (db, region, scan, parts, bindings, join_tables, au)
-    try:
-        with ctx.Pool(min(len(parts), os.cpu_count() or 1)) as pool:
-            encoded = pool.map(_worker, range(len(parts)))
-    finally:
-        _WORK = None
-    return [_decode(e) for e in encoded]
 
 
 # ----------------------------------------------------------------------

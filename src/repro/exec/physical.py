@@ -139,9 +139,27 @@ class PhysicalConfig:
     aggregation_buckets: Optional[int] = None
     adaptive_compression: bool = False
     #: rows per storage chunk for base-table scans (``None`` → the
-    #: default in :mod:`repro.db.chunks`; ``0`` disables chunked
-    #: storage and zone-map skipping — monolithic scans)
+    #: default in :mod:`repro.db.chunks`, else a positive integer)
     chunk_size: Optional[int] = None
+
+    @classmethod
+    def from_eval(cls, engine: str, config) -> "PhysicalConfig":
+        """The physical knobs of a session-level
+        :class:`~repro.algebra.evaluator.EvalConfig` for ``engine``."""
+        return cls(
+            engine=engine,
+            backend=config.backend,
+            parallelism=config.parallelism,
+            hash_join=config.hash_join,
+            join_buckets=config.join_buckets,
+            aggregation_buckets=config.aggregation_buckets,
+            # adaptive Cpr placement applies to optimized plans only:
+            # optimize=False keeps every join on its fixed budget
+            adaptive_compression=(
+                config.adaptive_compression and config.optimize
+            ),
+            chunk_size=config.chunk_size,
+        )
 
 
 # ======================================================================
@@ -174,8 +192,8 @@ class Scan(PhysNode):
     """A base-table scan.
 
     ``chunk_size`` selects the chunked columnar store backing the scan
-    (resolved from :class:`PhysicalConfig` at plan time; ``0`` means
-    monolithic).  ``skip`` is the plan-time chunk-skip predicate —
+    (copied from :class:`PhysicalConfig` at plan time).  ``skip`` is
+    the plan-time chunk-skip predicate —
     conjuncts of the selection directly above, testable against the
     store's per-chunk zone maps (:mod:`repro.db.chunks`).
     """
@@ -196,10 +214,10 @@ class ParallelScan(PhysNode):
 
     Appears exactly once inside a parallel region; the
     :class:`Exchange` above the region binds it to one morsel per
-    worker (:mod:`repro.exec.parallel`).  With a chunked store, morsels
-    are contiguous runs of storage chunks (boundaries never split a
-    chunk) and ``skip`` drops zone-map-excluded chunks before morsels
-    are formed.  ``partitions`` is sized adaptively from the catalog
+    worker (:mod:`repro.exec.parallel`).  Morsels are contiguous runs
+    of storage chunks (boundaries never split a chunk) and ``skip``
+    drops zone-map-excluded chunks before morsels are formed.
+    ``partitions`` is sized adaptively from the catalog
     cardinality (:func:`repro.algebra.stats.adaptive_morsel_count`).
     """
 
@@ -515,7 +533,7 @@ def lower(
     pplan = _Lowerer(stats, config).lower(plan)
     if config.backend == "vectorized" and config.parallelism > 1:
         pplan = _parallelize(pplan, config.parallelism, au=config.engine == "au")
-    _attach_chunk_skips(pplan, config)
+    _attach_chunk_skips(pplan)
     if verify is None:
         verify = verification_enabled()
     if verify:
@@ -876,20 +894,16 @@ def _partition_subtree(
     return replace(node), chosen
 
 
-def _attach_chunk_skips(root: PhysNode, config: PhysicalConfig) -> None:
+def _attach_chunk_skips(root: PhysNode) -> None:
     """Derive plan-time chunk-skip predicates for scans under selections.
 
     For every selection sitting directly above a base-table scan, the
     conjuncts comparing a column against a literal constant become a
     :class:`repro.db.chunks.ChunkSkipPredicate` on the scan, evaluated
-    against per-chunk zone maps at execution time.  A no-op when
-    chunked storage is disabled (``chunk_size=0``) — without chunks
-    there is nothing to skip, and the verifier rejects the combination.
+    against per-chunk zone maps at execution time.
     """
-    from ..db.chunks import derive_skip, resolve_chunk_size
+    from ..db.chunks import derive_skip
 
-    if resolve_chunk_size(config.chunk_size) == 0:
-        return
     for node in root.walk():
         if (
             isinstance(node, FusedSelectProject)

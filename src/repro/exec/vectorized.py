@@ -12,7 +12,8 @@ PR 3 is gone.
 
 Operator implementations:
 
-* **scans** convert base relations once (cached on the relation);
+* **scans** read the base relation's chunk store
+  (:mod:`repro.db.chunks`), whole or one chunk at a time;
 * **selection/projection** run fused compiled loops
   (:mod:`repro.exec.compile`) — a ``FusedSelectProject`` filters and
   gathers survivors in one pass;
@@ -193,9 +194,7 @@ class _DetExec:
                 and isinstance(child, (phys.Scan, phys.ParallelScan))
                 and id(child) not in self.bindings
             ):
-                streamed = self._stream_select_project(p, child)
-                if streamed is not None:
-                    return streamed
+                return self._stream_select_project(p, child)
             return self._select_project(self.eval(p.child), p.condition, p.columns)
         if isinstance(p, phys.HashJoin):
             return self._hash_join(p)
@@ -262,10 +261,7 @@ class _DetExec:
 
     # -- operators -----------------------------------------------------
     def _scan(self, p) -> ColumnBatch:
-        rel = self.db[p.table]
-        store = _chunks.det_store(rel, p.chunk_size)
-        if store is None:
-            return ColumnBatch.from_relation(rel)
+        store = _chunks.det_store(self.db[p.table], p.chunk_size)
         batch, total, skipped = store.scan(p.skip)
         if _tm._ACTIVE is not None:
             _tm.annotate(chunks_total=total, chunks_skipped=skipped)
@@ -273,20 +269,17 @@ class _DetExec:
 
     def _stream_select_project(
         self, p: phys.FusedSelectProject, scan
-    ) -> Optional[ColumnBatch]:
-        """Filter a chunked base table one chunk at a time.
+    ) -> ColumnBatch:
+        """Filter a base table one chunk at a time.
 
-        Bit-identical to filtering the monolithic image (chunks in
-        order, survivors gathered in order, the same compiled filter),
-        but the working set is one chunk plus the survivors — with a
-        selective predicate the full base batch never exists, which is
-        what lets scans obey a materialization budget the whole table
-        would bust.  Returns ``None`` when chunked storage is off.
+        Bit-identical to filtering the whole-table concatenation
+        (chunks in order, survivors gathered in order, the same
+        compiled filter), but the working set is one chunk plus the
+        survivors — with a selective predicate the full base batch
+        never exists, which is what lets scans obey a materialization
+        budget the whole table would bust.
         """
-        rel = self.db[scan.table]
-        store = _chunks.det_store(rel, scan.chunk_size)
-        if store is None:
-            return None
+        store = _chunks.det_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
         batches, total, skipped = store.iter_batches(scan.skip)
@@ -884,8 +877,8 @@ class _AUExec:
         #: ParallelScan (see repro.exec.parallel)
         self.bindings: Dict[int, AUColumnBatch] = bindings or {}
         #: pre-built AU hash tables by HashJoin node id — a parallel
-        #: region builds each partition-invariant build side once in the
-        #: parent; forked workers inherit it copy-on-write
+        #: region builds each partition-invariant build side once and
+        #: shares it between its morsels
         self.join_tables: Dict[int, Tuple] = join_tables or {}
         #: persistent worker pool (Connection-owned) for Exchange regions
         self.pool = pool
@@ -936,9 +929,7 @@ class _AUExec:
                 and isinstance(p.child, (phys.Scan, phys.ParallelScan))
                 and id(p.child) not in self.bindings
             ):
-                streamed = self._stream_select_project(p, p.child)
-                if streamed is not None:
-                    return streamed
+                return self._stream_select_project(p, p.child)
             batch = self.eval(p.child)
             if p.condition is not None:
                 batch = self._selection(batch, p.condition)
@@ -1046,10 +1037,7 @@ class _AUExec:
 
     # -- operators -----------------------------------------------------
     def _scan(self, p: phys.Scan) -> AUColumnBatch:
-        rel = self.db[p.table]
-        store = _chunks.au_store(rel, p.chunk_size)
-        if store is None:
-            return AUColumnBatch.from_relation(rel)
+        store = _chunks.au_store(self.db[p.table], p.chunk_size)
         batch, total, skipped = store.scan(p.skip)
         if _tm._ACTIVE is not None:
             _tm.annotate(chunks_total=total, chunks_skipped=skipped)
@@ -1057,15 +1045,12 @@ class _AUExec:
 
     def _stream_select_project(
         self, p: phys.FusedSelectProject, scan: phys.Scan
-    ) -> Optional[AUColumnBatch]:
+    ) -> AUColumnBatch:
         """Chunk-at-a-time selection over an AU base table (the AU
         mirror of ``_DetExec._stream_select_project``); row-local
         selection commutes with chunk order, so the result is
-        bit-identical to filtering the monolithic image."""
-        rel = self.db[scan.table]
-        store = _chunks.au_store(rel, scan.chunk_size)
-        if store is None:
-            return None
+        bit-identical to filtering the whole-table concatenation."""
+        store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
         batches, total, skipped = store.iter_batches(scan.skip)
@@ -1282,9 +1267,8 @@ def build_au_join_table(
     value tuple (``certain_right``); the rest (``uncertain_right``)
     interval-match against every probe row.  ``certain_right_rows``
     keeps the certain rows in order for uncertain-probe overlap scans.
-    A parallel region builds this once in the parent process; forked
-    workers inherit the table copy-on-write instead of rebuilding it
-    per morsel.
+    A parallel region builds this once and probes it from every
+    morsel instead of rebuilding it per morsel.
     """
     r_index = _index_of(right.schema)
     r_key_cols = [right.columns[r_index[b]] for b in key_attrs]

@@ -191,18 +191,7 @@ class MaterializedView:
         self._dplan: phys.DeltaPhysical = phys.lower_delta(
             self._delta,
             stats,
-            phys.PhysicalConfig(
-                engine=conn.engine,
-                backend=config.backend,
-                parallelism=config.parallelism,
-                hash_join=config.hash_join,
-                join_buckets=config.join_buckets,
-                aggregation_buckets=config.aggregation_buckets,
-                adaptive_compression=(
-                    config.adaptive_compression and config.optimize
-                ),
-                chunk_size=config.chunk_size,
-            ),
+            phys.PhysicalConfig.from_eval(conn.engine, config),
             verify=conn.verify_plans,
         )
         conn.metrics.lowerings += 1

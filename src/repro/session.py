@@ -92,6 +92,7 @@ from .core.expressions import (
     UnboundParameterError,
 )
 from .core.relation import AUDatabase
+from .db.chunks import resolve_chunk_size
 from .db.storage import DetDatabase
 from . import telemetry as _tm
 from .exec import BACKENDS
@@ -738,18 +739,7 @@ class PreparedQuery:
         self.pplan = phys.lower(
             self.optimized,
             stats,
-            phys.PhysicalConfig(
-                engine=conn.engine,
-                backend=config.backend,
-                parallelism=config.parallelism,
-                hash_join=config.hash_join,
-                join_buckets=config.join_buckets,
-                aggregation_buckets=config.aggregation_buckets,
-                adaptive_compression=(
-                    config.adaptive_compression and config.optimize
-                ),
-                chunk_size=config.chunk_size,
-            ),
+            phys.PhysicalConfig.from_eval(conn.engine, config),
             verify=conn.verify_plans,
         )
         self.plan_epoch = stats.epoch
@@ -1007,6 +997,16 @@ class PreparedQuery:
         return "\n".join(part for part in (header, body, footer) if part)
 
 
+def _check_config(config: EvalConfig) -> None:
+    """Reject configs no backend can run, before any plan is built."""
+    if config.backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {config.backend!r}; "
+            f"expected one of {BACKENDS}"
+        )
+    resolve_chunk_size(config.chunk_size)
+
+
 class Connection:
     """A query session owning a database, its statistics, and a plan cache.
 
@@ -1068,11 +1068,7 @@ class Connection:
         self.db = db
         self.engine = engine
         self.config = config if config is not None else EvalConfig()
-        if self.config.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.config.backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
+        _check_config(self.config)
         self.staleness = staleness
         self.cache_size = cache_size
         self.verify = verify
@@ -1132,6 +1128,12 @@ class Connection:
             self._pool.close()
             self._pool = None
         self._cache.clear()
+
+    def __enter__(self) -> "Connection":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def verify_plans(self) -> bool:
@@ -1195,12 +1197,10 @@ class Connection:
         compiled fresh each time (they have no value identity to key
         on) but still amortize across their own ``execute`` calls.
         """
-        config = config if config is not None else self.config
-        if config.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {config.backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
+        if config is None:
+            config = self.config  # validated by __init__
+        else:
+            _check_config(config)
         if not isinstance(query, str):
             return PreparedQuery(self, query, config)
         key = (query, self.engine, config, self._epoch_band())

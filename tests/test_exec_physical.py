@@ -10,12 +10,14 @@ statistically:
   diff-reviewable;
 * morsel partitioning and every Exchange merge kind (concat, partial
   aggregate, top-k, limit, distinct) — in-process and through the
-  forked worker pool;
+  persistent worker pool;
 * order-independent exact summation (:mod:`repro.core.sums`) — the
   PR 3 float round-off carve-out is gone.
 """
 
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -42,7 +44,6 @@ from repro.db.storage import DetDatabase, DetRelation
 from repro.exec import PhysicalConfig, explain_physical, lower
 from repro.exec import parallel as exec_parallel
 from repro.exec import physical as phys
-from repro.exec.batch import ColumnBatch
 
 
 # ----------------------------------------------------------------------
@@ -340,14 +341,6 @@ def _parallel_matches_serial(plan, db, parallelism=4, **kwargs):
 
 
 class TestParallelExecution:
-    def test_split_batch_shapes(self):
-        batch = ColumnBatch(("x",), [list(range(10))], list(range(10)))
-        parts = exec_parallel.split_batch(batch, 4)
-        assert [len(p) for p in parts] == [3, 3, 3, 1]
-        assert exec_parallel.split_batch(batch, 1) == [batch]
-        empty = ColumnBatch(("x",), [[]], [])
-        assert exec_parallel.split_batch(empty, 4) == [empty]
-
     def test_aggregate_region(self, wide_db, force_partitioning):
         plan = Aggregate(
             Selection(
@@ -394,16 +387,29 @@ class TestParallelExecution:
         out = _parallel_matches_serial(linear, wide_db)
         assert out.total_rows() > 0
 
-    def test_forked_worker_pool(self, wide_db, monkeypatch):
-        """Force the process-pool transport on small data once."""
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="persistent pool needs fork()"
+    )
+    def test_persistent_worker_pool(self, wide_db, monkeypatch):
+        """Force the pool transport on small data once — and the
+        one-shot shim's ephemeral connection must reap its workers
+        itself, not leave them to the pool's GC safety net."""
         monkeypatch.setattr(exec_parallel, "PARALLEL_MIN_ROWS", 0)
         monkeypatch.setattr(exec_parallel, "PROCESS_MIN_ROWS", 0)
+        monkeypatch.delattr(exec_parallel.WorkerPool, "__del__")
         plan = Aggregate(
             TableRef("fact"),
             ["f_key"],
             [agg_sum("f_val", "t"), agg_avg("f_val", "m")],
         )
-        _parallel_matches_serial(plan, wide_db, parallelism=2)
+        forks = exec_parallel._POOL_FORKS.value
+        tasks = exec_parallel._POOL_TASKS.value
+        # chunk_size=64: 500 rows make 8 chunks, so the chunk-aligned
+        # morsels really split into 2 partitions
+        _parallel_matches_serial(plan, wide_db, parallelism=2, chunk_size=64)
+        assert exec_parallel._POOL_FORKS.value == forks + 1
+        assert exec_parallel._POOL_TASKS.value == tasks + 2
+        assert multiprocessing.active_children() == []
 
     def test_threshold_collapses_to_single_partition(self, wide_db):
         # default PARALLEL_MIN_ROWS far exceeds 500 rows: the Exchange
@@ -411,7 +417,7 @@ class TestParallelExecution:
         plan = Aggregate(TableRef("fact"), ["f_key"], [agg_count("n")])
         _parallel_matches_serial(plan, wide_db)
 
-    def test_au_parallelism_knob_is_accepted_and_serial(self):
+    def test_au_parallelism_knob_is_result_invariant(self):
         rel = AURelation(["a"])
         rel.add([between(1, 2, 3)], (1, 1, 1))
         db = AUDatabase({"r": rel})

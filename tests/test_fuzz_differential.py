@@ -119,6 +119,10 @@ _CHUNK = 20
 
 TABLES = {"r": ("a", "b"), "s": ("c", "d"), "u": ("e", "f")}
 
+#: the chunk-free oracle of the storage lanes: the legacy direct
+#: interpretation of the logical plan never builds or reads a chunk store
+TUPLE_LEGACY = EvalConfig(backend="tuple", physical=False)
+
 
 # ----------------------------------------------------------------------
 # seeded generators
@@ -403,18 +407,18 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     write must not be maintained and the registry entry must be freed.
 
     The subscribed connections run on a randomly chosen chunk size while
-    the fresh reference evaluation runs unchunked (``chunk_size=0``), so
-    delta-plan maintenance over incrementally maintained chunk stores is
-    cross-checked against chunkless evaluation too.
+    the fresh reference evaluation is the legacy tuple interpreter
+    (which never touches a chunk store), so delta-plan maintenance over
+    incrementally maintained chunk stores is cross-checked against
+    chunk-free evaluation too.
     """
     lane_seed = rng.randrange(2**31)
-    chunk_size = rng.choice((0, 1, 3, 64, None))
+    chunk_size = rng.choice((1, 3, 64, None))
     for backend in ("tuple", "vectorized"):
         wrng = random.Random(lane_seed)
         det_db = _clone_det(det)
         au_db = _clone_audb(audb)
         config = EvalConfig(backend=backend, chunk_size=chunk_size)
-        flat_config = EvalConfig(backend=backend, chunk_size=0)
         det_conn = Connection(det_db, config=config)
         au_conn = Connection(au_db, config=config)
         det_view = det_conn.subscribe(plan)
@@ -426,11 +430,11 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
                 f"step {step}] {context}"
             )
             got = det_view.result()
-            want = evaluate_det(plan, det_db, backend=backend, chunk_size=0)
+            want = evaluate_det(plan, det_db, backend="tuple", physical=False)
             assert got.schema == want.schema, f"ivm det schema {where}"
             assert got.rows == want.rows, f"ivm det bag {where}"
             got_au = au_view.result()
-            want_au = evaluate_audb(plan, au_db, flat_config)
+            want_au = evaluate_audb(plan, au_db, TUPLE_LEGACY)
             assert got_au.schema == want_au.schema, f"ivm AU schema {where}"
             assert dict(got_au.tuples()) == dict(want_au.tuples()), (
                 f"ivm AU annotations {where}"
@@ -457,8 +461,8 @@ def _check_chunk_lane(rng, plan, det, audb, context) -> None:
 
     For chunk sizes 1 (one row per page), 3 (ragged pages), 64, and the
     default page size, both engines on both backends must return results
-    bit-identical to ``chunk_size=0`` (no chunk stores: whole-table
-    columnar images, no zone-map skipping).  A round of random writes
+    bit-identical to the legacy tuple interpreter (no chunk stores, no
+    zone-map skipping).  A round of random writes
     between reads exercises the stores' incremental maintenance paths
     (zone widening on insert, boundary invalidation on delete) — the
     second read runs over maintained chunk stores, not fresh builds."""
@@ -474,11 +478,9 @@ def _check_chunk_lane(rng, plan, det, audb, context) -> None:
                     _random_write(wrng, det_db, au_db)
             where = f"[{backend} chunk step {step}] {context}"
             want_det = evaluate_det(
-                plan, det_db, backend=backend, chunk_size=0
+                plan, det_db, backend="tuple", physical=False
             )
-            want_au = evaluate_audb(
-                plan, au_db, EvalConfig(backend=backend, chunk_size=0)
-            )
+            want_au = evaluate_audb(plan, au_db, TUPLE_LEGACY)
             for size in sizes:
                 got = evaluate_det(
                     plan, det_db, backend=backend, chunk_size=size
@@ -736,8 +738,9 @@ def _check_case(seed: int) -> None:
     _check_ivm_lane(rng, plan, det, audb, context)
 
     # 1g. chunked storage is invisible: every chunk size (including the
-    # degenerate one-row pages) matches chunk_size=0 bit-for-bit, across
-    # a round of writes that exercises incremental store maintenance
+    # degenerate one-row pages) matches the legacy tuple interpreter
+    # bit-for-bit, across a round of writes that exercises incremental
+    # store maintenance
     _check_chunk_lane(rng, plan, det, audb, context)
 
     # 1h. telemetry transparency on a slice of the seeds: tracing must

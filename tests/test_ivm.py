@@ -51,7 +51,6 @@ from repro.core.expressions import Const, Gt, Leq, Var
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import _aggregate, evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
-from repro.exec import AUColumnBatch
 from repro.exec.vectorized import (
     DeltaFoldError,
     finalize_delta_groups,
@@ -399,25 +398,6 @@ def test_harvest_after_deletes_matches_fresh_scan():
         want.max_value,
         want.count,
     )
-
-
-# ----------------------------------------------------------------------
-# incremental columnar append (delta batch == appended column image)
-# ----------------------------------------------------------------------
-def test_au_columnar_cache_appends_in_place():
-    rel = AURelation(("v",))
-    rel.add((1,), (1, 1, 1))
-    batch = AUColumnBatch.from_relation(rel)
-    rel.add((2,), (0, 1, 2))  # new tuple: appended to the cached image
-    assert AUColumnBatch.from_relation(rel) is batch
-    assert dict(batch.to_relation().tuples()) == dict(rel.tuples())
-    rel.add((1,), (0, 0, 1))  # annotation merge: invalidates
-    batch2 = AUColumnBatch.from_relation(rel)
-    assert batch2 is not batch
-    rel.delete((2,), (0, 1, 2))  # deletes invalidate too
-    batch3 = AUColumnBatch.from_relation(rel)
-    assert batch3 is not batch2
-    assert dict(batch3.to_relation().tuples()) == dict(rel.tuples())
 
 
 # ----------------------------------------------------------------------

@@ -153,19 +153,3 @@ class TestMetrics:
         r = self.make_audb()
         assert mean_numeric_range(r, "v") == pytest.approx(1.5)
 
-
-def test_repro_metrics_shim_warns_and_reexports():
-    # the paper accuracy metrics moved to repro.accuracy; the old name
-    # keeps working through a DeprecationWarning shim
-    import importlib
-    import sys
-    import warnings
-
-    sys.modules.pop("repro.metrics", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim = importlib.import_module("repro.metrics")
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    assert shim.certain_tuple_recall is certain_tuple_recall

@@ -325,6 +325,37 @@ class TestWorkerPoolLifecycle:
         assert conn._pool is None
         assert not pool.alive
 
+    def test_broken_pool_falls_back_in_process(self):
+        """A dead worker closes the pool (``PoolBrokenError``) and the
+        region runs in-process instead — same result, no new fork."""
+        conn, rel, db = self._connection()
+        plan = Aggregate(
+            TableRef("t"), ["g"], [agg_sum("v", "s"), agg_count("n")]
+        )
+        prepared = conn.prepare(plan)
+        pooled = prepared.execute(actuals={})
+        pool = conn._pool
+        assert pool is not None and pool.alive
+        for proc, _pipe in pool._workers:
+            proc.terminate()
+            proc.join(timeout=5.0)
+            assert not proc.is_alive()
+
+        before = _counters()
+        inline = prepared.execute(actuals={})
+        after = _counters()
+        assert not pool.alive, "a transport failure must close the pool"
+        assert (
+            after["repro_parallel_tasks_total"]
+            == before["repro_parallel_tasks_total"]
+        ), "no morsel may be counted as served by the dead pool"
+        serial = evaluate_audb(
+            plan, db, EvalConfig(backend="vectorized", parallelism=1)
+        )
+        assert _fingerprint(inline) == _fingerprint(pooled)
+        assert _fingerprint(inline) == _fingerprint(serial)
+        conn.close()
+
     def test_uncertain_group_serial_fallback(self):
         conn, rel, db = self._connection()
         rel.add([between(0, 0, 1), 2.5], (1, 1, 1))  # uncertain group key

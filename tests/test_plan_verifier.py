@@ -376,20 +376,15 @@ class TestPhysicalDiagnostics:
             self._cfg(engine="det", backend="vectorized", parallelism=4),
         )
 
-    def test_negative_chunk_size_rejected(self, stats):
-        with pytest.raises(PlanCompatibilityError, match="chunk_size"):
+    @pytest.mark.parametrize("size", [-1, 0])
+    def test_non_positive_chunk_size_rejected(self, stats, size):
+        with pytest.raises(
+            PlanCompatibilityError,
+            match=f"Scan on 'r': chunk_size must be positive, got {size}",
+        ):
             verify_physical(
-                phys.Scan("r", chunk_size=-1), stats, self._cfg(engine="det")
+                phys.Scan("r", chunk_size=size), stats, self._cfg(engine="det")
             )
-
-    def test_skip_predicate_on_unchunked_scan_rejected(self, stats):
-        from repro.db.chunks import derive_skip
-
-        scan = phys.Scan(
-            "r", chunk_size=0, skip=derive_skip(Var("a") > Const(0))
-        )
-        with pytest.raises(PlanCompatibilityError, match="disabled"):
-            verify_physical(scan, stats, self._cfg(engine="det"))
 
     def test_skip_predicate_must_use_zone_mapped_columns(self, stats):
         from repro.db.chunks import derive_skip

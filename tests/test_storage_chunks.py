@@ -73,20 +73,55 @@ def _au_rel(n=10):
 # ----------------------------------------------------------------------
 def test_resolve_chunk_size():
     assert resolve_chunk_size(None) == DEFAULT_CHUNK_SIZE
-    assert resolve_chunk_size(0) == 0
     assert resolve_chunk_size(7) == 7
-    with pytest.raises(ValueError):
-        resolve_chunk_size(-1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            resolve_chunk_size(bad)
+
+
+def test_chunk_size_zero_rejected_at_every_entry_point():
+    """There is no chunk-free columnar image to fall back to: 0 is an
+    error everywhere, never a silent remap to the default."""
+    from repro.algebra.evaluator import EvalConfig, evaluate_audb
+    from repro.db.engine import evaluate_det
+    from repro.algebra.ast import TableRef
+    from repro.core.relation import AUDatabase
+    from repro.exec import physical as phys
+    from repro.exec.vectorized import execute_audb, execute_det
+    from repro.session import Connection
+
+    db = DetDatabase({"t": _det_rel()})
+    au_db = AUDatabase({"t": _au_rel()})
+    zero = EvalConfig(backend="vectorized", chunk_size=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        Connection(db, config=zero)
+    with pytest.raises(ValueError, match="chunk_size"):
+        Connection(db).prepare("SELECT a FROM t", config=zero)
+    for backend in ("tuple", "vectorized"):
+        with pytest.raises(ValueError, match="chunk_size"):
+            evaluate_det(TableRef("t"), db, backend=backend, chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            evaluate_audb(
+                TableRef("t"), au_db, EvalConfig(backend=backend, chunk_size=0)
+            )
+    for store_of, rel in ((det_store, db["t"]), (au_store, au_db["t"])):
+        with pytest.raises(ValueError, match="chunk_size"):
+            store_of(rel, 0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            rel.memory_footprint(0)
+    scan = phys.Scan("t", chunk_size=0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        execute_det(scan, db)
+    with pytest.raises(ValueError, match="chunk_size"):
+        execute_audb(scan, au_db)
 
 
 def test_store_accessors_cache_on_relation():
     r = _det_rel()
-    assert det_store(r, 0) is None
     s = det_store(r, 3)
     assert det_store(r, 3) is s  # cached at the same size
     assert det_store(r, 4) is not s  # different size rebuilds
     au = _au_rel()
-    assert au_store(au, 0) is None
     t = au_store(au, 3)
     assert au_store(au, 3) is t
 
@@ -200,7 +235,7 @@ def test_null_skip_rules_au():
     assert (total, skipped) == (3, 1)
 
 
-def test_scan_roundtrip_matches_monolithic_image():
+def test_scan_roundtrip_matches_whole_relation_image():
     r = _det_rel(10)
     flat = ColumnBatch.from_relation(r)
     for size in (1, 3, 64):
@@ -328,11 +363,13 @@ def test_au_nan_range_disables_zone_entry():
 # ----------------------------------------------------------------------
 # morsel/chunk alignment
 # ----------------------------------------------------------------------
-def test_morsel_batches_align_with_chunks():
+def test_morsels_align_with_chunks():
     store = DetChunkStore.build(_det_rel(10), 3)  # 4 chunks: 3+3+3+1
-    morsels, total, skipped = store.morsel_batches(4, None)
+    groups, group_rows, total, skipped = store.morsel_chunk_groups(4, None)
     assert (total, skipped) == (4, 0)
-    assert 1 < len(morsels) <= 4
+    assert groups == [[0], [1], [2], [3]]
+    morsels = [store.batch_for_chunks(g) for g in groups]
+    assert group_rows == [len(m) for m in morsels]
     # never splits a chunk: every morsel is a contiguous run of chunks
     assert [len(m) for m in morsels] == [3, 3, 3, 1]
     assert sum(len(m) for m in morsels) == 10
@@ -340,11 +377,15 @@ def test_morsel_batches_align_with_chunks():
     rows = [m.columns[0][i] for m in morsels for i in range(len(m))]
     assert rows == list(range(10))
     # skipping prunes chunks before grouping
-    morsels, total, skipped = store.morsel_batches(
+    groups, group_rows, total, skipped = store.morsel_chunk_groups(
         4, derive_skip(Gt(Var("a"), Const(5)))
     )
     assert skipped == 2
-    assert sum(len(m) for m in morsels) == 4
+    assert sum(group_rows) == 4
+    # fewer partitions than chunks: contiguous runs, balanced by rows
+    groups, group_rows, _, _ = store.morsel_chunk_groups(2, None)
+    assert groups == [[0, 1], [2, 3]] and group_rows == [6, 4]
+    assert store.morsel_chunk_groups(1, None)[0] == [[0, 1, 2, 3]]
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +404,8 @@ def test_materialization_budget_restores_global():
 
 def test_streaming_select_stays_under_budget():
     """The chunked streaming scan path never materializes the base table
-    whole, so a selective query completes under a budget the monolithic
-    columnar image cannot."""
+    whole, so a selective query completes under a budget an unfiltered
+    full-table scan (one concatenated batch) cannot."""
     from repro.db.engine import evaluate_det
     from repro.algebra.ast import Selection, TableRef
 
@@ -375,9 +416,9 @@ def test_streaming_select_stays_under_budget():
     plan = Selection(TableRef("t"), Gt(Var("a"), Const(390)))
     want = evaluate_det(plan, db)
     with materialization_budget(100):
-        # chunk_size=0 must concat all 400 rows: over budget
+        # an unfiltered scan must concat all 400 rows: over budget
         with pytest.raises(MaterializationBudgetError):
-            evaluate_det(plan, db, backend="vectorized", chunk_size=0)
+            evaluate_det(TableRef("t"), db, backend="vectorized", chunk_size=50)
         # chunked streaming reads 50-row pages and skips most of them
         got = evaluate_det(plan, db, backend="vectorized", chunk_size=50)
     assert got.rows == want.rows
