@@ -14,13 +14,29 @@ Plans are built either directly, via the fluent helpers on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..core.aggregation import AggregateSpec
 from ..core.expressions import Expression, Var
 
 __all__ = [
+    "Node",
+    "CHILD",
+    "EXPRS",
+    "collect_parameters",
     "Plan",
     "TableRef",
     "Selection",
@@ -38,11 +54,129 @@ __all__ = [
 ]
 
 
-class Plan:
-    """Base class for logical plan nodes with fluent builders."""
+# ----------------------------------------------------------------------
+# the structural description shared by both plan IRs
+# ----------------------------------------------------------------------
+#: ``field(metadata=CHILD)``: an input plan, or a tuple of them — what
+#: :meth:`Node.children` and :meth:`Node.walk` visit.
+CHILD: Mapping[str, str] = {"slot": "child"}
 
-    def children(self) -> Sequence["Plan"]:
-        return ()
+#: ``field(metadata=EXPRS)``: an expression-bearing slot that is *not*
+#: an input — an :class:`Expression`, a ``((Expression, name), …)``
+#: tuple, an :class:`AggregateSpec` tuple, or a plan kept off the
+#: ``children()`` spine (``TupleFallback.logical``, ``Exchange.final``);
+#: ``None`` when optional.  Every unmarked field is a scalar.
+EXPRS: Mapping[str, str] = {"slot": "exprs"}
+
+N = TypeVar("N", bound="Node")
+
+
+@lru_cache(maxsize=None)
+def _slots(cls: Any) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(child slots, child + expression slots)`` of a node class."""
+    marked = [(f.name, f.metadata.get("slot")) for f in fields(cls)]
+    return (
+        tuple(name for name, kind in marked if kind == "child"),
+        tuple(name for name, kind in marked if kind is not None),
+    )
+
+
+def _map(value: Any, fn: Callable[[Any], Any]) -> Any:
+    """``value`` with ``fn`` applied to every node and expression in it;
+    whatever ``fn`` returns unchanged keeps its container unchanged."""
+    if isinstance(value, (Node, Expression)):
+        return fn(value)
+    if isinstance(value, tuple):
+        new = [_map(v, fn) for v in value]
+        for n, o in zip(new, value):
+            if n is not o:
+                return tuple(new)
+        return value
+    if isinstance(value, AggregateSpec) and value.expr is not None:
+        expr = fn(value.expr)
+        return value if expr is value.expr else replace(value, expr=expr)
+    return value
+
+
+def _rebuild(node: Any, slots: Sequence[str], fn: Callable[[Any], Any]) -> Any:
+    """``node`` with ``fn`` mapped over ``slots``: a copy carrying every
+    other field when something changed, else the same object."""
+    changes: Dict[str, Any] = {}
+    for name in slots:
+        old = getattr(node, name)
+        new = _map(old, fn)
+        if new is not old:
+            changes[name] = new
+    if not changes:
+        return node
+    # a shallow clone, as copy.copy would make: mapped slots hold values
+    # already in stored form, so they are not fed back through __init__
+    copy = object.__new__(type(node))
+    vars(copy).update(vars(node))
+    vars(copy).update(changes)
+    return copy
+
+
+class Node:
+    """What logical and physical plan nodes have in common.
+
+    A node is a dataclass whose fields are marked :data:`CHILD`,
+    :data:`EXPRS` or left scalar; traversal, copy-with and every
+    "rewrite each node" pass (parameter binding and collection, the
+    optimizer's child rebuild, parallel-region insertion) derive from
+    that description instead of enumerating node types.  The rewrites
+    preserve identity: a subtree nothing changed in is returned as the
+    same object, which keeps ``id(node)``-keyed actuals, bindings and
+    compiled-expression caches valid.
+    """
+
+    def children(self) -> Tuple[Any, ...]:
+        out: Tuple[Any, ...] = ()
+        for name in _slots(type(self))[0]:
+            value = getattr(self, name)
+            out += value if isinstance(value, tuple) else (value,)
+        return out
+
+    def walk(self: N) -> Iterator[N]:
+        """Pre-order traversal of the plan tree."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
+    def map_children(self: N, fn: Callable[[Any], Any]) -> N:
+        """This node over ``fn(child)`` for each child."""
+        rebuilt: N = _rebuild(self, _slots(type(self))[0], fn)
+        return rebuilt
+
+    def rewrite(self: N, expr_fn: Callable[[Expression], Expression]) -> N:
+        """The plan with ``expr_fn`` applied to every expression of every
+        node, nested off-spine plans included."""
+
+        def visit(value: Any) -> Any:
+            if isinstance(value, Expression):
+                return expr_fn(value)
+            return _rebuild(value, _slots(type(value))[1], visit)
+
+        rewritten: N = visit(self)
+        return rewritten
+
+
+def collect_parameters(plan: Node) -> List[Any]:
+    """All parameter keys mentioned anywhere in ``plan``, first-seen order."""
+    out: List[Any] = []
+
+    def note(expr: Expression) -> Expression:
+        for key in expr.parameters():
+            if key not in out:
+                out.append(key)
+        return expr
+
+    plan.rewrite(note)
+    return out
+
+
+class Plan(Node):
+    """Base class for logical plan nodes with fluent builders."""
 
     # ------------------------------------------------------------------
     # fluent construction
@@ -62,7 +196,7 @@ class Plan:
             else:
                 expr, name = c
                 cols.append((Var(expr) if isinstance(expr, str) else expr, name))
-        return Projection(self, cols)
+        return Projection(self, tuple(cols))
 
     def join(self, other: "Plan", condition: Expression) -> "Join":
         return Join(self, other, condition)
@@ -82,27 +216,21 @@ class Plan:
     def grouped(
         self, keys: Sequence[str], aggregates: Sequence[AggregateSpec]
     ) -> "Aggregate":
-        return Aggregate(self, list(keys), list(aggregates))
+        return Aggregate(self, tuple(keys), tuple(aggregates))
 
     def aggregate(self, *aggregates: AggregateSpec) -> "Aggregate":
-        return Aggregate(self, [], list(aggregates))
+        return Aggregate(self, (), tuple(aggregates))
 
     def rename(self, mapping: Dict[str, str]) -> "Rename":
-        return Rename(self, dict(mapping))
+        return Rename(self, tuple(sorted(mapping.items())))
 
     def order_by(self, keys: Sequence[str], descending: bool = False) -> "OrderBy":
-        return OrderBy(self, list(keys), descending)
+        return OrderBy(self, tuple(keys), descending)
 
     def limit(self, n: int) -> "Limit":
         return Limit(self, n)
 
     # ------------------------------------------------------------------
-    def walk(self):
-        """Pre-order traversal of the plan tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
     def table_names(self) -> List[str]:
         return [n.name for n in self.walk() if isinstance(n, TableRef)]
 
@@ -119,11 +247,8 @@ class TableRef(Plan):
 
 @dataclass(frozen=True)
 class Selection(Plan):
-    child: Plan
-    condition: Expression
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    child: Plan = field(metadata=CHILD)
+    condition: Expression = field(metadata=EXPRS)
 
     def __repr__(self) -> str:
         return f"σ[{self.condition!r}]({self.child!r})"
@@ -131,15 +256,11 @@ class Selection(Plan):
 
 @dataclass(frozen=True)
 class Projection(Plan):
-    child: Plan
-    columns: Tuple[Tuple[Expression, str], ...]
+    child: Plan = field(metadata=CHILD)
+    columns: Tuple[Tuple[Expression, str], ...] = field(metadata=EXPRS)
 
-    def __init__(self, child: Plan, columns) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "columns", tuple(columns))
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(self.columns))
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{e!r}→{n}" for e, n in self.columns)
@@ -148,12 +269,9 @@ class Projection(Plan):
 
 @dataclass(frozen=True)
 class Join(Plan):
-    left: Plan
-    right: Plan
-    condition: Expression
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
+    left: Plan = field(metadata=CHILD)
+    right: Plan = field(metadata=CHILD)
+    condition: Expression = field(metadata=EXPRS)
 
     def __repr__(self) -> str:
         return f"({self.left!r} ⋈[{self.condition!r}] {self.right!r})"
@@ -161,11 +279,8 @@ class Join(Plan):
 
 @dataclass(frozen=True)
 class CrossProduct(Plan):
-    left: Plan
-    right: Plan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
+    left: Plan = field(metadata=CHILD)
+    right: Plan = field(metadata=CHILD)
 
     def __repr__(self) -> str:
         return f"({self.left!r} × {self.right!r})"
@@ -173,11 +288,8 @@ class CrossProduct(Plan):
 
 @dataclass(frozen=True)
 class Union(Plan):
-    left: Plan
-    right: Plan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
+    left: Plan = field(metadata=CHILD)
+    right: Plan = field(metadata=CHILD)
 
     def __repr__(self) -> str:
         return f"({self.left!r} ∪ {self.right!r})"
@@ -185,11 +297,8 @@ class Union(Plan):
 
 @dataclass(frozen=True)
 class Difference(Plan):
-    left: Plan
-    right: Plan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
+    left: Plan = field(metadata=CHILD)
+    right: Plan = field(metadata=CHILD)
 
     def __repr__(self) -> str:
         return f"({self.left!r} − {self.right!r})"
@@ -197,10 +306,7 @@ class Difference(Plan):
 
 @dataclass(frozen=True)
 class Distinct(Plan):
-    child: Plan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    child: Plan = field(metadata=CHILD)
 
     def __repr__(self) -> str:
         return f"δ({self.child!r})"
@@ -208,19 +314,14 @@ class Distinct(Plan):
 
 @dataclass(frozen=True)
 class Aggregate(Plan):
-    child: Plan
+    child: Plan = field(metadata=CHILD)
     group_by: Tuple[str, ...]
-    aggregates: Tuple[AggregateSpec, ...]
-    having: Optional[Expression] = None
+    aggregates: Tuple[AggregateSpec, ...] = field(metadata=EXPRS)
+    having: Optional[Expression] = field(default=None, metadata=EXPRS)
 
-    def __init__(self, child, group_by, aggregates, having=None) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "group_by", tuple(group_by))
-        object.__setattr__(self, "aggregates", tuple(aggregates))
-        object.__setattr__(self, "having", having)
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "group_by", tuple(self.group_by))
+        object.__setattr__(self, "aggregates", tuple(self.aggregates))
 
     def __repr__(self) -> str:
         aggs = ", ".join(f"{a.kind}({a.expr!r})→{a.name}" for a in self.aggregates)
@@ -230,18 +331,18 @@ class Aggregate(Plan):
 
 @dataclass(frozen=True)
 class Rename(Plan):
-    child: Plan
+    """``mapping`` is given as a dict (or its pairs) and stored as a
+    sorted tuple of pairs, so the node stays hashable."""
+
+    child: Plan = field(metadata=CHILD)
     mapping: Tuple[Tuple[str, str], ...]
 
-    def __init__(self, child: Plan, mapping: Dict[str, str]) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "mapping", tuple(sorted(mapping.items())))
+    def __post_init__(self) -> None:
+        pairs = tuple(sorted(dict(self.mapping).items()))
+        object.__setattr__(self, "mapping", pairs)
 
     def mapping_dict(self) -> Dict[str, str]:
         return dict(self.mapping)
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
 
     def __repr__(self) -> str:
         return f"ρ[{dict(self.mapping)}]({self.child!r})"
@@ -251,17 +352,12 @@ class Rename(Plan):
 class OrderBy(Plan):
     """Presentation-only ordering (deterministic engine only)."""
 
-    child: Plan
+    child: Plan = field(metadata=CHILD)
     keys: Tuple[str, ...]
     descending: bool = False
 
-    def __init__(self, child: Plan, keys, descending: bool = False) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "descending", descending)
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
 
 
 @dataclass(frozen=True)
@@ -274,11 +370,8 @@ class Limit(Plan):
     form produced by the optimizer.
     """
 
-    child: Plan
+    child: Plan = field(metadata=CHILD)
     n: int
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
 
 
 @dataclass(frozen=True)
@@ -294,19 +387,13 @@ class TopK(Plan):
     :func:`repro.core.operators.au_topk`).
     """
 
-    child: Plan
+    child: Plan = field(metadata=CHILD)
     keys: Tuple[str, ...]
     descending: bool
     n: int
 
-    def __init__(self, child: Plan, keys, descending: bool, n: int) -> None:
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "descending", descending)
-        object.__setattr__(self, "n", n)
-
-    def children(self) -> Sequence[Plan]:
-        return (self.child,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
 
     def __repr__(self) -> str:
         order = "desc" if self.descending else "asc"

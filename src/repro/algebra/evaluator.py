@@ -156,28 +156,11 @@ def execute_physical_audb(pplan, db: AUDatabase, actuals=None) -> AURelation:
     boundaries — were made by :func:`repro.exec.physical.lower`; this is
     a thin dispatch onto :mod:`repro.core.operators`.
 
-    When a telemetry trace is active (:mod:`repro.telemetry`) every
-    node evaluation gets an operator span with inclusive wall time and
-    output AU-tuples; disabled, the hook is one global-load-and-``None``
-    check per node.
+    Every node evaluation goes through :func:`repro.telemetry.run_op`
+    (operator span when a trace is active, per-node ``actuals`` in
+    AU-tuples).
     """
-    tr = _tm._ACTIVE
-    if tr is not None:
-        span = tr.begin_op(pplan)
-        try:
-            result = _exec_node(pplan, db, actuals)
-        except BaseException:
-            tr.end_op(span)
-            raise
-        tr.end_op(span, len(result))
-    else:
-        result = _exec_node(pplan, db, actuals)
-    if actuals is not None:
-        n = len(result)
-        actuals[id(pplan)] = n
-        for src in pplan.sources:
-            actuals[id(src)] = n
-    return result
+    return _tm.run_op(pplan, _exec_node, (db, actuals), actuals, len)
 
 
 def _pexec(p, db, actuals) -> AURelation:

@@ -56,29 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.expressions import (
-    Add,
-    And,
-    Const,
-    Div,
-    Eq,
-    Expression,
-    Geq,
-    Gt,
-    If,
-    IsNull,
-    Leq,
-    Lt,
-    MakeUncertain,
-    Mul,
-    Neg,
-    Neq,
-    Not,
-    Or,
-    Parameter,
-    Sub,
-    Var,
-)
+from ..core.expressions import And, Eq, Expression, Var
 from ..analysis import verification_enabled
 from ..core.compression import recommended_buckets
 from .ast import (
@@ -233,43 +211,20 @@ def _and_all(conjuncts: Sequence[Expression]) -> Expression:
     return out
 
 
-_BINARY = (And, Or, Eq, Neq, Leq, Lt, Geq, Gt, Add, Sub, Mul, Div)
-
-
 def _substitute(
     expr: Expression, mapping: Mapping[str, Expression]
-) -> Optional[Expression]:
-    """``expr[x := mapping[x]]``; ``None`` when an unknown node blocks it.
+) -> Expression:
+    """``expr[x := mapping[x]]``.
 
     Substitution commutes with both ``eval`` and ``eval_range`` (both are
     defined structurally over the valuation), which is what makes
-    pushdown through Projection/Rename semantics-preserving.
+    pushdown through Projection/Rename semantics-preserving.  Only
+    variables are touched: parameters are leaf placeholders, so
+    parameterized conjuncts push down like constant ones.
     """
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, (Const, Parameter)):
-        # parameters are leaf placeholders: substitution never touches
-        # them, so parameterized conjuncts push down like constant ones
-        return expr
-    if isinstance(expr, _BINARY):
-        left = _substitute(expr.left, mapping)
-        right = _substitute(expr.right, mapping)
-        if left is None or right is None:
-            return None
-        return type(expr)(left, right)
-    if isinstance(expr, (Not, Neg, IsNull)):
-        inner = _substitute(expr.operand, mapping)
-        return None if inner is None else type(expr)(inner)
-    if isinstance(expr, If):
-        parts = [
-            _substitute(e, mapping)
-            for e in (expr.cond, expr.then_branch, expr.else_branch)
-        ]
-        return None if any(p is None for p in parts) else If(*parts)
-    if isinstance(expr, MakeUncertain):
-        parts = [_substitute(e, mapping) for e in (expr.lb, expr.sg, expr.ub)]
-        return None if any(p is None for p in parts) else MakeUncertain(*parts)
-    return None
+    return expr.map_leaves(
+        lambda e: mapping.get(e.name, e) if isinstance(e, Var) else e
+    )
 
 
 # ----------------------------------------------------------------------
@@ -474,27 +429,18 @@ def _pushdown(plan: Plan, pending: List[Expression], stats) -> Plan:
         down: List[Expression] = []
         kept: List[Expression] = []
         for c in pending:
-            substituted = None
             if all(v in mapping for v in c.variables()):
-                substituted = _substitute(c, mapping)
-            if substituted is None:
-                kept.append(c)
+                down.append(_substitute(c, mapping))
             else:
-                down.append(substituted)
+                kept.append(c)
         child = _pushdown(plan.child, down, stats)
         return _wrap(Projection(child, plan.columns), kept)
 
     if isinstance(plan, Rename):
         inverse = {new: Var(old) for old, new in plan.mapping}
-        down, kept = [], []
-        for c in pending:
-            substituted = _substitute(c, inverse)
-            if substituted is None:
-                kept.append(c)
-            else:
-                down.append(substituted)
+        down = [_substitute(c, inverse) for c in pending]
         child = _pushdown(plan.child, down, stats)
-        return _wrap(Rename(child, plan.mapping_dict()), kept)
+        return Rename(child, plan.mapping_dict())
 
     if isinstance(plan, Union):
         left_schema = schema_of(plan.left, stats)
@@ -512,14 +458,11 @@ def _pushdown(plan: Plan, pending: List[Expression], stats) -> Plan:
             positional = {l: Var(r) for l, r in zip(left_schema, right_schema)}
             down_left, down_right, kept = [], [], []
             for c in pending:
-                translated = None
                 if c.variables() <= left_set:
-                    translated = _substitute(c, positional)
-                if translated is None:
-                    kept.append(c)
-                else:
                     down_left.append(c)
-                    down_right.append(translated)
+                    down_right.append(_substitute(c, positional))
+                else:
+                    kept.append(c)
             left = _pushdown(plan.left, down_left, stats)
             right = _pushdown(plan.right, down_right, stats)
             return _wrap(Union(left, right), kept)
@@ -701,7 +644,9 @@ def _reorder_joins(plan: Plan, stats, join_order: str) -> Plan:
                 return reordered
         # duplicate / unknown attribute names, few leaves, or a free
         # conjunct variable: keep the original join structure untouched
-    return _rebuild(plan, lambda child: _reorder_joins(child, stats, join_order))
+    return plan.map_children(
+        lambda child: _reorder_joins(child, stats, join_order)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -936,36 +881,7 @@ def _fuse_topk(plan: Plan) -> Plan:
         inner = plan.child
         _record("topk-fusion")
         return TopK(_fuse_topk(inner.child), inner.keys, inner.descending, plan.n)
-    return _rebuild(plan, _fuse_topk)
-
-
-def _rebuild(plan: Plan, recurse) -> Plan:
-    """Rebuild a node with ``recurse`` applied to its children."""
-    if isinstance(plan, Selection):
-        return Selection(recurse(plan.child), plan.condition)
-    if isinstance(plan, Projection):
-        return Projection(recurse(plan.child), plan.columns)
-    if isinstance(plan, Rename):
-        return Rename(recurse(plan.child), plan.mapping_dict())
-    if isinstance(plan, Join):
-        return Join(recurse(plan.left), recurse(plan.right), plan.condition)
-    if isinstance(plan, CrossProduct):
-        return CrossProduct(recurse(plan.left), recurse(plan.right))
-    if isinstance(plan, Union):
-        return Union(recurse(plan.left), recurse(plan.right))
-    if isinstance(plan, Difference):
-        return Difference(recurse(plan.left), recurse(plan.right))
-    if isinstance(plan, Distinct):
-        return Distinct(recurse(plan.child))
-    if isinstance(plan, Aggregate):
-        return Aggregate(recurse(plan.child), plan.group_by, plan.aggregates, plan.having)
-    if isinstance(plan, OrderBy):
-        return OrderBy(recurse(plan.child), plan.keys, plan.descending)
-    if isinstance(plan, Limit):
-        return Limit(recurse(plan.child), plan.n)
-    if isinstance(plan, TopK):
-        return TopK(recurse(plan.child), plan.keys, plan.descending, plan.n)
-    return plan
+    return plan.map_children(_fuse_topk)
 
 
 # ----------------------------------------------------------------------
@@ -1426,7 +1342,7 @@ def derive_delta(
             # unmaterializable schema (unknown / duplicate attribute
             # names): leave the subtree inside the tail
             return node
-        return _rebuild(node, carve)
+        return node.map_children(carve)
 
     tail = carve(plan)
     return DeltaPlan(plan, "refresh", tuple(segments), tail, None)

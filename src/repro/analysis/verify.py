@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping, Optional, Sequence, Set, Union
 
 from ..algebra import ast
-from ..core.expressions import Expression
+from ..algebra.ast import collect_parameters as collect_plan_parameters
 from .errors import (
     PlanCompatibilityError,
     PlanReferenceError,
@@ -54,35 +54,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # logical plans
 # ----------------------------------------------------------------------
-def collect_plan_parameters(plan: ast.Plan) -> List[Any]:
-    """Parameter keys mentioned anywhere in ``plan``, first-seen order.
-
-    (A local walk rather than an import of :mod:`repro.session`, which
-    imports the optimizer, which imports this package.)
-    """
-    out: List[Any] = []
-
-    def expr(e: Optional[Expression]) -> None:
-        if e is not None:
-            for key in e.parameters():
-                if key not in out:
-                    out.append(key)
-
-    for node in plan.walk():
-        if isinstance(node, ast.Selection):
-            expr(node.condition)
-        elif isinstance(node, ast.Projection):
-            for e, _name in node.columns:
-                expr(e)
-        elif isinstance(node, ast.Join):
-            expr(node.condition)
-        elif isinstance(node, ast.Aggregate):
-            for spec in node.aggregates:
-                expr(spec.expr)
-            expr(node.having)
-    return out
-
-
 def _check_tables(plan: ast.Plan, catalog: Any) -> None:
     schemas = getattr(catalog, "schemas", None)
     if not schemas:
@@ -786,9 +757,10 @@ def verify_physical(
                         'Exchange(merge="aggregate") final operator must '
                         "be the non-partial HashAggregate"
                     )
-        # walk the region body; `final` shares the pre-parallel subtree
-        # with `child` (it is the original serial operator), so it is
-        # checked shallowly above and never recursed into
+        # walk the region body; `final` is the original serial operator
+        # over the pre-parallel subtree (the region minus its
+        # ParallelScan), so it is checked shallowly above and never
+        # recursed into
         region_root = child
         if node.merge == "aggregate" and isinstance(child, phys.HashAggregate):
             # the partial aggregate itself is legal here; descend past it

@@ -447,6 +447,17 @@ def _part_value(part: Tuple[int, Any]) -> Any:
     return 0 if k == 0 else k * v
 
 
+def _add_part(acc: list, value: Any, mult: int) -> None:
+    """Accumulate the part ``mult·value`` exactly, under the semimodule
+    law ``0·x = 0`` that :func:`_part_value` selects corners by: IEEE
+    ``0 * ±inf`` is ``nan`` (:func:`repro.core.sums.add_product` keeps
+    that for deterministic sums), but a row that is possibly absent
+    contributes nothing even when its value bound is infinite."""
+    if mult == 0 and type(value) is float and not math.isfinite(value):
+        value = 0.0
+    add_product(acc, value, mult)
+
+
 def _sum_parts(
     ann: AUAnnotation, m: RangeValue
 ) -> Tuple[Tuple[int, Any], Tuple[int, Any]]:
@@ -454,7 +465,7 @@ def _sum_parts(
 
     Definition 23 takes the min/max over the four annotation×value corner
     products; returning the chosen corner as a part lets callers feed it to
-    :func:`repro.core.sums.add_product`, which accumulates ``k·v`` exactly
+    :func:`_add_part`, which accumulates ``k·v`` exactly
     (power-of-two scalings) instead of summing rounded products.  That is
     what makes SUM bounds regrouping-invariant to the bit: folding a row
     with annotation ``k1+k2`` equals folding two value-equal rows with
@@ -482,9 +493,9 @@ def _fold_sum_row(
     rows that are not certainly in the group."""
     lo_part, hi_part = _sum_parts(ann, m)
     if certainly_in_group or _dom_le(_part_value(lo_part), 0):
-        add_product(lo_acc, lo_part[1], lo_part[0])
+        _add_part(lo_acc, lo_part[1], lo_part[0])
     if certainly_in_group or _dom_le(0, _part_value(hi_part)):
-        add_product(hi_acc, hi_part[1], hi_part[0])
+        _add_part(hi_acc, hi_part[1], hi_part[0])
 
 
 def _clamped_range(lo: Any, sg: Any, hi: Any) -> RangeValue:
@@ -533,7 +544,7 @@ def _aggregate_bounds(
             )
             _fold_sum_row(lo_acc, hi_acc, ann, m, certainly_in_group)
             if r_i in sg_members:
-                add_product(sg_acc, m.sg, ann[1])
+                _add_part(sg_acc, m.sg, ann[1])
         return _clamped_range(finish(lo_acc), finish(sg_acc), finish(hi_acc))
 
     lo = monoid.neutral
@@ -701,7 +712,7 @@ def _fold_agg_partial(
     ``_avg_bounds`` folds restricted to the certain-group case."""
     if spec.kind in ("sum", "count"):
         _fold_sum_row(agg[0], agg[2], ann, m, certainly)
-        add_product(agg[1], m.sg, ann[1])
+        _add_part(agg[1], m.sg, ann[1])
         return
     if spec.kind == "avg":
         if ann[2] > 0:

@@ -21,7 +21,7 @@ Expressions overload Python operators so queries read naturally::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Set
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Sequence, Set
 
 from .ranges import RangeValue, certain, domain_key, domain_le, domain_max, domain_min
 
@@ -131,6 +131,25 @@ class Expression:
 
     def children(self) -> Iterable["Expression"]:
         return ()
+
+    def with_children(self, children: Sequence["Expression"]) -> "Expression":
+        """This operator over ``children`` (every non-leaf constructor
+        takes exactly its children, in order); the same object when they
+        are the ones it already has."""
+        for new, old in zip(children, self.children()):
+            if new is not old:
+                return type(self)(*children)
+        return self
+
+    def map_leaves(
+        self, fn: Callable[["Expression"], "Expression"]
+    ) -> "Expression":
+        """The expression with every leaf ``e`` replaced by ``fn(e)``;
+        subtrees ``fn`` leaves alone are shared, not copied."""
+        children = self.children()
+        if not children:
+            return fn(self)
+        return self.with_children([c.map_leaves(fn) for c in children])
 
     # -- evaluation ----------------------------------------------------
     def eval(self, valuation: Dict[str, Any]) -> Any:

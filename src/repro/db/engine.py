@@ -140,28 +140,12 @@ def execute_physical_det(
     operators; all choices (hash vs nested loop, fallback boundaries)
     were made by :func:`repro.exec.physical.lower`.
 
-    When a telemetry trace is active (:mod:`repro.telemetry`) every
-    node evaluation gets an operator span with inclusive wall time and
-    output rows; disabled, the hook is one global-load-and-``None``
-    check per node.
+    Every node evaluation goes through :func:`repro.telemetry.run_op`
+    (operator span when a trace is active, per-node ``actuals``).
     """
-    tr = _tm._ACTIVE
-    if tr is not None:
-        span = tr.begin_op(pplan)
-        try:
-            result = _exec_node(pplan, db, actuals)
-        except BaseException:
-            tr.end_op(span)
-            raise
-        tr.end_op(span, result.total_rows())
-    else:
-        result = _exec_node(pplan, db, actuals)
-    if actuals is not None:
-        n = result.total_rows()
-        actuals[id(pplan)] = n
-        for src in pplan.sources:
-            actuals[id(src)] = n
-    return result
+    return _tm.run_op(
+        pplan, _exec_node, (db, actuals), actuals, DetRelation.total_rows
+    )
 
 
 def _exec(p: phys.PhysNode, db: DetDatabase, actuals) -> DetRelation:

@@ -47,16 +47,19 @@ logical ``explain`` while also keying the physical rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..algebra.ast import (
+    CHILD,
+    EXPRS,
     Aggregate,
     CrossProduct,
     Difference,
     Distinct,
     Join,
     Limit as LLimit,
+    Node,
     OrderBy,
     Plan,
     Projection,
@@ -68,6 +71,7 @@ from ..algebra.ast import (
 )
 from ..algebra.optimizer import Statistics, estimate, schema_of
 from ..analysis import verification_enabled
+from ..core.aggregation import AggregateSpec
 from ..core.compression import recommended_buckets
 from ..core.expressions import Expression
 from ..core.operators import _extract_equi_pairs, _is_pure_equi_condition
@@ -122,8 +126,8 @@ class PhysicalConfig:
 
     ``engine`` selects the semantics (``"det"`` bags / ``"au"``
     bound-preserving); ``backend`` the runtime (``"tuple"`` /
-    ``"vectorized"``); ``parallelism`` > 1 adds a morsel-parallel region
-    to deterministic vectorized plans.  The AU knobs mirror
+    ``"vectorized"``); ``parallelism`` > 1 adds morsel-parallel regions
+    to vectorized plans of either engine.  The AU knobs mirror
     :class:`repro.algebra.evaluator.EvalConfig`: ``join_buckets`` /
     ``aggregation_buckets`` are the paper's compression budgets,
     ``adaptive_compression`` lets the estimates skip ``Cpr`` on joins
@@ -143,7 +147,7 @@ class PhysicalConfig:
     chunk_size: Optional[int] = None
 
     @classmethod
-    def from_eval(cls, engine: str, config) -> "PhysicalConfig":
+    def from_eval(cls, engine: str, config: Any) -> "PhysicalConfig":
         """The physical knobs of a session-level
         :class:`~repro.algebra.evaluator.EvalConfig` for ``engine``."""
         return cls(
@@ -165,7 +169,8 @@ class PhysicalConfig:
 # ======================================================================
 # the IR
 # ======================================================================
-class PhysNode:
+@dataclass(eq=False)
+class PhysNode(Node):
     """Base physical operator.
 
     ``est`` is the planner's output-cardinality estimate (rows for the
@@ -174,20 +179,20 @@ class PhysNode:
     actual output cardinality under ``id(node)`` *and* each
     ``id(source)`` so both the logical and the physical ``explain`` can
     show estimated-vs-actual columns.
+
+    Operators are plain dataclasses over the structural description of
+    :class:`repro.algebra.ast.Node` (``CHILD`` / ``EXPRS`` field marks):
+    ``children()``, ``walk()``, copy-with and pickling for the worker
+    pool are derived, and ``est`` / ``sources`` travel with every copy.
+    Equality and hashing stay by identity — ``id(node)`` keys actuals,
+    bindings, join tables and trace aliases.
     """
 
-    est: float = 0.0
-    sources: Tuple[Plan, ...] = ()
-
-    def children(self) -> Sequence["PhysNode"]:
-        return ()
-
-    def walk(self):
-        yield self
-        for child in self.children():
-            yield from child.walk()
+    est: float = field(default=0.0, kw_only=True)
+    sources: Tuple[Plan, ...] = field(default=(), kw_only=True)
 
 
+@dataclass(eq=False)
 class Scan(PhysNode):
     """A base-table scan.
 
@@ -198,17 +203,12 @@ class Scan(PhysNode):
     store's per-chunk zone maps (:mod:`repro.db.chunks`).
     """
 
-    def __init__(
-        self,
-        table: str,
-        chunk_size: Optional[int] = None,
-        skip: Optional[object] = None,
-    ) -> None:
-        self.table = table
-        self.chunk_size = chunk_size
-        self.skip = skip
+    table: str
+    chunk_size: Optional[int] = None
+    skip: Optional[object] = None
 
 
+@dataclass(eq=False)
 class ParallelScan(PhysNode):
     """A base-table scan split into ``partitions`` morsels.
 
@@ -221,19 +221,13 @@ class ParallelScan(PhysNode):
     cardinality (:func:`repro.algebra.stats.adaptive_morsel_count`).
     """
 
-    def __init__(
-        self,
-        table: str,
-        partitions: int,
-        chunk_size: Optional[int] = None,
-        skip: Optional[object] = None,
-    ) -> None:
-        self.table = table
-        self.partitions = partitions
-        self.chunk_size = chunk_size
-        self.skip = skip
+    table: str
+    partitions: int
+    chunk_size: Optional[int] = None
+    skip: Optional[object] = None
 
 
+@dataclass(eq=False)
 class FusedSelectProject(PhysNode):
     """``π_columns(σ_condition(child))`` in a single pass.
 
@@ -242,29 +236,25 @@ class FusedSelectProject(PhysNode):
     ``Selection`` so survivors are gathered once.
     """
 
-    def __init__(
-        self,
-        child: PhysNode,
-        condition: Optional[Expression],
-        columns: Optional[Tuple[Tuple[Expression, str], ...]],
-    ) -> None:
-        self.child = child
-        self.condition = condition
-        self.columns = tuple(columns) if columns is not None else None
+    child: PhysNode = field(metadata=CHILD)
+    condition: Optional[Expression] = field(metadata=EXPRS)
+    columns: Optional[Tuple[Tuple[Expression, str], ...]] = field(metadata=EXPRS)
 
-    def children(self):
-        return (self.child,)
+    def __post_init__(self) -> None:
+        if self.columns is not None:
+            self.columns = tuple(self.columns)
 
 
+@dataclass(eq=False)
 class Rename(PhysNode):
-    def __init__(self, child: PhysNode, mapping: Dict[str, str]) -> None:
-        self.child = child
-        self.mapping = dict(mapping)
+    child: PhysNode = field(metadata=CHILD)
+    mapping: Dict[str, str]
 
-    def children(self):
-        return (self.child,)
+    def __post_init__(self) -> None:
+        self.mapping = dict(self.mapping)
 
 
+@dataclass(eq=False)
 class HashJoin(PhysNode):
     """Equi-join via a hash table on ``eq_pairs`` (built on the right).
 
@@ -283,28 +273,19 @@ class HashJoin(PhysNode):
     lands in exactly one bucket.
     """
 
-    def __init__(
-        self,
-        left: PhysNode,
-        right: PhysNode,
-        condition: Expression,
-        eq_pairs: Sequence[Tuple[str, str]],
-        pure_equi: bool,
-        partitioned: bool = False,
-        hash_partitions: int = 0,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.eq_pairs = tuple(eq_pairs)
-        self.pure_equi = pure_equi
-        self.partitioned = partitioned
-        self.hash_partitions = hash_partitions
+    left: PhysNode = field(metadata=CHILD)
+    right: PhysNode = field(metadata=CHILD)
+    condition: Expression = field(metadata=EXPRS)
+    eq_pairs: Tuple[Tuple[str, str], ...]
+    pure_equi: bool
+    partitioned: bool = False
+    hash_partitions: int = 0
 
-    def children(self):
-        return (self.left, self.right)
+    def __post_init__(self) -> None:
+        self.eq_pairs = tuple(self.eq_pairs)
 
 
+@dataclass(eq=False)
 class NLJoin(PhysNode):
     """Nested-loop join: cross the inputs, filter by ``condition``.
 
@@ -313,22 +294,13 @@ class NLJoin(PhysNode):
     no usable equi-conjunct.
     """
 
-    def __init__(
-        self,
-        left: PhysNode,
-        right: PhysNode,
-        condition: Optional[Expression],
-        check_overlap: bool = False,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.check_overlap = check_overlap
-
-    def children(self):
-        return (self.left, self.right)
+    left: PhysNode = field(metadata=CHILD)
+    right: PhysNode = field(metadata=CHILD)
+    condition: Optional[Expression] = field(metadata=EXPRS)
+    check_overlap: bool = False
 
 
+@dataclass(eq=False)
 class CompressedJoin(PhysNode):
     """AU join through the paper's ``Cpr`` compression operator.
 
@@ -338,24 +310,14 @@ class CompressedJoin(PhysNode):
     so a ``CompressedJoin`` node always compresses.
     """
 
-    def __init__(
-        self,
-        left: PhysNode,
-        right: PhysNode,
-        condition: Expression,
-        pair: Tuple[str, str],
-        buckets: int,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.pair = pair
-        self.buckets = buckets
-
-    def children(self):
-        return (self.left, self.right)
+    left: PhysNode = field(metadata=CHILD)
+    right: PhysNode = field(metadata=CHILD)
+    condition: Expression = field(metadata=EXPRS)
+    pair: Tuple[str, str]
+    buckets: int
 
 
+@dataclass(eq=False)
 class HashAggregate(PhysNode):
     """Single-pass hash aggregation (deterministic engine).
 
@@ -364,24 +326,18 @@ class HashAggregate(PhysNode):
     above combines the states and applies ``having``.
     """
 
-    def __init__(
-        self,
-        child: PhysNode,
-        group_by: Sequence[str],
-        aggregates: Sequence,
-        having: Optional[Expression],
-        partial: bool = False,
-    ) -> None:
-        self.child = child
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
-        self.having = having
-        self.partial = partial
+    child: PhysNode = field(metadata=CHILD)
+    group_by: Tuple[str, ...]
+    aggregates: Tuple[AggregateSpec, ...] = field(metadata=EXPRS)
+    having: Optional[Expression] = field(metadata=EXPRS)
+    partial: bool = False
 
-    def children(self):
-        return (self.child,)
+    def __post_init__(self) -> None:
+        self.group_by = tuple(self.group_by)
+        self.aggregates = tuple(self.aggregates)
 
 
+@dataclass(eq=False)
 class AUPartialAggregate(PhysNode):
     """Per-morsel AU aggregation emitting mergeable partial state.
 
@@ -396,58 +352,46 @@ class AUPartialAggregate(PhysNode):
     :class:`TupleFallback`) instead.
     """
 
-    def __init__(
-        self, child: PhysNode, group_by: Sequence[str], aggregates: Sequence
-    ) -> None:
-        self.child = child
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
+    child: PhysNode = field(metadata=CHILD)
+    group_by: Tuple[str, ...]
+    aggregates: Tuple[AggregateSpec, ...] = field(metadata=EXPRS)
 
-    def children(self):
-        return (self.child,)
+    def __post_init__(self) -> None:
+        self.group_by = tuple(self.group_by)
+        self.aggregates = tuple(self.aggregates)
 
 
+@dataclass(eq=False)
 class HashDistinct(PhysNode):
-    def __init__(self, child: PhysNode) -> None:
-        self.child = child
-
-    def children(self):
-        return (self.child,)
+    child: PhysNode = field(metadata=CHILD)
 
 
+@dataclass(eq=False)
 class TopK(PhysNode):
-    def __init__(
-        self, child: PhysNode, keys: Sequence[str], descending: bool, n: int
-    ) -> None:
-        self.child = child
-        self.keys = tuple(keys)
-        self.descending = descending
-        self.n = n
+    child: PhysNode = field(metadata=CHILD)
+    keys: Tuple[str, ...]
+    descending: bool
+    n: int
 
-    def children(self):
-        return (self.child,)
+    def __post_init__(self) -> None:
+        self.keys = tuple(self.keys)
 
 
+@dataclass(eq=False)
 class Limit(PhysNode):
-    def __init__(self, child: PhysNode, n: int) -> None:
-        self.child = child
-        self.n = n
-
-    def children(self):
-        return (self.child,)
+    child: PhysNode = field(metadata=CHILD)
+    n: int
 
 
+@dataclass(eq=False)
 class Concat(PhysNode):
     """Bag union: concatenate the inputs (annotations add on merge)."""
 
-    def __init__(self, left: PhysNode, right: PhysNode) -> None:
-        self.left = left
-        self.right = right
-
-    def children(self):
-        return (self.left, self.right)
+    left: PhysNode = field(metadata=CHILD)
+    right: PhysNode = field(metadata=CHILD)
 
 
+@dataclass(eq=False)
 class TupleFallback(PhysNode):
     """Execute ``logical`` with the exact tuple operator over
     materialized inputs.
@@ -458,22 +402,16 @@ class TupleFallback(PhysNode):
     compression budget where applicable.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        logical: Plan,
-        inputs: Sequence[PhysNode],
-        buckets: Optional[int] = None,
-    ) -> None:
-        self.kind = kind
-        self.logical = logical
-        self.inputs = tuple(inputs)
-        self.buckets = buckets
+    kind: str
+    logical: Plan = field(metadata=EXPRS)
+    inputs: Tuple[PhysNode, ...] = field(metadata=CHILD)
+    buckets: Optional[int] = None
 
-    def children(self):
-        return self.inputs
+    def __post_init__(self) -> None:
+        self.inputs = tuple(self.inputs)
 
 
+@dataclass(eq=False)
 class Exchange(PhysNode):
     """Merge point of a partition-parallel region.
 
@@ -483,22 +421,14 @@ class Exchange(PhysNode):
     ``distinct``); ``final`` is the original serial operator carrying
     the merge parameters (the :class:`HashAggregate` for ``having`` and
     finalization, the :class:`TopK`/:class:`Limit` for re-limiting).
+    It is off the ``children()`` spine: never walked or executed as an
+    input, but rewritten with the plan (parameter binding).
     """
 
-    def __init__(
-        self,
-        child: PhysNode,
-        merge: str,
-        partitions: int,
-        final: Optional[PhysNode] = None,
-    ) -> None:
-        self.child = child
-        self.merge = merge
-        self.partitions = partitions
-        self.final = final
-
-    def children(self):
-        return (self.child,)
+    child: PhysNode = field(metadata=CHILD)
+    merge: str
+    partitions: int
+    final: Optional[PhysNode] = field(default=None, metadata=EXPRS)
 
 
 # ======================================================================
@@ -517,9 +447,9 @@ def lower(
     vs nested loop from the catalog estimates, ``Cpr`` compression with
     its resolved bucket budget), the tuple-fallback boundaries of the AU
     executors, fusion of adjacent selection/projection pairs, and — for
-    the deterministic vectorized backend with ``config.parallelism > 1``
-    — the morsel-parallel region (:class:`ParallelScan` at the driver
-    table, :class:`Exchange` at the merge point).  The result is
+    the vectorized backend with ``config.parallelism > 1``, on both
+    engines — the morsel-parallel regions (:class:`ParallelScan` at the
+    driver table, :class:`Exchange` at the merge point).  The result is
     engine-agnostic data: interpreters in :mod:`repro.db.engine`,
     :mod:`repro.algebra.evaluator`, and :mod:`repro.exec.vectorized`
     execute it without making further decisions.
@@ -531,9 +461,9 @@ def lower(
     plan.
     """
     pplan = _Lowerer(stats, config).lower(plan)
+    _attach_chunk_skips(pplan)
     if config.backend == "vectorized" and config.parallelism > 1:
         pplan = _parallelize(pplan, config.parallelism, au=config.engine == "au")
-    _attach_chunk_skips(pplan)
     if verify is None:
         verify = verification_enabled()
     if verify:
@@ -575,8 +505,12 @@ class _Lowerer:
                 # fuse π over σ: filter and gather the survivors once.
                 # (Det only: AU per-node actuals count distinct tuples,
                 # which projection changes, so the nodes stay separate.)
-                fused = FusedSelectProject(child.child, child.condition, node.columns)
-                fused.sources = child.sources
+                fused = FusedSelectProject(
+                    child.child,
+                    child.condition,
+                    node.columns,
+                    sources=child.sources,
+                )
                 return self._tag(fused, node)
             return self._tag(FusedSelectProject(child, None, node.columns), node)
         if isinstance(node, LRename):
@@ -681,7 +615,7 @@ class _Lowerer:
                 left,
                 right,
                 condition,
-                pairs,
+                tuple(pairs),
                 _is_pure_equi_condition(condition, len(pairs)),
             )
 
@@ -693,7 +627,7 @@ class _Lowerer:
             left,
             right,
             condition,
-            pairs,
+            tuple(pairs),
             _is_pure_equi_condition(condition, len(pairs)),
             partitioned=partitioned,
             hash_partitions=(
@@ -719,7 +653,7 @@ class _Lowerer:
 
 
 # ======================================================================
-# partition parallelism (deterministic vectorized backend)
+# partition parallelism (vectorized backend, both engines)
 # ======================================================================
 def _parallelize(root: PhysNode, partitions: int, au: bool = False) -> PhysNode:
     """Insert morsel-parallel regions into a vectorized plan.
@@ -750,15 +684,7 @@ def _parallelize(root: PhysNode, partitions: int, au: bool = False) -> PhysNode:
 
     def walk(node: PhysNode) -> PhysNode:
         region = _try_region(node, partitions, au)
-        if region is not None:
-            return region
-        for name in ("child", "left", "right"):
-            child = getattr(node, name, None)
-            if isinstance(child, PhysNode):
-                setattr(node, name, walk(child))
-        if isinstance(node, TupleFallback):
-            node.inputs = tuple(walk(c) for c in node.inputs)
-        return node
+        return region if region is not None else node.map_children(walk)
 
     return walk(root)
 
@@ -769,10 +695,9 @@ def _try_region(
     def exchange(
         child: PhysNode, merge: str, final: Optional[PhysNode], chosen: int
     ) -> Exchange:
-        ex = Exchange(child, merge, chosen, final)
-        ex.est = node.est
-        ex.sources = node.sources
-        return ex
+        return Exchange(
+            child, merge, chosen, final, est=node.est, sources=node.sources
+        )
 
     if au:
         if (
@@ -785,8 +710,9 @@ def _try_region(
                 return None
             region, chosen = split
             lg = node.logical
-            partial = AUPartialAggregate(region, lg.group_by, lg.aggregates)
-            partial.est = node.est
+            partial = AUPartialAggregate(
+                region, lg.group_by, lg.aggregates, est=node.est
+            )
             return exchange(partial, "au_aggregate", node, chosen)
         if isinstance(node, TupleFallback) and node.kind == "topk":
             split = _partition_subtree(node.inputs[0], partitions)
@@ -806,33 +732,29 @@ def _try_region(
             return None
         region, chosen = split
         partial = HashAggregate(
-            region, node.group_by, node.aggregates, None, partial=True
+            region, node.group_by, node.aggregates, None, True, est=node.est
         )
-        partial.est = node.est
         return exchange(partial, "aggregate", node, chosen)
     if isinstance(node, TopK):
         split = _partition_subtree(node.child, partitions)
         if split is None:
             return None
         region, chosen = split
-        local = TopK(region, node.keys, node.descending, node.n)
-        local.est = node.est
+        local = TopK(region, node.keys, node.descending, node.n, est=node.est)
         return exchange(local, "topk", node, chosen)
     if isinstance(node, Limit):
         split = _partition_subtree(node.child, partitions)
         if split is None:
             return None
         region, chosen = split
-        local = Limit(region, node.n)
-        local.est = node.est
+        local = Limit(region, node.n, est=node.est)
         return exchange(local, "limit", node, chosen)
     if isinstance(node, HashDistinct):
         split = _partition_subtree(node.child, partitions)
         if split is None:
             return None
         region, chosen = split
-        local = HashDistinct(region)
-        local.est = node.est
+        local = HashDistinct(region, est=node.est)
         return exchange(local, "distinct", node, chosen)
     split = _partition_subtree(node, partitions, require_ops=True)
     if split is not None:
@@ -841,7 +763,9 @@ def _try_region(
     return None
 
 
-def _driver_scans(node: PhysNode, depth: int = 0):
+def _driver_scans(
+    node: PhysNode, depth: int = 0
+) -> Iterator[Tuple[Scan, int]]:
     """Candidate driver scans along partition-transparent edges.
 
     Selection/projection/rename are linear; joins distribute over a
@@ -879,19 +803,19 @@ def _partition_subtree(
         return None
     chosen = adaptive_morsel_count(best.est, partitions)
 
-    def replace(n: PhysNode) -> PhysNode:
+    def split(n: PhysNode) -> PhysNode:
         if n is best:
-            ps = ParallelScan(best.table, chosen, chunk_size=best.chunk_size)
-            ps.est = best.est
-            ps.sources = best.sources
-            return ps
-        if isinstance(n, (FusedSelectProject, Rename)):
-            n.child = replace(n.child)
-        elif isinstance(n, (HashJoin, NLJoin)):
-            n.left = replace(n.left)
-        return n
+            return ParallelScan(
+                best.table,
+                chosen,
+                best.chunk_size,
+                best.skip,
+                est=best.est,
+                sources=best.sources,
+            )
+        return n.map_children(split)
 
-    return replace(node), chosen
+    return split(node), chosen
 
 
 def _attach_chunk_skips(root: PhysNode) -> None:
@@ -908,7 +832,7 @@ def _attach_chunk_skips(root: PhysNode) -> None:
         if (
             isinstance(node, FusedSelectProject)
             and node.condition is not None
-            and isinstance(node.child, (Scan, ParallelScan))
+            and isinstance(node.child, Scan)
         ):
             node.child.skip = derive_skip(node.condition)
 
@@ -1077,7 +1001,7 @@ class DeltaPhysical:
 
 
 def lower_delta(
-    delta,
+    delta: Any,
     stats: Optional[Statistics],
     config: PhysicalConfig,
     *,
@@ -1089,8 +1013,6 @@ def lower_delta(
     time, like :func:`lower` does for one-shot plans; the delta runtime
     (:mod:`repro.ivm`) only interprets the result.
     """
-    from dataclasses import replace
-
     config = replace(config, parallelism=1)
     view_pplan = lower(delta.view, stats, config, verify=verify)
     segment_pplans = tuple(

@@ -136,6 +136,12 @@ def execute_det(
     return _DetExec(db, actuals, pool=pool).run(pplan)
 
 
+def _bag_rows(batch: Any) -> Optional[int]:
+    """Bag cardinality of an operator result; partial aggregate state
+    has none."""
+    return sum(batch.mult) if isinstance(batch, ColumnBatch) else None
+
+
 class _DetExec:
     def __init__(
         self, db, actuals=None, bindings=None, join_tables=None, pool=None
@@ -160,26 +166,7 @@ class _DetExec:
         bound = self.bindings.get(id(pnode))
         if bound is not None:
             return bound
-        tr = _tm._ACTIVE
-        if tr is not None:
-            span = tr.begin_op(pnode)
-            try:
-                batch = self._node(pnode)
-            except BaseException:
-                tr.end_op(span)
-                raise
-            tr.end_op(
-                span,
-                sum(batch.mult) if isinstance(batch, ColumnBatch) else None,
-            )
-        else:
-            batch = self._node(pnode)
-        if self.actuals is not None and isinstance(batch, ColumnBatch):
-            n = sum(batch.mult)
-            self.actuals[id(pnode)] = n
-            for src in pnode.sources:
-                self.actuals[id(src)] = n
-        return batch
+        return _tm.run_op(pnode, self._node, (), self.actuals, _bag_rows)
 
     # -- plan dispatch -------------------------------------------------
     def _node(self, p: phys.PhysNode):
@@ -866,6 +853,19 @@ class _PairView:
         return self._rcols[k][self.j]
 
 
+def _au_rows(batch: Any) -> Optional[int]:
+    return len(batch) if isinstance(batch, AUColumnBatch) else None
+
+
+def _au_distinct(batch: Any) -> Optional[int]:
+    """Distinct AU-tuples — what the tuple engine records per node."""
+    if not isinstance(batch, AUColumnBatch):
+        return None
+    if batch.columns:
+        return len(set(zip(*batch.columns)))
+    return min(1, len(batch))
+
+
 class _AUExec:
     def __init__(
         self, db, actuals=None, bindings=None, join_tables=None, pool=None
@@ -890,29 +890,9 @@ class _AUExec:
         bound = self.bindings.get(id(pnode))
         if bound is not None:
             return bound
-        tr = _tm._ACTIVE
-        if tr is not None:
-            span = tr.begin_op(pnode)
-            try:
-                batch = self._node(pnode)
-            except BaseException:
-                tr.end_op(span)
-                raise
-            tr.end_op(
-                span, len(batch) if isinstance(batch, AUColumnBatch) else None
-            )
-        else:
-            batch = self._node(pnode)
-        if self.actuals is not None and isinstance(batch, AUColumnBatch):
-            # the tuple engine records distinct AU-tuples per node
-            if batch.columns:
-                n = len(set(zip(*batch.columns)))
-            else:
-                n = min(1, len(batch))
-            self.actuals[id(pnode)] = n
-            for src in pnode.sources:
-                self.actuals[id(src)] = n
-        return batch
+        return _tm.run_op(
+            pnode, self._node, (), self.actuals, _au_rows, _au_distinct
+        )
 
     def _materialize(self, pnode: phys.PhysNode):
         return self.eval(pnode).to_relation()

@@ -48,47 +48,14 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from .algebra.ast import (
-    Aggregate,
-    CrossProduct,
-    Difference,
-    Distinct,
-    Join,
-    Limit,
-    OrderBy,
-    Plan,
-    Projection,
-    Rename,
-    Selection,
-    TableRef,
-    TopK,
-    Union as PlanUnion,
-)
+from .algebra.ast import Node, Plan, collect_parameters
 from . import analysis
 from .algebra.evaluator import EvalConfig, execute_physical_audb
 from .algebra.optimizer import Statistics, compression_hints, optimize
-from .core.aggregation import AggregateSpec
 from .core.expressions import (
-    And,
-    Add,
     Const,
-    Div,
-    Eq,
     Expression,
-    Geq,
-    Gt,
-    If,
-    IsNull,
-    Leq,
-    Lt,
-    MakeUncertain,
-    Mul,
-    Neg,
-    Neq,
-    Not,
-    Or,
     Parameter,
-    Sub,
     UnboundParameterError,
 )
 from .core.relation import AUDatabase
@@ -137,34 +104,6 @@ _RESULT_MEMO = 8
 # ======================================================================
 # parameter binding
 # ======================================================================
-_BINARY = (And, Or, Eq, Neq, Leq, Lt, Geq, Gt, Add, Sub, Mul, Div)
-
-
-def collect_parameters(plan: Plan) -> List[Any]:
-    """All parameter keys mentioned anywhere in ``plan``, first-seen order."""
-    out: List[Any] = []
-
-    def expr(e: Optional[Expression]) -> None:
-        if e is not None:
-            for key in e.parameters():
-                if key not in out:
-                    out.append(key)
-
-    for node in plan.walk():
-        if isinstance(node, Selection):
-            expr(node.condition)
-        elif isinstance(node, Projection):
-            for e, _name in node.columns:
-                expr(e)
-        elif isinstance(node, Join):
-            expr(node.condition)
-        elif isinstance(node, Aggregate):
-            for spec in node.aggregates:
-                expr(spec.expr)
-            expr(node.having)
-    return out
-
-
 def _resolve_binding(
     keys: Sequence[Any], params: Union[Sequence[Any], Mapping[Any, Any], None]
 ) -> Dict[Any, Expression]:
@@ -223,117 +162,28 @@ def _as_const(value: Any) -> Expression:
     return value if isinstance(value, Expression) else Const(value)
 
 
-def _bind_expr(
-    expr: Expression, binding: Mapping[Any, Expression]
-) -> Expression:
-    """``expr`` with every :class:`Parameter` replaced by its binding."""
-    if isinstance(expr, Parameter):
+def _bind(
+    query: Union[Node, Expression], binding: Mapping[Any, Expression]
+) -> Any:
+    """``query`` — a logical plan, a physical plan or an expression —
+    with every :class:`Parameter` replaced by its binding.
+
+    Whatever mentions no parameter is returned as-is, not copied, so a
+    parameterless query binds to the identical object graph — per-node
+    ``actuals`` keyed by ``id(node)`` keep working.
+    """
+
+    def leaf(expr: Expression) -> Expression:
+        if not isinstance(expr, Parameter):
+            return expr
         bound = binding.get(expr.key)
         if bound is None:
             raise UnboundParameterError(f"unbound parameter {expr!r}")
         return bound
-    if not expr.parameters():
-        return expr
-    if isinstance(expr, _BINARY):
-        return type(expr)(
-            _bind_expr(expr.left, binding), _bind_expr(expr.right, binding)
-        )
-    if isinstance(expr, (Not, Neg, IsNull)):
-        return type(expr)(_bind_expr(expr.operand, binding))
-    if isinstance(expr, If):
-        return If(
-            _bind_expr(expr.cond, binding),
-            _bind_expr(expr.then_branch, binding),
-            _bind_expr(expr.else_branch, binding),
-        )
-    if isinstance(expr, MakeUncertain):
-        return MakeUncertain(
-            _bind_expr(expr.lb, binding),
-            _bind_expr(expr.sg, binding),
-            _bind_expr(expr.ub, binding),
-        )
-    raise TypeError(
-        f"cannot bind parameters inside {type(expr).__name__!r}"
-    )
 
-
-def _bind_spec(spec: AggregateSpec, binding) -> AggregateSpec:
-    if spec.expr is None or not spec.expr.parameters():
-        return spec
-    return AggregateSpec(spec.kind, _bind_expr(spec.expr, binding), spec.name)
-
-
-def _bind_plan(plan: Plan, binding: Mapping[Any, Expression]) -> Plan:
-    """A copy of the logical ``plan`` with parameters bound.
-
-    Nodes (and whole subtrees) without parameters are returned as-is, so
-    a parameterless query binds to the identical object graph —
-    per-node ``actuals`` keyed by ``id(node)`` keep working.
-    """
-    if isinstance(plan, TableRef):
-        return plan
-    if isinstance(plan, Selection):
-        child = _bind_plan(plan.child, binding)
-        cond = _bind_expr(plan.condition, binding)
-        if child is plan.child and cond is plan.condition:
-            return plan
-        return Selection(child, cond)
-    if isinstance(plan, Projection):
-        child = _bind_plan(plan.child, binding)
-        cols = tuple((_bind_expr(e, binding), n) for e, n in plan.columns)
-        if child is plan.child and all(
-            c[0] is o[0] for c, o in zip(cols, plan.columns)
-        ):
-            return plan
-        return Projection(child, cols)
-    if isinstance(plan, Join):
-        left = _bind_plan(plan.left, binding)
-        right = _bind_plan(plan.right, binding)
-        cond = _bind_expr(plan.condition, binding)
-        if left is plan.left and right is plan.right and cond is plan.condition:
-            return plan
-        return Join(left, right, cond)
-    if isinstance(plan, (CrossProduct, PlanUnion, Difference)):
-        left = _bind_plan(plan.left, binding)
-        right = _bind_plan(plan.right, binding)
-        if left is plan.left and right is plan.right:
-            return plan
-        return type(plan)(left, right)
-    if isinstance(plan, Distinct):
-        child = _bind_plan(plan.child, binding)
-        return plan if child is plan.child else Distinct(child)
-    if isinstance(plan, Aggregate):
-        child = _bind_plan(plan.child, binding)
-        specs = tuple(_bind_spec(s, binding) for s in plan.aggregates)
-        having = (
-            _bind_expr(plan.having, binding)
-            if plan.having is not None
-            else None
-        )
-        if (
-            child is plan.child
-            and having is plan.having
-            and all(s is o for s, o in zip(specs, plan.aggregates))
-        ):
-            return plan
-        return Aggregate(child, plan.group_by, specs, having)
-    if isinstance(plan, Rename):
-        child = _bind_plan(plan.child, binding)
-        return plan if child is plan.child else Rename(child, plan.mapping_dict())
-    if isinstance(plan, OrderBy):
-        child = _bind_plan(plan.child, binding)
-        if child is plan.child:
-            return plan
-        return OrderBy(child, plan.keys, plan.descending)
-    if isinstance(plan, Limit):
-        child = _bind_plan(plan.child, binding)
-        return plan if child is plan.child else Limit(child, plan.n)
-    if isinstance(plan, TopK):
-        child = _bind_plan(plan.child, binding)
-        if child is plan.child:
-            return plan
-        return TopK(child, plan.keys, plan.descending, plan.n)
-    raise TypeError(f"cannot bind parameters in {type(plan).__name__!r}")
+    if isinstance(query, Expression):
+        return query.map_leaves(leaf)
+    return query.rewrite(lambda expr: expr.map_leaves(leaf))
 
 
 def bind_parameters(
@@ -348,166 +198,11 @@ def bind_parameters(
     execution against fresh evaluation of this).
     """
     if isinstance(query, Expression):
-        binding = _resolve_binding(query.parameters(), params)
-        return _bind_expr(query, binding) if binding else query
-    binding = _resolve_binding(collect_parameters(query), params)
-    return _bind_plan(query, binding) if binding else query
-
-
-# ----------------------------------------------------------------------
-# physical-plan binding
-# ----------------------------------------------------------------------
-def _copy_phys(node: phys.PhysNode, template: phys.PhysNode) -> phys.PhysNode:
-    node.est = template.est
-    node.sources = template.sources
-    return node
-
-
-def _bind_phys(node: phys.PhysNode, binding) -> phys.PhysNode:
-    """A copy of a physical plan with parameters bound into every
-    expression position; untouched subtrees are shared, not copied."""
-    if isinstance(node, (phys.Scan, phys.ParallelScan)):
-        return node
-    if isinstance(node, phys.FusedSelectProject):
-        child = _bind_phys(node.child, binding)
-        cond = (
-            _bind_expr(node.condition, binding)
-            if node.condition is not None
-            else None
-        )
-        cols = (
-            tuple((_bind_expr(e, binding), n) for e, n in node.columns)
-            if node.columns is not None
-            else None
-        )
-        if child is node.child and cond is node.condition and (
-            cols is None
-            or all(c[0] is o[0] for c, o in zip(cols, node.columns))
-        ):
-            return node
-        return _copy_phys(phys.FusedSelectProject(child, cond, cols), node)
-    if isinstance(node, phys.Rename):
-        child = _bind_phys(node.child, binding)
-        if child is node.child:
-            return node
-        return _copy_phys(phys.Rename(child, node.mapping), node)
-    if isinstance(node, phys.HashJoin):
-        left = _bind_phys(node.left, binding)
-        right = _bind_phys(node.right, binding)
-        cond = _bind_expr(node.condition, binding)
-        if left is node.left and right is node.right and cond is node.condition:
-            return node
-        return _copy_phys(
-            phys.HashJoin(
-                left,
-                right,
-                cond,
-                node.eq_pairs,
-                node.pure_equi,
-                partitioned=node.partitioned,
-                hash_partitions=node.hash_partitions,
-            ),
-            node,
-        )
-    if isinstance(node, phys.NLJoin):
-        left = _bind_phys(node.left, binding)
-        right = _bind_phys(node.right, binding)
-        cond = (
-            _bind_expr(node.condition, binding)
-            if node.condition is not None
-            else None
-        )
-        if left is node.left and right is node.right and cond is node.condition:
-            return node
-        return _copy_phys(
-            phys.NLJoin(left, right, cond, node.check_overlap), node
-        )
-    if isinstance(node, phys.CompressedJoin):
-        left = _bind_phys(node.left, binding)
-        right = _bind_phys(node.right, binding)
-        cond = _bind_expr(node.condition, binding)
-        if left is node.left and right is node.right and cond is node.condition:
-            return node
-        return _copy_phys(
-            phys.CompressedJoin(left, right, cond, node.pair, node.buckets),
-            node,
-        )
-    if isinstance(node, phys.Concat):
-        left = _bind_phys(node.left, binding)
-        right = _bind_phys(node.right, binding)
-        if left is node.left and right is node.right:
-            return node
-        return _copy_phys(phys.Concat(left, right), node)
-    if isinstance(node, phys.HashDistinct):
-        child = _bind_phys(node.child, binding)
-        if child is node.child:
-            return node
-        return _copy_phys(phys.HashDistinct(child), node)
-    if isinstance(node, phys.HashAggregate):
-        child = _bind_phys(node.child, binding)
-        specs = tuple(_bind_spec(s, binding) for s in node.aggregates)
-        having = (
-            _bind_expr(node.having, binding)
-            if node.having is not None
-            else None
-        )
-        if (
-            child is node.child
-            and having is node.having
-            and all(s is o for s, o in zip(specs, node.aggregates))
-        ):
-            return node
-        return _copy_phys(
-            phys.HashAggregate(
-                child, node.group_by, specs, having, node.partial
-            ),
-            node,
-        )
-    if isinstance(node, phys.AUPartialAggregate):
-        child = _bind_phys(node.child, binding)
-        specs = tuple(_bind_spec(s, binding) for s in node.aggregates)
-        if child is node.child and all(
-            s is o for s, o in zip(specs, node.aggregates)
-        ):
-            return node
-        return _copy_phys(
-            phys.AUPartialAggregate(child, node.group_by, specs), node
-        )
-    if isinstance(node, phys.TopK):
-        child = _bind_phys(node.child, binding)
-        if child is node.child:
-            return node
-        return _copy_phys(
-            phys.TopK(child, node.keys, node.descending, node.n), node
-        )
-    if isinstance(node, phys.Limit):
-        child = _bind_phys(node.child, binding)
-        if child is node.child:
-            return node
-        return _copy_phys(phys.Limit(child, node.n), node)
-    if isinstance(node, phys.TupleFallback):
-        inputs = tuple(_bind_phys(c, binding) for c in node.inputs)
-        logical = _bind_plan(node.logical, binding)
-        if logical is node.logical and all(
-            i is o for i, o in zip(inputs, node.inputs)
-        ):
-            return node
-        return _copy_phys(
-            phys.TupleFallback(node.kind, logical, inputs, node.buckets), node
-        )
-    if isinstance(node, phys.Exchange):
-        child = _bind_phys(node.child, binding)
-        final = (
-            _bind_phys(node.final, binding) if node.final is not None else None
-        )
-        if child is node.child and final is node.final:
-            return node
-        return _copy_phys(
-            phys.Exchange(child, node.merge, node.partitions, final), node
-        )
-    raise TypeError(
-        f"cannot bind parameters in physical node {type(node).__name__!r}"
-    )
+        keys = query.parameters()
+    else:
+        keys = collect_parameters(query)
+    binding = _resolve_binding(keys, params)
+    return _bind(query, binding) if binding else query
 
 
 def _binding_key(binding) -> Optional[tuple]:
@@ -900,12 +595,12 @@ class PreparedQuery:
             return self.pplan
         key = _binding_key(binding)
         if key is None:
-            return _bind_phys(self.pplan, binding)  # unhashable: no memo
+            return _bind(self.pplan, binding)  # unhashable: no memo
         cached = self._bound_plans.get(key)
         if cached is not None:
             self._bound_plans.move_to_end(key)
             return cached
-        pplan = _bind_phys(self.pplan, binding)
+        pplan = _bind(self.pplan, binding)
         self._bound_plans[key] = pplan
         while len(self._bound_plans) > _BOUND_PLAN_MEMO:
             self._bound_plans.popitem(last=False)
@@ -913,7 +608,7 @@ class PreparedQuery:
 
     def _execute_legacy(self, binding, actuals):
         """Legacy direct interpretation of the (bound) logical plan."""
-        plan = _bind_plan(self.optimized, binding) if binding else self.optimized
+        plan = _bind(self.optimized, binding) if binding else self.optimized
         config = self.config
         conn = self.connection
         if conn.engine == "det":

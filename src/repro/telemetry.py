@@ -77,6 +77,7 @@ __all__ = [
     "current_trace",
     "stage",
     "annotate",
+    "run_op",
     "Counter",
     "Gauge",
     "Histogram",
@@ -334,6 +335,45 @@ _enabled: bool = os.environ.get("REPRO_TRACE", "").strip().lower() not in (
 #: The live trace, or ``None``.  Executors read this module attribute
 #: directly once per node — the entire disabled-tracing cost.
 _ACTIVE: Optional[QueryTrace] = None
+
+
+def run_op(
+    node: Any,
+    compute: Callable[..., Any],
+    args: Tuple[Any, ...],
+    actuals: Optional[Dict[int, int]],
+    rows: Callable[[Any], Optional[int]],
+    actual_rows: Optional[Callable[[Any], Optional[int]]] = None,
+) -> Any:
+    """Evaluate one physical operator for any of the four executors.
+
+    Runs ``compute(node, *args)`` — under an operator span with inclusive
+    wall time and output rows when a trace is active; disabled, the hook
+    is this one global-load-and-``None`` check per node — then records
+    the output cardinality in ``actuals`` under ``id(node)`` and each
+    logical source.  ``rows(result)`` is the executor's row count
+    (``None`` for results that have none: partial aggregate states);
+    ``actual_rows`` replaces it for ``actuals`` where an executor's plan
+    cardinality is not its span row count.
+    """
+    tr = _ACTIVE
+    if tr is None:
+        result = compute(node, *args)
+    else:
+        span = tr.begin_op(node)
+        try:
+            result = compute(node, *args)
+        except BaseException:
+            tr.end_op(span)
+            raise
+        tr.end_op(span, rows(result))
+    if actuals is not None:
+        n = (actual_rows or rows)(result)
+        if n is not None:
+            actuals[id(node)] = n
+            for src in node.sources:
+                actuals[id(src)] = n
+    return result
 
 
 def tracing_enabled() -> bool:

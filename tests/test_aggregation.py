@@ -279,3 +279,102 @@ class TestCompressedAggregation:
             result = det_aggregate(world, ["g"], [agg_sum("v", "s")])
             assert bounds_world(naive, result.as_bag())
             assert bounds_world(fast, result.as_bag())
+
+
+class TestSumOverInfiniteBounds:
+    """Regression: AU ``SUM`` of a ``0·(±inf)`` part is 0, not NaN.
+
+    ``MIN`` over a possibly-empty group has ``ub = inf``; a row that is
+    possibly absent (annotation lower bound 0) then offers the corner
+    ``(0, inf)``, which corner selection values at 0 (semimodule
+    ``0·x = 0``) — accumulation used to compute IEEE ``inf * 0 = nan``
+    for it and the result failed the ``RangeValue`` invariant.
+    """
+
+    def _case(self):
+        from repro.algebra.ast import Aggregate, TableRef
+        from repro.core.relation import AUDatabase
+
+        rel = AURelation(["a", "b"])
+        rel.add([between(-2, -1, 0), between(-2, 0, 1)], (1, 1, 1))
+        rel.add([certain(3), between(-2, 0, 2)], (0, 1, 1))
+        rel.add([between(4, 6, 6), between(1, 2, 3)], (0, 1, 1))
+        inner = Aggregate(TableRef("r"), ["a", "b"], [agg_min("a", "agg")])
+        plan = Aggregate(inner, ["a"], [agg_sum("agg", "agg")])
+        return plan, AUDatabase({"r": rel})
+
+    def test_result_is_a_valid_range_and_bounds_every_world(self):
+        import itertools
+
+        from repro.algebra.evaluator import EvalConfig, evaluate_audb
+        from repro.core.bounding import bounds_world
+        from repro.db.engine import evaluate_det
+        from repro.db.storage import DetDatabase, DetRelation
+
+        plan, audb = self._case()
+        result = evaluate_audb(plan, audb, EvalConfig(optimize=False))
+        rows = dict(result.tuples())
+        assert len(rows) == 3
+        for t, _ann in rows.items():
+            total = t[1]
+            assert not any(
+                isinstance(v, float) and math.isnan(v)
+                for v in (total.lb, total.sg, total.ub)
+            )
+            assert total.lb <= total.sg <= total.ub == math.inf
+        first = [(a, b) for a in (-2, -1, 0) for b in (-2, -1, 0, 1)]
+        second = [None] + [(3, b) for b in (-2, -1, 0, 1, 2)]
+        third = [None] + [(a, b) for a in (4, 5, 6) for b in (1, 2, 3)]
+        for world in itertools.product(first, second, third):
+            det = DetDatabase(
+                {"r": DetRelation(["a", "b"], [r for r in world if r])}
+            )
+            truth = evaluate_det(plan, det, optimize=False)
+            assert bounds_world(result, truth.as_bag()), world
+
+    def test_serial_and_parallel_agree_to_the_bit(self):
+        from repro.algebra.evaluator import EvalConfig, evaluate_audb
+
+        plan, audb = self._case()
+        serial = evaluate_audb(plan, audb, EvalConfig(optimize=False))
+        for backend, parallelism in (("vectorized", 1), ("vectorized", 4)):
+            other = evaluate_audb(
+                plan,
+                audb,
+                EvalConfig(
+                    optimize=False, backend=backend, parallelism=parallelism
+                ),
+            )
+            assert repr(sorted(other.tuples(), key=repr)) == repr(
+                sorted(serial.tuples(), key=repr)
+            )
+
+    def test_partial_group_fold_matches_the_serial_fold(self):
+        # certain group-by, so the morsel-parallel partial path applies:
+        # a possibly-absent row with an infinite value bound
+        from repro.core.aggregation import (
+            finalize_partial_groups,
+            fold_partial_groups,
+            merge_partial_groups,
+        )
+
+        r = rel(
+            ["g", "v"],
+            [
+                ([1, between(1.0, 2.0, math.inf)], (0, 1, 1)),
+                ([1, between(-math.inf, 0.5, 0.5)], (0, 0, 2)),
+                ([1, 4.0], (1, 1, 1)),
+            ],
+        )
+        specs = (agg_sum("v", "s"),)
+        serial = aggregate(r, ["g"], list(specs))
+        ((t, _ann),) = list(serial.tuples())
+        assert (t[1].lb, t[1].sg, t[1].ub) == (-math.inf, 6.0, math.inf)
+        rows = list(r.tuples())
+        merged = {}
+        for part in (rows[:1], rows[1:]):
+            partial = {}
+            fold_partial_groups(partial, r.schema, part, ["g"], specs)
+            merge_partial_groups(merged, partial, specs)
+        merged_rel = finalize_partial_groups(merged, ["g"], specs)
+        assert repr(list(merged_rel.tuples())) == repr(list(serial.tuples()))
