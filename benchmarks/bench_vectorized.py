@@ -11,7 +11,13 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
 * **AU engine gate (non-regression)**: the AU pipeline vectorizes the
   linear operators but falls back to the exact tuple aggregation
   (SG-combining semantics), so the win is smaller; the gate only
-  requires it never to lose.  Measured ~1.3x.
+  requires it never to lose.  Measured ~2.5x since its selections
+  and join residuals run as compiled range kernels.
+* **AU filter kernel gate (≥5x)**: a selective range filter over a
+  10k-row AU table, the compiled range kernel
+  (:func:`repro.exec.compile.compile_range_filter`) against the same
+  commit with the kernel refused, i.e. ``eval_range`` interpreted per
+  row.  Measured ~25x.
 
 Both backends must return identical results (integer measures, so even
 SUM/AVG are bit-exact).
@@ -26,26 +32,35 @@ or under pytest-benchmark::
 """
 
 import random
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
 from repro.algebra.ast import Aggregate, Join, Selection, TableRef
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
 from repro.core.aggregation import agg_avg, agg_count, agg_sum
-from repro.core.expressions import Const, Eq, Gt, Leq, Var
+from repro.core.expressions import Const, Eq, Geq, Gt, Leq, Lt, Var
 from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
+from repro.exec import physical as phys
+from repro.exec import vectorized
+from repro.exec.compile import CompileError
 
 N_ORDERS = 2000
 FANOUT = 4
 N_ORDERS_AU = 400
 UNCERTAINTY = 0.05
 
+N_FILTER_ROWS = 10_000
+
 DET_GATE = 3.0
 #: AU non-regression gate, with headroom for timer noise
 AU_GATE = 0.8
+#: compiled vs interpreted AU selection, same commit
+AU_FILTER_GATE = 5.0
 
 
 def det_db(n_orders: int = N_ORDERS, seed: int = 1) -> DetDatabase:
@@ -86,6 +101,35 @@ def au_db(n_orders: int = N_ORDERS_AU, seed: int = 1) -> AUDatabase:
     return AUDatabase({"orders": orders, "lineitem": lineitem})
 
 
+def au_filter_db(rows: int = N_FILTER_ROWS, seed: int = 1) -> AUDatabase:
+    rng = random.Random(seed)
+    facts = AURelation(["k", "qty", "price"])
+    for k in range(rows):
+        qty = rng.randint(1, 50)
+        if rng.random() < UNCERTAINTY:
+            qty = between(max(1, qty - 2), qty, qty + 2)
+        facts.add([k, qty, rng.randint(100, 1000)], (1, 1, 1))
+    return AUDatabase({"facts": facts})
+
+
+def au_filter_plan() -> phys.PhysNode:
+    """``SELECT * FROM facts WHERE k >= 4000 AND k < 4100 AND qty > 10``
+    as the physical select-over-scan both runs execute."""
+    condition = (
+        Geq(Var("k"), Const(4000)) & Lt(Var("k"), Const(4100))
+    ) & Gt(Var("qty"), Const(10))
+    return phys.FusedSelectProject(phys.Scan("facts"), condition, None)
+
+
+def interpreted():
+    """The same commit with the AU selection kernel refused."""
+    return mock.patch.object(
+        vectorized,
+        "compile_range_filter",
+        side_effect=CompileError("refused by the benchmark"),
+    )
+
+
 def join_agg_plan():
     """``SELECT o_status, sum(l_price), count(*), avg(l_qty) FROM orders
     JOIN lineitem ON o_id = l_orderkey WHERE l_qty > 10 AND l_price <=
@@ -120,6 +164,14 @@ def test_det_join_aggregate(benchmark, det, backend):
     plan = join_agg_plan()
     evaluate_det(plan, det, backend=backend)  # warm caches / compile
     benchmark(lambda: evaluate_det(plan, det, backend=backend))
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "interpreted"])
+def test_audb_selective_filter(benchmark, kernel):
+    facts, plan = au_filter_db(), au_filter_plan()
+    with interpreted() if kernel == "interpreted" else nullcontext():
+        vectorized.execute_audb(plan, facts)
+        benchmark(lambda: vectorized.execute_audb(plan, facts))
 
 
 @pytest.mark.parametrize("backend", ["tuple", "vectorized"])
@@ -163,6 +215,24 @@ def main() -> int:
                 f"{engine}: speedup {speedup:.2f}x below the {gate:.1f}x bar"
             )
 
+    facts, filter_plan = au_filter_db(), au_filter_plan()
+
+    def run_filter():
+        return vectorized.execute_audb(filter_plan, facts)
+
+    run_filter()  # build the chunk store, compile the kernel
+    t_compiled, r_compiled = time_call(run_filter, repeat=5)
+    with interpreted():
+        t_interpreted, r_interpreted = time_call(run_filter, repeat=5)
+    filter_speedup = t_interpreted / t_compiled
+    if list(r_compiled.tuples()) != list(r_interpreted.tuples()):
+        failures.append("au_filter: compiled result differs")
+    if filter_speedup < AU_FILTER_GATE:
+        failures.append(
+            f"au_filter: speedup {filter_speedup:.2f}x below the "
+            f"{AU_FILTER_GATE:.1f}x bar"
+        )
+
     print(
         f"TPC-H-style join+aggregate: {N_ORDERS} orders x{FANOUT} lineitems (det), "
         f"{N_ORDERS_AU} orders (AU, {UNCERTAINTY:.0%} uncertain)"
@@ -170,6 +240,11 @@ def main() -> int:
     print(f"{'engine':<6} {'tuple[s]':>10} {'vectorized[s]':>14} {'speedup':>9} {'groups':>7}")
     for engine, t_tuple, t_vec, speedup, n in rows:
         print(f"{engine:<6} {t_tuple:>10.4f} {t_vec:>14.4f} {speedup:>8.2f}x {n:>7}")
+    print(
+        f"AU selective filter over {N_FILTER_ROWS} rows: interpreted "
+        f"{t_interpreted:.4f}s, compiled {t_compiled:.4f}s, "
+        f"{filter_speedup:.2f}x, {len(r_compiled)} rows"
+    )
     for failure in failures:
         print(f"FAIL: {failure}")
 
@@ -179,7 +254,11 @@ def main() -> int:
         "vectorized",
         {
             "benchmark": "vectorized",
-            "gates": {"det": DET_GATE, "audb": AU_GATE},
+            "gates": {
+                "det": DET_GATE,
+                "audb": AU_GATE,
+                "au_filter": AU_FILTER_GATE,
+            },
             "results": {
                 engine: {
                     "tuple_s": round(t_tuple, 6),
@@ -188,6 +267,14 @@ def main() -> int:
                     "groups": n,
                 }
                 for engine, t_tuple, t_vec, speedup, n in rows
+            }
+            | {
+                "au_filter": {
+                    "interpreted_s": round(t_interpreted, 6),
+                    "compiled_s": round(t_compiled, 6),
+                    "speedup": round(filter_speedup, 4),
+                    "rows": len(r_compiled),
+                }
             },
             "failures": failures,
         },

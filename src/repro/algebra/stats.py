@@ -137,15 +137,17 @@ class Histogram:
 
     @classmethod
     def build(
-        cls, values: List[Tuple[float, int]], buckets: int = HISTOGRAM_BUCKETS
+        cls, values: List[Any], buckets: int = HISTOGRAM_BUCKETS
     ) -> Optional["Histogram"]:
-        """Build from weighted ``(value, weight)`` pairs.
+        """Build from weighted ``(value, weight)`` pairs; a bare number
+        is a value of weight 1.
 
         Returns ``None`` for degenerate inputs (no values, or a single
         point — min/max logic handles those better).
         """
         if not values:
             return None
+        values = [s if type(s) is tuple else (s, 1) for s in values]
         lo = min(v for v, _w in values)
         hi = max(v for v, _w in values)
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
@@ -306,9 +308,7 @@ class StatsAccumulator:
         # without rescanning the relation; samples are dropped (None)
         # once a column exceeds HISTOGRAM_SAMPLE_CAP — see finalize()
         self.numeric_ok = [True] * n
-        self.samples: List[Optional[List[Tuple[float, int]]]] = [
-            [] for _ in range(n)
-        ]
+        self.samples: List[Optional[List[Any]]] = [[] for _ in range(n)]
         # built histogram state per column (bucket counters maintained
         # in place while values stay inside [hist_lo, hist_hi])
         self.hist_lo: List[float] = [0.0] * n
@@ -354,7 +354,11 @@ class StatsAccumulator:
             if self.numeric_ok[i]:
                 if isinstance(sg, (int, float)) and not isinstance(sg, bool):
                     if self.samples[i] is not None:
-                        self.samples[i].append((sg, weight))
+                        # a bare value stands for weight 1: the common
+                        # case costs a list slot, not a tuple per row
+                        self.samples[i].append(
+                            sg if weight == 1 else (sg, weight)
+                        )
                     self._observe_histogram(i, sg, weight)
                     if self.hist_dirty[i] and self.samples[i] is None:
                         # the range grew past a capped column's build:

@@ -417,11 +417,22 @@ class Neq(_Binary):
     symbol = "<>"
 
     def eval(self, valuation: Dict[str, Any]) -> bool:
-        return not Eq(self.left, self.right).eval(valuation)
+        return domain_key(self.left.eval(valuation)) != domain_key(
+            self.right.eval(valuation)
+        )
 
     def eval_range(self, valuation: Dict[str, RangeValue]) -> RangeValue:
-        eq = Eq(self.left, self.right).eval_range(valuation)
-        return _bool_range(not bool(eq.ub), not bool(eq.sg), not bool(eq.lb))
+        a = self.left.eval_range(valuation)
+        b = self.right.eval_range(valuation)
+        # Eq's triple, negated and flipped
+        return _bool_range(
+            not (domain_le(a.lb, b.ub) and domain_le(b.lb, a.ub)),
+            domain_key(a.sg) != domain_key(b.sg),
+            not (
+                domain_key(a.ub) == domain_key(b.lb)
+                and domain_key(b.ub) == domain_key(a.lb)
+            ),
+        )
 
 
 class Leq(_Binary):
@@ -451,9 +462,13 @@ class Lt(_Binary):
         return not domain_le(self.right.eval(valuation), self.left.eval(valuation))
 
     def eval_range(self, valuation: Dict[str, RangeValue]) -> RangeValue:
-        flipped = Leq(self.right, self.left).eval_range(valuation)
+        # operand order of ``b <= a``: the right operand evaluates first
+        b = self.right.eval_range(valuation)
+        a = self.left.eval_range(valuation)
         return _bool_range(
-            not bool(flipped.ub), not bool(flipped.sg), not bool(flipped.lb)
+            not domain_le(b.lb, a.ub),
+            not domain_le(b.sg, a.sg),
+            not domain_le(b.ub, a.lb),
         )
 
 
@@ -464,7 +479,14 @@ class Geq(_Binary):
         return domain_le(self.right.eval(valuation), self.left.eval(valuation))
 
     def eval_range(self, valuation: Dict[str, RangeValue]) -> RangeValue:
-        return Leq(self.right, self.left).eval_range(valuation)
+        # ``b <= a``: the right operand evaluates first
+        b = self.right.eval_range(valuation)
+        a = self.left.eval_range(valuation)
+        return _bool_range(
+            domain_le(b.ub, a.lb),
+            domain_le(b.sg, a.sg),
+            domain_le(b.lb, a.ub),
+        )
 
 
 class Gt(_Binary):
@@ -474,7 +496,14 @@ class Gt(_Binary):
         return not domain_le(self.left.eval(valuation), self.right.eval(valuation))
 
     def eval_range(self, valuation: Dict[str, RangeValue]) -> RangeValue:
-        return Lt(self.right, self.left).eval_range(valuation)
+        # NOT (a <= b)
+        a = self.left.eval_range(valuation)
+        b = self.right.eval_range(valuation)
+        return _bool_range(
+            not domain_le(a.lb, b.ub),
+            not domain_le(a.sg, b.sg),
+            not domain_le(a.ub, b.lb),
+        )
 
 
 class Add(_Binary):

@@ -733,11 +733,12 @@ class AUChunk:
     """One page of an AU-relation.
 
     ``rv_cols[j]`` keeps the original :class:`RangeValue` objects (the
-    serving image handed to the executors — object identity matters for
+    cells handed to the executors — object identity matters for
     NaN-free equality short-cuts elsewhere); ``lb_cols``/``sg_cols``/
-    ``ub_cols`` are the split per-bound scalar arrays (the storage
-    encoding, typed-packed per chunk) that feed the zone map; the three
-    ``ann_*`` arrays are the ``K^AU`` annotation components.
+    ``ub_cols`` are the split per-bound columns: plain lists holding
+    the very bound objects of the ``rv_cols`` cells, from which a stale
+    zone map is rebuilt.  The three ``ann_*`` arrays are the ``K^AU``
+    annotation components.
     """
 
     __slots__ = (
@@ -935,13 +936,6 @@ class AUChunkStore(_BaseStore):
             _concat_cols([ch.ann_sg for ch in kept]),
             _concat_cols([ch.ann_ub for ch in kept]),
         )
-
-    def iter_batches(
-        self, skip: Optional[ChunkSkipPredicate] = None
-    ) -> Tuple[List[AUColumnBatch], int, int]:
-        kept, total, skipped = self.survivors(skip)
-        return [ch.batch(self.schema) for ch in kept], total, skipped
-
 
 # ---------------------------------------------------------------------------
 # store accessors (cached on the relation's ``_chunk_cache`` slot)

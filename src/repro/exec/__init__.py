@@ -12,7 +12,8 @@ executes them:
 * :mod:`repro.exec.batch` — :class:`ColumnBatch` / :class:`AUColumnBatch`
   columnar representations and cached relation↔batch conversion;
 * :mod:`repro.exec.compile` — fused predicate/projection compilation
-  (one generated Python loop per expression, no per-row AST dispatch);
+  for both semantics (one generated Python loop per expression shape,
+  no per-row AST dispatch; AU kernels read each cell's three bounds);
 * :mod:`repro.exec.vectorized` — the vectorized interpreters for both
   engines (hash equi-join, single-pass hash aggregate with exact
   SUM/AVG accumulation, fused selection);
@@ -29,7 +30,13 @@ nodes, so every query still answers with identical results.
 """
 
 from .batch import AUColumnBatch, ColumnBatch
-from .compile import CompileError, compile_filter, compile_projector
+from .compile import (
+    CompileError,
+    compile_filter,
+    compile_projector,
+    compile_range_filter,
+    compile_range_pair_filter,
+)
 from .physical import PhysicalConfig, explain_physical, lower
 from .vectorized import execute_audb, execute_det
 
@@ -44,6 +51,8 @@ __all__ = [
     "CompileError",
     "compile_filter",
     "compile_projector",
+    "compile_range_filter",
+    "compile_range_pair_filter",
     "execute_det",
     "execute_audb",
     "PhysicalConfig",

@@ -932,7 +932,8 @@ def explain_physical(
     span attributes a trace collects
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
     chunks via zone maps show ``skipped S/T chunks``, partition-hash
-    joins show their bucket count.
+    joins show their bucket count, and vectorized operators that filter
+    show ``kernel=compiled`` or ``kernel=interpreted (reason)``.
     """
     if times is not None:
         from ..telemetry import estimation_error
@@ -963,6 +964,11 @@ def explain_physical(
                 buckets = a.get("hash_partitions")
                 if buckets:
                     line += f", {buckets} hash partitions"
+                kernel = a.get("kernel")
+                if kernel:
+                    line += f", kernel={kernel}"
+                    if "kernel_reason" in a:
+                        line += f" ({a['kernel_reason']})"
         line += ")"
         lines.append(line)
         for child in node.children():

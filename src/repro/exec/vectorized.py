@@ -38,7 +38,8 @@ lowering, and parallelism 1 vs 4.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
 from ..core import operators as ops
@@ -53,7 +54,13 @@ from ..core.sums import add_exact, add_product, finish, new_acc
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
 from .batch import AUColumnBatch, BatchRowView, ColumnBatch
-from .compile import CompileError, compile_filter, compile_projector
+from .compile import (
+    CompileError,
+    compile_filter,
+    compile_projector,
+    compile_range_filter,
+    compile_range_pair_filter,
+)
 
 __all__ = [
     "execute_det",
@@ -82,6 +89,21 @@ def _index_of(schema: Sequence[str]) -> Dict[str, int]:
 
 def _gather(columns: Sequence, rows: List[int]) -> List:
     return [[col[i] for i in rows] for col in columns]
+
+
+def _compiled(compiler: Callable, condition: Expression, *schemas):
+    """``compiler(condition, *schemas)``, or ``None`` when the condition
+    has to be interpreted; the open operator span records which, and the
+    :class:`CompileError` reason."""
+    try:
+        kernel = compiler(condition, *schemas)
+    except CompileError as exc:
+        if _tm._ACTIVE is not None:
+            _tm.annotate(kernel="interpreted", kernel_reason=str(exc))
+        return None
+    if _tm._ACTIVE is not None:
+        _tm.annotate(kernel="compiled")
+    return kernel
 
 
 class PartialAggregate:
@@ -280,10 +302,7 @@ class _DetExec:
                 self.actuals[id(src)] = scanned
         condition = p.condition
         schema = store.schema
-        try:
-            flt = compile_filter(condition, schema)
-        except CompileError:
-            flt = None
+        flt = _compiled(compile_filter, condition, schema)
         kept_cols: List[List[Any]] = [[] for _ in schema]
         kept_mult: List[int] = []
         for b in batches:
@@ -323,9 +342,10 @@ class _DetExec:
         n = len(batch)
         keep: Optional[List[int]] = None
         if condition is not None:
-            try:
-                keep = compile_filter(condition, batch.schema)(batch.columns, n)
-            except CompileError:
+            flt = _compiled(compile_filter, condition, batch.schema)
+            if flt is not None:
+                keep = flt(batch.columns, n)
+            else:
                 view = batch.row_view()
                 keep = []
                 for i in range(n):
@@ -1033,10 +1053,10 @@ class _AUExec:
         store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
-        batches, total, skipped = store.iter_batches(scan.skip)
+        chunks, total, skipped = store.survivors(scan.skip)
         # base-table AU tuples are distinct by construction, so the
         # scan's distinct-tuple actual is just the surviving row count
-        scanned = sum(len(b) for b in batches)
+        scanned = sum(len(ch) for ch in chunks)
         if not store.schema:
             scanned = min(1, scanned)
         if span is not None:
@@ -1046,42 +1066,40 @@ class _AUExec:
             self.actuals[id(scan)] = scanned
             for src in scan.sources:
                 self.actuals[id(src)] = scanned
-        cols: List[List[Any]] = [[] for _ in store.schema]
+        schema = store.schema
+        condition = p.condition
+        kernel = _compiled(compile_range_filter, condition, schema)
+        cols: List[List[Any]] = [[] for _ in schema]
         ann_lb: List[int] = []
         ann_sg: List[int] = []
         ann_ub: List[int] = []
-        for b in batches:
-            part = self._selection(b, p.condition)
-            for j, col in enumerate(part.columns):
-                cols[j].extend(col)
-            ann_lb.extend(part.ann_lb)
-            ann_sg.extend(part.ann_sg)
-            ann_ub.extend(part.ann_ub)
-        batch = AUColumnBatch(store.schema, cols, ann_lb, ann_sg, ann_ub)
+        for ch in chunks:
+            if kernel is not None:
+                keep, lb, sg, ub = kernel(
+                    ch.rv_cols, ch.ann_lb, ch.ann_sg, ch.ann_ub, len(ch)
+                )
+            else:
+                keep, lb, sg, ub = _interpret_selection(
+                    ch.batch(schema), condition
+                )
+            for out, col in zip(cols, ch.rv_cols):
+                out.extend([col[i] for i in keep])
+            ann_lb.extend(lb)
+            ann_sg.extend(sg)
+            ann_ub.extend(ub)
+        batch = AUColumnBatch(schema, cols, ann_lb, ann_sg, ann_ub)
         if p.columns is not None:
             batch = self._projection(batch, p.columns)
         return batch
 
     def _selection(self, batch: AUColumnBatch, condition: Expression) -> AUColumnBatch:
-        view = batch.row_view()
-        eval_range = condition.eval_range
-        keep: List[int] = []
-        ann_lb: List[int] = []
-        ann_sg: List[int] = []
-        ann_ub: List[int] = []
-        blb, bsg, bub = batch.ann_lb, batch.ann_sg, batch.ann_ub
-        for i in range(len(batch)):
-            view.i = i
-            theta = eval_range(view)
-            if not theta.ub:
-                continue
-            ub = bub[i]
-            if ub == 0:
-                continue
-            keep.append(i)
-            ann_lb.append(blb[i] if theta.lb else 0)
-            ann_sg.append(bsg[i] if theta.sg else 0)
-            ann_ub.append(ub)
+        kernel = _compiled(compile_range_filter, condition, batch.schema)
+        if kernel is not None:
+            keep, ann_lb, ann_sg, ann_ub = kernel(
+                batch.columns, batch.ann_lb, batch.ann_sg, batch.ann_ub, len(batch)
+            )
+        else:
+            keep, ann_lb, ann_sg, ann_ub = _interpret_selection(batch, condition)
         return AUColumnBatch(
             batch.schema, _gather(batch.columns, keep), ann_lb, ann_sg, ann_ub
         )
@@ -1208,27 +1226,17 @@ class _AUExec:
                 [lsg[i] * rsg[j] for i, j in zip(li, ri)],
                 [lub[i] * rub[j] for i, j in zip(li, ri)],
             )
-        view = _PairView(left, right)
-        eval_range = condition.eval_range
-        keep_l: List[int] = []
-        keep_r: List[int] = []
-        ann_lb: List[int] = []
-        ann_sg: List[int] = []
-        ann_ub: List[int] = []
-        for i, j in zip(li, ri):
-            view.i = i
-            view.j = j
-            theta = eval_range(view)
-            if not theta.ub:
-                continue
-            ub = lub[i] * rub[j]
-            if ub == 0:
-                continue
-            keep_l.append(i)
-            keep_r.append(j)
-            ann_lb.append(llb[i] * rlb[j] if theta.lb else 0)
-            ann_sg.append(lsg[i] * rsg[j] if theta.sg else 0)
-            ann_ub.append(ub)
+        kernel = _compiled(
+            compile_range_pair_filter, condition, left.schema, right.schema
+        )
+        if kernel is not None:
+            keep_l, keep_r, ann_lb, ann_sg, ann_ub = kernel(
+                left.columns, right.columns, li, ri, llb, lsg, lub, rlb, rsg, rub
+            )
+        else:
+            keep_l, keep_r, ann_lb, ann_sg, ann_ub = _interpret_pairs(
+                left, right, li, ri, condition
+            )
         return AUColumnBatch(
             schema,
             _gather(left.columns, keep_l) + _gather(right.columns, keep_r),
@@ -1236,6 +1244,57 @@ class _AUExec:
             ann_sg,
             ann_ub,
         )
+
+
+def _interpret_pairs(
+    left: AUColumnBatch,
+    right: AUColumnBatch,
+    li: Iterable[int],
+    ri: Iterable[int],
+    condition: Expression,
+) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    """``condition.eval_range`` over row pairs: the interpreted form of
+    :func:`~repro.exec.compile.compile_range_pair_filter`, for the
+    conditions it rejects — and the semantics its kernels reproduce."""
+    llb, lsg, lub = left.ann_lb, left.ann_sg, left.ann_ub
+    rlb, rsg, rub = right.ann_lb, right.ann_sg, right.ann_ub
+    view = _PairView(left, right)
+    eval_range = condition.eval_range
+    keep_l: List[int] = []
+    keep_r: List[int] = []
+    ann_lb: List[int] = []
+    ann_sg: List[int] = []
+    ann_ub: List[int] = []
+    for i, j in zip(li, ri):
+        view.i = i
+        view.j = j
+        theta = eval_range(view)
+        if not theta.ub:
+            continue
+        ub = lub[i] * rub[j]
+        if ub == 0:
+            continue
+        keep_l.append(i)
+        keep_r.append(j)
+        ann_lb.append(llb[i] * rlb[j] if theta.lb else 0)
+        ann_sg.append(lsg[i] * rsg[j] if theta.sg else 0)
+        ann_ub.append(ub)
+    return keep_l, keep_r, ann_lb, ann_sg, ann_ub
+
+
+#: the one-row, zero-attribute relation annotated (1, 1, 1): pairing a
+#: batch with it changes neither a valuation nor an annotation
+_UNIT = AUColumnBatch((), [], (1,), (1,), (1,))
+
+
+def _interpret_selection(
+    batch: AUColumnBatch, condition: Expression
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Interpreted selection: every row paired with the unit relation."""
+    keep, _unit, ann_lb, ann_sg, ann_ub = _interpret_pairs(
+        batch, _UNIT, range(len(batch)), repeat(0), condition
+    )
+    return keep, ann_lb, ann_sg, ann_ub
 
 
 def build_au_join_table(

@@ -447,9 +447,10 @@ class TestBindingCoverage:
             assert det_bits(got) == det_bits(fresh)
 
     def test_hot_bindings_reuse_compiled_closures(self):
-        # re-executing the same binding must reuse the bound plan (and
-        # therefore the vectorized backend's compiled closures, whose
-        # cache keys on expression identity) instead of re-codegenning
+        # re-executing a statement must reuse the bound plan for a hot
+        # binding and, for any binding, the vectorized backend's
+        # compiled kernels (cached by statement shape, constants
+        # lifted) instead of re-codegenning
         from repro.exec import compile as exec_compile
 
         conn = Connection(
@@ -459,10 +460,11 @@ class TestBindingCoverage:
         first = prepared.execute([2.0])
         assert det_bits(prepared.execute([2.0])) == det_bits(first)
         assert len(prepared._bound_plans) == 1
-        before = len(exec_compile._CACHE)
-        for _ in range(5):
+        before = len(exec_compile._KERNELS)
+        for k in range(5):
             prepared.execute([2.0])
-        assert len(exec_compile._CACHE) == before  # no closure churn
+            prepared.execute([3.0 + k])
+        assert len(exec_compile._KERNELS) == before  # no kernel churn
         # values that compare equal but differ in type must NOT share
         # a bound plan (okey * 2 is an int, okey * 2.0 a float)
         scale = conn.prepare("SELECT okey * :s AS v FROM orders")
