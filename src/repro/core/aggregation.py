@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expressions import Expression, RowView, Var
-from .ranges import RangeValue, certain, domain_key, domain_max, domain_min
+from .ranges import (
+    RangeValue,
+    certain,
+    domain_key,
+    domain_max,
+    domain_min,
+    overlap_index,
+)
 from .ranges import domain_le as _ranges_domain_le
 from .relation import AURelation
 from .semirings import AUAnnotation
@@ -375,16 +382,20 @@ def _compressed_contributors(
             bucket_rows.append(len(extended))
             extended.append((box_t, (0, 0, total_ub)))
 
+    # bucket rows overlapping a group box, ascending: an index probe on
+    # the first group-by attribute, the other attributes tested on its
+    # hits only
+    on_first = overlap_index(
+        [extended[b_i][0][first_group_attr] for b_i in bucket_rows]
+    )
+    rest = list(enumerate(group_idx))[1:]
     contributors: List[List[int]] = []
     for g_i, box in enumerate(group_boxes):
         contrib = list(members[g_i])
-        for b_i in bucket_rows:
-            t = extended[b_i][0]
-            if all(
-                t[attr_i].overlaps(box[pos])
-                for pos, attr_i in enumerate(group_idx)
-            ):
-                contrib.append(b_i)
+        for k in on_first(box[0]):
+            t = extended[bucket_rows[k]][0]
+            if all(t[attr_i].overlaps(box[pos]) for pos, attr_i in rest):
+                contrib.append(bucket_rows[k])
         contributors.append(contrib)
     return extended, contributors
 
@@ -473,6 +484,11 @@ def _sum_parts(
     selection (including tie behavior) matches :func:`star_operator`.
     """
     k0, _k1, k2 = ann
+    if k0 == k2 and m.lb is m.ub:
+        # a point annotation times a point value: the four corners are
+        # one, and ties go to the last
+        part = (k2, m.ub)
+        return part, part
     corners = ((k0, m.lb), (k0, m.ub), (k2, m.lb), (k2, m.ub))
     lo = hi = corners[0]
     lo_v = hi_v = _part_value(corners[0])

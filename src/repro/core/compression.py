@@ -17,6 +17,16 @@ Cpr(split_up(S)))`` is bound preserving but (deliberately) looser.
 
 The aggregation analogue compresses the possible contributors before the
 group-overlap join (Section 10.5).
+
+:func:`optimized_join` is the *reference implementation*: the tuple
+backend runs it, and the vectorized backend's columnar operator
+(:func:`repro.exec.compressed_join.compressed_join`) is held to it —
+same relation, same ``tuples()`` order — by
+``tests/test_exec_compressed_join.py`` and the differential fuzzer's
+compression lane, the way :func:`repro.core.operators.join` is the
+reference of ``HashJoin``.  ``Cpr`` is order-sensitive (stable sort, then
+fixed-size runs of distinct tuples), so the iteration order of every
+relation built here is part of that contract.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ fixed total order over a universal domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import accumulate
+from typing import Any, Callable, Iterable, List, Sequence
 
 __all__ = [
     "RangeValue",
@@ -27,6 +29,7 @@ __all__ = [
     "domain_le",
     "domain_min",
     "domain_max",
+    "overlap_index",
     "NEG_INF",
     "POS_INF",
 ]
@@ -225,3 +228,30 @@ def certain(value: Any) -> RangeValue:
 def between(lb: Any, sg: Any, ub: Any) -> RangeValue:
     """Convenience constructor mirroring the paper's ``[lb/sg/ub]``."""
     return RangeValue(lb, sg, ub)
+
+
+def overlap_index(
+    cells: Sequence[RangeValue],
+) -> Callable[[RangeValue], List[int]]:
+    """Index ``cells`` for interval-overlap probes.
+
+    The returned function maps a probe value to the ascending positions
+    of the cells it :meth:`~RangeValue.overlaps`.  The cells are sorted on
+    their lower bound once; a probe bisects to the window that can
+    overlap it — cells starting at or below its upper bound, from the
+    first prefix whose running maximum upper bound reaches its lower
+    bound — so near-disjoint cells (``Cpr`` boxes of a sorted run) cost
+    a probe ``O(log n)`` plus its matches instead of ``n`` tests.
+    """
+    lo_keys = [domain_key(c.lb) for c in cells]
+    hi_keys = [domain_key(c.ub) for c in cells]
+    by_lo = sorted(range(len(cells)), key=lo_keys.__getitem__)
+    sorted_lo = [lo_keys[k] for k in by_lo]
+    reach = list(accumulate((hi_keys[k] for k in by_lo), max))
+
+    def probe(value: RangeValue) -> List[int]:
+        lo, hi = domain_key(value.lb), domain_key(value.ub)
+        window = by_lo[bisect_left(reach, lo) : bisect_right(sorted_lo, hi)]
+        return sorted(k for k in window if hi_keys[k] >= lo)
+
+    return probe

@@ -245,6 +245,16 @@ class AUColumnBatch:
                 out.add((), (lb, sg, ub))
         return out
 
+    def concat(self, other: "AUColumnBatch") -> "AUColumnBatch":
+        """This batch's rows followed by ``other``'s, under this schema."""
+        return AUColumnBatch(
+            self.schema,
+            [list(a) + list(b) for a, b in zip(self.columns, other.columns)],
+            list(self.ann_lb) + list(other.ann_lb),
+            list(self.ann_sg) + list(other.ann_sg),
+            list(self.ann_ub) + list(other.ann_ub),
+        )
+
     def annotations(self) -> List[AUAnnotation]:
         return list(zip(self.ann_lb, self.ann_sg, self.ann_ub))
 

@@ -932,8 +932,10 @@ def explain_physical(
     span attributes a trace collects
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
     chunks via zone maps show ``skipped S/T chunks``, partition-hash
-    joins show their bucket count, and vectorized operators that filter
-    show ``kernel=compiled`` or ``kernel=interpreted (reason)``.
+    joins show their bucket count, vectorized operators that filter
+    show ``kernel=compiled`` or ``kernel=interpreted (reason)``, and a
+    vectorized ``CompressedJoin`` its SG pairs, boxes per side, box
+    pairs emitted / probed and input rows merged as duplicates.
     """
     if times is not None:
         from ..telemetry import estimation_error
@@ -969,6 +971,14 @@ def explain_physical(
                     line += f", kernel={kernel}"
                     if "kernel_reason" in a:
                         line += f" ({a['kernel_reason']})"
+                if "sg_pairs" in a:
+                    line += (
+                        f", sg_pairs={a['sg_pairs']}"
+                        f", boxes={a['poss_boxes_left']}x{a['poss_boxes_right']}"
+                        f", box_pairs={a['box_pairs_matched']}"
+                        f"/{a['box_pairs_tested']}"
+                        f", dedup_rows={a['dedup_rows']}"
+                    )
         line += ")"
         lines.append(line)
         for child in node.children():

@@ -20,7 +20,9 @@ Operator implementations:
 * **hash equi-joins** bucket raw key values exactly like the tuple
   engine's dict (identity-or-equality lookup), so both join algorithms
   agree with the tuple engine bit-for-bit; the AU ``HashJoin`` is the
-  certain-key hash + interval nested-loop split;
+  certain-key hash + interval nested-loop split, the AU
+  ``CompressedJoin`` the columnar Section 10.4 join of
+  :mod:`repro.exec.compressed_join`;
 * **hash aggregation** is single-pass with inlined accumulators;
   SUM/AVG fold through :mod:`repro.core.sums`, so floating-point
   results are bit-identical across backends, plan shapes, and
@@ -46,7 +48,6 @@ from ..core import operators as ops
 from ..db import chunks as _chunks
 from ..core.aggregation import aggregate as au_aggregate
 from ..core.aggregation import fold_partial_groups
-from ..core.compression import optimized_join
 from ..core.expressions import Expression, RowView, Var
 from ..core.ranges import domain_key
 from ..core.relation import AUDatabase, AURelation
@@ -61,6 +62,7 @@ from .compile import (
     compile_range_filter,
     compile_range_pair_filter,
 )
+from .compressed_join import compressed_join
 
 __all__ = [
     "execute_det",
@@ -835,9 +837,11 @@ def execute_audb(
     """Interpret the physical plan ``pplan`` over the AU-database ``db``.
 
     Produces exactly the relation of the tuple interpreter on the same
-    plan; ``TupleFallback``/``CompressedJoin`` nodes materialize their
-    inputs and call the exact :mod:`repro.core` implementations — the
-    boundary was chosen by the planner, not here.  ``pool`` is an
+    plan.  ``TupleFallback`` nodes are the only place a batch becomes a
+    relation: they materialize their inputs and call the exact
+    :mod:`repro.core` implementations — the boundary was chosen by the
+    planner, not here; a ``CompressedJoin`` runs batch to batch
+    (:mod:`repro.exec.compressed_join`).  ``pool`` is an
     optional persistent :class:`repro.exec.parallel.WorkerPool` for
     Exchange regions.
     """
@@ -941,27 +945,20 @@ class _AUExec:
         if isinstance(p, phys.NLJoin):
             return self._nl_join(p)
         if isinstance(p, phys.CompressedJoin):
-            return AUColumnBatch.from_relation(
-                optimized_join(
-                    self._materialize(p.left),
-                    self._materialize(p.right),
-                    p.condition,
-                    p.pair[0],
-                    p.pair[1],
-                    p.buckets,
-                )
+            return compressed_join(
+                self.eval(p.left),
+                self.eval(p.right),
+                p.condition,
+                p.pair[0],
+                p.pair[1],
+                p.buckets,
+                self._emit_pairs,
             )
         if isinstance(p, phys.Concat):
             left, right = self.eval(p.left), self.eval(p.right)
             if len(left.schema) != len(right.schema):
                 raise ValueError("union requires union-compatible schemas")
-            return AUColumnBatch(
-                left.schema,
-                [list(lc) + list(rc) for lc, rc in zip(left.columns, right.columns)],
-                list(left.ann_lb) + list(right.ann_lb),
-                list(left.ann_sg) + list(right.ann_sg),
-                list(left.ann_ub) + list(right.ann_ub),
-            )
+            return left.concat(right)
         if isinstance(p, phys.Rename):
             batch = self.eval(p.child)
             return AUColumnBatch(
@@ -1193,13 +1190,7 @@ class _AUExec:
         if not theta_li:
             return fast
         checked = self._emit_pairs(left, right, theta_li, theta_ri, condition)
-        return AUColumnBatch(
-            fast.schema,
-            [fc + cc for fc, cc in zip(fast.columns, checked.columns)],
-            list(fast.ann_lb) + list(checked.ann_lb),
-            list(fast.ann_sg) + list(checked.ann_sg),
-            list(fast.ann_ub) + list(checked.ann_ub),
-        )
+        return fast.concat(checked)
 
     def _emit_pairs(
         self,

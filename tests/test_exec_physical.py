@@ -226,20 +226,24 @@ class TestGoldenExplains:
             "          Scan lineitem [skip: l_qty>2]  (~200 rows)"
         )
 
-    def test_au_compressed_plan(self):
+    @staticmethod
+    def _compressed_case():
         r = AURelation(["a", "b"])
         for i in range(30):
             r.add([i, between(i, i + 1, i + 2)], (1, 1, 1))
         s = AURelation(["c", "d"])
         for i in range(30):
             s.add([i % 10, i], (1, 1, 1))
-        audb = AUDatabase({"r": r, "s": s})
-        stats = Statistics.from_database(audb)
         plan = Aggregate(
             Join(TableRef("r"), TableRef("s"), Eq(Var("a"), Var("c"))),
             ["d"],
             [agg_sum("b", "t")],
         )
+        return AUDatabase({"r": r, "s": s}), plan
+
+    def test_au_compressed_plan(self):
+        audb, plan = self._compressed_case()
+        stats = Statistics.from_database(audb)
         opt = optimize(plan, stats)
         rendered = explain_physical(
             lower(
@@ -259,6 +263,42 @@ class TestGoldenExplains:
             "    CompressedJoin ⋈[a=c] Cpr[CT=8]  (~30 rows)\n"
             "      Scan r  (~30 rows)\n"
             "      Scan s  (~30 rows)"
+        )
+
+    @pytest.mark.parametrize("backend", ["tuple", "vectorized"])
+    def test_au_compressed_explain_analyze_golden(self, backend):
+        # the vectorized CompressedJoin reports what its columnar
+        # operator did; the tuple backend runs core.optimized_join
+        import re
+
+        from repro.session import Connection
+
+        audb, plan = self._compressed_case()
+        conn = Connection(
+            audb,
+            config=EvalConfig(
+                backend=backend, join_buckets=8, aggregation_buckets=16
+            ),
+        )
+        normalized = re.sub(
+            r"\d+\.\d{3}ms(?: in \d+ loops)?", "Tms", conn.explain_analyze(plan)
+        )
+        columnar = (
+            ", sg_pairs=30, boxes=8x8, box_pairs=8/8, dedup_rows=0"
+            if backend == "vectorized"
+            else ""
+        )
+        assert normalized == (
+            f"EXPLAIN ANALYZE (au, backend={backend}): 30 rows in Tms\n"
+            "TupleFallback[aggregate] (exact tuple operator, CT=16)"
+            "  (~30 rows, actual 30, err 1.00x, Tms)\n"
+            "  FusedSelectProject π[b, d]"
+            "  (~30 rows, actual 38, err 1.26x, Tms)\n"
+            "    CompressedJoin ⋈[a=c] Cpr[CT=8]"
+            f"  (~30 rows, actual 38, err 1.26x, Tms{columnar})\n"
+            "      Scan r  (~30 rows, actual 30, err 1.00x, Tms)\n"
+            "      Scan s  (~30 rows, actual 30, err 1.00x, Tms)\n"
+            "stages: execute Tms"
         )
 
     @pytest.mark.parametrize("backend", ["tuple", "vectorized"])

@@ -53,6 +53,13 @@ backend, and the paper's semantics promise:
 6. **Compression soundness** — with a join compression budget and
    planner-placed (adaptive) budgets, the result still bounds the Det
    answer, on both backends.
+6b. **Compression backend differential** — under ``Cpr`` the two
+   backends run different code (the tuple backend
+   :func:`repro.core.compression.optimized_join`, the vectorized one the
+   columnar :func:`repro.exec.compressed_join.compressed_join`) and must
+   still return the same relation — or raise the same exception type —
+   for ``join_buckets`` ∈ {1, 2, 64} × ``aggregation_buckets`` ∈
+   {None, 2} × fixed and adaptive budgets.
 7. **Telemetry transparency** — on a slice of the seeds (every third
    case) the plan is re-executed on ``trace=True`` connections: tracing
    must be invisible (bit-identical results on both engines and both
@@ -547,6 +554,36 @@ def _check_telemetry_lane(plan, det, audb, context) -> None:
             )
 
 
+def _check_compression_lane(plan: Plan, audb: AUDatabase, context: str) -> None:
+    """Compression lane: vectorized ≡ tuple *as relations* under every
+    ``Cpr`` budget shape.  ``Cpr`` is order-sensitive, so a nested
+    compressed join or aggregate only agrees when each operator hands on
+    its rows in the reference's order."""
+    for join_buckets in (1, 2, 64):
+        for aggregation_buckets in (None, 2):
+            for adaptive in (False, True):
+                outcomes = []
+                for backend in ("tuple", "vectorized"):
+                    config = EvalConfig(
+                        backend=backend,
+                        join_buckets=join_buckets,
+                        aggregation_buckets=aggregation_buckets,
+                        adaptive_compression=adaptive,
+                    )
+                    try:
+                        result = evaluate_audb(plan, audb, config)
+                    except analysis.PlanVerificationError:
+                        raise
+                    except Exception as exc:  # noqa: BLE001 - parity of any failure
+                        outcomes.append(type(exc))
+                    else:
+                        outcomes.append((result.schema, dict(result.tuples())))
+                assert outcomes[0] == outcomes[1], (
+                    f"compressed backends differ [CT={join_buckets} "
+                    f"agg={aggregation_buckets} adaptive={adaptive}] {context}"
+                )
+
+
 def _float_database(det: DetDatabase) -> DetDatabase:
     """A float-valued copy of the SGW database (every value +0.5), so
     SUM/AVG exercise floating-point accumulation on every path."""
@@ -747,6 +784,9 @@ def _check_case(seed: int) -> None:
     # not change any result, and the span tree must be well formed
     if seed % 3 == 0:
         _check_telemetry_lane(plan, det, audb, context)
+
+    # 1i. under compression the two backends still agree as relations
+    _check_compression_lane(plan, audb, context)
 
     # 2. the AU result must bound the certain (SGW) answer
     det_bag = det_naive.as_bag()

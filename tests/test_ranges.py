@@ -170,3 +170,28 @@ class TestBoolIntConsistency:
                 assert domain_key(a) == domain_key(b)
 
         check()
+
+
+class TestOverlapIndex:
+    """``overlap_index`` answers exactly what ``overlaps`` answers cell by
+    cell — mixed types, nested, touching and duplicate intervals."""
+
+    def test_equals_pairwise_overlaps(self):
+        from hypothesis import given, strategies as st
+
+        from repro.core.ranges import overlap_index
+
+        scalars = st.sampled_from([None, False, 0, 1, 1.0, 2, 2.5, 3, "a", "b"])
+
+        def interval(ab):
+            lo, hi = sorted(ab, key=domain_key)
+            return RangeValue(lo, lo, hi)
+
+        cells = st.tuples(scalars, scalars).map(interval)
+
+        @given(st.lists(cells, max_size=8), cells)
+        def check(indexed, probe):
+            expected = [k for k, c in enumerate(indexed) if c.overlaps(probe)]
+            assert overlap_index(indexed)(probe) == expected
+
+        check()
