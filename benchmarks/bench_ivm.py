@@ -29,6 +29,7 @@ from repro.session import Connection
 N_FACT = 15_000
 N_DIM = 64
 N_WRITES = 100
+GATE = 10.0  # maintained view vs re-execution, whole stream
 
 SQL = (
     "SELECT d, SUM(b) AS total, COUNT(*) AS n "
@@ -63,13 +64,21 @@ def write_stream(n_writes: int = N_WRITES):
     return ops
 
 
-def run_maintained(db: DetDatabase, ops) -> list:
+def run_maintained(db: DetDatabase, ops, clock=None) -> list:
+    """Write, then read the view, per op; ``clock`` (a two-slot list)
+    accumulates the seconds spent in the writes (storage + delta apply)
+    and in the maintained reads."""
     conn = Connection(db)
     view = conn.subscribe(SQL)
     out = []
     for op, t, m in ops:
+        t0 = time.perf_counter()
         getattr(db["r"], op)(t, m)
+        t1 = time.perf_counter()
         out.append(view.result())
+        if clock is not None:
+            clock[0] += t1 - t0
+            clock[1] += time.perf_counter() - t1
     view.close()
     return out
 
@@ -107,8 +116,9 @@ def main() -> int:
     run_reexecute(make_db(), ops[:4])
 
     db_m = make_db()
+    clock = [0.0, 0.0]
     start = time.perf_counter()
-    maintained = run_maintained(db_m, ops)
+    maintained = run_maintained(db_m, ops, clock)
     t_m = time.perf_counter() - start
 
     db_r = make_db()
@@ -131,11 +141,32 @@ def main() -> int:
     )
     print(f"re-execute per write : {t_r / N_WRITES * 1e3:8.3f} ms/write")
     print(f"maintained view      : {t_m / N_WRITES * 1e3:8.3f} ms/write")
-    print(f"speedup              : {speedup:8.1f}x  (gate: >=10x)")
-    if speedup < 10.0:
-        failures.append(f"speedup {speedup:.1f}x below the 10x bar")
+    print(f"  write + delta apply: {clock[0] / N_WRITES * 1e6:8.1f} us/write")
+    print(f"  maintained read    : {clock[1] / N_WRITES * 1e6:8.1f} us/read")
+    print(f"speedup              : {speedup:8.1f}x  (gate: >={GATE:.0f}x)")
+    if speedup < GATE:
+        failures.append(f"speedup {speedup:.1f}x below the {GATE:.0f}x bar")
     for f in failures:
         print(f"FAIL: {f}")
+
+    from _results import write_result
+
+    write_result(
+        "ivm",
+        {
+            "benchmark": "ivm",
+            "fact_rows": N_FACT,
+            "dim_rows": N_DIM,
+            "writes": N_WRITES,
+            "gate": GATE,
+            "write_apply_us": round(clock[0] / N_WRITES * 1e6, 2),
+            "maintained_read_us": round(clock[1] / N_WRITES * 1e6, 2),
+            "maintained_ms_per_write": round(t_m / N_WRITES * 1e3, 4),
+            "reexecute_ms_per_write": round(t_r / N_WRITES * 1e3, 4),
+            "speedup": round(speedup, 2),
+            "failures": failures,
+        },
+    )
     return 1 if failures else 0
 
 

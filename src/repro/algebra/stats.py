@@ -142,18 +142,20 @@ class Histogram:
         """Build from weighted ``(value, weight)`` pairs; a bare number
         is a value of weight 1.
 
-        Returns ``None`` for degenerate inputs (no values, or a single
-        point — min/max logic handles those better).
+        Returns ``None`` for degenerate inputs (no values, a single
+        point, or a span ``hi - lo`` beyond the double range — min/max
+        logic handles those better).
         """
         if not values:
             return None
         values = [s if type(s) is tuple else (s, 1) for s in values]
         lo = min(v for v, _w in values)
         hi = max(v for v, _w in values)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        span = hi - lo  # inf when it leaves the double range
+        if not math.isfinite(span) or span <= 0:
             return None
         counts = [0] * buckets
-        scale = buckets / (hi - lo)
+        scale = buckets / span
         top = buckets - 1
         for v, w in values:
             i = int((v - lo) * scale)

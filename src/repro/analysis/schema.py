@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra import ast
 from ..core import expressions as ex
-from ..core.aggregation import AggregateSpec
+from ..core.aggregation import AGGREGATES, AggregateSpec
 from .errors import (
     PlanCompatibilityError,
     PlanReferenceError,
@@ -509,22 +509,13 @@ def _aggregate_output(spec: AggregateSpec, env: Env) -> ColumnInfo:
         inner = infer_expression(
             spec.expr, env, f"aggregate {spec.kind}(...) AS {spec.name!r}"
         )
-    if spec.kind in ("sum", "avg") and inner is not None:
-        if inner.type == TYPE_STRING:
-            raise PlanTypeError(
-                f"aggregate {spec.kind}() over a string column "
-                f"({spec.name!r}): {spec.expr!r}"
-            )
+    try:
+        kind, nullable = AGGREGATES[spec.kind].result_type(inner)
+    except TypeError as exc:
+        raise PlanTypeError(
+            f"aggregate {spec.kind}() over {exc} "
+            f"({spec.name!r}): {spec.expr!r}"
+        ) from None
     # aggregate outputs are conservatively uncertain: group membership
     # (and hence the aggregated multiset) can differ across worlds
-    if spec.kind == "count":
-        return ColumnInfo(spec.name, TYPE_NUMBER, nullable=False, certain=False)
-    if spec.kind == "sum":
-        nullable = inner.nullable if inner is not None else True
-        return ColumnInfo(spec.name, TYPE_NUMBER, nullable=nullable, certain=False)
-    if spec.kind == "avg":
-        return ColumnInfo(spec.name, TYPE_NUMBER, nullable=True, certain=False)
-    if spec.kind in ("min", "max"):
-        kind = inner.type if inner is not None else TYPE_ANY
-        return ColumnInfo(spec.name, kind, nullable=True, certain=False)
-    return ColumnInfo(spec.name, TYPE_ANY, nullable=True, certain=False)
+    return ColumnInfo(spec.name, kind, nullable=nullable, certain=False)

@@ -20,7 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .expressions import Expression, RowView, Var
 from .ranges import (
@@ -151,8 +160,9 @@ def star_operator(
 class AggregateSpec:
     """One aggregation function application ``f(e) AS name``.
 
-    ``kind`` is one of ``sum, count, min, max, avg``.  ``expr`` is the
-    aggregated scalar expression (ignored for ``count``).
+    ``kind`` is a key of :data:`AGGREGATES` (``sum, count, min, max,
+    avg``).  ``expr`` is the aggregated scalar expression (ignored by a
+    function that takes no input, i.e. ``count``).
     """
 
     kind: str
@@ -160,9 +170,10 @@ class AggregateSpec:
     name: str
 
     def __post_init__(self) -> None:
-        if self.kind not in {"sum", "count", "min", "max", "avg"}:
+        fn = AGGREGATES.get(self.kind)
+        if fn is None:
             raise ValueError(f"unsupported aggregate kind {self.kind!r}")
-        if self.kind != "count" and self.expr is None:
+        if fn.takes_input and self.expr is None:
             raise ValueError(f"aggregate {self.kind} requires an expression")
 
 
@@ -279,8 +290,7 @@ def aggregate(
         if not group_by:
             # aggregation over an empty input still yields one row in SQL /
             # K-relation semantics for COUNT-style monoids
-            values = [_empty_aggregate_value(spec) for spec in aggregates]
-            out.add(values, (1, 1, 1))
+            out.add(_empty_row(aggregates), (1, 1, 1))
         return out
 
     if group_by:
@@ -313,23 +323,39 @@ def aggregate(
 
     # -- evaluate aggregate inputs once per row --------------------------
     agg_inputs = _materialize_agg_inputs(rel, rows, aggregates)
+    algebras = [AGGREGATES[spec.kind].au for spec in aggregates]
 
     for g_i in range(n_groups):
         values: List[RangeValue] = list(group_boxes[g_i])
         box_certain = all(v.is_certain for v in group_boxes[g_i])
-        for a_i, spec in enumerate(aggregates):
-            values.append(
-                _aggregate_bounds(
-                    spec,
-                    a_i,
-                    rows,
-                    agg_inputs,
-                    contributors[g_i],
-                    set(members[g_i]),
-                    group_idx,
-                    box_certain,
-                )
+        sg_members = set(members[g_i])
+        # Definition 26's two row flags, once per (group, contributor).
+        # A contribution is counted without clamping only when the tuple
+        # *certainly belongs to every group this output can bound*: the
+        # output's group box must be a single point, the tuple's
+        # group-by values certain and assigned here, and the tuple must
+        # certainly exist.  This is the rewriting's θ_c test (Section
+        # 10.2), which compares input group bounds against the
+        # *output's* bounds.  If the box spans several possible groups,
+        # the output tuple may have to bound a world group this tuple is
+        # absent from, so its contribution is clamped against the
+        # monoid's neutral element (min(0_M, ·) / max(0_M, ·)).
+        flagged = []
+        for r_i in contributors[g_i]:
+            t, ann = rows[r_i]
+            in_sg_group = r_i in sg_members
+            certainly_in_group = (
+                box_certain
+                and in_sg_group
+                and not _uncertain_group(t, ann, group_idx)
             )
+            flagged.append((r_i, ann, certainly_in_group, in_sg_group))
+        for algebra, inputs in zip(algebras, agg_inputs):
+            state = algebra.init()
+            step = algebra.step
+            for r_i, ann, certainly_in_group, in_sg_group in flagged:
+                step(state, ann, inputs[r_i], certainly_in_group, in_sg_group)
+            values.append(algebra.finalize(state))
         ann = _group_annotation(rows, members[g_i], group_idx, bool(group_by))
         if ann[2] > 0:
             out.add(values, ann)
@@ -432,23 +458,19 @@ def _materialize_agg_inputs(
     rows: Sequence[Tuple[AUTuple, AUAnnotation]],
     aggregates: Sequence[AggregateSpec],
 ) -> List[List[RangeValue]]:
-    """Per-aggregate, per-row input value (COUNT uses the constant 1)."""
-    one = certain(1)
+    """Per-aggregate, per-row input value (a function that takes no
+    input, i.e. COUNT, folds the constant 1)."""
     inputs: List[List[RangeValue]] = []
     for spec in aggregates:
         col: List[RangeValue] = []
-        if spec.kind == "count":
-            col = [one] * len(rows)
+        if not AGGREGATES[spec.kind].takes_input:
+            col = [_ONE] * len(rows)
         else:
             index = RowView.index_of(rel.schema)
             for t, _ann in rows:
                 col.append(spec.expr.eval_range(RowView(index, t)))
         inputs.append(col)
     return inputs
-
-
-def _monoid_for(kind: str) -> Monoid:
-    return {"sum": SUM, "count": SUM, "min": MIN, "max": MAX}[kind]
 
 
 def _part_value(part: Tuple[int, Any]) -> Any:
@@ -525,126 +547,6 @@ def _clamped_range(lo: Any, sg: Any, hi: Any) -> RangeValue:
     return RangeValue(lo, sg, hi)
 
 
-def _aggregate_bounds(
-    spec: AggregateSpec,
-    agg_index: int,
-    rows: Sequence[Tuple[AUTuple, AUAnnotation]],
-    agg_inputs: Sequence[Sequence[RangeValue]],
-    contributor_rows: Sequence[int],
-    sg_members: set,
-    group_idx: Sequence[int],
-    box_certain: bool = True,
-) -> RangeValue:
-    """Aggregation function result bounds for one output tuple
-    (Definition 26; AVG handled via SUM/COUNT + MIN/MAX envelope)."""
-    if spec.kind == "avg":
-        return _avg_bounds(
-            spec, agg_index, rows, agg_inputs, contributor_rows, sg_members, group_idx
-        )
-
-    monoid = _monoid_for(spec.kind)
-    if monoid is SUM:
-        # SUM/COUNT accumulate through repro.core.sums so float bounds are
-        # exact (regrouping-invariant) — the morsel-parallel partial path
-        # folds the same per-row parts and merges accumulators bit-exactly.
-        lo_acc = new_acc()
-        hi_acc = new_acc()
-        sg_acc = new_acc()
-        for r_i in contributor_rows:
-            t, ann = rows[r_i]
-            m = agg_inputs[agg_index][r_i]
-            certainly_in_group = (
-                box_certain
-                and r_i in sg_members
-                and not _uncertain_group(t, ann, group_idx)
-            )
-            _fold_sum_row(lo_acc, hi_acc, ann, m, certainly_in_group)
-            if r_i in sg_members:
-                _add_part(sg_acc, m.sg, ann[1])
-        return _clamped_range(finish(lo_acc), finish(sg_acc), finish(hi_acc))
-
-    lo = monoid.neutral
-    hi = monoid.neutral
-    sg = monoid.neutral
-    for r_i in contributor_rows:
-        t, ann = rows[r_i]
-        m = agg_inputs[agg_index][r_i]
-        folded = star_operator(monoid, ann, m)
-        # A contribution may be counted without clamping only when the
-        # tuple *certainly belongs to every group this output can bound*:
-        # the output's group box must be a single point, the tuple's
-        # group-by values certain and assigned here, and the tuple must
-        # certainly exist.  This is the rewriting's θ_c test (Section
-        # 10.2), which compares input group bounds against the *output's*
-        # bounds.  If the box spans several possible groups, the output
-        # tuple may have to bound a world group this tuple is absent from,
-        # so its contribution is clamped against the monoid's neutral
-        # element (Definition 26's min(0_M, ·) / max(0_M, ·)).
-        certainly_in_group = (
-            box_certain
-            and r_i in sg_members
-            and not _uncertain_group(t, ann, group_idx)
-        )
-        if not certainly_in_group:
-            lb_contrib = folded.lb if _dom_le(folded.lb, monoid.neutral) else monoid.neutral
-            ub_contrib = folded.ub if _dom_le(monoid.neutral, folded.ub) else monoid.neutral
-        else:
-            lb_contrib = folded.lb
-            ub_contrib = folded.ub
-        lo = monoid.combine(lo, lb_contrib)
-        hi = monoid.combine(hi, ub_contrib)
-        if r_i in sg_members:
-            sg = monoid.combine(sg, folded.sg)
-    return _clamped_range(lo, sg, hi)
-
-
-def _avg_bounds(
-    spec: AggregateSpec,
-    agg_index: int,
-    rows: Sequence[Tuple[AUTuple, AUAnnotation]],
-    agg_inputs: Sequence[Sequence[RangeValue]],
-    contributor_rows: Sequence[int],
-    sg_members: set,
-    group_idx: Sequence[int],
-) -> RangeValue:
-    """AVG bounds.
-
-    The mean of any multiset of values, each drawn from the contributing
-    tuples' value ranges, lies between the smallest lower bound and the
-    largest upper bound of any contributor — so MIN/MAX envelopes over
-    ``ð(g)`` give sound (if loose) AVG bounds.  The SG value is the exact
-    SGW average (sum/count in the SG world).
-    """
-    lo = math.inf
-    hi = -math.inf
-    seen = False
-    sg_acc = new_acc()
-    sg_count = 0
-    for r_i in contributor_rows:
-        t, ann = rows[r_i]
-        m = agg_inputs[agg_index][r_i]
-        if ann[2] > 0:
-            seen = True
-            if _dom_le(m.lb, lo):
-                lo = m.lb
-            if _dom_le(hi, m.ub):
-                hi = m.ub
-        if r_i in sg_members and ann[1] > 0:
-            # exact value×multiplicity accumulation (repro.core.sums), so
-            # the SG average is regrouping-invariant to the bit and the
-            # morsel-parallel partials merge exactly
-            add_product(sg_acc, m.sg, ann[1])
-            sg_count += ann[1]
-    sg = finish(sg_acc) / sg_count if sg_count else 0.0
-    if not seen:  # no possible contributor
-        return RangeValue(0.0, 0.0, 0.0)
-    if not _dom_le(lo, sg):
-        sg = lo
-    if not _dom_le(sg, hi):
-        sg = hi
-    return RangeValue(lo, sg, hi)
-
-
 def _group_annotation(
     rows: Sequence[Tuple[AUTuple, AUAnnotation]],
     member_rows: Sequence[int],
@@ -666,14 +568,301 @@ def _group_annotation(
     return (_delta(lb_sum), _delta(sg_sum), ub_sum)
 
 
-def _empty_aggregate_value(spec: AggregateSpec) -> RangeValue:
-    if spec.kind in {"sum", "count"}:
-        return certain(0)
-    if spec.kind == "avg":
-        return certain(0.0)
-    # SQL semantics (mirrored by the Det engine): MIN/MAX over an empty
-    # input is NULL, not the monoid's ±inf neutral element
-    return certain(None)
+# ----------------------------------------------------------------------
+# The aggregate registry: one algebra per function per engine
+# ----------------------------------------------------------------------
+class _Algebra(NamedTuple):
+    """A mergeable aggregation state — the commutative monoid of Section
+    9.1 folded through the multiplicity action, spelled as five members:
+
+    * ``init()`` — a fresh state (the monoid's neutral element);
+    * ``step`` — fold one weighted input into a state.  Det:
+      ``step(state, value, weight) -> state`` with a signed bag
+      ``weight`` (the result may be ``state`` itself, mutated).  AU:
+      ``step(state, ann, m, certainly_in_group, in_sg_group)`` mutates
+      ``state`` with the ``⊛``-contribution (Definition 23) of a row
+      annotated ``ann`` whose aggregate input is the range ``m``;
+      the two flags are Definition 26's: ``certainly_in_group`` lifts the
+      ``min(0_M, ·)`` / ``max(0_M, ·)`` clamps, ``in_sg_group`` says the
+      row is a member of the output's selected-guess group;
+    * ``merge(a, b) -> state`` — combine two states, ``b`` the *later*
+      partition (tie rules replay the in-order fold), consuming both;
+    * ``finalize(state)`` — the output value (det) / range (AU);
+    * ``empty`` — the output over an empty input without GROUP BY.
+    """
+
+    init: Callable[[], Any]
+    step: Callable[..., Any]
+    merge: Callable[[Any, Any], Any]
+    finalize: Callable[[Any], Any]
+    empty: Any
+
+
+@dataclass(frozen=True)
+class _AggregateFunction:
+    """One SQL aggregate: its algebra on each engine and its typing."""
+
+    det: _Algebra
+    au: _Algebra
+    #: ``result_type(inner) -> (type, nullable)`` for the inferred input
+    #: column ``inner`` (``.type`` / ``.nullable``; ``None`` when there
+    #: is none or it is unknown); ``TypeError`` for an input type the
+    #: function rejects in every world
+    result_type: Callable[[Any], Tuple[str, bool]]
+    #: ``False``: ``expr`` is not evaluated (det folds ``None``, AU the
+    #: constant 1)
+    takes_input: bool = True
+    #: det ``step`` with weight ``-w`` exactly undoes ``+w`` (a group,
+    #: not only a monoid), so deletes fold into maintained state
+    invertible: bool = True
+    #: the exact :mod:`repro.core.sums` accumulator inside a det state
+    #: (``None``: the state holds none)
+    det_sum: Optional[Callable[[Any], list]] = None
+
+
+# -- det: SUM / COUNT / AVG (exact sums), MIN / MAX (domain-key pairs) --
+def _det_count_step(state: int, _value: Any, weight: int) -> int:
+    return state + weight
+
+
+def _det_sum_step(state: list, value: Any, weight: int) -> list:
+    add_product(state, value, weight)
+    return state
+
+
+def _det_sum_merge(a: list, b: list) -> list:
+    merge_acc(a, b)
+    return a
+
+
+def _det_avg_step(state: list, value: Any, weight: int) -> list:
+    add_product(state[0], value, weight)
+    state[1] += weight
+    return state
+
+
+def _det_avg_merge(a: list, b: list) -> list:
+    merge_acc(a[0], b[0])
+    a[1] += b[1]
+    return a
+
+
+def _det_min_step(state: Optional[tuple], value: Any, _weight: int) -> tuple:
+    key = domain_key(value)
+    if state is None or key < state[0]:
+        return (key, value)
+    return state
+
+
+def _det_max_step(state: Optional[tuple], value: Any, _weight: int) -> tuple:
+    key = domain_key(value)
+    if state is None or key > state[0]:
+        return (key, value)
+    return state
+
+
+def _det_extremum(step: Callable[..., tuple]) -> _Algebra:
+    """MIN / MAX keep ``(domain key, value)`` of the first row attaining
+    the extremum (``None`` before any row); SQL's empty result is NULL,
+    not the monoid's ±inf neutral element."""
+    return _Algebra(
+        init=lambda: None,
+        step=step,
+        merge=lambda a, b: step(a, b[1], 1),
+        finalize=lambda state: state[1],
+        empty=None,
+    )
+
+
+# -- AU: three-bound states -------------------------------------------
+def _au_sum_step(
+    state: list, ann: AUAnnotation, m: RangeValue, certainly_in_group: bool,
+    in_sg_group: bool,
+) -> None:
+    # exact (regrouping-invariant) float bounds: repro.core.sums
+    _fold_sum_row(state[0], state[2], ann, m, certainly_in_group)
+    if in_sg_group:
+        _add_part(state[1], m.sg, ann[1])
+
+
+def _au_sum_merge(dst: list, src: list) -> list:
+    for d, s in zip(dst, src):
+        merge_acc(d, s)
+    return dst
+
+
+_AU_SUM = _Algebra(
+    init=lambda: [new_acc(), new_acc(), new_acc()],  # lo, sg, hi
+    step=_au_sum_step,
+    merge=_au_sum_merge,
+    finalize=lambda s: _clamped_range(finish(s[0]), finish(s[1]), finish(s[2])),
+    empty=certain(0),
+)
+
+
+def _au_monoid(monoid: Monoid) -> _Algebra:
+    """MIN / MAX: fold ``⊛_M`` bounds with the monoid's combine, whose
+    tie behavior (MIN keeps the earliest attaining value, MAX the
+    latest) is associative as long as partials merge in partition
+    order."""
+    neutral, combine = monoid.neutral, monoid.combine
+
+    def step(state, ann, m, certainly_in_group, in_sg_group) -> None:
+        folded = star_operator(monoid, ann, m)
+        lb, ub = folded.lb, folded.ub
+        if not certainly_in_group:
+            if not _dom_le(lb, neutral):
+                lb = neutral
+            if not _dom_le(neutral, ub):
+                ub = neutral
+        state[0] = combine(state[0], lb)
+        state[2] = combine(state[2], ub)
+        if in_sg_group:
+            state[1] = combine(state[1], folded.sg)
+
+    def merge(dst: list, src: list) -> list:
+        dst[:] = [combine(d, s) for d, s in zip(dst, src)]
+        return dst
+
+    return _Algebra(
+        init=lambda: [neutral, neutral, neutral],  # lo, sg, hi
+        step=step,
+        merge=merge,
+        finalize=lambda state: _clamped_range(*state),
+        empty=certain(None),  # SQL NULL, like the det engine
+    )
+
+
+def _au_avg_step(
+    state: list, ann: AUAnnotation, m: RangeValue, _certainly_in_group: bool,
+    in_sg_group: bool,
+) -> None:
+    """The mean of any multiset of values, each drawn from the
+    contributing tuples' value ranges, lies between the smallest lower
+    and the largest upper bound of any contributor — so MIN/MAX
+    envelopes over ``ð(g)`` give sound (if loose) AVG bounds.  The SG
+    value is the exact SGW average (sum/count in the SG world)."""
+    if ann[2] > 0:
+        state[4] = True
+        if _dom_le(m.lb, state[0]):
+            state[0] = m.lb
+        if _dom_le(state[1], m.ub):
+            state[1] = m.ub
+    if in_sg_group and ann[1] > 0:
+        add_product(state[2], m.sg, ann[1])
+        state[3] += ann[1]
+
+
+def _au_avg_merge(dst: list, src: list) -> list:
+    # src is the later partition: its envelope candidates replay the
+    # in-order fold's "ties update" rules against dst's running values
+    if src[4]:
+        dst[4] = True
+        if _dom_le(src[0], dst[0]):
+            dst[0] = src[0]
+        if _dom_le(dst[1], src[1]):
+            dst[1] = src[1]
+    merge_acc(dst[2], src[2])
+    dst[3] += src[3]
+    return dst
+
+
+def _au_avg_finalize(state: list) -> RangeValue:
+    lo, hi, acc, cnt, seen = state
+    sg = finish(acc) / cnt if cnt else 0.0
+    if not seen:  # no possible contributor
+        return RangeValue(0.0, 0.0, 0.0)
+    if not _dom_le(lo, sg):
+        sg = lo
+    if not _dom_le(sg, hi):
+        sg = hi
+    return RangeValue(lo, sg, hi)
+
+
+# -- typing, in the vocabulary of repro.analysis.schema (which imports
+# -- this module): TYPE_NUMBER / TYPE_STRING / TYPE_ANY
+def _reject_strings(inner: Any) -> None:
+    if inner is not None and inner.type == "string":
+        raise TypeError("a string column")
+
+
+def _sum_type(inner: Any) -> Tuple[str, bool]:
+    _reject_strings(inner)
+    return "number", (inner.nullable if inner is not None else True)
+
+
+def _avg_type(inner: Any) -> Tuple[str, bool]:
+    _reject_strings(inner)
+    return "number", True
+
+
+def _type_of_input(inner: Any) -> Tuple[str, bool]:
+    return (inner.type if inner is not None else "any"), True
+
+
+#: Every aggregate function, defined once: the SQL parser accepts these
+#: names, :class:`AggregateSpec` validates against them, schema
+#: inference types them, and every fold — serial, partial, parallel
+#: merge, delta — runs these functions.  A sixth function is one entry
+#: here (``tests/test_aggregate_registry.py`` holds it to the
+#: whole-group references on both engines).
+AGGREGATES: Dict[str, _AggregateFunction] = {
+    "sum": _AggregateFunction(
+        det=_Algebra(new_acc, _det_sum_step, _det_sum_merge, finish, 0),
+        au=_AU_SUM,
+        result_type=_sum_type,
+        det_sum=lambda state: state,
+    ),
+    "count": _AggregateFunction(
+        det=_Algebra(
+            init=lambda: 0,
+            step=_det_count_step,
+            merge=lambda a, b: a + b,
+            finalize=lambda state: state,
+            empty=0,
+        ),
+        au=_AU_SUM,  # SUM of the constant 1
+        result_type=lambda inner: ("number", False),
+        takes_input=False,
+    ),
+    "min": _AggregateFunction(
+        det=_det_extremum(_det_min_step),
+        au=_au_monoid(MIN),
+        result_type=_type_of_input,
+        invertible=False,
+    ),
+    "max": _AggregateFunction(
+        det=_det_extremum(_det_max_step),
+        au=_au_monoid(MAX),
+        result_type=_type_of_input,
+        invertible=False,
+    ),
+    "avg": _AggregateFunction(
+        det=_Algebra(
+            init=lambda: [new_acc(), 0],  # exact Σ value·weight, Σ weight
+            step=_det_avg_step,
+            merge=_det_avg_merge,
+            finalize=lambda state: finish(state[0]) / state[1],
+            empty=0.0,
+        ),
+        au=_Algebra(
+            # envelope lo, hi; exact SG Σ; SG count; any possible row
+            init=lambda: [math.inf, -math.inf, new_acc(), 0, False],
+            step=_au_avg_step,
+            merge=_au_avg_merge,
+            finalize=_au_avg_finalize,
+            empty=certain(0.0),
+        ),
+        result_type=_avg_type,
+        det_sum=lambda state: state[0],
+    ),
+}
+
+_ONE = certain(1)
+
+
+def _empty_row(aggregates: Sequence[AggregateSpec]) -> List[RangeValue]:
+    return [AGGREGATES[spec.kind].au.empty for spec in aggregates]
 
 
 # ----------------------------------------------------------------------
@@ -682,18 +871,11 @@ def _empty_aggregate_value(spec: AggregateSpec) -> RangeValue:
 # When every input row's group-by attributes are *certain*, the default
 # grouping strategy degenerates into exact hash grouping: each group's
 # box is a single point, ð(g) equals the member set, and every per-row
-# contribution is row-local.  The γ fold then factors into per-morsel
-# partial states merged with an associative combine:
-#
-# * the K^AU output annotation sums pointwise (δ applied at finalize);
-# * SUM/COUNT and the AVG numerator are exact Shewchuk accumulators
-#   (``merge_acc``), so float results are regrouping-invariant bit for
-#   bit at every parallelism level;
-# * MIN/MAX fold with the monoid combine, whose tie behavior (MIN keeps
-#   the earliest attaining value, MAX the latest) is associative as long
-#   as partials merge in partition order;
-# * the AVG envelope folds with the same order-compatible min/max update
-#   rules the serial operator uses.
+# contribution is row-local (``in_sg_group`` always holds,
+# ``certainly_in_group`` is "the row certainly exists").  The γ fold then
+# factors into per-morsel partial states — the registry's AU states —
+# merged in partition order; the K^AU output annotation sums pointwise
+# (δ applied at finalize).
 #
 # A single row with uncertain group-by attributes breaks row-locality
 # (it contributes to every overlapping group's bounds), so the fold
@@ -705,53 +887,6 @@ class UncertainGroupError(ValueError):
     """A partial (morsel-parallel) aggregate met a row whose group-by
     attributes are uncertain: the contributor sets ð(g) are then not
     row-local and only the serial operator computes sound bounds."""
-
-
-def _new_agg_partial(spec: AggregateSpec) -> list:
-    if spec.kind in ("sum", "count"):
-        return [new_acc(), new_acc(), new_acc()]  # lo, sg, hi accumulators
-    if spec.kind == "avg":
-        return [math.inf, -math.inf, new_acc(), 0, False]  # lo, hi, Σsg, n, seen
-    monoid = _monoid_for(spec.kind)
-    return [monoid.neutral, monoid.neutral, monoid.neutral]  # lo, sg, hi
-
-
-def _fold_agg_partial(
-    spec: AggregateSpec,
-    agg: list,
-    ann: AUAnnotation,
-    m: RangeValue,
-    certainly: bool,
-) -> None:
-    """Fold one (certain-group) row into a per-aggregate partial, with
-    contribution logic identical to the serial ``_aggregate_bounds`` /
-    ``_avg_bounds`` folds restricted to the certain-group case."""
-    if spec.kind in ("sum", "count"):
-        _fold_sum_row(agg[0], agg[2], ann, m, certainly)
-        _add_part(agg[1], m.sg, ann[1])
-        return
-    if spec.kind == "avg":
-        if ann[2] > 0:
-            agg[4] = True
-            if _dom_le(m.lb, agg[0]):
-                agg[0] = m.lb
-            if _dom_le(agg[1], m.ub):
-                agg[1] = m.ub
-        if ann[1] > 0:
-            add_product(agg[2], m.sg, ann[1])
-            agg[3] += ann[1]
-        return
-    monoid = _monoid_for(spec.kind)
-    folded = star_operator(monoid, ann, m)
-    if certainly:
-        lb_contrib = folded.lb
-        ub_contrib = folded.ub
-    else:
-        lb_contrib = folded.lb if _dom_le(folded.lb, monoid.neutral) else monoid.neutral
-        ub_contrib = folded.ub if _dom_le(monoid.neutral, folded.ub) else monoid.neutral
-    agg[0] = monoid.combine(agg[0], lb_contrib)
-    agg[2] = monoid.combine(agg[2], ub_contrib)
-    agg[1] = monoid.combine(agg[1], folded.sg)
 
 
 def fold_partial_groups(
@@ -768,13 +903,19 @@ def fold_partial_groups(
     (identical across members up to numeric representation — group-by
     attributes are certain), ``ann_sums`` the pointwise annotation sums of
     Definition 27 (δ applied at finalize), and ``agg_partials`` one
-    mergeable state per aggregate.  Raises :class:`UncertainGroupError`
-    on the first row whose group-by attributes are uncertain.
+    :data:`AGGREGATES` AU state per aggregate.  Raises
+    :class:`UncertainGroupError` on the first row whose group-by
+    attributes are uncertain.
     """
     schema = tuple(schema)
     group_idx = [schema.index(a) for a in group_by]
     index = RowView.index_of(schema)
-    one = certain(1)
+    fns = [AGGREGATES[spec.kind] for spec in aggregates]
+    inits = [fn.au.init for fn in fns]
+    steps = [
+        (fn.au.step, spec.expr.eval_range if fn.takes_input else None)
+        for fn, spec in zip(fns, aggregates)
+    ]
     for t, ann in rows:
         for i in group_idx:
             if not t[i].is_certain:
@@ -788,7 +929,7 @@ def fold_partial_groups(
             state = [
                 [t[i] for i in group_idx],
                 [0, 0, 0],
-                [_new_agg_partial(spec) for spec in aggregates],
+                [init() for init in inits],
             ]
             groups[key] = state
         ann_sums = state[1]
@@ -797,33 +938,9 @@ def fold_partial_groups(
         ann_sums[2] += ann[2]
         certainly = ann[0] > 0
         view = RowView(index, t)
-        for spec, agg in zip(aggregates, state[2]):
-            m = one if spec.kind == "count" else spec.expr.eval_range(view)
-            _fold_agg_partial(spec, agg, ann, m, certainly)
-
-
-def _merge_agg_partial(spec: AggregateSpec, dst: list, src: list) -> None:
-    if spec.kind in ("sum", "count"):
-        merge_acc(dst[0], src[0])
-        merge_acc(dst[1], src[1])
-        merge_acc(dst[2], src[2])
-        return
-    if spec.kind == "avg":
-        # src is the later partition: its envelope candidates replay the
-        # serial fold's "ties update" rules against dst's running values
-        if src[4]:
-            dst[4] = True
-            if _dom_le(src[0], dst[0]):
-                dst[0] = src[0]
-            if _dom_le(dst[1], src[1]):
-                dst[1] = src[1]
-        merge_acc(dst[2], src[2])
-        dst[3] += src[3]
-        return
-    monoid = _monoid_for(spec.kind)
-    dst[0] = monoid.combine(dst[0], src[0])
-    dst[1] = monoid.combine(dst[1], src[1])
-    dst[2] = monoid.combine(dst[2], src[2])
+        for (step, eval_range), agg in zip(steps, state[2]):
+            m = _ONE if eval_range is None else eval_range(view)
+            step(agg, ann, m, certainly, True)
 
 
 def merge_partial_groups(
@@ -837,6 +954,7 @@ def merge_partial_groups(
     order-sensitive tie rules of MIN/MAX/AVG envelopes then reproduce the
     serial fold exactly.
     """
+    merges = [AGGREGATES[spec.kind].au.merge for spec in aggregates]
     for key, src in source.items():
         dst = target.get(key)
         if dst is None:
@@ -845,24 +963,8 @@ def merge_partial_groups(
         dst[1][0] += src[1][0]
         dst[1][1] += src[1][1]
         dst[1][2] += src[1][2]
-        for spec, d, s in zip(aggregates, dst[2], src[2]):
-            _merge_agg_partial(spec, d, s)
-
-
-def _finalize_agg_partial(spec: AggregateSpec, agg: list) -> RangeValue:
-    if spec.kind in ("sum", "count"):
-        return _clamped_range(finish(agg[0]), finish(agg[1]), finish(agg[2]))
-    if spec.kind == "avg":
-        lo, hi, acc, cnt, seen = agg
-        sg = finish(acc) / cnt if cnt else 0.0
-        if not seen:  # no possible contributor
-            return RangeValue(0.0, 0.0, 0.0)
-        if not _dom_le(lo, sg):
-            sg = lo
-        if not _dom_le(sg, hi):
-            sg = hi
-        return RangeValue(lo, sg, hi)
-    return _clamped_range(agg[0], agg[1], agg[2])
+        for merge, d, s in zip(merges, dst[2], src[2]):
+            merge(d, s)
 
 
 def finalize_partial_groups(
@@ -877,16 +979,14 @@ def finalize_partial_groups(
     out = AURelation(out_schema)
     if not groups:
         if not group_by:
-            out.add(
-                [_empty_aggregate_value(spec) for spec in aggregates],
-                (1, 1, 1),
-            )
+            out.add(_empty_row(aggregates), (1, 1, 1))
         return out
     has_group_by = bool(group_by)
+    finalizers = [AGGREGATES[spec.kind].au.finalize for spec in aggregates]
     for rep, ann_sums, aggs in groups.values():
         values: List[RangeValue] = list(rep)
-        for spec, agg in zip(aggregates, aggs):
-            values.append(_finalize_agg_partial(spec, agg))
+        for finalize, agg in zip(finalizers, aggs):
+            values.append(finalize(agg))
         if has_group_by:
             ann = (_delta(ann_sums[0]), _delta(ann_sums[1]), ann_sums[2])
         else:

@@ -22,11 +22,16 @@ bit-identical results.  Merging two accumulators (:func:`merge_acc`)
 preserves exactness, which is what makes partial/final parallel
 aggregation safe.
 
-One boundary: when the running float sum itself exceeds the double
-range, the accumulator *saturates* to ``±inf`` (the overflowed partial
-moves to the non-finite slot), matching what IEEE left-fold ``sum()``
-returned before — a plain ``math.fsum`` would raise instead.  Exactness
-and order-independence are guaranteed for sums that stay in range.
+The contract is order-free *including transient overflow*: a running
+float sum that leaves the double range saturates nothing.  Two finite
+doubles whose sum overflows are both exact integers (magnitude
+``>= 2**53``), so the larger one moves — exactly — to a fourth, integer
+*spill* slot and the fold goes on; :func:`add_product` spills a term
+``value * 2**j`` that is itself out of range the same way.
+:func:`finish` saturates to ``±inf`` only when the *true* sum rounds
+out of range (what a left-fold IEEE ``sum()`` returns then — a plain
+``math.fsum`` would raise), so ``[1e308, 1e308, -1e308]`` sums to
+``1e308`` in every order and under every partitioning.
 """
 
 from __future__ import annotations
@@ -45,17 +50,18 @@ __all__ = [
 
 
 def new_acc() -> list:
-    """A fresh accumulator: ``[int_sum, float_partials, nonfinite_sum]``."""
-    return [0, [], 0.0]
+    """A fresh accumulator:
+    ``[int_sum, float_partials, nonfinite_sum, float_spill]``."""
+    return [0, [], 0.0, 0]
 
 
 def _add_float(acc: list, x: float) -> None:
     """Shewchuk error-free transformation: add finite ``x`` keeping the
     exact sum as non-overlapping partials (the ``math.fsum`` invariant).
 
-    If a combination overflows the double range, the huge partials
-    saturate into the absorbing slot (IEEE ``sum()`` semantics) instead
-    of leaving ``±inf`` garbage in the partial list.
+    If a combination overflows the double range, the larger operand —
+    an exact integer at that magnitude — moves to the spill slot and
+    the smaller one carries on, so the represented sum stays exact.
     """
     partials = acc[1]
     i = 0
@@ -66,11 +72,9 @@ def _add_float(acc: list, x: float) -> None:
             x, y = y, x
         hi = x + y
         if math.isinf(hi):  # the running sum left the double range
-            for k in range(j + 1, n):
-                hi += partials[k]  # remaining partials are huge too
-            acc[2] += hi
-            del partials[i:]
-            return
+            acc[3] += int(x)
+            x = y
+            continue
         lo = y - (hi - x)
         if lo:
             partials[i] = lo
@@ -83,9 +87,8 @@ def add_exact(acc: list, value: Any) -> None:
     """Fold ``value`` into ``acc`` exactly.
 
     Ints (and bools) stay exact integers; finite floats extend the
-    partials; ``inf``/``nan`` (and running-sum overflow) go to the
-    absorbing slot.  Non-numeric values raise ``TypeError`` like the
-    plain ``sum()`` they replace.
+    partials; ``inf``/``nan`` go to the absorbing slot.  Non-numeric
+    values raise ``TypeError`` like the plain ``sum()`` they replace.
     """
     if type(value) is float:
         if math.isfinite(value):
@@ -122,14 +125,15 @@ def add_product(acc: list, value: Any, mult: int) -> None:
         value, mult = -value, -mult
     while mult:
         low = mult & -mult  # lowest set bit: a power of two
-        if low.bit_length() > 1024:  # 2**j not a double: term overflows
-            acc[2] += math.copysign(math.inf, value)
+        # power-of-two scaling: exact unless the term leaves the double
+        # range (then it is an integer, and spills exactly)
+        term = value * low if low.bit_length() <= 1024 else math.inf
+        if math.isinf(term):
+            num, den = value.as_integer_ratio()
+            acc[3] += num * low // den
+            _add_float(acc, 0.0)  # the stream still holds a float
         else:
-            term = value * low  # power-of-two scaling: exact
-            if math.isinf(term):
-                acc[2] += term  # saturate like IEEE sum()
-            else:
-                _add_float(acc, term)
+            _add_float(acc, term)
         mult -= low
 
 
@@ -139,6 +143,7 @@ def merge_acc(acc: list, other: list) -> None:
     for p in other[1]:
         _add_float(acc, p)
     acc[2] += other[2]
+    acc[3] += other[3]
 
 
 def finish(acc: list) -> Any:
@@ -146,21 +151,42 @@ def finish(acc: list) -> Any:
 
     Integer-only streams return the exact ``int`` (matching the plain
     ``sum()`` the engines used before); any float in the stream makes
-    the result the correctly rounded ``float`` of the exact sum
-    (saturating to ``±inf`` at the double range like IEEE addition).
+    the result the correctly rounded ``float`` of the exact float sum
+    plus the integer sum as a double — ``±inf`` only when that true
+    value rounds out of the double range.
     """
-    int_sum, partials, nonfinite = acc
+    int_sum, partials, nonfinite, spill = acc
     if nonfinite != 0.0 or nonfinite != nonfinite:  # ±inf or nan seen
-        return nonfinite + math.fsum(partials) + int_sum
+        return nonfinite  # absorbing: any finite rest leaves it as it is
     if not partials:
         return int_sum
+    if not spill:
+        try:
+            if int_sum:
+                return math.fsum(partials + [int_sum])
+            return math.fsum(partials)
+        except OverflowError:
+            pass
+    # huge operands: the same value — the exact float sum plus the
+    # integer sum as a double — in exact integer arithmetic, in units
+    # of 2**-1074 (every finite double is a whole number of those)
     try:
-        if int_sum:
-            return math.fsum(partials + [int_sum])
-        return math.fsum(partials)
+        total = _scaled(float(int_sum))
     except OverflowError:
-        # non-overlapping partials: the largest dominates the sign
-        return math.copysign(math.inf, partials[-1])
+        total = int_sum * _SCALE
+    total += spill * _SCALE + sum(map(_scaled, partials))
+    try:
+        return total / _SCALE  # int / int rounds correctly, once
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+_SCALE = 1 << 1074
+
+
+def _scaled(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_SCALE // den)
 
 
 def exact_sum(weighted: Iterable[Tuple[Any, int]]) -> Any:

@@ -63,7 +63,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry as _tm
-from ..core.aggregation import UncertainGroupError
+from ..core.aggregation import AGGREGATES, UncertainGroupError
 from ..db import chunks as _chunks
 from . import physical as phys
 from .batch import AUColumnBatch, ColumnBatch
@@ -558,7 +558,6 @@ def _concat_au(batches: List[AUColumnBatch]) -> AUColumnBatch:
 
 
 def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
-    from ..core.sums import merge_acc
     from ..db.engine import _limit, _topk
     from .vectorized import _dedup_batch, finalize_groups
 
@@ -567,35 +566,15 @@ def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
         return _concat(results)
     if node.merge == "aggregate":
         merged: Dict[Tuple, List[Any]] = {}
-        kinds = [spec.kind for spec in final.aggregates]
+        merges = [AGGREGATES[spec.kind].det.merge for spec in final.aggregates]
         for partial in results:
             for key, accs in partial.groups.items():
                 mine = merged.get(key)
                 if mine is None:
                     merged[key] = accs
                     continue
-                for a, kind in enumerate(kinds):
-                    if kind == "count":
-                        mine[a] += accs[a]
-                    elif kind == "sum":
-                        merge_acc(mine[a], accs[a])
-                    elif kind == "avg":
-                        merge_acc(mine[a][0], accs[a][0])
-                        mine[a][1] += accs[a][1]
-                    elif kind == "min":
-                        if accs[a][0] < mine[a][0]:
-                            mine[a] = accs[a]
-                    else:  # max
-                        if accs[a][0] > mine[a][0]:
-                            mine[a] = accs[a]
-        if not merged and not final.group_by:
-            from ..db.engine import _empty_value
-
-            return ColumnBatch(
-                [spec.name for spec in final.aggregates],
-                [[_empty_value(spec)] for spec in final.aggregates],
-                [1],
-            )
+                for a, merge in enumerate(merges):
+                    mine[a] = merge(mine[a], accs[a])
         batch = finalize_groups(merged, final.group_by, final.aggregates)
         if final.having is not None:
             # re-filter through the vectorized selection path

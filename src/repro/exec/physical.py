@@ -71,7 +71,7 @@ from ..algebra.ast import (
 )
 from ..algebra.optimizer import Statistics, estimate, schema_of
 from ..analysis import verification_enabled
-from ..core.aggregation import AggregateSpec
+from ..core.aggregation import AGGREGATES, AggregateSpec
 from ..core.compression import recommended_buckets
 from ..core.expressions import Expression
 from ..core.operators import _extract_equi_pairs, _is_pure_equi_condition
@@ -1084,6 +1084,15 @@ def explain_delta(dplan: DeltaPhysical) -> str:
         )
         for line in explain_physical(dplan.segment_pplans[0]).splitlines():
             lines.append(f"    {line}")
+        # the DeltaFoldError reasons that can send this view to a refresh
+        guards = ["absent_group", "negative_weight"]
+        for a in agg.aggregates:
+            fn = AGGREGATES[a.kind]
+            if fn.det_sum is not None:
+                guards.append(f"non_finite_addend[{a.name}]")
+            elif not fn.invertible:
+                guards.append(f"extremum_deleted[{a.name}]")
+        lines.append(f"  refresh-on-fold guards: {', '.join(guards)}")
     elif delta.kind == "linear":
         block("Δ-maintain view:", dplan.view_pplan)
     else:

@@ -23,11 +23,13 @@ Operator implementations:
   certain-key hash + interval nested-loop split, the AU
   ``CompressedJoin`` the columnar Section 10.4 join of
   :mod:`repro.exec.compressed_join`;
-* **hash aggregation** is single-pass with inlined accumulators;
-  SUM/AVG fold through :mod:`repro.core.sums`, so floating-point
-  results are bit-identical across backends, plan shapes, and
-  parallelism (``partial`` mode emits mergeable accumulator state for
-  the morsel-parallel :class:`~repro.exec.physical.Exchange`);
+* **hash aggregation** is single-pass over the det states of the
+  aggregate registry (:data:`repro.core.aggregation.AGGREGATES`),
+  their step functions resolved once per call; SUM/AVG fold through
+  :mod:`repro.core.sums`, so floating-point results are bit-identical
+  across backends, plan shapes, and parallelism (``partial`` mode emits
+  the mergeable states for the morsel-parallel
+  :class:`~repro.exec.physical.Exchange`);
 * **top-k / limit / difference** materialize and reuse the engines'
   exact operators — now as explicit plan nodes rather than hidden
   delegation.
@@ -46,12 +48,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from .. import telemetry as _tm
 from ..core import operators as ops
 from ..db import chunks as _chunks
+from ..core.aggregation import AGGREGATES, fold_partial_groups
 from ..core.aggregation import aggregate as au_aggregate
-from ..core.aggregation import fold_partial_groups
 from ..core.expressions import Expression, RowView, Var
-from ..core.ranges import domain_key
 from ..core.relation import AUDatabase, AURelation
-from ..core.sums import add_exact, add_product, finish, new_acc
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
 from .batch import AUColumnBatch, BatchRowView, ColumnBatch
@@ -111,10 +111,11 @@ def _compiled(compiler: Callable, condition: Expression, *schemas):
 class PartialAggregate:
     """Mergeable per-morsel aggregation state (parallel plans only).
 
-    ``groups`` maps group-key tuples to accumulator lists in the layout
-    of :meth:`_DetExec._aggregate`; :mod:`repro.exec.parallel` merges
-    the maps exactly and finalizes them through the
-    :class:`~repro.exec.physical.Exchange`'s final operator.
+    ``groups`` maps group-key tuples to one registry
+    (:data:`~repro.core.aggregation.AGGREGATES`) det state per
+    aggregate; :mod:`repro.exec.parallel` merges the maps exactly and
+    finalizes them through the :class:`~repro.exec.physical.Exchange`'s
+    final operator.
     """
 
     __slots__ = ("groups",)
@@ -535,11 +536,12 @@ class _DetExec:
         group_cols = [batch.columns[index[a]] for a in group_by]
         mult = batch.mult
 
-        # aggregate input columns (COUNT needs none)
-        inputs: List[Optional[Sequence]] = []
-        for spec in aggregates:
-            if spec.kind == "count":
-                inputs.append(None)
+        # aggregate input columns (a function taking no input folds None)
+        fns = [AGGREGATES[spec.kind] for spec in aggregates]
+        inputs: List[Sequence] = []
+        for spec, fn in zip(aggregates, fns):
+            if not fn.takes_input:
+                inputs.append([None] * n)
             elif isinstance(spec.expr, Var) and spec.expr.name in index:
                 inputs.append(batch.columns[index[spec.expr.name]])
             else:
@@ -555,20 +557,11 @@ class _DetExec:
                         col.append(spec.expr.eval(view))
                     inputs.append(col)
 
-        if n == 0 and not group_by and not partial:
-            from ..db.engine import _empty_value
-
-            return ColumnBatch(
-                [spec.name for spec in aggregates],
-                [[_empty_value(spec)] for spec in aggregates],
-                [1],
-            )
-
-        # single-pass hash aggregation; accumulator per (group, spec):
-        # count -> running int, sum -> exact accumulator (core.sums),
-        # avg -> [exact accumulator, weight], min/max -> (domain key, v)
+        # single-pass hash aggregation: one registry (AGGREGATES) det
+        # state per (group, spec), the step functions resolved once here
         groups: Dict[Tuple, List[Any]] = {}
-        kinds = [spec.kind for spec in aggregates]
+        inits = [fn.det.init for fn in fns]
+        steps = [(a, fn.det.step, inputs[a]) for a, fn in enumerate(fns)]
         if group_cols:
             keys_iter = zip(*group_cols)
         else:
@@ -577,42 +570,9 @@ class _DetExec:
             m = mult[i]
             accs = groups.get(key)
             if accs is None:
-                accs = []
-                for kind, col in zip(kinds, inputs):
-                    if kind == "count":
-                        accs.append(m)
-                    elif kind == "sum":
-                        acc = new_acc()
-                        add_product(acc, col[i], m)
-                        accs.append(acc)
-                    elif kind == "avg":
-                        acc = new_acc()
-                        add_product(acc, col[i], m)
-                        accs.append([acc, m])
-                    else:  # min / max keep (domain key, value)
-                        v = col[i]
-                        accs.append((domain_key(v), v))
-                groups[key] = accs
-                continue
-            for a, (kind, col) in enumerate(zip(kinds, inputs)):
-                if kind == "count":
-                    accs[a] += m
-                elif kind == "sum":
-                    add_product(accs[a], col[i], m)
-                elif kind == "avg":
-                    acc = accs[a]
-                    add_product(acc[0], col[i], m)
-                    acc[1] += m
-                elif kind == "min":
-                    v = col[i]
-                    k = domain_key(v)
-                    if k < accs[a][0]:
-                        accs[a] = (k, v)
-                else:  # max
-                    v = col[i]
-                    k = domain_key(v)
-                    if k > accs[a][0]:
-                        accs[a] = (k, v)
+                groups[key] = accs = [init() for init in inits]
+            for a, step, col in steps:
+                accs[a] = step(accs[a], col[i], m)
 
         if partial:
             return PartialAggregate(groups)
@@ -643,39 +603,47 @@ def build_join_table(
 def finalize_groups(
     groups: Dict[Tuple, List[Any]], group_by, aggregates
 ) -> ColumnBatch:
-    """Turn (possibly merged) accumulator state into an output batch."""
+    """Turn (possibly merged) accumulator state into an output batch;
+    no group and no GROUP BY is the one-row empty-input result."""
     out_schema = list(group_by) + [spec.name for spec in aggregates]
-    kinds = [spec.kind for spec in aggregates]
-    n_groups = len(groups)
+    algebras = [AGGREGATES[spec.kind].det for spec in aggregates]
+    if not groups and not group_by:
+        return ColumnBatch(
+            out_schema, [[algebra.empty] for algebra in algebras], [1]
+        )
     out_cols: List[List[Any]] = [[] for _ in out_schema]
+    base = len(group_by)
     for key, accs in groups.items():
         for g, v in enumerate(key):
             out_cols[g].append(v)
-        base = len(group_by)
-        for a, kind in enumerate(kinds):
-            acc = accs[a]
-            if kind == "count":
-                value = acc
-            elif kind == "sum":
-                value = finish(acc)
-            elif kind == "avg":
-                value = finish(acc[0]) / acc[1]
-            else:
-                value = acc[1]
-            out_cols[base + a].append(value)
-    return ColumnBatch(out_schema, out_cols, [1] * n_groups)
+        for a, algebra in enumerate(algebras):
+            out_cols[base + a].append(algebra.finalize(accs[a]))
+    return ColumnBatch(out_schema, out_cols, [1] * len(groups))
 
 
 class DeltaFoldError(Exception):
-    """A delta cannot be folded into maintained aggregate state.
+    """A delta cannot be folded into maintained state.
 
-    Raised when only a from-scratch recomputation preserves exactness:
-    a delete touching a min/max extremum (the runner-up is not
-    maintained), non-finite float addends (the absorbing IEEE slot is
-    not invertible), or weights folding an aggregate group negative.
+    Raised when only a from-scratch recomputation preserves exactness;
+    ``reason`` says which guard fired (the label of
+    ``repro_ivm_delta_fold_fallbacks_total``):
+
+    * ``extremum_deleted`` — a delete touching a min/max extremum (the
+      runner-up is not maintained);
+    * ``non_finite_addend`` — a non-finite float SUM/AVG addend (the
+      absorbing IEEE slot is not invertible);
+    * ``negative_weight`` — weights folding a group or row negative;
+    * ``absent_group`` — a delete from a group the state does not hold;
+    * ``self_join`` — a write to a table the view joins with itself;
+    * ``state_unavailable`` — the aggregate state was never folded.
+
     The IVM runtime (:mod:`repro.ivm`) reacts with an epoch-gated full
     refresh — never with an approximate answer.
     """
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
 
 
 def fold_delta_groups(
@@ -688,128 +656,76 @@ def fold_delta_groups(
     """Fold a per-write delta of the γ input into maintained group state.
 
     ``state`` maps group keys to ``[weight, accs, float_mults]`` where
-    ``accs`` follows the :meth:`_DetExec._aggregate` accumulator layout
-    (count → int, sum → exact accumulator, avg → [accumulator, weight],
-    min/max → (domain key, value)) and ``float_mults`` tracks, per
-    SUM/AVG aggregate, the remaining multiplicity of float-typed
-    addends — the bit that decides whether ``finish`` returns the exact
-    ``int`` or the correctly rounded ``float``, which pure cancellation
-    could not reconstruct.  ``sign`` is +1 for inserted delta rows and
-    -1 for deleted ones.
+    ``accs`` holds one registry (``AGGREGATES``) det state per aggregate
+    — what :meth:`_DetExec._aggregate` folds, stepped here with signed
+    weights — and ``float_mults`` tracks, per exact-sum aggregate, the
+    remaining multiplicity of float-typed addends — the bit that decides
+    whether ``finish`` returns the exact ``int`` or the correctly
+    rounded ``float``, which pure cancellation could not reconstruct:
+    when it returns to zero the remaining multiset is integer-only, the
+    float part of the accumulator is an exact zero and is dropped, as a
+    from-scratch fold would never have created it.  ``sign`` is +1 for
+    inserted delta rows and -1 for deleted ones.
     """
     index = _index_of(delta.schema)
-    kinds = [spec.kind for spec in aggregates]
+    fns = [AGGREGATES[spec.kind] for spec in aggregates]
     g_idx = [index[a] for a in group_by]
     for t, m in delta.tuples():
         w = m * sign
         key = tuple(t[i] for i in g_idx)
-        entry = state.get(key)
         values: List[Any] = []
-        for spec in aggregates:
-            if spec.kind == "count":
+        for spec, fn in zip(aggregates, fns):
+            if not fn.takes_input:
                 values.append(None)
             elif isinstance(spec.expr, Var) and spec.expr.name in index:
                 values.append(t[index[spec.expr.name]])
             else:
                 values.append(spec.expr.eval(RowView(index, t)))
+        entry = state.get(key)
         if entry is None:
             if sign < 0:
-                raise DeltaFoldError(f"delete from absent group {key!r}")
-            accs: List[Any] = []
-            float_mults: List[int] = []
-            for kind, v in zip(kinds, values):
-                if kind == "count":
-                    accs.append(m)
-                    float_mults.append(0)
-                elif kind in ("sum", "avg"):
-                    guard = v * m
-                    if type(guard) is float and not math.isfinite(guard):
-                        raise DeltaFoldError("non-finite SUM/AVG addend")
-                    acc = new_acc()
-                    add_product(acc, v, m)
-                    accs.append(acc if kind == "sum" else [acc, m])
-                    float_mults.append(m if type(v) is float else 0)
-                else:  # min / max
-                    accs.append((domain_key(v), v))
-                    float_mults.append(0)
-            state[key] = [m, accs, float_mults]
-            continue
+                raise DeltaFoldError("absent_group", repr(key))
+            entry = state[key] = [
+                0, [fn.det.init() for fn in fns], [0] * len(fns)
+            ]
         entry[0] += w
         if entry[0] < 0:
-            raise DeltaFoldError(f"group {key!r} folded negative")
+            raise DeltaFoldError("negative_weight", f"group {key!r}")
         if entry[0] == 0:
             # the group vanished: from scratch it would not exist at all
             del state[key]
             continue
         accs, float_mults = entry[1], entry[2]
-        for a, (kind, v) in enumerate(zip(kinds, values)):
-            if kind == "count":
-                accs[a] += w
-            elif kind in ("sum", "avg"):
-                guard = v * m
-                if type(guard) is float and not math.isfinite(guard):
-                    raise DeltaFoldError("non-finite SUM/AVG addend")
-                if kind == "sum":
-                    add_product(accs[a], v, w)
-                else:
-                    add_product(accs[a][0], v, w)
-                    accs[a][1] += w
-                if type(v) is float:
-                    float_mults[a] += w
-            elif sign < 0:
-                # min/max under deletion: the extremum's runner-up is
-                # not maintained, so any boundary touch needs a rescan
-                k = domain_key(v)
-                if (kind == "min" and k <= accs[a][0]) or (
-                    kind == "max" and k >= accs[a][0]
-                ):
-                    raise DeltaFoldError(f"{kind} extremum deleted in {key!r}")
-            else:
-                k = domain_key(v)
-                if kind == "min":
-                    if k < accs[a][0]:
-                        accs[a] = (k, v)
-                elif k > accs[a][0]:
-                    accs[a] = (k, v)
+        for a, (spec, fn, v) in enumerate(zip(aggregates, fns, values)):
+            if sign < 0 and not fn.invertible:
+                # the extremum's runner-up is not maintained, so a
+                # delete that ties or beats it needs a rescan
+                alone = fn.det.step(fn.det.init(), v, m)
+                if fn.det.merge(alone, accs[a]) is alone:
+                    raise DeltaFoldError(
+                        "extremum_deleted", f"{spec.kind} in {key!r}"
+                    )
+                continue
+            float_addend = fn.det_sum is not None and type(v) is float
+            if float_addend and not math.isfinite(v):
+                raise DeltaFoldError("non_finite_addend", repr(v))
+            accs[a] = fn.det.step(accs[a], v, w)
+            if float_addend:
+                float_mults[a] += w
+                if not float_mults[a]:
+                    acc = fn.det_sum(accs[a])
+                    acc[1], acc[3] = [], 0
 
 
 def finalize_delta_groups(
     state: Dict[Tuple, List[Any]], group_by, aggregates, having=None
 ) -> DetRelation:
-    """Finalize maintained group state into the view's relation.
-
-    Canonicalizes each accumulator into exactly the shape a
-    from-scratch :meth:`_DetExec._aggregate` pass over the remaining
-    rows would hold (SUM/AVG accumulators whose float addends all
-    cancelled drop their zero partials so integer groups finish as
-    exact ints), then reuses :func:`finalize_groups` and the fused
-    HAVING filter.
-    """
-    groups: Dict[Tuple, List[Any]] = {}
-    kinds = [spec.kind for spec in aggregates]
-    for key, (_w, accs, float_mults) in state.items():
-        out: List[Any] = []
-        for a, kind in enumerate(kinds):
-            acc = accs[a]
-            if kind in ("sum", "avg") and not float_mults[a]:
-                inner = acc if kind == "sum" else acc[0]
-                # all float addends cancelled exactly: the remaining
-                # multiset is integer-only, so the partials are exact
-                # zeros and a from-scratch fold would never create them
-                inner = [inner[0], [], inner[2]]
-                acc = inner if kind == "sum" else [inner, acc[1]]
-            out.append(acc)
-        groups[key] = out
-    if not groups and not group_by:
-        from ..db.engine import _empty_value
-
-        batch = ColumnBatch(
-            [spec.name for spec in aggregates],
-            [[_empty_value(spec)] for spec in aggregates],
-            [1],
-        )
-    else:
-        batch = finalize_groups(groups, group_by, aggregates)
+    """Finalize maintained group state — the shape a from-scratch
+    :meth:`_DetExec._aggregate` pass over the remaining rows would hold
+    — through :func:`finalize_groups` and the fused HAVING filter."""
+    batch = finalize_groups(
+        {key: entry[1] for key, entry in state.items()}, group_by, aggregates
+    )
     if having is not None:
         batch = _DetExec(None)._select_project(batch, having, None)
     return batch.to_relation()

@@ -70,10 +70,17 @@ _DELTA_APPLIES = _REG.counter(
     "repro_ivm_delta_applies_total",
     "Per-write deltas applied to materialized views.",
 )
-_FOLD_FALLBACKS = _REG.counter(
-    "repro_ivm_delta_fold_fallbacks_total",
-    "DeltaFoldError degradations to full refresh.",
-)
+
+
+def _fold_fallback(exc: DeltaFoldError) -> None:
+    """Count one degradation to full refresh, labelled with its reason."""
+    _REG.counter(
+        "repro_ivm_delta_fold_fallbacks_total",
+        "DeltaFoldError degradations to full refresh, by reason.",
+        reason=exc.reason,
+    ).inc()
+
+
 _FULL_REFRESHES = _REG.counter(
     "repro_ivm_full_refreshes_total",
     "From-scratch view rematerializations.",
@@ -283,9 +290,9 @@ class MaterializedView:
             return
         try:
             self._apply(table, t, payload, sign)
-        except DeltaFoldError:
+        except DeltaFoldError as exc:
             self._needs_full_refresh = True
-            _FOLD_FALLBACKS.inc()
+            _fold_fallback(exc)
         else:
             self.writes_applied += 1
             _DELTA_APPLIES.inc()
@@ -300,7 +307,7 @@ class MaterializedView:
                 # a self-joined table: Q[R := Δ] misses the Δ⋈Δ and
                 # Δ⋈(R−Δ) cross terms — refresh the whole segment
                 if seg.name == "":
-                    raise DeltaFoldError(f"write to self-joined {table!r}")
+                    raise DeltaFoldError("self_join", repr(table))
                 self._seg_dirty[i] = True
                 continue
             if self._seg_dirty[i] and seg.name != "":
@@ -330,7 +337,7 @@ class MaterializedView:
         kind = self._delta.kind
         if kind == "aggregate":
             if self._agg_state is None:
-                raise DeltaFoldError("aggregate state unavailable")
+                raise DeltaFoldError("state_unavailable")
             agg = self._delta.aggregate
             fold_delta_groups(
                 self._agg_state, out, agg.group_by, agg.aggregates, sign
@@ -341,7 +348,7 @@ class MaterializedView:
             for t, m in out.tuples():
                 new = target.get(t, 0) + sign * m
                 if new < 0:
-                    raise DeltaFoldError(f"{t!r} folded negative")
+                    raise DeltaFoldError("negative_weight", repr(t))
                 if new == 0:
                     del target[t]
                 else:
@@ -354,7 +361,7 @@ class MaterializedView:
                 else:
                     new = tuple(c - a for c, a in zip(cur, ann))
                     if new[0] < 0 or not new[0] <= new[1] <= new[2]:
-                        raise DeltaFoldError(f"{t!r} folded invalid")
+                        raise DeltaFoldError("negative_weight", repr(t))
                 if new == (0, 0, 0):
                     del target[t]
                 else:
@@ -466,11 +473,11 @@ class MaterializedView:
                 fold_delta_groups(
                     state, child, agg.group_by, agg.aggregates, 1
                 )
-            except DeltaFoldError:
+            except DeltaFoldError as exc:
                 # e.g. non-finite addends in the current data: serve
                 # full recomputations until a rebuild can fold again
                 state = None
-                _FOLD_FALLBACKS.inc()
+                _fold_fallback(exc)
             self._agg_state = state
         else:
             for i, pplan in enumerate(self._dplan.segment_pplans):

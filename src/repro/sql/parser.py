@@ -41,7 +41,7 @@ from ..algebra.ast import (
     TopK,
     Union,
 )
-from ..core.aggregation import AggregateSpec
+from ..core.aggregation import AGGREGATES, AggregateSpec
 from ..core.expressions import (
     And,
     Const,
@@ -63,7 +63,7 @@ from .lexer import SqlSyntaxError, Token, tokenize
 
 __all__ = ["parse_sql", "SqlSyntaxError"]
 
-AGG_FUNCTIONS = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
+AGG_FUNCTIONS = {name.upper() for name in AGGREGATES}
 
 
 class _Parser:

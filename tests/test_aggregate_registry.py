@@ -1,0 +1,450 @@
+"""Meta-test over the aggregate registry (``core.aggregation.AGGREGATES``).
+
+Every aggregate function is defined once — per engine a mergeable state
+``(init, step, merge, finalize, empty)`` plus one ``result_type`` — and
+every fold in the system (serial, partial, parallel merge, delta,
+typing) runs those functions.  The functions are *enumerated* here, not
+listed, so a sixth function is held to the whole-group references
+without anyone remembering to extend a test: ``db.engine._fold`` (the
+list-based det oracle) and possible-world enumeration for AU.  A source
+guard keeps a per-kind switch from growing back beside the registry.
+"""
+
+import ast
+import itertools
+import pathlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.algebra.ast import Aggregate, TableRef
+from repro.analysis import PlanTypeError, infer_logical
+from repro.core.aggregation import (
+    AGGREGATES,
+    AggregateSpec,
+    _AggregateFunction,
+    _Algebra,
+    aggregate,
+    finalize_partial_groups,
+    fold_partial_groups,
+    merge_partial_groups,
+)
+from repro.core.expressions import Var
+from repro.core.ranges import RangeValue, certain
+from repro.core.relation import AURelation
+from repro.db.engine import _empty_value, _fold, evaluate_det
+from repro.db.storage import DetDatabase, DetRelation
+from repro.exec.vectorized import (
+    DeltaFoldError,
+    finalize_delta_groups,
+    fold_delta_groups,
+)
+from repro.session import Connection
+from repro.sql.parser import AGG_FUNCTIONS, parse_sql
+
+KINDS = sorted(AGGREGATES)
+SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _spec(kind: str) -> AggregateSpec:
+    expr = Var("v") if AGGREGATES[kind].takes_input else None
+    return AggregateSpec(kind, expr, "out")
+
+
+def _bits(value) -> str:
+    """``repr`` tells 1 from 1.0 and -0.0 from 0.0, and equates NaNs."""
+    return repr(value)
+
+
+# ----------------------------------------------------------------------
+# completeness: both engines, every member, every consumer
+# ----------------------------------------------------------------------
+def _check_complete(kind: str, fn) -> None:
+    assert isinstance(fn, _AggregateFunction), kind
+    for engine in ("det", "au"):
+        algebra = getattr(fn, engine)
+        assert isinstance(algebra, _Algebra), f"{kind}: no {engine} algebra"
+        for member in ("init", "step", "merge", "finalize"):
+            assert callable(getattr(algebra, member)), (kind, engine, member)
+    assert callable(fn.result_type), kind
+    assert fn.au.empty == certain(fn.det.empty), kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_entry_has_both_engines(kind):
+    _check_complete(kind, AGGREGATES[kind])
+
+
+def test_a_sixth_function_without_both_engines_fails(monkeypatch):
+    total = AGGREGATES["sum"]
+    monkeypatch.setitem(
+        AGGREGATES,
+        "product",
+        _AggregateFunction(det=total.det, au=None, result_type=total.result_type),
+    )
+    with pytest.raises(AssertionError, match="product: no au algebra"):
+        for kind, fn in AGGREGATES.items():
+            _check_complete(kind, fn)
+
+
+def test_parser_and_spec_validation_read_the_registry(monkeypatch):
+    assert AGG_FUNCTIONS == {kind.upper() for kind in AGGREGATES}
+    for kind in KINDS:
+        plan = parse_sql(f"SELECT {kind}(v) AS out FROM t")
+        assert [
+            node.aggregates[0].kind
+            for node in plan.walk()
+            if isinstance(node, Aggregate)
+        ] == [kind]
+    with pytest.raises(ValueError, match="unsupported aggregate kind"):
+        AggregateSpec("median", Var("v"), "m")
+    for kind, fn in AGGREGATES.items():
+        if fn.takes_input:
+            with pytest.raises(ValueError, match="requires an expression"):
+                AggregateSpec(kind, None, "x")
+        else:
+            AggregateSpec(kind, None, "x")
+    monkeypatch.setitem(AGGREGATES, "median", AGGREGATES["avg"])
+    assert AggregateSpec("median", Var("v"), "m").kind == "median"
+
+
+# ----------------------------------------------------------------------
+# det: finalize(fold(rows)) ≡ the whole-group oracle, merge, inverse
+# ----------------------------------------------------------------------
+_HUGE = st.floats(min_value=1e307, max_value=1.7e308)
+_DET_VALUES = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _HUGE,
+    _HUGE.map(lambda x: -x),
+)
+_DET_ROWS = st.lists(
+    st.tuples(_DET_VALUES, st.integers(min_value=1, max_value=3)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _det_fold(fn, rows):
+    state = fn.det.init()
+    for value, weight in rows:
+        state = fn.det.step(state, value if fn.takes_input else None, weight)
+    return state
+
+
+def _partition(rows, cuts):
+    edges = [0] + sorted(set(cuts)) + [len(rows)]
+    parts = [rows[a:b] for a, b in zip(edges, edges[1:])]
+    return [part for part in parts if part]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(rows=_DET_ROWS)
+def test_det_fold_is_the_whole_group_reference(kind, rows):
+    fn = AGGREGATES[kind]
+    reference = _fold(_spec(kind), ("v",), [((v,), m) for v, m in rows])
+    assert _bits(fn.det.finalize(_det_fold(fn, rows))) == _bits(reference)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(rows=_DET_ROWS, cuts=st.lists(st.integers(0, 8), max_size=3))
+def test_det_merge_of_an_in_order_partition_is_the_fold(kind, rows, cuts):
+    fn = AGGREGATES[kind]
+    merged = None
+    for part in _partition(rows, cuts):
+        state = _det_fold(fn, part)
+        merged = state if merged is None else fn.det.merge(merged, state)
+    assert _bits(fn.det.finalize(merged)) == _bits(
+        fn.det.finalize(_det_fold(fn, rows))
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(
+    rows=_DET_ROWS,
+    value=st.one_of(st.integers(-50, 50), st.floats(-1e6, 1e6)),
+    weight=st.integers(min_value=1, max_value=3),
+)
+def test_det_negative_weight_undoes_the_step(kind, rows, value, weight):
+    fn = AGGREGATES[kind]
+    expected = fn.det.finalize(_det_fold(fn, rows))
+    if fn.invertible:
+        # the algebra alone: the same value (an int sum that saw a
+        # float and lost it again is still a float — the delta fold's
+        # float-multiplicity bookkeeping restores the type, below)
+        state = fn.det.step(_det_fold(fn, rows), value, weight)
+        assert fn.det.finalize(fn.det.step(state, value, -weight)) == expected
+    # the delta fold: to the bit, or a named guard asks for a rescan
+    spec, maintained = _spec(kind), {}
+    base = DetRelation(("v",))
+    for v, m in rows:
+        base.rows[(v,)] = base.rows.get((v,), 0) + m
+    extra = DetRelation(("v",), {(value,): weight})
+    try:
+        fold_delta_groups(maintained, base, [], [spec], 1)
+        fold_delta_groups(maintained, extra, [], [spec], 1)
+        fold_delta_groups(maintained, extra, [], [spec], -1)
+    except DeltaFoldError as exc:
+        assert exc.reason in ("extremum_deleted", "non_finite_addend")
+        assert fn.det_sum is not None or not fn.invertible
+        return
+    fresh: dict = {}
+    fold_delta_groups(fresh, base, [], [spec], 1)
+    assert _bits(
+        sorted(finalize_delta_groups(maintained, [], [spec]).tuples())
+    ) == _bits(sorted(finalize_delta_groups(fresh, [], [spec]).tuples()))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_is_the_engines_empty_input_row(kind):
+    fn, spec = AGGREGATES[kind], _spec(kind)
+    assert _bits(fn.det.empty) == _bits(_empty_value(spec))
+    plan = Aggregate(TableRef("t"), [], [spec])
+    db = DetDatabase({"t": DetRelation(["v"])})
+    for backend in ("tuple", "vectorized"):
+        out = evaluate_det(plan, db, backend=backend)
+        assert _bits(dict(out.rows)) == _bits({(fn.det.empty,): 1})
+    assert _bits(
+        sorted(finalize_delta_groups({}, [], [spec]).tuples())
+    ) == _bits([((fn.det.empty,), 1)])
+    for out in (
+        aggregate(AURelation(["v"]), [], [spec]),
+        finalize_partial_groups({}, [], [spec]),
+    ):
+        assert _bits(list(out.tuples())) == _bits([((fn.au.empty,), (1, 1, 1))])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_result_type_is_what_inference_reports(kind):
+    fn, spec = AGGREGATES[kind], _spec(kind)
+    db = DetDatabase(
+        {
+            "n": DetRelation(["v"], [(1,), (2,)]),
+            "s": DetRelation(["v"], [("x",)]),
+            "o": DetRelation(["v"], [(1,), (None,)]),
+        }
+    )
+    with Connection(db) as conn:
+        stats = conn.statistics()
+    for table in ("n", "s", "o"):
+        inner = infer_logical(TableRef(table), stats).get("v")
+        plan = Aggregate(TableRef(table), [], [spec])
+        try:
+            expected = fn.result_type(inner if fn.takes_input else None)
+        except TypeError:
+            with pytest.raises(PlanTypeError, match=f"aggregate {kind}"):
+                infer_logical(plan, stats)
+            continue
+        column = infer_logical(plan, stats).get("out")
+        assert (column.type, column.nullable) == expected
+        assert not column.certain
+
+
+# ----------------------------------------------------------------------
+# AU: finalize(fold(rows)) bounds every world, merge ≡ fold ≡ operator
+# ----------------------------------------------------------------------
+@st.composite
+def _au_row(draw):
+    lb = draw(st.integers(min_value=-3, max_value=3))
+    sg = draw(st.integers(min_value=lb, max_value=min(lb + 2, 3)))
+    ub = draw(st.integers(min_value=sg, max_value=min(lb + 2, 3)))
+    k_ub = draw(st.integers(min_value=1, max_value=2))
+    k_sg = draw(st.integers(min_value=0, max_value=k_ub))
+    k_lb = draw(st.integers(min_value=0, max_value=k_sg))
+    return RangeValue(lb, sg, ub), (k_lb, k_sg, k_ub)
+
+
+_AU_ROWS = st.lists(_au_row(), min_size=1, max_size=3)
+
+#: the paper's Figure 7 ``inhab`` column: SUM is [6/7/14]
+_FIGURE_7 = [
+    (certain(1), (1, 1, 2)),
+    (RangeValue(1, 2, 2), (1, 1, 1)),
+    (certain(2), (2, 2, 3)),
+    (RangeValue(2, 3, 4), (0, 0, 1)),
+]
+
+
+def _au_fold(fn, rows):
+    """The registry's AU fold as the operator runs it without GROUP BY:
+    every row is in the one SG group, and certainly so iff it certainly
+    exists."""
+    state = fn.au.init()
+    one = certain(1)
+    for m, ann in rows:
+        fn.au.step(state, ann, m if fn.takes_input else one, ann[0] > 0, True)
+    return state
+
+
+def _worlds(rows):
+    """Every world in which all copies of a row share one value."""
+    per_row = [
+        [
+            (v, k)
+            for k in range(ann[0], ann[2] + 1)
+            for v in range(m.lb, m.ub + 1)
+        ]
+        for m, ann in rows
+    ]
+    for choice in itertools.product(*per_row):
+        yield [((v,), k) for v, k in choice if k > 0]
+
+
+def _check_bounds_every_world(kind, rows):
+    fn, spec = AGGREGATES[kind], _spec(kind)
+    out = fn.au.finalize(_au_fold(fn, rows))
+    for world in _worlds(rows):
+        if world:  # SQL's NULL/0 over an empty world is `empty`'s job
+            truth = _fold(spec, ("v",), world)
+            assert out.bounds_value(truth), (kind, rows, world, out, truth)
+    selected = [((m.sg,), ann[1]) for m, ann in rows if ann[1] > 0]
+    if selected:
+        assert out.sg == _fold(spec, ("v",), selected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(rows=_AU_ROWS)
+def test_au_fold_bounds_every_world(kind, rows):
+    _check_bounds_every_world(kind, rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_au_fold_on_the_papers_figure_7(kind):
+    _check_bounds_every_world(kind, _FIGURE_7)
+    if kind == "sum":  # the paper's own number for this column
+        out = AGGREGATES[kind].au.finalize(_au_fold(AGGREGATES[kind], _FIGURE_7))
+        assert (out.lb, out.sg, out.ub) == (6, 7, 14)
+
+
+_AU_FLOAT_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.tuples(
+            st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)
+        ).map(sorted),
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2)).map(
+            sorted
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda row: (row[0], tuple(row[1])),
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(rows=_AU_FLOAT_ROWS, cuts=st.lists(st.integers(0, 6), max_size=3))
+def test_au_merge_of_an_in_order_partition_is_the_operator(kind, rows, cuts):
+    fn, specs = AGGREGATES[kind], (_spec(kind),)
+    rel = AURelation(["g", "v"])
+    for g, bounds, ann in rows:
+        rel.add([certain(g), RangeValue(*bounds)], tuple(ann))
+    serial = aggregate(rel, ["g"], list(specs))
+    stored = list(rel.tuples())
+    merged: dict = {}
+    for part in _partition(stored, cuts):
+        partial: dict = {}
+        fold_partial_groups(partial, rel.schema, part, ["g"], specs)
+        merge_partial_groups(merged, partial, specs)
+    assert _bits(list(finalize_partial_groups(merged, ["g"], specs).tuples())) == (
+        _bits(list(serial.tuples()))
+    )
+    # the same through the registry alone, one group at a time
+    for g in {t[0].sg for t, _ann in stored}:
+        group = [(t[1], ann) for t, ann in stored if t[0].sg == g]
+        state = None
+        for part in _partition(group, cuts):
+            nxt = _au_fold(fn, part)
+            state = nxt if state is None else fn.au.merge(state, nxt)
+        assert _bits(fn.au.finalize(state)) == _bits(
+            fn.au.finalize(_au_fold(fn, group))
+        )
+
+
+# ----------------------------------------------------------------------
+# source guard: no per-kind switch beside the registry
+# ----------------------------------------------------------------------
+_SRC = pathlib.Path(repro.__file__).parent
+_GUARDED = sorted(
+    path
+    for sub in ("core", "exec", "db", "analysis")
+    for path in (_SRC / sub).rglob("*.py")
+) + [_SRC / "ivm.py"]
+#: the whole-group, list-based oracle every det lane compares against
+_REFERENCE = {("engine.py", "_fold"), ("engine.py", "_empty_value")}
+
+
+def _is_kind(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "kind") or (
+        isinstance(node, ast.Attribute) and node.attr == "kind"
+    )
+
+
+def _names_an_aggregate(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return node.value in AGGREGATES if isinstance(node.value, str) else False
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_an_aggregate(e) for e in node.elts)
+    return False
+
+
+def _kind_switches(source: str, filename: str):
+    """``(function, line)`` of every comparison of a ``kind`` / ``.kind``
+    with an aggregate-name literal (or a literal collection of them)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and (filename, function) not in _REFERENCE:
+            operands = [node.left] + list(node.comparators)
+            if any(_is_kind(o) for o in operands) and any(
+                _names_an_aggregate(o) for o in operands
+            ):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_module_switches_on_an_aggregate_kind():
+    offenders = {
+        str(path.relative_to(_SRC)): hits
+        for path in _GUARDED
+        if (hits := _kind_switches(path.read_text(encoding="utf-8"), path.name))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "pasted",
+    [
+        "def finalize_groups(kinds):\n    for kind in kinds:\n"
+        "        if kind == 'count':\n            pass\n",
+        "def _aggregate_output(spec):\n"
+        "    if spec.kind in ('sum', 'avg'):\n        pass\n",
+        "def _merge(kind):\n    return 1 if 'min' == kind else 2\n",
+        "def check(self):\n    if self.kind not in {'sum', 'count'}:\n        pass\n",
+        "def _fold(spec):\n    return spec.kind == 'max'\n",
+    ],
+)
+def test_the_guard_sees_a_switch_pasted_back(pasted):
+    assert _kind_switches(pasted, "vectorized.py")
+    # ... and spares only the named reference functions of db/engine.py
+    assert bool(_kind_switches(pasted, "engine.py")) == ("_fold" not in pasted)
+
+
+def test_the_guard_ignores_other_kinds():
+    assert not _kind_switches("x = p.kind == 'aggregate'\n", "ivm.py")
+    assert not _kind_switches("x = tok.kind == 'ident'\n", "vectorized.py")

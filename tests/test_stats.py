@@ -208,6 +208,23 @@ class TestHistogram:
         cols = harvest_column_stats(DetDatabase({"t": rel}))["t"]
         assert cols["x"].histogram is None  # hi == lo
 
+    def test_span_beyond_the_double_range_has_no_histogram(self):
+        """Regression: ``hi - lo`` overflowed to ``inf``, the bucket
+        scale became 0 and ``int(nan)`` crashed statistics harvest — and
+        with it every ``prepare``/``execute`` over such a table."""
+        from repro.session import Connection
+
+        assert Histogram.build([-1e308, 1.5e308, 3.0]) is None
+        det = DetRelation(["x"], [(-1e308,), (1.5e308,), (3.0,)])
+        au = AURelation(["x"])
+        for (x,) in det.rows:
+            au.add([x], (1, 1, 1))
+        sql = "SELECT x FROM t WHERE x > 0"
+        for db in (DetDatabase({"t": det}), AUDatabase({"t": au})):
+            with Connection(db) as conn:
+                assert conn.statistics().columns["t"]["x"].histogram is None
+                assert len(list(conn.execute(sql).tuples())) == 2
+
     def test_skew_beats_min_max_interpolation(self):
         """90% of the mass at the low end: the histogram prices
         ``x <= 10`` near 0.9 where min/max interpolation says ~0.1."""
