@@ -85,16 +85,16 @@ class EvalConfig:
     ``backend`` selects the physical execution backend: ``"tuple"`` (the
     operator-at-a-time interpreter in this module) or ``"vectorized"``
     (:mod:`repro.exec`, columnar batches with planner-chosen
-    ``TupleFallback`` boundaries for SG-combining semantics).  Results
-    are identical.  ``physical=False`` keeps the legacy direct
+    ``TupleFallback`` boundaries for difference, distinct and top-k).
+    Results are identical.  ``physical=False`` keeps the legacy direct
     interpretation of logical plans (tuple backend only).
 
     ``parallelism`` > 1 adds morsel-parallel regions to vectorized plans
     on both engines (:mod:`repro.exec.parallel`): AU linear operators
     and certain-group partial aggregates run per morsel and merge
     bit-exactly at the Exchange; the globally SG-combining fragment
-    stays a serial ``TupleFallback``.  Results are identical at every
-    setting.
+    (compressed joins and aggregates, ``TupleFallback`` nodes) stays
+    serial.  Results are identical at every setting.
 
     ``chunk_size`` sets the paged-storage chunk size for the vectorized
     backends (:mod:`repro.db.chunks`): ``None`` selects the default page
@@ -205,10 +205,20 @@ def _exec_node(p, db: AUDatabase, actuals) -> AURelation:
         )
     if isinstance(p, phys.Rename):
         return ops.rename(_pexec(p.child, db, actuals), p.mapping)
+    if isinstance(p, phys.HashAggregate):
+        result = aggregate(
+            _pexec(p.child, db, actuals),
+            list(p.group_by),
+            list(p.aggregates),
+            compress_buckets=p.buckets,
+        )
+        if p.having is not None:
+            result = ops.selection(result, p.having)
+        return result
     if isinstance(p, phys.TupleFallback):
         node = p.logical
         if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind)
+            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
         if p.kind == "difference":
             return ops.difference(
                 _pexec(p.inputs[0], db, actuals),
@@ -216,16 +226,6 @@ def _exec_node(p, db: AUDatabase, actuals) -> AURelation:
             )
         if p.kind == "distinct":
             return ops.distinct(_pexec(p.inputs[0], db, actuals))
-        if p.kind == "aggregate":
-            result = aggregate(
-                _pexec(p.inputs[0], db, actuals),
-                list(node.group_by),
-                list(node.aggregates),
-                compress_buckets=p.buckets,
-            )
-            if node.having is not None:
-                result = ops.selection(result, node.having)
-            return result
         if p.kind == "topk":
             return ops.au_topk(
                 _pexec(p.inputs[0], db, actuals),

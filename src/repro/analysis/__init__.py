@@ -15,7 +15,7 @@ Three passes, all compile-time, no execution:
   output columns are consistent, parameter bindings are complete
   at execute time, ``Exchange`` / partial-aggregate placement is
   legal, ``TupleFallback`` boundaries close the AU engines'
-  non-linear fragment, and ``Cpr`` budgets are resolved.
+  SG-combining fragment, and ``Cpr`` budgets are resolved.
 * **Semiring-safety lint** (:mod:`repro.analysis.lint`) — every
   optimizer rewrite declares the semantics it preserves (bag-only
   vs AU-safe); :func:`check_semiring_safety` rejects an AU plan

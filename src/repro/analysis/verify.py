@@ -8,9 +8,10 @@ plan's :class:`~repro.core.expressions.Parameter` keys are complete
 against a binding at execute time.  :func:`verify_physical` walks a
 lowered :class:`~repro.exec.physical.PhysNode` tree and checks the
 physical-only invariants: engine-legal operator sets (the AU engines'
-non-linear fragment — ``Distinct`` / ``Difference`` / ``Aggregate`` /
-top-k — must be closed under :class:`~repro.exec.physical.TupleFallback`
-boundaries), :class:`~repro.exec.physical.Exchange` / partial-aggregate
+SG-combining fragment — ``Distinct`` / ``Difference`` / top-k — must be
+closed under :class:`~repro.exec.physical.TupleFallback` boundaries; an
+AU ``HashAggregate`` carries its Section 10.5 budget and is never
+partial), :class:`~repro.exec.physical.Exchange` / partial-aggregate
 placement, exactly one :class:`~repro.exec.physical.ParallelScan` per
 parallel region, resolved ``Cpr`` bucket budgets, and per-node schema
 consistency (join keys resolve on the correct side, projections and
@@ -218,8 +219,8 @@ def _phys() -> Any:
 
 
 #: physical operators the AU engines may not contain — their logical
-#: counterparts (the non-linear fragment) must appear as TupleFallback
-_AU_FORBIDDEN = ("HashAggregate", "HashDistinct", "TopK", "Limit")
+#: counterparts (the SG-combining fragment) must appear as TupleFallback
+_AU_FORBIDDEN = ("HashDistinct", "TopK", "Limit")
 #: operators only the AU lowering may produce
 _DET_FORBIDDEN = ("CompressedJoin", "AUPartialAggregate")
 
@@ -445,8 +446,6 @@ def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
         child = inputs[0] if inputs else None
         if node.kind == "distinct":
             return child
-        if node.kind == "aggregate" and isinstance(logical, ast.Aggregate):
-            return _aggregate_like(logical, child)
         if node.kind == "topk" and isinstance(logical, ast.TopK):
             _check_keys(logical.keys, child, "TupleFallback[topk]")
             return child
@@ -468,11 +467,13 @@ def verify_physical(
     schema consistency:
 
     * engine-legal operators — an AU plan may not contain the
-      deterministic non-linear operators (``HashAggregate`` /
-      ``HashDistinct`` / ``TopK`` / ``Limit``): its non-linear fragment
-      must be closed under ``TupleFallback`` boundaries; a
-      deterministic plan may not contain ``CompressedJoin`` or
-      ``AUPartialAggregate``;
+      deterministic ``HashDistinct`` / ``TopK`` / ``Limit``: its
+      SG-combining fragment must be closed under ``TupleFallback``
+      boundaries; a deterministic plan may not contain
+      ``CompressedJoin`` or ``AUPartialAggregate``;
+    * ``HashAggregate`` — in an AU plan ``buckets`` is ``None`` or a
+      positive bucket count and the node is never ``partial``; in a
+      deterministic plan ``buckets`` is ``None``;
     * ``Exchange`` placement — a known, engine-matching merge kind
       (the SG-combine kinds ``au_aggregate`` / ``au_topk`` only in AU
       plans, the det partial-state kinds only in det plans),
@@ -480,14 +481,15 @@ def verify_physical(
       ``HashAggregate`` only directly under
       ``Exchange(merge="aggregate")`` with its ``having`` deferred to
       the final operator, ``AUPartialAggregate`` only directly under
-      ``Exchange(merge="au_aggregate")``, and **no ``TupleFallback``
-      inside any Exchange region** — the non-linear tuple fragment is
-      not partition-distributive and must stay serial;
+      ``Exchange(merge="au_aggregate")`` (whose ``final`` is the serial
+      ``HashAggregate``), and **no ``TupleFallback`` or serial
+      ``HashAggregate`` inside any Exchange region** — the non-linear
+      fragment is not partition-distributive and must stay serial;
     * parallel regions — exactly one ``ParallelScan`` per ``Exchange``
       region with matching ``partitions``; no ``ParallelScan`` outside a
       region; no nested ``Exchange``;
-    * ``Cpr`` budgets — every ``CompressedJoin`` / bucketed
-      ``TupleFallback`` carries a resolved positive bucket count;
+    * ``Cpr`` budgets — every ``CompressedJoin`` carries a resolved
+      positive bucket count;
     * chunked-storage invariants — scan ``chunk_size`` values are legal,
       a ``ParallelScan``'s ``chunk_size`` matches the config it was
       lowered with (so Exchange morsels align with the table's chunk
@@ -501,11 +503,10 @@ def verify_physical(
     engine = getattr(config, "engine", None)
 
     au_forbidden = tuple(getattr(phys, n) for n in _AU_FORBIDDEN)
-    fallback_arity = {"difference": 2, "distinct": 1, "aggregate": 1, "topk": 1}
+    fallback_arity = {"difference": 2, "distinct": 1, "topk": 1}
     fallback_logical = {
         "difference": ast.Difference,
         "distinct": ast.Distinct,
-        "aggregate": ast.Aggregate,
         "topk": ast.TopK,
     }
 
@@ -514,7 +515,7 @@ def verify_physical(
         if engine == "au" and isinstance(node, au_forbidden):
             raise PlanCompatibilityError(
                 f"{name} is not a legal AU operator: the AU engines' "
-                "non-linear fragment must run through TupleFallback "
+                "SG-combining fragment must run through TupleFallback "
                 "boundaries"
             )
         if engine == "det" and isinstance(node, phys.CompressedJoin):
@@ -529,17 +530,21 @@ def verify_physical(
             )
         if (
             in_region
-            and isinstance(node, phys.TupleFallback)
+            and isinstance(node, (phys.TupleFallback, phys.HashAggregate))
             and any(isinstance(n, phys.ParallelScan) for n in node.walk())
         ):
-            # a fallback on a partition-invariant branch is evaluated
-            # once, serially, in the parent — legal; one fed by the
-            # region's morsels would see partial inputs
+            # a non-linear operator on a partition-invariant branch is
+            # evaluated once, serially, in the parent — legal; one fed by
+            # the region's morsels would see partial inputs
+            label = (
+                f"TupleFallback[{node.kind}]"
+                if isinstance(node, phys.TupleFallback)
+                else name
+            )
             raise PlanCompatibilityError(
-                f"TupleFallback[{node.kind}] inside an Exchange region "
-                "on the partitioned spine: the non-linear tuple "
-                "fragment is not partition-distributive and must stay "
-                "serial"
+                f"{label} inside an Exchange region on the partitioned "
+                "spine: the non-linear fragment is not "
+                "partition-distributive and must stay serial"
             )
         if isinstance(node, phys.CompressedJoin):
             if not isinstance(node.buckets, int) or node.buckets < 1:
@@ -571,20 +576,15 @@ def verify_physical(
                     f"{_node_name(node.logical)} logical node; expected "
                     f"{expected.__name__}"
                 )
-            if node.buckets is not None and (
-                not isinstance(node.buckets, int) or node.buckets < 1
-            ):
+        if isinstance(node, phys.HashAggregate):
+            _check_aggregate(node)
+            if node.partial:
+                # reachable only via Exchange's special-cased recursion
                 raise PlanCompatibilityError(
-                    f"TupleFallback[{node.kind}] has unresolved Cpr "
-                    f"budget {node.buckets!r}"
+                    "partial HashAggregate without a merging Exchange: "
+                    "partial aggregation states are only legal directly "
+                    'under Exchange(merge="aggregate")'
                 )
-        if isinstance(node, phys.HashAggregate) and node.partial:
-            # reachable only via Exchange's special-cased recursion below
-            raise PlanCompatibilityError(
-                "partial HashAggregate without a merging Exchange: "
-                "partial aggregation states are only legal directly "
-                'under Exchange(merge="aggregate")'
-            )
         if isinstance(node, phys.AUPartialAggregate):
             # reachable only via Exchange's special-cased recursion below
             raise PlanCompatibilityError(
@@ -606,6 +606,26 @@ def verify_physical(
             return
         for child in node.children():
             visit(child, in_region)
+
+    def _check_aggregate(node: Any) -> None:
+        if engine == "det" and node.buckets is not None:
+            raise PlanCompatibilityError(
+                f"HashAggregate with a Cpr budget ({node.buckets!r}) in a "
+                "deterministic plan: compression only applies to AU "
+                "annotations"
+            )
+        if engine == "au" and node.partial:
+            raise PlanCompatibilityError(
+                "partial HashAggregate in an AU plan: per-morsel AU "
+                "aggregation state is an AUPartialAggregate"
+            )
+        if node.buckets is not None and (
+            not isinstance(node.buckets, int) or node.buckets < 1
+        ):
+            raise PlanCompatibilityError(
+                f"HashAggregate has unresolved Cpr budget {node.buckets!r}; "
+                "lowering must fix a positive bucket count or None"
+            )
 
     def _check_scan_storage(node: Any) -> None:
         # lazy for the same cycle reason as _phys(): repro.db.chunks
@@ -698,22 +718,26 @@ def verify_physical(
                     f"operator, has {_node_name(final)}"
                 )
         elif node.merge in _AU_MERGE_KINDS:
-            fallback_kind = "aggregate" if node.merge == "au_aggregate" else "topk"
-            if not isinstance(final, phys.TupleFallback) or final.kind != fallback_kind:
+            if node.merge == "au_aggregate":
+                serial = "HashAggregate"
+                ok = isinstance(final, phys.HashAggregate)
+            else:
+                serial = "TupleFallback[topk]"
+                ok = isinstance(final, phys.TupleFallback) and final.kind == "topk"
+            if not ok:
                 raise PlanCompatibilityError(
                     f'Exchange(merge="{node.merge}") requires the original '
-                    f"serial TupleFallback[{fallback_kind}] as its final "
-                    "operator, has "
+                    f"serial {serial} as its final operator, has "
                     f"{_node_name(final) if final is not None else None!r}"
                 )
-            if node.merge == "au_aggregate" and not isinstance(
-                child, phys.AUPartialAggregate
-            ):
-                raise PlanCompatibilityError(
-                    'Exchange(merge="au_aggregate") requires an '
-                    "AUPartialAggregate child computing per-partition "
-                    f"SG-combine state, has {_node_name(child)}"
-                )
+            if node.merge == "au_aggregate":
+                _check_aggregate(final)
+                if not isinstance(child, phys.AUPartialAggregate):
+                    raise PlanCompatibilityError(
+                        'Exchange(merge="au_aggregate") requires an '
+                        "AUPartialAggregate child computing per-partition "
+                        f"SG-combine state, has {_node_name(child)}"
+                    )
             if node.merge == "au_topk" and isinstance(child, phys.TupleFallback):
                 raise PlanCompatibilityError(
                     'Exchange(merge="au_topk") takes the bare linear '
@@ -742,6 +766,8 @@ def verify_physical(
                     f"{_node_name(final) if final is not None else None!r}"
                 )
             if node.merge == "aggregate":
+                _check_aggregate(child)
+                _check_aggregate(final)
                 if not child.partial:
                     raise PlanCompatibilityError(
                         'Exchange(merge="aggregate") child must be a '

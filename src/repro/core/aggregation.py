@@ -43,7 +43,7 @@ from .ranges import (
 from .ranges import domain_le as _ranges_domain_le
 from .relation import AURelation
 from .semirings import AUAnnotation
-from .sums import add_product, finish, merge_acc, new_acc
+from .sums import add_product, add_product_each, finish, merge_acc, new_acc
 from .tuples import AUTuple
 
 __all__ = [
@@ -63,9 +63,6 @@ __all__ = [
     "semimodule_action",
     "star_operator",
     "UncertainGroupError",
-    "fold_partial_groups",
-    "merge_partial_groups",
-    "finalize_partial_groups",
 ]
 
 
@@ -316,7 +313,12 @@ def aggregate(
     # -- ð(g): tuples whose group-by ranges overlap the output box ------
     if compress_buckets is not None and group_by:
         rows, contributors = _compressed_contributors(
-            rel, rows, members, group_idx, group_boxes, compress_buckets
+            rows,
+            members,
+            group_idx,
+            _referenced_columns(rel.schema, group_idx, aggregates),
+            group_boxes,
+            compress_buckets,
         )
     else:
         contributors = _overlap_sets(rows, group_idx, group_boxes)
@@ -362,11 +364,28 @@ def aggregate(
     return out
 
 
+def _referenced_columns(
+    schema: Sequence[str],
+    group_idx: Sequence[int],
+    aggregates: Sequence[AggregateSpec],
+) -> List[int]:
+    """Positions of the columns the operator reads: the group-by
+    attributes and what the aggregate expressions mention."""
+    index = RowView.index_of(schema)
+    used = set(group_idx)
+    for spec in aggregates:
+        if AGGREGATES[spec.kind].takes_input:
+            used.update(
+                index[name] for name in spec.expr.variables() if name in index
+            )
+    return sorted(used)
+
+
 def _compressed_contributors(
-    rel: AURelation,
     rows: List[Tuple[AUTuple, AUAnnotation]],
     members: Sequence[Sequence[int]],
     group_idx: Sequence[int],
+    read_idx: Sequence[int],
     group_boxes: Sequence[Sequence[RangeValue]],
     buckets: int,
 ) -> Tuple[List[Tuple[AUTuple, AUAnnotation]], List[List[int]]]:
@@ -378,7 +397,9 @@ def _compressed_contributors(
     are always treated as group-uncertain (annotation lower bound 0), so
     their contributions pass through the ``min(0_M, ·)`` / ``max(0_M, ·)``
     clamps and the result stays a sound (if looser) bound even though
-    member rows are double counted inside buckets.
+    member rows are double counted inside buckets.  A bucket bounds its
+    rows on the ``read_idx`` columns only; nothing reads the others,
+    which keep the cells of the bucket's first row.
     """
     first_group_attr = group_idx[0]
     # Only rows whose group-by attributes are uncertain can contribute to a
@@ -399,14 +420,16 @@ def _compressed_contributors(
     bucket_rows: List[int] = []
     for start in range(0, len(sortable), bucket_size):
         chunk = [rows[r] for r in sortable[start : start + bucket_size]]
-        box_t, _ = chunk[0]
-        total_ub = 0
-        for t, (_lb, _sg, ub) in chunk:
-            box_t = tuple(a.merge(b) for a, b in zip(box_t, t))
-            total_ub += ub
+        box = list(chunk[0][0])
+        for j in read_idx:
+            cell = box[j]
+            for t, _ann in chunk[1:]:
+                cell = cell.merge(t[j])
+            box[j] = cell
+        total_ub = sum(ub for _t, (_lb, _sg, ub) in chunk)
         if total_ub > 0:
             bucket_rows.append(len(extended))
-            extended.append((box_t, (0, 0, total_ub)))
+            extended.append((tuple(box), (0, 0, total_ub)))
 
     # bucket rows overlapping a group box, ascending: an index probe on
     # the first group-by attribute, the other attributes tested on its
@@ -431,26 +454,21 @@ def _overlap_sets(
     group_idx: Sequence[int],
     group_boxes: Sequence[Sequence[RangeValue]],
 ) -> List[List[int]]:
-    """Compute ``ð(g)`` for every group.
-
-    Rows whose group-by attributes are all certain can be matched by hash
-    against certain group boxes; uncertain rows/boxes use interval checks.
-    """
-    contributors: List[List[int]] = [[] for _ in group_boxes]
+    """Compute ``ð(g)`` for every group, rows ascending: an overlap-index
+    probe on the first group-by attribute, the other attributes tested
+    on its hits only."""
     if not group_idx:
-        all_rows = list(range(len(rows)))
-        return [list(all_rows) for _ in group_boxes]
-
-    for g_i, box in enumerate(group_boxes):
-        for r_i, (t, _ann) in enumerate(rows):
-            ok = True
-            for pos, attr_i in enumerate(group_idx):
-                if not t[attr_i].overlaps(box[pos]):
-                    ok = False
-                    break
-            if ok:
-                contributors[g_i].append(r_i)
-    return contributors
+        return [list(range(len(rows))) for _ in group_boxes]
+    on_first = overlap_index([t[group_idx[0]] for t, _ann in rows])
+    rest = list(enumerate(group_idx))[1:]
+    return [
+        [
+            r_i
+            for r_i in on_first(box[0])
+            if all(rows[r_i][0][attr_i].overlaps(box[pos]) for pos, attr_i in rest)
+        ]
+        for box in group_boxes
+    ]
 
 
 def _materialize_agg_inputs(
@@ -460,16 +478,14 @@ def _materialize_agg_inputs(
 ) -> List[List[RangeValue]]:
     """Per-aggregate, per-row input value (a function that takes no
     input, i.e. COUNT, folds the constant 1)."""
+    index = RowView.index_of(rel.schema)
     inputs: List[List[RangeValue]] = []
     for spec in aggregates:
-        col: List[RangeValue] = []
         if not AGGREGATES[spec.kind].takes_input:
-            col = [_ONE] * len(rows)
+            inputs.append([_ONE] * len(rows))
         else:
-            index = RowView.index_of(rel.schema)
-            for t, _ann in rows:
-                col.append(spec.expr.eval_range(RowView(index, t)))
-        inputs.append(col)
+            eval_range = spec.expr.eval_range
+            inputs.append([eval_range(RowView(index, t)) for t, _ann in rows])
     return inputs
 
 
@@ -680,9 +696,37 @@ def _au_sum_step(
     in_sg_group: bool,
 ) -> None:
     # exact (regrouping-invariant) float bounds: repro.core.sums
-    _fold_sum_row(state[0], state[2], ann, m, certainly_in_group)
+    k0, k1, k2 = ann
+    value = m.ub
+    if k0 == k2 and k2 and m.lb is value:
+        # a point annotation times a point value (what :func:`_sum_parts`
+        # returns for both bounds): one non-zero product, whose sign —
+        # what the clamps test — is the sign of the value
+        if certainly_in_group:
+            low = high = True
+        else:
+            kind = type(value)
+            if kind is float or kind is int:
+                low, high = value <= 0, value >= 0
+            else:
+                low, high = _dom_le(value, 0), _dom_le(0, value)
+        if in_sg_group and k1 == k2 and m.sg is value:
+            # ... and the SG part is the same product: it enters a
+            # slice of [lo, sg, hi] alike
+            if not high:
+                state = state[:2]
+            elif not low:
+                state = state[1:]
+            add_product_each(state, value, k2)
+            return
+        if low:
+            add_product(state[0], value, k2)
+        if high:
+            add_product(state[2], value, k2)
+    else:
+        _fold_sum_row(state[0], state[2], ann, m, certainly_in_group)
     if in_sg_group:
-        _add_part(state[1], m.sg, ann[1])
+        _add_part(state[1], m.sg, k1)
 
 
 def _au_sum_merge(dst: list, src: list) -> list:
@@ -875,122 +919,16 @@ def _empty_row(aggregates: Sequence[AggregateSpec]) -> List[RangeValue]:
 # ``certainly_in_group`` is "the row certainly exists").  The γ fold then
 # factors into per-morsel partial states — the registry's AU states —
 # merged in partition order; the K^AU output annotation sums pointwise
-# (δ applied at finalize).
+# (δ applied at finalize).  :mod:`repro.exec.au_aggregate` folds, merges
+# and finalizes them.
 #
 # A single row with uncertain group-by attributes breaks row-locality
 # (it contributes to every overlapping group's bounds), so the fold
 # raises :class:`UncertainGroupError` and the caller falls back to the
-# serial :func:`aggregate` operator.
+# serial operator.
 
 
 class UncertainGroupError(ValueError):
     """A partial (morsel-parallel) aggregate met a row whose group-by
     attributes are uncertain: the contributor sets ð(g) are then not
     row-local and only the serial operator computes sound bounds."""
-
-
-def fold_partial_groups(
-    groups: Dict[Tuple[Any, ...], list],
-    schema: Sequence[str],
-    rows,
-    group_by: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> None:
-    """Fold ``(tuple, annotation)`` rows into ``groups`` in place.
-
-    ``groups`` maps each SG group key to ``[rep, ann_sums, agg_partials]``
-    where ``rep`` is the group-by value tuple of the group's first member
-    (identical across members up to numeric representation — group-by
-    attributes are certain), ``ann_sums`` the pointwise annotation sums of
-    Definition 27 (δ applied at finalize), and ``agg_partials`` one
-    :data:`AGGREGATES` AU state per aggregate.  Raises
-    :class:`UncertainGroupError` on the first row whose group-by
-    attributes are uncertain.
-    """
-    schema = tuple(schema)
-    group_idx = [schema.index(a) for a in group_by]
-    index = RowView.index_of(schema)
-    fns = [AGGREGATES[spec.kind] for spec in aggregates]
-    inits = [fn.au.init for fn in fns]
-    steps = [
-        (fn.au.step, spec.expr.eval_range if fn.takes_input else None)
-        for fn, spec in zip(fns, aggregates)
-    ]
-    for t, ann in rows:
-        for i in group_idx:
-            if not t[i].is_certain:
-                raise UncertainGroupError(
-                    f"uncertain group-by value {t[i]!r} for attribute "
-                    f"{schema[i]!r}: partial aggregation is not sound"
-                )
-        key = tuple(t[i].sg for i in group_idx)
-        state = groups.get(key)
-        if state is None:
-            state = [
-                [t[i] for i in group_idx],
-                [0, 0, 0],
-                [init() for init in inits],
-            ]
-            groups[key] = state
-        ann_sums = state[1]
-        ann_sums[0] += ann[0]
-        ann_sums[1] += ann[1]
-        ann_sums[2] += ann[2]
-        certainly = ann[0] > 0
-        view = RowView(index, t)
-        for (step, eval_range), agg in zip(steps, state[2]):
-            m = _ONE if eval_range is None else eval_range(view)
-            step(agg, ann, m, certainly, True)
-
-
-def merge_partial_groups(
-    target: Dict[Tuple[Any, ...], list],
-    source: Dict[Tuple[Any, ...], list],
-    aggregates: Sequence[AggregateSpec],
-) -> None:
-    """Merge ``source`` into ``target`` in place (``source`` is consumed).
-
-    Call in partition order: group first-occurrence order and the
-    order-sensitive tie rules of MIN/MAX/AVG envelopes then reproduce the
-    serial fold exactly.
-    """
-    merges = [AGGREGATES[spec.kind].au.merge for spec in aggregates]
-    for key, src in source.items():
-        dst = target.get(key)
-        if dst is None:
-            target[key] = src
-            continue
-        dst[1][0] += src[1][0]
-        dst[1][1] += src[1][1]
-        dst[1][2] += src[1][2]
-        for merge, d, s in zip(merges, dst[2], src[2]):
-            merge(d, s)
-
-
-def finalize_partial_groups(
-    groups: Dict[Tuple[Any, ...], list],
-    group_by: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-) -> AURelation:
-    """Finalize merged partial states into the γ output relation —
-    bit-identical to :func:`aggregate` on the same (certain-group)
-    input."""
-    out_schema = list(group_by) + [spec.name for spec in aggregates]
-    out = AURelation(out_schema)
-    if not groups:
-        if not group_by:
-            out.add(_empty_row(aggregates), (1, 1, 1))
-        return out
-    has_group_by = bool(group_by)
-    finalizers = [AGGREGATES[spec.kind].au.finalize for spec in aggregates]
-    for rep, ann_sums, aggs in groups.values():
-        values: List[RangeValue] = list(rep)
-        for finalize, agg in zip(finalizers, aggs):
-            values.append(finalize(agg))
-        if has_group_by:
-            ann = (_delta(ann_sums[0]), _delta(ann_sums[1]), ann_sums[2])
-        else:
-            ann = (1, 1, 1)
-        if ann[2] > 0:
-            out.add(values, ann)
-    return out

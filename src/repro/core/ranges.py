@@ -126,7 +126,10 @@ class RangeValue:
     ub: Any
 
     def __post_init__(self) -> None:
-        if not (domain_le(self.lb, self.sg) and domain_le(self.sg, self.ub)):
+        lb = self.lb
+        if lb is self.ub and lb is self.sg and lb == lb:
+            return  # a point of anything but NaN is in order
+        if not (domain_le(lb, self.sg) and domain_le(self.sg, self.ub)):
             raise ValueError(
                 f"range value must satisfy lb <= sg <= ub, got "
                 f"[{self.lb!r}/{self.sg!r}/{self.ub!r}]"

@@ -10,8 +10,15 @@ carve-out; this module removes the carve-out by making the sum a pure
 function of the *multiset* of addends:
 
 * integers (and bools) accumulate in an exact Python-int slot;
-* finite floats accumulate as Shewchuk non-overlapping partials
-  (the ``math.fsum`` algorithm), which represent the exact real sum;
+* finite floats are *appended* to a term list — adding one is a list
+  append, merging two accumulators a list extend — and the list is what
+  represents the exact real sum: :func:`finish` hands it to
+  ``math.fsum``, which rounds the exact sum of any finite term list
+  once.  A list that passes :data:`_COMPACT_AT` terms is compacted in C:
+  ``s1 = fsum(terms)``, then ``s2 = fsum(terms + [-s1])`` for what
+  ``s1`` rounded away, and so on until the residual is 0 — the
+  ``s1, s2, …`` are an exact expansion of the same sum, a handful of
+  terms long;
 * non-finite floats (``inf``/``nan``) accumulate in a separate IEEE
   slot where they are absorbing, so their propagation does not depend
   on where in the stream they appeared.
@@ -23,8 +30,11 @@ preserves exactness, which is what makes partial/final parallel
 aggregation safe.
 
 The contract is order-free *including transient overflow*: a running
-float sum that leaves the double range saturates nothing.  Two finite
-doubles whose sum overflows are both exact integers (magnitude
+float sum that leaves the double range saturates nothing.  ``fsum``
+raises ``OverflowError`` when a partial sum overflows; a compaction
+that meets it re-adds the terms through the one Python loop left here
+(:func:`_add_spilling`, Shewchuk's error-free transformation): two
+finite doubles whose sum overflows are both exact integers (magnitude
 ``>= 2**53``), so the larger one moves — exactly — to a fourth, integer
 *spill* slot and the fold goes on; :func:`add_product` spills a term
 ``value * 2**j`` that is itself out of range the same way.
@@ -43,19 +53,52 @@ __all__ = [
     "new_acc",
     "add_exact",
     "add_product",
+    "add_product_each",
     "merge_acc",
     "finish",
     "exact_sum",
 ]
 
 
+#: term-list length past which an accumulator is compacted
+_COMPACT_AT = 64
+
+
 def new_acc() -> list:
     """A fresh accumulator:
-    ``[int_sum, float_partials, nonfinite_sum, float_spill]``."""
+    ``[int_sum, float_terms, nonfinite_sum, float_spill]``."""
     return [0, [], 0.0, 0]
 
 
 def _add_float(acc: list, x: float) -> None:
+    """Add finite ``x``: one more term of the exact sum."""
+    terms = acc[1]
+    terms.append(x)
+    if len(terms) > _COMPACT_AT:
+        _compact(acc)
+
+
+def _compact(acc: list) -> None:
+    """Replace the term list by a short exact expansion of its sum."""
+    terms = acc[1]
+    n = len(terms)
+    try:
+        exact = []
+        total = math.fsum(terms)
+        while total:
+            exact.append(total)
+            terms.append(-total)
+            total = math.fsum(terms)
+    except OverflowError:  # a partial sum left the double range
+        acc[1] = []
+        for x in terms[:n]:
+            _add_spilling(acc, x)
+        return
+    # a stream that held a float finishes as a float, even at 0
+    terms[:] = exact or [0.0]
+
+
+def _add_spilling(acc: list, x: float) -> None:
     """Shewchuk error-free transformation: add finite ``x`` keeping the
     exact sum as non-overlapping partials (the ``math.fsum`` invariant).
 
@@ -87,7 +130,7 @@ def add_exact(acc: list, value: Any) -> None:
     """Fold ``value`` into ``acc`` exactly.
 
     Ints (and bools) stay exact integers; finite floats extend the
-    partials; ``inf``/``nan`` go to the absorbing slot.  Non-numeric
+    term list; ``inf``/``nan`` go to the absorbing slot.  Non-numeric
     values raise ``TypeError`` like the plain ``sum()`` they replace.
     """
     if type(value) is float:
@@ -118,6 +161,12 @@ def add_product(acc: list, value: Any, mult: int) -> None:
     if not math.isfinite(value):
         acc[2] += value * mult  # absorbing slot (inf * 0 -> nan, as before)
         return
+    if mult == 1:
+        terms = acc[1]
+        terms.append(value)
+        if len(terms) > _COMPACT_AT:
+            _compact(acc)
+        return
     if mult == 0 or value == 0.0:
         _add_float(acc, value * 0.0 if mult == 0 else value)
         return
@@ -137,11 +186,33 @@ def add_product(acc: list, value: Any, mult: int) -> None:
         mult -= low
 
 
+def add_product_each(accs: Iterable[list], value: Any, mult: int) -> None:
+    """:func:`add_product` of one weighted value into every accumulator
+    of ``accs`` (the bounds of an AU ``SUM`` that a point contribution
+    enters alike), its type and range tested once."""
+    if type(value) is not float:
+        product = value * mult
+        for acc in accs:
+            acc[0] += product
+    elif mult == 1 and math.isfinite(value):
+        for acc in accs:
+            terms = acc[1]
+            terms.append(value)
+            if len(terms) > _COMPACT_AT:
+                _compact(acc)
+    else:
+        for acc in accs:
+            add_product(acc, value, mult)
+
+
 def merge_acc(acc: list, other: list) -> None:
-    """Fold accumulator ``other`` into ``acc`` (exact, order-free)."""
+    """Fold accumulator ``other`` into ``acc`` (exact, order-free);
+    ``other`` is only read, and ``acc`` shares no list with it."""
     acc[0] += other[0]
-    for p in other[1]:
-        _add_float(acc, p)
+    terms = acc[1]
+    terms.extend(other[1])
+    if len(terms) > _COMPACT_AT:
+        _compact(acc)
     acc[2] += other[2]
     acc[3] += other[3]
 
@@ -155,16 +226,16 @@ def finish(acc: list) -> Any:
     plus the integer sum as a double — ``±inf`` only when that true
     value rounds out of the double range.
     """
-    int_sum, partials, nonfinite, spill = acc
+    int_sum, terms, nonfinite, spill = acc
     if nonfinite != 0.0 or nonfinite != nonfinite:  # ±inf or nan seen
         return nonfinite  # absorbing: any finite rest leaves it as it is
-    if not partials:
+    if not terms:
         return int_sum
     if not spill:
         try:
             if int_sum:
-                return math.fsum(partials + [int_sum])
-            return math.fsum(partials)
+                return math.fsum(terms + [int_sum])
+            return math.fsum(terms)
         except OverflowError:
             pass
     # huge operands: the same value — the exact float sum plus the
@@ -174,7 +245,7 @@ def finish(acc: list) -> Any:
         total = _scaled(float(int_sum))
     except OverflowError:
         total = int_sum * _SCALE
-    total += spill * _SCALE + sum(map(_scaled, partials))
+    total += spill * _SCALE + sum(map(_scaled, terms))
     try:
         return total / _SCALE  # int / int rounds correctly, once
     except OverflowError:

@@ -195,7 +195,7 @@ def _exec_node(
         return _limit(_exec(p.child, db, actuals), p.n)
     if isinstance(p, phys.TupleFallback):
         if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind)
+            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
         if p.kind == "difference":
             return _difference(
                 _exec(p.inputs[0], db, actuals), _exec(p.inputs[1], db, actuals)

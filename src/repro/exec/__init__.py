@@ -17,6 +17,9 @@ executes them:
 * :mod:`repro.exec.vectorized` — the vectorized interpreters for both
   engines (hash equi-join, single-pass hash aggregate with exact
   SUM/AVG accumulation, fused selection);
+* :mod:`repro.exec.compressed_join` / :mod:`repro.exec.au_aggregate` —
+  the AU engine's Section 10.4 join and Section 9 / 10.5 aggregate on
+  column batches;
 * :mod:`repro.exec.parallel` — morsel-style partition-parallel
   execution of ``Exchange`` regions for the deterministic vectorized
   backend.
@@ -25,8 +28,9 @@ Select the vectorized backend with ``evaluate_det(...,
 backend="vectorized")``, ``EvalConfig(backend="vectorized")``, or
 ``--backend=vectorized`` on the CLI; add ``parallelism=N`` /
 ``--parallelism N`` for morsel parallelism.  Operators the vectorized
-AU runtime does not cover are lowered to explicit ``TupleFallback``
-nodes, so every query still answers with identical results.
+AU runtime does not cover (difference, distinct, top-k) are lowered to
+explicit ``TupleFallback`` nodes, so every query still answers with
+identical results.
 """
 
 from .batch import AUColumnBatch, ColumnBatch

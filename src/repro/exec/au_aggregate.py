@@ -1,0 +1,441 @@
+"""The Section 9 / 10.5 aggregate on column batches.
+
+``γ_{G, f1(e1), …}`` for the vectorized AU executor: batch in, batch out,
+no :class:`~repro.core.relation.AURelation` in between.  The reference is
+:func:`repro.core.aggregation.aggregate` (what the tuple backend runs);
+:func:`aggregate_batch` returns the same relation **including the order
+of ``tuples()`` and the ``repr`` of every cell** once its output batch is
+materialized — a ``Cpr`` or a top-k above the aggregate is
+order-sensitive.
+
+The order / dedupe / merge-order contract, step by step:
+
+* value-equal input rows are merged first, annotations summed, in
+  first-occurrence order — the rows ``to_relation()`` would hold;
+* one hash pass over the plain SG values of the group-by columns assigns
+  every row to its output group (Definition 24), groups in
+  first-occurrence order;
+* a group none of whose members has an uncertain group-by cell is
+  bounded by its first member's cells; any other group gets, per
+  attribute, the first minimum lower / first maximum upper bound of its
+  members under ``domain_key`` (Definition 25);
+* aggregate inputs are computed once per row and per aggregate by the
+  value kernels of :mod:`repro.exec.compile` (a plain attribute is its
+  column, ``COUNT`` the constant 1, anything the compiler rejects is
+  interpreted), all rows of one aggregate before the next aggregate;
+* a group's *members* are folded in row order straight into its registry
+  state (:data:`repro.core.aggregation.AGGREGATES`), flagged
+  ``in_sg_group`` and — when the group box is a point, the row's
+  group-by cells are certain and the row certainly exists —
+  ``certainly_in_group``;
+* every *foreign* contributor is folded **once** into a state of its own
+  with the flags ``(False, False)`` and that state is ``merge``\\ d into
+  each group whose box it overlaps, found by an overlap-index probe on
+  the first group-by attribute.  Without a bucket budget the foreign
+  contributors are the non-member rows, interleaved with the members in
+  ascending row order; with one (Section 10.5) they are at most
+  ``buckets`` boxes over the rows with an uncertain group-by cell —
+  stably sorted on the first group-by attribute's SG value, bounded
+  column-wise over the group-by and the referenced columns only,
+  annotated ``(0, 0, Σub)`` — merged after the members, in bucket order.
+  The algebra's ``merge`` replays the in-order fold, so this is the
+  reference's result to the bit.
+
+The same member fold is the per-morsel half of a parallel AU aggregate
+(:func:`fold_partial_groups`): every box a point, and a row with an
+uncertain group-by cell — which would contribute to foreign groups — is
+an :class:`~repro.core.aggregation.UncertainGroupError`.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from .. import telemetry as _tm
+from ..core.aggregation import (
+    AGGREGATES,
+    AggregateSpec,
+    UncertainGroupError,
+    _ONE,
+    _referenced_columns,
+)
+from ..core.expressions import Var
+from ..core.ranges import RangeValue, domain_key, overlap_index
+from .batch import AUColumnBatch, BatchRowView, charge_materialization
+from .compile import CompileError, compile_range_values
+
+__all__ = [
+    "aggregate_batch",
+    "fold_partial_groups",
+    "merge_partial_groups",
+    "finalize_groups",
+]
+
+#: group key -> ``[box, annotation sums, one AU registry state per
+#: aggregate]``: the group-by cells of the output row, the pointwise
+#: ``K^AU`` sums of Definitions 27/28 (δ applied at finalize) and the
+#: mergeable aggregate states
+Groups = Dict[Tuple[Any, ...], List[Any]]
+
+_EXECUTIONS = {
+    inputs: _tm.get_registry().counter(
+        "repro_exec_au_aggregate_total",
+        "AU aggregates executed on column batches, by how their "
+        "aggregate inputs were evaluated.",
+        inputs=inputs,
+    )
+    for inputs in ("compiled", "interpreted")
+}
+
+
+def aggregate_batch(
+    batch: AUColumnBatch,
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    buckets: Optional[int] = None,
+) -> AUColumnBatch:
+    """``γ_{group_by, aggregates}(batch)``; ``buckets`` is the Section
+    10.5 compression budget for foreign contributors (``None``: every
+    overlapping row contributes on its own)."""
+    if buckets is not None and buckets <= 0:
+        raise ValueError("bucket count must be positive")
+    group_idx = [_attr_index(batch.schema, a) for a in group_by]
+    batch, merged = batch.merge_duplicates()
+    groups, attrs = _fold(batch, group_idx, aggregates, buckets, strict=False)
+    _EXECUTIONS[attrs["inputs"]].inc()
+    if _tm._ACTIVE is not None:
+        _tm.annotate(groups=len(groups), dedup_rows=merged, **attrs)
+    out = finalize_groups(groups, group_by, aggregates)
+    charge_materialization(len(out))
+    return out
+
+
+def fold_partial_groups(
+    batch: AUColumnBatch,
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+) -> Groups:
+    """Fold one morsel into mergeable per-group state: the member fold
+    of :func:`aggregate_batch` over unmerged rows.  Raises
+    :class:`UncertainGroupError` on a row whose group-by attributes are
+    uncertain."""
+    group_idx = [_attr_index(batch.schema, a) for a in group_by]
+    return _fold(batch, group_idx, aggregates, None, strict=True)[0]
+
+
+def merge_partial_groups(
+    target: Groups, source: Groups, aggregates: Sequence[AggregateSpec]
+) -> None:
+    """Merge ``source`` into ``target`` in place (``source`` is consumed).
+
+    Call in partition order: group first-occurrence order and the
+    order-sensitive tie rules of MIN/MAX/AVG envelopes then reproduce the
+    serial fold exactly.
+    """
+    merges = [AGGREGATES[spec.kind].au.merge for spec in aggregates]
+    for key, src in source.items():
+        dst = target.get(key)
+        if dst is None:
+            target[key] = src
+            continue
+        dst[1][0] += src[1][0]
+        dst[1][1] += src[1][1]
+        dst[1][2] += src[1][2]
+        for merge, d, s in zip(merges, dst[2], src[2]):
+            merge(d, s)
+
+
+def finalize_groups(
+    groups: Groups, group_by: Sequence[str], aggregates: Sequence[AggregateSpec]
+) -> AUColumnBatch:
+    """The γ output batch of (possibly merged) group state; no group and
+    no GROUP BY is the one-row empty-input result."""
+    schema = list(group_by) + [spec.name for spec in aggregates]
+    algebras = [AGGREGATES[spec.kind].au for spec in aggregates]
+    if not groups and not group_by:
+        return AUColumnBatch(
+            schema, [[algebra.empty] for algebra in algebras], [1], [1], [1]
+        )
+    columns: List[List[RangeValue]] = [[] for _ in schema]
+    ann_lb: List[int] = []
+    ann_sg: List[int] = []
+    ann_ub: List[int] = []
+    base = len(group_by)
+    for box, (lb, sg, ub), states in groups.values():
+        if not base:
+            lb = sg = ub = 1  # Definition 27: one certain output row
+        elif not ub:
+            continue
+        for out, cell in zip(columns, box):
+            out.append(cell)
+        for a, algebra in enumerate(algebras):
+            columns[base + a].append(algebra.finalize(states[a]))
+        # Definition 28: δ of the member sums
+        ann_lb.append(1 if lb > 0 else 0)
+        ann_sg.append(1 if sg > 0 else 0)
+        ann_ub.append(ub)
+    return AUColumnBatch(schema, columns, ann_lb, ann_sg, ann_ub)
+
+
+# ----------------------------------------------------------------------
+# the fold
+# ----------------------------------------------------------------------
+def _attr_index(schema: Sequence[str], name: str) -> int:
+    try:
+        return schema.index(name)
+    except ValueError:
+        raise KeyError(f"attribute {name!r} not in schema {schema}") from None
+
+
+def _fold(
+    batch: AUColumnBatch,
+    group_idx: Sequence[int],
+    aggregates: Sequence[AggregateSpec],
+    buckets: Optional[int],
+    strict: bool,
+) -> Tuple[Groups, Dict[str, Any]]:
+    """The group state of ``batch`` and what the fold did (the operator
+    span's attributes).  ``strict``: a row with an uncertain group-by
+    cell is an :class:`UncertainGroupError`."""
+    n = len(batch)
+    columns = batch.columns
+    key_cols = [columns[j] for j in group_idx]
+
+    # -- one hash pass over the SG key values: alpha / members ----------
+    if key_cols:
+        keys: Sequence[Tuple] = list(
+            zip(*[[cell.sg for cell in col] for col in key_cols])
+        )
+    else:
+        keys = [()] * n
+    index_of: Dict[Tuple, int] = {}
+    alpha: List[int] = []
+    members: List[List[int]] = []
+    for r, key in enumerate(keys):
+        g = index_of.get(key)
+        if g is None:
+            g = index_of[key] = len(members)
+            members.append([r])
+        else:
+            members[g].append(r)
+        alpha.append(g)
+
+    # -- rows with an uncertain group-by cell, once per row -------------
+    key_uncertain = [False] * n
+    for j, col in zip(group_idx, key_cols):
+        for r, cell in enumerate(col):
+            if cell.lb is not cell.ub and not cell.is_certain:
+                if strict:
+                    raise UncertainGroupError(
+                        f"uncertain group-by value {cell!r} for attribute "
+                        f"{batch.schema[j]!r}: partial aggregation is not "
+                        "sound"
+                    )
+                key_uncertain[r] = True
+    foreign_capable = [r for r in range(n) if key_uncertain[r]]
+
+    # -- group boxes (Definition 25) ------------------------------------
+    # members with certain group-by cells all hold the group's value, so
+    # the first of them stands for the rest: a group's bounds are those
+    # of its uncertain-key members and that one, in row order
+    boxes = [[col[m[0]] for m in members] for col in key_cols]
+    box_certain = [True] * len(members)
+    for g in {alpha[r] for r in foreign_capable}:
+        box_certain[g] = False
+        rows = members[g]
+        if len(rows) > 1:
+            plain = next((r for r in rows if not key_uncertain[r]), None)
+            spread = [r for r in rows if key_uncertain[r] or r == plain]
+            for box, col in zip(boxes, key_cols):
+                box[g] = _bounding([col[r] for r in spread], col[rows[0]].sg)
+
+    # -- ð(g) beyond the members: contributor -> its foreign groups -----
+    # (rows by position, Section 10.5 bucket boxes numbered after them)
+    targets: Dict[int, List[int]] = {}
+    extra_cols: List[List[RangeValue]] = [[] for _ in columns]
+    extra_ub: List[int] = []
+    if foreign_capable and buckets is not None:
+        extra_cols, extra_ub = _bucket_boxes(
+            batch,
+            foreign_capable,
+            group_idx[0],
+            _referenced_columns(batch.schema, group_idx, aggregates),
+            buckets,
+        )
+        hits = _overlapping([extra_cols[j] for j in group_idx], boxes)
+        for g, found in enumerate(hits):
+            for k in found:
+                targets.setdefault(n + k, []).append(g)
+    elif foreign_capable:
+        for g, found in enumerate(_overlapping(key_cols, boxes)):
+            for r in found:
+                if alpha[r] != g:
+                    targets.setdefault(r, []).append(g)
+
+    # -- aggregate inputs, once per row and aggregate -------------------
+    inputs, attrs = _aggregate_inputs(batch, extra_cols, len(extra_ub), aggregates)
+    attrs.update(
+        uncertain_key_rows=len(foreign_capable),
+        foreign_states=len(targets),
+        state_merges=sum(map(len, targets.values())),
+    )
+
+    # -- the fold: contributors ascending, so every state sees its own in
+    # -- the reference's order; a foreign one is folded once and merged --
+    anns = list(zip(batch.ann_lb, batch.ann_sg, batch.ann_ub))
+    certainly = [
+        box_certain[g] and not uncertain and ann[0] > 0
+        for g, uncertain, ann in zip(alpha, key_uncertain, anns)
+    ]
+    if targets:  # bucket boxes: no group of their own, possible only
+        owner = alpha + [-1] * len(extra_ub)
+        contributions = anns + [(0, 0, ub) for ub in extra_ub]
+        certainly += [False] * len(extra_ub)
+    states = []
+    for spec, col in zip(aggregates, inputs):
+        algebra = AGGREGATES[spec.kind].au
+        init, step, merge = algebra.init, algebra.step, algebra.merge
+        per_group = [init() for _ in members]
+        if not targets:
+            for g, ann, m, sure in zip(alpha, anns, col, certainly):
+                step(per_group[g], ann, m, sure, True)
+        else:
+            rows = zip(owner, contributions, col, certainly)
+            for r, (g, ann, m, sure) in enumerate(rows):
+                if g >= 0:
+                    step(per_group[g], ann, m, sure, True)
+                if r in targets:
+                    other = init()
+                    step(other, ann, m, False, False)
+                    for g in targets[r]:
+                        merge(per_group[g], other)
+        states.append(per_group)
+
+    # -- annotation sums (Definitions 27/28) ----------------------------
+    totals = [[0, 0, 0] for _ in members]
+    for g, uncertain, (lb, sg, ub) in zip(alpha, key_uncertain, anns):
+        total = totals[g]
+        if not uncertain:
+            total[0] += lb
+        total[1] += sg
+        total[2] += ub
+    groups = {
+        key: [[box[g] for box in boxes], totals[g], [s[g] for s in states]]
+        for g, key in enumerate(index_of)
+    }
+    return groups, attrs
+
+
+def _bounding(cells: List[RangeValue], sg: Any) -> RangeValue:
+    """The box of ``cells`` around ``sg`` as the reference's left fold
+    of ``RangeValue.merge`` builds it: first minimum lower / first
+    maximum upper bound under ``domain_key``."""
+    lows = [domain_key(cell.lb) for cell in cells]
+    highs = [
+        low if cell.ub is cell.lb else domain_key(cell.ub)
+        for low, cell in zip(lows, cells)
+    ]
+    return RangeValue(
+        cells[lows.index(min(lows))].lb,
+        sg,
+        cells[highs.index(max(highs))].ub,
+    )
+
+
+def _bucket_boxes(
+    batch: AUColumnBatch,
+    rows: List[int],
+    sort_on: int,
+    read_idx: Sequence[int],
+    buckets: int,
+) -> Tuple[List[List[RangeValue]], List[int]]:
+    """Section 10.5 bucket boxes over ``rows`` (ascending), as columns
+    aligned with the batch's, and their summed upper multiplicities.
+
+    The rows are stably sorted on the SG value of column ``sort_on`` and
+    cut into at most ``buckets`` runs; a box bounds its run column-wise
+    on the ``read_idx`` columns and keeps the first row's cell elsewhere
+    (nothing reads it).
+    """
+    sort_col = batch.columns[sort_on]
+    order = sorted(rows, key=lambda r: domain_key(sort_col[r].sg))
+    size = max(1, -(-len(order) // buckets))
+    runs = [order[start : start + size] for start in range(0, len(order), size)]
+    columns = []
+    for j, col in enumerate(batch.columns):
+        if size == 1 or j not in read_idx:
+            columns.append([col[run[0]] for run in runs])
+            continue
+        columns.append(
+            [_bounding([col[r] for r in run], col[run[0]].sg) for run in runs]
+        )
+    ann_ub = batch.ann_ub
+    return columns, [sum(ann_ub[r] for r in run) for run in runs]
+
+
+def _overlapping(
+    key_cols: Sequence[Sequence[RangeValue]],
+    boxes: Sequence[Sequence[RangeValue]],
+) -> List[List[int]]:
+    """Per group box the ascending positions of the rows of ``key_cols``
+    overlapping it on every group-by attribute: an overlap-index probe
+    on the first attribute, the others tested on its hits only."""
+    on_first = overlap_index(key_cols[0])
+    rest = list(zip(key_cols, boxes))[1:]
+    return [
+        [
+            k
+            for k in on_first(first)
+            if all(col[k].overlaps(box[g]) for col, box in rest)
+        ]
+        for g, first in enumerate(boxes[0])
+    ]
+
+
+def _aggregate_inputs(
+    batch: AUColumnBatch,
+    extra_cols: List[List[RangeValue]],
+    extra: int,
+    aggregates: Sequence[AggregateSpec],
+) -> Tuple[List[Sequence[RangeValue]], Dict[str, Any]]:
+    """Per aggregate the input range of every batch row followed by the
+    ``extra`` bucket rows of ``extra_cols``, and whether every
+    expression ran compiled (else why not)."""
+    n = len(batch)
+    index = {name: j for j, name in enumerate(batch.schema)}
+    reason = None
+    inputs: List[Sequence[RangeValue]] = []
+    for spec in aggregates:
+        expr = spec.expr
+        if not AGGREGATES[spec.kind].takes_input:
+            inputs.append([_ONE] * (n + extra))
+        elif isinstance(expr, Var) and expr.name in index:
+            j = index[expr.name]
+            column = batch.columns[j]
+            inputs.append([*column, *extra_cols[j]] if extra else column)
+        else:
+            try:
+                evaluate: Callable = compile_range_values(expr, batch.schema)
+            except CompileError as exc:
+                reason = str(exc)
+                evaluate = _interpreter(expr, index)
+            values = evaluate(batch.columns, n)
+            inputs.append(values + evaluate(extra_cols, extra) if extra else values)
+    if reason is None:
+        return inputs, {"inputs": "compiled"}
+    return inputs, {"inputs": "interpreted", "kernel_reason": reason}
+
+
+def _interpreter(expr, index: Dict[str, int]) -> Callable:
+    """``expr.eval_range`` over every row: the interpreted form of
+    :func:`repro.exec.compile.compile_range_values`."""
+
+    def evaluate(columns: Sequence, n: int) -> List[RangeValue]:
+        view = BatchRowView(index, columns)
+        out = []
+        for i in range(n):
+            view.i = i
+            out.append(expr.eval_range(view))
+        return out
+
+    return evaluate

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.relation import AURelation
@@ -194,6 +195,17 @@ class ColumnBatch:
         )
 
 
+def _value_key(cell: Any) -> Any:
+    """A hashable that is equal between two cells exactly when the cells
+    are (``RangeValue`` equality compares the bound triples): the value
+    of a cell whose bounds are all equal — so ``[1/1.0/True]`` meets
+    ``[1/1/1]`` — and the triple otherwise."""
+    lb, sg, ub = cell.lb, cell.sg, cell.ub
+    if lb == sg and sg == ub:
+        return sg
+    return (lb, sg, ub)
+
+
 class AUColumnBatch:
     """An ``N^AU``-relation in columnar form.
 
@@ -218,19 +230,23 @@ class AUColumnBatch:
         return len(self.ann_ub)
 
     @classmethod
-    def from_relation(cls, rel: AURelation) -> "AUColumnBatch":
-        charge_materialization(len(rel))
-        n_cols = len(rel.schema)
-        rows = list(rel.tuples())
+    def from_rows(cls, schema: Sequence[str], rows) -> "AUColumnBatch":
+        """``(AU-tuple, annotation)`` rows as a batch: in order, unmerged."""
+        rows = list(rows)
         if rows:
             columns = [list(col) for col in zip(*(t for t, _ann in rows))]
             ann_lb = array("q", (ann[0] for _t, ann in rows))
             ann_sg = array("q", (ann[1] for _t, ann in rows))
             ann_ub = array("q", (ann[2] for _t, ann in rows))
         else:
-            columns = [[] for _ in range(n_cols)]
+            columns = [[] for _ in schema]
             ann_lb, ann_sg, ann_ub = array("q"), array("q"), array("q")
-        return cls(rel.schema, columns, ann_lb, ann_sg, ann_ub)
+        return cls(schema, columns, ann_lb, ann_sg, ann_ub)
+
+    @classmethod
+    def from_relation(cls, rel: AURelation) -> "AUColumnBatch":
+        charge_materialization(len(rel))
+        return cls.from_rows(rel.schema, rel.tuples())
 
     def to_relation(self) -> AURelation:
         """Materialize back into a (merged) :class:`AURelation`."""
@@ -244,6 +260,43 @@ class AUColumnBatch:
             for lb, sg, ub in zip(self.ann_lb, self.ann_sg, self.ann_ub):
                 out.add((), (lb, sg, ub))
         return out
+
+    def merge_duplicates(self) -> Tuple["AUColumnBatch", int]:
+        """The rows of :meth:`to_relation`: value-equal rows merged with
+        summed annotations at their first occurrence, ``ub == 0`` rows
+        gone.  Returns this batch itself when there is nothing to merge,
+        and the number of rows removed."""
+        first: Dict[Tuple, int] = {}
+        keep: List[int] = []
+        lb: List[int] = []
+        sg: List[int] = []
+        ub: List[int] = []
+        # rows compare as tuples of their cells' value keys: what
+        # RangeValue equality compares, without hashing a cell at a time
+        keys = [
+            [c.sg if c.lb is c.sg is c.ub else _value_key(c) for c in col]
+            for col in self.columns
+        ]
+        tuples = zip(*keys) if keys else repeat(())
+        rows = zip(tuples, self.ann_lb, self.ann_sg, self.ann_ub)
+        for i, (t, a_lb, a_sg, a_ub) in enumerate(rows):
+            if not a_ub:
+                continue
+            k = first.setdefault(t, len(keep))
+            if k == len(keep):
+                keep.append(i)
+                lb.append(a_lb)
+                sg.append(a_sg)
+                ub.append(a_ub)
+            else:
+                lb[k] += a_lb
+                sg[k] += a_sg
+                ub[k] += a_ub
+        removed = len(self) - len(keep)
+        if not removed:
+            return self, 0
+        columns = [[col[i] for i in keep] for col in self.columns]
+        return AUColumnBatch(self.schema, columns, lb, sg, ub), removed
 
     def concat(self, other: "AUColumnBatch") -> "AUColumnBatch":
         """This batch's rows followed by ``other``'s, under this schema."""

@@ -63,7 +63,7 @@ statement compiles once however many bindings it runs under.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
 from ..core.expressions import (
@@ -96,6 +96,7 @@ __all__ = [
     "compile_projector",
     "compile_range_filter",
     "compile_range_pair_filter",
+    "compile_range_values",
 ]
 
 
@@ -348,6 +349,8 @@ class _RangeEmitter:
         self.constants: List[object] = []
         self.lines: List[str] = []
         self.temps = 0
+        #: id(Const node) -> its slot in ``constants``
+        self.slots: Dict[int, int] = {}
 
     def _temp(self) -> str:
         self.temps += 1
@@ -402,7 +405,7 @@ class _RangeEmitter:
         if kind is Var:
             return (*self.feed.bounds(e.name), False)
         if kind is Const:
-            k = len(self.constants)
+            k = self.slots[id(e)] = len(self.constants)
             self.constants.append(e.value)
             return f"_k{k}l", f"_k{k}s", f"_k{k}u", False
         if kind is And or kind is Or:
@@ -498,15 +501,19 @@ def _bounds_of(value: object) -> Tuple[object, object, object]:
     return value, value, value
 
 
+def _hoists(feed, n_consts: int) -> List[str]:
+    """Once-per-call statements: the referenced columns and the bound
+    triples of the constants as locals."""
+    return [f"{local} = {src}" for local, src in feed.hoisted.items()] + [
+        f"_k{k}l, _k{k}s, _k{k}u = _K[{k}]" for k in range(n_consts)
+    ]
+
+
 def _compile_range(condition: Expression, feed):
     emitter = _RangeEmitter(feed)
     lb, sg, ub, _truth = emitter.emit(condition)
     constants = tuple(_bounds_of(value) for value in emitter.constants)
-    n_consts = len(constants)
-    prologue = [f"{local} = {src}" for local, src in feed.hoisted.items()]
-    prologue += [
-        f"_k{k}l, _k{k}s, _k{k}u = _K[{k}]" for k in range(n_consts)
-    ]
+    prologue = _hoists(feed, len(constants))
     outputs = [f"_o{c}" for c in feed.cursors] + ["_olb", "_osg", "_oub"]
     prologue += [f"{out} = []" for out in outputs]
     body = [f"{local} = {src}" for local, src in feed.loads.items()]
@@ -572,3 +579,83 @@ def compile_range_pair_filter(
     annotations, filtered and scaled as in :func:`compile_range_filter`.
     """
     return _compile_range(condition, _PairFeed(left_schema, right_schema))
+
+
+def _point_form(e: Expression, emitter: _RangeEmitter) -> Optional[str]:
+    """``e`` as one plain expression over the SG values of its (already
+    emitted) leaves, or ``None`` when ``e`` is not pure arithmetic.
+
+    On a row whose leaves are all points — one object for the three
+    bounds — ``+ - * /`` and negation compute the same value for each
+    bound as :meth:`Expression.eval_range` does, in its operand order
+    and raising what it raises, a NaN result included: it reaches the
+    ``RangeValue`` the kernel builds and fails its validation there.
+    """
+    kind = type(e)
+    if kind is Var:
+        return emitter.feed.bounds(e.name)[1]
+    if kind is Const:
+        return f"_k{emitter.slots[id(e)]}s"
+    if kind in _ARITH:
+        left = _point_form(e.left, emitter)
+        right = _point_form(e.right, emitter)
+        if left is None or right is None:
+            return None
+        return f"({left} {_ARITH[kind]} {right})"
+    if kind is Neg:
+        operand = _point_form(e.operand, emitter)
+        return None if operand is None else f"(-{operand})"
+    return None
+
+
+def compile_range_values(
+    expr: Expression, schema: Sequence[str]
+) -> Callable[[Sequence, int], List[RangeValue]]:
+    """Compile ``expr`` into ``fn(columns, n) -> [RangeValue]``: its
+    :meth:`Expression.eval_range` over every row, as one loop — the
+    value-emitting sibling of :func:`compile_range_filter` (aggregate
+    inputs of the AU ``HashAggregate``).
+
+    A row whose referenced cells — and the expression's constants — are
+    all points evaluates the plain arithmetic once and shares the object
+    between the three bounds; any other row computes the three bounds
+    with the statements of the range emitter.  Raises
+    :class:`CompileError` for untranslatable expressions.
+    """
+    feed = _RowFeed(schema)
+    emitter = _RangeEmitter(feed)
+    lb, sg, ub, _truth = emitter.emit(expr)
+    point = _point_form(expr, emitter)
+    constants = tuple(_bounds_of(value) for value in emitter.constants)
+    prologue = _hoists(feed, len(constants))
+    body = [f"{local} = {src}" for local, src in feed.loads.items()]
+    if point is not None:
+        cells = "".join(
+            f" and {v}.lb is {v}.sg is {v}.ub" for v in feed.loads
+        )
+        body += [
+            f"if _points{cells}:",
+            f"    _p = {point}",
+            "    _append(_RV(_p, _p, _p))",
+            "    continue",
+        ]
+    body += emitter.lines
+    body.append(f"_append(_RV({lb}, {sg}, {ub}))")
+    source = "".join(
+        ["def _kernel(_cols, _n, _K, _points, _dk, _le, _RV, _zero_div):\n"]
+        + [f"    {line}\n" for line in prologue]
+        + ["    _out = []\n", "    _append = _out.append\n"]
+        + ["    for _i in range(_n):\n"]
+        + [f"        {line}\n" for line in body]
+        + ["    return _out\n"]
+    )
+    fn = _kernel(source, "au")
+    points = all(k[0] is k[1] is k[2] for k in constants)
+
+    def bound(columns: Sequence, n: int) -> List[RangeValue]:
+        return fn(
+            columns, n, constants, points,
+            domain_key, domain_le, RangeValue, _zero_div,
+        )
+
+    return bound

@@ -69,8 +69,8 @@ def compressed_join(
     residual = (
         None if _is_pure_equi_condition(condition, len(eq_pairs)) else condition
     )
-    left, l_merged = _merge_duplicates(left)
-    right, r_merged = _merge_duplicates(right)
+    left, l_merged = left.merge_duplicates()
+    right, r_merged = right.merge_duplicates()
     l_keys = [left.schema.index(a) for a, _ in eq_pairs]
     r_keys = [right.schema.index(b) for _, b in eq_pairs]
 
@@ -101,37 +101,6 @@ def compressed_join(
         )
     charge_materialization(len(sg_part) + len(poss_part))
     return sg_part.concat(poss_part)
-
-
-def _merge_duplicates(batch: AUColumnBatch) -> Tuple[AUColumnBatch, int]:
-    """The rows of ``batch.to_relation()``: value-equal rows merged with
-    summed annotations at their first occurrence, ``ub == 0`` rows gone.
-    Returns the batch itself when there is nothing to merge, and the
-    number of rows removed."""
-    first: Dict[Tuple, int] = {}
-    keep: List[int] = []
-    lb: List[int] = []
-    sg: List[int] = []
-    ub: List[int] = []
-    rows = zip(zip(*batch.columns), batch.ann_lb, batch.ann_sg, batch.ann_ub)
-    for i, (t, a_lb, a_sg, a_ub) in enumerate(rows):
-        if not a_ub:
-            continue
-        k = first.setdefault(t, len(keep))
-        if k == len(keep):
-            keep.append(i)
-            lb.append(a_lb)
-            sg.append(a_sg)
-            ub.append(a_ub)
-        else:
-            lb[k] += a_lb
-            sg[k] += a_sg
-            ub[k] += a_ub
-    removed = len(batch) - len(keep)
-    if not removed:
-        return batch, 0
-    columns = [[col[i] for i in keep] for col in batch.columns]
-    return AUColumnBatch(batch.schema, columns, lb, sg, ub), removed
 
 
 def _split_sg(batch: AUColumnBatch) -> AUColumnBatch:

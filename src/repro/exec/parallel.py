@@ -34,7 +34,7 @@ Execution of one Exchange:
    partial aggregation states combine exactly (``aggregate`` /
    ``au_aggregate`` — SUM/AVG through :mod:`repro.core.sums`, and the
    AU lb/sg/ub semiring partials via the SG-combine-aware folds of
-   :mod:`repro.core.aggregation` — so floats are bit-identical at
+   :mod:`repro.exec.au_aggregate` — so floats are bit-identical at
    every parallelism level), ``topk``/``limit``/``distinct`` regions
    re-apply their operator over the concatenation, and ``au_topk``
    applies the exact :func:`repro.core.operators.au_topk` once over
@@ -45,7 +45,7 @@ AU partial aggregation is sound only while every row's group-by
 attributes are certain; a worker that meets an uncertain group raises
 :class:`~repro.core.aggregation.UncertainGroupError` and the Exchange
 transparently re-runs its ``final`` operator — the original serial
-:class:`~repro.exec.physical.TupleFallback` — so results never change,
+:class:`~repro.exec.physical.HashAggregate` — so results never change,
 only the execution strategy.
 
 Small inputs skip partitioning entirely (:data:`PARALLEL_MIN_ROWS`):
@@ -600,7 +600,7 @@ def _merge_au(node: phys.Exchange, results: List[Any]) -> AUColumnBatch:
     """Recombine AU morsel results (annotations add at the merge).
 
     ``au_aggregate`` merges the per-worker SG-combine partial states in
-    partition order and finalizes — bit-identical to the serial tuple
+    partition order and finalizes — bit-identical to the serial
     operator (exact Shewchuk accumulators make SUM/AVG regrouping-
     invariant; MIN/MAX/AVG-envelope tie rules replay the serial fold
     because merging follows partition order).  ``au_topk`` concatenates
@@ -608,23 +608,21 @@ def _merge_au(node: phys.Exchange, results: List[Any]) -> AUColumnBatch:
     its prefix-sum bound construction needs the entire input.
     """
     from ..core import operators as ops
-    from ..core.aggregation import (
-        finalize_partial_groups,
-        merge_partial_groups,
-    )
+    from .au_aggregate import finalize_groups, merge_partial_groups
+    from .vectorized import _AUExec
 
     if node.merge == "concat":
         return _concat_au(results)
     final = node.final
-    lg = final.logical
     if node.merge == "au_aggregate":
         merged: Dict[Tuple, list] = {}
         for part in results:
-            merge_partial_groups(merged, part.groups, lg.aggregates)
-        rel = finalize_partial_groups(merged, lg.group_by, lg.aggregates)
-        if lg.having is not None:
-            rel = ops.selection(rel, lg.having)
-        return AUColumnBatch.from_relation(rel)
+            merge_partial_groups(merged, part.groups, final.aggregates)
+        batch = finalize_groups(merged, final.group_by, final.aggregates)
+        if final.having is not None:
+            batch = _AUExec(None)._selection(batch, final.having)
+        return batch
+    lg = final.logical
     if node.merge == "au_topk":
         rel = _concat_au(results).to_relation()
         return AUColumnBatch.from_relation(

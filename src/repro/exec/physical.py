@@ -20,14 +20,16 @@ makes those choices *once, at plan time*, in an explicit IR:
   and ``NLJoin`` the pure interval-overlap loop;
 * :class:`CompressedJoin` — the paper's ``Cpr`` join with its bucket
   budget resolved (absorbing the optimizer's adaptive placement);
-* :class:`HashAggregate` (with a ``partial`` mode for parallel plans),
+* :class:`HashAggregate` — aggregation on both engines (``partial``
+  mode for parallel det plans; for the AU engine the Section 9 operator
+  with its Section 10.5 ``buckets`` budget resolved),
   :class:`HashDistinct`, :class:`TopK`, :class:`Limit`, :class:`Concat`,
   :class:`Rename`;
 * :class:`TupleFallback` — an explicit plan-time boundary where the AU
   executors hand a subtree result to the exact tuple operators
-  (``Distinct``/``Difference``/``Aggregate``/top-k SG-combine, which no
-  columnar operator implements), and the deterministic backends execute
-  bag ``Difference``;
+  (``Distinct``/``Difference``/top-k SG-combine, which no columnar
+  operator implements), and the deterministic backends execute bag
+  ``Difference``;
 * :class:`Exchange` — the merge point of a partition-parallel region:
   morsel results are concatenated, or partial aggregates / top-k /
   limit / distinct states are combined.
@@ -93,6 +95,7 @@ __all__ = [
     "Limit",
     "Concat",
     "TupleFallback",
+    "FALLBACK_REASONS",
     "Exchange",
     "lower",
     "lower_delta",
@@ -319,11 +322,19 @@ class CompressedJoin(PhysNode):
 
 @dataclass(eq=False)
 class HashAggregate(PhysNode):
-    """Single-pass hash aggregation (deterministic engine).
+    """Single-pass hash aggregation, fused with its ``having`` filter.
 
-    ``partial=True`` (inside a parallel region) emits mergeable
-    accumulator state instead of finished rows; the :class:`Exchange`
-    above combines the states and applies ``having``.
+    Deterministic plans: ``partial=True`` (inside a parallel region)
+    emits mergeable accumulator state instead of finished rows; the
+    :class:`Exchange` above combines the states and applies ``having``.
+
+    AU plans: the bound-preserving ``γ`` of Section 9 — hash grouping on
+    the SG values, group boxes, and every overlapping row folded into
+    each group's bounds.  ``buckets`` is the Section 10.5 compression
+    budget for the foreign contributors (``None``: uncompressed); never
+    ``partial`` — the per-morsel form is :class:`AUPartialAggregate`.
+    The tuple backend runs :func:`repro.core.aggregation.aggregate`, the
+    vectorized backend :func:`repro.exec.au_aggregate.aggregate_batch`.
     """
 
     child: PhysNode = field(metadata=CHILD)
@@ -331,6 +342,7 @@ class HashAggregate(PhysNode):
     aggregates: Tuple[AggregateSpec, ...] = field(metadata=EXPRS)
     having: Optional[Expression] = field(metadata=EXPRS)
     partial: bool = False
+    buckets: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.group_by = tuple(self.group_by)
@@ -344,12 +356,12 @@ class AUPartialAggregate(PhysNode):
     Appears only as the child of an ``Exchange(merge="au_aggregate")``:
     each worker folds its morsel into per-group ``K^AU`` annotation sums
     and SG-combine-aware aggregate partials
-    (:func:`repro.core.aggregation.fold_partial_groups`); the Exchange
-    merges the states in partition order and finalizes — bit-identical
-    to the serial tuple operator.  Sound only while every row's group-by
-    attributes are certain; a worker meeting an uncertain group raises
-    and the Exchange re-runs its ``final`` (the original serial
-    :class:`TupleFallback`) instead.
+    (:func:`repro.exec.au_aggregate.fold_partial_groups`, the serial
+    operator's member fold); the Exchange merges the states in partition
+    order and finalizes — bit-identical to the serial operator.  Sound
+    only while every row's group-by attributes are certain; a worker
+    meeting an uncertain group raises and the Exchange re-runs its
+    ``final`` (the original serial :class:`HashAggregate`) instead.
     """
 
     child: PhysNode = field(metadata=CHILD)
@@ -397,18 +409,33 @@ class TupleFallback(PhysNode):
     materialized inputs.
 
     The plan-time form of what the PR 3 vectorized AU executor decided
-    per node at runtime: ``kind`` ∈ ``difference`` / ``distinct`` /
-    ``aggregate`` / ``topk``.  ``buckets`` carries the AU aggregation
-    compression budget where applicable.
+    per node at runtime: ``kind`` is a key of :data:`FALLBACK_REASONS`.
     """
 
     kind: str
     logical: Plan = field(metadata=EXPRS)
     inputs: Tuple[PhysNode, ...] = field(metadata=CHILD)
-    buckets: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.inputs = tuple(self.inputs)
+
+
+#: :class:`TupleFallback` kind -> why no columnar operator runs it (the
+#: ``reason`` attribute of its operator span)
+FALLBACK_REASONS = {
+    "difference": (
+        "a row's result multiplicity depends on every right row it "
+        "equals (AU: may equal), so both inputs are materialized"
+    ),
+    "distinct": (
+        "the SG-combiner merges all tuples sharing SG values into one "
+        "bounding tuple, so the input is materialized"
+    ),
+    "topk": (
+        "position bounds are prefix sums over the whole sorted input, "
+        "so the input is materialized"
+    ),
+}
 
 
 @dataclass(eq=False)
@@ -546,19 +573,14 @@ class _Lowerer:
                 return self._tag(TupleFallback("distinct", node, (child,)), node)
             return self._tag(HashDistinct(child), node)
         if isinstance(node, Aggregate):
-            child = self.lower(node.child)
-            if self.au:
-                return self._tag(
-                    TupleFallback(
-                        "aggregate",
-                        node,
-                        (child,),
-                        buckets=self.config.aggregation_buckets,
-                    ),
-                    node,
-                )
             return self._tag(
-                HashAggregate(child, node.group_by, node.aggregates, node.having),
+                HashAggregate(
+                    self.lower(node.child),
+                    node.group_by,
+                    node.aggregates,
+                    node.having,
+                    buckets=self.config.aggregation_buckets if self.au else None,
+                ),
                 node,
             )
         if isinstance(node, OrderBy):
@@ -672,12 +694,12 @@ def _parallelize(root: PhysNode, partitions: int, au: bool = False) -> PhysNode:
     With ``au`` the same region calculus applies to ``K^AU`` plans —
     annotations multiply along linear operators and add at the merge, so
     bag-union partitioning stays exact.  The merge kinds differ: an
-    aggregate fallback becomes an :class:`AUPartialAggregate` region
+    uncompressed aggregate becomes an :class:`AUPartialAggregate` region
     merged with SG-combine-aware folds (``au_aggregate``), a top-k
     fallback concatenates morsels and applies the exact
     :func:`repro.core.operators.au_topk` once at the merge
     (``au_topk`` — its prefix-sum bounds need the *full* input, so no
-    sound local pruning exists), and the remaining non-linear fallbacks
+    sound local pruning exists), and the remaining non-linear operators
     (difference / distinct / compressed aggregation) always stay serial
     — only their linear input subtrees get concat regions.
     """
@@ -700,18 +722,13 @@ def _try_region(
         )
 
     if au:
-        if (
-            isinstance(node, TupleFallback)
-            and node.kind == "aggregate"
-            and node.buckets is None
-        ):
-            split = _partition_subtree(node.inputs[0], partitions)
+        if isinstance(node, HashAggregate) and node.buckets is None:
+            split = _partition_subtree(node.child, partitions)
             if split is None:
                 return None
             region, chosen = split
-            lg = node.logical
             partial = AUPartialAggregate(
-                region, lg.group_by, lg.aggregates, est=node.est
+                region, node.group_by, node.aggregates, est=node.est
             )
             return exchange(partial, "au_aggregate", node, chosen)
         if isinstance(node, TupleFallback) and node.kind == "topk":
@@ -881,6 +898,8 @@ def _describe(node: PhysNode) -> str:
             f"{a.kind}({a.expr!r})→{a.name}" for a in node.aggregates
         )
         mode = " (partial)" if node.partial else ""
+        if node.buckets is not None:
+            mode += f" Cpr={node.buckets}"
         return f"HashAggregate γ[{','.join(node.group_by)}; {aggs}]{mode}"
     if isinstance(node, AUPartialAggregate):
         aggs = ", ".join(
@@ -900,8 +919,7 @@ def _describe(node: PhysNode) -> str:
     if isinstance(node, Concat):
         return "Concat ∪"
     if isinstance(node, TupleFallback):
-        extra = f", CT={node.buckets}" if node.buckets is not None else ""
-        return f"TupleFallback[{node.kind}] (exact tuple operator{extra})"
+        return f"TupleFallback[{node.kind}] (exact tuple operator)"
     if isinstance(node, Exchange):
         return f"Exchange merge={node.merge} [{node.partitions} partitions]"
     return type(node).__name__
@@ -933,9 +951,13 @@ def explain_physical(
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
     chunks via zone maps show ``skipped S/T chunks``, partition-hash
     joins show their bucket count, vectorized operators that filter
-    show ``kernel=compiled`` or ``kernel=interpreted (reason)``, and a
+    show ``kernel=compiled`` or ``kernel=interpreted (reason)``, a
     vectorized ``CompressedJoin`` its SG pairs, boxes per side, box
-    pairs emitted / probed and input rows merged as duplicates.
+    pairs emitted / probed and input rows merged as duplicates, a
+    vectorized AU ``HashAggregate`` its groups, duplicates, rows with an
+    uncertain group key, foreign states folded / merged and
+    ``inputs=compiled`` or ``inputs=interpreted (reason)``, and a
+    ``TupleFallback`` why no columnar operator runs it.
     """
     if times is not None:
         from ..telemetry import estimation_error
@@ -966,11 +988,21 @@ def explain_physical(
                 buckets = a.get("hash_partitions")
                 if buckets:
                     line += f", {buckets} hash partitions"
-                kernel = a.get("kernel")
-                if kernel:
-                    line += f", kernel={kernel}"
-                    if "kernel_reason" in a:
-                        line += f" ({a['kernel_reason']})"
+                if "state_merges" in a:
+                    line += (
+                        f", groups={a['groups']}"
+                        f", dedup_rows={a['dedup_rows']}"
+                        f", uncertain_key_rows={a['uncertain_key_rows']}"
+                        f", foreign_states={a['foreign_states']}"
+                        f", state_merges={a['state_merges']}"
+                    )
+                for how in ("kernel", "inputs"):
+                    if how in a:
+                        line += f", {how}={a[how]}"
+                        if "kernel_reason" in a:
+                            line += f" ({a['kernel_reason']})"
+                if "reason" in a:
+                    line += f", reason={a['reason']}"
                 if "sg_pairs" in a:
                     line += (
                         f", sg_pairs={a['sg_pairs']}"

@@ -30,9 +30,12 @@ Operator implementations:
   across backends, plan shapes, and parallelism (``partial`` mode emits
   the mergeable states for the morsel-parallel
   :class:`~repro.exec.physical.Exchange`);
-* **top-k / limit / difference** materialize and reuse the engines'
-  exact operators — now as explicit plan nodes rather than hidden
-  delegation.
+* **AU aggregation** is the columnar Section 9 / 10.5 operator of
+  :mod:`repro.exec.au_aggregate` over the registry's AU states — serial,
+  or as its member fold per morsel under an ``au_aggregate`` Exchange;
+* **top-k / limit / difference** (and the AU ``distinct``) materialize
+  and reuse the engines' exact operators — now as explicit plan nodes
+  rather than hidden delegation.
 
 Results are *identical* to the tuple interpreters — the differential
 fuzzer cross-checks both backends, both engines, legacy-vs-physical
@@ -48,12 +51,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from .. import telemetry as _tm
 from ..core import operators as ops
 from ..db import chunks as _chunks
-from ..core.aggregation import AGGREGATES, fold_partial_groups
-from ..core.aggregation import aggregate as au_aggregate
+from ..core.aggregation import AGGREGATES
 from ..core.expressions import Expression, RowView, Var
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
+from .au_aggregate import aggregate_batch, fold_partial_groups
 from .batch import AUColumnBatch, BatchRowView, ColumnBatch
 from .compile import (
     CompileError,
@@ -128,11 +131,11 @@ class AUPartialGroups:
     """Mergeable per-morsel AU aggregation state (parallel plans only).
 
     ``groups`` maps SG group-key tuples to
-    ``[rep, ann_sums, agg_partials]`` states in the layout of
-    :func:`repro.core.aggregation.fold_partial_groups`;
+    ``[box, ann_sums, agg_states]`` in the layout of
+    :data:`repro.exec.au_aggregate.Groups`;
     :mod:`repro.exec.parallel` merges them in partition order with
-    :func:`~repro.core.aggregation.merge_partial_groups` and finalizes
-    through :func:`~repro.core.aggregation.finalize_partial_groups`.
+    :func:`~repro.exec.au_aggregate.merge_partial_groups` and finalizes
+    through :func:`~repro.exec.au_aggregate.finalize_groups`.
     """
 
     __slots__ = ("groups",)
@@ -254,7 +257,7 @@ class _DetExec:
             )
         if isinstance(p, phys.TupleFallback):
             if _tm._ACTIVE is not None:
-                _tm.annotate(fallback=p.kind)
+                _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
             if p.kind == "difference":
                 from ..db.engine import _difference
 
@@ -756,8 +759,9 @@ def execute_audb(
     plan.  ``TupleFallback`` nodes are the only place a batch becomes a
     relation: they materialize their inputs and call the exact
     :mod:`repro.core` implementations — the boundary was chosen by the
-    planner, not here; a ``CompressedJoin`` runs batch to batch
-    (:mod:`repro.exec.compressed_join`).  ``pool`` is an
+    planner, not here; a ``CompressedJoin`` and a ``HashAggregate`` run
+    batch to batch (:mod:`repro.exec.compressed_join`,
+    :mod:`repro.exec.au_aggregate`).  ``pool`` is an
     optional persistent :class:`repro.exec.parallel.WorkerPool` for
     Exchange regions.
     """
@@ -884,59 +888,39 @@ class _AUExec:
                 batch.ann_sg,
                 batch.ann_ub,
             )
+        if isinstance(p, phys.HashAggregate):
+            result = aggregate_batch(
+                self.eval(p.child), p.group_by, p.aggregates, p.buckets
+            )
+            if p.having is not None:
+                result = self._selection(result, p.having)
+            return result
         if isinstance(p, phys.TupleFallback):
             return self._fallback(p)
         if isinstance(p, phys.AUPartialAggregate):
-            return self._partial_aggregate(p)
+            # raises UncertainGroupError on an uncertain group-by value:
+            # the Exchange then re-runs its serial final operator
+            return AUPartialGroups(
+                fold_partial_groups(self.eval(p.child), p.group_by, p.aggregates)
+            )
         if isinstance(p, phys.Exchange):
             from .parallel import execute_exchange
 
             return execute_exchange(self, p)
         raise TypeError(f"unsupported physical node {type(p).__name__}")
 
-    def _partial_aggregate(self, p: phys.AUPartialAggregate) -> AUPartialGroups:
-        """Fold this worker's morsel into mergeable per-group AU state.
-
-        Raises :class:`~repro.core.aggregation.UncertainGroupError` when
-        a row's group-by attributes are uncertain — the Exchange then
-        falls back to the serial tuple operator over the whole input.
-        """
-        batch = self.eval(p.child)
-        if batch.columns:
-            tuples = zip(*batch.columns)
-        else:
-            tuples = iter(((),) * len(batch))
-        groups: Dict[Tuple, List[Any]] = {}
-        fold_partial_groups(
-            groups,
-            batch.schema,
-            zip(tuples, batch.annotations()),
-            p.group_by,
-            p.aggregates,
-        )
-        return AUPartialGroups(groups)
-
     def _fallback(self, p: phys.TupleFallback) -> AUColumnBatch:
         """SG-combining semantics: the planner routed this node to the
         exact tuple operators over materialized inputs."""
         node = p.logical
         if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind)
+            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
         if p.kind == "difference":
             result = ops.difference(
                 self._materialize(p.inputs[0]), self._materialize(p.inputs[1])
             )
         elif p.kind == "distinct":
             result = ops.distinct(self._materialize(p.inputs[0]))
-        elif p.kind == "aggregate":
-            result = au_aggregate(
-                self._materialize(p.inputs[0]),
-                list(node.group_by),
-                list(node.aggregates),
-                compress_buckets=p.buckets,
-            )
-            if node.having is not None:
-                result = ops.selection(result, node.having)
         elif p.kind == "topk":
             result = ops.au_topk(
                 self._materialize(p.inputs[0]),

@@ -27,15 +27,18 @@ from repro.core.aggregation import (
     _AggregateFunction,
     _Algebra,
     aggregate,
-    finalize_partial_groups,
-    fold_partial_groups,
-    merge_partial_groups,
 )
 from repro.core.expressions import Var
 from repro.core.ranges import RangeValue, certain
 from repro.core.relation import AURelation
 from repro.db.engine import _empty_value, _fold, evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
+from repro.exec.au_aggregate import (
+    finalize_groups,
+    fold_partial_groups,
+    merge_partial_groups,
+)
+from repro.exec.batch import AUColumnBatch
 from repro.exec.vectorized import (
     DeltaFoldError,
     finalize_delta_groups,
@@ -216,7 +219,7 @@ def test_empty_is_the_engines_empty_input_row(kind):
     ) == _bits([((fn.det.empty,), 1)])
     for out in (
         aggregate(AURelation(["v"]), [], [spec]),
-        finalize_partial_groups({}, [], [spec]),
+        finalize_groups({}, [], [spec]).to_relation(),
     ):
         assert _bits(list(out.tuples())) == _bits([((fn.au.empty,), (1, 1, 1))])
 
@@ -352,12 +355,12 @@ def test_au_merge_of_an_in_order_partition_is_the_operator(kind, rows, cuts):
     stored = list(rel.tuples())
     merged: dict = {}
     for part in _partition(stored, cuts):
-        partial: dict = {}
-        fold_partial_groups(partial, rel.schema, part, ["g"], specs)
+        partial = fold_partial_groups(
+            AUColumnBatch.from_rows(rel.schema, part), ["g"], specs
+        )
         merge_partial_groups(merged, partial, specs)
-    assert _bits(list(finalize_partial_groups(merged, ["g"], specs).tuples())) == (
-        _bits(list(serial.tuples()))
-    )
+    merged_rel = finalize_groups(merged, ["g"], specs).to_relation()
+    assert _bits(list(merged_rel.tuples())) == _bits(list(serial.tuples()))
     # the same through the registry alone, one group at a time
     for g in {t[0].sg for t, _ann in stored}:
         group = [(t[1], ann) for t, ann in stored if t[0].sg == g]

@@ -352,11 +352,12 @@ class TestSumOverInfiniteBounds:
     def test_partial_group_fold_matches_the_serial_fold(self):
         # certain group-by, so the morsel-parallel partial path applies:
         # a possibly-absent row with an infinite value bound
-        from repro.core.aggregation import (
-            finalize_partial_groups,
+        from repro.exec.au_aggregate import (
+            finalize_groups,
             fold_partial_groups,
             merge_partial_groups,
         )
+        from repro.exec.batch import AUColumnBatch
 
         r = rel(
             ["g", "v"],
@@ -373,8 +374,9 @@ class TestSumOverInfiniteBounds:
         rows = list(r.tuples())
         merged = {}
         for part in (rows[:1], rows[1:]):
-            partial = {}
-            fold_partial_groups(partial, r.schema, part, ["g"], specs)
+            partial = fold_partial_groups(
+                AUColumnBatch.from_rows(r.schema, part), ["g"], specs
+            )
             merge_partial_groups(merged, partial, specs)
-        merged_rel = finalize_partial_groups(merged, ["g"], specs)
+        merged_rel = finalize_groups(merged, ["g"], specs).to_relation()
         assert repr(list(merged_rel.tuples())) == repr(list(serial.tuples()))

@@ -93,8 +93,16 @@ class TestLoweringChoices:
         agg = lower(
             Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]), stats, cfg
         )
-        assert isinstance(agg, phys.TupleFallback)
-        assert agg.kind == "aggregate" and agg.buckets == 16
+        # the aggregate is a first-class AU operator carrying its
+        # Section 10.5 budget; the SG-combining fragment falls back
+        assert isinstance(agg, phys.HashAggregate)
+        assert agg.buckets == 16 and not agg.partial
+        det_agg = lower(
+            Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]),
+            stats,
+            PhysicalConfig(engine="det", aggregation_buckets=16),
+        )
+        assert isinstance(det_agg, phys.HashAggregate) and det_agg.buckets is None
         dis = lower(Distinct(TableRef("r")), stats, cfg)
         assert isinstance(dis, phys.TupleFallback) and dis.kind == "distinct"
         diff = lower(Difference(TableRef("r"), TableRef("r")), stats, cfg)
@@ -258,7 +266,7 @@ class TestGoldenExplains:
             )
         )
         assert rendered == (
-            "TupleFallback[aggregate] (exact tuple operator, CT=16)  (~30 rows)\n"
+            "HashAggregate γ[d; sum(b)→t] Cpr=16  (~30 rows)\n"
             "  FusedSelectProject π[b, d]  (~30 rows)\n"
             "    CompressedJoin ⋈[a=c] Cpr[CT=8]  (~30 rows)\n"
             "      Scan r  (~30 rows)\n"
@@ -267,8 +275,9 @@ class TestGoldenExplains:
 
     @pytest.mark.parametrize("backend", ["tuple", "vectorized"])
     def test_au_compressed_explain_analyze_golden(self, backend):
-        # the vectorized CompressedJoin reports what its columnar
-        # operator did; the tuple backend runs core.optimized_join
+        # the vectorized CompressedJoin and HashAggregate report what
+        # their columnar operators did; the tuple backend runs
+        # core.optimized_join / core.aggregation.aggregate
         import re
 
         from repro.session import Connection
@@ -288,10 +297,16 @@ class TestGoldenExplains:
             if backend == "vectorized"
             else ""
         )
+        folded = (
+            ", groups=30, dedup_rows=0, uncertain_key_rows=8"
+            ", foreign_states=8, state_merges=177, inputs=compiled"
+            if backend == "vectorized"
+            else ""
+        )
         assert normalized == (
             f"EXPLAIN ANALYZE (au, backend={backend}): 30 rows in Tms\n"
-            "TupleFallback[aggregate] (exact tuple operator, CT=16)"
-            "  (~30 rows, actual 30, err 1.00x, Tms)\n"
+            "HashAggregate γ[d; sum(b)→t] Cpr=16"
+            f"  (~30 rows, actual 30, err 1.00x, Tms{folded})\n"
             "  FusedSelectProject π[b, d]"
             "  (~30 rows, actual 38, err 1.26x, Tms)\n"
             "    CompressedJoin ⋈[a=c] Cpr[CT=8]"

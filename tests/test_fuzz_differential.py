@@ -57,9 +57,13 @@ backend, and the paper's semantics promise:
    backends run different code (the tuple backend
    :func:`repro.core.compression.optimized_join`, the vectorized one the
    columnar :func:`repro.exec.compressed_join.compressed_join`) and must
-   still return the same relation — or raise the same exception type —
-   for ``join_buckets`` ∈ {1, 2, 64} × ``aggregation_buckets`` ∈
-   {None, 2} × fixed and adaptive budgets.
+   still return the same relation **in the same row order** — or raise
+   the same exception type — for ``join_buckets`` ∈ {1, 2, 64} ×
+   ``aggregation_buckets`` ∈ {None, 1, 2, 64} × fixed and adaptive
+   budgets × vectorized ``parallelism`` ∈ {1, 4}: the columnar AU
+   aggregate (:func:`repro.exec.au_aggregate.aggregate_batch`) and its
+   per-morsel partial fold are held to
+   :func:`repro.core.aggregation.aggregate` the same way.
 7. **Telemetry transparency** — on a slice of the seeds (every third
    case) the plan is re-executed on ``trace=True`` connections: tracing
    must be invisible (bit-identical results on both engines and both
@@ -555,33 +559,45 @@ def _check_telemetry_lane(plan, det, audb, context) -> None:
 
 
 def _check_compression_lane(plan: Plan, audb: AUDatabase, context: str) -> None:
-    """Compression lane: vectorized ≡ tuple *as relations* under every
-    ``Cpr`` budget shape.  ``Cpr`` is order-sensitive, so a nested
+    """The vectorized backend — serial and, with the partition threshold
+    pinned to 0, over 4 morsels — against the tuple backend under every
+    compression budget: the same schema and the same rows **in the same
+    order** (or the same exception type).  A ``Cpr`` or a top-k over a
     compressed join or aggregate only agrees when each operator hands on
     its rows in the reference's order."""
-    for join_buckets in (1, 2, 64):
-        for aggregation_buckets in (None, 2):
-            for adaptive in (False, True):
-                outcomes = []
-                for backend in ("tuple", "vectorized"):
-                    config = EvalConfig(
-                        backend=backend,
-                        join_buckets=join_buckets,
-                        aggregation_buckets=aggregation_buckets,
-                        adaptive_compression=adaptive,
+    old_threshold = exec_parallel.PARALLEL_MIN_ROWS
+    exec_parallel.PARALLEL_MIN_ROWS = 0
+    try:
+        for join_buckets in (1, 2, 64):
+            for aggregation_buckets in (None, 1, 2, 64):
+                for adaptive in (False, True):
+                    outcomes = []
+                    for backend, parallelism in (
+                        ("tuple", 1),
+                        ("vectorized", 1),
+                        ("vectorized", 4),
+                    ):
+                        config = EvalConfig(
+                            backend=backend,
+                            parallelism=parallelism,
+                            join_buckets=join_buckets,
+                            aggregation_buckets=aggregation_buckets,
+                            adaptive_compression=adaptive,
+                        )
+                        try:
+                            result = evaluate_audb(plan, audb, config)
+                        except analysis.PlanVerificationError:
+                            raise
+                        except Exception as exc:  # noqa: BLE001 - parity of any failure
+                            outcomes.append(type(exc))
+                        else:
+                            outcomes.append((result.schema, list(result.tuples())))
+                    assert outcomes[0] == outcomes[1] == outcomes[2], (
+                        f"compressed backends differ [CT={join_buckets} "
+                        f"agg={aggregation_buckets} adaptive={adaptive}] {context}"
                     )
-                    try:
-                        result = evaluate_audb(plan, audb, config)
-                    except analysis.PlanVerificationError:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 - parity of any failure
-                        outcomes.append(type(exc))
-                    else:
-                        outcomes.append((result.schema, dict(result.tuples())))
-                assert outcomes[0] == outcomes[1], (
-                    f"compressed backends differ [CT={join_buckets} "
-                    f"agg={aggregation_buckets} adaptive={adaptive}] {context}"
-                )
+    finally:
+        exec_parallel.PARALLEL_MIN_ROWS = old_threshold
 
 
 def _float_database(det: DetDatabase) -> DetDatabase:

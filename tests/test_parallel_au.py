@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
-from repro.algebra.ast import Aggregate, Limit, OrderBy, TableRef
+from repro.algebra.ast import Aggregate, Distinct, Limit, OrderBy, TableRef
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
 from repro.algebra.optimizer import optimize
 from repro.analysis import PlanCompatibilityError, verify_physical
@@ -34,15 +34,18 @@ from repro.core.aggregation import (
     agg_max,
     agg_min,
     agg_sum,
-    finalize_partial_groups,
-    fold_partial_groups,
-    merge_partial_groups,
 )
 from repro.core.expressions import Const, Gt, Var
 from repro.core.ranges import between, certain
 from repro.core.relation import AUDatabase, AURelation
 from repro.core.tuples import make_tuple
 from repro.exec import parallel as exec_parallel
+from repro.exec.au_aggregate import (
+    finalize_groups,
+    fold_partial_groups,
+    merge_partial_groups,
+)
+from repro.exec.batch import AUColumnBatch
 from repro.exec import physical as phys
 from repro.session import Connection
 
@@ -99,10 +102,11 @@ class TestPartialMergeAlgebra:
     @given(data=st.data(), rows=_au_rows())
     def test_merge_order_and_grouping_invariant(self, data, rows):
         # serial reference: one fold over the rows as generated
-        serial = {}
-        fold_partial_groups(serial, SCHEMA, rows, ["g"], SPECS)
+        serial = fold_partial_groups(
+            AUColumnBatch.from_rows(SCHEMA, rows), ["g"], SPECS
+        )
         reference = _fingerprint(
-            finalize_partial_groups(serial, ["g"], SPECS)
+            finalize_groups(serial, ["g"], SPECS).to_relation()
         )
 
         # adversarial schedule: permute the rows, deal them into k
@@ -114,18 +118,21 @@ class TestPartialMergeAlgebra:
             parts[data.draw(st.integers(0, k - 1))].append(row)
         merged = {}
         for part in parts:
-            partial = {}
-            fold_partial_groups(partial, SCHEMA, part, ["g"], SPECS)
+            partial = fold_partial_groups(
+                AUColumnBatch.from_rows(SCHEMA, part), ["g"], SPECS
+            )
             merge_partial_groups(merged, partial, SPECS)
         assert (
-            _fingerprint(finalize_partial_groups(merged, ["g"], SPECS))
+            _fingerprint(finalize_groups(merged, ["g"], SPECS).to_relation())
             == reference
         )
 
     def test_uncertain_group_attribute_raises(self):
         rows = [(make_tuple([between(1, 1, 2), certain(1.0)]), (1, 1, 1))]
         with pytest.raises(UncertainGroupError):
-            fold_partial_groups({}, SCHEMA, rows, ["g"], (agg_sum("v", "s"),))
+            fold_partial_groups(
+                AUColumnBatch.from_rows(SCHEMA, rows), ["g"], (agg_sum("v", "s"),)
+            )
 
 
 # ======================================================================
@@ -163,19 +170,26 @@ class TestAUExchangeLegality:
         ):
             verify_physical(bad, au_stats, _cfg("det"))
 
-    def test_fallback_on_partitioned_spine_rejected(self, au_stats):
-        fallback = phys.TupleFallback(
-            "aggregate",
-            Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]),
-            [phys.ParallelScan("r", 2)],
-        )
-        bad = phys.Exchange(
-            phys.FusedSelectProject(fallback, Gt(Var("a"), Const(0)), None),
-            "concat",
-            2,
-        )
-        with pytest.raises(PlanCompatibilityError, match="partitioned spine"):
-            verify_physical(bad, au_stats, _cfg("au"))
+    def test_nonlinear_operator_on_partitioned_spine_rejected(self, au_stats):
+        # fed by the region's morsels, a fallback or a serial aggregate
+        # would see partial inputs
+        for serial in (
+            phys.TupleFallback(
+                "distinct", Distinct(TableRef("r")), [phys.ParallelScan("r", 2)]
+            ),
+            phys.HashAggregate(
+                phys.ParallelScan("r", 2), ("a",), (agg_sum("b", "t"),), None
+            ),
+        ):
+            bad = phys.Exchange(
+                phys.FusedSelectProject(serial, Gt(Var("a"), Const(0)), None),
+                "concat",
+                2,
+            )
+            with pytest.raises(
+                PlanCompatibilityError, match="partitioned spine"
+            ):
+                verify_physical(bad, au_stats, _cfg("au"))
 
     def test_au_partial_aggregate_without_exchange_rejected(self, au_stats):
         node = phys.AUPartialAggregate(

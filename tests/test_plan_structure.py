@@ -121,6 +121,16 @@ def test_enumeration_sees_both_irs_and_the_expressions():
     }
 
 
+def test_the_aggregation_budget_is_a_field_of_hash_aggregate():
+    # it travels with copy-with, binding and pickling like any scalar
+    # field; TupleFallback, which carried it for AU plans, has none
+    names = lambda cls: {f.name for f in dataclasses.fields(cls)}  # noqa: E731
+    assert "buckets" in names(phys.HashAggregate)
+    assert "buckets" not in names(phys.TupleFallback)
+    node, _keys = _sample(phys.HashAggregate)
+    assert node.map_children(lambda c: phys.Scan("u")).buckets == node.buckets
+
+
 @pytest.mark.parametrize(
     "cls",
     NODE_CLASSES,

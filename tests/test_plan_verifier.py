@@ -431,13 +431,70 @@ class TestPhysicalDiagnostics:
         with pytest.raises(PlanCompatibilityError, match="deterministic"):
             verify_physical(join, stats, self._cfg(engine="det"))
 
-    def test_au_plan_must_close_nonlinear_fragment(self, stats):
-        # a HashAggregate in an AU plan means a fallback boundary is open
-        agg = phys.HashAggregate(
-            phys.Scan("r"), ("a",), (agg_sum("b", "t"),), None
-        )
+    def test_au_plan_must_close_sg_combining_fragment(self, stats):
+        # a HashDistinct in an AU plan means a fallback boundary is open
         with pytest.raises(PlanCompatibilityError, match="TupleFallback"):
-            verify_physical(agg, stats, self._cfg(engine="au"))
+            verify_physical(
+                phys.HashDistinct(phys.Scan("r")), stats, self._cfg(engine="au")
+            )
+
+    def _agg(self, **kw):
+        return phys.HashAggregate(
+            phys.Scan("r"), ("a",), (agg_sum("b", "t"),), None, **kw
+        )
+
+    def test_au_hash_aggregate_carries_a_resolved_budget(self, stats):
+        au, det = self._cfg(engine="au"), self._cfg(engine="det")
+        for buckets in (None, 1, 64):
+            verify_physical(self._agg(buckets=buckets), stats, au)
+        for buckets in (0, -3, 2.5, "64"):
+            with pytest.raises(PlanCompatibilityError, match="unresolved Cpr"):
+                verify_physical(self._agg(buckets=buckets), stats, au)
+        with pytest.raises(PlanCompatibilityError, match="AUPartialAggregate"):
+            verify_physical(self._agg(partial=True), stats, au)
+        verify_physical(self._agg(), stats, det)
+        with pytest.raises(PlanCompatibilityError, match="deterministic plan"):
+            verify_physical(self._agg(buckets=64), stats, det)
+
+    def test_au_aggregate_exchange_finalizes_the_serial_hash_aggregate(self, stats):
+        cfg = self._cfg(engine="au", parallelism=2)
+        partial = phys.AUPartialAggregate(
+            phys.ParallelScan("r", 2), ("a",), (agg_sum("b", "t"),)
+        )
+        verify_physical(
+            phys.Exchange(partial, "au_aggregate", 2, final=self._agg()), stats, cfg
+        )
+        fallback = phys.TupleFallback(
+            "topk", TopK(TableRef("r"), ["a"], False, 1), (phys.Scan("r"),)
+        )
+        for final in (fallback, None):
+            with pytest.raises(
+                PlanCompatibilityError, match="serial HashAggregate"
+            ):
+                verify_physical(
+                    phys.Exchange(partial, "au_aggregate", 2, final=final),
+                    stats,
+                    cfg,
+                )
+        with pytest.raises(PlanCompatibilityError, match="unresolved Cpr"):
+            verify_physical(
+                phys.Exchange(
+                    partial, "au_aggregate", 2, final=self._agg(buckets=0)
+                ),
+                stats,
+                cfg,
+            )
+
+    def test_tuple_fallback_aggregate_is_an_unknown_kind(self, stats):
+        retired = phys.TupleFallback(
+            "aggregate",
+            Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]),
+            (phys.Scan("r"),),
+        )
+        with pytest.raises(
+            PlanCompatibilityError, match="unknown TupleFallback kind 'aggregate'"
+        ):
+            verify_physical(retired, stats, self._cfg(engine="au"))
 
     def test_tuple_fallback_arity_and_logical_class(self, stats):
         bad_arity = phys.TupleFallback(

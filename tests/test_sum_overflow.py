@@ -22,15 +22,19 @@ from repro.core.aggregation import (
     agg_avg,
     agg_sum,
     aggregate,
-    finalize_partial_groups,
-    fold_partial_groups,
-    merge_partial_groups,
 )
 from repro.core.bounding import bounds_world
+from repro.core import sums
 from repro.core.relation import AUDatabase, AURelation
 from repro.core.sums import add_product, exact_sum, finish, merge_acc, new_acc
 from repro.db.storage import DetDatabase, DetRelation
 from repro.exec import parallel as exec_parallel
+from repro.exec.au_aggregate import (
+    finalize_groups,
+    fold_partial_groups,
+    merge_partial_groups,
+)
+from repro.exec.batch import AUColumnBatch
 from repro.session import Connection
 
 _HUGE = st.floats(min_value=1e300, max_value=1.7e308)
@@ -106,6 +110,116 @@ def test_sum_is_a_function_of_the_weighted_multiset(data, addends):
 
 
 # ----------------------------------------------------------------------
+# the lazy representation: term lists, compacted past a fixed length
+# ----------------------------------------------------------------------
+_LIMIT = sums._COMPACT_AT
+_TERMS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([1e16, -1e16, 1.0, 0.1, 2.0**-1074, 0.0, -0.0]),
+)
+#: stream lengths on both sides of one and of several compactions
+_LENGTHS = st.sampled_from(
+    [1, _LIMIT - 1, _LIMIT, _LIMIT + 1, _LIMIT + 2, 2 * _LIMIT + 1, 3 * _LIMIT]
+)
+
+
+def _float_truth(values):
+    total = sum(map(Fraction, values))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _fold(values, cuts=()):
+    """``values`` folded into one accumulator per part, merged in order."""
+    bounds = [0, *sorted(cuts), len(values)]
+    acc = new_acc()
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = new_acc()
+        for v in values[lo:hi]:
+            add_product(part, v, 1)
+        merge_acc(acc, part)
+    return acc
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data(), n=_LENGTHS, huge=st.booleans())
+def test_finish_is_the_rational_sum_across_the_compaction_boundary(data, n, huge):
+    values = data.draw(st.lists(_TERMS, min_size=n, max_size=n))
+    if huge:  # ... and a transient overflow inside the stream
+        values[:0] = [1.7e308, 1.7e308, -1.7e308]
+    expected = _float_truth(values)
+    one = _fold(values)
+    assert len(one[1]) <= _LIMIT  # compacted whenever it passed the limit
+    assert repr(finish(one)) == repr(expected)
+    assert repr(finish(one)) == repr(expected)  # finish only reads
+    shuffled = data.draw(st.permutations(values))
+    assert repr(finish(_fold(shuffled))) == repr(expected)
+    cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=4))
+    assert repr(finish(_fold(shuffled, cuts))) == repr(expected)
+
+
+@pytest.mark.parametrize("length", [_LIMIT - 1, _LIMIT, _LIMIT + 1])
+def test_compaction_happens_past_the_limit_and_keeps_the_sum(length):
+    values = [0.1 * (i + 1) for i in range(length)]
+    acc = _fold(values)
+    assert (len(acc[1]) == length) == (length <= _LIMIT)
+    assert sum(map(Fraction, acc[1])) == sum(map(Fraction, values))  # exact
+    assert repr(finish(acc)) == repr(_float_truth(values))
+    assert repr(finish(acc)) == repr(math.fsum(values))
+
+
+def test_a_zero_sum_stays_a_float_through_compaction():
+    acc = _fold([1.5, -1.5] * (_LIMIT // 2) + [-0.0])  # compacts on the last
+    assert repr(acc[1]) == "[0.0]" and repr(finish(acc)) == "0.0"
+    assert repr(exact_sum([(0, 1), (-0.0, 1)])) == "0.0"
+
+
+def test_compaction_that_overflows_takes_the_spill_path(monkeypatch):
+    # fsum raises on the partial sum 1.7e308 + 1.7e308: the terms are
+    # re-added through the Python loop, the larger operand spills
+    values = [1.7e308, 1.7e308, -1.7e308, -1.7e308] + [0.25] * (_LIMIT - 3)
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    spilled = []
+    spilling = sums._add_spilling
+    monkeypatch.setattr(
+        sums, "_add_spilling", lambda acc, x: spilled.append(x) or spilling(acc, x)
+    )
+    acc = _fold(values)
+    assert spilled == values  # every term, once, in order
+    assert acc[3] != 0 and len(acc[1]) < _LIMIT
+    expected = _float_truth(values)
+    assert repr(finish(acc)) == repr(expected) == repr(0.25 * (_LIMIT - 3))
+    # the same stream below the limit never compacts, and agrees
+    monkeypatch.setattr(sums, "_COMPACT_AT", 10 * _LIMIT)
+    lazy = _fold(values)
+    assert lazy[3] == 0 and len(lazy[1]) == len(values)
+    assert repr(finish(lazy)) == repr(expected)
+    # ... as does a true sum that rounds out of range
+    assert finish(_fold([1.7e308] * (_LIMIT + 1))) == math.inf
+
+
+def test_merge_acc_never_aliases_its_source():
+    source = _fold([0.5, 0.25, 1e16])
+    snapshot = [source[0], list(source[1]), source[2], source[3]]
+    for target in (new_acc(), _fold([1.0] * _LIMIT)):
+        merge_acc(target, source)
+        assert target[1] is not source[1]
+        for _ in range(2 * _LIMIT):  # grow and compact the target
+            add_product(target, 3.0, 1)
+        assert source == snapshot
+    merged_twice = new_acc()
+    merge_acc(merged_twice, source)
+    merge_acc(merged_twice, source)
+    assert finish(merged_twice) == 2 * finish(source)
+
+
+# ----------------------------------------------------------------------
 # AU SUM over the certain values [1e308, 1.5e308, -1e308]
 # ----------------------------------------------------------------------
 _VALUES = [1e308, 1.5e308, -1e308]  # the only world sums to 1.5e308
@@ -129,10 +243,11 @@ def test_au_sum_of_certain_values_is_the_certain_sum():
     for cut in range(len(rows) + 1):
         merged: dict = {}
         for part in (rows[:cut], rows[cut:]):
-            partial: dict = {}
-            fold_partial_groups(partial, rel.schema, part, ["g"], specs)
+            partial = fold_partial_groups(
+                AUColumnBatch.from_rows(rel.schema, part), ["g"], specs
+            )
             merge_partial_groups(merged, partial, specs)
-        out = finalize_partial_groups(merged, ["g"], specs)
+        out = finalize_groups(merged, ["g"], specs).to_relation()
         assert repr(list(out.tuples())) == repr(list(serial.tuples()))
 
 
