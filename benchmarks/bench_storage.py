@@ -13,6 +13,10 @@ almost every page):
   key range, so it can prove nothing and every row is filtered) — by
   at least 5x.  Measured ~20x at this size — the skip predicate
   proves ~117 of the 118 pages empty without reading them.
+* **Prepared skip gate (≥5x)**: the same query as a *prepared*
+  statement (``k >= ?``, lowered once, the cut bound per execution)
+  must clear the same bar: the binding fills the scan's skip template,
+  so the prepared form prunes the pages its literal twin prunes.
 * **Full-scan overhead gate (≤1.1x)**: an unselective aggregate that
   must read every row may pay at most 10% for the paged layout (the
   chunk store concatenates surviving pages once and caches the image,
@@ -37,7 +41,7 @@ import pytest
 
 from repro.algebra.ast import Aggregate, Selection, TableRef
 from repro.core.aggregation import agg_count, agg_sum
-from repro.core.expressions import Const, Geq, Var
+from repro.core.expressions import Const, Geq, Parameter, Var
 from repro.db.engine import evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
 
@@ -61,6 +65,11 @@ def make_db(n: int = N_ROWS, seed: int = 11) -> DetDatabase:
 def selective_plan():
     """``SELECT * FROM t WHERE k >= cut`` — prunable to the tail pages."""
     return Selection(TableRef("t"), Geq(Var("k"), Const(SELECTIVE_CUT)))
+
+
+def prepared_plan():
+    """``SELECT * FROM t WHERE k >= ?`` — bound to the cut per execution."""
+    return Selection(TableRef("t"), Geq(Var("k"), Parameter(0)))
 
 
 def full_scan_plan():
@@ -92,6 +101,19 @@ def test_selective_scan(benchmark, db, chunk_size):
 
 
 @LAYOUTS
+def test_prepared_selective_scan(benchmark, db, chunk_size):
+    from repro.algebra.evaluator import EvalConfig
+    from repro.session import Connection
+
+    conn = Connection(
+        db, config=EvalConfig(backend="vectorized", chunk_size=chunk_size)
+    )
+    prepared = conn.prepare(prepared_plan())
+    # actuals={} bypasses the per-binding result memo: every round scans
+    benchmark(lambda: prepared.execute([SELECTIVE_CUT], actuals={}))
+
+
+@LAYOUTS
 def test_full_scan_aggregate(benchmark, db, chunk_size):
     plan = full_scan_plan()
     evaluate_det(plan, db, backend="vectorized", chunk_size=chunk_size)
@@ -107,6 +129,7 @@ def main() -> int:
     from repro.exec import execute_det
     from repro.exec import physical as phys
     from repro.experiments.common import time_call
+    from repro.session import bind_parameters
 
     # identical contents (seeded), one relation per layout
     dbs = {N_ROWS: make_db(), None: make_db()}
@@ -143,6 +166,28 @@ def main() -> int:
             f"selective: speedup {speedup:.2f}x below the {SKIP_GATE:.1f}x bar"
         )
 
+    # the prepared form: lowered once, bound per execution (the binding
+    # fills the scan's skip template); must clear the same bar
+    def run_prepared(chunk_size):
+        pplan = lowered(prepared_plan(), chunk_size)
+        db = dbs[chunk_size]
+        return lambda: execute_det(bind_parameters(pplan, [SELECTIVE_CUT]), db)
+
+    prep_flat, prep_chunk = run_prepared(N_ROWS), run_prepared(None)
+    prep_flat(), prep_chunk()
+    t_prep_flat, r_prep_flat = time_call(prep_flat, repeat=3)
+    t_prep_chunk, r_prep_chunk = time_call(prep_chunk, repeat=3)
+    prep_speedup = (
+        t_prep_flat / t_prep_chunk if t_prep_chunk > 0 else float("inf")
+    )
+    if not (r_prep_flat.rows == r_prep_chunk.rows == r_chunk.rows):
+        failures.append("prepared: result differs from the literal query")
+    if prep_speedup < SKIP_GATE:
+        failures.append(
+            f"prepared: speedup {prep_speedup:.2f}x below the "
+            f"{SKIP_GATE:.1f}x bar"
+        )
+
     # unselective aggregate: chunked may cost at most OVERHEAD_GATE
     full = full_scan_plan()
     full_flat, full_chunk = run(full, N_ROWS), run(full, None)
@@ -168,6 +213,11 @@ def main() -> int:
         f"{speedup:>7.2f}x  (gate >= {SKIP_GATE:.1f}x, {len(r_chunk)} rows)"
     )
     print(
+        f"{'prepared':<10} {t_prep_flat:>15.4f} {t_prep_chunk:>11.4f} "
+        f"{prep_speedup:>7.2f}x  (gate >= {SKIP_GATE:.1f}x, "
+        f"{len(r_prep_chunk)} rows)"
+    )
+    print(
         f"{'full-scan':<10} {t_flat_full:>15.4f} {t_chunk_full:>11.4f} "
         f"{overhead:>7.2f}x  (gate <= {OVERHEAD_GATE:.1f}x, "
         f"{len(r_chunk_full)} groups)"
@@ -187,6 +237,11 @@ def main() -> int:
                 "single_chunk_s": round(t_flat, 6),
                 "chunked_s": round(t_chunk, 6),
                 "speedup": round(speedup, 4),
+            },
+            "prepared_selective": {
+                "single_chunk_s": round(t_prep_flat, 6),
+                "chunked_s": round(t_prep_chunk, 6),
+                "speedup": round(prep_speedup, 4),
             },
             "full_scan": {
                 "single_chunk_s": round(t_flat_full, 6),

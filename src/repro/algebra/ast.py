@@ -148,14 +148,21 @@ class Node:
         rebuilt: N = _rebuild(self, _slots(type(self))[0], fn)
         return rebuilt
 
-    def rewrite(self: N, expr_fn: Callable[[Expression], Expression]) -> N:
+    def rewrite(
+        self: N,
+        expr_fn: Callable[[Expression], Expression],
+        node_fn: Optional[Callable[[Any], Any]] = None,
+    ) -> N:
         """The plan with ``expr_fn`` applied to every expression of every
-        node, nested off-spine plans included."""
+        node, nested off-spine plans included; ``node_fn``, when given,
+        then maps each (rewritten) node — bottom-up, returning the node
+        itself where it changes nothing."""
 
         def visit(value: Any) -> Any:
             if isinstance(value, Expression):
                 return expr_fn(value)
-            return _rebuild(value, _slots(type(value))[1], visit)
+            node = _rebuild(value, _slots(type(value))[1], visit)
+            return node if node_fn is None else node_fn(node)
 
         rewritten: N = visit(self)
         return rewritten

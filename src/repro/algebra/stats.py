@@ -687,4 +687,5 @@ def _var_const(a: Expression, b: Expression):
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # NaN has no place on a histogram or between min and max
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v

@@ -5,7 +5,8 @@
 additionally checks that every :class:`~repro.algebra.ast.TableRef`
 resolves against a non-empty catalog.  :func:`verify_bound` checks the
 plan's :class:`~repro.core.expressions.Parameter` keys are complete
-against a binding at execute time.  :func:`verify_physical` walks a
+against a binding at execute time, and that a bound plan carries no
+unfilled chunk-skip template.  :func:`verify_physical` walks a
 lowered :class:`~repro.exec.physical.PhysNode` tree and checks the
 physical-only invariants: engine-legal operator sets (the AU engines'
 SG-combining fragment — ``Distinct`` / ``Difference`` / top-k — must be
@@ -25,6 +26,7 @@ downstream name checks rather than failing them.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any, List, Mapping, Optional, Sequence, Set, Union
 
 from ..algebra import ast
@@ -101,9 +103,11 @@ def verify_logical(
 
 
 def verify_bound(
-    plan: ast.Plan, bindings: Optional[Mapping[Any, Any]]
+    plan: ast.Node, bindings: Optional[Mapping[Any, Any]]
 ) -> None:
-    """Check every parameter key of ``plan`` has a value in ``bindings``."""
+    """Check every parameter key of ``plan`` has a value in ``bindings``;
+    a plan that mentions no parameter any more (a bound physical plan)
+    must also carry no unfilled chunk-skip template atom."""
     keys = collect_plan_parameters(plan)
     have = set(bindings) if bindings else set()
     missing = [k for k in keys if k not in have]
@@ -112,6 +116,30 @@ def verify_bound(
             f"unbound parameter(s) {sorted(missing, key=str)}; "
             f"bound keys: {sorted(have, key=str)}"
         )
+    if keys:
+        return
+    for node, skip in _scan_skips(plan):
+        if skip.slots():
+            raise PlanReferenceError(
+                f"bound plan still carries an unfilled chunk-skip atom "
+                f"on {node.table!r}: [skip: {skip}]; binding must fill "
+                "every template on a copy of the scan"
+            )
+
+
+def _scan_skips(plan: ast.Node) -> List[Any]:
+    """``(scan, skip predicate)`` of every scan in ``plan`` that has
+    one, off-spine plans (``Exchange.final``) included."""
+    out: List[Any] = []
+
+    def note(node: Any) -> Any:
+        skip = getattr(node, "skip", None)
+        if skip is not None:
+            out.append((node, skip))
+        return node
+
+    plan.rewrite(lambda expr: expr, note)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -495,12 +523,15 @@ def verify_physical(
       lowered with (so Exchange morsels align with the table's chunk
       boundaries), and chunk-skip predicates use only the supported
       comparison kinds over zone-mapped (real) columns of the scanned
-      table;
+      table, with every template atom reading a parameter the
+      statement declares;
     * ``TupleFallback`` shape — known ``kind``, input arity, and a
       logical node of the matching class.
     """
     phys = _phys()
     engine = getattr(config, "engine", None)
+    # the statement's parameter keys, collected once a template needs them
+    declared = cache(lambda: set(collect_plan_parameters(pplan)))
 
     au_forbidden = tuple(getattr(phys, n) for n in _AU_FORBIDDEN)
     fallback_arity = {"difference": 2, "distinct": 1, "topk": 1}
@@ -662,6 +693,13 @@ def verify_physical(
             )
         schema = table_schema(node.table, catalog)
         for c in skip.constraints:
+            if c.slot is not None and c.slot not in declared():
+                raise PlanReferenceError(
+                    f"chunk-skip template {c.text!r} on {node.table!r} "
+                    f"reads parameter {c.slot!r}, which the statement "
+                    f"does not declare; declared: "
+                    f"{sorted(declared(), key=str)}"
+                )
             if c.op not in _SKIP_OPS:
                 raise PlanCompatibilityError(
                     f"chunk-skip constraint {c.text!r} on {node.table!r} "

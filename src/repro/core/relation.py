@@ -230,9 +230,8 @@ class AURelation:
 
         Builds (and caches) the :class:`~repro.db.chunks.AUChunkStore`
         at ``chunk_size`` if none is cached yet, then sums the chunk
-        payloads: the split lb/sg/ub scalar arrays, the serving
-        ``RangeValue`` columns, and the three ``K^AU`` annotation
-        arrays.
+        payloads: the ``RangeValue`` columns and the three ``K^AU``
+        annotation arrays.
         """
         from ..db.chunks import au_store
 

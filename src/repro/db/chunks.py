@@ -7,11 +7,10 @@ selections and Exchange morsels all read fixed-size **column chunks**:
   split into :class:`DetChunk` pages, each a small
   :class:`~repro.exec.batch.ColumnBatch` (typed-packed per chunk).
 * :class:`AUChunkStore` — an :class:`~repro.core.relation.AURelation`
-  split into :class:`AUChunk` pages whose range triples are stored as
-  **split lb/sg/ub scalar arrays** per attribute (the dedicated AU
-  columnar encoding: the three bound streams are individually
-  homogeneous far more often than the triple objects, so they pack into
-  machine arrays), alongside the three ``K^AU`` annotation arrays.
+  split into :class:`AUChunk` pages: one column of
+  :class:`~repro.core.ranges.RangeValue` cells per attribute (the
+  compiled kernels read the three bounds through the cells), alongside
+  the three ``K^AU`` annotation arrays.
 
 Every chunk carries an incrementally-maintained :class:`ChunkZone`
 ("zone map"): per-column min/max keys in the universal domain order
@@ -23,10 +22,11 @@ write paths (``DetRelation.add``/``delete`` and ``AURelation.add``/
 statistics per write:
 
 * appends and annotation/multiplicity merges *widen* the zone exactly;
-* a **delete that touches a zone boundary marks the zone stale**
-  (never silently narrows or keeps a too-wide bound as authoritative)
-  — the chunk-level mirror of ``StatsAccumulator.rescan_needed`` —
-  and the zone is rebuilt exactly on next use.
+* a delete decrements the row, null and certain counts exactly and
+  leaves min/max alone: the zone stays a sound *over-approximation*
+  (every skip rule of :func:`_zone_allows` holds for a wider range),
+  so the write path never rescans and the read path never rebuilds;
+  a chunk that deletes empty resets its zone.
 
 ``lower()`` derives a plan-time :class:`ChunkSkipPredicate` from the
 conjunctive atoms of a selection directly above a scan
@@ -39,14 +39,16 @@ when *no* deterministic row (det) or *no possible world's* row (AU,
 via the upper-bound truth of the range predicate) can satisfy the
 predicate.  Float NaN breaks the total order, so any chunk column that
 contains NaN simply disables its zone entry (the chunk is then never
-skipped on that column).  ``Parameter`` placeholders never produce
-constraints: skip predicates are derived from literal constants only,
-so a cached plan's skip set stays valid across re-binds.
+skipped on that column).  An atom comparing a column with a
+``Parameter`` becomes a *template* constraint ``(column, op, slot)``
+that skips nothing until the session layer's binding transform fills
+it on a copy of the scan (:meth:`ChunkSkipPredicate.bind`), so a
+cached plan stays binding-independent while each bound plan skips the
+chunks of its literal twin.
 
 Skip/scan activity publishes to the process-wide metrics registry
 (``repro_storage_chunks_scanned_total`` /
-``repro_storage_chunks_skipped_total`` /
-``repro_storage_zone_rebuilds_total``) and the executors attach the
+``repro_storage_chunks_skipped_total``) and the executors attach the
 same counts as operator-span attributes, so the effect is visible in
 ``explain_analyze`` end-to-end.
 """
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
 from ..core.expressions import (
@@ -71,6 +73,7 @@ from ..core.expressions import (
     Lt,
     Neq,
     Not,
+    Parameter,
     Var,
 )
 from ..core.ranges import RangeValue, domain_key
@@ -88,6 +91,7 @@ __all__ = [
     "ChunkSkipPredicate",
     "SkipConstraint",
     "derive_skip",
+    "skip_attrs",
     "DetChunkStore",
     "AUChunkStore",
     "det_store",
@@ -107,10 +111,6 @@ _CHUNKS_SKIPPED = _tm.get_registry().counter(
     "repro_storage_chunks_skipped_total",
     "Storage chunks proven empty by zone maps and never read.",
 )
-_ZONE_REBUILDS = _tm.get_registry().counter(
-    "repro_storage_zone_rebuilds_total",
-    "Chunk zone maps rebuilt after a delete touched a zone boundary.",
-)
 
 
 def resolve_chunk_size(chunk_size: Optional[int]) -> int:
@@ -126,6 +126,27 @@ def _is_nan(v: Any) -> bool:
     return type(v) is float and v != v
 
 
+#: types whose :func:`domain_key` is ``(rank, value)``, so two values of
+#: one rank compare natively exactly as their keys do
+_NATIVE_RANK = {int: 1, float: 1, str: 2}
+
+
+def _extent_rank(col) -> Optional[int]:
+    """The :func:`domain_key` rank every value of ``col`` shares when
+    C-level ``min``/``max`` order them as the domain order does — 1 for
+    typed arrays and lists of NaN-free ``int``/``float``, 2 for lists of
+    ``str`` — else ``None`` (``None`` cells, bools, NaN, mixed ranks)."""
+    if type(col) is array:
+        return 1  # _pack_typed packs only ints and NaN-free floats
+    kinds = set(map(type, col))
+    ranks = {_NATIVE_RANK.get(kind) for kind in kinds}
+    if len(ranks) != 1 or None in ranks:
+        return None
+    if float in kinds and any(v != v for v in col):
+        return None
+    return ranks.pop()
+
+
 # ---------------------------------------------------------------------------
 # skip predicates
 # ---------------------------------------------------------------------------
@@ -139,18 +160,40 @@ _ATOM_OPS = {Leq: "le", Lt: "lt", Geq: "ge", Gt: "gt", Eq: "eq", Neq: "ne"}
 
 
 class SkipConstraint:
-    """One conjunct ``column ⟨op⟩ constant`` of a chunk-skip predicate."""
+    """One conjunct ``column ⟨op⟩ constant`` of a chunk-skip predicate,
+    or — with ``slot`` set and ``key`` ``None`` — the template
+    ``column ⟨op⟩ ?slot`` that a parameter binding fills."""
 
-    __slots__ = ("column", "op", "key", "text")
+    __slots__ = ("column", "op", "key", "text", "slot")
 
-    def __init__(self, column: str, op: str, key: tuple, text: str) -> None:
+    def __init__(
+        self,
+        column: str,
+        op: str,
+        key: Optional[tuple],
+        text: str,
+        slot: Any = None,
+    ) -> None:
         self.column = column
         self.op = op
-        self.key = key  # domain_key of the constant
+        self.key = key  # domain_key of the constant; None for a template
         self.text = text
+        self.slot = slot  # the Parameter key of a template atom
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SkipConstraint({self.text})"
+
+
+def _literal(column: str, op: str, value: Any) -> Optional[SkipConstraint]:
+    """``column ⟨op⟩ value`` as a zone-testable atom, or ``None`` for a
+    value no zone can decide: NaN breaks the domain order, and the AU
+    engine compares a ``RangeValue`` constant through its bounds, not
+    through its own key."""
+    if _is_nan(value) or isinstance(value, RangeValue):
+        return None
+    return SkipConstraint(
+        column, op, domain_key(value), f"{column}{_OP_TEXT[op]}{value!r}"
+    )
 
 
 class ChunkSkipPredicate:
@@ -158,16 +201,46 @@ class ChunkSkipPredicate:
 
     A chunk is skipped when *any* constraint proves it empty against the
     chunk's zone map — sound because the atoms are conjuncts of the
-    selection sitting directly above the scan.
+    selection sitting directly above the scan.  ``origin`` says where
+    the atoms came from: ``"literal"`` (constants of the plan),
+    ``"template"`` (some atoms still wait for a binding — they skip
+    nothing) or ``"bound"`` (templates filled by :meth:`bind`).
     """
 
-    __slots__ = ("constraints",)
+    __slots__ = ("constraints", "origin")
 
-    def __init__(self, constraints: Sequence[SkipConstraint]) -> None:
+    def __init__(
+        self, constraints: Sequence[SkipConstraint], origin: str = "literal"
+    ) -> None:
         self.constraints = tuple(constraints)
+        self.origin = origin
 
     def columns(self) -> Tuple[str, ...]:
         return tuple(c.column for c in self.constraints)
+
+    def slots(self) -> Tuple[Any, ...]:
+        """Parameter keys of the template atoms still unfilled."""
+        return tuple(c.slot for c in self.constraints if c.slot is not None)
+
+    def bind(
+        self, binding: Mapping[Any, Expression]
+    ) -> Optional["ChunkSkipPredicate"]:
+        """This predicate with every template atom filled from
+        ``binding`` (parameter key → bound ``Const``).  An atom whose
+        value no zone can decide — NaN, a range constant, a binding that
+        is no constant — is dropped, as :func:`derive_skip` drops the
+        literal one; ``None`` when no atom is left."""
+        out: List[SkipConstraint] = []
+        for c in self.constraints:
+            if c.slot is None:
+                out.append(c)
+                continue
+            value = binding.get(c.slot)
+            if isinstance(value, Const):
+                filled = _literal(c.column, c.op, value.value)
+                if filled is not None:
+                    out.append(filled)
+        return ChunkSkipPredicate(out, "bound") if out else None
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -177,6 +250,17 @@ class ChunkSkipPredicate:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChunkSkipPredicate({self})"
+
+
+def skip_attrs(
+    skip: Optional[ChunkSkipPredicate], total: int, skipped: int
+) -> Dict[str, Any]:
+    """Operator-span attributes of one zone-map pass: chunk counts and,
+    under a predicate, whether it was ``literal`` or ``bound``."""
+    attrs: Dict[str, Any] = {"chunks_total": total, "chunks_skipped": skipped}
+    if skip is not None:
+        attrs["skip"] = skip.origin
+    return attrs
 
 
 def _conjuncts(condition: Expression) -> Iterable[Expression]:
@@ -194,10 +278,12 @@ def derive_skip(condition: Optional[Expression]) -> Optional[ChunkSkipPredicate]
     """Extract zone-map-testable atoms from a selection condition.
 
     Walks the conjunctive ``And`` spine and keeps every
-    ``Var ⟨cmp⟩ Const`` / ``Const ⟨cmp⟩ Var`` atom whose constant is a
-    literal (``Parameter`` markers are never constant-folded into
-    ``Const`` by binding, so derived predicates survive plan caching)
-    and is not NaN.  Returns ``None`` when no atom qualifies.
+    ``Var ⟨cmp⟩ Const`` / ``Const ⟨cmp⟩ Var`` atom whose constant is
+    not NaN, and every ``Var ⟨cmp⟩ Parameter`` / ``Parameter ⟨cmp⟩
+    Var`` atom as a template (``column, op, slot``) that skips nothing
+    until :meth:`ChunkSkipPredicate.bind` fills it — so a cached plan's
+    predicate stays valid across re-binds.  Returns ``None`` when no
+    atom qualifies.
     """
     if condition is None:
         return None
@@ -228,19 +314,23 @@ def derive_skip(condition: Optional[Expression]) -> Optional[ChunkSkipPredicate]
         if op is None:
             continue
         left, right = atom.left, atom.right
-        if isinstance(left, Var) and isinstance(right, Const):
-            col, const = left.name, right.value
-        elif isinstance(left, Const) and isinstance(right, Var):
-            col, const, op = right.name, left.value, _FLIP[op]
+        if isinstance(left, Var):
+            col, other = left.name, right
+        elif isinstance(right, Var):
+            col, other, op = right.name, left, _FLIP[op]
         else:
             continue
-        if _is_nan(const):
-            continue  # NaN atoms are never provably empty in key space
-        text = f"{col}{_OP_TEXT[op]}{const!r}"
-        constraints.append(SkipConstraint(col, op, domain_key(const), text))
+        if isinstance(other, Const):
+            con = _literal(col, op, other.value)
+            if con is not None:
+                constraints.append(con)
+        elif isinstance(other, Parameter):
+            text = f"{col}{_OP_TEXT[op]}{other!r}"
+            constraints.append(SkipConstraint(col, op, None, text, other.key))
     if not constraints:
         return None
-    return ChunkSkipPredicate(constraints)
+    templated = any(c.slot is not None for c in constraints)
+    return ChunkSkipPredicate(constraints, "template" if templated else "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +345,9 @@ class ChunkZone:
     minimum over the column's lower bounds and the maximum over its
     upper bounds (for deterministic chunks lb = ub = the value).
     ``enabled[j]`` is cleared when the column contains NaN (the domain
-    order is undefined there) — a disabled entry never skips.
-    ``stale`` marks the whole zone for an exact rebuild after a delete
-    touched a boundary, mirroring ``StatsAccumulator.rescan_needed``.
+    order is undefined there) — a disabled entry never skips.  The
+    counts are exact; after deletes the min/max keys may be wider than
+    the live rows (never narrower), which every skip rule tolerates.
     """
 
     __slots__ = (
@@ -267,7 +357,6 @@ class ChunkZone:
         "nulls",
         "certain",
         "enabled",
-        "stale",
     )
 
     def __init__(self, n_cols: int) -> None:
@@ -277,7 +366,6 @@ class ChunkZone:
         self.nulls = [0] * n_cols
         self.certain = 0
         self.enabled = [True] * n_cols
-        self.stale = False
 
     def certain_fraction(self) -> float:
         return 1.0 if not self.rows else self.certain / self.rows
@@ -285,26 +373,30 @@ class ChunkZone:
     # -- incremental maintenance -------------------------------------
     def widen(self, j: int, lb: Any, ub: Any) -> None:
         """Fold one value (det) or bound pair (AU) of column ``j`` in."""
+        if not self.enabled[j]:
+            return
+        lo, hi = self.min_keys[j], self.max_keys[j]
+        if lb is ub and lo is not None:
+            # the write path's common case: a point of the rank both
+            # bounds already have — compare natively, build no key
+            rank = _NATIVE_RANK.get(type(lb))
+            if rank == lo[0] == hi[0]:
+                if lb < lo[1]:
+                    self.min_keys[j] = (rank, lb)
+                elif lb > hi[1]:
+                    self.max_keys[j] = (rank, lb)
+                elif lb != lb:  # NaN
+                    self.enabled[j] = False
+                return
         if _is_nan(lb) or _is_nan(ub):
             self.enabled[j] = False
             return
-        if not self.enabled[j]:
-            return
-        klb, kub = domain_key(lb), domain_key(ub)
-        lo = self.min_keys[j]
+        klb = domain_key(lb)
+        kub = klb if ub is lb else domain_key(ub)
         if lo is None or klb < lo:
             self.min_keys[j] = klb
-        hi = self.max_keys[j]
         if hi is None or kub > hi:
             self.max_keys[j] = kub
-
-    def touches_boundary(self, j: int, lb: Any, ub: Any) -> bool:
-        """Would removing a row with these bounds narrow column ``j``?"""
-        if not self.enabled[j]:
-            return True  # can't tell: the disabled column must rescan
-        if _is_nan(lb) or _is_nan(ub):
-            return True
-        return domain_key(lb) == self.min_keys[j] or domain_key(ub) == self.max_keys[j]
 
 
 def _zone_allows(zone: ChunkZone, index: Dict[str, int], skip: ChunkSkipPredicate) -> bool:
@@ -313,20 +405,25 @@ def _zone_allows(zone: ChunkZone, index: Dict[str, int], skip: ChunkSkipPredicat
     The rules are exact in key space (both engines compare through
     ``domain_key``; for AU the predicate's upper-bound truth over
     ``[lb, ub]`` intervals is what keeps a row, and the zone brackets
-    every interval in the chunk):
+    every interval in the chunk), and stay sound for a zone wider than
+    its rows — each tests the bracket, never an exact extremum:
 
     ``le``: empty iff min > c — ``lt``: min >= c — ``ge``: max < c —
     ``gt``: max <= c — ``eq``: c outside [min, max] — ``ne``: every
-    value provably equals c (min = max = c).
+    value provably equals c (min = max = c).  Unfilled template atoms
+    skip nothing.
     """
     for con in skip.constraints:
+        key = con.key
+        if key is None:
+            continue
         j = index.get(con.column)
         if j is None or not zone.enabled[j]:
             continue
         lo, hi = zone.min_keys[j], zone.max_keys[j]
         if lo is None or hi is None:
             continue
-        key, op = con.key, con.op
+        op = con.op
         if op == "le":
             if lo > key:
                 return False
@@ -459,12 +556,6 @@ class _BaseStore:
         """Non-empty chunks (deletes may hollow a chunk out entirely)."""
         return sum(1 for ch in self.chunks if len(ch))
 
-    def zone(self, ch) -> ChunkZone:
-        if ch.zone.stale:
-            self._rebuild_zone(ch)
-            _ZONE_REBUILDS.inc()
-        return ch.zone
-
     def survivor_indices(
         self, skip: Optional[ChunkSkipPredicate]
     ) -> Tuple[List[int], int, int]:
@@ -477,7 +568,7 @@ class _BaseStore:
             if not len(ch):
                 continue
             total += 1
-            if skip is not None and not _zone_allows(self.zone(ch), self._index, skip):
+            if skip is not None and not _zone_allows(ch.zone, self._index, skip):
                 skipped += 1
                 continue
             kept.append(ci)
@@ -548,9 +639,6 @@ class _BaseStore:
     def _reindex_tail(self, ci: int, start: int) -> None:
         raise NotImplementedError
 
-    def _rebuild_zone(self, ch) -> None:
-        raise NotImplementedError
-
 
 class DetChunkStore(_BaseStore):
     """A ``DetRelation`` as fixed-size columnar chunks with zone maps."""
@@ -577,7 +665,7 @@ class DetChunkStore(_BaseStore):
             except OverflowError:
                 mult = [m for _t, m in block]
             chunk = DetChunk(ColumnBatch(store.schema, columns, mult), ChunkZone(n_cols))
-            store._rebuild_zone(chunk)
+            store._build_zone(chunk)
             ci = len(store.chunks)
             store.chunks.append(chunk)
             for ri, (t, _m) in enumerate(block):
@@ -613,13 +701,13 @@ class DetChunkStore(_BaseStore):
             cols[j] = _append_demote(cols[j], v)
         ch.batch.mult = _append_demote(ch.batch.mult, total_mult)
         zone = ch.zone
-        if not zone.stale:
-            for j, v in enumerate(t):
-                zone.widen(j, v, v)
-                if v is None:
-                    zone.nulls[j] += 1
-            zone.rows += 1
-            zone.certain += 1
+        widen = zone.widen
+        for j, v in enumerate(t):
+            widen(j, v, v)
+            if v is None:
+                zone.nulls[j] += 1
+        zone.rows += 1
+        zone.certain += 1
         self._row_loc[t] = (ci, len(ch.batch) - 1)
         return True
 
@@ -635,22 +723,19 @@ class DetChunkStore(_BaseStore):
         if remaining != 0:
             ch.batch.mult = _set_demote(ch.batch.mult, ri, remaining)
             return True
+        # exact counts, min/max left wide (see ChunkZone)
         zone = ch.zone
-        if not zone.stale:
-            # A boundary row leaves: the max/min may narrow, which the
-            # zone cannot learn incrementally — invalidate, don't widen.
-            if any(zone.touches_boundary(j, v, v) for j, v in enumerate(t)):
-                zone.stale = True
-            else:
-                for j, v in enumerate(t):
-                    if v is None:
-                        zone.nulls[j] -= 1
-                zone.rows -= 1
-                zone.certain -= 1
+        for j, v in enumerate(t):
+            if v is None:
+                zone.nulls[j] -= 1
+        zone.rows -= 1
+        zone.certain -= 1
         for col in ch.batch.columns:
             del col[ri]
         del ch.batch.mult[ri]
         del self._row_loc[t]
+        if not len(ch):
+            ch.zone = ChunkZone(len(self.schema))
         self._reindex_tail(ci, ri)
         return True
 
@@ -660,15 +745,21 @@ class DetChunkStore(_BaseStore):
         for i in range(start, n):
             self._row_loc[tuple(col[i] for col in cols)] = (ci, i)
 
-    def _rebuild_zone(self, ch) -> None:
+    def _build_zone(self, ch: DetChunk) -> None:
+        """The exact zone of a freshly packed chunk, column by column:
+        C-level ``min``/``max`` where they order the values as the
+        domain order does (:func:`_extent_rank`), the per-value
+        :meth:`ChunkZone.widen` walk for the rest."""
+        n = len(ch.batch)
         zone = ChunkZone(len(self.schema))
-        batch = ch.batch
-        n = len(batch)
-        zone.rows = n
-        zone.certain = n
-        for j, col in enumerate(batch.columns):
-            for i in range(n):
-                v = col[i]
+        zone.rows = zone.certain = n
+        for j, col in enumerate(ch.batch.columns):
+            rank = _extent_rank(col)
+            if rank is not None:
+                zone.min_keys[j] = (rank, min(col))
+                zone.max_keys[j] = (rank, max(col))
+                continue
+            for v in col:
                 zone.widen(j, v, v)
                 if v is None:
                     zone.nulls[j] += 1
@@ -734,30 +825,16 @@ class AUChunk:
 
     ``rv_cols[j]`` keeps the original :class:`RangeValue` objects (the
     cells handed to the executors — object identity matters for
-    NaN-free equality short-cuts elsewhere); ``lb_cols``/``sg_cols``/
-    ``ub_cols`` are the split per-bound columns: plain lists holding
-    the very bound objects of the ``rv_cols`` cells, from which a stale
-    zone map is rebuilt.  The three ``ann_*`` arrays are the ``K^AU``
-    annotation components.
+    NaN-free equality short-cuts elsewhere); the kernels read the three
+    bounds through the cells, and the zone map is maintained from them
+    on the write path, so no per-bound copy is kept.  The three
+    ``ann_*`` arrays are the ``K^AU`` annotation components.
     """
 
-    __slots__ = (
-        "rv_cols",
-        "lb_cols",
-        "sg_cols",
-        "ub_cols",
-        "ann_lb",
-        "ann_sg",
-        "ann_ub",
-        "zone",
-        "_batch",
-    )
+    __slots__ = ("rv_cols", "ann_lb", "ann_sg", "ann_ub", "zone", "_batch")
 
     def __init__(self, n_cols: int) -> None:
         self.rv_cols: List[Any] = [[] for _ in range(n_cols)]
-        self.lb_cols: List[Any] = [[] for _ in range(n_cols)]
-        self.sg_cols: List[Any] = [[] for _ in range(n_cols)]
-        self.ub_cols: List[Any] = [[] for _ in range(n_cols)]
         self.ann_lb: Any = array("q")
         self.ann_sg: Any = array("q")
         self.ann_ub: Any = array("q")
@@ -778,7 +855,7 @@ class AUChunk:
 
 
 class AUChunkStore(_BaseStore):
-    """An ``AURelation`` as chunks of split lb/sg/ub column arrays."""
+    """An ``AURelation`` as chunks of range-value columns with zone maps."""
 
     __slots__ = ()
 
@@ -800,24 +877,20 @@ class AUChunkStore(_BaseStore):
         ch._batch = None
         for j, rv in enumerate(t):
             ch.rv_cols[j].append(rv)
-            ch.lb_cols[j] = _append_demote(ch.lb_cols[j], rv.lb)
-            ch.sg_cols[j] = _append_demote(ch.sg_cols[j], rv.sg)
-            ch.ub_cols[j] = _append_demote(ch.ub_cols[j], rv.ub)
         ch.ann_lb = _append_demote(ch.ann_lb, ann[0])
         ch.ann_sg = _append_demote(ch.ann_sg, ann[1])
         ch.ann_ub = _append_demote(ch.ann_ub, ann[2])
         zone = ch.zone
-        if not zone.stale:
-            certain = True
-            for j, rv in enumerate(t):
-                zone.widen(j, rv.lb, rv.ub)
-                if rv.sg is None:
-                    zone.nulls[j] += 1
-                if certain and not rv.is_certain:
-                    certain = False
-            zone.rows += 1
-            if certain:
-                zone.certain += 1
+        widen = zone.widen
+        certain = True
+        for j, rv in enumerate(t):
+            widen(j, rv.lb, rv.ub)
+            if rv.sg is None:
+                zone.nulls[j] += 1
+            if certain and not rv.is_certain:
+                certain = False
+        zone.rows += 1
+        zone.certain += certain
         self._row_loc[t] = (ci, len(ch) - 1)
 
     # -- write path ---------------------------------------------------
@@ -854,28 +927,22 @@ class AUChunkStore(_BaseStore):
             ch.ann_sg = _set_demote(ch.ann_sg, ri, remaining[1])
             ch.ann_ub = _set_demote(ch.ann_ub, ri, remaining[2])
             return True
+        # exact counts, min/max left wide (see ChunkZone)
         zone = ch.zone
-        if not zone.stale:
-            if any(
-                zone.touches_boundary(j, rv.lb, rv.ub) for j, rv in enumerate(t)
-            ):
-                zone.stale = True
-            else:
-                for j, rv in enumerate(t):
-                    if rv.sg is None:
-                        zone.nulls[j] -= 1
-                zone.rows -= 1
-                if all(rv.is_certain for rv in t):
-                    zone.certain -= 1
-        for j in range(len(self.schema)):
-            del ch.rv_cols[j][ri]
-            del ch.lb_cols[j][ri]
-            del ch.sg_cols[j][ri]
-            del ch.ub_cols[j][ri]
+        for j, rv in enumerate(t):
+            if rv.sg is None:
+                zone.nulls[j] -= 1
+        zone.rows -= 1
+        if all(rv.is_certain for rv in t):
+            zone.certain -= 1
+        for col in ch.rv_cols:
+            del col[ri]
         del ch.ann_lb[ri]
         del ch.ann_sg[ri]
         del ch.ann_ub[ri]
         del self._row_loc[t]
+        if not len(ch):
+            ch.zone = ChunkZone(len(self.schema))
         self._reindex_tail(ci, ri)
         return True
 
@@ -884,30 +951,8 @@ class AUChunkStore(_BaseStore):
         for i in range(start, len(ch)):
             self._row_loc[tuple(col[i] for col in ch.rv_cols)] = (ci, i)
 
-    def _rebuild_zone(self, ch) -> None:
-        zone = ChunkZone(len(self.schema))
-        n = len(ch)
-        zone.rows = n
-        for i in range(n):
-            certain = True
-            for j in range(len(self.schema)):
-                lb, ub, sg = ch.lb_cols[j][i], ch.ub_cols[j][i], ch.sg_cols[j][i]
-                zone.widen(j, lb, ub)
-                if sg is None:
-                    zone.nulls[j] += 1
-                if certain and not ch.rv_cols[j][i].is_certain:
-                    certain = False
-            if certain:
-                zone.certain += 1
-        ch.zone = zone
-
     def _chunk_bytes(self, ch: AUChunk) -> int:
-        total = 0
-        for j in range(len(self.schema)):
-            total += _col_bytes(ch.rv_cols[j])
-            total += _col_bytes(ch.lb_cols[j])
-            total += _col_bytes(ch.sg_cols[j])
-            total += _col_bytes(ch.ub_cols[j])
+        total = sum(_col_bytes(col) for col in ch.rv_cols)
         total += _col_bytes(ch.ann_lb)
         total += _col_bytes(ch.ann_sg)
         total += _col_bytes(ch.ann_ub)

@@ -17,6 +17,10 @@ mirrors :meth:`Expression.eval` exactly:
 * ``Leq``/``Lt``/``Geq``/``Gt`` go through
   :func:`~repro.core.ranges.domain_le` with the same operand orientation
   as the interpreted operators;
+* a comparison whose operands are typed-array columns of the batch at
+  hand or ``int``/``float``/``bool`` constants is the native
+  ``<=``/``==``/``!=`` in that same orientation — the kernel variant is
+  chosen per call from the columns' representation (:class:`DetKernel`);
 * ``And``/``Or`` short-circuit exactly like ``bool(l) and bool(r)``.
 
 **Range-annotated** (:func:`compile_range_filter`,
@@ -58,12 +62,24 @@ interpreted: the first is the kernels' differential oracle.
 Kernels are cached by their *generated source*: constants are lifted
 into a per-call ``_K`` tuple and attributes resolved to column
 positions, so the source is the statement's shape and one prepared
-statement compiles once however many bindings it runs under.
+statement compiles once however many bindings it runs under (a det
+kernel once per column representation it meets).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry as _tm
 from ..core.expressions import (
@@ -92,6 +108,7 @@ from ..core.ranges import RangeValue, domain_key, domain_le
 
 __all__ = [
     "CompileError",
+    "DetKernel",
     "compile_filter",
     "compile_projector",
     "compile_range_filter",
@@ -110,9 +127,11 @@ _ARITH = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # ======================================================================
 # kernel cache
 # ======================================================================
-#: generated source -> compiled function.  The source carries no
-#: constant and no expression object, so re-bound plans share entries.
-_KERNELS: Dict[str, Callable] = {}
+#: generated source -> compiled function; a det kernel is cached under
+#: its variant key (see :class:`DetKernel`) with its native comparison
+#: count.  Keys carry no constant and no expression object, so re-bound
+#: plans share entries.
+_KERNELS: Dict[Hashable, Any] = {}
 _KERNEL_LIMIT = 512
 
 
@@ -135,33 +154,75 @@ def _counters(engine: str):
 _COUNTERS = {engine: _counters(engine) for engine in ("det", "au")}
 
 
-def _kernel(source: str, engine: str) -> Callable:
-    """The compiled ``_kernel`` function of ``source`` (cached)."""
-    compiles, hits = _COUNTERS[engine]
-    fn = _KERNELS.get(source)
-    if fn is not None:
-        hits.inc()
-        return fn
-    namespace: Dict[str, object] = {}
+def _compile_source(source: str) -> Callable:
+    namespace: Dict[str, Any] = {}
     exec(compile(source, "<repro.exec.compile>", "exec"), namespace)
-    fn = namespace["_kernel"]  # type: ignore[assignment]
+    return namespace["_kernel"]
+
+
+def _kernel(
+    key: Hashable, engine: str, build: Optional[Callable[[], Any]] = None
+) -> Any:
+    """The kernel cache entry under ``key``: the compiled ``_kernel``
+    function of the source ``key``, or ``build()``'s entry (cached)."""
+    compiles, hits = _COUNTERS[engine]
+    entry = _KERNELS.get(key)
+    if entry is not None:
+        hits.inc()
+        return entry
+    entry = _compile_source(key) if build is None else build()
     if len(_KERNELS) >= _KERNEL_LIMIT:
         _KERNELS.clear()
-    _KERNELS[source] = fn
+    _KERNELS[key] = entry
     compiles.inc()
-    return fn
+    return entry
 
 
 # ======================================================================
 # deterministic semantics
 # ======================================================================
-class _Emitter:
-    """Translate an expression tree into a Python source fragment."""
+#: constant types a comparison may take natively: for these (and the
+#: values of typed columns) ``domain_le``/``domain_key`` reduce to the
+#: native ``<=``/``==``
+_NATIVE_TYPES = (int, float, bool)
 
-    def __init__(self, index: Dict[str, int]) -> None:
+
+class _Emitter:
+    """Translate an expression tree into a Python source fragment.
+
+    ``typed`` holds the column positions that are ``array('q'|'d')`` in
+    the batch the kernel will run on: a comparison between two such
+    columns, or between one and an ``int``/``float``/``bool`` constant,
+    is emitted as the native ``<=``/``==``/``!=`` instead of through
+    ``_le``/``_dk`` (``native_compares`` counts them).
+    """
+
+    def __init__(
+        self, index: Dict[str, int], typed: FrozenSet[int] = frozenset()
+    ) -> None:
         self.index = index
+        self.typed = typed
         self.used_columns: Dict[int, str] = {}  # column index -> local name
         self.constants: List[object] = []
+        self.native_compares = 0
+
+    def _native(self, e: Expression) -> bool:
+        if type(e) is Var:
+            return self.index.get(e.name) in self.typed
+        return type(e) is Const and type(e.value) in _NATIVE_TYPES
+
+    def _operands(self, first: Expression, second: Expression):
+        """Both operands emitted in this order, and whether their
+        comparison runs natively (never between two constants: two
+        references to one NaN object compare equal under ``_dk``)."""
+        a, b = self.emit(first), self.emit(second)
+        native = (
+            self._native(first)
+            and self._native(second)
+            and Var in (type(first), type(second))
+        )
+        self.native_compares += native
+        return a, b, native
 
     def column(self, name: str) -> str:
         j = self.index.get(name)
@@ -189,18 +250,19 @@ class _Emitter:
             return f"(bool({self.emit(e.left)}) or bool({self.emit(e.right)}))"
         if kind is Not:
             return f"(not bool({self.emit(e.operand)}))"
-        if kind is Eq:
-            return f"(_dk({self.emit(e.left)}) == _dk({self.emit(e.right)}))"
-        if kind is Neq:
-            return f"(_dk({self.emit(e.left)}) != _dk({self.emit(e.right)}))"
-        if kind is Leq:
-            return f"_le({self.emit(e.left)}, {self.emit(e.right)})"
-        if kind is Lt:
-            return f"(not _le({self.emit(e.right)}, {self.emit(e.left)}))"
-        if kind is Geq:
-            return f"_le({self.emit(e.right)}, {self.emit(e.left)})"
-        if kind is Gt:
-            return f"(not _le({self.emit(e.left)}, {self.emit(e.right)}))"
+        if kind is Eq or kind is Neq:
+            a, b, native = self._operands(e.left, e.right)
+            op = "==" if kind is Eq else "!="
+            return f"({a} {op} {b})" if native else f"(_dk({a}) {op} _dk({b}))"
+        if kind is Leq or kind is Gt or kind is Geq or kind is Lt:
+            # the interpreter's orientation: a >= b is b <= a, a < b is
+            # not (b <= a) — so a < NaN stays True, as under domain_le
+            if kind is Leq or kind is Gt:
+                a, b, native = self._operands(e.left, e.right)
+            else:
+                a, b, native = self._operands(e.right, e.left)
+            le = f"({a} <= {b})" if native else f"_le({a}, {b})"
+            return le if kind is Leq or kind is Geq else f"(not {le})"
         if kind in _ARITH:
             op = _ARITH[kind]
             return f"({self.emit(e.left)} {op} {self.emit(e.right)})"
@@ -219,38 +281,91 @@ class _Emitter:
         raise CompileError(f"cannot compile {kind.__name__}")
 
 
-def _compile_det(expr: Expression, schema: Sequence[str], body: str):
-    """Kernel ``fn(columns, n)`` whose loop ``body`` uses ``{value}``."""
-    emitter = _Emitter({name: j for j, name in enumerate(schema)})
-    value = emitter.emit(expr)
+def _typed(column: Any) -> bool:
+    return type(column) is array and column.typecode in "qd"
+
+
+def _det_source(emitter: _Emitter, value: str, body: str) -> str:
     bindings = "".join(
         f"    {local} = _cols[{j}]\n"
         for j, local in sorted(emitter.used_columns.items())
     )
-    fn = _kernel(
+    return (
         f"def _kernel(_cols, _n, _K, _dk, _le):\n"
-        f"{bindings}{body.format(value=value)}",
-        "det",
+        f"{bindings}{body.format(value=value)}"
     )
-    constants = tuple(emitter.constants)
-
-    def bound(columns: Sequence, n: int):
-        return fn(columns, n, constants, domain_key, domain_le)
-
-    return bound
 
 
-def compile_filter(
-    condition: Expression, schema: Sequence[str]
-) -> Callable[[Sequence, int], List[int]]:
+class DetKernel:
+    """A compiled deterministic filter or projector:
+    ``kernel(columns, n)``.
+
+    The kernel variant is picked per call from the representation of
+    the columns it reads — those that are typed arrays in the batch at
+    hand compare natively (see :class:`_Emitter`), list columns keep
+    ``_le``/``_dk`` — and cached under the statement's generated source
+    plus that representation, so one prepared statement compiles once
+    per column layout however many bindings it runs under.  Exact:
+    ``_pack_typed`` packs only homogeneous ints and NaN-free floats,
+    and on ``int``/``float``/``bool`` operands ``domain_le`` and
+    ``domain_key`` equality are the native comparisons.
+    ``native_compares`` is the fewest comparisons any call ran natively
+    (``None`` before the first call).
+    """
+
+    __slots__ = (
+        "_expr",
+        "_index",
+        "_body",
+        "_key",
+        "_used",
+        "_constants",
+        "_variants",
+        "native_compares",
+    )
+
+    def __init__(self, expr: Expression, schema: Sequence[str], body: str) -> None:
+        index = {name: j for j, name in enumerate(schema)}
+        emitter = _Emitter(index)
+        value = emitter.emit(expr)  # raises CompileError
+        self._expr = expr
+        self._index = index
+        self._body = body
+        self._used = tuple(sorted(emitter.used_columns))
+        self._constants = tuple(emitter.constants)
+        natives = tuple(type(c) in _NATIVE_TYPES for c in self._constants)
+        self._key = (_det_source(emitter, value, body), natives)
+        self._variants: Dict[FrozenSet[int], Tuple[Callable, int]] = {}
+        self.native_compares: Optional[int] = None
+
+    def __call__(self, columns: Sequence, n: int):
+        typed = frozenset(j for j in self._used if _typed(columns[j]))
+        entry = self._variants.get(typed)
+        if entry is None:
+            entry = self._variants[typed] = _kernel(
+                (self._key, typed), "det", lambda: self._build(typed)
+            )
+        fn, native = entry
+        if self.native_compares is None or native < self.native_compares:
+            self.native_compares = native
+        return fn(columns, n, self._constants, domain_key, domain_le)
+
+    def _build(self, typed: FrozenSet[int]) -> Tuple[Callable, int]:
+        emitter = _Emitter(self._index, typed)
+        value = emitter.emit(self._expr)
+        source = _det_source(emitter, value, self._body)
+        return _compile_source(source), emitter.native_compares
+
+
+def compile_filter(condition: Expression, schema: Sequence[str]) -> DetKernel:
     """Compile ``condition`` into ``fn(columns, n) -> surviving row ids``.
 
-    The returned function runs one fused loop over the batch and returns
-    the indices of rows whose condition is truthy — exactly
+    The returned :class:`DetKernel` runs one fused loop over the batch
+    and returns the indices of rows whose condition is truthy — exactly
     ``bool(condition.eval(row))`` of the tuple engine.  Raises
     :class:`CompileError` for untranslatable expressions.
     """
-    return _compile_det(
+    return DetKernel(
         condition,
         schema,
         "    _out = []\n"
@@ -262,18 +377,14 @@ def compile_filter(
     )
 
 
-def compile_projector(
-    expr: Expression, schema: Sequence[str]
-) -> Callable[[Sequence, int], List]:
+def compile_projector(expr: Expression, schema: Sequence[str]) -> DetKernel:
     """Compile ``expr`` into ``fn(columns, n) -> output column``.
 
     One fused loop computing the expression for every row — the
     vectorized form of a computed projection column.  Raises
     :class:`CompileError` for untranslatable expressions.
     """
-    return _compile_det(
-        expr, schema, "    return [{value} for _i in range(_n)]\n"
-    )
+    return DetKernel(expr, schema, "    return [{value} for _i in range(_n)]\n")
 
 
 # ======================================================================

@@ -195,8 +195,7 @@ def execute_exchange(parent_exec, node: phys.Exchange):
             morsels=len(chunk_groups),
             pooled=use_pool,
             driver_rows=driver_rows,
-            chunks_total=chunks_total,
-            chunks_skipped=chunks_skipped,
+            **_chunks.skip_attrs(scan.skip, chunks_total, chunks_skipped),
         )
 
     try:

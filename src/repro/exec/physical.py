@@ -203,7 +203,8 @@ class Scan(PhysNode):
     (copied from :class:`PhysicalConfig` at plan time).  ``skip`` is
     the plan-time chunk-skip predicate —
     conjuncts of the selection directly above, testable against the
-    store's per-chunk zone maps (:mod:`repro.db.chunks`).
+    store's per-chunk zone maps (:mod:`repro.db.chunks`); atoms over a
+    parameter are templates the session's binding fills on a copy.
     """
 
     table: str
@@ -839,9 +840,10 @@ def _attach_chunk_skips(root: PhysNode) -> None:
     """Derive plan-time chunk-skip predicates for scans under selections.
 
     For every selection sitting directly above a base-table scan, the
-    conjuncts comparing a column against a literal constant become a
-    :class:`repro.db.chunks.ChunkSkipPredicate` on the scan, evaluated
-    against per-chunk zone maps at execution time.
+    conjuncts comparing a column against a literal constant or a
+    parameter become a :class:`repro.db.chunks.ChunkSkipPredicate` on
+    the scan, evaluated against per-chunk zone maps at execution time
+    (parameter atoms once a binding has filled them).
     """
     from ..db.chunks import derive_skip
 
@@ -949,9 +951,14 @@ def explain_physical(
     ``attrs`` is the ``{id(node): {attr: value}}`` mapping of operator-
     span attributes a trace collects
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
-    chunks via zone maps show ``skipped S/T chunks``, partition-hash
-    joins show their bucket count, vectorized operators that filter
-    show ``kernel=compiled`` or ``kernel=interpreted (reason)``, a
+    chunks via zone maps show ``skipped S/T chunks by literal skip``
+    (``bound`` when a parameter binding filled the predicate),
+    partition-hash joins show their bucket count, vectorized operators
+    that filter show ``kernel=compiled`` or ``kernel=interpreted
+    (reason)`` — a compiled det filter also how many of its comparisons
+    ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
+    det select-project how many base columns it gathered
+    (``gathered_columns=k/n``) — a
     vectorized ``CompressedJoin`` its SG pairs, boxes per side, box
     pairs emitted / probed and input rows merged as duplicates, a
     vectorized AU ``HashAggregate`` its groups, duplicates, rows with an
@@ -985,6 +992,8 @@ def explain_physical(
                     line += (
                         f", skipped {skipped}/{a.get('chunks_total', '?')} chunks"
                     )
+                    if "skip" in a:
+                        line += f" by {a['skip']} skip"
                 buckets = a.get("hash_partitions")
                 if buckets:
                     line += f", {buckets} hash partitions"
@@ -1001,6 +1010,9 @@ def explain_physical(
                         line += f", {how}={a[how]}"
                         if "kernel_reason" in a:
                             line += f" ({a['kernel_reason']})"
+                for count in ("native_compares", "gathered_columns"):
+                    if count in a:
+                        line += f", {count}={a[count]}"
                 if "reason" in a:
                     line += f", reason={a['reason']}"
                 if "sg_pairs" in a:

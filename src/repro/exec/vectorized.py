@@ -111,6 +111,14 @@ def _compiled(compiler: Callable, condition: Expression, *schemas):
     return kernel
 
 
+def _annotate_natives(kernel) -> None:
+    """Record on the open operator span how many comparisons a compiled
+    det kernel ran as native ``<=``/``==`` (see
+    :class:`~repro.exec.compile.DetKernel`)."""
+    if kernel is not None and kernel.native_compares is not None:
+        _tm.annotate(native_compares=kernel.native_compares)
+
+
 class PartialAggregate:
     """Mergeable per-morsel aggregation state (parallel plans only).
 
@@ -279,7 +287,7 @@ class _DetExec:
         store = _chunks.det_store(self.db[p.table], p.chunk_size)
         batch, total, skipped = store.scan(p.skip)
         if _tm._ACTIVE is not None:
-            _tm.annotate(chunks_total=total, chunks_skipped=skipped)
+            _tm.annotate(**_chunks.skip_attrs(p.skip, total, skipped))
         return batch
 
     def _stream_select_project(
@@ -292,7 +300,8 @@ class _DetExec:
         compiled filter), but the working set is one chunk plus the
         survivors — with a selective predicate the full base batch
         never exists, which is what lets scans obey a materialization
-        budget the whole table would bust.
+        budget the whole table would bust.  Only the columns the fused
+        projection references are gathered.
         """
         store = _chunks.det_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
@@ -300,7 +309,7 @@ class _DetExec:
         batches, total, skipped = store.iter_batches(scan.skip)
         scanned = sum(sum(b.mult) for b in batches)
         if span is not None:
-            tr.annotate(chunks_total=total, chunks_skipped=skipped)
+            tr.annotate(**_chunks.skip_attrs(scan.skip, total, skipped))
             tr.end_op(span, scanned)
         if self.actuals is not None:
             self.actuals[id(scan)] = scanned
@@ -308,8 +317,12 @@ class _DetExec:
                 self.actuals[id(src)] = scanned
         condition = p.condition
         schema = store.schema
+        gathered = range(len(schema))
+        if p.columns is not None:
+            names = set().union(*(expr.variables() for expr, _ in p.columns))
+            gathered = [j for j, name in enumerate(schema) if name in names]
         flt = _compiled(compile_filter, condition, schema)
-        kept_cols: List[List[Any]] = [[] for _ in schema]
+        kept_cols: List[List[Any]] = [[] for _ in gathered]
         kept_mult: List[int] = []
         for b in batches:
             n = len(b)
@@ -323,18 +336,21 @@ class _DetExec:
                     if bool(condition.eval(view)):
                         keep.append(i)
             if len(keep) == n:
-                for j, col in enumerate(b.columns):
-                    kept_cols[j].extend(col)
+                for kc, j in zip(kept_cols, gathered):
+                    kc.extend(b.columns[j])
                 kept_mult.extend(b.mult)
             else:
                 m = b.mult
-                for j, col in enumerate(b.columns):
-                    kc = kept_cols[j]
+                for kc, j in zip(kept_cols, gathered):
+                    col = b.columns[j]
                     for i in keep:
                         kc.append(col[i])
                 for i in keep:
                     kept_mult.append(m[i])
-        batch = ColumnBatch(schema, kept_cols, kept_mult)
+        if tr is not None:
+            _annotate_natives(flt)
+            _tm.annotate(gathered_columns=f"{len(gathered)}/{len(schema)}")
+        batch = ColumnBatch([schema[j] for j in gathered], kept_cols, kept_mult)
         if p.columns is None:
             return batch
         return self._select_project(batch, None, p.columns)
@@ -351,6 +367,8 @@ class _DetExec:
             flt = _compiled(compile_filter, condition, batch.schema)
             if flt is not None:
                 keep = flt(batch.columns, n)
+                if _tm._ACTIVE is not None:
+                    _annotate_natives(flt)
             else:
                 view = batch.row_view()
                 keep = []
@@ -937,7 +955,7 @@ class _AUExec:
         store = _chunks.au_store(self.db[p.table], p.chunk_size)
         batch, total, skipped = store.scan(p.skip)
         if _tm._ACTIVE is not None:
-            _tm.annotate(chunks_total=total, chunks_skipped=skipped)
+            _tm.annotate(**_chunks.skip_attrs(p.skip, total, skipped))
         return batch
 
     def _stream_select_project(
@@ -957,7 +975,7 @@ class _AUExec:
         if not store.schema:
             scanned = min(1, scanned)
         if span is not None:
-            tr.annotate(chunks_total=total, chunks_skipped=skipped)
+            tr.annotate(**_chunks.skip_attrs(scan.skip, total, skipped))
             tr.end_op(span, scanned)
         if self.actuals is not None:
             self.actuals[id(scan)] = scanned

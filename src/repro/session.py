@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .algebra.ast import Node, Plan, collect_parameters
@@ -168,9 +169,13 @@ def _bind(
     """``query`` — a logical plan, a physical plan or an expression —
     with every :class:`Parameter` replaced by its binding.
 
-    Whatever mentions no parameter is returned as-is, not copied, so a
-    parameterless query binds to the identical object graph — per-node
-    ``actuals`` keyed by ``id(node)`` keep working.
+    A physical scan whose chunk-skip predicate holds template atoms
+    (``column ⟨op⟩ ?slot``, see :func:`repro.db.chunks.derive_skip`) is
+    replaced by a copy carrying the filled predicate, so the bound plan
+    skips the chunks of its literal twin and the cached plan is never
+    mutated.  Whatever mentions no parameter is returned as-is, not
+    copied, so a parameterless query binds to the identical object
+    graph — per-node ``actuals`` keyed by ``id(node)`` keep working.
     """
 
     def leaf(expr: Expression) -> Expression:
@@ -181,9 +186,16 @@ def _bind(
             raise UnboundParameterError(f"unbound parameter {expr!r}")
         return bound
 
+    def fill(node: Any) -> Any:
+        if isinstance(node, (phys.Scan, phys.ParallelScan)):
+            skip = node.skip
+            if skip is not None and skip.slots():
+                return replace(node, skip=skip.bind(binding))
+        return node
+
     if isinstance(query, Expression):
         return query.map_leaves(leaf)
-    return query.rewrite(lambda expr: expr.map_leaves(leaf))
+    return query.rewrite(lambda expr: expr.map_leaves(leaf), fill)
 
 
 def bind_parameters(
@@ -588,19 +600,22 @@ class PreparedQuery:
         return result, False
 
     def _bound_plan(self, binding) -> phys.PhysNode:
-        """The physical plan with ``binding`` substituted, memoized per
+        """The physical plan with ``binding`` substituted — expressions
+        and the filled chunk-skip predicates of its scans — memoized per
         binding values so re-executing a hot binding reuses the same
-        expression objects (compiled-closure cache hits by identity)."""
+        expression objects and skip predicates."""
         if not binding:
             return self.pplan
         key = _binding_key(binding)
-        if key is None:
-            return _bind(self.pplan, binding)  # unhashable: no memo
-        cached = self._bound_plans.get(key)
+        cached = self._bound_plans.get(key) if key is not None else None
         if cached is not None:
             self._bound_plans.move_to_end(key)
             return cached
         pplan = _bind(self.pplan, binding)
+        if self.connection.verify_plans:
+            analysis.verify_bound(pplan, binding)
+        if key is None:
+            return pplan  # unhashable binding values: no memo
         self._bound_plans[key] = pplan
         while len(self._bound_plans) > _BOUND_PLAN_MEMO:
             self._bound_plans.popitem(last=False)

@@ -337,8 +337,14 @@ class TestGoldenExplains:
         normalized = re.sub(
             r"\d+\.\d{3}ms(?: in \d+ loops)?", "Tms", text
         )
-        # only the vectorized backend has filter kernels to report
-        kernel = ", kernel=compiled" if backend == "vectorized" else ""
+        # only the vectorized backend has filter kernels to report: the
+        # typed l_qty column compares natively, and the streamed filter
+        # gathers both lineitem columns (no projection fused above it)
+        kernel = (
+            ", kernel=compiled, native_compares=1, gathered_columns=2/2"
+            if backend == "vectorized"
+            else ""
+        )
         assert normalized == (
             f"EXPLAIN ANALYZE (det, backend={backend}): 7 rows in Tms\n"
             "HashAggregate γ[o_cust; sum(l_qty)→qty, count(None)→n]"
@@ -352,6 +358,45 @@ class TestGoldenExplains:
             f"  (~154 rows, actual 132, err 1.17x, Tms{kernel})\n"
             "        Scan lineitem [skip: l_qty>2]"
             "  (~200 rows, actual 200, err 1.00x, Tms)\n"
+            "stages: execute Tms"
+        )
+
+    def test_prepared_skip_template_golden(self):
+        # the cached plan renders its skip template with parameter
+        # slots; a bound run fills it and skips like its literal twin
+        import re
+
+        from repro.session import Connection
+
+        rel = DetRelation(
+            ["l_id", "l_qty", "l_price"],
+            [(i, i % 50, float(i % 97)) for i in range(2400)],
+        )
+        conn = Connection(
+            DetDatabase({"lineitem": rel}),
+            config=EvalConfig(backend="vectorized", chunk_size=100),
+        )
+        prepared = conn.prepare(
+            "SELECT l_id, l_price FROM lineitem WHERE l_id >= ? AND l_id < ?"
+        )
+        assert prepared.explain_physical() == (
+            "FusedSelectProject σ[((l_id >= ?0) AND (l_id < ?1))]"
+            " π[l_id, l_price]  (~267 rows)\n"
+            "  Scan lineitem [skip: l_id>=?0 AND l_id<?1]  (~2400 rows)"
+        )
+        normalized = re.sub(
+            r"\d+\.\d{3}ms(?: in \d+ loops)?",
+            "Tms",
+            prepared.explain_analyze([1200, 1224]),
+        )
+        assert normalized == (
+            "EXPLAIN ANALYZE (det, backend=vectorized): 24 rows in Tms\n"
+            "FusedSelectProject σ[((l_id >= ?0) AND (l_id < ?1))]"
+            " π[l_id, l_price]  (~267 rows, actual 24, err 10.71x, Tms,"
+            " kernel=compiled, native_compares=2, gathered_columns=2/3)\n"
+            "  Scan lineitem [skip: l_id>=?0 AND l_id<?1]"
+            "  (~2400 rows, actual 100, err 23.77x, Tms,"
+            " skipped 23/24 chunks by bound skip)\n"
             "stages: execute Tms"
         )
 

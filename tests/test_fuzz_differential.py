@@ -28,12 +28,16 @@ backend, and the paper's semantics promise:
    parallelism levels (exact summation, :mod:`repro.core.sums`); the
    PR 3 "round-off may differ" carve-out is gone.
 4b. **Prepared-statement differential** — every plan, wrapped in a
-   parameterized selection, is ``prepare``d once on a
-   :class:`repro.session.Connection` (``staleness=1`` so epoch-drift
-   re-lowering actually fires) and executed with three bindings
-   interleaved with writes; each execution must equal fresh unprepared
-   evaluation bit-for-bit, on both engines and both backends, and the
-   session counters must show zero re-parses/re-optimizes.
+   parameterized selection (any comparison, either orientation), is
+   ``prepare``d once on a :class:`repro.session.Connection`
+   (``staleness=1`` so epoch-drift re-lowering actually fires, chunk
+   size 1, 3, 64 or the default) and executed with three bindings —
+   ints, or NaN / ``None`` / bool / str / float — interleaved with
+   writes; each execution must equal its literal twin (the bound plan
+   prepared fresh) and the legacy interpreter bit-for-bit, or raise the
+   same exception, on both engines and both backends, and skip exactly
+   as many chunks as the literal twin; the session counters must show
+   zero re-parses/re-optimizes.
 4c. **Incremental-view-maintenance differential** — every plan is
    ``subscribe``d on a connection and a random interleaving of
    inserts/deletes/updates (AU deletes with valid delta/remainder
@@ -109,8 +113,11 @@ from repro.core.expressions import (
     And,
     Const,
     Eq,
+    Geq,
     Gt,
     Leq,
+    Lt,
+    Neq,
     Not,
     Or,
     Parameter,
@@ -313,18 +320,50 @@ def _clone_audb(audb: AUDatabase) -> AUDatabase:
     return out
 
 
+#: prepared-lane bindings beyond the small ints: every value kind the
+#: bind-time skip fill must decide like a literal (NaN and None drop /
+#: keep their atom, bools rank with the numbers, int vs float, strings)
+EXOTIC_BINDINGS = (float("nan"), None, True, False, "a", 2.0, 3.5)
+
+
+def _outcome(run):
+    """``(result bits, chunks skipped)`` of ``run()``, or the exception
+    type it raised — the three sides of the prepared lane must agree."""
+    from repro.db import chunks
+
+    before = chunks._CHUNKS_SKIPPED.value
+    try:
+        result = run()
+    except Exception as exc:  # noqa: BLE001 - parity of *any* failure
+        return ("raised", type(exc).__name__), None
+    skipped = chunks._CHUNKS_SKIPPED.value - before
+    if isinstance(result, DetRelation):
+        return (result.schema, result.rows), skipped
+    return (result.schema, dict(result.tuples())), skipped
+
+
 def _check_prepared_lane(rng, plan, schema, used, det, audb, context) -> None:
     """Prepared-statement lane: ``prepare`` once, execute with three
-    bindings interleaved with writes, and compare against fresh
-    unprepared evaluation on both engines and both backends.
+    bindings interleaved with writes, and compare against the literal
+    twin (the bound plan prepared fresh) and the legacy interpreter, on
+    both engines and both backends, at a random chunk size.
 
-    ``staleness=1`` forces the epoch-drift re-lowering machinery to run
-    mid-sequence, so plan-cache staleness is fuzzed too.
+    The parameterized atom is any comparison in either orientation and
+    the bindings include NaN, ``None``, bools, strings and floats next
+    to ints; the prepared statement must skip exactly the chunks its
+    literal twin skips.  ``staleness=1`` forces the epoch-drift
+    re-lowering machinery to run mid-sequence, so plan-cache staleness
+    is fuzzed too.
     """
-    param_plan = Selection(
-        plan, Leq(Var(rng.choice(schema)), Parameter(0))
-    )
-    bindings = [rng.randint(-2, 6) for _ in range(3)]
+    col, param = Var(rng.choice(schema)), Parameter(0)
+    op = rng.choice([Leq, Lt, Geq, Gt, Eq, Neq])
+    atom = op(col, param) if rng.random() < 0.7 else op(param, col)
+    param_plan = Selection(plan, atom)
+    bindings = [
+        rng.randint(-2, 6) if rng.random() < 0.6 else rng.choice(EXOTIC_BINDINGS)
+        for _ in range(3)
+    ]
+    chunk_size = rng.choice((1, 3, 64, None))
     writes = []
     for _ in bindings:
         table = rng.choice(sorted(used))
@@ -332,29 +371,32 @@ def _check_prepared_lane(rng, plan, schema, used, det, audb, context) -> None:
     for backend in ("tuple", "vectorized"):
         det_db = _clone_det(det)
         au_db = _clone_audb(audb)
-        config = EvalConfig(backend=backend)
+        config = EvalConfig(backend=backend, chunk_size=chunk_size)
         det_conn = Connection(det_db, config=config, staleness=1)
         au_conn = Connection(au_db, config=config, staleness=1)
+        det_twin = Connection(det_db, config=config)
+        au_twin = Connection(au_db, config=config)
         det_prepared = det_conn.prepare(param_plan)
         au_prepared = au_conn.prepare(param_plan)
         for (table, row), value in zip(writes, bindings):
             bound = bind_parameters(param_plan, [value])
-            got_det = det_prepared.execute([value])
-            want_det = evaluate_det(bound, det_db, backend=backend)
-            assert got_det.schema == want_det.schema, (
-                f"prepared det schema [{backend} ?={value}] {context}"
-            )
-            assert got_det.rows == want_det.rows, (
-                f"prepared det bag [{backend} ?={value}] {context}"
-            )
-            got_au = au_prepared.execute([value])
-            want_au = evaluate_audb(bound, au_db, config)
-            assert got_au.schema == want_au.schema, (
-                f"prepared AU schema [{backend} ?={value}] {context}"
-            )
-            assert dict(got_au.tuples()) == dict(want_au.tuples()), (
-                f"prepared AU annotations [{backend} ?={value}] {context}"
-            )
+            where = f"[{backend} chunk={chunk_size} ?={value!r}] {context}"
+            for engine, prepared, twin, legacy in (
+                ("det", det_prepared, det_twin, lambda: evaluate_det(
+                    bound, det_db, backend="tuple", physical=False)),
+                ("AU", au_prepared, au_twin, lambda: evaluate_audb(
+                    bound, au_db, TUPLE_LEGACY)),
+            ):
+                got, skipped = _outcome(lambda: prepared.execute([value]))
+                want, twin_skipped = _outcome(lambda: twin.execute(bound))
+                assert got == want, f"prepared {engine} vs literal {where}"
+                assert got == _outcome(legacy)[0], (
+                    f"prepared {engine} vs legacy {where}"
+                )
+                assert skipped == twin_skipped, (
+                    f"prepared {engine} skipped {skipped} chunks, its "
+                    f"literal twin {twin_skipped} {where}"
+                )
             det_db[table].add(tuple(row), 1)
             au_db[table].add(row, (1, 1, 1))
         # the whole point of preparing: one parse/optimize per statement

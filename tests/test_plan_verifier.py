@@ -393,6 +393,42 @@ class TestPhysicalDiagnostics:
         with pytest.raises(PlanReferenceError, match="zone-mapped"):
             verify_physical(scan, stats, self._cfg(engine="det"))
 
+    def test_skip_template_must_read_a_declared_parameter(self, stats):
+        from repro.db.chunks import derive_skip
+
+        condition = Var("a") > Parameter(0)
+        ok = phys.FusedSelectProject(
+            phys.Scan("r", skip=derive_skip(condition)), condition, None
+        )
+        verify_physical(ok, stats, self._cfg(engine="det"))
+        # the scan's template reads ?1, which the statement never declares
+        stray = phys.FusedSelectProject(
+            phys.Scan("r", skip=derive_skip(Var("a") > Parameter(1))),
+            condition,
+            None,
+        )
+        with pytest.raises(PlanReferenceError, match="does not declare"):
+            verify_physical(stray, stats, self._cfg(engine="det"))
+
+    def test_bound_plan_must_carry_no_unfilled_skip_atom(self, stats):
+        from repro.db.chunks import derive_skip
+        from repro.session import bind_parameters
+
+        condition = (Var("a") >= Parameter(0)) & (Var("a") < Parameter(1))
+        plan = phys.FusedSelectProject(
+            phys.Scan("r", skip=derive_skip(condition)), condition, None
+        )
+        verify_bound(plan, {0: 1, 1: 5})  # the template plan, fully bound
+        bound = bind_parameters(plan, [1, 5])
+        assert str(bound.child.skip) == "a>=1 AND a<5"
+        assert bound.child.skip.origin == "bound"
+        assert str(plan.child.skip) == "a>=?0 AND a<?1"  # never mutated
+        verify_bound(bound, {})
+        # a bound condition over a scan whose template nobody filled
+        stale = phys.FusedSelectProject(plan.child, bound.condition, None)
+        with pytest.raises(PlanReferenceError, match="unfilled chunk-skip atom"):
+            verify_bound(stale, {})
+
     def test_parallel_scan_chunk_size_must_match_config(self, stats):
         region = phys.FusedSelectProject(
             phys.ParallelScan("r", 2, chunk_size=16), Var("a") > Const(0), None

@@ -475,6 +475,94 @@ class TestBindingCoverage:
         assert all(isinstance(t[0], float) for t in as_float.rows)
 
 
+class TestBindTimeSkipping:
+    """A prepared statement skips the chunks of its literal twin: the
+    cached plan's scans carry skip *templates* (``column ⟨op⟩ ?slot``)
+    and binding fills them on copies of the scans."""
+
+    @staticmethod
+    def _skipping(run):
+        from repro.db import chunks
+
+        before = chunks._CHUNKS_SKIPPED.value
+        result = run()
+        return result, chunks._CHUNKS_SKIPPED.value - before
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_prepared_skips_like_its_literal_twin(self, engine, parallelism):
+        from repro.exec import parallel as exec_parallel
+
+        db = make_det_db(60) if engine == "det" else make_au_db(60)
+        bits = det_bits if engine == "det" else au_bits
+        config = EvalConfig(
+            backend="vectorized", chunk_size=8, parallelism=parallelism
+        )
+        conn = Connection(db, config=config, verify=True)
+        sql = "SELECT okey, price FROM orders WHERE okey >= ? AND okey < ?"
+        prepared = conn.prepare(sql)
+        old = exec_parallel.PARALLEL_MIN_ROWS
+        exec_parallel.PARALLEL_MIN_ROWS = 0
+        try:
+            for lo, hi in ((0, 5), (30, 41), (58, 99)):
+                got, skipped = self._skipping(lambda: prepared.execute([lo, hi]))
+                twin = sql.replace("?", str(lo), 1).replace("?", str(hi), 1)
+                want, twin_skipped = self._skipping(lambda: conn.execute(twin))
+                assert bits(got) == bits(want)
+                assert skipped == twin_skipped > 0, (lo, hi)
+        finally:
+            exec_parallel.PARALLEL_MIN_ROWS = old
+        # the cached plan still holds the template, never a filled copy
+        skips = [
+            str(n.skip) for n in prepared.pplan.walk()
+            if getattr(n, "skip", None) is not None
+        ]
+        assert skips == ["okey>=?0 AND okey<?1"]
+
+    def test_bound_plan_memo_holds_the_filled_predicate(self):
+        db = make_det_db(60)
+        conn = Connection(db, config=EvalConfig(backend="vectorized", chunk_size=8))
+        prepared = conn.prepare(
+            "SELECT okey FROM orders WHERE okey >= ? AND price < ?"
+        )
+        prepared.execute([50, 100.0])
+        (bound,) = prepared._bound_plans.values()
+        assert str(bound.child.skip) == "okey>=50 AND price<100.0"
+        assert bound.child.skip.origin == "bound"
+        db["orders"].add((999, 1, 1.0), 1)  # a new epoch: no result memo
+        prepared.execute([50, 100.0])
+        assert list(prepared._bound_plans.values()) == [bound]
+        # a NaN binding drops its atom, as derive_skip drops a NaN literal
+        prepared.execute([50, float("nan")])
+        assert str(list(prepared._bound_plans.values())[-1].child.skip) == (
+            "okey>=50"
+        )
+        assert str(prepared.pplan.child.skip) == "okey>=?0 AND price<?1"
+
+    def test_parallel_au_aggregate_fills_its_serial_final_too(self):
+        # the AU Exchange keeps the serial HashAggregate as its final
+        # (re-run on an uncertain group key): its scan must be filled as
+        # well, which verify_bound checks on every bound plan
+        from repro.exec import parallel as exec_parallel
+
+        db = make_au_db(60)
+        config = EvalConfig(backend="vectorized", chunk_size=8, parallelism=2)
+        conn = Connection(db, config=config, verify=True)
+        sql = "SELECT cust, count(*) AS n FROM orders WHERE okey < ? GROUP BY cust"
+        old = exec_parallel.PARALLEL_MIN_ROWS
+        exec_parallel.PARALLEL_MIN_ROWS = 0
+        try:
+            got = conn.execute(sql, [20])
+        finally:
+            exec_parallel.PARALLEL_MIN_ROWS = old
+        fresh = evaluate_audb(bind_parameters(parse_sql(sql), [20]), db, config)
+        assert au_bits(got) == au_bits(fresh)
+        (bound,) = conn.prepare(sql)._bound_plans.values()
+        assert type(bound).__name__ == "Exchange"
+        (scan,) = [n for n in bound.final.walk() if type(n).__name__ == "Scan"]
+        assert str(scan.skip) == "okey<20"
+
+
 class TestMetricsRegistryView:
     """Satellite: ``ConnectionMetrics`` is a view over the process-wide
     :class:`repro.telemetry.MetricsRegistry` — every local increment

@@ -1,19 +1,22 @@
 """Paged chunked columnar storage: chunks, zone maps, skip predicates.
 
 Unit-level coverage for :mod:`repro.db.chunks` — chunk store builds and
-round-trips, skip-predicate derivation, the per-operator zone-map skip
-rules, incremental maintenance through the relations' write paths, and
-the delete-boundary staleness protocol (a delete touching a zone
-boundary must *invalidate* the zone, never silently keep the too-wide
-bound as authoritative) — plus the end-to-end surfaces: chunk-skip
-telemetry in ``explain_analyze``, metrics counters, morsel/chunk
-alignment, and the materialization budget that chunked streaming stays
-under.
+round-trips, skip-predicate derivation (literal atoms and parameter
+templates filled by a binding), the per-operator zone-map skip rules,
+incremental maintenance through the relations' write paths, and a
+property over random add/delete interleavings on both stores: every
+zone brackets its live rows (a delete leaves min/max wide, never
+narrow), the counts are exact, an emptied chunk resets its zone, and a
+skipped scan answers what an unskipped one does — plus the end-to-end
+surfaces: chunk-skip telemetry in ``explain_analyze``, metrics counters,
+morsel/chunk alignment, and the materialization budget that chunked
+streaming stays under.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.expressions import (
     And,
@@ -30,7 +33,7 @@ from repro.core.expressions import (
     Parameter,
     Var,
 )
-from repro.core.ranges import RangeValue
+from repro.core.ranges import RangeValue, domain_key
 from repro.core.relation import AURelation
 from repro.db import chunks as chunks_mod
 from repro.db.chunks import (
@@ -138,16 +141,45 @@ def test_derive_skip_conjuncts_and_flip():
 
 
 def test_derive_skip_ignores_non_atoms():
-    # Or is not a conjunct; Var-Var atoms and Parameter comparisons are
-    # not zone-testable; NaN constants break the domain order
+    # Or is not a conjunct; Var-Var atoms are not zone-testable; NaN
+    # constants break the domain order; a range constant is compared
+    # through its bounds, not its key
     assert derive_skip(Or(Gt(Var("a"), Const(1)), Lt(Var("a"), Const(0)))) is None
     assert derive_skip(Eq(Var("a"), Var("b"))) is None
-    assert derive_skip(Leq(Var("a"), Parameter(0))) is None
     assert derive_skip(Gt(Var("a"), Const(float("nan")))) is None
+    assert derive_skip(Gt(Var("a"), Const(RangeValue(1, 2, 3)))) is None
     assert derive_skip(None) is None
     # ... but a qualifying conjunct next to an unusable one still counts
     skip = derive_skip(And(Eq(Var("a"), Var("b")), Geq(Var("a"), Const(3))))
     assert skip is not None and str(skip) == "a>=3"
+    assert skip.origin == "literal" and skip.slots() == ()
+
+
+def test_parameter_atoms_are_templates_filled_by_binding():
+    cond = And(
+        And(Geq(Var("a"), Parameter(0)), Lt(Parameter(1), Var("b"))),
+        Leq(Var("a"), Const(8)),
+    )
+    template = derive_skip(cond)
+    assert str(template) == "a>=?0 AND b>?1 AND a<=8"
+    assert template.origin == "template" and template.slots() == (0, 1)
+    store = DetChunkStore.build(_det_rel(10), 3)  # [0-2][3-5][6-8][9]
+    # an unfilled template skips only through its literal atoms
+    _, total, skipped = store.survivors(template)
+    assert (total, skipped) == (4, 1)
+    bound = template.bind({0: Const(6), 1: Const(10)})
+    literal = derive_skip(
+        And(And(Geq(Var("a"), Const(6)), Lt(Const(10), Var("b"))), Leq(Var("a"), Const(8)))
+    )
+    assert str(bound) == str(literal) == "a>=6 AND b>10 AND a<=8"
+    assert bound.origin == "bound" and bound.slots() == ()
+    assert store.survivors(bound)[1:] == store.survivors(literal)[1:] == (4, 3)
+    # NaN, range and non-constant bindings drop their atom, as literals do
+    dropped = template.bind({0: Const(float("nan")), 1: Var("a")})
+    assert str(dropped) == "a<=8"
+    only = derive_skip(Gt(Var("a"), Parameter("lo")))
+    assert only.bind({"lo": Const(RangeValue(1, 2, 3))}) is None
+    assert str(only.bind({"lo": Const(None)})) == "a>None"
 
 
 @pytest.mark.parametrize(
@@ -265,63 +297,144 @@ def test_relation_add_maintains_cached_store():
     assert list(batch.mult)[-1] == 3
 
 
-def test_interior_delete_keeps_zone_fresh():
-    r = _det_rel(10)
-    store = det_store(r, 10)
-    rebuilds = chunks_mod._ZONE_REBUILDS.value
-    r.delete((4, 40), 1)  # interior row of [0..9]: no boundary touched
-    ch = store.chunks[0]
-    assert not ch.zone.stale
-    assert store.zone(ch).rows == 9
-    assert chunks_mod._ZONE_REBUILDS.value == rebuilds
-    # partial delete (multiplicity decrement) never goes stale either
-    r2 = DetRelation(["a"])
-    r2.add((0,), 3)
-    s2 = det_store(r2, 4)
-    r2.delete((0,), 1)
-    assert not s2.chunks[0].zone.stale
-    b, _, _ = s2.scan(None)
-    assert list(b.mult) == [2]
-
-
-def test_delete_boundary_invalidates_zone_not_widens():
-    """Satellite regression: a delete that removes a zone-boundary row
-    must mark the zone stale (mirroring StatsAccumulator.rescan_needed)
-    and the next use must rebuild it *exactly* — keeping the old max as
-    authoritative would leave chunks unskippable forever; silently
-    narrowing without a rescan could wrongly skip chunks."""
+def test_delete_keeps_counts_exact_and_bounds_wide():
     r = _det_rel(10)
     store = det_store(r, 10)
     ch = store.chunks[0]
     old_max = ch.zone.max_keys[0]
     r.delete((9, 90), 1)  # (9, 90) is the max of both columns
     assert r._chunk_cache is store  # store survived the delete
-    assert ch.zone.stale  # invalidated, not silently narrowed
-    assert ch.zone.max_keys[0] == old_max  # untouched until rebuild
-    rebuilds = chunks_mod._ZONE_REBUILDS.value
-    # next zone use rebuilds exactly: max is now 8, so a>8 skips
-    kept, total, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(8))))
-    assert chunks_mod._ZONE_REBUILDS.value == rebuilds + 1
-    assert (len(kept), total, skipped) == (0, 1, 1)
-    assert not ch.zone.stale
-    assert ch.zone.rows == 9
-    # and the rebuilt zone is not over-narrow: a>=8 must keep the chunk
-    kept, _, skipped = store.survivors(derive_skip(Geq(Var("a"), Const(8))))
+    assert ch.zone.rows == ch.zone.certain == 9
+    # the zone keeps the old max: wider than the rows, never narrower,
+    # so a>8 reads the chunk (no false skip) and no rebuild ever runs
+    assert ch.zone.max_keys[0] == old_max
+    kept, _, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(9))))
+    assert (len(kept), skipped) == (0, 1)
+    kept, _, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(8))))
     assert (len(kept), skipped) == (1, 0)
+    # partial delete (multiplicity decrement) leaves the zone alone
+    r2 = DetRelation(["a"])
+    r2.add((0,), 3)
+    s2 = det_store(r2, 4)
+    r2.delete((0,), 1)
+    assert s2.chunks[0].zone.rows == 1
+    b, _, _ = s2.scan(None)
+    assert list(b.mult) == [2]
 
 
-def test_au_delete_boundary_invalidates_zone():
-    r = _au_rel(6)
-    store = au_store(r, 6)
-    ch = store.chunks[0]
-    assert not ch.zone.stale
-    # remove the row holding the upper bound of column a ([5, 6])
-    r.delete([RangeValue(5, 5, 6), RangeValue(50, 50, 50)], (1, 1, 1))
-    assert r._chunk_cache is store
-    assert ch.zone.stale
-    kept, total, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(5))))
-    assert (len(kept), total, skipped) == (0, 1, 1)  # new max ub is 5
-    assert store.zone(ch).rows == 5
+def test_emptied_chunk_resets_its_zone():
+    r = _au_rel(4)
+    store = au_store(r, 2)  # [0-1][2-3]
+    for t, k in list(r.tuples())[:2]:
+        r.delete(t, k)
+    first = store.chunks[0]
+    assert len(first) == 0
+    assert first.zone.rows == 0 and first.zone.min_keys == [None, None]
+    assert store.survivors(None)[1:] == (1, 0)  # empty chunks never count
+
+
+# ----------------------------------------------------------------------
+# zone maintenance: a property over random add/delete interleavings
+# ----------------------------------------------------------------------
+#: cells of both stores: NULL, bools, mixed int/float, ±inf, -0.0, NaN,
+#: strings and a 64-bit edge value
+CELLS = [None, True, False, 0, 1, -3, 2.5, -0.0, math.inf, -math.inf,
+         math.nan, "a", "b", 2**63 - 1]
+#: predicate constants (AU: no NaN — Const(NaN).eval_range raises)
+CONSTS = [c for c in CELLS if c == c]
+SKIP_CONDITIONS = st.one_of(
+    st.builds(
+        lambda kind, col, c: kind(Var(col), Const(c)),
+        st.sampled_from([Eq, Neq, Leq, Lt, Geq, Gt]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(CONSTS),
+    ),
+    st.sampled_from([IsNull(Var("a")), Not(IsNull(Var("b")))]),
+)
+
+
+@st.composite
+def au_cells(draw):
+    """A valid range over CELLS: a point, or three cells in domain order
+    (NaN only survives validation between values of other ranks)."""
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(CONSTS))
+        return RangeValue(value, value, value)
+    triple = sorted(draw(st.tuples(*[st.sampled_from(CELLS)] * 3)), key=domain_key)
+    try:
+        return RangeValue(*triple)
+    except ValueError:  # NaN next to a number: no valid range
+        return RangeValue(None, 0, "a")
+
+
+def _check_zones(store, au):
+    for ch in store.chunks:
+        zone = ch.zone
+        cols = ch.rv_cols if au else ch.batch.columns
+        rows = list(zip(*cols)) if len(ch) else []
+        assert zone.rows == len(ch) == len(rows)
+        if not rows:  # emptied (or never filled): a fresh zone
+            assert zone.min_keys == zone.max_keys == [None, None]
+            assert zone.nulls == [0, 0] and zone.certain == 0
+            assert zone.enabled == [True, True]
+            continue
+        certain = sum(all(c.is_certain for c in row) for row in rows) if au else len(rows)
+        assert zone.certain == certain
+        for j in range(2):
+            cells = [row[j] for row in rows]
+            guesses = [c.sg for c in cells] if au else cells
+            assert zone.nulls[j] == sum(v is None for v in guesses)
+            bounds = [(c.lb, c.ub) for c in cells] if au else [(v, v) for v in cells]
+            if any(lb != lb or ub != ub for lb, ub in bounds):
+                assert not zone.enabled[j]  # NaN disables the entry
+            if not zone.enabled[j]:
+                continue
+            for lb, ub in bounds:  # wide is fine, narrow never
+                assert zone.min_keys[j] <= domain_key(lb)
+                assert domain_key(ub) <= zone.max_keys[j]
+
+
+def _scan_rows(store, au, skip, condition):
+    """Rows of the chunks a scan reads under ``skip`` that satisfy
+    ``condition`` (AU: in some world)."""
+    out = []
+    for ch in store.survivors(skip)[0]:
+        cols = ch.rv_cols if au else ch.batch.columns
+        for row in zip(*cols):
+            valuation = dict(zip(("a", "b"), row))
+            if au:
+                if condition.eval_range(valuation).ub:
+                    out.append(row)
+            elif condition.eval(valuation):
+                out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("au", [False, True], ids=["det", "au"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zones_stay_sound_under_add_delete_interleavings(au, data):
+    cells = au_cells() if au else st.sampled_from(CELLS)
+    rows = st.tuples(cells, cells)
+    rel = AURelation(["a", "b"]) if au else DetRelation(["a", "b"])
+    for row in data.draw(st.lists(rows, max_size=8)):
+        rel.add(row, (1, 1, 1) if au else 1)
+    chunk_size = data.draw(st.sampled_from([1, 2, 3, 5]))
+    store = (au_store if au else det_store)(rel, chunk_size)
+    for _ in range(data.draw(st.integers(0, 12))):
+        live = list(rel.tuples()) if au else list(rel.rows.items())
+        if live and data.draw(st.booleans()):
+            t, k = data.draw(st.sampled_from(live))
+            rel.delete(t, k if au else data.draw(st.integers(1, k)))
+        else:
+            rel.add(data.draw(rows), (1, 1, 1) if au else data.draw(st.integers(1, 2)))
+        assert rel._chunk_cache is store  # maintained, never dropped
+        _check_zones(store, au)
+    for condition in data.draw(st.lists(SKIP_CONDITIONS, min_size=1, max_size=3)):
+        skip = derive_skip(condition)
+        assert _scan_rows(store, au, skip, condition) == _scan_rows(
+            store, au, None, condition
+        )
 
 
 def test_au_store_roundtrip_and_certain_fraction():
@@ -329,7 +442,7 @@ def test_au_store_roundtrip_and_certain_fraction():
     r.add([RangeValue(0, 1, 2)], (1, 1, 1))  # uncertain value
     r.add([RangeValue(3, 3, 3)], (1, 1, 1))  # certain value
     store = au_store(r, 4)
-    zone = store.zone(store.chunks[0])
+    zone = store.chunks[0].zone
     assert zone.rows == 2 and zone.certain == 1
     assert zone.certain_fraction() == pytest.approx(0.5)
     batch, _, skipped = store.scan(None)
@@ -354,7 +467,7 @@ def test_au_nan_range_disables_zone_entry():
     r.add([RangeValue(float("nan"), "x", "y")], (1, 1, 1))
     r.add([RangeValue(1, 1, 1)], (1, 1, 1))
     store = au_store(r, 4)
-    zone = store.zone(store.chunks[0])
+    zone = store.chunks[0].zone
     assert not zone.enabled[0]
     kept, _, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(10**9))))
     assert (len(kept), skipped) == (1, 0)  # disabled entry never skips
