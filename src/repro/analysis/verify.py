@@ -107,39 +107,37 @@ def verify_bound(
 ) -> None:
     """Check every parameter key of ``plan`` has a value in ``bindings``;
     a plan that mentions no parameter any more (a bound physical plan)
-    must also carry no unfilled chunk-skip template atom."""
-    keys = collect_plan_parameters(plan)
+    must also carry no unfilled chunk-skip template atom.  One pass over
+    the plan, off-spine plans (``Exchange.final``) included: it runs on
+    every execution of a bound plan when verification is on."""
+    keys: List[Any] = []
+    unfilled: List[Any] = []
+
+    def note_expr(expr: Any) -> Any:
+        keys.extend(expr.parameters())
+        return expr
+
+    def note_node(node: Any) -> Any:
+        skip = getattr(node, "skip", None)
+        if skip is not None and skip.slots():
+            unfilled.append(node)
+        return node
+
+    plan.rewrite(note_expr, note_node)
     have = set(bindings) if bindings else set()
-    missing = [k for k in keys if k not in have]
+    missing = {k for k in keys if k not in have}
     if missing:
         raise PlanReferenceError(
             f"unbound parameter(s) {sorted(missing, key=str)}; "
             f"bound keys: {sorted(have, key=str)}"
         )
-    if keys:
-        return
-    for node, skip in _scan_skips(plan):
-        if skip.slots():
-            raise PlanReferenceError(
-                f"bound plan still carries an unfilled chunk-skip atom "
-                f"on {node.table!r}: [skip: {skip}]; binding must fill "
-                "every template on a copy of the scan"
-            )
-
-
-def _scan_skips(plan: ast.Node) -> List[Any]:
-    """``(scan, skip predicate)`` of every scan in ``plan`` that has
-    one, off-spine plans (``Exchange.final``) included."""
-    out: List[Any] = []
-
-    def note(node: Any) -> Any:
-        skip = getattr(node, "skip", None)
-        if skip is not None:
-            out.append((node, skip))
-        return node
-
-    plan.rewrite(lambda expr: expr, note)
-    return out
+    if unfilled and not keys:
+        node = unfilled[0]
+        raise PlanReferenceError(
+            f"bound plan still carries an unfilled chunk-skip atom "
+            f"on {node.table!r}: [skip: {node.skip}]; binding must fill "
+            "every template on a copy of the scan"
+        )
 
 
 # ----------------------------------------------------------------------

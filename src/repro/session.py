@@ -17,6 +17,10 @@ execute many* lifecycle:
   re-lower — and dispatches to the backend chosen at prepare time;
 * SQL-text queries are memoized in a per-connection LRU **plan cache**
   keyed by ``(SQL text, engine, EvalConfig, catalog-epoch band)``;
+  :meth:`Connection.execute` runs a parameterless text that misses it
+  as its template with the comparison literals lifted into parameters
+  (:func:`repro.sql.lexer.normalize`), so texts differing only in
+  those literals share one plan;
 * the **catalog epoch** (a monotonically increasing write version
   maintained by the storage layers) drives staleness: a prepared query
   whose epoch has drifted more than ``staleness`` writes past its last
@@ -33,7 +37,9 @@ any staleness — the differential fuzzer's prepared-statement lane holds
 both engines and both backends to that.  The one documented exception:
 ``EvalConfig.adaptive_compression`` places AU ``Cpr`` budgets from
 statistics, so a cached plan may compress differently (still *sound*,
-bounds-preserving either way) than a cold run after heavy writes.
+bounds-preserving either way) than a cold run after heavy writes, and a
+literal text run through its template differently than the text
+prepared as written.
 
 ``evaluate_det`` / ``evaluate_audb`` remain as thin shims that route
 through an ephemeral connection, so existing call sites keep working
@@ -65,6 +71,7 @@ from .db.storage import DetDatabase
 from . import telemetry as _tm
 from .exec import BACKENDS
 from .exec import physical as phys
+from .sql.lexer import normalize
 from .sql.parser import parse_sql
 
 __all__ = [
@@ -88,13 +95,6 @@ _BAND_FACTOR = 16
 
 #: Per-connection plan-cache capacity (LRU eviction).
 DEFAULT_CACHE_SIZE = 128
-
-#: Per-prepared-query memo of bound physical plans (LRU): re-executing
-#: a hot binding reuses the identical bound expression objects, so the
-#: vectorized backend's compiled-closure cache (keyed on expression
-#: identity — :mod:`repro.exec.compile`) hits instead of re-running
-#: codegen per call.
-_BOUND_PLAN_MEMO = 8
 
 #: Per-prepared-query memo of results (LRU): re-executing a hot binding
 #: at an unchanged catalog epoch — a read-only stretch of the workload —
@@ -218,9 +218,9 @@ def bind_parameters(
 
 
 def _binding_key(binding) -> Optional[tuple]:
-    """A hashable memo key for a parameter binding (``None`` when the
-    values are unhashable).  The value's *type* is part of the key:
-    1, 1.0, and True compare equal but bind to bit-different plans."""
+    """A hashable result-memo key for a parameter binding (``None`` when
+    the values are unhashable).  The value's *type* is part of the key:
+    1, 1.0, and True compare equal but can give bit-different results."""
     try:
         key = tuple(
             (k, type(v).__name__, v)
@@ -271,6 +271,7 @@ _METRIC_FIELDS: "OrderedDict[str, str]" = OrderedDict(
     relowerings="Staleness-triggered physical re-plans.",
     cache_hits="Plan-cache hits.",
     cache_misses="Plan-cache misses.",
+    auto_parameterized="SQL texts run as their template, comparison literals lifted.",
     executions="Query executions.",
     result_cache_hits="Executions answered from the epoch result memo.",
     stats_refreshes="Statistics-catalog harvests.",
@@ -283,6 +284,8 @@ class ConnectionMetrics:
     """Lifecycle counters of one connection (all monotone).
 
     ``cache_hits`` / ``cache_misses`` count SQL plan-cache lookups;
+    ``auto_parameterized`` counts SQL texts that missed the cache and
+    ran as their literal-free template (:meth:`Connection.execute`);
     ``parses`` / ``optimizations`` / ``lowerings`` count the pipeline
     stages actually run (a cache hit runs none of them);
     ``relowerings`` counts staleness-triggered physical re-plans (a
@@ -420,9 +423,6 @@ class PreparedQuery:
             self.optimized = self.plan
         self.pplan: Optional[phys.PhysNode] = None
         self.plan_epoch: Optional[int] = None
-        # binding-values -> bound physical plan (LRU), so hot bindings
-        # keep stable expression identities across executions
-        self._bound_plans: "OrderedDict[tuple, phys.PhysNode]" = OrderedDict()
         # binding-values -> (catalog epoch, result) (LRU): read-only
         # stretches of a workload answer repeats without executing
         self._results: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -450,7 +450,6 @@ class PreparedQuery:
             verify=conn.verify_plans,
         )
         self.plan_epoch = stats.epoch
-        self._bound_plans.clear()  # bound copies of the old plan
         conn.metrics.lowerings += 1
         if relower:
             conn.metrics.relowerings += 1
@@ -545,7 +544,11 @@ class PreparedQuery:
                     if tr is not None:
                         tr.mark("result-memo-hit")
                     return entry[1], True
-        pplan = self._bound_plan(binding)
+        pplan = self.pplan
+        if binding:
+            pplan = _bind(pplan, binding)
+            if conn.verify_plans:
+                analysis.verify_bound(pplan, binding)
         try:
             with _tm.stage(
                 "execute",
@@ -599,28 +602,6 @@ class PreparedQuery:
                 self._results.popitem(last=False)
         return result, False
 
-    def _bound_plan(self, binding) -> phys.PhysNode:
-        """The physical plan with ``binding`` substituted — expressions
-        and the filled chunk-skip predicates of its scans — memoized per
-        binding values so re-executing a hot binding reuses the same
-        expression objects and skip predicates."""
-        if not binding:
-            return self.pplan
-        key = _binding_key(binding)
-        cached = self._bound_plans.get(key) if key is not None else None
-        if cached is not None:
-            self._bound_plans.move_to_end(key)
-            return cached
-        pplan = _bind(self.pplan, binding)
-        if self.connection.verify_plans:
-            analysis.verify_bound(pplan, binding)
-        if key is None:
-            return pplan  # unhashable binding values: no memo
-        self._bound_plans[key] = pplan
-        while len(self._bound_plans) > _BOUND_PLAN_MEMO:
-            self._bound_plans.popitem(last=False)
-        return pplan
-
     def _execute_legacy(self, binding, actuals):
         """Legacy direct interpretation of the (bound) logical plan."""
         plan = _bind(self.optimized, binding) if binding else self.optimized
@@ -665,6 +646,7 @@ class PreparedQuery:
     def explain_analyze(
         self,
         params: Union[Sequence[Any], Mapping[Any, Any], None] = None,
+        lifted: int = 0,
     ) -> str:
         """Execute the query under a trace and render the physical plan
         with per-node actual rows, estimation-error factor, and
@@ -675,12 +657,16 @@ class PreparedQuery:
         process's tracing setting.  The trace is kept on
         ``connection.last_trace`` for deeper inspection
         (:meth:`~repro.telemetry.QueryTrace.render` /
-        :meth:`~repro.telemetry.QueryTrace.chrome_trace`).
+        :meth:`~repro.telemetry.QueryTrace.chrome_trace`).  ``lifted``
+        is how many of ``params`` :meth:`Connection.explain_analyze`
+        lifted out of a literal SQL text; the header reports it.
         """
         conn = self.connection
         actuals: Dict[int, int] = {}
         with _tm.start_trace("explain analyze") as trace:
             conn.last_trace = trace
+            if lifted:
+                trace.mark("auto-param", lifted=lifted)
             result = self._run(params, actuals)
         rows = _result_rows(result)
         stages = "  ".join(
@@ -694,6 +680,8 @@ class PreparedQuery:
             f"): {rows if rows is not None else '?'} rows "
             f"in {trace.duration * 1e3:.3f}ms"
         )
+        if lifted:
+            header += f", auto-parameterized: {lifted} literal(s)"
         if self.pplan is None:
             body = self.explain_logical(actuals=actuals)
         else:
@@ -913,7 +901,7 @@ class Connection:
             _check_config(config)
         if not isinstance(query, str):
             return PreparedQuery(self, query, config)
-        key = (query, self.engine, config, self._epoch_band())
+        key = self._cache_key(query, config)
         cached = self._cache.get(key)
         if cached is not None:
             self.metrics.cache_hits += 1
@@ -926,6 +914,36 @@ class Connection:
             self._cache.popitem(last=False)
         return prepared
 
+    def _cache_key(self, sql: str, config: EvalConfig) -> tuple:
+        return (sql, self.engine, config, self._epoch_band())
+
+    def _lift(self, query, params, config):
+        """``(query, params, lifted)`` to run one :meth:`execute` /
+        :meth:`explain_analyze` call with.
+
+        A SQL text without ``params`` whose raw text misses the plan
+        cache runs as its template (:func:`repro.sql.lexer.normalize`):
+        the comparison literals become ``?`` placeholders and their
+        values the parameters, so texts differing only in literals share
+        one cached plan.  ``lifted`` counts the literals (0 when the
+        call runs as given); the raw text of a lifted query is never a
+        cache key."""
+        if not isinstance(query, str) or params is not None:
+            return query, params, 0
+        if self._cache_key(
+            query, self.config if config is None else config
+        ) in self._cache:
+            return query, params, 0
+        template = normalize(query)
+        if template is None:
+            return query, params, 0
+        query, params = template
+        self.metrics.auto_parameterized += 1
+        tr = _tm._ACTIVE
+        if tr is not None:
+            tr.mark("auto-param", lifted=len(params))
+        return query, params, len(params)
+
     def execute(
         self,
         query: Union[str, Plan],
@@ -934,7 +952,10 @@ class Connection:
         actuals: Optional[Dict[int, int]] = None,
     ):
         """``prepare(query).execute(params)`` — with SQL text, repeated
-        calls hit the plan cache and skip parse/optimize/lower.
+        calls hit the plan cache and skip parse/optimize/lower, and a
+        text without ``params`` that misses it shares the plan of every
+        text differing from it only in comparison literals (see
+        :meth:`_lift`).
 
         With tracing on (``trace=True`` or the process switch) the
         whole call runs under one :class:`~repro.telemetry.QueryTrace`
@@ -944,9 +965,11 @@ class Connection:
         if _tm._ACTIVE is None and self.tracing:
             with _tm.start_trace("query") as trace:
                 self.last_trace = trace
-                return self.prepare(query, config).execute(
-                    params, actuals=actuals
-                )
+                return self._execute(query, params, config, actuals)
+        return self._execute(query, params, config, actuals)
+
+    def _execute(self, query, params, config, actuals):
+        query, params, _ = self._lift(query, params, config)
         return self.prepare(query, config).execute(params, actuals=actuals)
 
     def explain_analyze(
@@ -959,7 +982,8 @@ class Connection:
         its physical plan with per-node actual rows, estimation-error
         factor, and inclusive wall time.  See
         :meth:`PreparedQuery.explain_analyze`."""
-        return self.prepare(query, config).explain_analyze(params)
+        query, params, lifted = self._lift(query, params, config)
+        return self.prepare(query, config).explain_analyze(params, lifted)
 
     def clear_cache(self) -> None:
         self._cache.clear()

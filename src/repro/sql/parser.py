@@ -59,7 +59,7 @@ from ..core.expressions import (
     Parameter,
     Var,
 )
-from .lexer import SqlSyntaxError, Token, tokenize
+from .lexer import SqlSyntaxError, Token, number_value, tokenize
 
 __all__ = ["parse_sql", "SqlSyntaxError"]
 
@@ -429,8 +429,7 @@ class _Parser:
             return Parameter(tok.value)
         if tok.kind == "number":
             self.advance()
-            text = tok.value
-            return Const(float(text) if "." in text else int(text))
+            return Const(number_value(tok.value))
         if tok.kind == "string":
             self.advance()
             return Const(tok.value)

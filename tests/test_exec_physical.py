@@ -329,14 +329,20 @@ class TestGoldenExplains:
         conn = Connection(
             tpch_like_db, config=EvalConfig(backend=backend)
         )
-        text = conn.explain_analyze(
+        sql = (
             "SELECT o_cust, sum(l_qty) AS qty, count(*) AS n "
             "FROM orders JOIN lineitem ON o_id = l_oid "
             "WHERE l_qty > 2 GROUP BY o_cust"
         )
-        normalized = re.sub(
-            r"\d+\.\d{3}ms(?: in \d+ loops)?", "Tms", text
-        )
+
+        def normalize(text):
+            return re.sub(r"\d+\.\d{3}ms(?: in \d+ loops)?", "Tms", text)
+
+        # Connection.explain_analyze runs the text as its template (the
+        # raw text is not cached yet), a prepared text as written
+        lifted = normalize(conn.explain_analyze(sql))
+        marks = [s for s in conn.last_trace.root.children if s.cat == "mark"]
+        normalized = normalize(conn.prepare(sql).explain_analyze())
         # only the vectorized backend has filter kernels to report: the
         # typed l_qty column compares natively, and the streamed filter
         # gathers both lineitem columns (no projection fused above it)
@@ -360,6 +366,27 @@ class TestGoldenExplains:
             "  (~200 rows, actual 200, err 1.00x, Tms)\n"
             "stages: execute Tms"
         )
+        # the template shows the lifted slot (priced at the default
+        # selectivity) and the header says how many literals were lifted
+        assert lifted == (
+            f"EXPLAIN ANALYZE (det, backend={backend}): 7 rows in Tms, "
+            "auto-parameterized: 1 literal(s)\n"
+            "HashAggregate γ[o_cust; sum(l_qty)→qty, count(None)→n]"
+            "  (~7 rows, actual 7, err 1.00x, Tms)\n"
+            "  FusedSelectProject π[o_cust, l_qty]"
+            "  (~67 rows, actual 132, err 1.97x, Tms)\n"
+            "    HashJoin ⋈[o_id=l_oid]"
+            "  (~67 rows, actual 132, err 1.97x, Tms)\n"
+            "      Scan orders  (~50 rows, actual 50, err 1.00x, Tms)\n"
+            "      FusedSelectProject σ[(l_qty > ?0)]"
+            f"  (~67 rows, actual 132, err 1.97x, Tms{kernel})\n"
+            "        Scan lineitem [skip: l_qty>?0]"
+            "  (~200 rows, actual 200, err 1.00x, Tms)\n"
+            "stages: execute Tms"
+        )
+        assert [(m.name, m.attrs) for m in marks] == [
+            ("auto-param", {"lifted": 1})
+        ]
 
     def test_prepared_skip_template_golden(self):
         # the cached plan renders its skip template with parameter

@@ -12,7 +12,7 @@ relation identity-hash contract.
 import pytest
 
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
-from repro.core.expressions import UnboundParameterError
+from repro.core.expressions import Const, UnboundParameterError
 from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import evaluate_det
@@ -21,6 +21,7 @@ from repro.session import (
     _METRIC_FIELDS,
     Connection,
     ConnectionMetrics,
+    _bind,
     bind_parameters,
     collect_parameters,
     connect,
@@ -249,11 +250,12 @@ class TestStalenessAndBands:
         assert conn.metrics.stats_refreshes == 2
 
     def test_lru_eviction(self):
+        # distinct shapes: literal variants of one shape share a plan
         conn = Connection(make_det_db(), cache_size=2)
-        q = "SELECT cust FROM orders WHERE price >= {}"
-        for i in range(3):
-            conn.execute(q.format(i))
-        conn.execute(q.format(0))  # evicted by the third query
+        shapes = [f"SELECT {col} FROM orders" for col in ("okey", "cust", "price")]
+        for sql in shapes:
+            conn.execute(sql)
+        conn.execute(shapes[0])  # evicted by the third query
         assert conn.metrics.cache_misses == 4
 
 
@@ -447,11 +449,11 @@ class TestBindingCoverage:
             assert det_bits(got) == det_bits(fresh)
 
     def test_hot_bindings_reuse_compiled_closures(self):
-        # re-executing a statement must reuse the bound plan for a hot
-        # binding and, for any binding, the vectorized backend's
-        # compiled kernels (cached by statement shape, constants
-        # lifted) instead of re-codegenning
+        # re-executing a statement must reuse, for any binding, the
+        # vectorized backend's compiled kernels (cached by statement
+        # shape, constants lifted) instead of re-codegenning
         from repro.exec import compile as exec_compile
+        from repro.exec.physical import explain_physical
 
         conn = Connection(
             make_det_db(), config=EvalConfig(backend="vectorized")
@@ -459,18 +461,25 @@ class TestBindingCoverage:
         prepared = conn.prepare("SELECT okey FROM orders WHERE price >= ?")
         first = prepared.execute([2.0])
         assert det_bits(prepared.execute([2.0])) == det_bits(first)
-        assert len(prepared._bound_plans) == 1
+        # a hot binding rebinds to the plan it ran before
+        hot = {0: Const(2.0)}
+        assert explain_physical(_bind(prepared.pplan, hot)) == explain_physical(
+            _bind(prepared.pplan, hot)
+        )
         before = len(exec_compile._KERNELS)
         for k in range(5):
             prepared.execute([2.0])
             prepared.execute([3.0 + k])
         assert len(exec_compile._KERNELS) == before  # no kernel churn
         # values that compare equal but differ in type must NOT share
-        # a bound plan (okey * 2 is an int, okey * 2.0 a float)
+        # a bound plan or a memoized result (okey * 2 is an int,
+        # okey * 2.0 a float)
         scale = conn.prepare("SELECT okey * :s AS v FROM orders")
         as_int = scale.execute({"s": 2})
         as_float = scale.execute({"s": 2.0})
-        assert len(scale._bound_plans) == 2
+        assert explain_physical(
+            _bind(scale.pplan, {"s": Const(2)})
+        ) != explain_physical(_bind(scale.pplan, {"s": Const(2.0)}))
         assert all(isinstance(t[0], int) for t in as_int.rows)
         assert all(isinstance(t[0], float) for t in as_float.rows)
 
@@ -507,7 +516,11 @@ class TestBindTimeSkipping:
             for lo, hi in ((0, 5), (30, 41), (58, 99)):
                 got, skipped = self._skipping(lambda: prepared.execute([lo, hi]))
                 twin = sql.replace("?", str(lo), 1).replace("?", str(hi), 1)
-                want, twin_skipped = self._skipping(lambda: conn.execute(twin))
+                # prepare() keeps the twin's literals (execute() would
+                # lift them back into this very statement)
+                want, twin_skipped = self._skipping(
+                    lambda: conn.prepare(twin).execute()
+                )
                 assert bits(got) == bits(want)
                 assert skipped == twin_skipped > 0, (lo, hi)
         finally:
@@ -519,24 +532,32 @@ class TestBindTimeSkipping:
         ]
         assert skips == ["okey>=?0 AND okey<?1"]
 
-    def test_bound_plan_memo_holds_the_filled_predicate(self):
+    def test_binding_fills_the_skip_predicate_on_a_copy(self):
         db = make_det_db(60)
-        conn = Connection(db, config=EvalConfig(backend="vectorized", chunk_size=8))
+        conn = Connection(
+            db,
+            config=EvalConfig(backend="vectorized", chunk_size=8),
+            trace=True,
+        )
         prepared = conn.prepare(
             "SELECT okey FROM orders WHERE okey >= ? AND price < ?"
         )
-        prepared.execute([50, 100.0])
-        (bound,) = prepared._bound_plans.values()
+        _, first = self._skipping(lambda: prepared.execute([50, 100.0]))
+        assert first > 0
+        assert [
+            span.attrs["skip"]
+            for span in conn.last_trace.root.walk()
+            if "skip" in span.attrs
+        ] == ["bound"]
+        bound = _bind(prepared.pplan, {0: Const(50), 1: Const(100.0)})
         assert str(bound.child.skip) == "okey>=50 AND price<100.0"
         assert bound.child.skip.origin == "bound"
         db["orders"].add((999, 1, 1.0), 1)  # a new epoch: no result memo
-        prepared.execute([50, 100.0])
-        assert list(prepared._bound_plans.values()) == [bound]
+        _, again = self._skipping(lambda: prepared.execute([50, 100.0]))
+        assert again == first
         # a NaN binding drops its atom, as derive_skip drops a NaN literal
-        prepared.execute([50, float("nan")])
-        assert str(list(prepared._bound_plans.values())[-1].child.skip) == (
-            "okey>=50"
-        )
+        nan = _bind(prepared.pplan, {0: Const(50), 1: Const(float("nan"))})
+        assert str(nan.child.skip) == "okey>=50"
         assert str(prepared.pplan.child.skip) == "okey>=?0 AND price<?1"
 
     def test_parallel_au_aggregate_fills_its_serial_final_too(self):
@@ -557,7 +578,7 @@ class TestBindTimeSkipping:
             exec_parallel.PARALLEL_MIN_ROWS = old
         fresh = evaluate_audb(bind_parameters(parse_sql(sql), [20]), db, config)
         assert au_bits(got) == au_bits(fresh)
-        (bound,) = conn.prepare(sql)._bound_plans.values()
+        bound = _bind(conn.prepare(sql).pplan, {0: Const(20)})
         assert type(bound).__name__ == "Exchange"
         (scan,) = [n for n in bound.final.walk() if type(n).__name__ == "Scan"]
         assert str(scan.skip) == "okey<20"

@@ -553,12 +553,19 @@ def test_explain_analyze_shows_chunk_skips():
     )
     scanned = chunks_mod._CHUNKS_SCANNED.value
     skipped = chunks_mod._CHUNKS_SKIPPED.value
-    text = conn.explain_analyze("SELECT a FROM t WHERE a >= 95")
-    assert "skipped 9/10 chunks" in text
+    sql = "SELECT a FROM t WHERE a >= 95"
+    text = Connection(db, config=conn.config).prepare(sql).explain_analyze()
+    assert "skipped 9/10 chunks by literal skip" in text
     assert chunks_mod._CHUNKS_SCANNED.value == scanned + 1
     assert chunks_mod._CHUNKS_SKIPPED.value == skipped + 9
     # and the plan rendering names the derived skip predicate
     assert "[skip: a>=95]" in text
+    # the same text through Connection.explain_analyze runs as its
+    # template: the skip is the filled template, and skips the same
+    text = conn.explain_analyze(sql)
+    assert "skipped 9/10 chunks by bound skip" in text
+    assert "[skip: a>=?0]" in text
+    assert chunks_mod._CHUNKS_SKIPPED.value == skipped + 18
 
 
 def test_parallel_exchange_morsels_follow_chunks():
