@@ -56,7 +56,7 @@ def test_streaming_completes_where_materialization_cannot(benchmark):
     assert len(lineitem.rows) > MATERIALIZATION_CAP
     cut = int(max(row[0] for row in lineitem.rows) * 0.9)
     plan = Selection(TableRef("lineitem"), Gt(Var("l_orderkey"), Const(cut)))
-    want = evaluate_det(plan, world)  # tuple backend: budget-free oracle
+    want = evaluate_det(plan, world, backend="tuple")  # budget-free oracle
 
     with materialization_budget(MATERIALIZATION_CAP):
         with pytest.raises(MaterializationBudgetError):

@@ -28,7 +28,7 @@ from . import analysis, telemetry
 from .algebra.evaluator import EvalConfig
 from .core.ranges import between
 from .core.relation import AUDatabase, AURelation
-from .exec import BACKENDS
+from .exec import BACKENDS, DEFAULT_BACKEND
 from .experiments.common import session_pair
 from .sql.parser import SqlSyntaxError
 
@@ -73,16 +73,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         choices=list(BACKENDS),
-        default="tuple",
-        help="physical execution backend: the tuple-at-a-time interpreter "
-        "(default) or the vectorized columnar runtime (repro.exec)",
+        default=DEFAULT_BACKEND,
+        help="physical execution backend: the vectorized columnar runtime "
+        "(repro.exec, default) or the tuple-at-a-time interpreter",
     )
     parser.add_argument(
         "--parallelism",
         type=int,
         default=1,
-        help="morsel-parallel workers for the deterministic vectorized "
-        "backend (1 = serial; results are identical at any setting)",
+        help="morsel-parallel workers for the vectorized backend "
+        "(1 = serial; results are identical at any setting)",
     )
     parser.add_argument(
         "--explain",

@@ -148,6 +148,25 @@ class Node:
         rebuilt: N = _rebuild(self, _slots(type(self))[0], fn)
         return rebuilt
 
+    def map_slots(self: N, fn: Callable[[Any], Any]) -> N:
+        """This node over ``fn`` of each plan and expression it holds
+        directly — children, off-spine plans and expressions alike."""
+        rebuilt: N = _rebuild(self, _slots(type(self))[1], fn)
+        return rebuilt
+
+    def plans(self) -> Iterator[Tuple[str, Optional[int], "Node"]]:
+        """``(slot, index, plan)`` for each plan this node holds directly,
+        off-spine ones (``TupleFallback.logical``, ``Exchange.final``)
+        included; ``index`` is the position inside a tuple slot."""
+        for name in _slots(type(self))[1]:
+            value = getattr(self, name)
+            if isinstance(value, Node):
+                yield name, None, value
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    if isinstance(item, Node):
+                        yield name, i, item
+
     def rewrite(
         self: N,
         expr_fn: Callable[[Expression], Expression],

@@ -21,11 +21,11 @@ all chosen at plan time), and then interpreted by the selected backend.
   knob on or off (compression budgets excepted: bucket boundaries
   depend on operator inputs, so compressed runs remain *sound* but need
   not be bit-identical across plan shapes);
-* ``backend`` — ``"tuple"`` interprets physical plans here;
-  ``"vectorized"`` executes them over columnar batches
-  (:mod:`repro.exec`) with identical results;
+* ``backend`` — ``"vectorized"`` (the default) executes physical plans
+  over columnar batches (:mod:`repro.exec`); ``"tuple"`` interprets
+  them here, with identical results;
 * ``physical`` — ``False`` selects the legacy direct interpretation of
-  the logical plan (tuple backend only), kept as the differential
+  the logical plan whatever the backend, kept as the differential
   fuzzer's reference lowering.
 
 ``ORDER BY … LIMIT`` / fused ``TopK`` return a true bound-adjusted top-k
@@ -44,6 +44,7 @@ from ..core.aggregation import aggregate
 from ..core.compression import optimized_join
 from ..core.expressions import Expression
 from ..core.relation import AUDatabase, AURelation
+from ..exec.physical import DEFAULT_BACKEND
 from .ast import (
     Aggregate,
     CrossProduct,
@@ -82,15 +83,18 @@ class EvalConfig:
     instead of the split/Cpr rewrite.  Either way every join remains
     bound-preserving.
 
-    ``backend`` selects the physical execution backend: ``"tuple"`` (the
-    operator-at-a-time interpreter in this module) or ``"vectorized"``
-    (:mod:`repro.exec`, columnar batches with planner-chosen
-    ``TupleFallback`` boundaries for difference, distinct and top-k).
+    ``backend`` selects the physical execution backend:
+    ``"vectorized"`` (the default, :data:`repro.exec.DEFAULT_BACKEND`;
+    :mod:`repro.exec`, columnar batches with planner-chosen
+    ``TupleFallback`` boundaries for difference, distinct and top-k) or
+    ``"tuple"`` (the operator-at-a-time interpreter in this module).
     Results are identical.  ``physical=False`` keeps the legacy direct
-    interpretation of logical plans (tuple backend only).
+    interpretation of logical plans and runs no lowering, whatever
+    ``backend`` says — it is the oracle, never the engine under test.
 
     ``parallelism`` > 1 adds morsel-parallel regions to vectorized plans
-    on both engines (:mod:`repro.exec.parallel`): AU linear operators
+    (so, with no backend named, it forks the worker pool) on both
+    engines (:mod:`repro.exec.parallel`): AU linear operators
     and certain-group partial aggregates run per morsel and merge
     bit-exactly at the Exchange; the globally SG-combining fragment
     (compressed joins and aggregates, ``TupleFallback`` nodes) stays
@@ -108,7 +112,7 @@ class EvalConfig:
     optimize: bool = True
     join_order: str = DEFAULT_JOIN_ORDER
     adaptive_compression: bool = False
-    backend: str = "tuple"
+    backend: str = DEFAULT_BACKEND
     parallelism: int = 1
     physical: bool = True
     chunk_size: Optional[int] = None

@@ -65,6 +65,7 @@ __all__ = [
     "verify_logical",
     "verify_physical",
     "verify_bound",
+    "binding_sites",
     "verify_delta",
     # semiring-safety lint (repro.analysis.lint)
     "RewriteRule",
@@ -91,6 +92,7 @@ _LAZY = {
     "verify_logical": "verify",
     "verify_physical": "verify",
     "verify_bound": "verify",
+    "binding_sites": "verify",
     "verify_delta": "verify",
     "RewriteRule": "lint",
     "REWRITE_RULES": "lint",

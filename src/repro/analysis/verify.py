@@ -6,7 +6,9 @@ additionally checks that every :class:`~repro.algebra.ast.TableRef`
 resolves against a non-empty catalog.  :func:`verify_bound` checks the
 plan's :class:`~repro.core.expressions.Parameter` keys are complete
 against a binding at execute time, and that a bound plan carries no
-unfilled chunk-skip template.  :func:`verify_physical` walks a
+unfilled chunk-skip template — on the hot path only at the template's
+:func:`binding_sites`, the nodes binding copies.
+:func:`verify_physical` walks a
 lowered :class:`~repro.exec.physical.PhysNode` tree and checks the
 physical-only invariants: engine-legal operator sets (the AU engines'
 SG-combining fragment — ``Distinct`` / ``Difference`` / top-k — must be
@@ -27,10 +29,21 @@ downstream name checks rather than failing them.
 from __future__ import annotations
 
 from functools import cache
-from typing import Any, List, Mapping, Optional, Sequence, Set, Union
+from typing import (
+    Any,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..algebra import ast
 from ..algebra.ast import collect_parameters as collect_plan_parameters
+from ..core.expressions import Expression
 from .errors import (
     PlanCompatibilityError,
     PlanReferenceError,
@@ -47,6 +60,7 @@ from .schema import (
 __all__ = [
     "verify_logical",
     "verify_bound",
+    "binding_sites",
     "verify_physical",
     "verify_delta",
     "collect_plan_parameters",
@@ -102,28 +116,75 @@ def verify_logical(
     return schema
 
 
+#: ``(slot, index)`` steps from a plan's root to one of its nodes
+SitePath = Tuple[Tuple[str, Optional[int]], ...]
+
+
+def _paths(
+    node: ast.Node, path: SitePath = ()
+) -> Iterator[Tuple[SitePath, ast.Node]]:
+    yield path, node
+    for slot, index, plan in node.plans():
+        yield from _paths(plan, path + ((slot, index),))
+
+
+def _follow(plan: Any, path: SitePath) -> Any:
+    for slot, index in path:
+        plan = getattr(plan, slot)
+        if index is not None:
+            plan = plan[index]
+    return plan
+
+
+def _mentions(node: ast.Node) -> Tuple[List[Any], bool]:
+    """The parameter keys of ``node``'s own expressions, and whether its
+    chunk-skip predicate still holds template atoms."""
+    keys: List[Any] = []
+
+    def note(value: Any) -> Any:
+        if isinstance(value, Expression):
+            keys.extend(value.parameters())
+        return value
+
+    node.map_slots(note)
+    skip = getattr(node, "skip", None)
+    return keys, skip is not None and bool(skip.slots())
+
+
+def binding_sites(template: ast.Node) -> Tuple[SitePath, ...]:
+    """The paths from ``template``'s root to every node that mentions a
+    parameter or carries a chunk-skip template — the only nodes binding
+    copies and fills; every other node of a bound plan is the cached
+    template's own (never mutated) object.  Compute once per lowering
+    and hand to :func:`verify_bound`."""
+    return tuple(
+        path for path, node in _paths(template) if any(_mentions(node))
+    )
+
+
 def verify_bound(
-    plan: ast.Node, bindings: Optional[Mapping[Any, Any]]
+    plan: ast.Node,
+    bindings: Optional[Mapping[Any, Any]],
+    sites: Optional[Sequence[SitePath]] = None,
 ) -> None:
     """Check every parameter key of ``plan`` has a value in ``bindings``;
     a plan that mentions no parameter any more (a bound physical plan)
-    must also carry no unfilled chunk-skip template atom.  One pass over
-    the plan, off-spine plans (``Exchange.final``) included: it runs on
-    every execution of a bound plan when verification is on."""
+    must also carry no unfilled chunk-skip template atom.  Checks every
+    node, off-spine plans (``Exchange.final``) included — or, given the
+    :func:`binding_sites` of the template ``plan`` was bound from, just
+    those nodes: it runs on every execution of a bound plan when
+    verification is on, and a walk of the whole plan costs more than
+    executing a point lookup."""
+    if sites is None:
+        sites = binding_sites(plan)
     keys: List[Any] = []
     unfilled: List[Any] = []
-
-    def note_expr(expr: Any) -> Any:
-        keys.extend(expr.parameters())
-        return expr
-
-    def note_node(node: Any) -> Any:
-        skip = getattr(node, "skip", None)
-        if skip is not None and skip.slots():
+    for path in sites:
+        node = _follow(plan, path)
+        own, templated = _mentions(node)
+        keys += own
+        if templated:
             unfilled.append(node)
-        return node
-
-    plan.rewrite(note_expr, note_node)
     have = set(bindings) if bindings else set()
     missing = {k for k in keys if k not in have}
     if missing:

@@ -19,12 +19,12 @@ By default plans pass through the shared logical optimizer
 (:mod:`repro.algebra.optimizer`) and are then *lowered* into an explicit
 physical plan (:mod:`repro.exec.physical`), which makes every physical
 choice — join algorithm, backend fallback boundaries, parallel regions —
-at plan time; this module interprets those physical plans
-tuple-at-a-time.  ``physical=False`` selects the legacy direct
+at plan time.  By default the physical plan runs on
+:mod:`repro.exec.vectorized`, optionally partition-parallel via
+``parallelism``; ``backend="tuple"`` interprets it tuple-at-a-time in
+this module instead.  ``physical=False`` selects the legacy direct
 interpretation of the logical plan (kept as the differential fuzzer's
-reference lowering); ``backend="vectorized"`` hands the same physical
-plan to :mod:`repro.exec.vectorized` instead, optionally
-partition-parallel via ``parallelism``.
+reference lowering) on either backend.
 
 This engine doubles as the *possible-world evaluator*: the ground-truth
 oracle runs the same plan in every world of an incomplete database.
@@ -68,7 +68,7 @@ def evaluate_det(
     optimize: bool = True,
     join_order: str = DEFAULT_JOIN_ORDER,
     actuals: Optional[Dict[int, int]] = None,
-    backend: str = "tuple",
+    backend: str = phys.DEFAULT_BACKEND,
     parallelism: int = 1,
     physical: bool = True,
     chunk_size: Optional[int] = None,
@@ -91,14 +91,15 @@ def evaluate_det(
     :func:`repro.exec.physical.lower`, which picks the join algorithm
     per join from the statistics catalog and fuses selection/projection
     pairs; ``physical=False`` keeps the legacy direct interpretation of
-    the logical plan (tuple backend only — the vectorized backend always
-    executes physical plans).
+    the logical plan and lowers nothing, whatever ``backend`` says (the
+    fuzzer's oracle).
 
-    ``backend`` selects the physical executor: ``"tuple"`` (this
-    module's operator-at-a-time interpreter) or ``"vectorized"``
-    (:mod:`repro.exec`: columnar batches, fused compiled predicates,
-    hash joins/aggregates).  ``parallelism`` > 1 adds morsel-parallel
-    regions to vectorized plans (:mod:`repro.exec.parallel`).
+    ``backend`` selects the physical executor: ``"vectorized"`` (the
+    default — :mod:`repro.exec`: columnar batches, fused compiled
+    predicates, hash joins/aggregates) or ``"tuple"`` (this module's
+    operator-at-a-time interpreter).  ``parallelism`` > 1 adds
+    morsel-parallel regions to vectorized plans
+    (:mod:`repro.exec.parallel`), forking the worker pool.
     ``chunk_size`` sets the rows per storage chunk for vectorized
     scans (:mod:`repro.db.chunks`; ``None`` → the default).  Results are
     identical on every backend, parallelism level, and chunk size,

@@ -24,13 +24,13 @@ executes them:
   execution of ``Exchange`` regions for the deterministic vectorized
   backend.
 
-Select the vectorized backend with ``evaluate_det(...,
-backend="vectorized")``, ``EvalConfig(backend="vectorized")``, or
-``--backend=vectorized`` on the CLI; add ``parallelism=N`` /
-``--parallelism N`` for morsel parallelism.  Operators the vectorized
-AU runtime does not cover (difference, distinct, top-k) are lowered to
-explicit ``TupleFallback`` nodes, so every query still answers with
-identical results.
+The vectorized backend is the default (:data:`DEFAULT_BACKEND`) of
+``evaluate_det``, ``EvalConfig`` and the CLI; ``backend="tuple"`` /
+``--backend=tuple`` selects the tuple-at-a-time interpreters instead.
+Add ``parallelism=N`` / ``--parallelism N`` for morsel parallelism.
+Operators the vectorized AU runtime does not cover (difference,
+distinct, top-k) are lowered to explicit ``TupleFallback`` nodes, so
+every query still answers with identical results.
 """
 
 from .batch import AUColumnBatch, ColumnBatch
@@ -41,15 +41,18 @@ from .compile import (
     compile_range_filter,
     compile_range_pair_filter,
 )
-from .physical import PhysicalConfig, explain_physical, lower
+from .physical import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    PhysicalConfig,
+    explain_physical,
+    lower,
+)
 from .vectorized import execute_audb, execute_det
-
-#: Physical execution backends accepted by ``evaluate_det`` /
-#: ``EvalConfig.backend`` / the CLI ``--backend`` flag.
-BACKENDS = ("tuple", "vectorized")
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "ColumnBatch",
     "AUColumnBatch",
     "CompileError",

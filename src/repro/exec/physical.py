@@ -79,6 +79,8 @@ from ..core.expressions import Expression
 from ..core.operators import _extract_equi_pairs, _is_pure_equi_condition
 
 __all__ = [
+    "BACKENDS",
+    "DEFAULT_BACKEND",
     "PhysicalConfig",
     "PhysNode",
     "Scan",
@@ -122,15 +124,23 @@ PARTITION_HASH_BUILD_ROWS = 65536.0
 #: Cap on partition-hash fan-out (tiny partitions cost more than they save).
 MAX_HASH_PARTITIONS = 32
 
+#: Physical execution backends accepted by ``evaluate_det`` /
+#: ``EvalConfig.backend`` / the CLI ``--backend`` flag.
+BACKENDS = ("tuple", "vectorized")
+
+#: The backend of every caller that names none — ``EvalConfig``,
+#: ``PhysicalConfig``, ``evaluate_det`` and the CLI all read this.
+DEFAULT_BACKEND = "vectorized"
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Everything :func:`lower` needs to make physical choices.
 
     ``engine`` selects the semantics (``"det"`` bags / ``"au"``
-    bound-preserving); ``backend`` the runtime (``"tuple"`` /
-    ``"vectorized"``); ``parallelism`` > 1 adds morsel-parallel regions
-    to vectorized plans of either engine.  The AU knobs mirror
+    bound-preserving); ``backend`` the runtime (``"vectorized"``, the
+    default, or ``"tuple"``); ``parallelism`` > 1 adds morsel-parallel
+    regions to vectorized plans of either engine.  The AU knobs mirror
     :class:`repro.algebra.evaluator.EvalConfig`: ``join_buckets`` /
     ``aggregation_buckets`` are the paper's compression budgets,
     ``adaptive_compression`` lets the estimates skip ``Cpr`` on joins
@@ -139,7 +149,7 @@ class PhysicalConfig:
     """
 
     engine: str = "det"
-    backend: str = "tuple"
+    backend: str = DEFAULT_BACKEND
     parallelism: int = 1
     hash_join: bool = True
     join_buckets: Optional[int] = None

@@ -426,14 +426,10 @@ class PreparedQuery:
         # binding-values -> (catalog epoch, result) (LRU): read-only
         # stretches of a workload answer repeats without executing
         self._results: "OrderedDict[tuple, tuple]" = OrderedDict()
-        if self._needs_physical:
+        # physical=False alone selects the legacy interpreter, on either
+        # backend: the fuzzer's oracle must not follow the default backend
+        if config.physical:
             self._lower()
-
-    @property
-    def _needs_physical(self) -> bool:
-        # physical=False keeps the legacy direct interpretation of the
-        # logical plan (tuple backends only — the fuzzer's reference)
-        return not (self.config.backend == "tuple" and not self.config.physical)
 
     def _lower(self, relower: bool = False) -> None:
         with _tm.stage("lower", relower=relower):
@@ -450,6 +446,10 @@ class PreparedQuery:
             verify=conn.verify_plans,
         )
         self.plan_epoch = stats.epoch
+        # where binding can leave a parameter: verify_bound checks only these
+        self._sites = (
+            analysis.binding_sites(self.pplan) if conn.verify_plans else None
+        )
         conn.metrics.lowerings += 1
         if relower:
             conn.metrics.relowerings += 1
@@ -489,7 +489,7 @@ class PreparedQuery:
             actuals is None
             and slow_log
             and _tm.misestimation_armed()
-            and self._needs_physical
+            and self.config.physical
         ):
             actuals = {}  # the misestimation check needs per-node rows
         if events is not None:
@@ -522,7 +522,7 @@ class PreparedQuery:
     def _run_inner(self, binding, actuals):
         """Dispatch one bound execution; returns ``(result, memo_hit)``."""
         conn = self.connection
-        if not self._needs_physical:
+        if not self.config.physical:
             with _tm.stage(
                 "execute", engine=conn.engine, backend="legacy"
             ):
@@ -548,7 +548,7 @@ class PreparedQuery:
         if binding:
             pplan = _bind(pplan, binding)
             if conn.verify_plans:
-                analysis.verify_bound(pplan, binding)
+                analysis.verify_bound(pplan, binding, self._sites)
         try:
             with _tm.stage(
                 "execute",

@@ -336,7 +336,9 @@ class TestSumOverInfiniteBounds:
         from repro.algebra.evaluator import EvalConfig, evaluate_audb
 
         plan, audb = self._case()
-        serial = evaluate_audb(plan, audb, EvalConfig(optimize=False))
+        serial = evaluate_audb(
+            plan, audb, EvalConfig(optimize=False, backend="tuple")
+        )
         for backend, parallelism in (("vectorized", 1), ("vectorized", 4)):
             other = evaluate_audb(
                 plan,

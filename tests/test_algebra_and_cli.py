@@ -129,10 +129,23 @@ class TestCli:
         assert "-- logical plan --" in out
         assert "Table locales" in out
         assert "rows" in out
-        # the lowered physical plan is printed too, with actual rows
-        assert "-- physical plan (Det, backend=tuple) --" in out
+        # the lowered physical plan is printed too, with actual rows, on
+        # the default backend
+        assert "-- physical plan (Det, backend=vectorized) --" in out
         assert "Scan locales" in out
         assert "actual" in out
+
+        code = main(
+            [
+                "--explain",
+                "--backend=tuple",
+                "SELECT locale FROM locales WHERE rate > 5",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "-- physical plan (Det, backend=tuple) --" in out
+        assert "Scan locales" in out
 
     def test_explain_vectorized_parallel(self, capsys):
         from repro.__main__ import main

@@ -29,9 +29,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.evaluator import EvalConfig, evaluate_audb
+from repro.algebra.evaluator import EvalConfig
 from repro.core.bounding import bounds_world
-from repro.db.engine import evaluate_det
 from repro.experiments.common import sgw_database
 from repro.session import Connection
 from repro.sql.lexer import SqlSyntaxError, normalize
@@ -39,10 +38,11 @@ from repro.sql.parser import parse_sql
 from repro.telemetry import get_registry
 from test_fuzz_differential import (
     TABLES,
-    TUPLE_LEGACY,
     _clone_audb,
     _clone_det,
     _outcome,
+    legacy_au,
+    legacy_det,
     make_audb,
 )
 
@@ -375,10 +375,8 @@ def test_lifted_text_equals_literal_text_and_legacy(seed, chunk_size, data):
         config = EvalConfig(backend=backend, chunk_size=chunk_size)
         lanes = []
         for engine, db, legacy in (
-            ("det", det_db, lambda plan, db=det_db: evaluate_det(
-                plan, db, backend="tuple", physical=False)),
-            ("AU", au_db, lambda plan, db=au_db: evaluate_audb(
-                plan, db, TUPLE_LEGACY)),
+            ("det", det_db, lambda plan, db=det_db: legacy_det(plan, db)),
+            ("AU", au_db, lambda plan, db=au_db: legacy_au(plan, db)),
         ):
             lanes.append((
                 engine,
@@ -429,7 +427,7 @@ def test_adaptive_compression_lifted_text_stays_sound(seed, data):
             where = f"[{backend}] {text!r}"
             world = sgw_database(conn.db)
             try:
-                expected = evaluate_det(parse_sql(text), world, physical=False)
+                expected = legacy_det(parse_sql(text), world)
             except Exception as exc:  # noqa: BLE001 - parity of any failure
                 with pytest.raises(type(exc)):
                     conn.execute(text)

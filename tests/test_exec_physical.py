@@ -550,7 +550,7 @@ class TestParallelExecution:
         rel = AURelation(["a"])
         rel.add([between(1, 2, 3)], (1, 1, 1))
         db = AUDatabase({"r": rel})
-        ref = evaluate_audb(TableRef("r"), db, EvalConfig())
+        ref = evaluate_audb(TableRef("r"), db, EvalConfig(backend="tuple"))
         par = evaluate_audb(TableRef("r"), db, EvalConfig(parallelism=4))
         assert dict(par.tuples()) == dict(ref.tuples())
 
@@ -618,7 +618,7 @@ class TestExactSums:
         )
         ref = evaluate_det(plan, db, physical=False)
         for kwargs in (
-            dict(),
+            dict(backend="tuple"),
             dict(backend="vectorized"),
             dict(backend="vectorized", parallelism=4),
         ):

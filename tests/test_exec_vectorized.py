@@ -258,7 +258,7 @@ class TestDetBackendEquality:
         s = DetRelation(["c"], [(nan,), (other_nan,), (1.0,)])
         db = DetDatabase({"r": r, "s": s})
         plan = Join(TableRef("r"), TableRef("s"), Eq(Var("a"), Var("c")))
-        expected = evaluate_det(plan, db, optimize=False)
+        expected = evaluate_det(plan, db, optimize=False, backend="tuple")
         # the same nan object matches itself only
         assert expected.total_rows() == 2
         got = evaluate_det(plan, db, optimize=False, backend="vectorized")
@@ -276,7 +276,9 @@ class TestDetBackendEquality:
     def test_actuals_match_tuple_engine(self, det_db):
         plan = Selection(TableRef("emp"), Gt(Var("salary"), Const(80)))
         tuple_actuals, vec_actuals = {}, {}
-        evaluate_det(plan, det_db, optimize=False, actuals=tuple_actuals)
+        evaluate_det(
+            plan, det_db, optimize=False, actuals=tuple_actuals, backend="tuple"
+        )
         evaluate_det(
             plan, det_db, optimize=False, actuals=vec_actuals, backend="vectorized"
         )

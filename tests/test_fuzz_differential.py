@@ -11,10 +11,12 @@ backend, and the paper's semantics promise:
    strategies (``greedy`` and the cost-based ``dp``), the optimized plan
    returns exactly the naive (``--no-optimize``) result: identical
    schemas, identical bags (Det), identical ``K^AU`` annotations (AU).
-2. **Physical-planner differential** — the default path (cost-based
-   lowering through :func:`repro.exec.physical.lower`) returns exactly
-   the legacy direct interpretation (``physical=False``) on both
-   engines, naive and optimized shapes.
+2. **Physical-planner differential** — cost-based lowering through
+   :func:`repro.exec.physical.lower`, run by the tuple executors,
+   returns exactly the legacy direct interpretation (``physical=False``)
+   on both engines, naive and optimized shapes.  Every such reference
+   asserts it lowered nothing (:func:`legacy_det` / :func:`legacy_au`),
+   so the oracle cannot silently become the default engine.
 3. **Backend and parallelism differential** — for BOTH engines, the
    vectorized backend (:mod:`repro.exec`) returns exactly the tuple
    interpreter's result on every plan shape, and BOTH engines return
@@ -130,6 +132,7 @@ from repro.db.storage import DetDatabase, DetRelation
 from repro.exec import parallel as exec_parallel
 from repro.experiments.common import sgw_database
 from repro.session import Connection, bind_parameters
+from repro.telemetry import get_registry
 
 BASE_SEED = 20260728
 N_CASES = int(os.environ.get("FUZZ_CASES", "200"))
@@ -137,9 +140,32 @@ _CHUNK = 20
 
 TABLES = {"r": ("a", "b"), "s": ("c", "d"), "u": ("e", "f")}
 
-#: the chunk-free oracle of the storage lanes: the legacy direct
-#: interpretation of the logical plan never builds or reads a chunk store
-TUPLE_LEGACY = EvalConfig(backend="tuple", physical=False)
+
+def _no_lowering(engine: str, run):
+    """Run a reference evaluation and assert it lowered no physical plan:
+    the legacy interpreter stays the oracle, never the engine under test,
+    whatever backend is the default."""
+    lowerings = get_registry().counter(
+        "repro_session_lowerings_total", engine=engine
+    )
+    before = lowerings.value
+    result = run()
+    assert lowerings.value == before, f"the {engine} oracle lowered a plan"
+    return result
+
+
+def legacy_det(plan: Plan, db: DetDatabase, **kwargs) -> DetRelation:
+    """The det oracle: the legacy direct interpretation of the logical
+    plan (``physical=False``), which never builds or reads a chunk store."""
+    return _no_lowering(
+        "det", lambda: evaluate_det(plan, db, physical=False, **kwargs)
+    )
+
+
+def legacy_au(plan: Plan, db: AUDatabase, **kwargs) -> AURelation:
+    """The AU oracle, as :func:`legacy_det`."""
+    config = EvalConfig(physical=False, **kwargs)
+    return _no_lowering("au", lambda: evaluate_audb(plan, db, config))
 
 
 # ----------------------------------------------------------------------
@@ -382,10 +408,10 @@ def _check_prepared_lane(rng, plan, schema, used, det, audb, context) -> None:
             bound = bind_parameters(param_plan, [value])
             where = f"[{backend} chunk={chunk_size} ?={value!r}] {context}"
             for engine, prepared, twin, legacy in (
-                ("det", det_prepared, det_twin, lambda: evaluate_det(
-                    bound, det_db, backend="tuple", physical=False)),
-                ("AU", au_prepared, au_twin, lambda: evaluate_audb(
-                    bound, au_db, TUPLE_LEGACY)),
+                ("det", det_prepared, det_twin,
+                 lambda: legacy_det(bound, det_db)),
+                ("AU", au_prepared, au_twin,
+                 lambda: legacy_au(bound, au_db)),
             ):
                 got, skipped = _outcome(lambda: prepared.execute([value]))
                 want, twin_skipped = _outcome(lambda: twin.execute(bound))
@@ -483,11 +509,11 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
                 f"step {step}] {context}"
             )
             got = det_view.result()
-            want = evaluate_det(plan, det_db, backend="tuple", physical=False)
+            want = legacy_det(plan, det_db)
             assert got.schema == want.schema, f"ivm det schema {where}"
             assert got.rows == want.rows, f"ivm det bag {where}"
             got_au = au_view.result()
-            want_au = evaluate_audb(plan, au_db, TUPLE_LEGACY)
+            want_au = legacy_au(plan, au_db)
             assert got_au.schema == want_au.schema, f"ivm AU schema {where}"
             assert dict(got_au.tuples()) == dict(want_au.tuples()), (
                 f"ivm AU annotations {where}"
@@ -530,10 +556,8 @@ def _check_chunk_lane(rng, plan, det, audb, context) -> None:
                 for _ in range(3):
                     _random_write(wrng, det_db, au_db)
             where = f"[{backend} chunk step {step}] {context}"
-            want_det = evaluate_det(
-                plan, det_db, backend="tuple", physical=False
-            )
-            want_au = evaluate_audb(plan, au_db, TUPLE_LEGACY)
+            want_det = legacy_det(plan, det_db)
+            want_au = legacy_au(plan, au_db)
             for size in sizes:
                 got = evaluate_det(
                     plan, det_db, backend=backend, chunk_size=size
@@ -716,39 +740,39 @@ def _check_case(seed: int) -> None:
     context = f"seed={seed} plan={plan!r}"
 
     # 1a. Det engine: optimized (both strategies) == naive, and the
-    # physical planner == the legacy direct lowering on every shape
-    det_naive = evaluate_det(plan, det, optimize=False, physical=False)
+    # tuple physical executor == the legacy direct lowering on every shape
+    det_naive = legacy_det(plan, det, optimize=False)
     det_shapes = [("naive", dict(optimize=False))]
     for join_order in ("greedy", "dp"):
         det_shapes.append(
             (join_order, dict(optimize=True, join_order=join_order))
         )
     for shape, kwargs in det_shapes:
-        det_phys = evaluate_det(plan, det, **kwargs)
+        det_phys = evaluate_det(plan, det, backend="tuple", **kwargs)
         assert det_phys.schema == det_naive.schema, (
             f"Det schema [{shape}] {context}"
         )
         assert det_phys.rows == det_naive.rows, f"Det bag [{shape}] {context}"
-        det_legacy = evaluate_det(plan, det, physical=False, **kwargs)
+        det_legacy = legacy_det(plan, det, **kwargs)
         assert det_legacy.rows == det_naive.rows, (
             f"Det legacy lowering [{shape}] {context}"
         )
 
-    # 1b. AU engine: optimized (both strategies) == naive, physical ==
-    # legacy lowering
-    au_naive = evaluate_audb(plan, audb, EvalConfig(optimize=False, physical=False))
+    # 1b. AU engine: optimized (both strategies) == naive, tuple physical
+    # == legacy lowering
+    au_naive = legacy_au(plan, audb, optimize=False)
     au_shapes = [("naive", dict(optimize=False))]
     for join_order in ("greedy", "dp"):
         au_shapes.append((join_order, dict(optimize=True, join_order=join_order)))
     for shape, cfg_kwargs in au_shapes:
-        au_phys = evaluate_audb(plan, audb, EvalConfig(**cfg_kwargs))
+        au_phys = evaluate_audb(
+            plan, audb, EvalConfig(backend="tuple", **cfg_kwargs)
+        )
         assert au_phys.schema == au_naive.schema, f"AU schema [{shape}] {context}"
         assert dict(au_phys.tuples()) == dict(au_naive.tuples()), (
             f"AU annotations [{shape}] {context}"
         )
-        au_legacy = evaluate_audb(
-            plan, audb, EvalConfig(physical=False, **cfg_kwargs)
-        )
+        au_legacy = legacy_au(plan, audb, **cfg_kwargs)
         assert dict(au_legacy.tuples()) == dict(au_naive.tuples()), (
             f"AU legacy lowering [{shape}] {context}"
         )
@@ -803,10 +827,10 @@ def _check_case(seed: int) -> None:
         # 1d. float bit-stability: on a float-valued database SUM/AVG are
         # bit-identical across lowerings, backends, and parallelism
         fdb = _float_database(det)
-        float_ref = evaluate_det(plan, fdb, optimize=False, physical=False)
+        float_ref = legacy_det(plan, fdb, optimize=False)
         for label, result in (
-            ("physical", evaluate_det(plan, fdb, optimize=False)),
-            ("optimized", evaluate_det(plan, fdb)),
+            ("physical", evaluate_det(plan, fdb, optimize=False, backend="tuple")),
+            ("optimized", evaluate_det(plan, fdb, backend="tuple")),
             ("vec", evaluate_det(plan, fdb, backend="vectorized")),
             (
                 "vec x4",

@@ -25,6 +25,7 @@ from repro.analysis import (
     PlanTypeError,
     PlanVerificationError,
     SemiringSafetyError,
+    binding_sites,
     check_semiring_safety,
     infer_logical,
     rule_allowed,
@@ -428,6 +429,14 @@ class TestPhysicalDiagnostics:
         stale = phys.FusedSelectProject(plan.child, bound.condition, None)
         with pytest.raises(PlanReferenceError, match="unfilled chunk-skip atom"):
             verify_bound(stale, {})
+        # the per-execution form checks only the template's binding sites
+        sites = binding_sites(plan)
+        assert sites == ((), (("child", None),))
+        verify_bound(bound, {}, sites)
+        with pytest.raises(PlanReferenceError, match="unfilled chunk-skip atom"):
+            verify_bound(stale, {}, sites)
+        with pytest.raises(PlanReferenceError, match="unbound parameter"):
+            verify_bound(plan, {0: 1}, sites)
 
     def test_parallel_scan_chunk_size_must_match_config(self, stats):
         region = phys.FusedSelectProject(

@@ -186,6 +186,31 @@ class TestPreparedQuery:
         )
         assert au_bits(got_au) == au_bits(fresh_au)
 
+    @pytest.mark.parametrize("backend", [None, "tuple", "vectorized"])
+    def test_physical_false_alone_selects_the_oracle(self, backend):
+        # the legacy interpreter is the fuzzer's oracle: physical=False
+        # must select it whatever the backend — named or the default —
+        # so a default change never turns the oracle into the code
+        # under test
+        knobs = {} if backend is None else {"backend": backend}
+        config = EvalConfig(physical=False, **knobs)
+        plan = bind_parameters(parse_sql(SQL), [5.0])
+        for db in (make_det_db(), make_au_db()):
+            conn = Connection(db, config=config)
+            conn.execute(SQL, [5.0])
+            header = conn.explain_analyze(SQL, [6.0]).splitlines()[0]
+            assert "backend=legacy" in header
+            assert conn.metrics.lowerings == 0
+            lowerings = get_registry().counter(
+                "repro_session_lowerings_total", engine=conn.engine
+            )
+            before = lowerings.value
+            if conn.engine == "det":
+                evaluate_det(plan, db, physical=False, **knobs)
+            else:
+                evaluate_audb(plan, db, config)
+            assert lowerings.value == before
+
     def test_explain_helpers(self):
         conn = Connection(make_det_db())
         prepared = conn.prepare(SQL)
@@ -350,7 +375,7 @@ class TestConnectionBasics:
             Connection(make_det_db(), config=EvalConfig(backend="gpu"))
 
     def test_per_call_config_gets_its_own_cache_entry(self):
-        conn = Connection(make_det_db())
+        conn = Connection(make_det_db(), config=EvalConfig(backend="tuple"))
         sql = "SELECT cust FROM orders"
         conn.execute(sql)
         conn.execute(sql, config=EvalConfig(backend="vectorized"))

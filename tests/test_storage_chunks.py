@@ -527,7 +527,7 @@ def test_streaming_select_stays_under_budget():
         r.add((i, i % 7), 1)
     db = DetDatabase({"t": r})
     plan = Selection(TableRef("t"), Gt(Var("a"), Const(390)))
-    want = evaluate_det(plan, db)
+    want = evaluate_det(plan, db, backend="tuple")
     with materialization_budget(100):
         # an unfiltered scan must concat all 400 rows: over budget
         with pytest.raises(MaterializationBudgetError):

@@ -256,7 +256,7 @@ def test_au_sum_serial_and_parallel_agree(monkeypatch):
     monkeypatch.setattr(exec_parallel, "PROCESS_MIN_ROWS", 0)
     plan = Aggregate(TableRef("t"), ["g"], [agg_sum("v", "s")])
     db = AUDatabase({"t": _au_case()})
-    serial = evaluate_audb(plan, db, EvalConfig(optimize=False))
+    serial = evaluate_audb(plan, db, EvalConfig(optimize=False, backend="tuple"))
     assert bounds_world(serial, {(1, 1.5e308): 1})
     for parallelism in (1, 4):
         other = evaluate_audb(
