@@ -24,6 +24,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -43,7 +44,14 @@ from .ranges import (
 from .ranges import domain_le as _ranges_domain_le
 from .relation import AURelation
 from .semirings import AUAnnotation
-from .sums import add_product, add_product_each, finish, merge_acc, new_acc
+from .sums import (
+    add_product,
+    add_product_each,
+    add_products,
+    finish,
+    merge_acc,
+    new_acc,
+)
 from .tuples import AUTuple
 
 __all__ = [
@@ -589,7 +597,8 @@ def _group_annotation(
 # ----------------------------------------------------------------------
 class _Algebra(NamedTuple):
     """A mergeable aggregation state — the commutative monoid of Section
-    9.1 folded through the multiplicity action, spelled as five members:
+    9.1 folded through the multiplicity action, spelled as five members
+    and an optional sixth:
 
     * ``init()`` — a fresh state (the monoid's neutral element);
     * ``step`` — fold one weighted input into a state.  Det:
@@ -604,7 +613,12 @@ class _Algebra(NamedTuple):
     * ``merge(a, b) -> state`` — combine two states, ``b`` the *later*
       partition (tie rules replay the in-order fold), consuming both;
     * ``finalize(state)`` — the output value (det) / range (AU);
-    * ``empty`` — the output over an empty input without GROUP BY.
+    * ``empty`` — the output over an empty input without GROUP BY;
+    * ``fold`` (det, optional) — ``fold(state, values, weights) ->
+      state`` folds a whole group's input column and weights at once,
+      ≡ the ``step`` loop over them (``values`` is ``repeat(None)`` for
+      a function that takes no input); ``None`` means exactly that loop
+      (:meth:`column_fold`).
     """
 
     init: Callable[[], Any]
@@ -612,6 +626,20 @@ class _Algebra(NamedTuple):
     merge: Callable[[Any, Any], Any]
     finalize: Callable[[Any], Any]
     empty: Any
+    fold: Optional[Callable[[Any, Iterable, Sequence[int]], Any]] = None
+
+    def column_fold(self) -> Callable[[Any, Iterable, Sequence[int]], Any]:
+        """The det ``fold``, or the ``step`` loop it defaults to."""
+        if self.fold is not None:
+            return self.fold
+        step = self.step
+
+        def fold(state: Any, values: Iterable, weights: Sequence[int]) -> Any:
+            for value, weight in zip(values, weights):
+                state = step(state, value, weight)
+            return state
+
+        return fold
 
 
 @dataclass(frozen=True)
@@ -646,6 +674,11 @@ def _det_sum_step(state: list, value: Any, weight: int) -> list:
     return state
 
 
+def _det_sum_fold(state: list, values: Sequence, weights: Sequence[int]) -> list:
+    add_products(state, values, weights)
+    return state
+
+
 def _det_sum_merge(a: list, b: list) -> list:
     merge_acc(a, b)
     return a
@@ -654,6 +687,12 @@ def _det_sum_merge(a: list, b: list) -> list:
 def _det_avg_step(state: list, value: Any, weight: int) -> list:
     add_product(state[0], value, weight)
     state[1] += weight
+    return state
+
+
+def _det_avg_fold(state: list, values: Sequence, weights: Sequence[int]) -> list:
+    add_products(state[0], values, weights)
+    state[1] += sum(weights)
     return state
 
 
@@ -852,7 +891,9 @@ def _type_of_input(inner: Any) -> Tuple[str, bool]:
 #: whole-group references on both engines).
 AGGREGATES: Dict[str, _AggregateFunction] = {
     "sum": _AggregateFunction(
-        det=_Algebra(new_acc, _det_sum_step, _det_sum_merge, finish, 0),
+        det=_Algebra(
+            new_acc, _det_sum_step, _det_sum_merge, finish, 0, _det_sum_fold
+        ),
         au=_AU_SUM,
         result_type=_sum_type,
         det_sum=lambda state: state,
@@ -864,6 +905,7 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
             merge=lambda a, b: a + b,
             finalize=lambda state: state,
             empty=0,
+            fold=lambda state, _values, weights: state + sum(weights),
         ),
         au=_AU_SUM,  # SUM of the constant 1
         result_type=lambda inner: ("number", False),
@@ -888,6 +930,7 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
             merge=_det_avg_merge,
             finalize=lambda state: finish(state[0]) / state[1],
             empty=0.0,
+            fold=_det_avg_fold,
         ),
         au=_Algebra(
             # envelope lo, hi; exact SG Σ; SG count; any possible row

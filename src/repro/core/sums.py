@@ -47,12 +47,15 @@ out of range (what a left-fold IEEE ``sum()`` returns then — a plain
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Tuple
+from operator import mul
+from typing import Any, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "new_acc",
     "add_exact",
     "add_product",
+    "add_products",
+    "folds_in_c",
     "add_product_each",
     "merge_acc",
     "finish",
@@ -176,14 +179,69 @@ def add_product(acc: list, value: Any, mult: int) -> None:
         low = mult & -mult  # lowest set bit: a power of two
         # power-of-two scaling: exact unless the term leaves the double
         # range (then it is an integer, and spills exactly)
-        term = value * low if low.bit_length() <= 1024 else math.inf
-        if math.isinf(term):
+        try:
+            term = math.ldexp(value, low.bit_length() - 1)
+        except OverflowError:
             num, den = value.as_integer_ratio()
             acc[3] += num * low // den
-            _add_float(acc, 0.0)  # the stream still holds a float
-        else:
-            _add_float(acc, term)
+            term = 0.0  # the stream still holds a float
+        _add_float(acc, term)
         mult -= low
+
+
+def _c_sum(values: Sequence, weights: Sequence[int]) -> Any:
+    """``Σ values[i] * weights[i]`` by one C ``sum`` — an ``int`` exactly
+    when every value is an int or bool (a float anywhere makes it a
+    float) — or ``None`` when the sum raises (``None`` or a string
+    value, a weight too large for a float product)."""
+    try:
+        if weights.count(1) == len(weights):
+            return sum(values)
+        return sum(map(mul, values, weights))
+    except (TypeError, OverflowError):
+        return None
+
+
+def _finite_floats(values: Sequence, weights: Sequence[int], total: Any) -> bool:
+    """Every value a finite float and every weight 1, given the column's
+    :func:`_c_sum`: a float sum is finite only if every addend is."""
+    return (
+        type(total) is float
+        and math.isfinite(total)
+        and weights.count(1) == len(weights)
+        and set(map(type, values)) == {float}
+    )
+
+
+def folds_in_c(values: Sequence, weights: Sequence[int]) -> bool:
+    """Whether :func:`add_products` folds this column without its
+    per-value loop: every value an int or bool, or every value a finite
+    float under unit weights."""
+    total = _c_sum(values, weights)
+    return type(total) is int or _finite_floats(values, weights, total)
+
+
+def add_products(acc: list, values: Sequence, weights: Sequence[int]) -> None:
+    """The batched :func:`add_product`: fold every ``values[i] *
+    weights[i]`` into ``acc`` — ≡ the :func:`add_product` loop, to the
+    bit of :func:`finish` and in the exception it raises.
+
+    An int/bool column is one exact C ``sum``; finite floats under unit
+    weights extend the term list at once and compact it once.  Anything
+    else — mixed types, non-finite or non-unit-weighted floats, ``None``
+    and strings (``TypeError``) — takes the per-value loop.
+    """
+    total = _c_sum(values, weights)
+    if type(total) is int:
+        acc[0] += total
+    elif _finite_floats(values, weights, total):
+        terms = acc[1]
+        terms.extend(values)
+        if len(terms) > _COMPACT_AT:
+            _compact(acc)
+    else:
+        for value, weight in zip(values, weights):
+            add_product(acc, value, weight)
 
 
 def add_product_each(accs: Iterable[list], value: Any, mult: int) -> None:

@@ -973,7 +973,9 @@ def explain_physical(
     pairs emitted / probed and input rows merged as duplicates, a
     vectorized AU ``HashAggregate`` its groups, duplicates, rows with an
     uncertain group key, foreign states folded / merged and
-    ``inputs=compiled`` or ``inputs=interpreted (reason)``, and a
+    ``inputs=compiled`` or ``inputs=interpreted (reason)``, a vectorized
+    det ``HashAggregate`` its groups and how many of its (group,
+    aggregate) column folds ran in C (``column_folds=k/n``), and a
     ``TupleFallback`` why no columnar operator runs it.
     """
     if times is not None:
@@ -1014,6 +1016,11 @@ def explain_physical(
                         f", uncertain_key_rows={a['uncertain_key_rows']}"
                         f", foreign_states={a['foreign_states']}"
                         f", state_merges={a['state_merges']}"
+                    )
+                if "column_folds" in a:
+                    line += (
+                        f", groups={a['groups']}"
+                        f", column_folds={a['column_folds']}"
                     )
                 for how in ("kernel", "inputs"):
                     if how in a:

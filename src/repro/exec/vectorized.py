@@ -23,13 +23,16 @@ Operator implementations:
   certain-key hash + interval nested-loop split, the AU
   ``CompressedJoin`` the columnar Section 10.4 join of
   :mod:`repro.exec.compressed_join`;
-* **hash aggregation** is single-pass over the det states of the
-  aggregate registry (:data:`repro.core.aggregation.AGGREGATES`),
-  their step functions resolved once per call; SUM/AVG fold through
-  :mod:`repro.core.sums`, so floating-point results are bit-identical
-  across backends, plan shapes, and parallelism (``partial`` mode emits
-  the mergeable states for the morsel-parallel
-  :class:`~repro.exec.physical.Exchange`);
+* **hash aggregation** groups once — one hash pass from each group key
+  to its rows, in first-appearance order — then folds each aggregate's
+  input column per group with one call of its det ``fold`` in the
+  aggregate registry (:data:`repro.core.aggregation.AGGREGATES`;
+  functions without one fold through their ``step``); SUM/AVG/COUNT
+  fold int and finite-float columns in C
+  (:func:`repro.core.sums.add_products`) into exact sums, so
+  floating-point results are bit-identical across backends, plan
+  shapes, and parallelism (``partial`` mode emits the mergeable states
+  for the morsel-parallel :class:`~repro.exec.physical.Exchange`);
 * **AU aggregation** is the columnar Section 9 / 10.5 operator of
   :mod:`repro.exec.au_aggregate` over the registry's AU states — serial,
   or as its member fold per morsel under an ``au_aggregate`` Exchange;
@@ -45,13 +48,16 @@ lowering, and parallelism 1 vs 4.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
 from ..core import operators as ops
 from ..db import chunks as _chunks
 from ..core.aggregation import AGGREGATES
+from ..core.sums import folds_in_c
 from ..core.expressions import Expression, RowView, Var
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
@@ -92,8 +98,35 @@ def _index_of(schema: Sequence[str]) -> Dict[str, int]:
     return {name: j for j, name in enumerate(schema)}
 
 
-def _gather(columns: Sequence, rows: List[int]) -> List:
-    return [[col[i] for i in rows] for col in columns]
+def _picker(rows: Optional[Sequence[int]]) -> Callable[[Sequence], Sequence]:
+    """Gather ``rows`` of a column: one C-level ``itemgetter`` (a tuple)
+    for two or more rows — ``itemgetter()`` raises without rows and
+    returns a bare value with one, so fewer rows take a list; ``None``
+    (every row) returns the column itself."""
+    if rows is None:
+        return _whole
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda col: [col[i] for i in rows]
+
+
+def _whole(col: Sequence) -> Sequence:
+    return col
+
+
+def _gather(columns: Sequence, rows: Sequence[int]) -> List:
+    pick = _picker(rows)
+    return [pick(col) for col in columns]
+
+
+def _folded_in_c(fn, values: Sequence, weights: Sequence[int]) -> bool:
+    """Whether ``fn``'s det ``fold`` of one group ran in C: a registry
+    ``fold`` over no exact sum, or one whose exact sum
+    :func:`~repro.core.sums.add_products` takes without its per-value
+    loop — never the default ``step`` loop."""
+    if fn.det.fold is None:
+        return False
+    return fn.det_sum is None or folds_in_c(values, weights)
 
 
 def _compiled(compiler: Callable, condition: Expression, *schemas):
@@ -340,13 +373,10 @@ class _DetExec:
                     kc.extend(b.columns[j])
                 kept_mult.extend(b.mult)
             else:
-                m = b.mult
+                pick = _picker(keep)
                 for kc, j in zip(kept_cols, gathered):
-                    col = b.columns[j]
-                    for i in keep:
-                        kc.append(col[i])
-                for i in keep:
-                    kept_mult.append(m[i])
+                    kc.extend(pick(b.columns[j]))
+                kept_mult.extend(pick(b.mult))
         if tr is not None:
             _annotate_natives(flt)
             _tm.annotate(gathered_columns=f"{len(gathered)}/{len(schema)}")
@@ -385,7 +415,7 @@ class _DetExec:
             return ColumnBatch(
                 batch.schema,
                 _gather(batch.columns, keep),
-                [batch.mult[i] for i in keep],
+                _picker(keep)(batch.mult),
             )
 
         # gather survivors once, then project over the narrowed batch
@@ -393,7 +423,7 @@ class _DetExec:
             base_cols, mult, rows = batch.columns, batch.mult, n
         else:
             base_cols = _gather(batch.columns, keep)
-            mult = [batch.mult[i] for i in keep]
+            mult = _picker(keep)(batch.mult)
             rows = len(keep)
         index = _index_of(batch.schema)
         out_cols: List = []
@@ -552,17 +582,21 @@ class _DetExec:
     def _aggregate(
         self, batch: ColumnBatch, group_by, aggregates, partial: bool
     ):
+        """Hash aggregation, column at a time: one hash pass maps each
+        group key to its rows in first-appearance order, then each
+        aggregate's input column is folded per group by one registry
+        (:data:`~repro.core.aggregation.AGGREGATES`) det ``fold`` call.
+        A group holding every row folds the columns themselves."""
         n = len(batch)
         index = _index_of(batch.schema)
-        group_cols = [batch.columns[index[a]] for a in group_by]
         mult = batch.mult
 
-        # aggregate input columns (a function taking no input folds None)
+        # aggregate input columns (None: the function takes no input)
         fns = [AGGREGATES[spec.kind] for spec in aggregates]
-        inputs: List[Sequence] = []
+        inputs: List[Optional[Sequence]] = []
         for spec, fn in zip(aggregates, fns):
             if not fn.takes_input:
-                inputs.append([None] * n)
+                inputs.append(None)
             elif isinstance(spec.expr, Var) and spec.expr.name in index:
                 inputs.append(batch.columns[index[spec.expr.name]])
             else:
@@ -578,23 +612,43 @@ class _DetExec:
                         col.append(spec.expr.eval(view))
                     inputs.append(col)
 
-        # single-pass hash aggregation: one registry (AGGREGATES) det
-        # state per (group, spec), the step functions resolved once here
-        groups: Dict[Tuple, List[Any]] = {}
-        inits = [fn.det.init for fn in fns]
-        steps = [(a, fn.det.step, inputs[a]) for a, fn in enumerate(fns)]
-        if group_cols:
-            keys_iter = zip(*group_cols)
+        # pass 1: group key -> row indices (None: every row); a single
+        # GROUP BY column keys on its raw values, wrapped afterwards
+        if not group_by:
+            keys, members = ([()], [None]) if n else ([], [])
         else:
-            keys_iter = ((),) * n
-        for i, key in enumerate(keys_iter):
-            m = mult[i]
-            accs = groups.get(key)
-            if accs is None:
-                groups[key] = accs = [init() for init in inits]
-            for a, step, col in steps:
-                accs[a] = step(accs[a], col[i], m)
+            group_cols = [batch.columns[index[a]] for a in group_by]
+            rows_of: Dict[Any, List[int]] = defaultdict(list)
+            single = len(group_cols) == 1
+            for i, key in enumerate(group_cols[0] if single else zip(*group_cols)):
+                rows_of[key].append(i)
+            keys = [(key,) for key in rows_of] if single else list(rows_of)
+            members = [None] if len(keys) == 1 else list(rows_of.values())
 
+        # pass 2: fold each aggregate's input column per group
+        folds = [
+            (fn, fn.det.init, fn.det.column_fold(), col)
+            for fn, col in zip(fns, inputs)
+        ]
+        tracing = _tm._ACTIVE is not None
+        in_c = 0
+        states: List[List[Any]] = []
+        for rows in members:
+            pick = _picker(rows)
+            weights = pick(mult)
+            accs = []
+            for fn, init, fold, col in folds:
+                values = repeat(None) if col is None else pick(col)
+                accs.append(fold(init(), values, weights))
+                if tracing:
+                    in_c += _folded_in_c(fn, values, weights)
+            states.append(accs)
+        if tracing:
+            _tm.annotate(
+                groups=len(keys), column_folds=f"{in_c}/{len(keys) * len(fns)}"
+            )
+
+        groups = dict(zip(keys, states))
         if partial:
             return PartialAggregate(groups)
         return finalize_groups(groups, group_by, aggregates)

@@ -1,7 +1,8 @@
 """Meta-test over the aggregate registry (``core.aggregation.AGGREGATES``).
 
 Every aggregate function is defined once — per engine a mergeable state
-``(init, step, merge, finalize, empty)`` plus one ``result_type`` — and
+``(init, step, merge, finalize, empty)``, an optional det column
+``fold`` (≡ the ``step`` loop), plus one ``result_type`` — and
 every fold in the system (serial, partial, parallel merge, delta,
 typing) runs those functions.  The functions are *enumerated* here, not
 listed, so a sixth function is held to the whole-group references
@@ -12,6 +13,7 @@ guard keeps a per-kind switch from growing back beside the registry.
 
 import ast
 import itertools
+import math
 import pathlib
 
 import pytest
@@ -203,6 +205,92 @@ def test_det_negative_weight_undoes_the_step(kind, rows, value, weight):
     assert _bits(
         sorted(finalize_delta_groups(maintained, [], [spec]).tuples())
     ) == _bits(sorted(finalize_delta_groups(fresh, [], [spec]).tuples()))
+
+
+#: det column folds: every path of ``core.sums.add_products`` and what
+#: only the per-value loop handles (mixes, non-finite floats, None, str)
+_FOLD_COLUMNS = st.sampled_from(
+    [
+        st.one_of(st.integers(-50, 50), st.booleans(), st.just(2**63 - 1)),
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.5e308]),
+        ),
+        st.one_of(
+            st.floats(-1e3, 1e3),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]),
+        ),
+        st.sampled_from([1.5, math.inf, -math.inf]),
+        st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3), st.booleans()),
+        st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3), st.none(), st.just("s")),
+    ]
+)
+#: unit, larger and negative weights, and ones past add_product's spill
+#: threshold (a power-of-two term that leaves the double range)
+_FOLD_WEIGHTS = st.sampled_from(
+    [
+        st.just(1),
+        st.integers(2, 4),
+        st.integers(-3, -1),
+        st.integers(-3, 4),
+        st.sampled_from([1, 2**1030]),
+    ]
+)
+
+
+def _finalized(fn, fold):
+    try:
+        out = fn.det.finalize(fold())
+    except (TypeError, ZeroDivisionError, ValueError, OverflowError) as exc:
+        return "raised", type(exc)
+    return "ok", _bits(out), type(out)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(
+    data=st.data(),
+    n=st.sampled_from([0, 1, 2, 3, 8, 63, 64, 65]),
+)
+def test_det_column_fold_is_the_step_loop(kind, data, n):
+    fn = AGGREGATES[kind]
+    values = data.draw(st.lists(data.draw(_FOLD_COLUMNS), min_size=n, max_size=n))
+    weights = data.draw(st.lists(data.draw(_FOLD_WEIGHTS), min_size=n, max_size=n))
+    column = values if fn.takes_input else itertools.repeat(None)
+    stepped = _finalized(fn, lambda: _det_fold(fn, list(zip(values, weights))))
+    fold = fn.det.column_fold()
+    assert _finalized(fn, lambda: fold(fn.det.init(), column, weights)) == stepped
+    if fn.takes_input:  # a gathered group arrives as tuples
+        assert _finalized(
+            fn, lambda: fold(fn.det.init(), tuple(values), tuple(weights))
+        ) == stepped
+
+
+def test_a_sixth_function_without_fold_folds_through_its_step(monkeypatch):
+    total = AGGREGATES["sum"]
+    steps = []
+
+    def step(state, value, weight):
+        steps.append((value, weight))
+        return state + value * weight
+
+    det = _Algebra(
+        init=lambda: 0, step=step, merge=lambda a, b: a + b,
+        finalize=lambda state: state, empty=0,
+    )
+    assert det.fold is None
+    monkeypatch.setitem(
+        AGGREGATES,
+        "weighted",
+        _AggregateFunction(det=det, au=total.au, result_type=total.result_type),
+    )
+    spec = AggregateSpec("weighted", Var("v"), "out")
+    rows = {(1, 2): 3, (2, 5): 1, (1, 7): 2, (3, 1): 1}
+    db = DetDatabase({"t": DetRelation(["g", "v"], rows)})
+    plan = Aggregate(TableRef("t"), ["g"], [spec])
+    out = evaluate_det(plan, db, backend="vectorized")
+    assert list(out.tuples()) == [((1, 20), 1), ((2, 5), 1), ((3, 1), 1)]
+    assert sorted(steps) == sorted((v, m) for (_g, v), m in rows.items())
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -10,6 +10,7 @@ disagreed with a fresh execution.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,17 @@ def test_the_two_orders_of_the_issue():
     # ... and a true sum out of range still saturates, with its sign
     assert exact_sum([(1e308, 1), (9e307, 1), (-1.0, 1)]) == math.inf
     assert exact_sum([(-1e308, 2), (5, 1)]) == -math.inf
+
+
+def test_a_weight_past_the_double_range_scales_a_small_value_exactly():
+    # 2**1030 is no double, but 2e-301 * 2**1030 is one with a fraction:
+    # only a term that itself leaves the range is an integer to spill
+    value, weight = 2.0342221021883263e-301, 2**1030
+    truth = float(Fraction(value) * weight)
+    assert repr(truth) == "2340420549.0490513"
+    assert repr(exact_sum([(value, weight)])) == repr(truth)
+    assert repr(exact_sum([(value, -weight), (1.0, 1)])) == repr(1.0 - truth)
+    assert exact_sum([(1.5, weight)]) == math.inf  # the spill: out of range
 
 
 @settings(
@@ -202,6 +214,137 @@ def test_compaction_that_overflows_takes_the_spill_path(monkeypatch):
     assert repr(finish(lazy)) == repr(expected)
     # ... as does a true sum that rounds out of range
     assert finish(_fold([1.7e308] * (_LIMIT + 1))) == math.inf
+
+
+# ----------------------------------------------------------------------
+# add_products: the batched add_product, one column at a time
+# ----------------------------------------------------------------------
+#: columns that take each of add_products' paths: int/bool (C sum),
+#: finite floats (one extend), and everything the per-value loop keeps
+_COLUMN_VALUES = st.sampled_from(
+    [
+        st.one_of(st.integers(-5, 5), st.booleans(), st.just(2**63 - 1)),
+        st.one_of(_TERMS, _HUGE, _HUGE.map(lambda x: -x)),
+        st.one_of(
+            _TERMS,
+            st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]),
+        ),
+        st.one_of(st.integers(-5, 5), _TERMS, st.sampled_from([1e308, -1e308])),
+        st.one_of(st.integers(-5, 5), _TERMS, st.none(), st.just("s")),
+    ]
+)
+#: unit weights, larger ones, signed ones, and ones whose power-of-two
+#: terms leave the double range (add_product's spill path)
+_COLUMN_WEIGHTS = st.sampled_from(
+    [
+        st.just(1),
+        st.integers(1, 5),
+        st.integers(-3, 3),
+        st.sampled_from([1, 2**1030, -(2**1030)]),
+    ]
+)
+
+
+def _loop(acc, values, weights):
+    for value, weight in zip(values, weights):
+        add_product(acc, value, weight)
+    return acc
+
+
+def _outcome(fn):
+    try:
+        return "ok", repr(fn())
+    except (TypeError, ValueError, OverflowError) as exc:
+        return "raised", type(exc)
+
+
+def _prefilled(prefix):
+    acc = new_acc()
+    for value in prefix:
+        add_product(acc, value, 1)
+    return acc
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    data=st.data(),
+    n=st.sampled_from([0, 1, 2, _LIMIT - 1, _LIMIT, _LIMIT + 1]),
+    prefix=st.lists(st.floats(-1e3, 1e3), max_size=_LIMIT),
+)
+def test_add_products_is_the_add_product_loop(data, n, prefix):
+    values = data.draw(st.lists(data.draw(_COLUMN_VALUES), min_size=n, max_size=n))
+    weights = data.draw(
+        st.lists(data.draw(_COLUMN_WEIGHTS), min_size=n, max_size=n)
+    )
+
+    def batched(column=values, column_weights=weights):
+        acc = _prefilled(prefix)
+        sums.add_products(acc, column, column_weights)
+        return acc
+
+    loop = _outcome(lambda: finish(_loop(_prefilled(prefix), values, weights)))
+    assert _outcome(lambda: finish(batched())) == loop
+    # ... and from tuples, as a gather hands a group's column over
+    assert _outcome(lambda: finish(batched(tuple(values), tuple(weights)))) == loop
+    if loop[0] == "raised":
+        return
+    # (an int total beside float terms is added as one double: no truth)
+    all_ints = not prefix and all(type(v) is int for v in values)
+    if all_ints or all(type(v) is float and math.isfinite(v) for v in values):
+        weighted = [(p, 1) for p in prefix] + list(zip(values, weights))
+        assert loop[1] == repr(_truth(weighted))
+    # the batched accumulator merges like the looped one, both ways
+    other = _fold(prefix[::-1])
+    merged, looped = batched(), _loop(_prefilled(prefix), values, weights)
+    merge_acc(merged, other)
+    merge_acc(looped, other)
+    assert repr(finish(merged)) == repr(finish(looped))
+    into = _fold(prefix[::-1])
+    merge_acc(into, batched())
+    assert repr(finish(into)) == repr(finish(looped))
+
+
+@pytest.mark.parametrize("n", [_LIMIT - 1, _LIMIT, _LIMIT + 1, 20_000])
+def test_add_products_across_the_compaction_boundary(n):
+    rng = random.Random(n)
+    floats = [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-20, 20) for _ in range(n)]
+    ints = [rng.randint(-(2**70), 2**70) for _ in range(n)]
+    for values, weights in (
+        (floats, [1] * n),
+        (floats, [rng.randint(1, 4) for _ in range(n)]),
+        (ints, [1] * n),
+        (ints, [rng.randint(-4, 4) for _ in range(n)]),
+    ):
+        batched = new_acc()
+        sums.add_products(batched, values, weights)
+        assert len(batched[1]) <= _LIMIT
+        looped = _loop(new_acc(), values, weights)
+        truth = _truth(list(zip(values, weights)))
+        assert repr(finish(batched)) == repr(finish(looped)) == repr(truth)
+        # merged into an accumulator holding the huge transient overflow
+        for acc in (batched, looped):
+            merge_acc(acc, _fold([1.7e308, 1.7e308, -1.7e308]))
+        assert repr(finish(batched)) == repr(finish(looped))
+
+
+def test_add_products_takes_the_c_path_only_where_it_is_exact():
+    assert sums.folds_in_c([1, True, 2**63 - 1], [3, -1, 1])
+    assert sums.folds_in_c([0.5, -0.0, 1e308], [1, 1, 1])
+    assert sums.folds_in_c([], [])
+    assert not sums.folds_in_c([0.5, 1.0], [1, 2])  # non-unit float weight
+    assert not sums.folds_in_c([0.5, math.inf], [1, 1])
+    assert not sums.folds_in_c([0.5, math.nan], [1, 1])
+    assert not sums.folds_in_c([1, 0.5], [1, 1])  # mixed
+    assert not sums.folds_in_c([1, None], [1, 1])
+    for column in ([1, None], ["s", "t"], [None]):
+        with pytest.raises(TypeError):
+            sums.add_products(new_acc(), column, [1] * len(column))
+    # the unit-weight float path is one extend, not a loop
+    acc = new_acc()
+    sums.add_products(acc, (0.25, -0.0, 3.0), (1, 1, 1))
+    assert repr(acc[1]) == "[0.25, -0.0, 3.0]"
 
 
 def test_merge_acc_never_aliases_its_source():
