@@ -31,6 +31,12 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   ``join_buckets=64`` on the AU engine over the same plan on the det
   engine over the selected-guess world, both vectorized, same commit —
   the paper's headline ("bounds at near-deterministic cost") as a number.
+  A faster det engine raises it.
+* **Det floors (reported, no gate)**: ns per row of the compiled
+  two-conjunct det filter kernel over the lineitem columns, and ns per
+  probe row of the key–FK hash join ``lineitem ⋈ orders`` (unique build
+  keys, every probe row hits: the ``map`` probe with the probe side
+  passed through).
 
 Both backends must return identical results (integer measures, so even
 SUM/AVG are bit-exact).
@@ -60,7 +66,8 @@ from repro.db.engine import evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
 from repro.exec import physical as phys
 from repro.exec import vectorized
-from repro.exec.compile import CompileError
+from repro.exec.batch import ColumnBatch
+from repro.exec.compile import CompileError, compile_filter
 
 N_ORDERS = 2000
 FANOUT = 4
@@ -204,14 +211,46 @@ def join_plan():
     )
 
 
+def det_filter_condition():
+    """``l_qty > 10 AND l_price <= 900``: the two conjuncts of
+    :func:`join_agg_plan`'s selection."""
+    return Gt(Var("l_qty"), Const(10)) & Leq(Var("l_price"), Const(900))
+
+
+def key_fk_join_plan() -> phys.PhysNode:
+    """``lineitem JOIN orders ON l_orderkey = o_id`` as a physical hash
+    join probing lineitem against the unique order keys."""
+    return phys.HashJoin(
+        phys.Scan("lineitem"),
+        phys.Scan("orders"),
+        Eq(Var("l_orderkey"), Var("o_id")),
+        (("l_orderkey", "o_id"),),
+        True,
+    )
+
+
+def det_floors(det: DetDatabase):
+    """``(filter ns/row, key–FK join ns/probe row)``, best of 7 each."""
+    from repro.experiments.common import time_call
+
+    lineitem = ColumnBatch.from_relation(det["lineitem"])
+    kernel = compile_filter(det_filter_condition(), lineitem.schema)
+    n = len(lineitem)
+    t_filter, _rows = time_call(lambda: kernel(lineitem.columns, n), repeat=7)
+    # the operator alone: no materialization of the joined relation
+    join = key_fk_join_plan()
+    run_join = vectorized._DetExec(det).eval
+    run_join(join)  # build the chunk stores
+    t_join, _joined = time_call(lambda: run_join(join), repeat=7)
+    probe_rows = len(det["lineitem"].rows)
+    return t_filter / n * 1e9, t_join / probe_rows * 1e9
+
+
 def join_agg_plan():
     """``SELECT o_status, sum(l_price), count(*), avg(l_qty) FROM orders
     JOIN lineitem ON o_id = l_orderkey WHERE l_qty > 10 AND l_price <=
     900 GROUP BY o_status``."""
-    joined = join_plan()
-    filtered = Selection(
-        joined, Gt(Var("l_qty"), Const(10)) & Leq(Var("l_price"), Const(900))
-    )
+    filtered = Selection(join_plan(), det_filter_condition())
     return Aggregate(
         filtered,
         ["o_status"],
@@ -414,6 +453,11 @@ def main() -> int:
         f"AU / det cost ratio, join+aggregate at CT={JOIN_BUCKETS}: AU "
         f"{t_au:.4f}s / det over the SG world {t_sgw:.4f}s = {cost_ratio:.1f}x"
     )
+    filter_ns, join_ns = det_floors(det)
+    print(
+        f"det floors: filter kernel {filter_ns:.1f} ns/row, key-FK join "
+        f"{join_ns:.1f} ns/probe row"
+    )
     for failure in failures:
         print(f"FAIL: {failure}")
 
@@ -470,6 +514,8 @@ def main() -> int:
                     "det_s": round(t_sgw, 6),
                     "ratio": round(cost_ratio, 4),
                 },
+                "det_filter": {"ns_per_row": round(filter_ns, 2)},
+                "det_key_fk_join": {"ns_per_probe_row": round(join_ns, 2)},
             },
             "failures": failures,
         },

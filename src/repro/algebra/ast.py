@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import (
     Any,
     Callable,
+    Container,
     Dict,
     Iterator,
     List,
@@ -171,13 +172,18 @@ class Node:
         self: N,
         expr_fn: Callable[[Expression], Expression],
         node_fn: Optional[Callable[[Any], Any]] = None,
+        within: Optional[Container[int]] = None,
     ) -> N:
         """The plan with ``expr_fn`` applied to every expression of every
         node, nested off-spine plans included; ``node_fn``, when given,
         then maps each (rewritten) node — bottom-up, returning the node
-        itself where it changes nothing."""
+        itself where it changes nothing.  ``within``, when given, holds
+        the ids of the only nodes and expressions to visit: anything
+        else is kept as is, unvisited, with its whole subtree."""
 
         def visit(value: Any) -> Any:
+            if within is not None and id(value) not in within:
+                return value
             if isinstance(value, Expression):
                 return expr_fn(value)
             node = _rebuild(value, _slots(type(value))[1], visit)

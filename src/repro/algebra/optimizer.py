@@ -175,6 +175,12 @@ class _RewriteCtx:
 
     semantics: str = "both"
     trace: List[str] = field(default_factory=list)
+    #: ``id(plan) -> (plan, schema)`` of every subtree whose schema a
+    #: pass asked for (plans are immutable, and holding the node keeps
+    #: its id from being reused)
+    schemas: Dict[int, Tuple[Plan, Optional[Tuple[str, ...]]]] = field(
+        default_factory=dict
+    )
 
 
 #: the context of the currently-running :func:`optimize` call; the
@@ -230,8 +236,32 @@ def _substitute(
 # ----------------------------------------------------------------------
 # schema / cardinality inference
 # ----------------------------------------------------------------------
-def schema_of(plan: Plan, stats: Optional[Statistics]) -> Optional[Tuple[str, ...]]:
-    """Output attribute names of ``plan`` (``None`` when unknown)."""
+def schema_of(
+    plan: Plan,
+    stats: Optional[Statistics],
+    memo: Optional[Dict[int, Tuple[Plan, Optional[Tuple[str, ...]]]]] = None,
+) -> Optional[Tuple[str, ...]]:
+    """Output attribute names of ``plan`` (``None`` when unknown).
+
+    ``memo`` (``id(node) -> (node, schema)``) records the schema of
+    every subtree the walk visits and answers repeated questions
+    without walking again."""
+    if memo is None:
+        return _schema_of(plan, stats, None)
+    hit = memo.get(id(plan))
+    if hit is not None and hit[0] is plan:
+        return hit[1]
+    schema = _schema_of(plan, stats, memo)
+    memo[id(plan)] = (plan, schema)
+    return schema
+
+
+def _schema(plan: Plan, stats: Optional[Statistics]) -> Optional[Tuple[str, ...]]:
+    """:func:`schema_of`, each subtree walked once per optimize call."""
+    return schema_of(plan, stats, _ctx.schemas if _ctx is not None else None)
+
+
+def _schema_of(plan: Plan, stats, memo) -> Optional[Tuple[str, ...]]:
     if isinstance(plan, TableRef):
         return stats.schemas.get(plan.name) if stats else None
     if isinstance(plan, Projection):
@@ -239,21 +269,21 @@ def schema_of(plan: Plan, stats: Optional[Statistics]) -> Optional[Tuple[str, ..
     if isinstance(plan, Aggregate):
         return tuple(plan.group_by) + tuple(a.name for a in plan.aggregates)
     if isinstance(plan, Rename):
-        child = schema_of(plan.child, stats)
+        child = schema_of(plan.child, stats, memo)
         if child is None:
             return None
         mapping = plan.mapping_dict()
         return tuple(mapping.get(a, a) for a in child)
     if isinstance(plan, (Join, CrossProduct)):
-        left = schema_of(plan.left, stats)
-        right = schema_of(plan.right, stats)
+        left = schema_of(plan.left, stats, memo)
+        right = schema_of(plan.right, stats, memo)
         if left is None or right is None:
             return None
         return left + right
     if isinstance(plan, (Union, Difference)):
-        return schema_of(plan.left, stats)
+        return schema_of(plan.left, stats, memo)
     if isinstance(plan, (Selection, Distinct, OrderBy, Limit, TopK)):
-        return schema_of(plan.child, stats)
+        return schema_of(plan.child, stats, memo)
     return None
 
 
@@ -443,8 +473,8 @@ def _pushdown(plan: Plan, pending: List[Expression], stats) -> Plan:
         return Rename(child, plan.mapping_dict())
 
     if isinstance(plan, Union):
-        left_schema = schema_of(plan.left, stats)
-        right_schema = schema_of(plan.right, stats)
+        left_schema = _schema(plan.left, stats)
+        right_schema = _schema(plan.right, stats)
         if (
             left_schema is not None
             and right_schema is not None
@@ -474,8 +504,8 @@ def _pushdown(plan: Plan, pending: List[Expression], stats) -> Plan:
         conjuncts = list(pending)
         if isinstance(plan, Join):
             conjuncts = _split(plan.condition) + conjuncts
-        left_schema = schema_of(plan.left, stats)
-        right_schema = schema_of(plan.right, stats)
+        left_schema = _schema(plan.left, stats)
+        right_schema = _schema(plan.right, stats)
         if (
             left_schema is not None
             and right_schema is not None
@@ -618,7 +648,7 @@ def _reorder_joins(plan: Plan, stats, join_order: str) -> Plan:
         leaves: List[Plan] = []
         conjuncts: List[Expression] = []
         _flatten_joins(plan, leaves, conjuncts)
-        schemas = [schema_of(leaf, stats) for leaf in leaves]
+        schemas = [_schema(leaf, stats) for leaf in leaves]
         all_attrs: List[str] = [a for s in schemas if s is not None for a in s]
         if (
             len(leaves) >= 3
@@ -887,6 +917,13 @@ def _fuse_topk(plan: Plan) -> Plan:
 # ----------------------------------------------------------------------
 # rule 5: projection pruning
 # ----------------------------------------------------------------------
+#: a join input is narrowed only when the cells the projection drops
+#: (estimated rows × dropped columns) reach this many: it is one more
+#: plan node to lower, bind and run on every execution (≈ 10 µs), and a
+#: dropped cell saves one gather of tens of ns
+NARROW_MIN_CELLS = 256
+
+
 def _prune(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
     """Drop columns no ancestor references.
 
@@ -897,15 +934,21 @@ def _prune(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
     through).
     """
     if isinstance(plan, Projection):
+        columns = plan.columns
+        if needed is not None:
+            kept = [(e, n) for e, n in columns if n in needed]
+            if kept and len(kept) != len(columns):
+                _record("projection-pruning")
+                columns = kept
         required: Set[str] = set()
-        for expr, _name in plan.columns:
+        for expr, _name in columns:
             required |= expr.variables()
-        return Projection(_prune(plan.child, required, stats), plan.columns)
+        return Projection(_prune(plan.child, required, stats), columns)
     if isinstance(plan, Selection):
         child_needed = None if needed is None else needed | plan.condition.variables()
         return Selection(_prune(plan.child, child_needed, stats), plan.condition)
     if isinstance(plan, Rename):
-        child_schema = schema_of(plan.child, stats)
+        child_schema = _schema(plan.child, stats)
         mapping = plan.mapping_dict()
         if needed is None or child_schema is None:
             child_needed = None
@@ -914,7 +957,7 @@ def _prune(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
         child = _prune(plan.child, child_needed, stats)
         # the mapping must only name columns the pruned child still
         # produces — a narrowed child may have dropped a renamed column
-        pruned_schema = schema_of(child, stats)
+        pruned_schema = _schema(child, stats)
         if pruned_schema is not None:
             mapping = {o: n for o, n in mapping.items() if o in pruned_schema}
         return Rename(child, mapping)
@@ -923,8 +966,12 @@ def _prune(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
             plan.condition.variables() if isinstance(plan, Join) else frozenset()
         )
         total = None if needed is None else needed | condition_vars
-        left = _narrow(plan.left, total, stats)
-        right = _narrow(plan.right, total, stats)
+        # under AU semantics a narrowing also decides which tuples merge
+        # before a Cpr compression, so the bounds depend on it: it is
+        # placed whatever the input size there
+        min_cells = NARROW_MIN_CELLS if _bag_only_allowed() else 0
+        left = _narrow(plan.left, total, stats, min_cells)
+        right = _narrow(plan.right, total, stats, min_cells)
         if isinstance(plan, Join):
             return Join(left, right, plan.condition)
         return CrossProduct(left, right)
@@ -959,24 +1006,22 @@ def _prune(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
     return plan
 
 
-def _narrow(plan: Plan, needed: Optional[Set[str]], stats) -> Plan:
-    """Prune ``plan`` and, when its schema still has unused columns, wrap
-    it in a narrowing projection."""
+def _narrow(
+    plan: Plan, needed: Optional[Set[str]], stats, min_cells: float = 0
+) -> Plan:
+    """Prune ``plan`` and, when its schema still has unused columns —
+    at least ``min_cells`` estimated cells of them — wrap it in a
+    narrowing projection."""
     pruned = _prune(plan, needed, stats)
     if needed is None:
         return pruned
-    schema = schema_of(pruned, stats)
+    schema = _schema(pruned, stats)
     if schema is None or len(set(schema)) != len(schema):
         return pruned
     kept = [a for a in schema if a in needed]
     if not kept or len(kept) == len(schema):
         return pruned
-    if isinstance(pruned, Projection):
-        narrowed = [(e, n) for e, n in pruned.columns if n in needed]
-        if narrowed:
-            if len(narrowed) != len(pruned.columns):
-                _record("projection-pruning")
-            return Projection(pruned.child, narrowed)
+    if estimate(pruned, stats) * (len(schema) - len(kept)) < min_cells:
         return pruned
     _record("projection-pruning")
     return Projection(pruned, [(Var(a), a) for a in kept])

@@ -354,7 +354,13 @@ class StatsAccumulator:
                 self.nulls[i] += weight
                 continue
             if self.numeric_ok[i]:
-                if isinstance(sg, (int, float)) and not isinstance(sg, bool):
+                # NaN has no bucket: like a non-number, it retires the
+                # column to min/max interpolation
+                if (
+                    isinstance(sg, (int, float))
+                    and not isinstance(sg, bool)
+                    and sg == sg
+                ):
                     if self.samples[i] is not None:
                         # a bare value stands for weight 1: the common
                         # case costs a list slot, not a tuple per row

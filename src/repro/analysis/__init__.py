@@ -66,6 +66,7 @@ __all__ = [
     "verify_physical",
     "verify_bound",
     "binding_sites",
+    "binding_spine",
     "verify_delta",
     # semiring-safety lint (repro.analysis.lint)
     "RewriteRule",
@@ -93,6 +94,7 @@ _LAZY = {
     "verify_physical": "verify",
     "verify_bound": "verify",
     "binding_sites": "verify",
+    "binding_spine": "verify",
     "verify_delta": "verify",
     "RewriteRule": "lint",
     "REWRITE_RULES": "lint",

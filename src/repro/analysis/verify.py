@@ -31,6 +31,7 @@ from __future__ import annotations
 from functools import cache
 from typing import (
     Any,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -61,6 +62,7 @@ __all__ = [
     "verify_logical",
     "verify_bound",
     "binding_sites",
+    "binding_spine",
     "verify_physical",
     "verify_delta",
     "collect_plan_parameters",
@@ -160,6 +162,33 @@ def binding_sites(template: ast.Node) -> Tuple[SitePath, ...]:
     return tuple(
         path for path, node in _paths(template) if any(_mentions(node))
     )
+
+
+def binding_spine(template: ast.Node) -> FrozenSet[int]:
+    """The ids of what binding has to visit — the nodes that mention a
+    parameter or carry a chunk-skip template, their ancestors, and the
+    expressions that mention a parameter: the ``within`` of
+    :meth:`~repro.algebra.ast.Node.rewrite`.  Everything else binds to
+    itself.  Compute once per lowering."""
+    spine: Set[int] = set()
+
+    def note(value: Any) -> Any:
+        if isinstance(value, Expression) and value.parameters():
+            spine.add(id(value))
+        return value
+
+    def visit(node: ast.Node) -> bool:
+        below = [visit(plan) for _slot, _index, plan in node.plans()]
+        keys, templated = _mentions(node)
+        if keys:
+            node.map_slots(note)
+        if any(below) or keys or templated:
+            spine.add(id(node))
+            return True
+        return False
+
+    visit(template)
+    return frozenset(spine)
 
 
 def verify_bound(

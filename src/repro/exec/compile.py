@@ -21,7 +21,16 @@ mirrors :meth:`Expression.eval` exactly:
   hand or ``int``/``float``/``bool`` constants is the native
   ``<=``/``==``/``!=`` in that same orientation — the kernel variant is
   chosen per call from the columns' representation (:class:`DetKernel`);
-* ``And``/``Or`` short-circuit exactly like ``bool(l) and bool(r)``.
+* ``And``/``Or`` short-circuit exactly like ``bool(l) and bool(r)``;
+  ``bool()`` is emitted only around an operand whose node does not
+  already yield a ``bool`` (comparisons, ``Not``, ``IsNull`` and the
+  connectives do).
+
+A det kernel is one list comprehension: a filter
+``[_i for _i, _v2, _v3 in zip(range(_n), _cols[2], _cols[3]) if …]``
+over the row ids and the cells of the columns it reads, a projector
+``[… for _v2, _v3 in zip(_cols[2], _cols[3])]`` over the cells alone;
+the constants are hoisted into locals (``_k0 = _K[0]``) once per call.
 
 **Range-annotated** (:func:`compile_range_filter`,
 :func:`compile_range_pair_filter`) mirrors :meth:`Expression.eval_range`
@@ -225,14 +234,22 @@ class _Emitter:
         return a, b, native
 
     def column(self, name: str) -> str:
+        """The comprehension variable holding this row's cell of
+        ``name``."""
         j = self.index.get(name)
         if j is None:
             raise CompileError(f"unbound variable {name!r}")
         local = self.used_columns.get(j)
         if local is None:
-            local = f"_c{j}"
+            local = f"_v{j}"
             self.used_columns[j] = local
         return local
+
+    def _bool(self, e: Expression) -> str:
+        """``e`` as a ``bool``: wrapped in ``bool()`` unless its node
+        already yields one."""
+        source = self.emit(e)
+        return source if type(e) in _BOOL_NODES else f"bool({source})"
 
     def emit(self, e: Expression) -> str:
         # exact-type dispatch: an Expression *subclass* may override
@@ -240,16 +257,16 @@ class _Emitter:
         # interpretation rather than silently compiling base semantics
         kind = type(e)
         if kind is Var:
-            return f"{self.column(e.name)}[_i]"
+            return self.column(e.name)
         if kind is Const:
             self.constants.append(e.value)
-            return f"_K[{len(self.constants) - 1}]"
+            return f"_k{len(self.constants) - 1}"
         if kind is And:
-            return f"(bool({self.emit(e.left)}) and bool({self.emit(e.right)}))"
+            return f"({self._bool(e.left)} and {self._bool(e.right)})"
         if kind is Or:
-            return f"(bool({self.emit(e.left)}) or bool({self.emit(e.right)}))"
+            return f"({self._bool(e.left)} or {self._bool(e.right)})"
         if kind is Not:
-            return f"(not bool({self.emit(e.operand)}))"
+            return f"(not {self.emit(e.operand)})"
         if kind is Eq or kind is Neq:
             a, b, native = self._operands(e.left, e.right)
             op = "==" if kind is Eq else "!="
@@ -271,8 +288,9 @@ class _Emitter:
         if kind is If:
             then = self.emit(e.then_branch)
             other = self.emit(e.else_branch)
+            # a conditional expression tests its condition like bool()
             cond = self.emit(e.cond)
-            return f"(({then}) if bool({cond}) else ({other}))"
+            return f"(({then}) if {cond} else ({other}))"
         if kind is IsNull:
             return f"(({self.emit(e.operand)}) is None)"
         if kind is MakeUncertain:
@@ -285,15 +303,39 @@ def _typed(column: Any) -> bool:
     return type(column) is array and column.typecode in "qd"
 
 
-def _det_source(emitter: _Emitter, value: str, body: str) -> str:
-    bindings = "".join(
-        f"    {local} = _cols[{j}]\n"
-        for j, local in sorted(emitter.used_columns.items())
+#: node types whose compiled form already yields a ``bool``
+_BOOL_NODES = frozenset({Eq, Neq, Leq, Lt, Geq, Gt, Not, IsNull, And, Or})
+
+
+def _det_source(emitter: _Emitter, value: str, is_filter: bool) -> str:
+    """The kernel source: the constants hoisted into locals once per
+    call, then one comprehension evaluating ``value`` per row.
+
+    A filter keeps the ids of the rows where ``value`` is truthy; its
+    loop targets are the row id and the cells of the columns it reads,
+    fed by ``zip(range(_n), *columns)``.  A projector needs no row id:
+    its targets are the cells alone (one column is iterated directly).
+    A kernel that reads no column iterates ``range(_n)`` — never
+    ``zip(range(_n))``, whose 1-tuples are all truthy.
+    """
+    used = sorted(emitter.used_columns.items())
+    cells = [local for _j, local in used]
+    columns = [f"_cols[{j}]" for j, _local in used]
+    if not columns:
+        rows, feed = "_i", "range(_n)"
+    elif is_filter:
+        rows = ", ".join(["_i"] + cells)
+        feed = f"zip(range(_n), {', '.join(columns)})"
+    elif len(columns) == 1:
+        rows, feed = cells[0], columns[0]
+    else:
+        rows, feed = ", ".join(cells), f"zip({', '.join(columns)})"
+    loop = f"for {rows} in {feed}"
+    body = f"_i {loop} if {value}" if is_filter else f"{value} {loop}"
+    hoists = "".join(
+        f"    _k{k} = _K[{k}]\n" for k in range(len(emitter.constants))
     )
-    return (
-        f"def _kernel(_cols, _n, _K, _dk, _le):\n"
-        f"{bindings}{body.format(value=value)}"
-    )
+    return f"def _kernel(_cols, _n, _K, _dk, _le):\n{hoists}    return [{body}]\n"
 
 
 class DetKernel:
@@ -316,7 +358,7 @@ class DetKernel:
     __slots__ = (
         "_expr",
         "_index",
-        "_body",
+        "_is_filter",
         "_key",
         "_used",
         "_constants",
@@ -324,17 +366,19 @@ class DetKernel:
         "native_compares",
     )
 
-    def __init__(self, expr: Expression, schema: Sequence[str], body: str) -> None:
+    def __init__(
+        self, expr: Expression, schema: Sequence[str], is_filter: bool
+    ) -> None:
         index = {name: j for j, name in enumerate(schema)}
         emitter = _Emitter(index)
         value = emitter.emit(expr)  # raises CompileError
         self._expr = expr
         self._index = index
-        self._body = body
+        self._is_filter = is_filter
         self._used = tuple(sorted(emitter.used_columns))
         self._constants = tuple(emitter.constants)
         natives = tuple(type(c) in _NATIVE_TYPES for c in self._constants)
-        self._key = (_det_source(emitter, value, body), natives)
+        self._key = (_det_source(emitter, value, is_filter), natives)
         self._variants: Dict[FrozenSet[int], Tuple[Callable, int]] = {}
         self.native_compares: Optional[int] = None
 
@@ -353,38 +397,29 @@ class DetKernel:
     def _build(self, typed: FrozenSet[int]) -> Tuple[Callable, int]:
         emitter = _Emitter(self._index, typed)
         value = emitter.emit(self._expr)
-        source = _det_source(emitter, value, self._body)
+        source = _det_source(emitter, value, self._is_filter)
         return _compile_source(source), emitter.native_compares
 
 
 def compile_filter(condition: Expression, schema: Sequence[str]) -> DetKernel:
     """Compile ``condition`` into ``fn(columns, n) -> surviving row ids``.
 
-    The returned :class:`DetKernel` runs one fused loop over the batch
-    and returns the indices of rows whose condition is truthy — exactly
-    ``bool(condition.eval(row))`` of the tuple engine.  Raises
+    The returned :class:`DetKernel` runs one comprehension over the
+    batch and returns the indices of rows whose condition is truthy —
+    exactly ``bool(condition.eval(row))`` of the tuple engine.  Raises
     :class:`CompileError` for untranslatable expressions.
     """
-    return DetKernel(
-        condition,
-        schema,
-        "    _out = []\n"
-        "    _append = _out.append\n"
-        "    for _i in range(_n):\n"
-        "        if {value}:\n"
-        "            _append(_i)\n"
-        "    return _out\n",
-    )
+    return DetKernel(condition, schema, is_filter=True)
 
 
 def compile_projector(expr: Expression, schema: Sequence[str]) -> DetKernel:
     """Compile ``expr`` into ``fn(columns, n) -> output column``.
 
-    One fused loop computing the expression for every row — the
+    One comprehension computing the expression for every row — the
     vectorized form of a computed projection column.  Raises
     :class:`CompileError` for untranslatable expressions.
     """
-    return DetKernel(expr, schema, "    return [{value} for _i in range(_n)]\n")
+    return DetKernel(expr, schema, is_filter=False)
 
 
 # ======================================================================

@@ -968,7 +968,10 @@ def explain_physical(
     (reason)`` — a compiled det filter also how many of its comparisons
     ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
     det select-project how many base columns it gathered
-    (``gathered_columns=k/n``) — a
+    (``gathered_columns=k/n``), a vectorized det ``HashJoin`` which
+    probe rule ran (``probe=map`` over a unique-key table, ``loop``
+    otherwise) and how many probe-side rows it gathered
+    (``gathered_left=0`` when the probe side passed through) — a
     vectorized ``CompressedJoin`` its SG pairs, boxes per side, box
     pairs emitted / probed and input rows merged as duplicates, a
     vectorized AU ``HashAggregate`` its groups, duplicates, rows with an
@@ -1027,7 +1030,9 @@ def explain_physical(
                         line += f", {how}={a[how]}"
                         if "kernel_reason" in a:
                             line += f" ({a['kernel_reason']})"
-                for count in ("native_compares", "gathered_columns"):
+                for count in (
+                    "native_compares", "gathered_columns", "probe", "gathered_left"
+                ):
                     if count in a:
                         line += f", {count}={a[count]}"
                 if "reason" in a:

@@ -19,7 +19,10 @@ Operator implementations:
   gathers survivors in one pass;
 * **hash equi-joins** bucket raw key values exactly like the tuple
   engine's dict (identity-or-equality lookup), so both join algorithms
-  agree with the tuple engine bit-for-bit; the AU ``HashJoin`` is the
+  agree with the tuple engine bit-for-bit; a table whose build keys are
+  unique is probed by one ``map(dict.get)``, and when every probe row
+  hits (a key–FK join) the probe columns pass through ungathered;
+  the AU ``HashJoin`` is the
   certain-key hash + interval nested-loop split, the AU
   ``CompressedJoin`` the columnar Section 10.4 join of
   :mod:`repro.exec.compressed_join`;
@@ -50,8 +53,18 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter, mul
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry as _tm
 from ..core import operators as ops
@@ -79,7 +92,9 @@ __all__ = [
     "PartialAggregate",
     "AUPartialGroups",
     "DeltaFoldError",
+    "JoinTable",
     "build_join_table",
+    "probe_join_table",
     "build_au_join_table",
     "fold_delta_groups",
     "finalize_delta_groups",
@@ -226,7 +241,7 @@ class _DetExec:
         #: pre-built hash tables by HashJoin node id: a parallel region
         #: builds each partition-invariant build side once in the parent
         #: instead of once per morsel
-        self.join_tables: Dict[int, Dict[Any, List[int]]] = join_tables or {}
+        self.join_tables: Dict[int, JoinTable] = join_tables or {}
 
     def run(self, pplan: phys.PhysNode) -> DetRelation:
         return self.eval(pplan).to_relation()
@@ -454,33 +469,28 @@ class _DetExec:
 
         if table is None:
             table = build_join_table(right, [b for _, b in p.eq_pairs])
+        li, ri, probe = probe_join_table(table, _join_keys(l_cols))
+        pick = _picker(ri)
+        if li is None:
+            # key–FK: every probe row met exactly one build row
+            l_out = left.columns
+            mult = list(map(mul, left.mult, pick(right.mult)))
+        else:
+            l_out = _gather(left.columns, li)
+            lm, rm = left.mult, right.mult
+            mult = [lm[i] * rm[j] for i, j in zip(li, ri)]
         if _tm._ACTIVE is not None:
             _tm.annotate(
                 build_rows=len(right),
-                build_keys=len(table),
+                build_keys=len(table.rows),
                 probe_rows=len(left),
+                probe=probe,
+                gathered_left=0 if li is None else len(li),
             )
-
-        li: List[int] = []
-        ri: List[int] = []
-        if len(l_cols) == 1:
-            col = l_cols[0]
-            for i in range(len(left)):
-                for j in table.get(col[i], ()):
-                    li.append(i)
-                    ri.append(j)
-        else:
-            for i in range(len(left)):
-                key = tuple(c[i] for c in l_cols)
-                for j in table.get(key, ()):
-                    li.append(i)
-                    ri.append(j)
-
-        lm, rm = left.mult, right.mult
         joined = ColumnBatch(
             tuple(left.schema) + tuple(right.schema),
-            _gather(left.columns, li) + _gather(right.columns, ri),
-            [lm[i] * rm[j] for i, j in zip(li, ri)],
+            list(l_out) + [pick(col) for col in right.columns],
+            mult,
         )
         if p.pure_equi:
             # for scalar cell values (numbers/strings/bools/None — the
@@ -654,25 +664,69 @@ class _DetExec:
         return finalize_groups(groups, group_by, aggregates)
 
 
-def build_join_table(
-    right: ColumnBatch, key_attrs: Sequence[str]
-) -> Dict[Any, List[int]]:
+class JoinTable(NamedTuple):
+    """A det hash join's build side: ``rows`` maps each key to its
+    build row when ``unique``, else to the list of its build rows."""
+
+    rows: Dict[Any, Any]
+    unique: bool
+
+
+def _join_keys(columns: Sequence[Sequence]) -> Iterable:
+    """The raw join key of every row: the cell itself for one key
+    column, the tuple of cells for several."""
+    return columns[0] if len(columns) == 1 else zip(*columns)
+
+
+def build_join_table(right: ColumnBatch, key_attrs: Sequence[str]) -> JoinTable:
     """Bucket the build side's raw key values, exactly like the tuple
     engine's dict: Python's identity-or-equality lookup means a bucket
     match implies the Eq conjuncts hold under domain_key comparison
     (including the same-NaN-object identity case), so hash and
-    nested-loop plans agree with the tuple engine bit-for-bit."""
+    nested-loop plans agree with the tuple engine bit-for-bit.
+
+    When no two build rows share a key — the same identity-or-equality
+    test, so ``1``/``1.0``/``True`` collide and two distinct NaN
+    objects do not — the table maps each key to its one row
+    (``unique``), which :func:`probe_join_table` probes in C."""
     r_index = _index_of(right.schema)
-    r_cols = [right.columns[r_index[b]] for b in key_attrs]
-    table: Dict[Any, List[int]] = {}
-    if len(r_cols) == 1:
-        col = r_cols[0]
-        for j in range(len(right)):
-            table.setdefault(col[j], []).append(j)
-    else:
-        for j in range(len(right)):
-            table.setdefault(tuple(c[j] for c in r_cols), []).append(j)
-    return table
+    key_cols = [right.columns[r_index[b]] for b in key_attrs]
+    n = len(right)
+    rows = dict(zip(_join_keys(key_cols), range(n)))
+    if len(rows) == n:
+        return JoinTable(rows, True)
+    buckets: Dict[Any, List[int]] = {}
+    for j, key in enumerate(_join_keys(key_cols)):
+        buckets.setdefault(key, []).append(j)
+    return JoinTable(buckets, False)
+
+
+def probe_join_table(
+    table: JoinTable, keys: Iterable
+) -> Tuple[Optional[List[int]], Sequence[int], str]:
+    """The matching ``(probe row, build row)`` pairs of the probe keys,
+    probe-major and in build order per probe row, as ``(li, ri,
+    probe)``.
+
+    A unique table is probed by one ``map(dict.get)``; when every probe
+    row hits, ``li`` is ``None`` — the probe side passes through — and
+    ``ri`` the build row of each probe row.  Otherwise the pairs are
+    collected row by row.  ``probe`` says which rule ran: ``map`` or
+    ``loop``."""
+    get = table.rows.get
+    if table.unique:
+        hits = list(map(get, keys))
+        if None not in hits:
+            return None, hits, "map"
+        li = [i for i, j in enumerate(hits) if j is not None]
+        return li, [j for j in hits if j is not None], "map"
+    li = []
+    ri = []
+    for i, key in enumerate(keys):
+        for j in get(key, ()):
+            li.append(i)
+            ri.append(j)
+    return li, ri, "loop"
 
 
 def finalize_groups(

@@ -53,7 +53,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
 
 from .algebra.ast import Node, Plan, collect_parameters
 from . import analysis
@@ -164,10 +164,14 @@ def _as_const(value: Any) -> Expression:
 
 
 def _bind(
-    query: Union[Node, Expression], binding: Mapping[Any, Expression]
+    query: Union[Node, Expression],
+    binding: Mapping[Any, Expression],
+    spine: Optional[FrozenSet[int]] = None,
 ) -> Any:
     """``query`` — a logical plan, a physical plan or an expression —
-    with every :class:`Parameter` replaced by its binding.
+    with every :class:`Parameter` replaced by its binding.  ``spine``
+    (:func:`repro.analysis.binding_spine` of ``query``) limits the walk
+    to the nodes that mention a parameter and their ancestors.
 
     A physical scan whose chunk-skip predicate holds template atoms
     (``column ⟨op⟩ ?slot``, see :func:`repro.db.chunks.derive_skip`) is
@@ -195,7 +199,7 @@ def _bind(
 
     if isinstance(query, Expression):
         return query.map_leaves(leaf)
-    return query.rewrite(lambda expr: expr.map_leaves(leaf), fill)
+    return query.rewrite(lambda expr: expr.map_leaves(leaf), fill, spine)
 
 
 def bind_parameters(
@@ -450,6 +454,8 @@ class PreparedQuery:
         self._sites = (
             analysis.binding_sites(self.pplan) if conn.verify_plans else None
         )
+        # ... and the only nodes binding visits
+        self._spine = analysis.binding_spine(self.pplan)
         conn.metrics.lowerings += 1
         if relower:
             conn.metrics.relowerings += 1
@@ -546,7 +552,7 @@ class PreparedQuery:
                     return entry[1], True
         pplan = self.pplan
         if binding:
-            pplan = _bind(pplan, binding)
+            pplan = _bind(pplan, binding, self._spine)
             if conn.verify_plans:
                 analysis.verify_bound(pplan, binding, self._sites)
         try:

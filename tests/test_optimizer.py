@@ -14,6 +14,7 @@ harvesting, and ``explain``.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,7 +37,9 @@ from repro.algebra.ast import (
 )
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
 from repro.algebra.optimizer import (
+    NARROW_MIN_CELLS,
     Statistics,
+    _prune,
     estimate,
     explain,
     optimize,
@@ -250,6 +253,72 @@ def test_optimize_is_idempotent_on_results(plan, audb):
     assert dict(a.tuples()) == dict(b.tuples())
 
 
+@SETTINGS
+@given(plan=plans(), audb=au_databases())
+def test_projection_pruning_is_a_fixpoint(plan, audb):
+    """Pruning a pruned plan changes nothing: every projection already
+    keeps only what its ancestors read."""
+    stats = Statistics.from_database(audb)
+    pruned = optimize(plan, stats)
+    assert explain(_prune(pruned, None, stats)) == explain(pruned)
+
+
+def _shape(plan, stats):
+    """The plan tree without its cardinality estimates."""
+    return [re.sub(r"  \(~.*\)$", "", line) for line in explain(plan, stats).splitlines()]
+
+
+def test_q3_narrows_every_reordered_join_input():
+    """The join reorderer's schema-restoring π sits under the γ: pruning
+    narrows it to what the γ reads and then every join input below."""
+    from repro.tpch.datagen import generate_tpch
+    from repro.tpch.queries import q3
+
+    db = generate_tpch(scale=0.01, seed=1)
+    stats = Statistics.from_database(db)
+    trace = []
+    optimized = optimize(q3(), stats, trace=trace)
+    assert "projection-pruning" in trace
+    assert _shape(optimized, stats) == [
+        "Aggregate γ[l_orderkey,o_orderdate,o_shippriority; "
+        "sum((l_extendedprice * (1 - l_discount)))→revenue]",
+        "  Projection π[o_orderdate, o_shippriority, l_orderkey, "
+        "l_extendedprice, l_discount]",
+        "    Join ⋈[(o_orderkey = l_orderkey)]",
+        "      Projection π[l_orderkey, l_extendedprice, l_discount]",
+        "        Selection σ[(l_shipdate > 19950315)]",
+        "          Table lineitem",
+        "      Projection π[o_orderkey, o_orderdate, o_shippriority]",
+        "        Join ⋈[(c_custkey = o_custkey)]",
+        "          Projection π[o_orderkey, o_custkey, o_orderdate, o_shippriority]",
+        "            Selection σ[(o_orderdate < 19950315)]",
+        "              Table orders",
+        "          Projection π[c_custkey]",
+        "            Selection σ[(c_mktsegment = 'BUILDING')]",
+        "              Table customer",
+    ]
+    assert explain(_prune(optimized, None, stats)) == explain(optimized)
+    # a bag-only plan narrows a join input only when that drops
+    # NARROW_MIN_CELLS estimated cells: lineitem's ~122 rows x 13
+    # columns, not the ~20 orders or the one BUILDING customer
+    bag = optimize(q3(), stats, semantics="bag")
+    assert [
+        line.strip() for line in _shape(bag, stats) if "Projection" in line
+    ] == [
+        "Projection π[o_orderdate, o_shippriority, l_orderkey, "
+        "l_extendedprice, l_discount]",
+        "Projection π[l_orderkey, l_extendedprice, l_discount]",
+    ]
+    for plan in (optimized, bag):
+        assert image(evaluate_det(plan, db, optimize=False)) == image(
+            evaluate_det(q3(), db, optimize=False)
+        )
+
+
+def image(rel):
+    return rel.schema, [(repr(t), m) for t, m in rel.tuples()]
+
+
 # ----------------------------------------------------------------------
 # unit tests for the individual rules
 # ----------------------------------------------------------------------
@@ -433,23 +502,34 @@ class TestRules:
         assert optimized.n == 2
 
     def test_projection_pruning_narrows_join_inputs(self, det_db):
-        stats = Statistics.from_database(det_db)
         plan = Projection(
             Join(TableRef("emp"), TableRef("dept"), Eq(Var("dept"), Var("dept2"))),
             [(Var("name"), "name")],
         )
-        optimized = optimize(plan, stats)
-        # the dept side only contributes the join key, so `city` is pruned
-        pruned = [
-            n
-            for n in optimized.walk()
-            if isinstance(n, Projection)
-            and [name for _, name in n.columns] == ["dept2"]
-        ]
-        assert pruned
-        out = evaluate_det(plan, det_db, optimize=False)
-        out2 = evaluate_det(optimized, det_db, optimize=False)
-        assert out.rows == out2.rows
+
+        def narrowed(db, semantics):
+            stats = Statistics.from_database(db)
+            optimized = optimize(plan, stats, semantics=semantics)
+            out = evaluate_det(plan, db, optimize=False)
+            assert evaluate_det(optimized, db, optimize=False).rows == out.rows
+            return [
+                n
+                for n in optimized.walk()
+                if isinstance(n, Projection)
+                and [name for _, name in n.columns] == ["dept2"]
+            ]
+
+        # the dept side only contributes the join key, so `city` is
+        # pruned — in a bag-only plan once it holds NARROW_MIN_CELLS
+        # cells: on two rows a projection node costs more than the
+        # column it drops
+        assert narrowed(det_db, "both")
+        assert not narrowed(det_db, "bag")
+        big = DetDatabase(dict(det_db.relations))
+        big["dept"] = DetRelation(
+            ["dept2", "city"], [(f"d{i}", f"c{i}") for i in range(NARROW_MIN_CELLS)]
+        )
+        assert narrowed(big, "bag")
 
     def test_pushdown_through_union_is_positional(self):
         r = DetRelation(["a"], [(1,), (2,), (3,)])

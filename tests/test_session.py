@@ -11,12 +11,14 @@ relation identity-hash contract.
 
 import pytest
 
+from repro import analysis
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
 from repro.core.expressions import Const, UnboundParameterError
 from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
+from repro.exec.physical import explain_physical
 from repro.session import (
     _METRIC_FIELDS,
     Connection,
@@ -603,10 +605,35 @@ class TestBindTimeSkipping:
             exec_parallel.PARALLEL_MIN_ROWS = old
         fresh = evaluate_audb(bind_parameters(parse_sql(sql), [20]), db, config)
         assert au_bits(got) == au_bits(fresh)
-        bound = _bind(conn.prepare(sql).pplan, {0: Const(20)})
-        assert type(bound).__name__ == "Exchange"
-        (scan,) = [n for n in bound.final.walk() if type(n).__name__ == "Scan"]
-        assert str(scan.skip) == "okey<20"
+        prepared = conn.prepare(sql)
+        for spine in (None, analysis.binding_spine(prepared.pplan)):
+            bound = _bind(prepared.pplan, {0: Const(20)}, spine)
+            assert type(bound).__name__ == "Exchange"
+            (scan,) = [n for n in bound.final.walk() if type(n).__name__ == "Scan"]
+            assert str(scan.skip) == "okey<20"
+
+    def test_binding_visits_only_the_parameter_spine(self):
+        """Execution binds along :func:`repro.analysis.binding_spine`:
+        the same plan as the full walk, with every subtree and expression
+        that mentions no parameter kept as the template's own object."""
+        conn = Connection(make_det_db(60), config=EvalConfig(backend="vectorized"))
+        prepared = conn.prepare(
+            "SELECT okey, segment FROM orders JOIN customers ON cust = ckey "
+            "WHERE price < ? AND segment <> 'x'"
+        )
+        spine = analysis.binding_spine(prepared.pplan)
+        binding = {0: Const(100.0)}
+        full = _bind(prepared.pplan, binding)
+        bound = _bind(prepared.pplan, binding, spine)
+        assert explain_physical(bound) == explain_physical(full)
+        assert "?" not in explain_physical(bound)
+        template = list(prepared.pplan.walk())
+        for old, new in zip(template, bound.walk()):
+            assert (new is old) == (id(old) not in spine)
+        # a statement without parameters binds to itself
+        plain = conn.prepare("SELECT okey FROM orders WHERE price < 5.0")
+        assert not analysis.binding_spine(plain.pplan)
+        assert _bind(plain.pplan, binding, frozenset()) is plain.pplan
 
 
 class TestMetricsRegistryView:

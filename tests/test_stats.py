@@ -225,6 +225,13 @@ class TestHistogram:
                 assert conn.statistics().columns["t"]["x"].histogram is None
                 assert len(list(conn.execute(sql).tuples())) == 2
 
+    def test_a_nan_value_retires_the_histogram(self):
+        """Regression: a NaN after the first value reached the bucket
+        arithmetic and ``int(nan)`` crashed statistics harvest."""
+        rel = DetRelation(["x"], [(0,), (1,), (float("nan"),), (5,)])
+        cols = harvest_column_stats(DetDatabase({"t": rel}))["t"]
+        assert cols["x"].histogram is None
+
     def test_skew_beats_min_max_interpolation(self):
         """90% of the mass at the low end: the histogram prices
         ``x <= 10`` near 0.9 where min/max interpolation says ~0.1."""
