@@ -65,7 +65,7 @@ CHILD: Mapping[str, str] = {"slot": "child"}
 #: ``field(metadata=EXPRS)``: an expression-bearing slot that is *not*
 #: an input — an :class:`Expression`, a ``((Expression, name), …)``
 #: tuple, an :class:`AggregateSpec` tuple, or a plan kept off the
-#: ``children()`` spine (``TupleFallback.logical``, ``Exchange.final``);
+#: ``children()`` spine (``Exchange.final``);
 #: ``None`` when optional.  Every unmarked field is a scalar.
 EXPRS: Mapping[str, str] = {"slot": "exprs"}
 
@@ -157,8 +157,8 @@ class Node:
 
     def plans(self) -> Iterator[Tuple[str, Optional[int], "Node"]]:
         """``(slot, index, plan)`` for each plan this node holds directly,
-        off-spine ones (``TupleFallback.logical``, ``Exchange.final``)
-        included; ``index`` is the position inside a tuple slot."""
+        off-spine ones (``Exchange.final``) included; ``index`` is the
+        position inside a tuple slot."""
         for name in _slots(type(self))[1]:
             value = getattr(self, name)
             if isinstance(value, Node):

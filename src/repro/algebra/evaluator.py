@@ -8,9 +8,9 @@ module plays the rewritten query over the relational encoding.
 
 Since PR 4 evaluation is a four-stage pipeline: the logical plan is
 optimized (:mod:`repro.algebra.optimizer`), *lowered* into an explicit
-physical plan (:func:`repro.exec.physical.lower` — join algorithm,
-``Cpr`` compression budgets, and the tuple-operator fallback boundaries
-all chosen at plan time), and then interpreted by the selected backend.
+physical plan (:func:`repro.exec.physical.lower` — join algorithm and
+``Cpr`` compression budgets chosen at plan time), and then interpreted
+by the selected backend.
 :class:`EvalConfig` toggles the Section 10.4/10.5 optimizations:
 
 * ``join_buckets`` — compress the possible side of joins with ``Cpr``;
@@ -85,10 +85,10 @@ class EvalConfig:
 
     ``backend`` selects the physical execution backend:
     ``"vectorized"`` (the default, :data:`repro.exec.DEFAULT_BACKEND`;
-    :mod:`repro.exec`, columnar batches with planner-chosen
-    ``TupleFallback`` boundaries for difference, distinct and top-k) or
-    ``"tuple"`` (the operator-at-a-time interpreter in this module).
-    Results are identical.  ``physical=False`` keeps the legacy direct
+    :mod:`repro.exec`, columnar batches from scan to result — a
+    relation exists only at the result edge) or ``"tuple"`` (the
+    operator-at-a-time interpreter in this module).  Results are
+    identical.  ``physical=False`` keeps the legacy direct
     interpretation of logical plans and runs no lowering, whatever
     ``backend`` says — it is the oracle, never the engine under test.
 
@@ -97,8 +97,9 @@ class EvalConfig:
     engines (:mod:`repro.exec.parallel`): AU linear operators
     and certain-group partial aggregates run per morsel and merge
     bit-exactly at the Exchange; the globally SG-combining fragment
-    (compressed joins and aggregates, ``TupleFallback`` nodes) stays
-    serial.  Results are identical at every setting.
+    (compressed joins and aggregates, distinct, difference) stays
+    serial, and top-k runs once over the concatenated morsels.  Results
+    are identical at every setting.
 
     ``chunk_size`` sets the paged-storage chunk size for the vectorized
     backends (:mod:`repro.db.chunks`): ``None`` selects the default page
@@ -156,9 +157,9 @@ def execute_physical_audb(pplan, db: AUDatabase, actuals=None) -> AURelation:
     """Interpret a physical plan with the exact tuple operators.
 
     All physical choices — certain-key hash vs interval nested loop,
-    ``Cpr`` compression and its bucket budget, SG-combining fallback
-    boundaries — were made by :func:`repro.exec.physical.lower`; this is
-    a thin dispatch onto :mod:`repro.core.operators`.
+    ``Cpr`` compression and its bucket budget — were made by
+    :func:`repro.exec.physical.lower`; this is a thin dispatch onto
+    :mod:`repro.core.operators`.
 
     Every node evaluation goes through :func:`repro.telemetry.run_op`
     (operator span when a trace is active, per-node ``actuals`` in
@@ -219,25 +220,14 @@ def _exec_node(p, db: AUDatabase, actuals) -> AURelation:
         if p.having is not None:
             result = ops.selection(result, p.having)
         return result
-    if isinstance(p, phys.TupleFallback):
-        node = p.logical
-        if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
-        if p.kind == "difference":
-            return ops.difference(
-                _pexec(p.inputs[0], db, actuals),
-                _pexec(p.inputs[1], db, actuals),
-            )
-        if p.kind == "distinct":
-            return ops.distinct(_pexec(p.inputs[0], db, actuals))
-        if p.kind == "topk":
-            return ops.au_topk(
-                _pexec(p.inputs[0], db, actuals),
-                node.keys,
-                node.descending,
-                node.n,
-            )
-        raise TypeError(f"unsupported AU fallback {p.kind!r}")
+    if isinstance(p, phys.HashDistinct):
+        return ops.distinct(_pexec(p.child, db, actuals))
+    if isinstance(p, phys.HashExcept):
+        return ops.difference(
+            _pexec(p.left, db, actuals), _pexec(p.right, db, actuals)
+        )
+    if isinstance(p, phys.TopK):
+        return ops.au_topk(_pexec(p.child, db, actuals), p.keys, p.descending, p.n)
     raise TypeError(f"unsupported physical node {type(p).__name__}")
 
 

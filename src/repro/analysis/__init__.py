@@ -14,8 +14,8 @@ Three passes, all compile-time, no execution:
   set operations are union-compatible, ``Aggregate`` group-by and
   output columns are consistent, parameter bindings are complete
   at execute time, ``Exchange`` / partial-aggregate placement is
-  legal, ``TupleFallback`` boundaries close the AU engines'
-  SG-combining fragment, and ``Cpr`` budgets are resolved.
+  legal, every operator is legal for its engine, and ``Cpr`` budgets
+  are resolved.
 * **Semiring-safety lint** (:mod:`repro.analysis.lint`) — every
   optimizer rewrite declares the semantics it preserves (bag-only
   vs AU-safe); :func:`check_semiring_safety` rejects an AU plan

@@ -10,15 +10,15 @@ unfilled chunk-skip template — on the hot path only at the template's
 :func:`binding_sites`, the nodes binding copies.
 :func:`verify_physical` walks a
 lowered :class:`~repro.exec.physical.PhysNode` tree and checks the
-physical-only invariants: engine-legal operator sets (the AU engines'
-SG-combining fragment — ``Distinct`` / ``Difference`` / top-k — must be
-closed under :class:`~repro.exec.physical.TupleFallback` boundaries; an
-AU ``HashAggregate`` carries its Section 10.5 budget and is never
+physical-only invariants: engine-legal operator sets (an AU plan has no
+``Limit`` — a bare AU ``LIMIT`` is the identity; an AU
+``HashAggregate`` carries its Section 10.5 budget and is never
 partial), :class:`~repro.exec.physical.Exchange` / partial-aggregate
-placement, exactly one :class:`~repro.exec.physical.ParallelScan` per
-parallel region, resolved ``Cpr`` bucket budgets, and per-node schema
-consistency (join keys resolve on the correct side, projections and
-renames reference real columns, concatenated branches stay
+placement, no non-linear operator fed by a region's morsels, exactly one
+:class:`~repro.exec.physical.ParallelScan` per parallel region,
+resolved ``Cpr`` bucket budgets, and per-node schema consistency (join
+keys resolve on the correct side, projections, renames and top-k keys
+reference real columns, concatenated and subtracted branches stay
 union-compatible).
 
 Everything here is read-only and catalog-permissive: a subtree whose
@@ -334,9 +334,12 @@ def _phys() -> Any:
     return physical
 
 
-#: physical operators the AU engines may not contain — their logical
-#: counterparts (the SG-combining fragment) must appear as TupleFallback
-_AU_FORBIDDEN = ("HashDistinct", "TopK", "Limit")
+#: physical operators the AU engines may not contain: a bare LIMIT over
+#: uncertain data lowers to the identity, the only sound choice
+_AU_FORBIDDEN = ("Limit",)
+#: operators whose result is not a union of their results over a
+#: partitioning of the input: never fed by a region's morsels
+_NON_LINEAR = ("HashAggregate", "HashDistinct", "HashExcept", "TopK", "Limit")
 #: operators only the AU lowering may produce
 _DET_FORBIDDEN = ("CompressedJoin", "AUPartialAggregate")
 
@@ -469,6 +472,14 @@ def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
             return child
         if isinstance(node, phys.Limit):
             return visit(node.child)
+        if isinstance(node, phys.HashExcept):
+            left, right = visit(node.left), visit(node.right)
+            if left is not None and right is not None and len(left) != len(right):
+                raise PlanCompatibilityError(
+                    f"HashExcept (difference) branches are not "
+                    f"union-compatible: left {left.names}, right {right.names}"
+                )
+            return left
         if isinstance(node, phys.Concat):
             left, right = visit(node.left), visit(node.right)
             if left is not None and right is not None and len(left) != len(right):
@@ -489,9 +500,6 @@ def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
                     for a, b in zip(left, right)
                 ]
             )
-        if isinstance(node, phys.TupleFallback):
-            inputs = [visit(c) for c in node.inputs]
-            return _fallback_schema(node, inputs)
         if isinstance(node, phys.AUPartialAggregate):
             child = visit(node.child)
             logical = ast.Aggregate(
@@ -546,27 +554,6 @@ def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
             infer_expression(logical.having, schema.mapping(), "HAVING clause")
         return schema
 
-    def _fallback_schema(
-        node: Any, inputs: List[Optional[Schema]]
-    ) -> Optional[Schema]:
-        logical = node.logical
-        if node.kind == "difference":
-            left = inputs[0] if inputs else None
-            right = inputs[1] if len(inputs) > 1 else None
-            if left is not None and right is not None and len(left) != len(right):
-                raise PlanCompatibilityError(
-                    "TupleFallback[difference] branches are not "
-                    f"union-compatible: left {left.names}, right {right.names}"
-                )
-            return left
-        child = inputs[0] if inputs else None
-        if node.kind == "distinct":
-            return child
-        if node.kind == "topk" and isinstance(logical, ast.TopK):
-            _check_keys(logical.keys, child, "TupleFallback[topk]")
-            return child
-        return child
-
     return visit(pplan)
 
 
@@ -582,11 +569,9 @@ def verify_physical(
     invariants).  Checks, beyond :func:`infer_physical`'s per-node
     schema consistency:
 
-    * engine-legal operators — an AU plan may not contain the
-      deterministic ``HashDistinct`` / ``TopK`` / ``Limit``: its
-      SG-combining fragment must be closed under ``TupleFallback``
-      boundaries; a deterministic plan may not contain
-      ``CompressedJoin`` or ``AUPartialAggregate``;
+    * engine-legal operators — an AU plan may not contain ``Limit``
+      (a bare AU ``LIMIT`` is the identity); a deterministic plan may
+      not contain ``CompressedJoin`` or ``AUPartialAggregate``;
     * ``HashAggregate`` — in an AU plan ``buckets`` is ``None`` or a
       positive bucket count and the node is never ``partial``; in a
       deterministic plan ``buckets`` is ``None``;
@@ -598,8 +583,9 @@ def verify_physical(
       ``Exchange(merge="aggregate")`` with its ``having`` deferred to
       the final operator, ``AUPartialAggregate`` only directly under
       ``Exchange(merge="au_aggregate")`` (whose ``final`` is the serial
-      ``HashAggregate``), and **no ``TupleFallback`` or serial
-      ``HashAggregate`` inside any Exchange region** — the non-linear
+      ``HashAggregate``), and **no non-linear operator**
+      (``HashAggregate``, ``HashDistinct``, ``HashExcept``, ``TopK``,
+      ``Limit``) **fed by a region's morsels** — the non-linear
       fragment is not partition-distributive and must stay serial;
     * parallel regions — exactly one ``ParallelScan`` per ``Exchange``
       region with matching ``partitions``; no ``ParallelScan`` outside a
@@ -612,9 +598,7 @@ def verify_physical(
       boundaries), and chunk-skip predicates use only the supported
       comparison kinds over zone-mapped (real) columns of the scanned
       table, with every template atom reading a parameter the
-      statement declares;
-    * ``TupleFallback`` shape — known ``kind``, input arity, and a
-      logical node of the matching class.
+      statement declares.
     """
     phys = _phys()
     engine = getattr(config, "engine", None)
@@ -622,20 +606,14 @@ def verify_physical(
     declared = cache(lambda: set(collect_plan_parameters(pplan)))
 
     au_forbidden = tuple(getattr(phys, n) for n in _AU_FORBIDDEN)
-    fallback_arity = {"difference": 2, "distinct": 1, "topk": 1}
-    fallback_logical = {
-        "difference": ast.Difference,
-        "distinct": ast.Distinct,
-        "topk": ast.TopK,
-    }
+    non_linear = tuple(getattr(phys, n) for n in _NON_LINEAR)
 
     def visit(node: Any, in_region: bool) -> None:
         name = _node_name(node)
         if engine == "au" and isinstance(node, au_forbidden):
             raise PlanCompatibilityError(
-                f"{name} is not a legal AU operator: the AU engines' "
-                "SG-combining fragment must run through TupleFallback "
-                "boundaries"
+                f"{name} is not a legal AU operator: a bare LIMIT over "
+                "uncertain data lowers to the identity"
             )
         if engine == "det" and isinstance(node, phys.CompressedJoin):
             raise PlanCompatibilityError(
@@ -649,19 +627,14 @@ def verify_physical(
             )
         if (
             in_region
-            and isinstance(node, (phys.TupleFallback, phys.HashAggregate))
+            and isinstance(node, non_linear)
             and any(isinstance(n, phys.ParallelScan) for n in node.walk())
         ):
             # a non-linear operator on a partition-invariant branch is
             # evaluated once, serially, in the parent — legal; one fed by
             # the region's morsels would see partial inputs
-            label = (
-                f"TupleFallback[{node.kind}]"
-                if isinstance(node, phys.TupleFallback)
-                else name
-            )
             raise PlanCompatibilityError(
-                f"{label} inside an Exchange region on the partitioned "
+                f"{name} inside an Exchange region on the partitioned "
                 "spine: the non-linear fragment is not "
                 "partition-distributive and must stay serial"
             )
@@ -671,29 +644,6 @@ def verify_physical(
                     f"CompressedJoin has unresolved Cpr budget "
                     f"{node.buckets!r}; lowering must fix a positive "
                     "bucket count"
-                )
-        if isinstance(node, phys.TupleFallback):
-            if node.kind not in fallback_arity:
-                raise PlanCompatibilityError(
-                    f"unknown TupleFallback kind {node.kind!r}"
-                )
-            if engine == "det" and node.kind != "difference":
-                raise PlanCompatibilityError(
-                    f"TupleFallback[{node.kind}] in a deterministic plan: "
-                    "only bag difference falls back to tuple operators"
-                )
-            if len(node.inputs) != fallback_arity[node.kind]:
-                raise PlanCompatibilityError(
-                    f"TupleFallback[{node.kind}] expects "
-                    f"{fallback_arity[node.kind]} input(s), has "
-                    f"{len(node.inputs)}"
-                )
-            expected = fallback_logical[node.kind]
-            if not isinstance(node.logical, expected):
-                raise PlanCompatibilityError(
-                    f"TupleFallback[{node.kind}] carries a "
-                    f"{_node_name(node.logical)} logical node; expected "
-                    f"{expected.__name__}"
                 )
         if isinstance(node, phys.HashAggregate):
             _check_aggregate(node)
@@ -848,8 +798,8 @@ def verify_physical(
                 serial = "HashAggregate"
                 ok = isinstance(final, phys.HashAggregate)
             else:
-                serial = "TupleFallback[topk]"
-                ok = isinstance(final, phys.TupleFallback) and final.kind == "topk"
+                serial = "TopK"
+                ok = isinstance(final, phys.TopK)
             if not ok:
                 raise PlanCompatibilityError(
                     f'Exchange(merge="{node.merge}") requires the original '
@@ -864,13 +814,6 @@ def verify_physical(
                         "AUPartialAggregate child computing per-partition "
                         f"SG-combine state, has {_node_name(child)}"
                     )
-            if node.merge == "au_topk" and isinstance(child, phys.TupleFallback):
-                raise PlanCompatibilityError(
-                    'Exchange(merge="au_topk") takes the bare linear '
-                    "region as its child (exact top-k bounds need the "
-                    "full concatenation at the merge), not a "
-                    "TupleFallback"
-                )
         else:
             shapes = {
                 "aggregate": phys.HashAggregate,

@@ -18,8 +18,8 @@ backends, plan shapes, and parallelism levels.
 By default plans pass through the shared logical optimizer
 (:mod:`repro.algebra.optimizer`) and are then *lowered* into an explicit
 physical plan (:mod:`repro.exec.physical`), which makes every physical
-choice — join algorithm, backend fallback boundaries, parallel regions —
-at plan time.  By default the physical plan runs on
+choice — join algorithm, compression budget, parallel regions — at plan
+time.  By default the physical plan runs on
 :mod:`repro.exec.vectorized`, optionally partition-parallel via
 ``parallelism``; ``backend="tuple"`` interprets it tuple-at-a-time in
 this module instead.  ``physical=False`` selects the legacy direct
@@ -59,7 +59,9 @@ from ..exec import physical as phys
 from .. import telemetry as _tm
 from .storage import DetDatabase, DetRelation
 
-__all__ = ["evaluate_det", "execute_physical_det"]
+__all__ = ["evaluate_det", "execute_physical_det", "subtract", "take"]
+
+Rows = Dict[Tuple[Any, ...], int]
 
 
 def evaluate_det(
@@ -138,7 +140,7 @@ def execute_physical_det(
     """Interpret a physical plan tuple-at-a-time.
 
     A thin mapping from physical operators to this module's bag
-    operators; all choices (hash vs nested loop, fallback boundaries)
+    operators; all choices (hash vs nested loop, parallel regions)
     were made by :func:`repro.exec.physical.lower`.
 
     Every node evaluation goes through :func:`repro.telemetry.run_op`
@@ -194,14 +196,8 @@ def _exec_node(
         return _topk(_exec(p.child, db, actuals), p.keys, p.descending, p.n)
     if isinstance(p, phys.Limit):
         return _limit(_exec(p.child, db, actuals), p.n)
-    if isinstance(p, phys.TupleFallback):
-        if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
-        if p.kind == "difference":
-            return _difference(
-                _exec(p.inputs[0], db, actuals), _exec(p.inputs[1], db, actuals)
-            )
-        raise TypeError(f"unsupported det fallback {p.kind!r}")
+    if isinstance(p, phys.HashExcept):
+        return _difference(_exec(p.left, db, actuals), _exec(p.right, db, actuals))
     raise TypeError(f"unsupported physical node {type(p).__name__}")
 
 
@@ -389,19 +385,11 @@ def _union(left: DetRelation, right: DetRelation) -> DetRelation:
 def _difference(left: DetRelation, right: DetRelation) -> DetRelation:
     if len(left.schema) != len(right.schema):
         raise ValueError("difference requires union-compatible schemas")
-    out = DetRelation(left.schema)
-    for t, m in left.tuples():
-        remaining = m - right.multiplicity(t)
-        if remaining > 0:
-            out.add(t, remaining)
-    return out
+    return DetRelation(left.schema, subtract(left.rows, right.rows))
 
 
 def _distinct(rel: DetRelation) -> DetRelation:
-    out = DetRelation(rel.schema)
-    for t, _m in rel.tuples():
-        out.add(t, 1)
-    return out
+    return DetRelation(rel.schema, dict.fromkeys(rel.rows, 1))
 
 
 def _rename(rel: DetRelation, mapping: Dict[str, str]) -> DetRelation:
@@ -412,36 +400,50 @@ def _rename(rel: DetRelation, mapping: Dict[str, str]) -> DetRelation:
 
 
 def _limit(rel: DetRelation, n: int) -> DetRelation:
-    out = DetRelation(rel.schema)
-    taken = 0
-    for t, m in sorted(rel.tuples(), key=lambda i: tuple(map(domain_key, i[0]))):
-        if taken >= n:
-            break
-        take = min(m, n - taken)
-        out.add(t, take)
-        taken += take
-    return out
+    return DetRelation(rel.schema, take(rel.rows, n))
 
 
 def _topk(
     rel: DetRelation, keys: Sequence[str], descending: bool, n: int
 ) -> DetRelation:
-    """``ORDER BY keys [DESC] LIMIT n`` with a deterministic full-tuple
-    tie-break within equal sort keys."""
-    out = DetRelation(rel.schema)
     key_idx = [rel.attr_index(k) for k in keys]
-    rows = sorted(rel.tuples(), key=lambda i: tuple(map(domain_key, i[0])))
-    rows.sort(
-        key=lambda i: tuple(domain_key(i[0][j]) for j in key_idx),
-        reverse=descending,
-    )
+    return DetRelation(rel.schema, take(rel.rows, n, key_idx, descending))
+
+
+# Bag operators over ``{row: multiplicity}`` dicts: the relations above
+# and the vectorized executor's merged batches both run through them.
+def subtract(left: Rows, right: Rows) -> Rows:
+    """Each left row's multiplicity less the right's, kept where positive."""
+    out: Rows = {}
+    for t, m in left.items():
+        remaining = m - right.get(t, 0)
+        if remaining > 0:
+            out[t] = remaining
+    return out
+
+
+def take(
+    rows: Rows,
+    n: int,
+    key_idx: Optional[Sequence[int]] = None,
+    descending: bool = False,
+) -> Rows:
+    """The first ``n`` copies of ``rows`` in full-tuple domain order or,
+    given ``key_idx``, ordered on those columns with that order breaking
+    ties: ``ORDER BY … [DESC] LIMIT n``."""
+    order = sorted(rows, key=lambda t: tuple(map(domain_key, t)))
+    if key_idx is not None:
+        order.sort(
+            key=lambda t: tuple(domain_key(t[j]) for j in key_idx),
+            reverse=descending,
+        )
+    out: Rows = {}
     taken = 0
-    for t, m in rows:
+    for t in order:
         if taken >= n:
             break
-        take = min(m, n - taken)
-        out.add(t, take)
-        taken += take
+        out[t] = step = min(rows[t], n - taken)
+        taken += step
     return out
 
 

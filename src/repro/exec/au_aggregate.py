@@ -202,23 +202,7 @@ def _fold(
     key_cols = [columns[j] for j in group_idx]
 
     # -- one hash pass over the SG key values: alpha / members ----------
-    if key_cols:
-        keys: Sequence[Tuple] = list(
-            zip(*[[cell.sg for cell in col] for col in key_cols])
-        )
-    else:
-        keys = [()] * n
-    index_of: Dict[Tuple, int] = {}
-    alpha: List[int] = []
-    members: List[List[int]] = []
-    for r, key in enumerate(keys):
-        g = index_of.get(key)
-        if g is None:
-            g = index_of[key] = len(members)
-            members.append([r])
-        else:
-            members[g].append(r)
-        alpha.append(g)
+    index_of, alpha, members = sg_groups(key_cols, n)
 
     # -- rows with an uncertain group-by cell, once per row -------------
     key_uncertain = [False] * n
@@ -324,6 +308,33 @@ def _fold(
         for g, key in enumerate(index_of)
     }
     return groups, attrs
+
+
+def sg_groups(
+    key_cols: Sequence[Sequence[RangeValue]], n: int
+) -> Tuple[Dict[Tuple, int], List[int], List[List[int]]]:
+    """One hash pass over the SG values of ``key_cols`` (``n`` rows):
+    each distinct SG key's group number, groups in first-occurrence
+    order, every row's group (``alpha``) and every group's rows in
+    order (``members``) — the grouping of Definitions 21 and 24."""
+    if key_cols:
+        keys: Sequence[Tuple] = list(
+            zip(*[[cell.sg for cell in col] for col in key_cols])
+        )
+    else:
+        keys = [()] * n
+    index_of: Dict[Tuple, int] = {}
+    alpha: List[int] = []
+    members: List[List[int]] = []
+    for r, key in enumerate(keys):
+        g = index_of.get(key)
+        if g is None:
+            g = index_of[key] = len(members)
+            members.append([r])
+        else:
+            members[g].append(r)
+        alpha.append(g)
+    return index_of, alpha, members
 
 
 def _bounding(cells: List[RangeValue], sg: Any) -> RangeValue:

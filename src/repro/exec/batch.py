@@ -19,13 +19,14 @@ Batches are *unmerged*: value-equivalent rows may appear several times
 and are only merged (annotations summed) when the batch is materialized
 back into a relation.  This is exact for the linear operators (selection,
 projection, rename, join, cross product, union) because the annotation
-semirings distribute over addition; the executors materialize before
-every non-linear operator (difference, distinct, aggregation, top-k).
+semirings distribute over addition; every non-linear operator
+(difference, distinct, aggregation, top-k) first merges value-equal rows
+in the batch itself (:meth:`ColumnBatch.merged`,
+:meth:`AUColumnBatch.merge_duplicates`), exactly as materializing would.
 
 Base tables reach the executors as batches of their chunk store
 (:mod:`repro.db.chunks`, the one columnar image kept per relation and
-maintained by its write path); ``from_relation`` is the plain converter
-for *intermediate* relations coming back from the tuple operators.
+maintained by its write path); ``to_relation`` is the result edge.
 """
 
 from __future__ import annotations
@@ -165,21 +166,27 @@ class ColumnBatch:
         return sum(self.mult)
 
     @classmethod
-    def from_relation(cls, rel: DetRelation) -> "ColumnBatch":
-        charge_materialization(len(rel.rows))
-        n_cols = len(rel.schema)
-        if rel.rows:
-            columns = [_pack_typed(list(col)) for col in zip(*rel.rows.keys())]
-            mult = array("q", rel.rows.values())
+    def from_rows(
+        cls, schema: Sequence[str], rows: Dict[Tuple, int]
+    ) -> "ColumnBatch":
+        """A ``{row: multiplicity}`` bag as a batch, in its order."""
+        charge_materialization(len(rows))
+        if rows:
+            columns = [_pack_typed(list(col)) for col in zip(*rows)]
+            mult = array("q", rows.values())
         else:
-            columns = [[] for _ in range(n_cols)]
+            columns = [[] for _ in schema]
             mult = array("q")
-        return cls(rel.schema, columns, mult)
+        return cls(schema, columns, mult)
 
-    def to_relation(self) -> DetRelation:
-        """Materialize back into a (merged) :class:`DetRelation`."""
-        out = DetRelation(self.schema)
-        rows = out.rows
+    @classmethod
+    def from_relation(cls, rel: DetRelation) -> "ColumnBatch":
+        return cls.from_rows(rel.schema, rel.rows)
+
+    def merged(self) -> Dict[Tuple, int]:
+        """The rows of :meth:`to_relation`: each distinct row with its
+        summed multiplicity, in first-occurrence order."""
+        rows: Dict[Tuple, int] = {}
         if self.columns:
             for t, m in zip(zip(*self.columns), self.mult):
                 rows[t] = rows.get(t, 0) + m
@@ -187,6 +194,12 @@ class ColumnBatch:
             total = sum(self.mult)
             if total:
                 rows[()] = total
+        return rows
+
+    def to_relation(self) -> DetRelation:
+        """Materialize back into a (merged) :class:`DetRelation`."""
+        out = DetRelation(self.schema)
+        out.rows = self.merged()
         return out
 
     def row_view(self) -> BatchRowView:

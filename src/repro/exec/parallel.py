@@ -36,10 +36,11 @@ Execution of one Exchange:
    AU lb/sg/ub semiring partials via the SG-combine-aware folds of
    :mod:`repro.exec.au_aggregate` — so floats are bit-identical at
    every parallelism level), ``topk``/``limit``/``distinct`` regions
-   re-apply their operator over the concatenation, and ``au_topk``
-   applies the exact :func:`repro.core.operators.au_topk` once over
-   the partition-order concatenation (its prefix-sum bounds need the
-   full input, so there is no sound per-morsel pruning).
+   re-apply their batch operator over the concatenation, and
+   ``au_topk`` applies the AU top-k batch operator
+   (:func:`repro.exec.au_setops.topk_batch`) once over the
+   partition-order concatenation (its prefix-sum bounds need the full
+   input, so there is no sound per-morsel pruning).
 
 AU partial aggregation is sound only while every row's group-by
 attributes are certain; a worker that meets an uncertain group raises
@@ -557,8 +558,8 @@ def _concat_au(batches: List[AUColumnBatch]) -> AUColumnBatch:
 
 
 def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
-    from ..db.engine import _limit, _topk
-    from .vectorized import _dedup_batch, finalize_groups
+    from ..db.engine import take
+    from .vectorized import _distinct, _on_rows, _topk, finalize_groups
 
     final = node.final
     if node.merge == "concat":
@@ -582,16 +583,11 @@ def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
             batch = _DetExec(None)._select_project(batch, final.having, None)
         return batch
     if node.merge == "topk":
-        merged_rel = _concat(results).to_relation()
-        return ColumnBatch.from_relation(
-            _topk(merged_rel, final.keys, final.descending, final.n)
-        )
+        return _topk(_concat(results), final.keys, final.descending, final.n)
     if node.merge == "limit":
-        return ColumnBatch.from_relation(
-            _limit(_concat(results).to_relation(), final.n)
-        )
+        return _on_rows(_concat(results), take, final.n)
     if node.merge == "distinct":
-        return _dedup_batch(_concat(results))
+        return _distinct(_concat(results))
     raise TypeError(f"unsupported exchange merge {node.merge!r}")
 
 
@@ -606,8 +602,8 @@ def _merge_au(node: phys.Exchange, results: List[Any]) -> AUColumnBatch:
     the full morsel outputs and applies the exact top-k operator once —
     its prefix-sum bound construction needs the entire input.
     """
-    from ..core import operators as ops
     from .au_aggregate import finalize_groups, merge_partial_groups
+    from .au_setops import topk_batch
     from .vectorized import _AUExec
 
     if node.merge == "concat":
@@ -621,10 +617,8 @@ def _merge_au(node: phys.Exchange, results: List[Any]) -> AUColumnBatch:
         if final.having is not None:
             batch = _AUExec(None)._selection(batch, final.having)
         return batch
-    lg = final.logical
     if node.merge == "au_topk":
-        rel = _concat_au(results).to_relation()
-        return AUColumnBatch.from_relation(
-            ops.au_topk(rel, lg.keys, lg.descending, lg.n)
+        return topk_batch(
+            _concat_au(results), final.keys, final.descending, final.n
         )
     raise TypeError(f"unsupported AU exchange merge {node.merge!r}")

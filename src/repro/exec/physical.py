@@ -23,13 +23,12 @@ makes those choices *once, at plan time*, in an explicit IR:
 * :class:`HashAggregate` — aggregation on both engines (``partial``
   mode for parallel det plans; for the AU engine the Section 9 operator
   with its Section 10.5 ``buckets`` budget resolved),
-  :class:`HashDistinct`, :class:`TopK`, :class:`Limit`, :class:`Concat`,
-  :class:`Rename`;
-* :class:`TupleFallback` — an explicit plan-time boundary where the AU
-  executors hand a subtree result to the exact tuple operators
-  (``Distinct``/``Difference``/top-k SG-combine, which no columnar
-  operator implements), and the deterministic backends execute bag
-  ``Difference``;
+  :class:`HashDistinct`, :class:`HashExcept`, :class:`TopK`,
+  :class:`Limit`, :class:`Concat`, :class:`Rename` — one node per
+  logical operator, which every executor implements on its own
+  representation (on the AU engine ``HashDistinct`` is ``δ∘Ψ``,
+  ``HashExcept`` Definition 22's difference and ``TopK`` the
+  bound-preserving top-k; a bare AU ``LIMIT`` lowers to the identity);
 * :class:`Exchange` — the merge point of a partition-parallel region:
   morsel results are concatenated, or partial aggregates / top-k /
   limit / distinct states are combined.
@@ -39,7 +38,9 @@ Every executor — the tuple interpreters in :mod:`repro.db.engine` and
 :mod:`repro.exec.vectorized` — is a thin interpreter of this IR, so a
 plan's physical shape is inspectable before it runs:
 :func:`explain_physical` renders the chosen algorithms with estimated
-(and, after execution, actual) row counts.
+(and, after execution, actual) row counts.  The vectorized executors
+keep batches from scan to result: a relation exists only at the result
+edge.
 
 Each physical node remembers the logical node(s) it implements
 (``sources``), which is how per-node ``actuals`` keep working for the
@@ -48,7 +49,6 @@ logical ``explain`` while also keying the physical rendering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -93,11 +93,10 @@ __all__ = [
     "HashAggregate",
     "AUPartialAggregate",
     "HashDistinct",
+    "HashExcept",
     "TopK",
     "Limit",
     "Concat",
-    "TupleFallback",
-    "FALLBACK_REASONS",
     "Exchange",
     "lower",
     "lower_delta",
@@ -105,8 +104,6 @@ __all__ = [
     "explain_physical",
     "explain_delta",
     "HASH_JOIN_MIN_ROWS",
-    "PARTITION_HASH_BUILD_ROWS",
-    "MAX_HASH_PARTITIONS",
 ]
 
 
@@ -114,15 +111,6 @@ __all__ = [
 #: hash table costs more than a straight nested loop over the batch
 #: (moved here from the PR 3 ``join_strategy_hints`` side-channel).
 HASH_JOIN_MIN_ROWS = 12.0
-
-#: Estimated build-side rows above which a deterministic hash join
-#: switches to Grace-style partition-hash mode: both sides are hash-
-#: partitioned on the join key and each partition builds/probes its own
-#: (budget-sized) table, bounding the largest resident hash table.
-PARTITION_HASH_BUILD_ROWS = 65536.0
-
-#: Cap on partition-hash fan-out (tiny partitions cost more than they save).
-MAX_HASH_PARTITIONS = 32
 
 #: Physical execution backends accepted by ``evaluate_det`` /
 #: ``EvalConfig.backend`` / the CLI ``--backend`` flag.
@@ -276,15 +264,6 @@ class HashJoin(PhysNode):
     the conjunction of the pairs, so hash matches need no residual
     re-check.  Under AU semantics this is the certain-key hash +
     interval nested-loop split of :func:`repro.core.operators.join`.
-
-    ``partitioned`` (deterministic engine only, decided at plan time
-    from the catalog estimate of the build side vs
-    :data:`PARTITION_HASH_BUILD_ROWS`) selects Grace-style
-    partition-hash execution: both sides are split into
-    ``hash_partitions`` buckets by the hash of the join key and each
-    bucket builds and probes independently, so no single resident hash
-    table exceeds the budget.  Exact for bags: every matching pair
-    lands in exactly one bucket.
     """
 
     left: PhysNode = field(metadata=CHILD)
@@ -292,8 +271,6 @@ class HashJoin(PhysNode):
     condition: Expression = field(metadata=EXPRS)
     eq_pairs: Tuple[Tuple[str, str], ...]
     pure_equi: bool
-    partitioned: bool = False
-    hash_partitions: int = 0
 
     def __post_init__(self) -> None:
         self.eq_pairs = tuple(self.eq_pairs)
@@ -386,11 +363,28 @@ class AUPartialAggregate(PhysNode):
 
 @dataclass(eq=False)
 class HashDistinct(PhysNode):
+    """Duplicate elimination: ``δ`` over bags; on the AU engine ``δ``
+    over the SG-combined input (:func:`repro.core.operators.distinct`)."""
+
     child: PhysNode = field(metadata=CHILD)
 
 
 @dataclass(eq=False)
+class HashExcept(PhysNode):
+    """``left − right`` over union-compatible inputs: truncating bag
+    difference, or on the AU engine Definition 22's bounds
+    (:func:`repro.core.operators.difference`)."""
+
+    left: PhysNode = field(metadata=CHILD)
+    right: PhysNode = field(metadata=CHILD)
+
+
+@dataclass(eq=False)
 class TopK(PhysNode):
+    """``ORDER BY keys [DESC] LIMIT n``; on the AU engine the
+    bound-preserving :func:`repro.core.operators.au_topk` (the identity
+    when an order key is uncertain)."""
+
     child: PhysNode = field(metadata=CHILD)
     keys: Tuple[str, ...]
     descending: bool
@@ -412,41 +406,6 @@ class Concat(PhysNode):
 
     left: PhysNode = field(metadata=CHILD)
     right: PhysNode = field(metadata=CHILD)
-
-
-@dataclass(eq=False)
-class TupleFallback(PhysNode):
-    """Execute ``logical`` with the exact tuple operator over
-    materialized inputs.
-
-    The plan-time form of what the PR 3 vectorized AU executor decided
-    per node at runtime: ``kind`` is a key of :data:`FALLBACK_REASONS`.
-    """
-
-    kind: str
-    logical: Plan = field(metadata=EXPRS)
-    inputs: Tuple[PhysNode, ...] = field(metadata=CHILD)
-
-    def __post_init__(self) -> None:
-        self.inputs = tuple(self.inputs)
-
-
-#: :class:`TupleFallback` kind -> why no columnar operator runs it (the
-#: ``reason`` attribute of its operator span)
-FALLBACK_REASONS = {
-    "difference": (
-        "a row's result multiplicity depends on every right row it "
-        "equals (AU: may equal), so both inputs are materialized"
-    ),
-    "distinct": (
-        "the SG-combiner merges all tuples sharing SG values into one "
-        "bounding tuple, so the input is materialized"
-    ),
-    "topk": (
-        "position bounds are prefix sums over the whole sorted input, "
-        "so the input is materialized"
-    ),
-}
 
 
 @dataclass(eq=False)
@@ -483,11 +442,11 @@ def lower(
 
     All physical choices happen here: the join algorithm per join (hash
     vs nested loop from the catalog estimates, ``Cpr`` compression with
-    its resolved bucket budget), the tuple-fallback boundaries of the AU
-    executors, fusion of adjacent selection/projection pairs, and — for
-    the vectorized backend with ``config.parallelism > 1``, on both
-    engines — the morsel-parallel regions (:class:`ParallelScan` at the
-    driver table, :class:`Exchange` at the merge point).  The result is
+    its resolved bucket budget), fusion of adjacent selection/projection
+    pairs, and — for the vectorized backend with
+    ``config.parallelism > 1``, on both engines — the morsel-parallel
+    regions (:class:`ParallelScan` at the driver table,
+    :class:`Exchange` at the merge point).  The result is
     engine-agnostic data: interpreters in :mod:`repro.db.engine`,
     :mod:`repro.algebra.evaluator`, and :mod:`repro.exec.vectorized`
     execute it without making further decisions.
@@ -571,18 +530,10 @@ class _Lowerer:
             )
         if isinstance(node, Difference):
             return self._tag(
-                TupleFallback(
-                    "difference",
-                    node,
-                    (self.lower(node.left), self.lower(node.right)),
-                ),
-                node,
+                HashExcept(self.lower(node.left), self.lower(node.right)), node
             )
         if isinstance(node, Distinct):
-            child = self.lower(node.child)
-            if self.au:
-                return self._tag(TupleFallback("distinct", node, (child,)), node)
-            return self._tag(HashDistinct(child), node)
+            return self._tag(HashDistinct(self.lower(node.child)), node)
         if isinstance(node, Aggregate):
             return self._tag(
                 HashAggregate(
@@ -600,13 +551,18 @@ class _Lowerer:
             child.sources = child.sources + (node,)
             return child
         if isinstance(node, LTopK):
-            return self._tag(self._lower_topk(node, node.child), node)
+            return self._tag(
+                TopK(self.lower(node.child), node.keys, node.descending, node.n),
+                node,
+            )
         if isinstance(node, LLimit):
             inner = node.child
             if isinstance(inner, OrderBy):
                 # unfused ORDER BY … LIMIT: same top-k as the fused node
-                carrier = LTopK(inner.child, inner.keys, inner.descending, node.n)
-                return self._tag(self._lower_topk(carrier, inner.child), node)
+                topk = TopK(
+                    self.lower(inner.child), inner.keys, inner.descending, node.n
+                )
+                return self._tag(topk, node)
             if self.au:
                 # bare LIMIT over unordered uncertain data stays the
                 # identity (the only sound choice)
@@ -615,12 +571,6 @@ class _Lowerer:
                 return child
             return self._tag(Limit(self.lower(inner), node.n), node)
         raise TypeError(f"unsupported plan node {type(node).__name__}")
-
-    def _lower_topk(self, carrier: LTopK, input_plan: Plan) -> PhysNode:
-        child = self.lower(input_plan)
-        if self.au:
-            return TupleFallback("topk", carrier, (child,))
-        return TopK(child, carrier.keys, carrier.descending, carrier.n)
 
     def _lower_join(self, node: Join) -> PhysNode:
         left = self.lower(node.left)
@@ -654,28 +604,12 @@ class _Lowerer:
 
         if not pairs or self._tiny(node):
             return NLJoin(left, right, condition, check_overlap=False)
-        build_est = self._est(node.right)
-        partitioned = build_est >= PARTITION_HASH_BUILD_ROWS
         return HashJoin(
             left,
             right,
             condition,
             tuple(pairs),
             _is_pure_equi_condition(condition, len(pairs)),
-            partitioned=partitioned,
-            hash_partitions=(
-                int(
-                    max(
-                        2,
-                        min(
-                            MAX_HASH_PARTITIONS,
-                            math.ceil(build_est / PARTITION_HASH_BUILD_ROWS),
-                        ),
-                    )
-                )
-                if partitioned
-                else 0
-            ),
         )
 
     def _tiny(self, node: Join) -> bool:
@@ -699,20 +633,20 @@ def _parallelize(root: PhysNode, partitions: int, au: bool = False) -> PhysNode:
     partial states per morsel (merged exactly — SUM/AVG via
     :mod:`repro.core.sums`), top-k/limit/distinct regions merge and
     re-apply, and a fully linear region just concatenates.  Subtrees
-    with no partitionable driver (e.g. under a :class:`TupleFallback`)
+    with no partitionable driver (e.g. under a :class:`HashExcept`)
     stay serial.
 
     With ``au`` the same region calculus applies to ``K^AU`` plans —
     annotations multiply along linear operators and add at the merge, so
     bag-union partitioning stays exact.  The merge kinds differ: an
     uncompressed aggregate becomes an :class:`AUPartialAggregate` region
-    merged with SG-combine-aware folds (``au_aggregate``), a top-k
-    fallback concatenates morsels and applies the exact
-    :func:`repro.core.operators.au_topk` once at the merge
-    (``au_topk`` — its prefix-sum bounds need the *full* input, so no
-    sound local pruning exists), and the remaining non-linear operators
-    (difference / distinct / compressed aggregation) always stay serial
-    — only their linear input subtrees get concat regions.
+    merged with SG-combine-aware folds (``au_aggregate``), a
+    :class:`TopK` concatenates morsels and applies the AU top-k once at
+    the merge (``au_topk`` — its prefix-sum bounds need the *full*
+    input, so no sound local pruning exists), and the remaining
+    non-linear operators (difference / distinct / compressed
+    aggregation) always stay serial — only their linear input subtrees
+    get concat regions.
     """
 
     def walk(node: PhysNode) -> PhysNode:
@@ -742,8 +676,8 @@ def _try_region(
                 region, node.group_by, node.aggregates, est=node.est
             )
             return exchange(partial, "au_aggregate", node, chosen)
-        if isinstance(node, TupleFallback) and node.kind == "topk":
-            split = _partition_subtree(node.inputs[0], partitions)
+        if isinstance(node, TopK):
+            split = _partition_subtree(node.child, partitions)
             if split is None:
                 return None
             region, chosen = split
@@ -894,10 +828,7 @@ def _describe(node: PhysNode) -> str:
     if isinstance(node, HashJoin):
         keys = ", ".join(f"{a}={b}" for a, b in node.eq_pairs)
         residual = "" if node.pure_equi else " + residual filter"
-        grace = (
-            f" grace[{node.hash_partitions} partitions]" if node.partitioned else ""
-        )
-        return f"HashJoin ⋈[{keys}]{grace}{residual}"
+        return f"HashJoin ⋈[{keys}]{residual}"
     if isinstance(node, NLJoin):
         if node.condition is None:
             return "NLJoin × (cross product)"
@@ -923,6 +854,8 @@ def _describe(node: PhysNode) -> str:
         )
     if isinstance(node, HashDistinct):
         return "HashDistinct δ"
+    if isinstance(node, HashExcept):
+        return "HashExcept −"
     if isinstance(node, TopK):
         order = "desc" if node.descending else "asc"
         return f"TopK [{', '.join(node.keys)} {order}; n={node.n}]"
@@ -930,8 +863,6 @@ def _describe(node: PhysNode) -> str:
         return f"Limit [{node.n}]"
     if isinstance(node, Concat):
         return "Concat ∪"
-    if isinstance(node, TupleFallback):
-        return f"TupleFallback[{node.kind}] (exact tuple operator)"
     if isinstance(node, Exchange):
         return f"Exchange merge={node.merge} [{node.partitions} partitions]"
     return type(node).__name__
@@ -963,7 +894,7 @@ def explain_physical(
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
     chunks via zone maps show ``skipped S/T chunks by literal skip``
     (``bound`` when a parameter binding filled the predicate),
-    partition-hash joins show their bucket count, vectorized operators
+    vectorized operators
     that filter show ``kernel=compiled`` or ``kernel=interpreted
     (reason)`` — a compiled det filter also how many of its comparisons
     ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
@@ -978,8 +909,13 @@ def explain_physical(
     uncertain group key, foreign states folded / merged and
     ``inputs=compiled`` or ``inputs=interpreted (reason)``, a vectorized
     det ``HashAggregate`` its groups and how many of its (group,
-    aggregate) column folds ran in C (``column_folds=k/n``), and a
-    ``TupleFallback`` why no columnar operator runs it.
+    aggregate) column folds ran in C (``column_folds=k/n``), a
+    vectorized ``HashDistinct`` its groups, a vectorized AU
+    ``HashExcept`` how many (left, right) row pairs it tested and how
+    many of them were certainly equal (``overlap_probes=…,
+    certain_equal=…``), and a vectorized AU ``TopK`` whether it bounded
+    positions or returned its input (``topk=bounded`` /
+    ``topk=identity (uncertain order key)``).
     """
     if times is not None:
         from ..telemetry import estimation_error
@@ -1009,34 +945,32 @@ def explain_physical(
                     )
                     if "skip" in a:
                         line += f" by {a['skip']} skip"
-                buckets = a.get("hash_partitions")
-                if buckets:
-                    line += f", {buckets} hash partitions"
+                if "groups" in a:
+                    line += f", groups={a['groups']}"
                 if "state_merges" in a:
                     line += (
-                        f", groups={a['groups']}"
                         f", dedup_rows={a['dedup_rows']}"
                         f", uncertain_key_rows={a['uncertain_key_rows']}"
                         f", foreign_states={a['foreign_states']}"
                         f", state_merges={a['state_merges']}"
                     )
                 if "column_folds" in a:
-                    line += (
-                        f", groups={a['groups']}"
-                        f", column_folds={a['column_folds']}"
-                    )
+                    line += f", column_folds={a['column_folds']}"
+                if "topk" in a:
+                    line += f", topk={a['topk']}"
+                    if "topk_reason" in a:
+                        line += f" ({a['topk_reason']})"
                 for how in ("kernel", "inputs"):
                     if how in a:
                         line += f", {how}={a[how]}"
                         if "kernel_reason" in a:
                             line += f" ({a['kernel_reason']})"
                 for count in (
-                    "native_compares", "gathered_columns", "probe", "gathered_left"
+                    "native_compares", "gathered_columns", "probe", "gathered_left",
+                    "overlap_probes", "certain_equal",
                 ):
                     if count in a:
                         line += f", {count}={a[count]}"
-                if "reason" in a:
-                    line += f", reason={a['reason']}"
                 if "sg_pairs" in a:
                     line += (
                         f", sg_pairs={a['sg_pairs']}"

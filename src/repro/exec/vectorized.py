@@ -4,11 +4,11 @@ This module is the columnar *runtime* of the execution stack: it
 interprets the physical plans produced by
 :func:`repro.exec.physical.lower` over :mod:`repro.exec.batch` columns.
 Since PR 4 it makes **no physical decisions of its own** — the join
-algorithm (``HashJoin`` vs ``NLJoin`` vs ``CompressedJoin``), the AU
-tuple-operator fallback boundaries (``TupleFallback`` nodes), and the
-parallel region shape (``ParallelScan``/``Exchange``) all arrive
-pre-chosen in the plan; the per-node ``isinstance``-fallback dispatch of
-PR 3 is gone.
+algorithm (``HashJoin`` vs ``NLJoin`` vs ``CompressedJoin``) and the
+parallel region shape (``ParallelScan``/``Exchange``) arrive pre-chosen
+in the plan.  Every operator takes batches and returns a batch; a
+relation exists only at the result edge (:meth:`_DetExec.run`,
+:meth:`_AUExec.run`, :func:`finalize_delta_groups`).
 
 Operator implementations:
 
@@ -39,9 +39,10 @@ Operator implementations:
 * **AU aggregation** is the columnar Section 9 / 10.5 operator of
   :mod:`repro.exec.au_aggregate` over the registry's AU states — serial,
   or as its member fold per morsel under an ``au_aggregate`` Exchange;
-* **top-k / limit / difference** (and the AU ``distinct``) materialize
-  and reuse the engines' exact operators — now as explicit plan nodes
-  rather than hidden delegation.
+* **distinct / difference / top-k / limit** run
+  :mod:`repro.db.engine`'s bag operators over a batch's merged rows on
+  the det engine, and the ``Ψ``-based operators of
+  :mod:`repro.exec.au_setops` on the AU engine.
 
 Results are *identical* to the tuple interpreters — the differential
 fuzzer cross-checks both backends, both engines, legacy-vs-physical
@@ -69,13 +70,15 @@ from typing import (
 from .. import telemetry as _tm
 from ..core import operators as ops
 from ..db import chunks as _chunks
+from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
 from ..core.sums import folds_in_c
 from ..core.expressions import Expression, RowView, Var
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
-from .au_aggregate import aggregate_batch, fold_partial_groups
+from .au_aggregate import _attr_index, aggregate_batch, fold_partial_groups
+from .au_setops import distinct_batch, except_batch, topk_batch
 from .batch import AUColumnBatch, BatchRowView, ColumnBatch
 from .compile import (
     CompileError,
@@ -99,14 +102,6 @@ __all__ = [
     "fold_delta_groups",
     "finalize_delta_groups",
 ]
-
-
-#: Grace-style partition-hash joins executed (both sides split by key
-#: hash because the build side exceeded PARTITION_HASH_BUILD_ROWS)
-_PARTITIONED_JOINS = _tm.get_registry().counter(
-    "repro_exec_partition_hash_joins_total",
-    "Deterministic hash joins executed in Grace partition-hash mode.",
-)
 
 
 def _index_of(schema: Sequence[str]) -> Dict[str, int]:
@@ -284,7 +279,12 @@ class _DetExec:
                 list(left.mult) + list(right.mult),
             )
         if isinstance(p, phys.HashDistinct):
-            return _dedup_batch(self.eval(p.child))
+            return _distinct(self.eval(p.child))
+        if isinstance(p, phys.HashExcept):
+            left, right = self.eval(p.left), self.eval(p.right)
+            if len(left.schema) != len(right.schema):
+                raise ValueError("difference requires union-compatible schemas")
+            return _on_rows(left, _engine.subtract, right.merged())
         if isinstance(p, phys.HashAggregate):
             result = self._aggregate(
                 self.eval(p.child), p.group_by, p.aggregates, p.partial
@@ -300,30 +300,9 @@ class _DetExec:
                 batch.mult,
             )
         if isinstance(p, phys.TopK):
-            from ..db.engine import _topk
-
-            return ColumnBatch.from_relation(
-                _topk(self.eval(p.child).to_relation(), p.keys, p.descending, p.n)
-            )
+            return _topk(self.eval(p.child), p.keys, p.descending, p.n)
         if isinstance(p, phys.Limit):
-            from ..db.engine import _limit
-
-            return ColumnBatch.from_relation(
-                _limit(self.eval(p.child).to_relation(), p.n)
-            )
-        if isinstance(p, phys.TupleFallback):
-            if _tm._ACTIVE is not None:
-                _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
-            if p.kind == "difference":
-                from ..db.engine import _difference
-
-                return ColumnBatch.from_relation(
-                    _difference(
-                        self.eval(p.inputs[0]).to_relation(),
-                        self.eval(p.inputs[1]).to_relation(),
-                    )
-                )
-            raise TypeError(f"unsupported det fallback {p.kind!r}")
+            return _on_rows(self.eval(p.child), _engine.take, p.n)
         if isinstance(p, phys.Exchange):
             from .parallel import execute_exchange
 
@@ -462,8 +441,6 @@ class _DetExec:
     def _hash_join(self, p: phys.HashJoin) -> ColumnBatch:
         left, right = self.eval(p.left), self.eval(p.right)
         table = self.join_tables.get(id(p))
-        if table is None and p.partitioned:
-            return self._partitioned_hash_join(p, left, right)
         l_index = _index_of(left.schema)
         l_cols = [left.columns[l_index[a]] for a, _ in p.eq_pairs]
 
@@ -499,83 +476,6 @@ class _DetExec:
             return joined
         # residual conjuncts (the tuple engine evaluates the full
         # condition on every hash match)
-        return self._select_project(joined, p.condition, None)
-
-    def _partitioned_hash_join(
-        self, p: phys.HashJoin, left: ColumnBatch, right: ColumnBatch
-    ) -> ColumnBatch:
-        """Grace-style partition-hash join (plan-time decision).
-
-        Both sides are bucketed by the hash of their join key, then each
-        bucket builds and probes its own table, so the largest resident
-        hash table is ~1/partitions of the build side.  Exact for bags:
-        equal keys hash equally, so every matching pair meets in exactly
-        one bucket; the output *order* is partition-major rather than
-        probe-major, which downstream operators cannot observe (results
-        merge into bag relations, and SUM/AVG use regrouping-invariant
-        exact accumulation).
-        """
-        parts = p.hash_partitions
-        l_index = _index_of(left.schema)
-        r_index = _index_of(right.schema)
-        l_cols = [left.columns[l_index[a]] for a, _ in p.eq_pairs]
-        r_cols = [right.columns[r_index[b]] for _, b in p.eq_pairs]
-        _PARTITIONED_JOINS.inc()
-        if _tm._ACTIVE is not None:
-            _tm.annotate(
-                build_rows=len(right),
-                probe_rows=len(left),
-                hash_partitions=parts,
-            )
-
-        l_buckets: List[List[int]] = [[] for _ in range(parts)]
-        r_buckets: List[List[int]] = [[] for _ in range(parts)]
-        if len(l_cols) == 1:
-            lc, rc = l_cols[0], r_cols[0]
-            for i in range(len(left)):
-                l_buckets[hash(lc[i]) % parts].append(i)
-            for j in range(len(right)):
-                r_buckets[hash(rc[j]) % parts].append(j)
-        else:
-            for i in range(len(left)):
-                l_buckets[hash(tuple(c[i] for c in l_cols)) % parts].append(i)
-            for j in range(len(right)):
-                r_buckets[hash(tuple(c[j] for c in r_cols)) % parts].append(j)
-
-        li: List[int] = []
-        ri: List[int] = []
-        for b in range(parts):
-            build_rows = r_buckets[b]
-            probe_rows = l_buckets[b]
-            if not build_rows or not probe_rows:
-                continue
-            table: Dict[Any, List[int]] = {}
-            if len(r_cols) == 1:
-                rc = r_cols[0]
-                for j in build_rows:
-                    table.setdefault(rc[j], []).append(j)
-                lc = l_cols[0]
-                for i in probe_rows:
-                    for j in table.get(lc[i], ()):
-                        li.append(i)
-                        ri.append(j)
-            else:
-                for j in build_rows:
-                    table.setdefault(tuple(c[j] for c in r_cols), []).append(j)
-                for i in probe_rows:
-                    key = tuple(c[i] for c in l_cols)
-                    for j in table.get(key, ()):
-                        li.append(i)
-                        ri.append(j)
-
-        lm, rm = left.mult, right.mult
-        joined = ColumnBatch(
-            tuple(left.schema) + tuple(right.schema),
-            _gather(left.columns, li) + _gather(right.columns, ri),
-            [lm[i] * rm[j] for i, j in zip(li, ri)],
-        )
-        if p.pure_equi:
-            return joined
         return self._select_project(joined, p.condition, None)
 
     def _cross(self, left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
@@ -860,14 +760,24 @@ def finalize_delta_groups(
     return batch.to_relation()
 
 
-def _dedup_batch(batch: ColumnBatch) -> ColumnBatch:
-    seen = dict.fromkeys(zip(*batch.columns)) if batch.columns else {}
-    rows = list(seen)
-    return ColumnBatch(
-        batch.schema,
-        [list(col) for col in zip(*rows)] if rows else [[] for _ in batch.schema],
-        [1] * len(rows) if batch.columns else [1] * min(1, len(batch)),
-    )
+def _on_rows(batch: ColumnBatch, op: Callable, *args: Any) -> ColumnBatch:
+    """The :mod:`repro.db.engine` bag operator ``op`` over the batch's
+    merged rows."""
+    return ColumnBatch.from_rows(batch.schema, op(batch.merged(), *args))
+
+
+def _distinct(batch: ColumnBatch) -> ColumnBatch:
+    out = _on_rows(batch, dict.fromkeys, 1)
+    if _tm._ACTIVE is not None:
+        _tm.annotate(groups=len(out))
+    return out
+
+
+def _topk(
+    batch: ColumnBatch, keys: Sequence[str], descending: bool, n: int
+) -> ColumnBatch:
+    key_idx = [_attr_index(batch.schema, k) for k in keys]
+    return _on_rows(batch, _engine.take, n, key_idx, descending)
 
 
 # ======================================================================
@@ -882,12 +792,11 @@ def execute_audb(
     """Interpret the physical plan ``pplan`` over the AU-database ``db``.
 
     Produces exactly the relation of the tuple interpreter on the same
-    plan.  ``TupleFallback`` nodes are the only place a batch becomes a
-    relation: they materialize their inputs and call the exact
-    :mod:`repro.core` implementations — the boundary was chosen by the
-    planner, not here; a ``CompressedJoin`` and a ``HashAggregate`` run
-    batch to batch (:mod:`repro.exec.compressed_join`,
-    :mod:`repro.exec.au_aggregate`).  ``pool`` is an
+    plan.  Every operator runs batch to batch — a ``CompressedJoin``,
+    ``HashAggregate``, ``HashDistinct``, ``HashExcept`` and ``TopK``
+    included (:mod:`repro.exec.compressed_join`,
+    :mod:`repro.exec.au_aggregate`, :mod:`repro.exec.au_setops`) — and
+    the batch becomes a relation only as the result.  ``pool`` is an
     optional persistent :class:`repro.exec.parallel.WorkerPool` for
     Exchange regions.
     """
@@ -964,9 +873,6 @@ class _AUExec:
             pnode, self._node, (), self.actuals, _au_rows, _au_distinct
         )
 
-    def _materialize(self, pnode: phys.PhysNode):
-        return self.eval(pnode).to_relation()
-
     # -- plan dispatch -------------------------------------------------
     def _node(self, p: phys.PhysNode) -> AUColumnBatch:
         if isinstance(p, (phys.Scan, phys.ParallelScan)):
@@ -1021,8 +927,12 @@ class _AUExec:
             if p.having is not None:
                 result = self._selection(result, p.having)
             return result
-        if isinstance(p, phys.TupleFallback):
-            return self._fallback(p)
+        if isinstance(p, phys.HashDistinct):
+            return distinct_batch(self.eval(p.child))
+        if isinstance(p, phys.HashExcept):
+            return except_batch(self.eval(p.left), self.eval(p.right))
+        if isinstance(p, phys.TopK):
+            return topk_batch(self.eval(p.child), p.keys, p.descending, p.n)
         if isinstance(p, phys.AUPartialAggregate):
             # raises UncertainGroupError on an uncertain group-by value:
             # the Exchange then re-runs its serial final operator
@@ -1034,29 +944,6 @@ class _AUExec:
 
             return execute_exchange(self, p)
         raise TypeError(f"unsupported physical node {type(p).__name__}")
-
-    def _fallback(self, p: phys.TupleFallback) -> AUColumnBatch:
-        """SG-combining semantics: the planner routed this node to the
-        exact tuple operators over materialized inputs."""
-        node = p.logical
-        if _tm._ACTIVE is not None:
-            _tm.annotate(fallback=p.kind, reason=phys.FALLBACK_REASONS.get(p.kind))
-        if p.kind == "difference":
-            result = ops.difference(
-                self._materialize(p.inputs[0]), self._materialize(p.inputs[1])
-            )
-        elif p.kind == "distinct":
-            result = ops.distinct(self._materialize(p.inputs[0]))
-        elif p.kind == "topk":
-            result = ops.au_topk(
-                self._materialize(p.inputs[0]),
-                node.keys,
-                node.descending,
-                node.n,
-            )
-        else:
-            raise TypeError(f"unsupported AU fallback {p.kind!r}")
-        return AUColumnBatch.from_relation(result)
 
     # -- operators -----------------------------------------------------
     def _scan(self, p: phys.Scan) -> AUColumnBatch:

@@ -462,7 +462,7 @@ def test_the_aggregate_takes_the_joins_batch(monkeypatch):
     db = _db()
     prepared = Connection(db, config=CONFIG).prepare(_plan())
     names = [type(n).__name__ for n in prepared.pplan.walk()]
-    assert names.count("HashAggregate") == 1 and "TupleFallback" not in names
+    assert names.count("HashAggregate") == 1
     expected = Connection(
         db, config=EvalConfig(backend="tuple", join_buckets=4, aggregation_buckets=4)
     ).execute(_plan())
@@ -530,13 +530,34 @@ def test_interpreted_inputs_say_why():
     assert "inputs=interpreted (cannot compile If" in conn.explain_analyze(plan)
 
 
-def test_remaining_fallbacks_say_why():
+def test_set_operators_say_what_they_decided():
+    # each SG-combining operator's decision is visible in its operator
+    # span and in explain_analyze
     db = _db()
-    for backend in ("tuple", "vectorized"):
-        conn = Connection(db, config=EvalConfig(backend=backend), trace=True)
-        text = conn.explain_analyze("SELECT DISTINCT a FROM r")
-        (span,) = [s for s in conn.last_trace.spans() if s.name == "TupleFallback"]
-        assert span.attrs["fallback"] == "distinct"
-        assert span.attrs["reason"] == phys.FALLBACK_REASONS["distinct"]
-        assert f"reason={phys.FALLBACK_REASONS['distinct']}" in text
-    assert sorted(phys.FALLBACK_REASONS) == ["difference", "distinct", "topk"]
+    db["k"] = AURelation.from_certain_rows(("x", "y"), [(i % 4, i) for i in range(9)])
+    conn = Connection(db, config=EvalConfig(backend="vectorized"), trace=True)
+
+    def decided(sql, name):
+        text = conn.explain_analyze(sql)
+        (span,) = [
+            s for s in conn.last_trace.spans()
+            if s.cat == "operator" and s.name == name
+        ]
+        (line,) = [ln for ln in text.splitlines() if ln.lstrip().startswith(name)]
+        return span.attrs, line
+
+    attrs, line = decided("SELECT DISTINCT a FROM r", "HashDistinct")
+    assert attrs["groups"] == len(conn.execute("SELECT DISTINCT a FROM r")) > 0
+    assert f", groups={attrs['groups']}" in line
+    attrs, line = decided("SELECT a FROM r EXCEPT SELECT c FROM s", "HashExcept")
+    assert attrs["overlap_probes"] >= attrs["certain_equal"] > 0
+    assert (
+        f", overlap_probes={attrs['overlap_probes']}"
+        f", certain_equal={attrs['certain_equal']}"
+    ) in line
+    attrs, line = decided("SELECT a, b FROM r ORDER BY a LIMIT 3", "TopK")
+    assert (attrs["topk"], attrs["topk_reason"]) == ("identity", "uncertain order key")
+    assert ", topk=identity (uncertain order key)" in line
+    attrs, line = decided("SELECT x, y FROM k ORDER BY x DESC LIMIT 3", "TopK")
+    assert attrs["topk"] == "bounded" and "topk_reason" not in attrs
+    assert line.rstrip(")").endswith(", topk=bounded")

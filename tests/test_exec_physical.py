@@ -5,7 +5,7 @@ statistically:
 
 * cost-based lowering picks the intended algorithms (hash vs nested
   loop from the catalog, ``Cpr`` with resolved budgets, AU
-  ``TupleFallback`` boundaries);
+  ``HashDistinct`` / ``HashExcept`` / ``TopK`` typed nodes);
 * golden ``explain_physical`` snapshots so plan-shape changes are
   diff-reviewable;
 * morsel partitioning and every Exchange merge kind (concat, partial
@@ -81,7 +81,7 @@ class TestLoweringChoices:
         assert isinstance(lowered, phys.HashJoin)
         assert not lowered.pure_equi
 
-    def test_au_fallback_boundaries_and_buckets(self):
+    def test_au_typed_nodes_and_buckets(self):
         rel = AURelation(["a", "b"])
         for i in range(20):
             rel.add([i, between(i, i + 1, i + 2)], (1, 1, 1))
@@ -94,7 +94,8 @@ class TestLoweringChoices:
             Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]), stats, cfg
         )
         # the aggregate is a first-class AU operator carrying its
-        # Section 10.5 budget; the SG-combining fragment falls back
+        # Section 10.5 budget; distinct, difference and top-k lower to
+        # the same typed nodes as on the det engine
         assert isinstance(agg, phys.HashAggregate)
         assert agg.buckets == 16 and not agg.partial
         det_agg = lower(
@@ -104,13 +105,15 @@ class TestLoweringChoices:
         )
         assert isinstance(det_agg, phys.HashAggregate) and det_agg.buckets is None
         dis = lower(Distinct(TableRef("r")), stats, cfg)
-        assert isinstance(dis, phys.TupleFallback) and dis.kind == "distinct"
+        assert isinstance(dis, phys.HashDistinct)
         diff = lower(Difference(TableRef("r"), TableRef("r")), stats, cfg)
-        assert isinstance(diff, phys.TupleFallback) and diff.kind == "difference"
+        assert isinstance(diff, phys.HashExcept)
+        assert isinstance(diff.left, phys.Scan) and isinstance(diff.right, phys.Scan)
         topk = lower(
             Limit(OrderBy(TableRef("r"), ["a"], False), 3), stats, cfg
         )
-        assert isinstance(topk, phys.TupleFallback) and topk.kind == "topk"
+        assert isinstance(topk, phys.TopK)
+        assert (topk.keys, topk.descending, topk.n) == (("a",), False, 3)
         # bare LIMIT under AU lowers to the identity (sound superset)
         bare = lower(Limit(TableRef("r"), 3), stats, cfg)
         assert isinstance(bare, phys.Scan)

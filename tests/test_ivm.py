@@ -289,7 +289,7 @@ DeltaPlan[kind=refresh]
     FusedSelectProject σ[(a <= 1)]  (~2 rows)
       Scan r [skip: a<=1]  (~7 rows)
   refresh-boundary (re-executed per epoch):
-    TupleFallback[difference] (exact tuple operator)  (~7 rows)
+    HashExcept −  (~7 rows)
       Scan __ivm_seg0  (~7 rows)
       Scan __ivm_seg1  (~1 rows)""",
     "distinct": """\

@@ -9,7 +9,7 @@ worker pool.
   same ``AURelation`` with every float bound bit-equal (exact Shewchuk
   accumulation for SUM/AVG; pure min/max envelopes for the rest).
 * ``verify_physical`` golden diagnostics for the AU parallel plans:
-  engine-mismatched merge kinds, ``TupleFallback`` on the partitioned
+  engine-mismatched merge kinds, a non-linear operator on the partitioned
   spine of a region, and ``AUPartialAggregate`` outside its Exchange.
 * The session-owned :class:`~repro.exec.parallel.WorkerPool`: forked
   once, reused across prepared executions, invalidated and re-forked on
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
-from repro.algebra.ast import Aggregate, Distinct, Limit, OrderBy, TableRef
+from repro.algebra.ast import Aggregate, Limit, OrderBy, TableRef
 from repro.algebra.evaluator import EvalConfig, evaluate_audb
 from repro.algebra.optimizer import optimize
 from repro.analysis import PlanCompatibilityError, verify_physical
@@ -171,15 +171,14 @@ class TestAUExchangeLegality:
             verify_physical(bad, au_stats, _cfg("det"))
 
     def test_nonlinear_operator_on_partitioned_spine_rejected(self, au_stats):
-        # fed by the region's morsels, a fallback or a serial aggregate
-        # would see partial inputs
+        # fed by the region's morsels, a non-linear operator would see
+        # partial inputs
+        morsels = phys.ParallelScan("r", 2)
         for serial in (
-            phys.TupleFallback(
-                "distinct", Distinct(TableRef("r")), [phys.ParallelScan("r", 2)]
-            ),
-            phys.HashAggregate(
-                phys.ParallelScan("r", 2), ("a",), (agg_sum("b", "t"),), None
-            ),
+            phys.HashDistinct(morsels),
+            phys.HashExcept(morsels, phys.Scan("r")),
+            phys.TopK(morsels, ("a",), False, 3),
+            phys.HashAggregate(morsels, ("a",), (agg_sum("b", "t"),), None),
         ):
             bad = phys.Exchange(
                 phys.FusedSelectProject(serial, Gt(Var("a"), Const(0)), None),
@@ -190,6 +189,16 @@ class TestAUExchangeLegality:
                 PlanCompatibilityError, match="partitioned spine"
             ):
                 verify_physical(bad, au_stats, _cfg("au"))
+        # the AU top-k merge takes the bare region: per-morsel top-k
+        # bounds are not sound, the full concatenation is ranked once
+        final = phys.TopK(phys.Scan("r"), ("a",), False, 3)
+        ranked_once = phys.Exchange(morsels, "au_topk", 2, final=final)
+        verify_physical(ranked_once, au_stats, _cfg("au"))
+        per_morsel = phys.Exchange(
+            phys.TopK(morsels, ("a",), False, 3), "au_topk", 2, final=final
+        )
+        with pytest.raises(PlanCompatibilityError, match="partitioned spine"):
+            verify_physical(per_morsel, au_stats, _cfg("au"))
 
     def test_au_partial_aggregate_without_exchange_rejected(self, au_stats):
         node = phys.AUPartialAggregate(

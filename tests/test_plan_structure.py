@@ -115,7 +115,7 @@ def _fields(node, kind):
 
 def test_enumeration_sees_both_irs_and_the_expressions():
     names = {cls.__name__ for cls in NODE_CLASSES}
-    assert {"TableRef", "Aggregate", "Scan", "TupleFallback", "Exchange"} <= names
+    assert {"TableRef", "Aggregate", "Scan", "HashExcept", "Exchange"} <= names
     assert {"Var", "Parameter", "And", "If"} <= {
         cls.__name__ for cls in EXPRESSION_CLASSES
     }
@@ -123,10 +123,11 @@ def test_enumeration_sees_both_irs_and_the_expressions():
 
 def test_the_aggregation_budget_is_a_field_of_hash_aggregate():
     # it travels with copy-with, binding and pickling like any scalar
-    # field; TupleFallback, which carried it for AU plans, has none
+    # field; the other SG-combining operators take no budget
     names = lambda cls: {f.name for f in dataclasses.fields(cls)}  # noqa: E731
     assert "buckets" in names(phys.HashAggregate)
-    assert "buckets" not in names(phys.TupleFallback)
+    for cls in (phys.HashDistinct, phys.HashExcept, phys.TopK):
+        assert "buckets" not in names(cls)
     node, _keys = _sample(phys.HashAggregate)
     assert node.map_children(lambda c: phys.Scan("u")).buckets == node.buckets
 

@@ -476,12 +476,19 @@ class TestPhysicalDiagnostics:
         with pytest.raises(PlanCompatibilityError, match="deterministic"):
             verify_physical(join, stats, self._cfg(engine="det"))
 
-    def test_au_plan_must_close_sg_combining_fragment(self, stats):
-        # a HashDistinct in an AU plan means a fallback boundary is open
-        with pytest.raises(PlanCompatibilityError, match="TupleFallback"):
+    def test_au_plan_has_no_limit(self, stats):
+        # a bare LIMIT over uncertain data lowers to the identity; the
+        # SG-combining operators are legal AU nodes
+        with pytest.raises(PlanCompatibilityError, match="not a legal AU operator"):
             verify_physical(
-                phys.HashDistinct(phys.Scan("r")), stats, self._cfg(engine="au")
+                phys.Limit(phys.Scan("r"), 3), stats, self._cfg(engine="au")
             )
+        for node in (
+            phys.HashDistinct(phys.Scan("r")),
+            phys.HashExcept(phys.Scan("r"), phys.Scan("r")),
+            phys.TopK(phys.Scan("r"), ("a",), True, 3),
+        ):
+            verify_physical(node, stats, self._cfg(engine="au"))
 
     def _agg(self, **kw):
         return phys.HashAggregate(
@@ -509,10 +516,8 @@ class TestPhysicalDiagnostics:
         verify_physical(
             phys.Exchange(partial, "au_aggregate", 2, final=self._agg()), stats, cfg
         )
-        fallback = phys.TupleFallback(
-            "topk", TopK(TableRef("r"), ["a"], False, 1), (phys.Scan("r"),)
-        )
-        for final in (fallback, None):
+        topk = phys.TopK(phys.Scan("r"), ("a",), False, 1)
+        for final in (topk, None):
             with pytest.raises(
                 PlanCompatibilityError, match="serial HashAggregate"
             ):
@@ -530,28 +535,31 @@ class TestPhysicalDiagnostics:
                 cfg,
             )
 
-    def test_tuple_fallback_aggregate_is_an_unknown_kind(self, stats):
-        retired = phys.TupleFallback(
-            "aggregate",
-            Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t")]),
-            (phys.Scan("r"),),
-        )
-        with pytest.raises(
-            PlanCompatibilityError, match="unknown TupleFallback kind 'aggregate'"
-        ):
-            verify_physical(retired, stats, self._cfg(engine="au"))
+    def test_except_branches_must_be_union_compatible(self, stats):
+        for engine in ("det", "au"):
+            verify_physical(
+                phys.HashExcept(phys.Scan("r"), phys.Scan("r")),
+                stats,
+                self._cfg(engine=engine),
+            )
+            narrow = phys.FusedSelectProject(
+                phys.Scan("r"), None, ((Var("a"), "a"),)
+            )
+            with pytest.raises(PlanCompatibilityError, match="union-compatible"):
+                verify_physical(
+                    phys.HashExcept(phys.Scan("r"), narrow),
+                    stats,
+                    self._cfg(engine=engine),
+                )
 
-    def test_tuple_fallback_arity_and_logical_class(self, stats):
-        bad_arity = phys.TupleFallback(
-            "difference", Difference(TableRef("r"), TableRef("r")), (phys.Scan("r"),)
-        )
-        with pytest.raises(PlanCompatibilityError, match="input"):
-            verify_physical(bad_arity, stats, self._cfg(engine="au"))
-        wrong_logical = phys.TupleFallback(
-            "distinct", TableRef("r"), (phys.Scan("r"),)
-        )
-        with pytest.raises(PlanCompatibilityError, match="Distinct"):
-            verify_physical(wrong_logical, stats, self._cfg(engine="au"))
+    def test_topk_keys_must_resolve(self, stats):
+        for engine in ("det", "au"):
+            with pytest.raises(PlanReferenceError, match="unknown column 'zz'"):
+                verify_physical(
+                    phys.TopK(phys.Scan("r"), ("zz",), False, 3),
+                    stats,
+                    self._cfg(engine=engine),
+                )
 
     def test_join_key_side_check(self, stats):
         bad = phys.HashJoin(
