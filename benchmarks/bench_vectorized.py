@@ -26,7 +26,12 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   backend's ``core.aggregation.aggregate``, identical relations, on a
   q1-shaped input (six groups, 2 % of the rows with an uncertain group
   key, five aggregates) and, reported only, a q3-shaped one (every row a
-  possible box ``(0, 0, n)`` with an uncertain key, one group per row).
+  possible box ``(0, 0, n)`` with an uncertain key, one group per row)
+  and a view-shaped one: ``COUNT`` and ``SUM`` over three groups, 1 % of
+  the group keys uncertain over all three, no bucket budget — every row
+  contributes to every group (the ``GROUP BY o_orderstatus`` view of the
+  e2e ``mixed_rw_views`` workload).  For the view shape the AU ÷ det
+  ratio on the same selected-guess data is reported too.
 * **AU ÷ det cost ratio (reported, no gate)**: the join + aggregate at
   ``join_buckets=64`` on the AU engine over the same plan on the det
   engine over the selected-guess world, both vectorized, same commit —
@@ -87,6 +92,9 @@ JOIN_BUCKETS = 64
 #: columnar vs tuple-backend Section 10.5 aggregate at CT = 64, q1 shape
 AU_AGGREGATE_GATE = 2.0
 N_AGGREGATE_ROWS = 1500
+#: each AU aggregate shape's bucket budget (the view has none)
+AGGREGATE_BUCKETS = {"q1": JOIN_BUCKETS, "q3": JOIN_BUCKETS, "view": None}
+N_VIEW_ROWS = 900
 
 
 def det_db(n_orders: int = N_ORDERS, seed: int = 1) -> DetDatabase:
@@ -141,7 +149,9 @@ def au_filter_db(rows: int = N_FILTER_ROWS, seed: int = 1) -> AUDatabase:
 def au_aggregate_db(rows: int = N_AGGREGATE_ROWS, seed: int = 1) -> AUDatabase:
     """``q1``: lineitem-like, six (flag, status) groups, 2 % of the rows
     with an uncertain flag; ``q3``: the possible half of a compressed
-    join's output — every row a box ``(0, 0, n)`` around its own key."""
+    join's output — every row a box ``(0, 0, n)`` around its own key;
+    ``view``: orders-like, three status groups, 1 % of the statuses
+    uncertain over all three."""
     rng = random.Random(seed)
     q1 = AURelation(["k", "flag", "status", "qty", "price", "disc"])
     for k in range(rows):
@@ -162,7 +172,13 @@ def au_aggregate_db(rows: int = N_AGGREGATE_ROWS, seed: int = 1) -> AUDatabase:
              between(low, low * 1.5, low * 2), between(0.0, 0.05, 0.1)],
             (0, 0, rng.randint(1, 4)),
         )
-    return AUDatabase({"q1": q1, "q3": q3})
+    view = AURelation(["okey", "status", "price"])
+    for k in range(N_VIEW_ROWS):
+        status = rng.choice("FOP")
+        if k % 100 == 50:
+            status = between("F", status, "P")
+        view.add([k, status, round(rng.uniform(1000.0, 300000.0), 2)], (1, 1, 1))
+    return AUDatabase({"q1": q1, "q3": q3, "view": view})
 
 
 def _revenue():
@@ -180,6 +196,9 @@ def au_aggregate_plans():
         ),
         "q3": Aggregate(
             TableRef("q3"), ["okey", "odate"], [agg_sum(_revenue(), "revenue")]
+        ),
+        "view": Aggregate(
+            TableRef("view"), ["status"], [agg_count("n"), agg_sum("price", "total")]
         ),
     }
 
@@ -299,11 +318,11 @@ def test_audb_compressed_join(benchmark, audb, backend):
     benchmark(lambda: evaluate_audb(plan, audb, config))
 
 
-@pytest.mark.parametrize("shape", ["q1", "q3"])
+@pytest.mark.parametrize("shape", sorted(AGGREGATE_BUCKETS))
 @pytest.mark.parametrize("backend", ["tuple", "vectorized"])
 def test_audb_compressed_aggregate(benchmark, backend, shape):
     db, plan = au_aggregate_db(), au_aggregate_plans()[shape]
-    config = EvalConfig(backend=backend, aggregation_buckets=JOIN_BUCKETS)
+    config = EvalConfig(backend=backend, aggregation_buckets=AGGREGATE_BUCKETS[shape])
     evaluate_audb(plan, db, config)
     benchmark(lambda: evaluate_audb(plan, db, config))
 
@@ -380,15 +399,17 @@ def main() -> int:
         )
 
     aggregate_db = au_aggregate_db()
-    bucketed = {
-        backend: EvalConfig(backend=backend, aggregation_buckets=JOIN_BUCKETS)
-        for backend in ("tuple", "vectorized")
-    }
     aggregate_rows = {}
     for shape, shaped in au_aggregate_plans().items():
+        shaped_config = {
+            backend: EvalConfig(
+                backend=backend, aggregation_buckets=AGGREGATE_BUCKETS[shape]
+            )
+            for backend in ("tuple", "vectorized")
+        }
 
         def run_aggregate(backend):
-            return evaluate_audb(shaped, aggregate_db, bucketed[backend])
+            return evaluate_audb(shaped, aggregate_db, shaped_config[backend])
 
         run_aggregate("tuple"), run_aggregate("vectorized")
         # best of 7 each, alternating: a machine that changes speed
@@ -403,6 +424,24 @@ def main() -> int:
         aggregate_rows[shape] = (t_agg_tuple, t_agg_vec, agg_speedup, len(r_agg_vec))
         if list(r_agg_tuple.tuples()) != list(r_agg_vec.tuples()):
             failures.append(f"au_aggregate[{shape}]: vectorized result differs")
+    # the view shape's AU cost over the det engine's on its SG world
+    view_plan, view_sgw = au_aggregate_plans()["view"], sgw_database(aggregate_db)
+
+    def run_view_det():
+        return evaluate_det(view_plan, view_sgw, backend="vectorized")
+
+    run_view_det()
+    t_view_det = float("inf")
+    for _ in range(7):
+        t, r_view_det = time_call(run_view_det)
+        t_view_det = min(t_view_det, t)
+    t_view_au = aggregate_rows["view"][1]
+    view_ratio = t_view_au / t_view_det
+    r_view_au = evaluate_audb(
+        view_plan, aggregate_db, EvalConfig(backend="vectorized")
+    )
+    if r_view_au.selected_guess_world() != r_view_det.as_bag():
+        failures.append("au_aggregate[view]: SG world differs from the det answer")
     if aggregate_rows["q1"][2] < AU_AGGREGATE_GATE:
         failures.append(
             f"au_aggregate[q1]: speedup {aggregate_rows['q1'][2]:.2f}x below "
@@ -445,10 +484,14 @@ def main() -> int:
     )
     for shape, (t_agg_tuple, t_agg_vec, agg_speedup, n) in aggregate_rows.items():
         print(
-            f"AU aggregate (CT={JOIN_BUCKETS}, {shape} shape): tuple "
+            f"AU aggregate (CT={AGGREGATE_BUCKETS[shape]}, {shape} shape): tuple "
             f"{t_agg_tuple:.4f}s, vectorized {t_agg_vec:.4f}s, "
             f"{agg_speedup:.2f}x, {n} groups"
         )
+    print(
+        f"AU / det cost ratio, view-shaped aggregate: AU {t_view_au:.4f}s / det "
+        f"over the SG world {t_view_det:.4f}s = {view_ratio:.1f}x"
+    )
     print(
         f"AU / det cost ratio, join+aggregate at CT={JOIN_BUCKETS}: AU "
         f"{t_au:.4f}s / det over the SG world {t_sgw:.4f}s = {cost_ratio:.1f}x"
@@ -499,7 +542,7 @@ def main() -> int:
                 },
                 "au_aggregate": {
                     shape: {
-                        "buckets": JOIN_BUCKETS,
+                        "buckets": AGGREGATE_BUCKETS[shape],
                         "tuple_s": round(t_agg_tuple, 6),
                         "vectorized_s": round(t_agg_vec, 6),
                         "speedup": round(agg_speedup, 4),
@@ -513,6 +556,11 @@ def main() -> int:
                     "au_s": round(t_au, 6),
                     "det_s": round(t_sgw, 6),
                     "ratio": round(cost_ratio, 4),
+                },
+                "au_det_cost_ratio_view": {
+                    "au_s": round(t_view_au, 6),
+                    "det_s": round(t_view_det, 6),
+                    "ratio": round(view_ratio, 4),
                 },
                 "det_filter": {"ns_per_row": round(filter_ns, 2)},
                 "det_key_fk_join": {"ns_per_probe_row": round(join_ns, 2)},

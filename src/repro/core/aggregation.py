@@ -614,11 +614,19 @@ class _Algebra(NamedTuple):
       partition (tie rules replay the in-order fold), consuming both;
     * ``finalize(state)`` — the output value (det) / range (AU);
     * ``empty`` — the output over an empty input without GROUP BY;
-    * ``fold`` (det, optional) — ``fold(state, values, weights) ->
-      state`` folds a whole group's input column and weights at once,
-      ≡ the ``step`` loop over them (``values`` is ``repeat(None)`` for
-      a function that takes no input); ``None`` means exactly that loop
-      (:meth:`column_fold`).
+    * ``fold`` (optional) — a column at a time.  Det: ``fold(state,
+      values, weights) -> state`` folds a whole group's input column and
+      weights at once, ≡ the ``step`` loop over them (``values`` is
+      ``repeat(None)`` for a function that takes no input); ``None``
+      means exactly that loop (:meth:`column_fold`).  AU: ``fold(state,
+      values, weights, slots)`` adds every *point* contribution
+      ``weights[i]·values[i]`` (a row annotated ``(k, k, k)``, ``k >
+      0``, whose input is ``values[i]`` as lower, SG and upper bound
+      object) to the slice ``slots`` of the state (:func:`point_slots`),
+      ≡ the ``step`` of those rows in any order, to the bit of
+      ``finalize``;
+      ``None`` (a function whose result depends on the row order) means
+      every row takes ``step``.
     """
 
     init: Callable[[], Any]
@@ -626,7 +634,7 @@ class _Algebra(NamedTuple):
     merge: Callable[[Any, Any], Any]
     finalize: Callable[[Any], Any]
     empty: Any
-    fold: Optional[Callable[[Any, Iterable, Sequence[int]], Any]] = None
+    fold: Optional[Callable[..., Any]] = None
 
     def column_fold(self) -> Callable[[Any, Iterable, Sequence[int]], Any]:
         """The det ``fold``, or the ``step`` loop it defaults to."""
@@ -730,6 +738,32 @@ def _det_extremum(step: Callable[..., tuple]) -> _Algebra:
 
 
 # -- AU: three-bound states -------------------------------------------
+#: Definition 26 for a point contribution ``k·v`` (annotation and input
+#: points, so the four ``⊛_SUM`` corners are one product): the slice of
+#: the ``[lo, sg, hi]`` state it enters, by ``[in_sg_group][enters
+#: lo][enters hi]``.  A foreign product enters the bounds only; a
+#: member's is also its SG part, so it enters a slice of the three alike.
+_POINT_SLOTS = (
+    ((slice(0, 0), slice(2, 3)), (slice(0, 1), slice(0, 3, 2))),
+    ((slice(0, 2), slice(1, 3)), (slice(0, 2), slice(0, 3))),
+)
+
+
+def point_slots(value: Any, certainly_in_group: bool, in_sg_group: bool) -> slice:
+    """The slice of an AU ``SUM`` state ``[lo, sg, hi]`` that a point
+    contribution of ``value`` enters (Definition 26): both bounds when
+    the row certainly is in the group, else only the side the clamps
+    ``min(0, ·)`` / ``max(0, ·)`` let through — the sign of the value,
+    the multiplicity being positive."""
+    slots = _POINT_SLOTS[in_sg_group]
+    if certainly_in_group:
+        return slots[True][True]
+    kind = type(value)
+    if kind is float or kind is int:
+        return slots[value <= 0][value >= 0]
+    return slots[_dom_le(value, 0)][_dom_le(0, value)]
+
+
 def _au_sum_step(
     state: list, ann: AUAnnotation, m: RangeValue, certainly_in_group: bool,
     in_sg_group: bool,
@@ -739,33 +773,32 @@ def _au_sum_step(
     value = m.ub
     if k0 == k2 and k2 and m.lb is value:
         # a point annotation times a point value (what :func:`_sum_parts`
-        # returns for both bounds): one non-zero product, whose sign —
-        # what the clamps test — is the sign of the value
-        if certainly_in_group:
-            low = high = True
-        else:
-            kind = type(value)
-            if kind is float or kind is int:
-                low, high = value <= 0, value >= 0
-            else:
-                low, high = _dom_le(value, 0), _dom_le(0, value)
+        # returns for both bounds): one non-zero product, entering the
+        # slots :func:`point_slots` gives it
         if in_sg_group and k1 == k2 and m.sg is value:
-            # ... and the SG part is the same product: it enters a
-            # slice of [lo, sg, hi] alike
-            if not high:
-                state = state[:2]
-            elif not low:
-                state = state[1:]
+            # ... which is also the SG part (a row certainly in the
+            # group enters all three: the state itself, no slice)
+            if not certainly_in_group:
+                state = state[point_slots(value, False, True)]
             add_product_each(state, value, k2)
             return
-        if low:
-            add_product(state[0], value, k2)
-        if high:
-            add_product(state[2], value, k2)
+        for acc in state[point_slots(value, certainly_in_group, False)]:
+            add_product(acc, value, k2)
     else:
         _fold_sum_row(state[0], state[2], ann, m, certainly_in_group)
     if in_sg_group:
         _add_part(state[1], m.sg, k1)
+
+
+def _au_sum_fold(
+    state: list, values: Sequence, weights: Sequence[int], slots: slice
+) -> None:
+    # one exact sum of the column, merged into each slot: the same
+    # accumulator value as the add_product loop into every slot
+    acc = new_acc()
+    add_products(acc, values, weights)
+    for dst in state[slots]:
+        merge_acc(dst, acc)
 
 
 def _au_sum_merge(dst: list, src: list) -> list:
@@ -780,6 +813,7 @@ _AU_SUM = _Algebra(
     merge=_au_sum_merge,
     finalize=lambda s: _clamped_range(finish(s[0]), finish(s[1]), finish(s[2])),
     empty=certain(0),
+    fold=_au_sum_fold,
 )
 
 

@@ -39,7 +39,17 @@ The order / dedupe / merge-order contract, step by step:
   column-wise over the group-by and the referenced columns only,
   annotated ``(0, 0, Σub)`` — merged after the members, in bucket order.
   The algebra's ``merge`` replays the in-order fold, so this is the
-  reference's result to the bit.
+  reference's result to the bit;
+* except for *point contributions* of an algebra with a column ``fold``
+  (``SUM`` / ``COUNT``): a row annotated ``(k, k, k)``, ``k > 0``, whose
+  input cell is one object ``v`` as lower, SG and upper bound, in a
+  group of at least :data:`_COLUMN_MIN_ROWS` members.  Its product
+  ``k·v`` joins a column of its own group and one of each foreign group
+  its key overlaps, under the state slots Definition 26 gives it there
+  (:func:`~repro.core.aggregation.point_slots`), and each column is one
+  ``fold`` — no step, no foreign state, no merge.  This is exact in any
+  order: a ``SUM`` state is three :mod:`repro.core.sums` accumulators,
+  each a pure function of the weighted multiset it received.
 
 The same member fold is the per-morsel half of a parallel AU aggregate
 (:func:`fold_partial_groups`): every box a point, and a row with an
@@ -49,6 +59,7 @@ an :class:`~repro.core.aggregation.UncertainGroupError`.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
@@ -58,6 +69,7 @@ from ..core.aggregation import (
     UncertainGroupError,
     _ONE,
     _referenced_columns,
+    point_slots,
 )
 from ..core.expressions import Var
 from ..core.ranges import RangeValue, domain_key, overlap_index
@@ -70,6 +82,12 @@ __all__ = [
     "merge_partial_groups",
     "finalize_groups",
 ]
+
+#: the fewest members a group needs for its point contributions to fold
+#: by column: below it, a column's fixed cost (gathering it, a fresh
+#: accumulator, a merge per slot) exceeds the per-row steps it replaces
+#: (on certain-key groups the two break even at about 40 rows)
+_COLUMN_MIN_ROWS = 64
 
 #: group key -> ``[box, annotation sums, one AU registry state per
 #: aggregate]``: the group-by cells of the output row, the pointwise
@@ -233,9 +251,9 @@ def _fold(
             for box, col in zip(boxes, key_cols):
                 box[g] = _bounding([col[r] for r in spread], col[rows[0]].sg)
 
-    # -- ð(g) beyond the members: contributor -> its foreign groups -----
+    # -- ð(g) beyond the members: each group's foreign contributors ----
     # (rows by position, Section 10.5 bucket boxes numbered after them)
-    targets: Dict[int, List[int]] = {}
+    foreign: Sequence[Sequence[int]] = [()] * len(members)
     extra_cols: List[List[RangeValue]] = [[] for _ in columns]
     extra_ub: List[int] = []
     if foreign_capable and buckets is not None:
@@ -247,53 +265,86 @@ def _fold(
             buckets,
         )
         hits = _overlapping([extra_cols[j] for j in group_idx], boxes)
-        for g, found in enumerate(hits):
-            for k in found:
-                targets.setdefault(n + k, []).append(g)
+        foreign = [[n + k for k in found] for found in hits]
     elif foreign_capable:
-        for g, found in enumerate(_overlapping(key_cols, boxes)):
-            for r in found:
-                if alpha[r] != g:
-                    targets.setdefault(r, []).append(g)
+        foreign = [
+            [r for r in found if alpha[r] != g]
+            for g, found in enumerate(_overlapping(key_cols, boxes))
+        ]
+    targets: Dict[int, List[int]] = {}  # contributor -> its foreign groups
+    for g, rows in enumerate(foreign):
+        for r in rows:
+            targets.setdefault(r, []).append(g)
 
     # -- aggregate inputs, once per row and aggregate -------------------
     inputs, attrs = _aggregate_inputs(batch, extra_cols, len(extra_ub), aggregates)
-    attrs.update(
-        uncertain_key_rows=len(foreign_capable),
-        foreign_states=len(targets),
-        state_merges=sum(map(len, targets.values())),
-    )
 
-    # -- the fold: contributors ascending, so every state sees its own in
-    # -- the reference's order; a foreign one is folded once and merged --
+    # -- the fold: a point contribution of an algebra with a column fold
+    # -- joins its (group, slots) column; every other one is stepped in
+    # -- ascending order, so every state sees its own in the reference's
+    # -- order, and a foreign one is folded once and merged -------------
     anns = list(zip(batch.ann_lb, batch.ann_sg, batch.ann_ub))
     certainly = [
         box_certain[g] and not uncertain and ann[0] > 0
         for g, uncertain, ann in zip(alpha, key_uncertain, anns)
     ]
+    owner, contributions = alpha, anns
     if targets:  # bucket boxes: no group of their own, possible only
         owner = alpha + [-1] * len(extra_ub)
         contributions = anns + [(0, 0, ub) for ub in extra_ub]
         certainly += [False] * len(extra_ub)
+    # rows whose contributions may fold by column: annotated (k, k, k),
+    # k > 0, in a group of at least _COLUMN_MIN_ROWS members (a bucket
+    # box, (0, 0, Σub), never is one)
+    wide = [len(rows) >= _COLUMN_MIN_ROWS for rows in members]
+    foldable = None
+    if True in wide:
+        foldable = [
+            lb == ub > 0 and sg == ub and wide[g]
+            for g, (lb, sg, ub) in zip(alpha, anns)
+        ] + [False] * len(extra_ub)
+    column_rows = foreign_states = state_merges = 0
     states = []
     for spec, col in zip(aggregates, inputs):
         algebra = AGGREGATES[spec.kind].au
         init, step, merge = algebra.init, algebra.step, algebra.merge
         per_group = [init() for _ in members]
+        stepped = None  # which rows take ``step``: all
+        if algebra.fold is not None and foldable is not None:
+            point = [p and m.lb is m.sg is m.ub for p, m in zip(foldable, col)]
+            if True in point:
+                _fold_points(
+                    algebra.fold, per_group, point, members, foreign, box_certain,
+                    col, batch.ann_ub,
+                )
+                column_rows += point.count(True)
+                stepped = [not p for p in point]
+        rows = zip(owner, contributions, col, certainly)
         if not targets:
-            for g, ann, m, sure in zip(alpha, anns, col, certainly):
+            for g, ann, m, sure in rows if stepped is None else compress(rows, stepped):
                 step(per_group[g], ann, m, sure, True)
         else:
-            rows = zip(owner, contributions, col, certainly)
-            for r, (g, ann, m, sure) in enumerate(rows):
+            rows = enumerate(rows)
+            for r, (g, ann, m, sure) in (
+                rows if stepped is None else compress(rows, stepped)
+            ):
                 if g >= 0:
                     step(per_group[g], ann, m, sure, True)
-                if r in targets:
+                hit = targets.get(r)
+                if hit is not None:
                     other = init()
                     step(other, ann, m, False, False)
-                    for g in targets[r]:
+                    for g in hit:
                         merge(per_group[g], other)
+                    foreign_states += 1
+                    state_merges += len(hit)
         states.append(per_group)
+    attrs.update(
+        uncertain_key_rows=len(foreign_capable),
+        column_rows=column_rows,
+        foreign_states=foreign_states,
+        state_merges=state_merges,
+    )
 
     # -- annotation sums (Definitions 27/28) ----------------------------
     totals = [[0, 0, 0] for _ in members]
@@ -308,6 +359,48 @@ def _fold(
         for g, key in enumerate(index_of)
     }
     return groups, attrs
+
+
+def _fold_points(
+    fold: Callable,
+    per_group: List[Any],
+    point: List[bool],
+    members: Sequence[Sequence[int]],
+    foreign: Sequence[Sequence[int]],
+    box_certain: Sequence[bool],
+    col: Sequence[RangeValue],
+    weights: Sequence[int],
+) -> None:
+    """Fold one aggregate's point contributions (``point[r]``: annotation
+    ``(k, k, k)``, ``k > 0``, and input one object ``v``) by column:
+    each group's point members, then its point foreign contributors,
+    split by the slots Definition 26 gives ``k·v`` there
+    (:func:`~repro.core.aggregation.point_slots`), one registry ``fold``
+    per slot set."""
+    for g, state in enumerate(per_group):
+        for rows, in_sg_group in ((members[g], True), (foreign[g], False)):
+            rows = [r for r in rows if point[r]] if rows else rows
+            if not rows:
+                continue
+            values = [col[r].ub for r in rows]
+            column_weights = [weights[r] for r in rows]
+            if in_sg_group and box_certain[g]:
+                # certainly in the group: every slot, whatever the sign
+                fold(state, values, column_weights, point_slots(values[0], True, True))
+                continue
+            slots_of = [point_slots(v, False, in_sg_group) for v in values]
+            if slots_of.count(slots_of[0]) == len(slots_of):  # one sign
+                fold(state, values, column_weights, slots_of[0])
+                continue
+            # point_slots returns one of a few constant slices
+            for slots in {id(s): s for s in slots_of}.values():
+                pick = [s is slots for s in slots_of]
+                fold(
+                    state,
+                    list(compress(values, pick)),
+                    list(compress(column_weights, pick)),
+                    slots,
+                )
 
 
 def sg_groups(

@@ -906,7 +906,8 @@ def explain_physical(
     vectorized ``CompressedJoin`` its SG pairs, boxes per side, box
     pairs emitted / probed and input rows merged as duplicates, a
     vectorized AU ``HashAggregate`` its groups, duplicates, rows with an
-    uncertain group key, foreign states folded / merged and
+    uncertain group key, (row, aggregate) contributions folded by column,
+    foreign states folded / merged and
     ``inputs=compiled`` or ``inputs=interpreted (reason)``, a vectorized
     det ``HashAggregate`` its groups and how many of its (group,
     aggregate) column folds ran in C (``column_folds=k/n``), a
@@ -951,6 +952,7 @@ def explain_physical(
                     line += (
                         f", dedup_rows={a['dedup_rows']}"
                         f", uncertain_key_rows={a['uncertain_key_rows']}"
+                        f", column_rows={a['column_rows']}"
                         f", foreign_states={a['foreign_states']}"
                         f", state_merges={a['state_merges']}"
                     )

@@ -1,8 +1,9 @@
 """Meta-test over the aggregate registry (``core.aggregation.AGGREGATES``).
 
 Every aggregate function is defined once — per engine a mergeable state
-``(init, step, merge, finalize, empty)``, an optional det column
-``fold`` (≡ the ``step`` loop), plus one ``result_type`` — and
+``(init, step, merge, finalize, empty)``, an optional column ``fold``
+(det: ≡ the ``step`` loop; AU: ≡ the ``step`` of point contributions,
+per slot set of ``point_slots``), plus one ``result_type`` — and
 every fold in the system (serial, partial, parallel merge, delta,
 typing) runs those functions.  The functions are *enumerated* here, not
 listed, so a sixth function is held to the whole-group references
@@ -17,7 +18,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -29,6 +30,7 @@ from repro.core.aggregation import (
     _AggregateFunction,
     _Algebra,
     aggregate,
+    point_slots,
 )
 from repro.core.expressions import Var
 from repro.core.ranges import RangeValue, certain
@@ -459,6 +461,81 @@ def test_au_merge_of_an_in_order_partition_is_the_operator(kind, rows, cuts):
         assert _bits(fn.au.finalize(state)) == _bits(
             fn.au.finalize(_au_fold(fn, group))
         )
+
+
+#: AU column folds: point inputs of the types a SUM meets — ints and
+#: bools, finite floats with signed zeros and sums that overflow on the
+#: way, infinities, 1 / 1.0 / True mixed — and a column it rejects
+_AU_FOLD_COLUMNS = st.sampled_from(
+    [
+        st.sampled_from([0, 1, -1, 2, -7, True, False]),
+        st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.1, 1e308, -1e308, 1.5e308]),
+        st.sampled_from(
+            [1, 1.0, True, -1, -1.0, 0, 0.0, -0.0, math.inf, -math.inf, 1e308]
+        ),
+        st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3), st.none(), st.just("s")),
+    ]
+)
+#: columns of ``(value, weight)``, long enough to compact the term list
+_AU_FOLD_ROWS = st.tuples(
+    _AU_FOLD_COLUMNS, st.sampled_from([1, 2, 3, 8, 63, 64, 65])
+).flatmap(
+    lambda column: st.lists(
+        st.tuples(column[0], st.integers(1, 3)),
+        min_size=column[1],
+        max_size=column[1],
+    )
+)
+#: every ``(certainly_in_group, in_sg_group)`` a step can carry
+_AU_FLAGS = st.sampled_from(
+    [(True, True), (False, True), (True, False), (False, False)]
+)
+
+
+def _au_finalized(fn, fold):
+    try:
+        out = fn.au.finalize(fold())
+    except (TypeError, ValueError, OverflowError) as exc:
+        return "raised", type(exc)
+    return "ok", _bits((out.lb, out.sg, out.ub))
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind in KINDS if AGGREGATES[kind].au.fold is not None]
+)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(rows=_AU_FOLD_ROWS, flags=_AU_FLAGS, before=st.lists(_au_row(), max_size=2))
+# a column certainly in the group enters all three slots
+@example(rows=[(-2.5, 1), (3.5, 2)], flags=(True, True), before=[])
+def test_au_column_fold_is_the_step_loop(kind, rows, flags, before):
+    # point contributions (k, k, k) x [v/v/v]: the step of each row ≡
+    # one fold per slot set point_slots gives them, into a state that
+    # already holds other rows — every slot set a value's sign reaches
+    fn = AGGREGATES[kind]
+    certainly_in_group, in_sg_group = flags
+
+    def stepped():
+        state = _au_fold(fn, before)
+        for value, k in rows:
+            cell = certain(value)
+            fn.au.step(state, (k, k, k), cell, certainly_in_group, in_sg_group)
+        return state
+
+    def folded():
+        state = _au_fold(fn, before)
+        columns: dict = {}
+        for value, k in rows:
+            slots = point_slots(value, certainly_in_group, in_sg_group)
+            column = columns.setdefault(slots.indices(3), ([], []))
+            column[0].append(value)
+            column[1].append(k)
+        for key, (values, weights) in columns.items():
+            fn.au.fold(state, values, weights, slice(*key))
+        return state
+
+    assert _au_finalized(fn, folded) == _au_finalized(fn, stepped)
 
 
 # ----------------------------------------------------------------------

@@ -18,15 +18,20 @@ inputs on both clamp sides and ``1e308`` streams that overflow
 transiently; bucket budgets around the distinct row count; no ``GROUP
 BY``; empty input; ``HAVING``; input expressions that raise on some
 rows (``TypeError``, ``ZeroDivisionError``, ``ValueError``), compiled
-and interpreted; and the output of one operator fed to the next.  NaN
+and interpreted; and the output of one operator fed to the next.  A
+second property lowers the member threshold so that every point
+contribution of ``SUM`` / ``COUNT`` folds by column — members and
+foreign contributors, both signs, in boxes spanned by an uncertain key —
+and holds that path to ``aggregate`` the same way.  NaN
 cannot be stored in a ``RangeValue`` (pinned in
 ``test_exec_compressed_join.py``), so no generator draws NaN cells.
 """
 
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
 from repro.algebra.ast import Aggregate, Join, TableRef
@@ -57,8 +62,14 @@ from repro.core.expressions import (
 )
 from repro.core.ranges import NEG_INF, POS_INF, RangeValue, certain, domain_key
 from repro.core.relation import AUDatabase, AURelation
+from repro.exec import au_aggregate
 from repro.exec import physical as phys
-from repro.exec.au_aggregate import aggregate_batch, fold_partial_groups
+from repro.exec.au_aggregate import (
+    aggregate_batch,
+    finalize_groups,
+    fold_partial_groups,
+    merge_partial_groups,
+)
 from repro.exec.batch import (
     AUColumnBatch,
     MaterializationBudgetError,
@@ -310,6 +321,69 @@ class TestEqualsAggregate:
 
 
 # ----------------------------------------------------------------------
+# point contributions folded by column
+# ----------------------------------------------------------------------
+#: three groups, and one key uncertain over all of them: its group's box
+#: spans the others, whose rows become its foreign contributors
+COLUMN_KEYS = st.sampled_from(
+    [certain(0), certain(1), certain(2)] * 3 + [RangeValue(0, 1, 2)]
+)
+#: points of both signs, signed zeros, infinities, a transient overflow,
+#: 1 / 1.0 / True — and the cells that must not fold: certain by value
+#: but not by identity, and a range
+COLUMN_VALUES = st.one_of(
+    st.sampled_from(
+        [0, 1, 1.0, True, -1, -2.5, 3.5, 0.0, -0.0, math.inf, -math.inf,
+         1e308, -1e308, 1.5e308]
+    ).map(certain),
+    st.sampled_from([RangeValue(1, 1.0, True), RangeValue(-1, 0.5, 2)]),
+)
+#: point annotations of weight 1-3, and possibly absent or uncertain ones
+COLUMN_ANNOTATIONS = st.one_of(
+    st.integers(1, 3).map(lambda k: (k, k, k)),
+    st.integers(1, 3).map(lambda k: (k, k, k)),
+    st.sampled_from([(0, 1, 1), (1, 1, 2), (0, 0, 2)]),
+)
+COLUMN_ROWS = st.lists(
+    st.tuples(st.tuples(COLUMN_KEYS, COLUMN_VALUES), COLUMN_ANNOTATIONS),
+    max_size=12,
+)
+COLUMN_SPECS = [
+    agg_sum("v", "s"),
+    agg_count("n"),
+    agg_sum(Neg(Var("v")), "neg"),
+    agg_min("v", "lo"),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=COLUMN_ROWS, buckets=st.sampled_from([None, 1, 64]))
+# a negative member of an uncertain box enters lo and sg, not hi
+@example(rows=[((1, -2.5), (1, 1, 1)), ((RangeValue(0, 1, 2), 3.5), (1, 1, 1))],
+         buckets=None)
+# [1/1.0/True] is certain by value, not a point: it takes the step
+@example(rows=[((0, RangeValue(1, 1.0, True)), (1, 1, 1))], buckets=None)
+# a negative foreign point contributor enters the box's lo
+@example(rows=[((RangeValue(0, 1, 2), 1.0), (1, 1, 1)), ((0, -2.5), (2, 2, 2))],
+         buckets=None)
+def test_point_columns_fold_like_aggregate(rows, buckets):
+    # every group folds its point rows by column (the member threshold
+    # lowered to one row), the rest steps: aggregate's rows, order,
+    # annotations and cell reprs
+    batch = batch_of(("g", "v"), rows)
+    expected = outcome(
+        lambda: aggregate(
+            batch.to_relation(), ["g"], COLUMN_SPECS, compress_buckets=buckets
+        )
+    )
+    with mock.patch.object(au_aggregate, "_COLUMN_MIN_ROWS", 1):
+        got = outcome(
+            lambda: aggregate_batch(batch, ["g"], COLUMN_SPECS, buckets).to_relation()
+        )
+    assert_same(got, expected)
+
+
+# ----------------------------------------------------------------------
 # pinned cases
 # ----------------------------------------------------------------------
 def batch_of(schema, rows):
@@ -427,6 +501,24 @@ def test_the_partial_fold_is_the_member_fold_and_refuses_uncertain_keys():
     same_as_reference(uncertain, ["g"], specs_)
 
 
+def test_the_partial_fold_folds_wide_groups_by_column():
+    # per morsel, groups of ≥ 64 point members fold by column (the rows
+    # annotated (1, 1, 2) still step); merged in partition order, the
+    # serial result to the bit
+    rows = [
+        ((i % 3, float(i) - 300.5), (1, 1, 2) if i % 7 == 0 else (2, 2, 2))
+        for i in range(600)
+    ]
+    specs_ = [agg_sum("v", "s"), agg_count("n")]
+    merged: dict = {}
+    for part in (rows[:300], rows[300:]):
+        partial = fold_partial_groups(batch_of(("g", "v"), part), ["g"], specs_)
+        merge_partial_groups(merged, partial, specs_)
+    got = finalize_groups(merged, ["g"], specs_).to_relation()
+    expected = aggregate(batch_of(("g", "v"), rows).to_relation(), ["g"], specs_)
+    assert image(got) == image(expected)
+
+
 # ----------------------------------------------------------------------
 # in the executor
 # ----------------------------------------------------------------------
@@ -507,14 +599,50 @@ def test_span_attributes_counter_and_explain_analyze():
     assert attrs["inputs"] == "compiled" and "kernel_reason" not in attrs
     assert attrs["groups"] == len(conn.execute(_plan()))
     assert attrs["dedup_rows"] >= 0
-    assert 0 < attrs["foreign_states"] <= 4 < attrs["uncertain_key_rows"]
+    # counted per (contributor, aggregate): no group has the members to
+    # fold by column, and each of the two aggregates folds at most 4
+    # bucket boxes once and merges them
+    assert attrs["column_rows"] == 0
+    assert 0 < attrs["foreign_states"] <= 2 * 4 and attrs["uncertain_key_rows"] > 4
     assert attrs["state_merges"] >= attrs["foreign_states"]
     line = conn.explain_analyze(_plan()).splitlines()[1]
     assert line.startswith("HashAggregate γ[a; ") and " Cpr=4 " in line
-    for key in ("groups", "dedup_rows", "uncertain_key_rows", "foreign_states",
-                "state_merges"):
+    for key in ("groups", "dedup_rows", "uncertain_key_rows", "column_rows",
+                "foreign_states", "state_merges"):
         assert f", {key}={attrs[key]}" in line
     assert line.rstrip(")").endswith("inputs=compiled")
+
+
+def _view_db(per_group=70):
+    """Three groups of point rows, one of them with an uncertain key
+    spanning all three: every group box spans the others (the shape of
+    a ``GROUP BY`` over a status column with a few uncertain cells)."""
+    rel = AURelation(("g", "v"))
+    for i in range(3 * per_group):
+        key = RangeValue("F", "O", "P") if i == 5 else "FOP"[i % 3]
+        rel.add((key, float(i) - 50.0), (1, 1, 1))
+    return AUDatabase({"t": rel})
+
+
+@pytest.mark.parametrize("buckets", [None, 4])
+def test_point_contributions_fold_by_column(buckets):
+    # members and foreign point contributors fold by column: no foreign
+    # state, no merge without a budget; bucket boxes still fold once
+    plan = Aggregate(TableRef("t"), ["g"], [agg_count("n"), agg_sum("v", "s")])
+    config = EvalConfig(backend="vectorized", aggregation_buckets=buckets)
+    conn = Connection(_view_db(), config=config, trace=True)
+    got = conn.execute(plan)
+    (span,) = [s for s in conn.last_trace.spans() if s.name == "HashAggregate"]
+    attrs = span.attrs
+    assert attrs["uncertain_key_rows"] == 1 and attrs["column_rows"] == 2 * 210
+    if buckets is None:
+        assert attrs["foreign_states"] == attrs["state_merges"] == 0
+    else:  # one bucket box per aggregate, never a point, in all 3 groups
+        assert attrs["foreign_states"] == 2 and attrs["state_merges"] == 2 * 3
+    assert f", column_rows={attrs['column_rows']}, " in conn.explain_analyze(plan)
+    tuple_backend = EvalConfig(backend="tuple", aggregation_buckets=buckets)
+    expected = Connection(_view_db(), config=tuple_backend).execute(plan)
+    assert image(got) == image(expected)
 
 
 def test_interpreted_inputs_say_why():

@@ -301,7 +301,7 @@ class TestGoldenExplains:
             else ""
         )
         folded = (
-            ", groups=30, dedup_rows=0, uncertain_key_rows=8"
+            ", groups=30, dedup_rows=0, uncertain_key_rows=8, column_rows=0"
             ", foreign_states=8, state_merges=177, inputs=compiled"
             if backend == "vectorized"
             else ""
