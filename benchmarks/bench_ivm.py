@@ -17,14 +17,26 @@ bar)::
 or under pytest-benchmark::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ivm.py
+
+The standalone run also reports, without a gate, the AU views the
+maintained path serves least well: a ``GROUP BY status`` aggregate and
+a top-k over an orders-like AU table with 1 % uncertain keys — both
+re-run their non-linear tail on every dirty read — as the median
+dirty-read time and the chunk stores built per read (0 while the
+segments' stores are maintained by the writes).
 """
 
+import random
+import statistics
 import time
 
 import pytest
 
+from repro.core.ranges import between
+from repro.core.relation import AUDatabase, AURelation
 from repro.db.storage import DetDatabase, DetRelation
 from repro.session import Connection
+from repro.telemetry import get_registry
 
 N_FACT = 15_000
 N_DIM = 64
@@ -62,6 +74,63 @@ def write_stream(n_writes: int = N_WRITES):
             t = ((i * 7) % N_DIM, float((i * 13) % 97) + 0.5)
             ops.append(("add", t, 1))
     return ops
+
+
+N_ORDERS = 600
+AU_VIEWS = {
+    "group_by_status": (
+        "SELECT status, COUNT(*) AS n, SUM(price) AS total "
+        "FROM orders GROUP BY status"
+    ),
+    "topk": "SELECT okey, price FROM orders ORDER BY price DESC LIMIT 10",
+}
+
+
+def make_au_orders(n_orders: int = N_ORDERS, seed: int = 7) -> AUDatabase:
+    """orders(okey, status, price): 1 % of the statuses (the group key)
+    and 1 % of the prices (the order key) are ranges."""
+    rng = random.Random(seed)
+    orders = AURelation(("okey", "status", "price"))
+    for k in range(n_orders):
+        status = rng.choice("FOP")
+        price = round(rng.uniform(1000.0, 300000.0), 2)
+        if rng.random() < 0.01:
+            status = between("F", status, "P")
+        if rng.random() < 0.01:
+            price = between(price - 5000.0, price, price + 5000.0)
+        orders.add((k, status, price), (1, 1, 1))
+    return AUDatabase({"orders": orders})
+
+
+def run_au_view(sql: str, n_writes: int = N_WRITES):
+    """Write, then read the view, per op; returns the dirty-read
+    seconds, the chunk stores built during the reads, and whether the
+    last read equals a fresh execution."""
+    db = make_au_orders()
+    conn = Connection(db)
+    view = conn.subscribe(sql)
+    view.result()
+    builds = get_registry().counter("repro_storage_chunk_store_builds_total")
+    rng = random.Random(11)
+    live = []
+    reads = []
+    built = 0
+    for i in range(n_writes):
+        if i % 3 == 2:
+            db["orders"].delete(live.pop(), (1, 1, 1))
+        else:
+            row = (N_ORDERS + i, rng.choice("FOP"), round(rng.uniform(1000.0, 300000.0), 2))
+            db["orders"].add(row, (1, 1, 1))
+            live.append(row)
+        before = builds.value
+        start = time.perf_counter()
+        got = view.result()
+        reads.append(time.perf_counter() - start)
+        built += builds.value - before
+    fresh = Connection(db).execute(sql)
+    same = list(got.tuples()) == list(fresh.tuples())
+    view.close()
+    return reads, built, same
 
 
 def run_maintained(db: DetDatabase, ops, clock=None) -> list:
@@ -146,6 +215,22 @@ def main() -> int:
     print(f"speedup              : {speedup:8.1f}x  (gate: >={GATE:.0f}x)")
     if speedup < GATE:
         failures.append(f"speedup {speedup:.1f}x below the {GATE:.0f}x bar")
+
+    au_views = {}
+    print(f"AU views over orders({N_ORDERS} rows, 1 % uncertain keys), dirty read per write:")
+    for name, sql in AU_VIEWS.items():
+        run_au_view(sql, 4)  # warm-up
+        reads, built, same = run_au_view(sql)
+        au_views[name] = {
+            "dirty_read_ms": round(statistics.median(reads) * 1e3, 4),
+            "store_builds_per_read": round(built / len(reads), 4),
+        }
+        print(
+            f"  {name:16s}: {statistics.median(reads) * 1e3:8.3f} ms/read, "
+            f"{built / len(reads):.2f} chunk-store builds/read"
+        )
+        if not same:
+            failures.append(f"AU view {name}: maintained result differs from fresh")
     for f in failures:
         print(f"FAIL: {f}")
 
@@ -164,6 +249,7 @@ def main() -> int:
             "maintained_ms_per_write": round(t_m / N_WRITES * 1e3, 4),
             "reexecute_ms_per_write": round(t_r / N_WRITES * 1e3, 4),
             "speedup": round(speedup, 2),
+            "au_views": au_views,
             "failures": failures,
         },
     )

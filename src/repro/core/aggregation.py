@@ -774,16 +774,26 @@ def _au_sum_step(
     if k0 == k2 and k2 and m.lb is value:
         # a point annotation times a point value (what :func:`_sum_parts`
         # returns for both bounds): one non-zero product, entering the
-        # slots :func:`point_slots` gives it
+        # slots :func:`point_slots` gives it — its sign test inlined
+        if certainly_in_group:
+            low = high = True
+        else:
+            vt = type(value)
+            if vt is float or vt is int:
+                low, high = value <= 0, value >= 0
+            else:
+                low, high = _dom_le(value, 0), _dom_le(0, value)
         if in_sg_group and k1 == k2 and m.sg is value:
             # ... which is also the SG part (a row certainly in the
             # group enters all three: the state itself, no slice)
             if not certainly_in_group:
-                state = state[point_slots(value, False, True)]
+                state = state[_POINT_SLOTS[True][low][high]]
             add_product_each(state, value, k2)
             return
-        for acc in state[point_slots(value, certainly_in_group, False)]:
-            add_product(acc, value, k2)
+        if low:
+            add_product(state[0], value, k2)
+        if high:
+            add_product(state[2], value, k2)
     else:
         _fold_sum_row(state[0], state[2], ann, m, certainly_in_group)
     if in_sg_group:

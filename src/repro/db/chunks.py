@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from itertools import count, repeat
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
@@ -110,6 +111,10 @@ _CHUNKS_SCANNED = _tm.get_registry().counter(
 _CHUNKS_SKIPPED = _tm.get_registry().counter(
     "repro_storage_chunks_skipped_total",
     "Storage chunks proven empty by zone maps and never read.",
+)
+_STORE_BUILDS = _tm.get_registry().counter(
+    "repro_storage_chunk_store_builds_total",
+    "Chunk stores built from a relation's rows (not maintained by writes).",
 )
 
 
@@ -526,6 +531,13 @@ def _concat_cols(parts: Sequence) -> Any:
 # ---------------------------------------------------------------------------
 
 
+def _relocate(row_loc: Dict, columns: Sequence, ci: int, start: int) -> None:
+    """Point the row locator at rows ``start..`` of chunk ``ci`` (after
+    a delete shifted them down by one)."""
+    tail = zip(*[col[start:] for col in columns])
+    row_loc.update(zip(tail, zip(repeat(ci), count(start))))
+
+
 class DetChunk:
     __slots__ = ("batch", "zone")
 
@@ -740,10 +752,7 @@ class DetChunkStore(_BaseStore):
         return True
 
     def _reindex_tail(self, ci: int, start: int) -> None:
-        cols = self.chunks[ci].batch.columns
-        n = len(self.chunks[ci])
-        for i in range(start, n):
-            self._row_loc[tuple(col[i] for col in cols)] = (ci, i)
+        _relocate(self._row_loc, self.chunks[ci].batch.columns, ci, start)
 
     def _build_zone(self, ch: DetChunk) -> None:
         """The exact zone of a freshly packed chunk, column by column:
@@ -947,9 +956,7 @@ class AUChunkStore(_BaseStore):
         return True
 
     def _reindex_tail(self, ci: int, start: int) -> None:
-        ch = self.chunks[ci]
-        for i in range(start, len(ch)):
-            self._row_loc[tuple(col[i] for col in ch.rv_cols)] = (ci, i)
+        _relocate(self._row_loc, self.chunks[ci].rv_cols, ci, start)
 
     def _chunk_bytes(self, ch: AUChunk) -> int:
         total = sum(_col_bytes(col) for col in ch.rv_cols)
@@ -993,6 +1000,8 @@ def _store(cls, rel, chunk_size: Optional[int]):
     if isinstance(cached, cls) and cached.chunk_size == size:
         return cached
     store = cls.build(rel, size)
+    _STORE_BUILDS.inc()
+    _tm.annotate(store="built")
     try:
         rel._chunk_cache = store
     except AttributeError:

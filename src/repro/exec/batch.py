@@ -34,6 +34,7 @@ from __future__ import annotations
 from array import array
 from contextlib import contextmanager
 from itertools import repeat
+from operator import le
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.relation import AURelation
@@ -262,16 +263,42 @@ class AUColumnBatch:
         return cls.from_rows(rel.schema, rel.tuples())
 
     def to_relation(self) -> AURelation:
-        """Materialize back into a (merged) :class:`AURelation`."""
+        """Materialize back into a (merged) :class:`AURelation`.
+
+        The rows, order and annotations of one ``AURelation.add`` per
+        row — value-equal rows summed at their first occurrence, zero
+        annotations dropped, the same ``ValueError`` for an invalid
+        annotation or a wrong arity — built in one pass: the cells are
+        range values already, and each row is hashed once."""
+        lb, sg, ub = self.ann_lb, self.ann_sg, self.ann_ub
         out = AURelation(self.schema)
-        if self.columns:
-            for t, lb, sg, ub in zip(
-                zip(*self.columns), self.ann_lb, self.ann_sg, self.ann_ub
-            ):
-                out.add(t, (lb, sg, ub))
-        else:
-            for lb, sg, ub in zip(self.ann_lb, self.ann_sg, self.ann_ub):
-                out.add((), (lb, sg, ub))
+        if not len(ub):
+            return out
+        if min(lb) < 0 or not (all(map(le, lb, sg)) and all(map(le, sg, ub))):
+            bad = next(a for a in zip(lb, sg, ub) if not 0 <= a[0] <= a[1] <= a[2])
+            raise ValueError(
+                f"invalid K^AU annotation {bad!r}: need 0 <= lb <= sg <= ub"
+            )
+        if len(self.columns) != len(self.schema) and any(ub):
+            raise ValueError(
+                f"tuple arity {len(self.columns)} does not match schema {self.schema}"
+            )
+        tuples = list(zip(*self.columns)) if self.columns else [()] * len(ub)
+        anns = list(zip(lb, sg, ub))
+        if min(ub):
+            rows = dict(zip(tuples, anns))
+            if len(rows) == len(anns):  # no two rows value-equal
+                out._rows = rows
+                return out
+        rows = {}
+        setdefault = rows.setdefault
+        for t, ann in zip(tuples, anns):
+            if not ann[2]:
+                continue
+            cur = setdefault(t, ann)
+            if cur is not ann:
+                rows[t] = (cur[0] + ann[0], cur[1] + ann[1], cur[2] + ann[2])
+        out._rows = rows
         return out
 
     def merge_duplicates(self) -> Tuple["AUColumnBatch", int]:

@@ -893,8 +893,9 @@ def explain_physical(
     span attributes a trace collects
     (:attr:`repro.telemetry.QueryTrace.node_attrs`): scans that skipped
     chunks via zone maps show ``skipped S/T chunks by literal skip``
-    (``bound`` when a parameter binding filled the predicate),
-    vectorized operators
+    (``bound`` when a parameter binding filled the predicate), and
+    ``store=built`` when they built the table's chunk store instead of
+    reading the one its writes maintain; vectorized operators
     that filter show ``kernel=compiled`` or ``kernel=interpreted
     (reason)`` — a compiled det filter also how many of its comparisons
     ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
@@ -946,6 +947,8 @@ def explain_physical(
                     )
                     if "skip" in a:
                         line += f" by {a['skip']} skip"
+                if "store" in a:
+                    line += f", store={a['store']}"
                 if "groups" in a:
                     line += f", groups={a['groups']}"
                 if "state_merges" in a:

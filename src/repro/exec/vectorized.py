@@ -330,9 +330,9 @@ class _DetExec:
         budget the whole table would bust.  Only the columns the fused
         projection references are gathered.
         """
-        store = _chunks.det_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
+        store = _chunks.det_store(self.db[scan.table], scan.chunk_size)
         batches, total, skipped = store.iter_batches(scan.skip)
         scanned = sum(sum(b.mult) for b in batches)
         if span is not None:
@@ -960,9 +960,9 @@ class _AUExec:
         mirror of ``_DetExec._stream_select_project``); row-local
         selection commutes with chunk order, so the result is
         bit-identical to filtering the whole-table concatenation."""
-        store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
+        store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
         chunks, total, skipped = store.survivors(scan.skip)
         # base-table AU tuples are distinct by construction, so the
         # scan's distinct-tuple actual is just the surviving row count

@@ -140,13 +140,27 @@ class _ShadowDB:
         return rel if rel is not None else self._base[name]
 
 
+def _private(rel):
+    """A new relation holding ``rel``'s rows, in order: maintained
+    state never aliases a base table, and a returned result never
+    aliases maintained state."""
+    if isinstance(rel, DetRelation):
+        out = DetRelation(rel.schema)
+        out.rows = dict(rel.rows)
+    else:
+        out = AURelation(rel.schema)
+        out._rows = dict(rel._rows)
+    return out
+
+
 class MaterializedView:
     """A live, incrementally-maintained query result.
 
     Created by :meth:`repro.session.Connection.subscribe`; hold on to
     the object and call :meth:`result` whenever the current view
     contents are needed.  Returned relations are shared snapshots —
-    treat them as read-only.
+    treat them as read-only.  They never alias maintained state: a
+    result read before a write keeps its rows after it.
 
     ``writes_applied`` / ``full_refreshes`` / ``tail_refreshes`` are
     monotone observability counters: how many writes were folded
@@ -210,15 +224,16 @@ class MaterializedView:
         self._expected: Dict[str, int] = {}
         self._sinks: List[Tuple[Any, Any]] = []
         self._needs_full_refresh = False
-        # maintained state (one of, by kind)
-        self._rows: Optional[Dict] = None  # linear: view bag
-        self._agg_state: Optional[Dict] = None  # aggregate: group partials
-        self._seg_rows: List[Dict] = [{} for _ in range(n_segs)]
-        self._seg_schemas: List[Tuple[str, ...]] = [()] * n_segs
+        # maintained state (one of, by kind): a linear view's bag is its
+        # one segment; an aggregate view keeps group partials instead
+        self._agg_state: Optional[Dict] = None
+        #: one private relation per Δ-maintained segment, alive as long
+        #: as the view: deltas enter through its add/delete, so a chunk
+        #: store the tail's scan built is maintained per write too
+        self._segs: List[Any] = [None] * n_segs
         self._seg_dirty: List[bool] = [False] * n_segs
         self._tail_dirty = True
         self._tail_result = None
-        self._schema: Tuple[str, ...] = ()
         # read-side cache: rebuilt only when the catalog epoch moved
         self._result = None
         self._result_epoch: Optional[int] = None
@@ -318,7 +333,7 @@ class MaterializedView:
                 self._dplan.segment_pplans[i],
                 _ShadowDB(self._conn.db, {table: delta_rel}),
             )
-            self._merge(i, seg, out, sign)
+            self._merge(i, out, sign)
         if delta.tail is not None:
             self._tail_dirty = True
         self._result = None
@@ -333,9 +348,8 @@ class MaterializedView:
             rel._rows[t] = payload
         return rel
 
-    def _merge(self, i: int, seg, out, sign: int) -> None:
-        kind = self._delta.kind
-        if kind == "aggregate":
+    def _merge(self, i: int, out, sign: int) -> None:
+        if self._delta.kind == "aggregate":
             if self._agg_state is None:
                 raise DeltaFoldError("state_unavailable")
             agg = self._delta.aggregate
@@ -343,29 +357,14 @@ class MaterializedView:
                 self._agg_state, out, agg.group_by, agg.aggregates, sign
             )
             return
-        target = self._rows if kind == "linear" else self._seg_rows[i]
-        if self._engine == "det":
-            for t, m in out.tuples():
-                new = target.get(t, 0) + sign * m
-                if new < 0:
-                    raise DeltaFoldError("negative_weight", repr(t))
-                if new == 0:
-                    del target[t]
-                else:
-                    target[t] = new
-        else:
-            for t, ann in out.tuples():
-                cur = target.get(t, (0, 0, 0))
-                if sign > 0:
-                    new = tuple(c + a for c, a in zip(cur, ann))
-                else:
-                    new = tuple(c - a for c, a in zip(cur, ann))
-                    if new[0] < 0 or not new[0] <= new[1] <= new[2]:
-                        raise DeltaFoldError("negative_weight", repr(t))
-                if new == (0, 0, 0):
-                    del target[t]
-                else:
-                    target[t] = new
+        target = self._segs[i]
+        write = target.add if sign > 0 else target.delete
+        for t, payload in out.tuples():
+            try:
+                write(t, payload)
+            except ValueError:
+                # a negative multiplicity or an invalid K^AU remainder
+                raise DeltaFoldError("negative_weight", repr(t)) from None
 
     # -- read path -----------------------------------------------------
     def result(self):
@@ -417,37 +416,34 @@ class MaterializedView:
                 self._agg_state, agg.group_by, agg.aggregates, agg.having
             )
         if kind == "linear":
-            return self._from_rows(self._schema, self._rows)
+            return _private(self._segs[0])
         # refresh: rebuild dirty segments eagerly, then the gated tail
         for i, dirty in enumerate(self._seg_dirty):
             if dirty:
-                out = self._exec(self._dplan.segment_pplans[i], self._conn.db)
-                self._seg_rows[i] = dict(out.tuples())
-                self._seg_schemas[i] = tuple(out.schema)
+                self._segs[i] = _private(
+                    self._exec(self._dplan.segment_pplans[i], self._conn.db)
+                )
                 self._seg_dirty[i] = False
                 self._tail_dirty = True
                 _SEGMENT_REFRESHES.inc()
         if self._tail_dirty or self._tail_result is None:
             over = {
-                seg.name: self._from_rows(self._seg_schemas[i], self._seg_rows[i])
+                seg.name: self._segs[i]
                 for i, seg in enumerate(self._delta.segments)
             }
-            self._tail_result = self._exec(
+            out = self._exec(
                 self._dplan.tail_pplan, _ShadowDB(self._conn.db, over)
             )
+            if any(out is rel for rel in (*self._segs, *self._tracked.values())):
+                # the tuple interpreters may hand an input back (an AU
+                # top-k over an uncertain order key): a returned result
+                # must not change under later writes
+                out = _private(out)
+            self._tail_result = out
             self._tail_dirty = False
             self.tail_refreshes += 1
             _TAIL_REFRESHES.inc()
         return self._tail_result
-
-    def _from_rows(self, schema, rows: Dict):
-        if self._engine == "det":
-            rel = DetRelation(schema)
-            rel.rows.update(rows)
-        else:
-            rel = AURelation(schema)
-            rel._rows.update(rows)
-        return rel
 
     def _materialize(self) -> None:
         """From-scratch (re)build: re-resolve base relations, recompute
@@ -461,11 +457,7 @@ class MaterializedView:
             self._tracked[name] = rel
             self._expected[name] = rel.stats_epoch
         kind = self._delta.kind
-        if kind == "linear":
-            out = self._exec(self._dplan.segment_pplans[0], db)
-            self._schema = tuple(out.schema)
-            self._rows = dict(out.tuples())
-        elif kind == "aggregate":
+        if kind == "aggregate":
             child = self._exec(self._dplan.segment_pplans[0], db)
             agg = self._delta.aggregate
             state: Dict = {}
@@ -480,11 +472,13 @@ class MaterializedView:
                 _fold_fallback(exc)
             self._agg_state = state
         else:
-            for i, pplan in enumerate(self._dplan.segment_pplans):
-                out = self._exec(pplan, db)
-                self._seg_rows[i] = dict(out.tuples())
-                self._seg_schemas[i] = tuple(out.schema)
-                self._seg_dirty[i] = False
+            # from the rows, never the executor's object: a tuple-backend
+            # segment that is a bare Scan returns the base table itself
+            self._segs = [
+                _private(self._exec(pplan, db))
+                for pplan in self._dplan.segment_pplans
+            ]
+            self._seg_dirty = [False] * len(self._segs)
             self._tail_dirty = True
             self._tail_result = None
         self._needs_full_refresh = False

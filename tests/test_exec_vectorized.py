@@ -13,8 +13,11 @@ Covers what the differential fuzzer's random plans may under-sample:
 """
 
 import random
+from array import array
+from itertools import repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra.ast import (
     Aggregate,
@@ -106,6 +109,122 @@ class TestBatches:
         rel.add([5], (0, 1, 1))
         batch = AUColumnBatch.from_relation(rel)
         assert dict(batch.to_relation().tuples()) == dict(rel.tuples())
+
+
+# ----------------------------------------------------------------------
+# the AU result edge: AUColumnBatch.to_relation ≡ one add() per row
+# ----------------------------------------------------------------------
+def _add_loop(batch: AUColumnBatch) -> AURelation:
+    """The reference edge: one ``AURelation.add`` per batch row."""
+    rel = AURelation(batch.schema)
+    rows = zip(*batch.columns) if batch.columns else repeat((), len(batch))
+    for t, ann in zip(rows, zip(batch.ann_lb, batch.ann_sg, batch.ann_ub)):
+        rel.add(t, ann)
+    return rel
+
+
+def _assert_same_edge(batch: AUColumnBatch) -> None:
+    got, want = batch.to_relation(), _add_loop(batch)
+    assert got.schema == want.schema
+    # rows in order, the first occurrence's cell objects, and every
+    # cell's repr and bound triple (1, 1.0 and True are value-equal)
+    assert len(got) == len(want)
+    for (t, ann), (t_want, ann_want) in zip(got.tuples(), want.tuples()):
+        assert all(c is c_want for c, c_want in zip(t, t_want))
+        assert [repr((c.lb, c.sg, c.ub)) for c in t] == [
+            repr((c.lb, c.sg, c.ub)) for c in t_want
+        ]
+        assert repr(ann) == repr(ann_want) and type(ann) is tuple
+
+
+_EDGE_CELLS = st.sampled_from(
+    [
+        RangeValue(1, 1, 1),
+        RangeValue(1, 1.0, True),
+        RangeValue(1.0, 1.0, 1.0),
+        RangeValue(True, True, True),
+        RangeValue(0, 1, 2),
+        RangeValue(0.0, 1, 2),
+        RangeValue("a", "a", "a"),
+        RangeValue(None, None, None),
+        RangeValue(-0.0, -0.0, -0.0),
+    ]
+)
+_EDGE_ANNOTATIONS = st.sampled_from(
+    [(0, 0, 0), (1, 1, 1), (0, 1, 1), (0, 0, 2), (1, 2, 3), (2, 2, 2)]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n_cols=st.integers(min_value=0, max_value=3),
+    rows=st.lists(
+        st.tuples(st.lists(_EDGE_CELLS, min_size=3, max_size=3), _EDGE_ANNOTATIONS),
+        max_size=12,
+    ),
+    arrays=st.booleans(),
+)
+def test_au_result_edge_is_the_add_loop(n_cols, rows, arrays):
+    schema = tuple("abc"[:n_cols])
+    columns = [[cells[j] for cells, _ann in rows] for j in range(n_cols)]
+    anns = [[ann[i] for _cells, ann in rows] for i in range(3)]
+    if arrays:
+        anns = [array("q", a) for a in anns]
+    _assert_same_edge(AUColumnBatch(schema, columns, *anns))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        Selection(TableRef("r"), Gt(Var("b"), Const(3))),
+        Projection(TableRef("r"), [(Var("a") + Const(0), "x")]),
+        Join(TableRef("r"), TableRef("s"), Eq(Var("a"), Var("c"))),
+        Union(TableRef("r"), Rename(TableRef("s"), {"c": "a", "d": "b"})),
+        Difference(TableRef("r"), Selection(TableRef("r"), Gt(Var("b"), Const(3)))),
+        Distinct(Projection(TableRef("r"), [(Var("a"), "a")])),
+        Aggregate(TableRef("r"), ["a"], [agg_sum("b", "t"), agg_count("n")]),
+        Aggregate(TableRef("r"), [], [agg_min("b", "lo"), agg_avg("b", "av")]),
+        TopK(TableRef("r"), ("a",), True, 2),
+        Limit(TableRef("r"), 1),
+    ],
+    ids=lambda p: type(p).__name__,
+)
+@pytest.mark.parametrize("join_buckets", [None, 2])
+def test_au_result_edge_on_operator_batches(plan, join_buckets, au_db, monkeypatch):
+    edges = []
+    real = AUColumnBatch.to_relation
+
+    def recorded(batch):
+        edges.append(batch)
+        return real(batch)
+
+    monkeypatch.setattr(AUColumnBatch, "to_relation", recorded)
+    evaluate_audb(plan, au_db, EvalConfig(backend="vectorized", join_buckets=join_buckets))
+    monkeypatch.undo()
+    assert edges
+    for batch in edges:
+        _assert_same_edge(batch)
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 1), (0, 2, 1), (-1, 0, 0)])
+def test_au_result_edge_rejects_an_invalid_annotation(bad):
+    cell = RangeValue(1, 1, 1)
+    invalid = AUColumnBatch(("a",), [[cell, cell]], *zip((1, 1, 1), bad))
+    with pytest.raises(ValueError, match="invalid K") as edge:
+        invalid.to_relation()
+    with pytest.raises(ValueError) as loop:
+        _add_loop(invalid)
+    assert str(edge.value) == str(loop.value)
+
+
+def test_au_result_edge_checks_arity_like_add():
+    cell = RangeValue(1, 1, 1)
+    wrong_arity = AUColumnBatch(("a",), [[cell], [cell]], [1], [1], [1])
+    with pytest.raises(ValueError, match="arity 2"):
+        wrong_arity.to_relation()
+    # a zero row is dropped before add() looks at its arity
+    zero = AUColumnBatch(("a",), [[cell], [cell]], [0], [0], [0])
+    assert len(zero.to_relation()) == len(_add_loop(zero)) == 0
 
 
 # ----------------------------------------------------------------------

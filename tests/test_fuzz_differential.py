@@ -482,7 +482,9 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """Incremental-view-maintenance lane: ``subscribe`` to the plan and
     interleave random inserts/deletes/updates with reads, asserting the
     maintained result equals fresh re-execution after every write, for
-    both engines and both backends.  After ``unsubscribe`` a further
+    both engines and both backends.  Every result object read earlier
+    must still equal its snapshot after the later writes: a view never
+    hands out its maintained state.  After ``unsubscribe`` a further
     write must not be maintained and the registry entry must be freed.
 
     The subscribed connections run on a randomly chosen chunk size while
@@ -502,12 +504,18 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
         au_conn = Connection(au_db, config=config)
         det_view = det_conn.subscribe(plan)
         au_view = au_conn.subscribe(plan)
+        # (result object, its rows as read) per earlier read
+        reads = [(r, list(r.tuples())) for r in (det_view.result(), au_view.result())]
         for step in range(4):
             _random_write(wrng, det_db, au_db)
             where = (
                 f"[{backend} ivm/{det_view.kind} chunk={chunk_size} "
                 f"step {step}] {context}"
             )
+            for earlier, rows in reads:
+                assert list(earlier.tuples()) == rows, (
+                    f"ivm result changed after a later write {where}"
+                )
             got = det_view.result()
             want = legacy_det(plan, det_db)
             assert got.schema == want.schema, f"ivm det schema {where}"
@@ -518,6 +526,7 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
             assert dict(got_au.tuples()) == dict(want_au.tuples()), (
                 f"ivm AU annotations {where}"
             )
+            reads += [(r, list(r.tuples())) for r in (got, got_au)]
         for conn, view in ((det_conn, det_view), (au_conn, au_view)):
             conn.unsubscribe(view)
             assert view.closed and not conn.subscriptions, (

@@ -48,6 +48,7 @@ from repro.core.aggregation import (
     agg_sum,
 )
 from repro.core.expressions import Const, Gt, Leq, Var
+from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import _aggregate, evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
@@ -57,6 +58,7 @@ from repro.exec.vectorized import (
     fold_delta_groups,
 )
 from repro.session import Connection
+from repro.telemetry import get_registry
 
 SETTINGS = settings(
     max_examples=120,
@@ -314,6 +316,105 @@ def test_explain_delta_refresh_boundary_goldens(name):
     conn = Connection(db, verify=True)
     view = conn.subscribe(_NONLINEAR_PLANS[name])
     assert view.explain_delta() == GOLDEN_DELTA_PLANS[name]
+
+
+# ----------------------------------------------------------------------
+# maintained segments are private: snapshots and aliasing
+# ----------------------------------------------------------------------
+def _uncertain_v_db() -> AUDatabase:
+    """Six certain rows and one whose ``v`` is a range: an AU top-k over
+    ``v`` keeps every row (uncertain order key)."""
+    r = AURelation(("k", "v"))
+    for k in range(6):
+        r.add((k, between(k - 2, k, k + 2) if k == 3 else k * 10), (1, 1, 1))
+    return AUDatabase({"r": r})
+
+
+def _snapshot(rel) -> list:
+    return [(repr(t), ann) for t, ann in rel.tuples()]
+
+
+_TOPK_VIEWS = {
+    # a projection segment under the tail, and the tail reading r itself
+    "segment": "SELECT k, v FROM r ORDER BY v DESC LIMIT 2",
+    "base": "SELECT * FROM r ORDER BY v DESC LIMIT 2",
+}
+
+
+@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
+@pytest.mark.parametrize("shape", sorted(_TOPK_VIEWS))
+def test_refresh_view_results_are_snapshots(backend, shape):
+    db = _uncertain_v_db()
+    conn = Connection(db, verify=True, config=EvalConfig(backend=backend))
+    sql = _TOPK_VIEWS[shape]
+    view = conn.subscribe(sql)
+    assert view.kind == "refresh"
+    reads = []
+    writes = [
+        ("add", (7, 70), (1, 1, 1)),
+        ("delete", (0, 0), (1, 1, 1)),
+        ("add", (3, between(1, 3, 5)), (0, 1, 1)),
+        ("delete", (5, 50), (1, 1, 1)),
+    ]
+    for op, t, ann in writes:
+        result = view.result()
+        reads.append((result, _snapshot(result)))
+        getattr(db["r"], op)(t, ann)
+        for earlier, snap in reads:
+            assert _snapshot(earlier) == snap, (backend, shape, op, t)
+        fresh = Connection(db, config=EvalConfig(backend=backend)).execute(sql)
+        assert _snapshot(view.result()) == _snapshot(fresh)
+    assert view.writes_applied == len(writes) and view.full_refreshes == 0
+
+
+def test_bare_scan_segment_never_aliases_its_base_table():
+    # OrderBy is linear and lowers to nothing: the segment is `Scan r`,
+    # which the tuple interpreter answers with the base table itself
+    db = _small_det_db()
+    conn = Connection(db, verify=True, config=EvalConfig(backend="tuple"))
+    plan = Distinct(OrderBy(TableRef("r"), ("a",)))
+    view = conn.subscribe(plan)
+    assert "Δ-maintain segment __ivm_seg0:\n    Scan r " in view.explain_delta()
+    want = dict(db["r"].rows)
+    for op, t, m in [("add", (1, 9), 2), ("delete", (1, 2), 1), ("add", (4, 2), 1)]:
+        getattr(db["r"], op)(t, m)
+        want[t] = want.get(t, 0) + (m if op == "add" else -m)
+        want = {k: v for k, v in want.items() if v}
+        assert db["r"].rows == want  # changed by its own writes only
+        got = view.result()
+        assert _bits(got) == _bits(evaluate_det(plan, db, backend="tuple"))
+    assert view.writes_applied == 3 and view.full_refreshes == 0
+
+
+_STORE_BUILDS = get_registry().counter("repro_storage_chunk_store_builds_total")
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT status, COUNT(*) AS n, SUM(price) AS total FROM o GROUP BY status",
+        "SELECT k, price FROM o ORDER BY price DESC LIMIT 3",
+    ],
+)
+def test_dirty_au_view_reads_build_no_chunk_store(sql):
+    o = AURelation(("k", "status", "price"))
+    for k in range(60):
+        status = between("F", "O", "P") if k == 7 else "FOP"[k % 3]
+        price = between(k - 5.0, float(k), k + 5.0) if k == 11 else float(k)
+        o.add((k, status, price), (1, 1, 1))
+    db = AUDatabase({"o": o})
+    conn = Connection(db, verify=True)
+    view = conn.subscribe(sql)
+    assert view.kind == "refresh"
+    view.result()  # the first read may build the segment's store
+    for k in range(60, 66):
+        db["o"].add((k, "OFP"[k % 3], k * 1.5), (1, 1, 1))
+        db["o"].delete((k - 60, "FOP"[(k - 60) % 3], float(k - 60)), (1, 1, 1))
+        builds = _STORE_BUILDS.value
+        got = view.result()
+        assert _STORE_BUILDS.value == builds  # the writes maintained it
+        assert _snapshot(got) == _snapshot(Connection(db).execute(sql))
+    assert view.tail_refreshes == 7 and view.full_refreshes == 0
 
 
 def test_derive_delta_classification_and_trace():
