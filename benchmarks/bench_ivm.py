@@ -18,12 +18,15 @@ or under pytest-benchmark::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ivm.py
 
-The standalone run also reports, without a gate, the AU views the
-maintained path serves least well: a ``GROUP BY status`` aggregate and
-a top-k over an orders-like AU table with 1 % uncertain keys — both
-re-run their non-linear tail on every dirty read — as the median
-dirty-read time and the chunk stores built per read (0 while the
-segments' stores are maintained by the writes).
+The standalone run also measures two AU views over an orders-like AU
+table with 1 % uncertain keys: a ``GROUP BY status`` aggregate, which
+keeps its γ state and folds each certain-key write into it, and a top-k,
+which re-runs its non-linear tail on every dirty read.  Per view it
+reports the median dirty-read time, the median time of a read forced
+from scratch by ``view.refresh()`` on the same stream, and the chunk
+stores built and γ states rebuilt per dirty read (0 while the segments'
+stores and the aggregate's state are maintained by the writes).  The
+``GROUP BY status`` dirty read is gated at <= 0.25x its refresh read.
 """
 
 import random
@@ -42,6 +45,8 @@ N_FACT = 15_000
 N_DIM = 64
 N_WRITES = 100
 GATE = 10.0  # maintained view vs re-execution, whole stream
+#: the AU GROUP BY view's dirty read vs its read after view.refresh()
+GAMMA_GATE = 0.25
 
 SQL = (
     "SELECT d, SUM(b) AS total, COUNT(*) AS n "
@@ -102,10 +107,17 @@ def make_au_orders(n_orders: int = N_ORDERS, seed: int = 7) -> AUDatabase:
     return AUDatabase({"orders": orders})
 
 
+def _gamma_rebuilds() -> float:
+    series = get_registry().dump().get("repro_ivm_gamma_state_rebuilds_total")
+    return sum(s["value"] for s in series["series"]) if series else 0.0
+
+
 def run_au_view(sql: str, n_writes: int = N_WRITES):
-    """Write, then read the view, per op; returns the dirty-read
-    seconds, the chunk stores built during the reads, and whether the
-    last read equals a fresh execution."""
+    """Write, read the view, then read it again forced from scratch by
+    ``view.refresh()``, per op; returns the dirty-read seconds, the
+    refresh-read seconds, the chunk stores built and the γ states
+    rebuilt during the dirty reads, and whether the last read equals a
+    fresh execution."""
     db = make_au_orders()
     conn = Connection(db)
     view = conn.subscribe(sql)
@@ -114,7 +126,8 @@ def run_au_view(sql: str, n_writes: int = N_WRITES):
     rng = random.Random(11)
     live = []
     reads = []
-    built = 0
+    refreshes = []
+    built = rebuilt = 0
     for i in range(n_writes):
         if i % 3 == 2:
             db["orders"].delete(live.pop(), (1, 1, 1))
@@ -122,15 +135,19 @@ def run_au_view(sql: str, n_writes: int = N_WRITES):
             row = (N_ORDERS + i, rng.choice("FOP"), round(rng.uniform(1000.0, 300000.0), 2))
             db["orders"].add(row, (1, 1, 1))
             live.append(row)
-        before = builds.value
+        before = builds.value, _gamma_rebuilds()
         start = time.perf_counter()
         got = view.result()
         reads.append(time.perf_counter() - start)
-        built += builds.value - before
+        built += builds.value - before[0]
+        rebuilt += _gamma_rebuilds() - before[1]
+        start = time.perf_counter()
+        view.refresh()
+        refreshes.append(time.perf_counter() - start)
     fresh = Connection(db).execute(sql)
-    same = list(got.tuples()) == list(fresh.tuples())
+    same = [repr(t) for t in got.tuples()] == [repr(t) for t in fresh.tuples()]
     view.close()
-    return reads, built, same
+    return reads, refreshes, built, rebuilt, same
 
 
 def run_maintained(db: DetDatabase, ops, clock=None) -> list:
@@ -217,20 +234,33 @@ def main() -> int:
         failures.append(f"speedup {speedup:.1f}x below the {GATE:.0f}x bar")
 
     au_views = {}
-    print(f"AU views over orders({N_ORDERS} rows, 1 % uncertain keys), dirty read per write:")
+    print(f"AU views over orders({N_ORDERS} rows, 1 % uncertain keys), per write:")
     for name, sql in AU_VIEWS.items():
         run_au_view(sql, 4)  # warm-up
-        reads, built, same = run_au_view(sql)
+        reads, refreshes, built, rebuilt, same = run_au_view(sql)
+        dirty = statistics.median(reads)
+        refresh = statistics.median(refreshes)
         au_views[name] = {
-            "dirty_read_ms": round(statistics.median(reads) * 1e3, 4),
+            "dirty_read_ms": round(dirty * 1e3, 4),
+            "refresh_read_ms": round(refresh * 1e3, 4),
+            "dirty_vs_refresh": round(dirty / refresh, 4),
             "store_builds_per_read": round(built / len(reads), 4),
+            "gamma_rebuilds_per_read": round(rebuilt / len(reads), 4),
         }
         print(
-            f"  {name:16s}: {statistics.median(reads) * 1e3:8.3f} ms/read, "
-            f"{built / len(reads):.2f} chunk-store builds/read"
+            f"  {name:16s}: dirty read {dirty * 1e3:8.3f} ms, refresh read "
+            f"{refresh * 1e3:8.3f} ms ({dirty / refresh:.3f}x), "
+            f"{built / len(reads):.2f} chunk-store builds/read, "
+            f"{rebuilt / len(reads):.2f} γ-state rebuilds/read"
         )
         if not same:
             failures.append(f"AU view {name}: maintained result differs from fresh")
+    ratio = au_views["group_by_status"]["dirty_vs_refresh"]
+    if ratio > GAMMA_GATE:
+        failures.append(
+            f"AU GROUP BY dirty read {ratio:.3f}x its refresh read "
+            f"(gate: <={GAMMA_GATE}x)"
+        )
     for f in failures:
         print(f"FAIL: {f}")
 
@@ -249,6 +279,7 @@ def main() -> int:
             "maintained_ms_per_write": round(t_m / N_WRITES * 1e3, 4),
             "reexecute_ms_per_write": round(t_r / N_WRITES * 1e3, 4),
             "speedup": round(speedup, 2),
+            "gamma_gate": GAMMA_GATE,
             "au_views": au_views,
             "failures": failures,
         },

@@ -670,6 +670,12 @@ class _AggregateFunction:
     #: the exact :mod:`repro.core.sums` accumulator inside a det state
     #: (``None``: the state holds none)
     det_sum: Optional[Callable[[Any], list]] = None
+    #: the exact accumulators an AU state consists of, when it consists
+    #: of nothing else: its ``finalize`` is then a pure function of the
+    #: multiset of contributions, so one can be taken back out
+    #: (:func:`repro.core.sums.unmerge_acc`).  ``None``: the state keeps
+    #: order-dependent envelopes or extrema as well, and only grows
+    au_sums: Optional[Callable[[Any], Sequence[list]]] = None
 
 
 # -- det: SUM / COUNT / AVG (exact sums), MIN / MAX (domain-key pairs) --
@@ -941,6 +947,7 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
         au=_AU_SUM,
         result_type=_sum_type,
         det_sum=lambda state: state,
+        au_sums=lambda state: state,
     ),
     "count": _AggregateFunction(
         det=_Algebra(
@@ -954,6 +961,7 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
         au=_AU_SUM,  # SUM of the constant 1
         result_type=lambda inner: ("number", False),
         takes_input=False,
+        au_sums=lambda state: state,
     ),
     "min": _AggregateFunction(
         det=_det_extremum(_det_min_step),

@@ -58,6 +58,8 @@ __all__ = [
     "folds_in_c",
     "add_product_each",
     "merge_acc",
+    "unmerge_acc",
+    "count_float_addends",
     "finish",
     "exact_sum",
 ]
@@ -273,6 +275,39 @@ def merge_acc(acc: list, other: list) -> None:
         _compact(acc)
     acc[2] += other[2]
     acc[3] += other[3]
+
+
+def unmerge_acc(acc: list, other: list) -> None:
+    """Take accumulator ``other`` back out of ``acc``, exactly: the
+    inverse of :func:`merge_acc` for a finite ``other`` (its absorbing
+    ``inf``/``nan`` slot has no inverse, so the caller keeps it 0).  The
+    float part negates term by term, which is exact; whether ``acc``
+    still holds a float addend at all is :func:`count_float_addends`'s
+    business."""
+    acc[0] -= other[0]
+    terms = acc[1]
+    terms.extend([-x for x in other[1]])
+    if len(terms) > _COMPACT_AT:
+        _compact(acc)
+    acc[3] -= other[3]
+
+
+def count_float_addends(acc: list, counts: List[int], i: int, change: int) -> None:
+    """Move ``counts[i]`` — how many float addends (or how much float
+    multiplicity) the maintained accumulator ``acc`` holds — by
+    ``change``, and drop ``acc``'s float part when it returns to zero.
+
+    The float part decides whether :func:`finish` returns the exact
+    ``int`` or a ``float``, and cancellation cannot reconstruct it: a
+    float added and taken out again leaves terms summing to an exact
+    zero.  Once no float addend remains, the remaining multiset is
+    integer-only and a from-scratch fold would never have created those
+    terms, so they are dropped.  The one rule every delta fold of an
+    exact sum follows, det and AU alike."""
+    counts[i] += change
+    if not counts[i]:
+        acc[1] = []
+        acc[3] = 0
 
 
 def finish(acc: list) -> Any:

@@ -55,12 +55,16 @@ The same member fold is the per-morsel half of a parallel AU aggregate
 (:func:`fold_partial_groups`): every box a point, and a row with an
 uncertain group-by cell — which would contribute to foreign groups — is
 an :class:`~repro.core.aggregation.UncertainGroupError`.
+
+A view kept live by :mod:`repro.ivm` keeps the whole fold's state beside
+its input (:class:`GammaState`) and folds certain-key input changes
+into it, so that a read only finalizes.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry as _tm
 from ..core.aggregation import (
@@ -73,6 +77,7 @@ from ..core.aggregation import (
 )
 from ..core.expressions import Var
 from ..core.ranges import RangeValue, domain_key, overlap_index
+from ..core.sums import count_float_addends, unmerge_acc
 from .batch import AUColumnBatch, BatchRowView, charge_materialization
 from .compile import CompileError, compile_range_values
 
@@ -81,6 +86,7 @@ __all__ = [
     "fold_partial_groups",
     "merge_partial_groups",
     "finalize_groups",
+    "GammaState",
 ]
 
 #: the fewest members a group needs for its point contributions to fold
@@ -115,17 +121,29 @@ def aggregate_batch(
     """``γ_{group_by, aggregates}(batch)``; ``buckets`` is the Section
     10.5 compression budget for foreign contributors (``None``: every
     overlapping row contributes on its own)."""
+    fold = _fold_batch(batch, group_by, aggregates, buckets)[0]
+    out = finalize_groups(fold.groups, group_by, aggregates)
+    charge_materialization(len(out))
+    return out
+
+
+def _fold_batch(
+    batch: AUColumnBatch,
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    buckets: Optional[int],
+) -> Tuple[_Fold, AUColumnBatch]:
+    """:func:`_fold` over the merged rows of ``batch`` — one executed
+    aggregate, counted and annotated as such — and those rows."""
     if buckets is not None and buckets <= 0:
         raise ValueError("bucket count must be positive")
     group_idx = [_attr_index(batch.schema, a) for a in group_by]
     batch, merged = batch.merge_duplicates()
-    groups, attrs = _fold(batch, group_idx, aggregates, buckets, strict=False)
-    _EXECUTIONS[attrs["inputs"]].inc()
+    fold = _fold(batch, group_idx, aggregates, buckets, strict=False)
+    _EXECUTIONS[fold.attrs["inputs"]].inc()
     if _tm._ACTIVE is not None:
-        _tm.annotate(groups=len(groups), dedup_rows=merged, **attrs)
-    out = finalize_groups(groups, group_by, aggregates)
-    charge_materialization(len(out))
-    return out
+        _tm.annotate(groups=len(fold.groups), dedup_rows=merged, **fold.attrs)
+    return fold, batch
 
 
 def fold_partial_groups(
@@ -138,7 +156,7 @@ def fold_partial_groups(
     :class:`UncertainGroupError` on a row whose group-by attributes are
     uncertain."""
     group_idx = [_attr_index(batch.schema, a) for a in group_by]
-    return _fold(batch, group_idx, aggregates, None, strict=True)[0]
+    return _fold(batch, group_idx, aggregates, None, strict=True).groups
 
 
 def merge_partial_groups(
@@ -196,6 +214,238 @@ def finalize_groups(
 
 
 # ----------------------------------------------------------------------
+# γ state kept beside its input (incremental view maintenance)
+# ----------------------------------------------------------------------
+class GammaState:
+    """The state of one AU aggregate kept beside its changing input.
+
+    :meth:`rebuild` runs :func:`aggregate_batch` over the whole input and
+    keeps what its fold returned — group boxes, ``K^AU`` annotation sums
+    and one registry state per aggregate — with what decides whether a
+    later change of one input row folds into it exactly.  :meth:`apply`
+    folds such a change, or returns why it cannot (the state is then
+    unusable until the next :meth:`rebuild`), and :meth:`result`
+    finalizes: the γ output batch :func:`aggregate_batch` returns over
+    the changed input, to the bit and in row order, provided the input
+    keeps its rows in place and appends new ones (a relation's order).
+
+    A change folds when the row's group-by cells are certain and its SG
+    group exists.  The old annotation's contribution is stepped into a
+    scratch state and taken out (:func:`repro.core.sums.unmerge_acc`),
+    the new one's stepped in and merged: into the group's state with the
+    flags the fold gives a member, and into the state of every group
+    with an uncertain box that the key overlaps, as a foreign
+    contributor (a certain key overlaps no certain box, and under a
+    bucket budget a certain-key row is a member only).  So a change
+    costs O(aggregates × (1 + uncertain-box groups)).  Every exact sum
+    counts its float addends (:func:`repro.core.sums.count_float_addends`)
+    so that it finishes as an ``int`` again when the last one leaves.
+    """
+
+    def __init__(
+        self,
+        schema: Sequence[str],
+        group_by: Sequence[str],
+        aggregates: Sequence[AggregateSpec],
+        buckets: Optional[int],
+    ) -> None:
+        self.group_by = tuple(group_by)
+        self.aggregates = tuple(aggregates)
+        self.buckets = buckets
+        self._group_idx = [_attr_index(schema, a) for a in group_by]
+        self._kernels = _input_kernels(schema, aggregates)[0]
+        self._algebras = [AGGREGATES[spec.kind].au for spec in aggregates]
+        self._sums = [AGGREGATES[spec.kind].au_sums for spec in aggregates]
+        #: every state a multiset of exact sums: a change may also take a
+        #: contribution out, or land before a bucket merge
+        self._order_free = None not in self._sums
+        self.groups: Groups = {}
+        #: group key -> [members, first member, first certain-key member
+        #: (or None), box certain, receives bucket merges]
+        self._info: Dict[Tuple, List[Any]] = {}
+        #: each input row -> itself: the stored cells of a value-equal row
+        self._rows: Dict[Tuple, Tuple] = {}
+        #: keys of the groups whose box is uncertain
+        self._uncertain: List[Tuple] = []
+        #: (group key, aggregate) -> float addends per exact sum
+        self._floats: Dict[Tuple[Tuple, int], List[int]] = {}
+        #: the last rebuild's fold until the first removal needs the
+        #: float counts it implies (:meth:`_settle_float_counts`)
+        self._pending: Optional[_Fold] = None
+
+    def rebuild(self, batch: AUColumnBatch) -> AUColumnBatch:
+        """Aggregate all of ``batch`` and keep the state; returns the γ
+        output batch."""
+        fold, batch = _fold_batch(batch, self.group_by, self.aggregates, self.buckets)
+        rows = list(zip(*batch.columns)) if batch.columns else [()] * len(batch)
+        keys = list(fold.groups)
+        info = {}
+        for key, group, certain_box in zip(keys, fold.members, fold.box_certain):
+            plain = next(
+                (rows[r] for r in group if not fold.key_uncertain[r]), None
+            )
+            info[key] = [len(group), rows[group[0]], plain, certain_box, False]
+        if self.buckets is not None:
+            for hit in fold.targets.values():
+                for g in hit:
+                    info[keys[g]][4] = True
+        self.groups = fold.groups
+        self._info = info
+        self._rows = dict(zip(rows, rows))
+        self._uncertain = [key for key in keys if not info[key][3]]
+        self._floats = {}
+        # the input columns may be a chunk store's own lists, which its
+        # later writes change in place
+        self._pending = fold._replace(inputs=[list(col) for col in fold.inputs])
+        return self.result()
+
+    def result(self) -> AUColumnBatch:
+        """The γ output batch of the state."""
+        out = finalize_groups(self.groups, self.group_by, self.aggregates)
+        charge_materialization(len(out))
+        return out
+
+    def apply(
+        self,
+        t: Tuple[RangeValue, ...],
+        old: Optional[Tuple[int, int, int]],
+        new: Optional[Tuple[int, int, int]],
+    ) -> Optional[str]:
+        """Fold input row ``t``'s annotation change from ``old`` to
+        ``new`` (``None``: absent) into the state.  Returns ``None``, or
+        why it cannot before it changed anything: the row's group-by
+        cells are uncertain (``uncertain_group_key``: boxes and buckets
+        would move), its group is new or the removal empties it
+        (``new_group``, ``group_emptied``), the removal takes the first
+        member or first certain-key member that fix group order and the
+        box (``first_member_deleted``), a state keeps order-dependent
+        envelopes (``order_sensitive_delta``: anything but a new row, or
+        a new row in a group bucket boxes merge into after it), a
+        contribution is not finite (``non_finite_addend``), or stepping
+        it raised (``fold_error``)."""
+        cells = [t[j] for j in self._group_idx]
+        for cell in cells:
+            if cell.lb is not cell.ub and not cell.is_certain:
+                return "uncertain_group_key"
+        key = tuple(cell.sg for cell in cells)
+        entry = self.groups.get(key)
+        if entry is None:
+            return "new_group"
+        info = self._info[key]
+        members, first, plain, certain_box, bucketed = info
+        if old is None:
+            row = t
+            if bucketed and not self._order_free:
+                return "order_sensitive_delta"
+        else:
+            if not self._order_free:
+                return "order_sensitive_delta"
+            row = self._rows[t]
+            if new is None:
+                if members == 1:
+                    return "group_emptied"
+                if row is first or row is plain:
+                    return "first_member_deleted"
+        # the states the row enters, with its Definition 26 flags there
+        entered = [(key, certain_box, True)]
+        if self.buckets is None:
+            for other in self._uncertain:
+                if other != key and all(
+                    cell.overlaps(box)
+                    for cell, box in zip(cells, self.groups[other][0])
+                ):
+                    entered.append((other, False, False))
+        columns = [[cell] for cell in row]
+        parts = []
+        try:
+            for a, (kernel, algebra, sums) in enumerate(
+                zip(self._kernels, self._algebras, self._sums)
+            ):
+                m = kernel(columns, 1)[0]
+                for target, certain, in_sg in entered:
+                    for ann, sign in ((old, -1), (new, 1)):
+                        if ann is None:
+                            continue
+                        part = algebra.init()
+                        algebra.step(part, ann, m, certain and ann[0] > 0, in_sg)
+                        # the absorbing slot holds 0.0 or an inf / nan
+                        if sums is not None and any(acc[2] for acc in sums(part)):
+                            return "non_finite_addend"
+                        parts.append((target, a, sign, part))
+        except (TypeError, ValueError, ArithmeticError):
+            return "fold_error"  # the re-run raises it to the reader
+        if old is not None:
+            self._settle_float_counts()
+        for target, a, sign, part in parts:
+            states = self.groups[target][2]
+            sums = self._sums[a]
+            if sign > 0:
+                states[a] = self._algebras[a].merge(states[a], part)
+            else:
+                for acc, p in zip(sums(states[a]), sums(part)):
+                    unmerge_acc(acc, p)
+            if sums is not None:
+                counts = self._float_counts(target, a)
+                for j, (acc, p) in enumerate(zip(sums(states[a]), sums(part))):
+                    if p[1]:
+                        count_float_addends(acc, counts, j, sign)
+        total = entry[1]
+        for ann, sign in ((old, -1), (new, 1)):
+            if ann is not None:
+                total[0] += sign * ann[0]
+                total[1] += sign * ann[1]
+                total[2] += sign * ann[2]
+        if old is None:
+            info[0] += 1
+            self._rows[t] = t
+            if plain is None:
+                info[2] = t
+        elif new is None:
+            info[0] -= 1
+            del self._rows[row]
+        return None
+
+    def _float_counts(self, key: Tuple, a: int) -> List[int]:
+        """Per exact sum of aggregate ``a`` in group ``key``: its float
+        addends — since the last rebuild until :meth:`_settle_float_counts`
+        adds the rebuild's own."""
+        counts = self._floats.get((key, a))
+        if counts is None:
+            counts = self._floats[key, a] = [0, 0, 0]
+        return counts
+
+    def _settle_float_counts(self) -> None:
+        """Add the float addends of the last rebuild's fold to the
+        counts, once, before the first removal needs them: each
+        contribution stepped into a scratch state, and counted in the
+        exact sums it left a float term in."""
+        fold = self._pending
+        if fold is None:
+            return
+        self._pending = None
+        keys = list(self.groups)
+        for a, (algebra, sums, col) in enumerate(
+            zip(self._algebras, self._sums, fold.inputs)
+        ):
+            if sums is None or not any(
+                float in (type(m.lb), type(m.sg), type(m.ub)) for m in col
+            ):
+                continue  # no float term can arise
+            init, step = algebra.init, algebra.step
+            rows = zip(fold.owner, fold.contributions, col, fold.certainly)
+            for r, (g, ann, m, sure) in enumerate(rows):
+                entered = [(g, sure, True)] if g >= 0 else []
+                entered += [(h, False, False) for h in fold.targets.get(r, ())]
+                for h, certain, in_sg in entered:
+                    part = init()
+                    step(part, ann, m, certain, in_sg)
+                    counts = self._float_counts(keys[h], a)
+                    for j, acc in enumerate(sums(part)):
+                        if acc[1]:
+                            counts[j] += 1
+
+
+# ----------------------------------------------------------------------
 # the fold
 # ----------------------------------------------------------------------
 def _attr_index(schema: Sequence[str], name: str) -> int:
@@ -205,16 +455,39 @@ def _attr_index(schema: Sequence[str], name: str) -> int:
         raise KeyError(f"attribute {name!r} not in schema {schema}") from None
 
 
+class _Fold(NamedTuple):
+    """What :func:`_fold` computed.  A *contributor* is a batch row or,
+    numbered after them, a Section 10.5 bucket box."""
+
+    groups: Groups
+    #: what the fold did (the operator span's attributes)
+    attrs: Dict[str, Any]
+    #: per group number (the order of ``groups``), its rows in order
+    members: List[List[int]]
+    #: per row: a group-by cell is uncertain
+    key_uncertain: List[bool]
+    #: per group number: no member has an uncertain group-by cell
+    box_certain: List[bool]
+    #: per contributor: its group number (-1: a bucket box), annotation
+    #: and Definition 26 ``certainly_in_group`` flag as a member
+    owner: List[int]
+    contributions: List[Tuple[int, int, int]]
+    certainly: List[bool]
+    #: per aggregate, per contributor: the aggregate's input range
+    inputs: List[Sequence[RangeValue]]
+    #: contributor -> the groups it enters as a foreign contributor
+    targets: Dict[int, List[int]]
+
+
 def _fold(
     batch: AUColumnBatch,
     group_idx: Sequence[int],
     aggregates: Sequence[AggregateSpec],
     buckets: Optional[int],
     strict: bool,
-) -> Tuple[Groups, Dict[str, Any]]:
-    """The group state of ``batch`` and what the fold did (the operator
-    span's attributes).  ``strict``: a row with an uncertain group-by
-    cell is an :class:`UncertainGroupError`."""
+) -> _Fold:
+    """The group state of ``batch``.  ``strict``: a row with an
+    uncertain group-by cell is an :class:`UncertainGroupError`."""
     n = len(batch)
     columns = batch.columns
     key_cols = [columns[j] for j in group_idx]
@@ -358,7 +631,10 @@ def _fold(
         key: [[box[g] for box in boxes], totals[g], [s[g] for s in states]]
         for g, key in enumerate(index_of)
     }
-    return groups, attrs
+    return _Fold(
+        groups, attrs, members, key_uncertain, box_certain, owner,
+        contributions, certainly, inputs, targets,
+    )
 
 
 def _fold_points(
@@ -505,29 +781,52 @@ def _aggregate_inputs(
     """Per aggregate the input range of every batch row followed by the
     ``extra`` bucket rows of ``extra_cols``, and whether every
     expression ran compiled (else why not)."""
+    kernels, attrs = _input_kernels(batch.schema, aggregates)
     n = len(batch)
-    index = {name: j for j, name in enumerate(batch.schema)}
-    reason = None
     inputs: List[Sequence[RangeValue]] = []
+    for kernel in kernels:
+        values = kernel(batch.columns, n)
+        inputs.append([*values, *kernel(extra_cols, extra)] if extra else values)
+    return inputs, attrs
+
+
+def _input_kernels(
+    schema: Sequence[str], aggregates: Sequence[AggregateSpec]
+) -> Tuple[List[Callable[[Sequence, int], Sequence[RangeValue]]], Dict[str, Any]]:
+    """Per aggregate ``kernel(columns, n)``: its input range on each of
+    the ``n`` rows of ``columns`` — a plain attribute is its column,
+    ``COUNT`` the constant 1, an expression runs compiled or, where the
+    compiler rejects it, interpreted — and whether every expression
+    compiled (else why not)."""
+    index = {name: j for j, name in enumerate(schema)}
+    reason = None
+    kernels: List[Callable[[Sequence, int], Sequence[RangeValue]]] = []
     for spec in aggregates:
         expr = spec.expr
         if not AGGREGATES[spec.kind].takes_input:
-            inputs.append([_ONE] * (n + extra))
+            kernels.append(_ones)
         elif isinstance(expr, Var) and expr.name in index:
-            j = index[expr.name]
-            column = batch.columns[j]
-            inputs.append([*column, *extra_cols[j]] if extra else column)
+            kernels.append(_column(index[expr.name]))
         else:
             try:
-                evaluate: Callable = compile_range_values(expr, batch.schema)
+                kernels.append(compile_range_values(expr, schema))
             except CompileError as exc:
                 reason = str(exc)
-                evaluate = _interpreter(expr, index)
-            values = evaluate(batch.columns, n)
-            inputs.append(values + evaluate(extra_cols, extra) if extra else values)
+                kernels.append(_interpreter(expr, index))
     if reason is None:
-        return inputs, {"inputs": "compiled"}
-    return inputs, {"inputs": "interpreted", "kernel_reason": reason}
+        return kernels, {"inputs": "compiled"}
+    return kernels, {"inputs": "interpreted", "kernel_reason": reason}
+
+
+def _ones(_columns: Sequence, n: int) -> List[RangeValue]:
+    return [_ONE] * n
+
+
+def _column(j: int) -> Callable[[Sequence, int], Sequence[RangeValue]]:
+    def kernel(columns: Sequence, _n: int) -> Sequence[RangeValue]:
+        return columns[j]
+
+    return kernel
 
 
 def _interpreter(expr, index: Dict[str, int]) -> Callable:

@@ -103,6 +103,7 @@ __all__ = [
     "DeltaPhysical",
     "explain_physical",
     "explain_delta",
+    "gamma_segment",
     "HASH_JOIN_MIN_ROWS",
 ]
 
@@ -1065,6 +1066,23 @@ def lower_delta(
     return DeltaPhysical(delta, config, view_pplan, segment_pplans, tail_pplan)
 
 
+def gamma_segment(dplan: DeltaPhysical) -> Optional[int]:
+    """The segment an AU refresh view's tail aggregates, when the tail
+    is one :class:`HashAggregate` directly over that segment's
+    :class:`Scan` (with or without HAVING and a bucket budget): such a
+    view keeps the aggregate's γ state beside the segment and folds
+    certain-key segment deltas into it (:class:`repro.ivm.MaterializedView`,
+    :class:`repro.exec.au_aggregate.GammaState`).  ``None`` otherwise."""
+    tail = dplan.tail_pplan
+    if dplan.config.engine != "au" or not isinstance(tail, HashAggregate):
+        return None
+    scan = tail.child
+    if tail.partial or not isinstance(scan, Scan) or scan.skip is not None:
+        return None
+    names = [seg.name for seg in dplan.delta.segments]
+    return names.index(scan.table) if scan.table in names else None
+
+
 def explain_delta(dplan: DeltaPhysical) -> str:
     """Render a delta plan: maintained segments vs the refresh boundary.
 
@@ -1103,7 +1121,11 @@ def explain_delta(dplan: DeltaPhysical) -> str:
     else:
         for seg, pplan in zip(delta.segments, dplan.segment_pplans):
             block(f"Δ-maintain segment {seg.name}:", pplan)
-        block("refresh-boundary (re-executed per epoch):", dplan.tail_pplan)
+        if gamma_segment(dplan) is None:
+            title = "refresh-boundary (re-executed per epoch):"
+        else:
+            title = "refresh-boundary (γ state maintained; re-run when stale):"
+        block(title, dplan.tail_pplan)
     for seg in delta.segments:
         if seg.multi_ref:
             label = seg.name or "view"

@@ -72,7 +72,7 @@ from ..core import operators as ops
 from ..db import chunks as _chunks
 from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
-from ..core.sums import folds_in_c
+from ..core.sums import count_float_addends, folds_in_c
 from ..core.expressions import Expression, RowView, Var
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
@@ -688,13 +688,10 @@ def fold_delta_groups(
     ``accs`` holds one registry (``AGGREGATES``) det state per aggregate
     — what :meth:`_DetExec._aggregate` folds, stepped here with signed
     weights — and ``float_mults`` tracks, per exact-sum aggregate, the
-    remaining multiplicity of float-typed addends — the bit that decides
-    whether ``finish`` returns the exact ``int`` or the correctly
-    rounded ``float``, which pure cancellation could not reconstruct:
-    when it returns to zero the remaining multiset is integer-only, the
-    float part of the accumulator is an exact zero and is dropped, as a
-    from-scratch fold would never have created it.  ``sign`` is +1 for
-    inserted delta rows and -1 for deleted ones.
+    remaining multiplicity of float-typed addends
+    (:func:`repro.core.sums.count_float_addends`: when it returns to
+    zero the accumulator finishes as an exact ``int`` again).  ``sign``
+    is +1 for inserted delta rows and -1 for deleted ones.
     """
     index = _index_of(delta.schema)
     fns = [AGGREGATES[spec.kind] for spec in aggregates]
@@ -740,10 +737,7 @@ def fold_delta_groups(
                 raise DeltaFoldError("non_finite_addend", repr(v))
             accs[a] = fn.det.step(accs[a], v, w)
             if float_addend:
-                float_mults[a] += w
-                if not float_mults[a]:
-                    acc = fn.det_sum(accs[a])
-                    acc[1], acc[3] = [], 0
+                count_float_addends(fn.det_sum(accs[a]), float_mults, a, w)
 
 
 def finalize_delta_groups(

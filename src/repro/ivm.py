@@ -26,7 +26,13 @@ form once (:func:`repro.exec.physical.lower_delta`):
   linear subtrees into incrementally-maintained *segments* and re-runs
   only the remaining *tail* — the refresh boundary chosen at plan
   time — **epoch-gated at read time**: writes mark the tail dirty and
-  the re-execution is deferred (and batched) until the next read.
+  the re-execution is deferred (and batched) until the next read;
+* an AU tail that is one ``HashAggregate`` over one segment keeps the
+  aggregate's **γ state** beside the segment
+  (:class:`~repro.exec.au_aggregate.GammaState`): a segment delta with
+  a certain group key in an existing group folds into it, so a dirty
+  read only finalizes; any other delta marks the state stale and the
+  next read re-runs the tail, rebuilding the state from its fold.
 
 Maintenance is *exact*, never approximate: any delta the fold cannot
 invert bit-identically (a deleted min/max extremum, non-finite float
@@ -51,9 +57,12 @@ from . import analysis
 from . import telemetry as _tm
 from .algebra.ast import Plan
 from .algebra.optimizer import DeltaPlan, derive_delta, optimize
+from .core import operators as ops
 from .core.relation import AURelation
+from .db import chunks as _chunks
 from .db.storage import DetRelation
 from .exec import physical as phys
+from .exec.au_aggregate import GammaState
 from .exec.vectorized import (
     DeltaFoldError,
     finalize_delta_groups,
@@ -93,6 +102,17 @@ _TAIL_REFRESHES = _REG.counter(
     "repro_ivm_tail_refreshes_total",
     "Epoch-gated non-linear tail re-executions.",
 )
+
+
+def _gamma_state_rebuilt(reason: str) -> None:
+    """Count one γ-state rebuild (a tail re-run), labelled with why the
+    kept state could not serve the read."""
+    _REG.counter(
+        "repro_ivm_gamma_state_rebuilds_total",
+        "Tail re-runs that rebuilt an AU aggregate view's γ state, by "
+        "reason.",
+        reason=reason,
+    ).inc()
 
 
 def _executor(engine: str, backend: str):
@@ -234,6 +254,12 @@ class MaterializedView:
         self._seg_dirty: List[bool] = [False] * n_segs
         self._tail_dirty = True
         self._tail_result = None
+        #: the segment whose γ state the view keeps (an AU tail that is
+        #: one HashAggregate over it), the state, and why it must be
+        #: rebuilt at the next read (``None``: it is current)
+        self._gamma_at = phys.gamma_segment(self._dplan)
+        self._gamma: Optional[GammaState] = None
+        self._gamma_stale: Optional[str] = "initial"
         # read-side cache: rebuilt only when the catalog epoch moved
         self._result = None
         self._result_epoch: Optional[int] = None
@@ -359,12 +385,21 @@ class MaterializedView:
             return
         target = self._segs[i]
         write = target.add if sign > 0 else target.delete
+        gamma = self._gamma
+        if i != self._gamma_at or self._gamma_stale is not None:
+            gamma = None
         for t, payload in out.tuples():
+            old = target._rows.get(t) if gamma is not None else None
             try:
                 write(t, payload)
             except ValueError:
                 # a negative multiplicity or an invalid K^AU remainder
                 raise DeltaFoldError("negative_weight", repr(t)) from None
+            if gamma is not None:
+                reason = gamma.apply(t, old, target._rows.get(t))
+                if reason is not None:
+                    self._gamma_stale = reason
+                    gamma = None
 
     # -- read path -----------------------------------------------------
     def result(self):
@@ -426,24 +461,61 @@ class MaterializedView:
                 self._seg_dirty[i] = False
                 self._tail_dirty = True
                 _SEGMENT_REFRESHES.inc()
+                if i == self._gamma_at:
+                    self._gamma_stale = "segment_rebuild"
+        if self._gamma_at is not None and self._gamma_stale is None:
+            if self._tail_dirty or self._tail_result is None:
+                # the kept γ state is current: finalize, no re-run
+                self._tail_result = self._gamma_result(self._gamma.result())
+                self._tail_dirty = False
+            return self._tail_result
         if self._tail_dirty or self._tail_result is None:
-            over = {
-                seg.name: self._segs[i]
-                for i, seg in enumerate(self._delta.segments)
-            }
-            out = self._exec(
-                self._dplan.tail_pplan, _ShadowDB(self._conn.db, over)
-            )
-            if any(out is rel for rel in (*self._segs, *self._tracked.values())):
-                # the tuple interpreters may hand an input back (an AU
-                # top-k over an uncertain order key): a returned result
-                # must not change under later writes
-                out = _private(out)
+            if self._gamma_at is None:
+                out = self.run_tail()
+            else:
+                out = self._gamma_rebuild()
             self._tail_result = out
             self._tail_dirty = False
             self.tail_refreshes += 1
             _TAIL_REFRESHES.inc()
         return self._tail_result
+
+    def run_tail(self):
+        """The non-linear tail re-executed over the view's current
+        segments: what a ``refresh`` view's read returns, computed from
+        scratch without touching maintained state."""
+        over = {
+            seg.name: self._segs[i] for i, seg in enumerate(self._delta.segments)
+        }
+        out = self._exec(self._dplan.tail_pplan, _ShadowDB(self._conn.db, over))
+        if any(out is rel for rel in (*self._segs, *self._tracked.values())):
+            # the tuple interpreters may hand an input back (an AU top-k
+            # over an uncertain order key): a returned result must not
+            # change under later writes
+            out = _private(out)
+        return out
+
+    def _gamma_rebuild(self):
+        """Re-run the tail's aggregate over its segment and keep its γ
+        state: the tail re-run of a view whose state went stale."""
+        tail = self._dplan.tail_pplan
+        seg = self._segs[self._gamma_at]
+        if self._gamma is None:
+            self._gamma = GammaState(
+                seg.schema, tail.group_by, tail.aggregates, tail.buckets
+            )
+        batch = _chunks.au_store(seg, tail.child.chunk_size).scan()[0]
+        out = _tm.run_op(tail, lambda _node: self._gamma.rebuild(batch), (), None, len)
+        _gamma_state_rebuilt(self._gamma_stale)
+        self._gamma_stale = None
+        return self._gamma_result(out)
+
+    def _gamma_result(self, batch):
+        """The view result of the γ output ``batch``: the result edge and
+        the tail's HAVING."""
+        out = batch.to_relation()
+        having = self._dplan.tail_pplan.having
+        return out if having is None else ops.selection(out, having)
 
     def _materialize(self) -> None:
         """From-scratch (re)build: re-resolve base relations, recompute
@@ -481,6 +553,7 @@ class MaterializedView:
             self._seg_dirty = [False] * len(self._segs)
             self._tail_dirty = True
             self._tail_result = None
+            self._gamma_stale = "initial"
         self._needs_full_refresh = False
         self._result = None
         self._result_epoch = None

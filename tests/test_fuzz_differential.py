@@ -478,11 +478,19 @@ def _random_write(wrng: random.Random, det_db, au_db) -> None:
         au_rel.add(values, (lb, sg, sg + wrng.randint(0, 1)))
 
 
+def _bits_in_order(rel) -> list:
+    """Rows in order, each cell and annotation by ``repr``."""
+    return [(repr(t), repr(ann)) for t, ann in rel.tuples()]
+
+
 def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """Incremental-view-maintenance lane: ``subscribe`` to the plan and
     interleave random inserts/deletes/updates with reads, asserting the
     maintained result equals fresh re-execution after every write, for
-    both engines and both backends.  Every result object read earlier
+    both engines and both backends.  An AU ``refresh`` view's read must
+    also equal its tail re-executed over its current segments in row
+    order and by ``repr`` — the comparison with fresh execution is by
+    value, which lets ``0`` vs ``0.0``, ``-0.0`` and row order through.  Every result object read earlier
     must still equal its snapshot after the later writes: a view never
     hands out its maintained state.  After ``unsubscribe`` a further
     write must not be maintained and the registry entry must be freed.
@@ -526,6 +534,12 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
             assert dict(got_au.tuples()) == dict(want_au.tuples()), (
                 f"ivm AU annotations {where}"
             )
+            if au_view.kind == "refresh":
+                # a maintained γ state or a cached tail result is the
+                # tail re-run over the current segments, to the bit
+                assert _bits_in_order(got_au) == _bits_in_order(
+                    au_view.run_tail()
+                ), f"ivm AU read vs tail re-run {where}"
             reads += [(r, list(r.tuples())) for r in (got, got_au)]
         for conn, view in ((det_conn, det_view), (au_conn, au_view)):
             conn.unsubscribe(view)

@@ -11,13 +11,19 @@ Hypothesis properties:
 * an AU union view maintained per write (``K^AU`` partials merged
   componentwise) equals fresh re-execution bit-for-bit under random
   valid add/delete interleavings;
+* every read of an AU ``GROUP BY`` view that keeps its γ state equals
+  its tail re-run over the current segment — rows in order, cell and
+  annotation ``repr`` — under insert / delete / value-equal-merge
+  streams with uncertain keys, ranges and ``0`` / ``0.0`` / ``-0.0`` /
+  ``True`` values, on both backends, with and without a bucket budget;
 * empty-delta writes are complete no-ops (no epoch advance, no
   maintenance work, cached result object preserved);
 * ``unsubscribe`` stops maintenance and frees the registry entry.
 
 Plus golden ``explain_delta`` snapshots locking where the refresh
 boundary lands for the non-linear operators (``Difference`` /
-``Distinct`` / ``TopK``), bit-identity of those views under writes, the
+``Distinct`` / ``TopK`` / an AU γ), one pinned case per reason a kept γ
+state goes stale, bit-identity of those views under writes, the
 delete-aware statistics regression (delete-heavy streams must advance
 the catalog epoch fast enough to re-trigger lowering), the incremental
 columnar append, and the session layer's read-only-epoch result memo.
@@ -538,3 +544,226 @@ def test_prepared_result_memo_is_per_binding():
     # the value's type is part of the key: 2 and 2.0 memoize separately
     assert prepared.execute([2.0]) is not a1
     assert conn.metrics.result_cache_hits == 2
+
+
+# ----------------------------------------------------------------------
+# AU GROUP BY views keep their γ state
+# ----------------------------------------------------------------------
+# A tail that is one AU HashAggregate over one segment keeps the fold's
+# state: a certain-key segment delta folds into it, any other delta makes
+# the next read re-run the tail.  Either way a read equals the tail
+# re-run over the view's current segment to the bit — rows, order, cell
+# and annotation repr.  Against a fresh execution the segment's storage
+# caveat applies (it keeps the first-written of value-equal rows, see
+# docs/ivm.md) and bucket boxes follow the segment's row order, so that
+# comparison is by value and without a bucket budget.
+_GAMMA_VIEWS = [
+    "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM r GROUP BY g",
+    "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM r GROUP BY g HAVING n >= 2",
+    "SELECT g, h, SUM(v) AS s, AVG(v) AS av, MIN(v) AS mn, MAX(v) AS mx "
+    "FROM r GROUP BY g, h",
+    "SELECT h, SUM(v * 2) AS s, MAX(v) AS mx FROM r GROUP BY h HAVING s > 0",
+    "SELECT COUNT(*) AS n, SUM(v) AS s FROM r WHERE v >= 0",
+]
+_GAMMA_VALUES = st.sampled_from(
+    [0, 0.0, -0.0, True, 1, 2.5, -1.5, between(-1, 0.5, 2), between(0, 0, 3.0)]
+)
+_GAMMA_KEYS = st.one_of(
+    st.sampled_from([0, 1, 2, 0.0, True]),
+    st.sampled_from([between(0, 1, 2), between(0, 0, 1)]),
+)
+_GAMMA_ANNS = st.sampled_from([(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 1, 2), (2, 2, 2)])
+
+
+def _gamma_row(draw):
+    return (
+        draw(st.integers(min_value=0, max_value=3)),
+        draw(_GAMMA_KEYS),
+        draw(st.sampled_from("ab")),
+        draw(_GAMMA_VALUES),
+    )
+
+
+def _gamma_write(draw, rel) -> None:
+    """An insert, or a full or partial delete of a stored row."""
+    rows = list(rel.tuples())
+    if rows and draw(st.booleans()):
+        t, (lb, sg, ub) = draw(st.sampled_from(rows))
+        dub = draw(st.integers(min_value=1, max_value=ub))
+        dsg = draw(st.integers(min_value=0, max_value=min(sg, dub)))
+        dlb = draw(st.integers(min_value=0, max_value=min(lb, dsg)))
+        if not (lb - dlb <= sg - dsg <= ub - dub):
+            dlb, dsg, dub = lb, sg, ub
+        rel.delete(t, (dlb, dsg, dub))
+    else:
+        rel.add(_gamma_row(draw), draw(_GAMMA_ANNS))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_au_gamma_view_equals_tail_rerun(data):
+    draw = data.draw
+    sql = draw(st.sampled_from(_GAMMA_VIEWS))
+    buckets = draw(st.sampled_from([None, 2]))
+    config = EvalConfig(
+        backend=draw(st.sampled_from(["tuple", "vectorized"])),
+        aggregation_buckets=buckets,
+        chunk_size=draw(st.sampled_from([1, 3, 64])),
+    )
+    r = AURelation(("k", "g", "h", "v"))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        r.add(_gamma_row(draw), draw(_GAMMA_ANNS))
+    db = AUDatabase({"r": r})
+    view = Connection(db, verify=True, config=config).subscribe(sql)
+    assert view.explain_delta().count("γ state maintained") == 1
+    fresh = Connection(db, config=config)
+    view.result()
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        _gamma_write(draw, r)
+        got = view.result()
+        assert got.schema == view.run_tail().schema
+        assert _snapshot(got) == _snapshot(view.run_tail())
+        if buckets is None:
+            assert dict(got.tuples()) == dict(fresh.execute(sql).tuples())
+    assert view.full_refreshes == 0
+
+
+_GAMMA_SQL = "SELECT status, COUNT(*) AS n, SUM(price) AS total FROM o GROUP BY status"
+_GAMMA_REBUILDS = "repro_ivm_gamma_state_rebuilds_total"
+_AU_AGGREGATES = [
+    get_registry().counter("repro_exec_au_aggregate_total", inputs=inputs)
+    for inputs in ("compiled", "interpreted")
+]
+
+
+def _orders_db(n: int = 12) -> AUDatabase:
+    """Three certain-key groups F / O / P, the O group's box widened by
+    one uncertain-key row (k = 4)."""
+    o = AURelation(("k", "status", "price"))
+    for k in range(n):
+        status = between("F", "O", "P") if k == 4 else "FOP"[k % 3]
+        o.add((k, status, float(k) + 0.5), (1, 1, 1))
+    return AUDatabase({"o": o})
+
+
+def _rebuilds(reason: str) -> float:
+    return get_registry().counter(_GAMMA_REBUILDS, reason=reason).value
+
+
+@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
+def test_certain_key_write_folds_without_running_an_aggregate(backend):
+    db = _orders_db()
+    view = Connection(db, config=EvalConfig(backend=backend)).subscribe(_GAMMA_SQL)
+    view.result()
+    refreshes = view.tail_refreshes
+    writes = [
+        ("add", (20, "F", 7.25), (1, 1, 1)),  # a member, foreign to O's box
+        ("add", (21, "O", 3), (0, 1, 1)),  # a member of the uncertain box
+        ("add", (20, "F", 7.25), (1, 1, 1)),  # a value-equal merge
+        ("delete", (20, "F", 7.25), (2, 2, 2)),
+        ("delete", (7, "O", 7.5), (1, 1, 1)),
+    ]
+    for op, t, ann in writes:
+        runs = [c.value for c in _AU_AGGREGATES]
+        getattr(db["o"], op)(t, ann)
+        got = view.result()
+        assert [c.value for c in _AU_AGGREGATES] == runs
+        assert view.tail_refreshes == refreshes
+        assert _snapshot(got) == _snapshot(view.run_tail())
+    assert view.writes_applied == len(writes)
+
+
+_STALE_CASES = {
+    # reason: (view, write) — each after a read of the view
+    "uncertain_group_key": (_GAMMA_SQL, ("add", (30, between("F", "F", "O"), 1.0))),
+    "new_group": (_GAMMA_SQL, ("add", (30, "Q", 1.0))),
+    "group_emptied": (
+        "SELECT status, SUM(price) AS total FROM o WHERE k <> 2 GROUP BY status",
+        ("delete", (9, "F", 9.5)),
+    ),
+    "first_member_deleted": (_GAMMA_SQL, ("delete", (1, "O", 1.5))),
+    "order_sensitive_delta": (
+        "SELECT status, MAX(price) AS top FROM o GROUP BY status",
+        ("delete", (7, "O", 7.5)),
+    ),
+    "non_finite_addend": (_GAMMA_SQL, ("add", (30, "P", float("inf")))),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_STALE_CASES))
+def test_gamma_state_stale_reasons(reason):
+    sql, (op, t) = _STALE_CASES[reason]
+    db = _orders_db()
+    if reason == "group_emptied":  # F keeps one member, k = 9
+        for k in (0, 3, 6):
+            db["o"].delete((k, "F", float(k) + 0.5), (1, 1, 1))
+    view = Connection(db, verify=True).subscribe(sql)
+    view.result()
+    refreshes = view.tail_refreshes
+    before = _rebuilds(reason)
+    getattr(db["o"], op)(t, (1, 1, 1))
+    got = view.result()
+    assert _rebuilds(reason) == before + 1
+    assert view.tail_refreshes == refreshes + 1
+    assert _snapshot(got) == _snapshot(view.run_tail())
+    # rebuilt: the next certain-key write folds again
+    db["o"].add((40, "P", 2.0), (1, 1, 1))
+    assert _snapshot(view.result()) == _snapshot(view.run_tail())
+    assert view.tail_refreshes == refreshes + 1
+
+
+def test_gamma_state_initial_build_and_explain_golden():
+    db = _orders_db()
+    before = _rebuilds("initial")
+    view = Connection(db, verify=True).subscribe(_GAMMA_SQL)
+    assert _rebuilds("initial") == before  # built on the first read
+    view.result()
+    view.refresh()
+    assert _rebuilds("initial") == before + 2
+    assert view.explain_delta() == """\
+DeltaPlan[kind=refresh]
+  Δ-maintain segment __ivm_seg0:
+    FusedSelectProject π[status, price]  (~12 rows)
+      Scan o  (~12 rows)
+  refresh-boundary (γ state maintained; re-run when stale):
+    HashAggregate γ[status; count(None)→n, sum(price)→total]  (~3 rows)
+      Scan __ivm_seg0  (~12 rows)"""
+
+
+def test_gamma_state_rebuilt_after_segment_rebuild():
+    from repro.algebra.ast import Aggregate, Join, Rename
+    from repro.core.expressions import Eq
+
+    r = AURelation(("a", "g", "v"))
+    for k in range(6):
+        r.add((k, k % 2, float(k)), (1, 1, 1))
+    db = AUDatabase({"r": r})
+    plan = Aggregate(
+        Join(
+            TableRef("r"),
+            Rename(TableRef("r"), (("a", "a2"), ("g", "g2"), ("v", "v2"))),
+            Eq(Var("a"), Var("a2")),
+        ),
+        ("g",),
+        (agg_sum("v2", "s"),),
+    )
+    view = Connection(db, verify=True).subscribe(plan)
+    assert "refresh-on-write __ivm_seg0: r (self-joined)" in view.explain_delta()
+    view.result()
+    before = _rebuilds("segment_rebuild")
+    db["r"].add((7, 1, 2.5), (1, 1, 1))
+    assert _snapshot(view.result()) == _snapshot(view.run_tail())
+    assert _rebuilds("segment_rebuild") == before + 1
+
+
+def test_gamma_state_fold_error_is_raised_by_the_read():
+    db = _orders_db()
+    view = Connection(db, verify=True).subscribe(_GAMMA_SQL)
+    view.result()
+    before = _rebuilds("fold_error")
+    db["o"].add((30, "F", None), (1, 1, 1))  # the write itself succeeds
+    with pytest.raises(TypeError):
+        view.result()  # the re-run raises, as a fresh execution does
+    db["o"].delete((30, "F", None), (1, 1, 1))
+    assert _snapshot(view.result()) == _snapshot(view.run_tail())
+    assert _rebuilds("fold_error") == before + 1
