@@ -1265,11 +1265,10 @@ class DeltaSegment:
     """One incrementally-maintained linear subtree of a view plan.
 
     ``name`` is the synthetic table the non-linear tail reads it back
-    under (empty for the root segment of a fully linear or root-γ
-    view).  ``multi_ref`` lists base tables some join/cross inside the
-    segment multiplies with themselves — writes to those cannot be
-    expressed as a single-sided delta, so they refresh the whole
-    segment instead.
+    under (empty for the root segment of a fully linear view).
+    ``multi_ref`` lists base tables some join/cross inside the segment
+    multiplies with themselves — writes to those cannot be expressed as
+    a single-sided delta, so they refresh the whole segment instead.
     """
 
     name: str
@@ -1286,20 +1285,19 @@ class DeltaPlan:
 
     * ``"linear"`` — the whole plan is linear: maintain the result bag
       directly by merging ``Q[R := Δ]`` per write;
-    * ``"aggregate"`` — a bag ``Aggregate`` over a linear input:
-      maintain per-group semiring partials (the PR 4 partial-aggregate
-      accumulator layout) and finalize on read;
     * ``"refresh"`` — a non-linear fragment remains: maintain the
       maximal linear ``segments`` incrementally and re-run ``tail``
       (the refresh boundary, reading segments as synthetic tables)
-      epoch-gated at read time.
+      epoch-gated at read time.  A root ``Aggregate`` over a linear
+      input is a tail over one segment, its input: the view keeps the
+      γ state beside that segment and re-runs the tail only when the
+      state goes stale (:mod:`repro.ivm`).
     """
 
     view: Plan
     kind: str
     segments: Tuple[DeltaSegment, ...]
     tail: Optional[Plan]
-    aggregate: Optional[Aggregate]
 
     def tables(self) -> Tuple[str, ...]:
         """Every base table whose writes this view must observe."""
@@ -1354,30 +1352,28 @@ def derive_delta(
     derivation itself is an (exactness-preserving) plan rewrite and is
     recorded in ``trace`` as ``"delta-derivation"`` for the
     semiring-safety lint, like any optimizer rule.
+
+    The result is ``linear`` (the whole plan is one segment) or
+    ``refresh`` (segments plus a tail); a root γ over a linear input is
+    a ``refresh`` plan whose one segment is that input, on both engines.
     """
     if trace is not None and "delta-derivation" not in trace:
         trace.append("delta-derivation")
 
     if _is_linear(plan, semantics):
-        return DeltaPlan(plan, "linear", (_segment("", plan),), None, None)
-
-    if (
-        semantics == "bag"
-        and isinstance(plan, Aggregate)
-        and _is_linear(plan.child, semantics)
-    ):
-        return DeltaPlan(
-            plan, "aggregate", (_segment("", plan.child),), None, plan
-        )
+        return DeltaPlan(plan, "linear", (_segment("", plan),), None)
 
     # non-linear fragment: carve out maximal linear subtrees as
     # incrementally-maintained materializations; the remaining tail —
     # the refresh boundary — re-executes over them at read time
     segments: List[DeltaSegment] = []
+    # a root γ's input is a segment even when it is a bare table: the
+    # view keeps the γ state beside it
+    gamma_input = plan.child if isinstance(plan, Aggregate) else None
 
     def carve(node: Plan) -> Plan:
         if _is_linear(node, semantics):
-            if isinstance(node, TableRef):
+            if isinstance(node, TableRef) and node is not gamma_input:
                 return node  # the tail reads base tables directly
             schema = schema_of(node, stats)
             if schema is not None and len(set(schema)) == len(schema):
@@ -1390,4 +1386,4 @@ def derive_delta(
         return node.map_children(carve)
 
     tail = carve(plan)
-    return DeltaPlan(plan, "refresh", tuple(segments), tail, None)
+    return DeltaPlan(plan, "refresh", tuple(segments), tail)

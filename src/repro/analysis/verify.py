@@ -250,11 +250,10 @@ def verify_delta(
       table) has a known, duplicate-free schema — it must be
       materializable as a base relation;
     * **the schema of the delta ≡ the schema of the view**: for a
-      ``linear`` view the root segment's schema, for an ``aggregate``
-      view the finalized ``group_by + aggregate`` names, and for a
-      ``refresh`` view the tail's schema (inferred over the catalog
-      extended with the segment schemas) must all match the view plan's
-      own output schema by name — otherwise folding maintained state
+      ``linear`` view the root segment's schema, and for a ``refresh``
+      view the tail's schema (inferred over the catalog extended with
+      the segment schemas) must match the view plan's own output
+      schema by name — otherwise folding maintained state
       into the view result would silently misalign columns.
     """
     view_schema = verify_logical(delta.view, catalog, expect_parameters=False)
@@ -291,12 +290,6 @@ def verify_delta(
             delta.segments[0].plan, catalog, expect_parameters=False
         )
         check_names(root.names if root is not None else None, "segment")
-    elif delta.kind == "aggregate":
-        agg = delta.aggregate
-        check_names(
-            tuple(agg.group_by) + tuple(s.name for s in agg.aggregates),
-            "aggregate",
-        )
     else:
         tail_schema = verify_logical(
             delta.tail,

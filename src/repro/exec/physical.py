@@ -73,7 +73,7 @@ from ..algebra.ast import (
 )
 from ..algebra.optimizer import Statistics, estimate, schema_of
 from ..analysis import verification_enabled
-from ..core.aggregation import AGGREGATES, AggregateSpec
+from ..core.aggregation import AggregateSpec
 from ..core.compression import recommended_buckets
 from ..core.expressions import Expression
 from ..core.operators import _extract_equi_pairs, _is_pure_equi_condition
@@ -1001,23 +1001,23 @@ def explain_physical(
 class DeltaPhysical:
     """The physical maintenance plan for one subscribed view.
 
-    ``view_pplan`` recomputes the view from scratch (initial
-    materialization and full refresh).  ``segment_pplans`` lower each
-    maintained linear segment — the *same* physical plan serves both
-    the segment's full (re)materialization and its per-write delta
-    evaluation, because every scan resolves its base table through the
-    database mapping and the delta runtime substitutes the written
-    table's per-write delta there.  ``tail_pplan`` (``None`` unless the
-    classification is ``"refresh"``) is the non-linear tail lowered
-    over the segments' synthetic tables: the refresh boundary chosen at
-    plan time.  All plans are lowered serial (``parallelism=1``) — a
+    ``segment_pplans`` lower each maintained linear segment — the
+    *same* physical plan serves both the segment's full
+    (re)materialization and its per-write delta evaluation, because
+    every scan resolves its base table through the database mapping and
+    the delta runtime substitutes the written table's per-write delta
+    there; a ``linear`` view's one segment is the whole view.  ``tail_pplan`` (``None`` unless the classification
+    is ``"refresh"``) is the non-linear tail lowered over the segments'
+    synthetic tables: the refresh boundary chosen at plan time — when
+    it is one ``HashAggregate`` over a segment (:func:`gamma_segment`),
+    the view keeps its γ state and re-runs it only when that goes
+    stale.  All plans are lowered serial (``parallelism=1``) — a
     per-write delta is a handful of rows, far below any morsel
     threshold.
     """
 
     delta: "object"  # repro.algebra.optimizer.DeltaPlan
     config: PhysicalConfig
-    view_pplan: PhysNode
     segment_pplans: Tuple[PhysNode, ...]
     tail_pplan: Optional[PhysNode]
 
@@ -1036,7 +1036,6 @@ def lower_delta(
     (:mod:`repro.ivm`) only interprets the result.
     """
     config = replace(config, parallelism=1)
-    view_pplan = lower(delta.view, stats, config, verify=verify)
     segment_pplans = tuple(
         lower(seg.plan, stats, config, verify=verify)
         for seg in delta.segments
@@ -1063,18 +1062,20 @@ def lower_delta(
                 epoch=stats.epoch if stats else 0,
             )
         tail_pplan = lower(delta.tail, tail_stats, config, verify=verify)
-    return DeltaPhysical(delta, config, view_pplan, segment_pplans, tail_pplan)
+    return DeltaPhysical(delta, config, segment_pplans, tail_pplan)
 
 
 def gamma_segment(dplan: DeltaPhysical) -> Optional[int]:
-    """The segment an AU refresh view's tail aggregates, when the tail
-    is one :class:`HashAggregate` directly over that segment's
+    """The segment a refresh view's tail aggregates, when the tail is
+    one :class:`HashAggregate` directly over that segment's
     :class:`Scan` (with or without HAVING and a bucket budget): such a
     view keeps the aggregate's γ state beside the segment and folds
-    certain-key segment deltas into it (:class:`repro.ivm.MaterializedView`,
-    :class:`repro.exec.au_aggregate.GammaState`).  ``None`` otherwise."""
+    segment deltas into it (:class:`repro.ivm.MaterializedView`;
+    :class:`repro.exec.vectorized.DetGammaState` on the det engine,
+    :class:`repro.exec.au_aggregate.GammaState` on the AU engine).
+    ``None`` otherwise."""
     tail = dplan.tail_pplan
-    if dplan.config.engine != "au" or not isinstance(tail, HashAggregate):
+    if not isinstance(tail, HashAggregate):
         return None
     scan = tail.child
     if tail.partial or not isinstance(scan, Scan) or scan.skip is not None:
@@ -1097,27 +1098,8 @@ def explain_delta(dplan: DeltaPhysical) -> str:
         for line in explain_physical(pplan).splitlines():
             lines.append(f"    {line}")
 
-    if delta.kind == "aggregate":
-        agg = delta.aggregate
-        aggs = ", ".join(
-            f"{a.kind}({a.expr!r})→{a.name}" for a in agg.aggregates
-        )
-        lines.append(
-            f"  Δ-merge γ[{','.join(agg.group_by)}; {aggs}] semiring partials over:"
-        )
-        for line in explain_physical(dplan.segment_pplans[0]).splitlines():
-            lines.append(f"    {line}")
-        # the DeltaFoldError reasons that can send this view to a refresh
-        guards = ["absent_group", "negative_weight"]
-        for a in agg.aggregates:
-            fn = AGGREGATES[a.kind]
-            if fn.det_sum is not None:
-                guards.append(f"non_finite_addend[{a.name}]")
-            elif not fn.invertible:
-                guards.append(f"extremum_deleted[{a.name}]")
-        lines.append(f"  refresh-on-fold guards: {', '.join(guards)}")
-    elif delta.kind == "linear":
-        block("Δ-maintain view:", dplan.view_pplan)
+    if delta.kind == "linear":
+        block("Δ-maintain view:", dplan.segment_pplans[0])
     else:
         for seg, pplan in zip(delta.segments, dplan.segment_pplans):
             block(f"Δ-maintain segment {seg.name}:", pplan)

@@ -8,7 +8,7 @@ algorithm (``HashJoin`` vs ``NLJoin`` vs ``CompressedJoin``) and the
 parallel region shape (``ParallelScan``/``Exchange``) arrive pre-chosen
 in the plan.  Every operator takes batches and returns a batch; a
 relation exists only at the result edge (:meth:`_DetExec.run`,
-:meth:`_AUExec.run`, :func:`finalize_delta_groups`).
+:meth:`_AUExec.run`).
 
 Operator implementations:
 
@@ -94,13 +94,11 @@ __all__ = [
     "execute_audb",
     "PartialAggregate",
     "AUPartialGroups",
-    "DeltaFoldError",
+    "DetGammaState",
     "JoinTable",
     "build_join_table",
     "probe_join_table",
     "build_au_join_table",
-    "fold_delta_groups",
-    "finalize_delta_groups",
 ]
 
 
@@ -650,108 +648,123 @@ def finalize_groups(
     return ColumnBatch(out_schema, out_cols, [1] * len(groups))
 
 
-class DeltaFoldError(Exception):
-    """A delta cannot be folded into maintained state.
+class DetGammaState:
+    """The state of one det aggregate kept beside its changing input.
 
-    Raised when only a from-scratch recomputation preserves exactness;
-    ``reason`` says which guard fired (the label of
-    ``repro_ivm_delta_fold_fallbacks_total``):
+    The det counterpart of :class:`repro.exec.au_aggregate.GammaState`,
+    driven the same way by :mod:`repro.ivm`: :meth:`rebuild` folds the
+    whole input, :meth:`apply` folds the change of one input row's
+    multiplicity or says why it cannot, and :meth:`result` finalizes —
+    what :meth:`_DetExec._aggregate` returns over the changed input, as
+    a bag.
 
-    * ``extremum_deleted`` — a delete touching a min/max extremum (the
-      runner-up is not maintained);
-    * ``non_finite_addend`` — a non-finite float SUM/AVG addend (the
-      absorbing IEEE slot is not invertible);
-    * ``negative_weight`` — weights folding a group or row negative;
-    * ``absent_group`` — a delete from a group the state does not hold;
-    * ``self_join`` — a write to a table the view joins with itself;
-    * ``state_unavailable`` — the aggregate state was never folded.
-
-    The IVM runtime (:mod:`repro.ivm`) reacts with an epoch-gated full
-    refresh — never with an approximate answer.
-    """
-
-    def __init__(self, reason: str, detail: str = "") -> None:
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
-
-
-def fold_delta_groups(
-    state: Dict[Tuple, List[Any]],
-    delta: DetRelation,
-    group_by: Sequence[str],
-    aggregates,
-    sign: int,
-) -> None:
-    """Fold a per-write delta of the γ input into maintained group state.
-
-    ``state`` maps group keys to ``[weight, accs, float_mults]`` where
-    ``accs`` holds one registry (``AGGREGATES``) det state per aggregate
-    — what :meth:`_DetExec._aggregate` folds, stepped here with signed
-    weights — and ``float_mults`` tracks, per exact-sum aggregate, the
-    remaining multiplicity of float-typed addends
+    ``groups`` maps each group key to ``[weight, accs, floats]``:
+    ``accs`` holds one registry (``AGGREGATES``) det state per
+    aggregate, stepped with signed weights, and ``floats`` the float
+    multiplicity each exact sum holds
     (:func:`repro.core.sums.count_float_addends`: when it returns to
-    zero the accumulator finishes as an exact ``int`` again).  ``sign``
-    is +1 for inserted delta rows and -1 for deleted ones.
+    zero the accumulator finishes as an exact ``int`` again).  A group
+    is born with its first row and dies with its weight.
     """
-    index = _index_of(delta.schema)
-    fns = [AGGREGATES[spec.kind] for spec in aggregates]
-    g_idx = [index[a] for a in group_by]
-    for t, m in delta.tuples():
-        w = m * sign
-        key = tuple(t[i] for i in g_idx)
+
+    def __init__(
+        self,
+        schema: Sequence[str],
+        group_by: Sequence[str],
+        aggregates,
+    ) -> None:
+        self.group_by = tuple(group_by)
+        self.aggregates = tuple(aggregates)
+        self._index = _index_of(schema)
+        self._group_idx = [self._index[a] for a in group_by]
+        self._fns = [AGGREGATES[spec.kind] for spec in aggregates]
+        self.groups: Dict[Tuple, List[Any]] = {}
+
+    def rebuild(self, rel: DetRelation) -> ColumnBatch:
+        """Fold every row of ``rel`` into a new state; returns the γ
+        output batch."""
+        self.groups = {}
+        group_idx = self._group_idx
+        for t, m in rel.rows.items():
+            self._step(tuple(t[j] for j in group_idx), self._values(t), m)
+        return self.result()
+
+    def result(self) -> ColumnBatch:
+        """The γ output batch of the state."""
+        return finalize_groups(
+            {key: entry[1] for key, entry in self.groups.items()},
+            self.group_by,
+            self.aggregates,
+        )
+
+    def apply(
+        self, t: Tuple, old: Optional[int], new: Optional[int]
+    ) -> Optional[str]:
+        """Fold input row ``t``'s multiplicity change from ``old`` to
+        ``new`` (``None``: absent) into the state.  Returns ``None``, or
+        why it cannot — the state is then unusable until the next
+        :meth:`rebuild`: a delete ties or beats a surviving group's
+        ``MIN`` / ``MAX`` (``extremum_deleted``: the runner-up is not
+        kept), a ``SUM`` / ``AVG`` addend is not finite
+        (``non_finite_addend``: the absorbing IEEE slot is not
+        invertible), or evaluating or stepping an input raised
+        (``fold_error``)."""
+        w = (new or 0) - (old or 0)
+        key = tuple(t[j] for j in self._group_idx)
+        entry = self.groups.get(key)
+        try:
+            values = self._values(t)
+            if entry is None or entry[0] + w:  # the group survives
+                for a, (fn, v) in enumerate(zip(self._fns, values)):
+                    if w < 0 and not fn.invertible:
+                        alone = fn.det.step(fn.det.init(), v, -w)
+                        if fn.det.merge(alone, entry[1][a]) is alone:
+                            return "extremum_deleted"
+                    elif (
+                        fn.det_sum is not None
+                        and type(v) is float
+                        and not math.isfinite(v)
+                    ):
+                        return "non_finite_addend"
+            self._step(key, values, w)
+        except (TypeError, ValueError, ArithmeticError):
+            return "fold_error"  # the re-run raises it to the reader
+        return None
+
+    def _values(self, t: Tuple) -> List[Any]:
+        """The aggregate inputs of row ``t`` (``None``: no input)."""
+        index = self._index
         values: List[Any] = []
-        for spec, fn in zip(aggregates, fns):
+        for spec, fn in zip(self.aggregates, self._fns):
             if not fn.takes_input:
                 values.append(None)
             elif isinstance(spec.expr, Var) and spec.expr.name in index:
                 values.append(t[index[spec.expr.name]])
             else:
                 values.append(spec.expr.eval(RowView(index, t)))
-        entry = state.get(key)
+        return values
+
+    def _step(self, key: Tuple, values: List[Any], w: int) -> None:
+        """Step one row's inputs ``values`` with weight ``w`` into group
+        ``key``: birth, death, and every aggregate but a deleted
+        extremum (:meth:`apply` checked it leaves the state as it is)."""
+        entry = self.groups.get(key)
         if entry is None:
-            if sign < 0:
-                raise DeltaFoldError("absent_group", repr(key))
-            entry = state[key] = [
+            fns = self._fns
+            entry = self.groups[key] = [
                 0, [fn.det.init() for fn in fns], [0] * len(fns)
             ]
         entry[0] += w
-        if entry[0] < 0:
-            raise DeltaFoldError("negative_weight", f"group {key!r}")
-        if entry[0] == 0:
-            # the group vanished: from scratch it would not exist at all
-            del state[key]
-            continue
-        accs, float_mults = entry[1], entry[2]
-        for a, (spec, fn, v) in enumerate(zip(aggregates, fns, values)):
-            if sign < 0 and not fn.invertible:
-                # the extremum's runner-up is not maintained, so a
-                # delete that ties or beats it needs a rescan
-                alone = fn.det.step(fn.det.init(), v, m)
-                if fn.det.merge(alone, accs[a]) is alone:
-                    raise DeltaFoldError(
-                        "extremum_deleted", f"{spec.kind} in {key!r}"
-                    )
+        if not entry[0]:
+            del self.groups[key]  # from scratch it would not exist
+            return
+        accs, floats = entry[1], entry[2]
+        for a, (fn, v) in enumerate(zip(self._fns, values)):
+            if w < 0 and not fn.invertible:
                 continue
-            float_addend = fn.det_sum is not None and type(v) is float
-            if float_addend and not math.isfinite(v):
-                raise DeltaFoldError("non_finite_addend", repr(v))
             accs[a] = fn.det.step(accs[a], v, w)
-            if float_addend:
-                count_float_addends(fn.det_sum(accs[a]), float_mults, a, w)
-
-
-def finalize_delta_groups(
-    state: Dict[Tuple, List[Any]], group_by, aggregates, having=None
-) -> DetRelation:
-    """Finalize maintained group state — the shape a from-scratch
-    :meth:`_DetExec._aggregate` pass over the remaining rows would hold
-    — through :func:`finalize_groups` and the fused HAVING filter."""
-    batch = finalize_groups(
-        {key: entry[1] for key, entry in state.items()}, group_by, aggregates
-    )
-    if having is not None:
-        batch = _DetExec(None)._select_project(batch, having, None)
-    return batch.to_relation()
+            if fn.det_sum is not None and type(v) is float:
+                count_float_addends(fn.det_sum(accs[a]), floats, a, w)
 
 
 def _on_rows(batch: ColumnBatch, op: Callable, *args: Any) -> ColumnBatch:

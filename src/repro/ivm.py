@@ -15,30 +15,28 @@ form once (:func:`repro.exec.physical.lower_delta`):
   database that substitutes the single-tuple delta for ``R`` and reads
   every other table's current state (join deltas against the memoized
   opposite side);
-* a **root bag aggregate** over a linear input maintains per-group
-  semiring partials in the partial-aggregate accumulator layout
-  (:func:`repro.exec.vectorized.fold_delta_groups`) and finalizes on
-  read — merged exactly like the Exchange operator merges partials from
-  parallel workers;
 * the **non-linear fragment** (``Difference``, ``Distinct``, ``TopK``,
-  AU aggregates) cannot absorb one-sided deltas, so
+  ``Aggregate``) cannot absorb one-sided deltas, so
   :func:`~repro.algebra.optimizer.derive_delta` carves the maximal
   linear subtrees into incrementally-maintained *segments* and re-runs
   only the remaining *tail* — the refresh boundary chosen at plan
   time — **epoch-gated at read time**: writes mark the tail dirty and
   the re-execution is deferred (and batched) until the next read;
-* an AU tail that is one ``HashAggregate`` over one segment keeps the
+* a tail that is one ``HashAggregate`` over one segment — every root
+  ``GROUP BY`` over a linear input, on both engines — keeps the
   aggregate's **γ state** beside the segment
-  (:class:`~repro.exec.au_aggregate.GammaState`): a segment delta with
-  a certain group key in an existing group folds into it, so a dirty
-  read only finalizes; any other delta marks the state stale and the
-  next read re-runs the tail, rebuilding the state from its fold.
+  (:class:`~repro.exec.vectorized.DetGammaState`,
+  :class:`~repro.exec.au_aggregate.GammaState`): each change of a
+  segment row folds into it, so a dirty read only finalizes; a change
+  the state cannot fold exactly (a deleted ``MIN`` / ``MAX`` extremum,
+  a non-finite ``SUM`` addend, an uncertain AU group key, …) marks it
+  stale and the next read re-runs the γ over the kept segment,
+  rebuilding the state (``repro_ivm_gamma_state_rebuilds_total``).
 
-Maintenance is *exact*, never approximate: any delta the fold cannot
-invert bit-identically (a deleted min/max extremum, non-finite float
-addends, a self-joined table's write) raises
-:class:`~repro.exec.vectorized.DeltaFoldError` internally and degrades
-that view to a full refresh at the next read.  Out-of-band changes —
+Maintenance is *exact*, never approximate: a write no segment can
+absorb (a self-joined table's write to a linear view, a delete taking a
+segment row negative) raises :class:`DeltaFoldError` internally and
+degrades that view to a full refresh at the next read.  Out-of-band changes —
 a table rebound via ``db[name] = ...``, or writes that bypassed the
 subscribed relation objects — are caught by the catalog epoch check on
 read and handled the same way.  The write-interleaving lane of the
@@ -60,17 +58,37 @@ from .algebra.optimizer import DeltaPlan, derive_delta, optimize
 from .core import operators as ops
 from .core.relation import AURelation
 from .db import chunks as _chunks
+from .db.engine import _selection as _det_selection
 from .db.storage import DetRelation
 from .exec import physical as phys
 from .exec.au_aggregate import GammaState
-from .exec.vectorized import (
-    DeltaFoldError,
-    finalize_delta_groups,
-    fold_delta_groups,
-)
+from .exec.vectorized import DetGammaState
 from .sql.parser import parse_sql
 
 __all__ = ["MaterializedView", "DeltaFoldError"]
+
+class DeltaFoldError(Exception):
+    """A write cannot be folded into a view's maintained segments.
+
+    Raised when only a from-scratch recomputation preserves exactness;
+    ``reason`` says which guard fired (the label of
+    ``repro_ivm_delta_fold_fallbacks_total``):
+
+    * ``negative_weight`` — a delete taking a segment row's weight
+      negative (or leaving an invalid ``K^AU`` remainder);
+    * ``self_join`` — a write to a table a linear view joins with
+      itself.
+
+    :class:`MaterializedView` reacts with an epoch-gated full refresh —
+    never with an approximate answer.  A γ state that cannot fold a
+    change is not an error: it goes stale and the view re-runs the γ
+    over its kept segment.
+    """
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
+
 
 # process-wide maintenance counters (repro.telemetry registry), mirrors
 # of the per-view writes_applied / full_refreshes / tail_refreshes ints
@@ -109,7 +127,7 @@ def _gamma_state_rebuilt(reason: str) -> None:
     kept state could not serve the read."""
     _REG.counter(
         "repro_ivm_gamma_state_rebuilds_total",
-        "Tail re-runs that rebuilt an AU aggregate view's γ state, by "
+        "Tail re-runs that rebuilt an aggregate view's γ state, by "
         "reason.",
         reason=reason,
     ).inc()
@@ -244,9 +262,6 @@ class MaterializedView:
         self._expected: Dict[str, int] = {}
         self._sinks: List[Tuple[Any, Any]] = []
         self._needs_full_refresh = False
-        # maintained state (one of, by kind): a linear view's bag is its
-        # one segment; an aggregate view keeps group partials instead
-        self._agg_state: Optional[Dict] = None
         #: one private relation per Δ-maintained segment, alive as long
         #: as the view: deltas enter through its add/delete, so a chunk
         #: store the tail's scan built is maintained per write too
@@ -254,11 +269,11 @@ class MaterializedView:
         self._seg_dirty: List[bool] = [False] * n_segs
         self._tail_dirty = True
         self._tail_result = None
-        #: the segment whose γ state the view keeps (an AU tail that is
-        #: one HashAggregate over it), the state, and why it must be
-        #: rebuilt at the next read (``None``: it is current)
+        #: the segment whose γ state the view keeps (a tail that is one
+        #: HashAggregate over it), the state, and why it must be rebuilt
+        #: at the next read (``None``: it is current)
         self._gamma_at = phys.gamma_segment(self._dplan)
-        self._gamma: Optional[GammaState] = None
+        self._gamma: Union[DetGammaState, GammaState, None] = None
         self._gamma_stale: Optional[str] = "initial"
         # read-side cache: rebuilt only when the catalog epoch moved
         self._result = None
@@ -271,7 +286,7 @@ class MaterializedView:
     # -- introspection -------------------------------------------------
     @property
     def kind(self) -> str:
-        """Plan-time classification: ``linear``/``aggregate``/``refresh``."""
+        """Plan-time classification: ``linear`` or ``refresh``."""
         return self._delta.kind
 
     @property
@@ -375,28 +390,21 @@ class MaterializedView:
         return rel
 
     def _merge(self, i: int, out, sign: int) -> None:
-        if self._delta.kind == "aggregate":
-            if self._agg_state is None:
-                raise DeltaFoldError("state_unavailable")
-            agg = self._delta.aggregate
-            fold_delta_groups(
-                self._agg_state, out, agg.group_by, agg.aggregates, sign
-            )
-            return
         target = self._segs[i]
         write = target.add if sign > 0 else target.delete
+        rows = target.rows if self._engine == "det" else target._rows
         gamma = self._gamma
         if i != self._gamma_at or self._gamma_stale is not None:
             gamma = None
         for t, payload in out.tuples():
-            old = target._rows.get(t) if gamma is not None else None
+            old = rows.get(t) if gamma is not None else None
             try:
                 write(t, payload)
             except ValueError:
                 # a negative multiplicity or an invalid K^AU remainder
                 raise DeltaFoldError("negative_weight", repr(t)) from None
             if gamma is not None:
-                reason = gamma.apply(t, old, target._rows.get(t))
+                reason = gamma.apply(t, old, rows.get(t))
                 if reason is not None:
                     self._gamma_stale = reason
                     gamma = None
@@ -442,15 +450,7 @@ class MaterializedView:
         return self.result()
 
     def _build_result(self):
-        kind = self._delta.kind
-        if kind == "aggregate":
-            if self._agg_state is None:  # degraded: non-foldable input
-                return self._exec(self._dplan.view_pplan, self._conn.db)
-            agg = self._delta.aggregate
-            return finalize_delta_groups(
-                self._agg_state, agg.group_by, agg.aggregates, agg.having
-            )
-        if kind == "linear":
+        if self._delta.kind == "linear":
             return _private(self._segs[0])
         # refresh: rebuild dirty segments eagerly, then the gated tail
         for i, dirty in enumerate(self._seg_dirty):
@@ -500,12 +500,22 @@ class MaterializedView:
         state: the tail re-run of a view whose state went stale."""
         tail = self._dplan.tail_pplan
         seg = self._segs[self._gamma_at]
+        det = self._engine == "det"
         if self._gamma is None:
-            self._gamma = GammaState(
-                seg.schema, tail.group_by, tail.aggregates, tail.buckets
+            self._gamma = (
+                DetGammaState(seg.schema, tail.group_by, tail.aggregates)
+                if det
+                else GammaState(
+                    seg.schema, tail.group_by, tail.aggregates, tail.buckets
+                )
             )
-        batch = _chunks.au_store(seg, tail.child.chunk_size).scan()[0]
-        out = _tm.run_op(tail, lambda _node: self._gamma.rebuild(batch), (), None, len)
+        if det:
+            source = seg  # the det state folds the segment's rows
+        else:
+            source = _chunks.au_store(seg, tail.child.chunk_size).scan()[0]
+        out = _tm.run_op(
+            tail, lambda _node: self._gamma.rebuild(source), (), None, len
+        )
         _gamma_state_rebuilt(self._gamma_stale)
         self._gamma_stale = None
         return self._gamma_result(out)
@@ -515,7 +525,11 @@ class MaterializedView:
         the tail's HAVING."""
         out = batch.to_relation()
         having = self._dplan.tail_pplan.having
-        return out if having is None else ops.selection(out, having)
+        if having is None:
+            return out
+        if self._engine == "det":
+            return _det_selection(out, having)
+        return ops.selection(out, having)
 
     def _materialize(self) -> None:
         """From-scratch (re)build: re-resolve base relations, recompute
@@ -528,32 +542,16 @@ class MaterializedView:
             rel = db[name]
             self._tracked[name] = rel
             self._expected[name] = rel.stats_epoch
-        kind = self._delta.kind
-        if kind == "aggregate":
-            child = self._exec(self._dplan.segment_pplans[0], db)
-            agg = self._delta.aggregate
-            state: Dict = {}
-            try:
-                fold_delta_groups(
-                    state, child, agg.group_by, agg.aggregates, 1
-                )
-            except DeltaFoldError as exc:
-                # e.g. non-finite addends in the current data: serve
-                # full recomputations until a rebuild can fold again
-                state = None
-                _fold_fallback(exc)
-            self._agg_state = state
-        else:
-            # from the rows, never the executor's object: a tuple-backend
-            # segment that is a bare Scan returns the base table itself
-            self._segs = [
-                _private(self._exec(pplan, db))
-                for pplan in self._dplan.segment_pplans
-            ]
-            self._seg_dirty = [False] * len(self._segs)
-            self._tail_dirty = True
-            self._tail_result = None
-            self._gamma_stale = "initial"
+        # from the rows, never the executor's object: a tuple-backend
+        # segment that is a bare Scan returns the base table itself
+        self._segs = [
+            _private(self._exec(pplan, db))
+            for pplan in self._dplan.segment_pplans
+        ]
+        self._seg_dirty = [False] * len(self._segs)
+        self._tail_dirty = True
+        self._tail_result = None
+        self._gamma_stale = "initial"
         self._needs_full_refresh = False
         self._result = None
         self._result_epoch = None

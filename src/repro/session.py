@@ -709,6 +709,13 @@ def _check_config(config: EvalConfig) -> None:
             f"expected one of {BACKENDS}"
         )
     resolve_chunk_size(config.chunk_size)
+    # bucket budgets may be None (no compression); bool is not a count
+    for name in ("join_buckets", "aggregation_buckets", "parallelism"):
+        value = getattr(config, name)
+        if value is None and name != "parallelism":
+            continue
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 class Connection:
@@ -1002,9 +1009,9 @@ class Connection:
 
         The view is maintained per write by a *delta plan* derived from
         the optimized logical plan (see :mod:`repro.ivm`): the linear
-        fragment propagates deltas algebraically, a root bag aggregate
-        merges per-group semiring partials, and any non-linear residue
-        re-executes epoch-gated at read time.  ``params`` are bound once,
+        fragment propagates deltas algebraically, a root aggregate keeps
+        its γ state beside its maintained input, and any non-linear
+        residue re-executes epoch-gated at read time.  ``params`` are bound once,
         up front — a subscription denotes one concrete query.
 
         Call :meth:`MaterializedView.result` to read,

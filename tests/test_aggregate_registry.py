@@ -43,11 +43,7 @@ from repro.exec.au_aggregate import (
     merge_partial_groups,
 )
 from repro.exec.batch import AUColumnBatch
-from repro.exec.vectorized import (
-    DeltaFoldError,
-    finalize_delta_groups,
-    fold_delta_groups,
-)
+from repro.exec.vectorized import DetGammaState
 from repro.session import Connection
 from repro.sql.parser import AGG_FUNCTIONS, parse_sql
 
@@ -188,25 +184,25 @@ def test_det_negative_weight_undoes_the_step(kind, rows, value, weight):
         # float-multiplicity bookkeeping restores the type, below)
         state = fn.det.step(_det_fold(fn, rows), value, weight)
         assert fn.det.finalize(fn.det.step(state, value, -weight)) == expected
-    # the delta fold: to the bit, or a named guard asks for a rescan
-    spec, maintained = _spec(kind), {}
+    # the kept γ state: to the bit, or a named stale reason asks for a
+    # re-run over the input
+    spec = _spec(kind)
     base = DetRelation(("v",))
     for v, m in rows:
         base.rows[(v,)] = base.rows.get((v,), 0) + m
-    extra = DetRelation(("v",), {(value,): weight})
-    try:
-        fold_delta_groups(maintained, base, [], [spec], 1)
-        fold_delta_groups(maintained, extra, [], [spec], 1)
-        fold_delta_groups(maintained, extra, [], [spec], -1)
-    except DeltaFoldError as exc:
-        assert exc.reason in ("extremum_deleted", "non_finite_addend")
-        assert fn.det_sum is not None or not fn.invertible
-        return
-    fresh: dict = {}
-    fold_delta_groups(fresh, base, [], [spec], 1)
-    assert _bits(
-        sorted(finalize_delta_groups(maintained, [], [spec]).tuples())
-    ) == _bits(sorted(finalize_delta_groups(fresh, [], [spec]).tuples()))
+    maintained = DetGammaState(("v",), [], [spec])
+    maintained.rebuild(base)
+    old = base.rows.get((value,))
+    for before, after in ((old, (old or 0) + weight), ((old or 0) + weight, old)):
+        reason = maintained.apply((value,), before, after)
+        if reason is not None:
+            assert reason in ("extremum_deleted", "non_finite_addend")
+            assert fn.det_sum is not None or not fn.invertible
+            return
+    fresh = DetGammaState(("v",), [], [spec])
+    assert _bits(sorted(maintained.result().to_relation().tuples())) == _bits(
+        sorted(fresh.rebuild(base).to_relation().tuples())
+    )
 
 
 #: det column folds: every path of ``core.sums.add_products`` and what
@@ -304,9 +300,10 @@ def test_empty_is_the_engines_empty_input_row(kind):
     for backend in ("tuple", "vectorized"):
         out = evaluate_det(plan, db, backend=backend)
         assert _bits(dict(out.rows)) == _bits({(fn.det.empty,): 1})
-    assert _bits(
-        sorted(finalize_delta_groups({}, [], [spec]).tuples())
-    ) == _bits([((fn.det.empty,), 1)])
+    empty = DetGammaState(["v"], [], [spec]).rebuild(DetRelation(["v"]))
+    assert _bits(sorted(empty.to_relation().tuples())) == _bits(
+        [((fn.det.empty,), 1)]
+    )
     for out in (
         aggregate(AURelation(["v"]), [], [spec]),
         finalize_groups({}, [], [spec]).to_relation(),

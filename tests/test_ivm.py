@@ -3,11 +3,11 @@ boundaries, and the write-epoch bookkeeping it leans on.
 
 Hypothesis properties:
 
-* folding a random interleaving of per-write deltas into maintained
-  aggregate state (:func:`repro.exec.vectorized.fold_delta_groups`)
-  finalizes **bit-identically** to the tuple engine's from-scratch
-  aggregation of the surviving bag — inverting exact float sums, group
-  births/deaths, and the min/max rescan fallback included;
+* folding a random interleaving of input row changes into a kept det
+  γ state (:class:`repro.exec.vectorized.DetGammaState`) finalizes
+  **bit-identically** to the tuple engine's from-scratch aggregation of
+  the surviving bag — inverting exact float sums, group births/deaths,
+  and the re-run after a deleted min/max extremum included;
 * an AU union view maintained per write (``K^AU`` partials merged
   componentwise) equals fresh re-execution bit-for-bit under random
   valid add/delete interleavings;
@@ -22,11 +22,12 @@ Hypothesis properties:
 
 Plus golden ``explain_delta`` snapshots locking where the refresh
 boundary lands for the non-linear operators (``Difference`` /
-``Distinct`` / ``TopK`` / an AU γ), one pinned case per reason a kept γ
-state goes stale, bit-identity of those views under writes, the
-delete-aware statistics regression (delete-heavy streams must advance
-the catalog epoch fast enough to re-trigger lowering), the incremental
-columnar append, and the session layer's read-only-epoch result memo.
+``Distinct`` / ``TopK`` / a det or AU γ), one pinned case per reason a
+kept γ state goes stale on either engine, bit-identity of those views
+under writes, the delete-aware statistics regression (delete-heavy
+streams must advance the catalog epoch fast enough to re-trigger
+lowering), the incremental columnar append, and the session layer's
+read-only-epoch result memo.
 """
 
 from __future__ import annotations
@@ -58,11 +59,7 @@ from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import _aggregate, evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
-from repro.exec.vectorized import (
-    DeltaFoldError,
-    finalize_delta_groups,
-    fold_delta_groups,
-)
+from repro.exec.vectorized import DetGammaState
 from repro.session import Connection
 from repro.telemetry import get_registry
 
@@ -88,11 +85,11 @@ def _bits(rel) -> list:
 
 
 # ----------------------------------------------------------------------
-# delta-merge of semiring partials ≡ from-scratch (bag aggregates)
+# kept det γ state ≡ from-scratch (bag aggregates)
 # ----------------------------------------------------------------------
 # Per-example the value column is all-int or all-float: equal-valued
 # mixed-type keys (0 vs 0.0) merge in the storage dict keeping the
-# first-written tuple, so the delta stream and the stored bag can
+# first-written tuple, so the change stream and the stored bag can
 # disagree about the value's type — a documented storage caveat
 # (docs/ivm.md), not a fold property.  ``x + 0.0`` canonicalizes -0.0.
 _INT_VALUES = st.integers(min_value=-50, max_value=50)
@@ -103,48 +100,34 @@ _FLOAT_VALUES = st.floats(
 
 @SETTINGS
 @given(data=st.data())
-def test_fold_delta_groups_matches_from_scratch(data):
+def test_det_gamma_state_matches_from_scratch(data):
     group_by = data.draw(st.sampled_from([["g"], []]))
     values = data.draw(st.sampled_from([_INT_VALUES, _FLOAT_VALUES]))
-    state: dict = {}
-    bag: dict = {}
-
-    def refold():
-        fresh: dict = {}
-        rel = DetRelation(("g", "v"))
-        rel.rows.update(bag)
-        fold_delta_groups(fresh, rel, group_by, AGGREGATES, 1)
-        return fresh
+    bag = DetRelation(("g", "v"))
+    state = DetGammaState(bag.schema, group_by, AGGREGATES)
+    state.rebuild(bag)
 
     n_ops = data.draw(st.integers(min_value=1, max_value=12))
     for _ in range(n_ops):
-        deletable = [t for t, m in bag.items() if m > 0]
-        if deletable and data.draw(st.booleans()):
-            t = data.draw(st.sampled_from(deletable))
-            m = data.draw(st.integers(min_value=1, max_value=bag[t]))
-            sign = -1
+        if bag.rows and data.draw(st.booleans()):
+            t = data.draw(st.sampled_from(sorted(bag.rows, key=repr)))
+            m = data.draw(st.integers(min_value=1, max_value=bag.rows[t]))
+            write = bag.delete
         else:
             t = (
                 data.draw(st.integers(min_value=0, max_value=2)),
                 data.draw(values),
             )
             m = data.draw(st.integers(min_value=1, max_value=3))
-            sign = 1
-        delta = DetRelation(("g", "v"))
-        delta.rows[t] = m
-        bag[t] = bag.get(t, 0) + sign * m
-        if bag[t] == 0:
-            del bag[t]
-        try:
-            fold_delta_groups(state, delta, group_by, AGGREGATES, sign)
-        except DeltaFoldError:
-            # the runtime's reaction: an epoch-gated from-scratch refold
-            state = refold()
+            write = bag.add
+        old = bag.rows.get(t)
+        write(t, m)
+        if state.apply(t, old, bag.rows.get(t)) is not None:
+            # the runtime's reaction: re-run the γ over the kept input
+            state.rebuild(bag)
 
-    maintained = finalize_delta_groups(state, group_by, AGGREGATES)
-    survivors = DetRelation(("g", "v"))
-    survivors.rows.update(bag)
-    reference = _aggregate(survivors, group_by, AGGREGATES)
+    maintained = state.result().to_relation()
+    reference = _aggregate(bag, group_by, AGGREGATES)
     assert maintained.schema == reference.schema
     assert _bits(maintained) == _bits(reference)
 
@@ -646,6 +629,12 @@ def _orders_db(n: int = 12) -> AUDatabase:
     return AUDatabase({"o": o})
 
 
+def _det_orders_db() -> DetDatabase:
+    """:func:`_orders_db` on the det engine, every status certain."""
+    rows = [(k, "FOP"[k % 3], float(k) + 0.5) for k in range(12)]
+    return DetDatabase({"o": DetRelation(("k", "status", "price"), rows)})
+
+
 def _rebuilds(reason: str) -> float:
     return get_registry().counter(_GAMMA_REBUILDS, reason=reason).value
 
@@ -756,14 +745,103 @@ def test_gamma_state_rebuilt_after_segment_rebuild():
     assert _rebuilds("segment_rebuild") == before + 1
 
 
-def test_gamma_state_fold_error_is_raised_by_the_read():
-    db = _orders_db()
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_gamma_state_fold_error_is_raised_by_the_read(engine):
+    db, ann = _orders_db(), (1, 1, 1)
+    if engine == "det":
+        db, ann = _det_orders_db(), 1
     view = Connection(db, verify=True).subscribe(_GAMMA_SQL)
     view.result()
     before = _rebuilds("fold_error")
-    db["o"].add((30, "F", None), (1, 1, 1))  # the write itself succeeds
+    db["o"].add((30, "F", None), ann)  # the write itself succeeds
     with pytest.raises(TypeError):
         view.result()  # the re-run raises, as a fresh execution does
-    db["o"].delete((30, "F", None), (1, 1, 1))
+    db["o"].delete((30, "F", None), ann)
     assert _snapshot(view.result()) == _snapshot(view.run_tail())
     assert _rebuilds("fold_error") == before + 1
+
+
+# ----------------------------------------------------------------------
+# det GROUP BY views keep their γ state too
+# ----------------------------------------------------------------------
+# The same shape on the det engine: a root γ over a linear input keeps
+# the input as a segment and the γ state beside it.  A change the state
+# cannot fold makes the next read re-run the γ over the kept segment —
+# the base tables are not re-joined and the segment is not rebuilt.
+_DET_GAMMA_SQL = (
+    "SELECT d, SUM(b) AS total, COUNT(*) AS n, MIN(b) AS low "
+    "FROM r, s WHERE a = c GROUP BY d"
+)
+_SEGMENT_REFRESHES = get_registry().counter("repro_ivm_segment_refreshes_total")
+
+
+def _det_join_db() -> DetDatabase:
+    """r(a, b) ⋈ s(c, d): groups d = 0 (a = 0, 2) and d = 1 (a = 1, 3)."""
+    return DetDatabase(
+        {
+            "r": DetRelation(("a", "b"), {(i % 4, float(i)): 1 for i in range(12)}),
+            "s": DetRelation(("c", "d"), {(j, j % 2): 1 for j in range(4)}),
+        }
+    )
+
+
+_DET_STALE_CASES = {
+    "extremum_deleted": ("delete", (0, 0.0)),  # the d = 0 group's MIN
+    "non_finite_addend": ("add", (1, float("inf"))),
+}
+
+
+@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
+@pytest.mark.parametrize("reason", sorted(_DET_STALE_CASES))
+def test_det_gamma_state_stale_reasons(reason, backend):
+    db = _det_join_db()
+    conn = Connection(db, verify=True, config=EvalConfig(backend=backend))
+    view = conn.subscribe(_DET_GAMMA_SQL)
+    assert "γ state maintained" in view.explain_delta()
+    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    before, segments = _rebuilds(reason), _SEGMENT_REFRESHES.value
+    refreshes = view.tail_refreshes
+    op, t = _DET_STALE_CASES[reason]
+    getattr(db["r"], op)(t)
+    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    assert _rebuilds(reason) == before + 1
+    assert view.tail_refreshes == refreshes + 1
+    # rebuilt: the next write folds again
+    db["r"].add((2, 5.5))
+    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    assert view.tail_refreshes == refreshes + 1
+    assert view.full_refreshes == 0
+    assert _SEGMENT_REFRESHES.value == segments
+
+
+def test_det_gamma_view_explain_golden():
+    view = Connection(_det_join_db(), verify=True).subscribe(_DET_GAMMA_SQL)
+    assert view.explain_delta() == """\
+DeltaPlan[kind=refresh]
+  Δ-maintain segment __ivm_seg0:
+    FusedSelectProject π[b, d]  (~12 rows)
+      HashJoin ⋈[a=c]  (~12 rows)
+        Scan r  (~12 rows)
+        Scan s  (~4 rows)
+  refresh-boundary (γ state maintained; re-run when stale):
+    HashAggregate γ[d; sum(b)→total, count(None)→n, min(b)→low]  (~3 rows)
+      Scan __ivm_seg0  (~12 rows)"""
+
+
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_gamma_over_a_base_table_is_maintained(engine):
+    # every column feeds the γ, so its input is the bare table itself
+    sql = "SELECT status, SUM(k) AS ks, SUM(price) AS total FROM o GROUP BY status"
+    db = _det_orders_db() if engine == "det" else _orders_db()
+    view = Connection(db, verify=True).subscribe(sql)
+    assert "Δ-maintain segment __ivm_seg0:\n    Scan o " in view.explain_delta()
+    assert "γ state maintained" in view.explain_delta()
+    view.result()
+    refreshes = view.tail_refreshes
+    ann = 1 if engine == "det" else (1, 1, 1)
+    for op, t in [("add", (20, "F", 7.25)), ("delete", (7, "O", 7.5))]:
+        getattr(db["o"], op)(t, ann)
+        got = view.result()
+        assert _bits(got) == _bits(Connection(db).execute(sql))
+        assert view.tail_refreshes == refreshes
+    assert view.writes_applied == 2 and view.full_refreshes == 0

@@ -12,6 +12,7 @@ from repro.core.expressions import Const, Div, Var
 from repro.db.engine import evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
 from repro.incomplete.xdb import XTuple
+from repro.session import Connection
 from repro.sql.parser import SqlSyntaxError, parse_sql
 
 
@@ -128,3 +129,53 @@ class TestEvalConfigEdges:
         plan = TableRef("l").join(TableRef("r"), Var("a") > Var("b"))
         out = evaluate_audb(plan, db, EvalConfig(join_buckets=4))
         assert len(out) == 1
+
+
+class TestConnectionConfig:
+    """A bucket budget or a worker count no executor can honour is a
+    ``ValueError`` when the connection (or a per-call config) is made,
+    on both engines — not a late error, or a silent serial run."""
+
+    BAD = [
+        {"join_buckets": 0},
+        {"join_buckets": -1},
+        {"join_buckets": 2.5},
+        {"join_buckets": True},
+        {"aggregation_buckets": 0},
+        {"aggregation_buckets": 2.5},
+        {"aggregation_buckets": False},
+        {"parallelism": 0},
+        {"parallelism": -3},
+        {"parallelism": None},
+        {"parallelism": 2.0},
+        {"parallelism": True},
+    ]
+
+    @staticmethod
+    def _dbs():
+        au = AUDatabase({"r": AURelation.from_certain_rows(["a"], [[1], [2]])})
+        det = DetDatabase({"r": DetRelation(["a"], [(1,), (2,)])})
+        return au, det
+
+    @pytest.mark.parametrize("fields", BAD, ids=repr)
+    def test_bad_config_is_rejected(self, fields):
+        for db in self._dbs():
+            with pytest.raises(ValueError):
+                Connection(db, config=EvalConfig(**fields))
+            with Connection(db) as conn:
+                with pytest.raises(ValueError):
+                    conn.execute("SELECT a FROM r", config=EvalConfig(**fields))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"join_buckets": None, "aggregation_buckets": None},
+            {"join_buckets": 1},
+            {"aggregation_buckets": 8, "parallelism": 1},
+        ],
+        ids=repr,
+    )
+    def test_good_config_is_accepted(self, fields):
+        for db in self._dbs():
+            with Connection(db, config=EvalConfig(**fields)) as conn:
+                assert len(conn.execute("SELECT a FROM r")) == 2
