@@ -42,6 +42,11 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   probe row of the key–FK hash join ``lineitem ⋈ orders`` (unique build
   keys, every probe row hits: the ``map`` probe with the probe side
   passed through).
+* **Key–FK join AU ÷ det (reported, no gate)**: the same hash join on
+  the AU engine, no ``Cpr``, over AU data whose selected-guess world is
+  the det data, against the det floor's join: at 0 % uncertainty (every
+  key certain, so the AU join runs the det join table) and with 2 % of
+  the probe keys uncertain (those rows take the interval path).
 
 Both backends must return identical results (integer measures, so even
 SUM/AVG are bit-exact).
@@ -263,6 +268,47 @@ def det_floors(det: DetDatabase):
     t_join, _joined = time_call(lambda: run_join(join), repeat=7)
     probe_rows = len(det["lineitem"].rows)
     return t_filter / n * 1e9, t_join / probe_rows * 1e9
+
+
+#: the shares of lineitem rows whose order key is uncertain in the
+#: key–FK join's AU ÷ det rows
+KEY_FK_UNCERTAINTY = (0.0, 0.02)
+
+
+def au_key_fk_db(det: DetDatabase, uncertain: float, seed: int = 1) -> AUDatabase:
+    """``det`` as an AU database whose selected-guess world is ``det``,
+    with a share ``uncertain`` of the lineitem order keys widened to
+    ``[k-1/k/k+1]``."""
+    rng = random.Random(seed)
+    tables = {}
+    for name in ("orders", "lineitem"):
+        rel = AURelation(det[name].schema)
+        for row, m in det[name].rows.items():
+            if name == "lineitem" and rng.random() < uncertain:
+                row = (between(row[0] - 1, row[0], row[0] + 1),) + row[1:]
+            rel.add(row, (m, m, m))
+        tables[name] = rel
+    return AUDatabase(tables)
+
+
+def key_fk_join_ratios(det: DetDatabase):
+    """``{share: (AU s, det s)}`` of the key–FK join operator, best of 7
+    each, and whether every AU result's SG world was the det result."""
+    from repro.experiments.common import time_call
+
+    join = key_fk_join_plan()
+    run_det = vectorized._DetExec(det).eval
+    run_det(join)
+    t_det, r_det = time_call(lambda: run_det(join), repeat=7)
+    expected = r_det.to_relation().as_bag()
+    timings, same = {}, True
+    for share in KEY_FK_UNCERTAINTY:
+        run_au = vectorized._AUExec(au_key_fk_db(det, share)).eval
+        run_au(join)
+        t_au, r_au = time_call(lambda: run_au(join), repeat=7)
+        timings[share] = (t_au, t_det)
+        same = same and r_au.to_relation().selected_guess_world() == expected
+    return timings, same
 
 
 def join_agg_plan():
@@ -501,6 +547,15 @@ def main() -> int:
         f"det floors: filter kernel {filter_ns:.1f} ns/row, key-FK join "
         f"{join_ns:.1f} ns/probe row"
     )
+    key_fk, key_fk_same = key_fk_join_ratios(det)
+    if not key_fk_same:
+        failures.append("au_det_key_fk_join: SG world differs from the det answer")
+    for share, (t_au_join, t_det_join) in key_fk.items():
+        print(
+            f"AU / det cost ratio, key-FK join (no Cpr, {share:.0%} of the "
+            f"probe keys uncertain): AU {t_au_join:.4f}s / det "
+            f"{t_det_join:.4f}s = {t_au_join / t_det_join:.1f}x"
+        )
     for failure in failures:
         print(f"FAIL: {failure}")
 
@@ -564,6 +619,14 @@ def main() -> int:
                 },
                 "det_filter": {"ns_per_row": round(filter_ns, 2)},
                 "det_key_fk_join": {"ns_per_probe_row": round(join_ns, 2)},
+                "au_det_key_fk_join": {
+                    f"{share:.0%}": {
+                        "au_s": round(t_au_join, 6),
+                        "det_s": round(t_det_join, 6),
+                        "ratio": round(t_au_join / t_det_join, 4),
+                    }
+                    for share, (t_au_join, t_det_join) in key_fk.items()
+                },
             },
             "failures": failures,
         },

@@ -371,13 +371,19 @@ def au_topk(rel: AURelation, keys: Sequence[str], descending: bool, n: int) -> A
     bracket the replayed SG take (``lb ≤ sg`` and strict-prefix sums are
     below tie-inclusive prefix sums), so annotations stay valid.
 
-    **Remaining unsound-to-prune case**: when any order key is uncertain
-    the rank of a row differs across worlds, so the only sound result
-    without a per-row rank analysis is the identity (every input row, a
-    sound superset) — which is what this function then returns.  Bare
-    ``LIMIT`` without ORDER BY likewise stays the identity in the AU
-    engine: its deterministic tuple-order tie-break is arbitrary and
-    carries no semantics to preserve under uncertainty.
+    **Uncertain order key — known soundness gap**: when any order key is
+    uncertain the rank of a row differs across worlds, and this function
+    returns its input unchanged.  That identity is sound for upper
+    bounds only (every row that can be in the top-k of some world is
+    there with its ``ub``); it is *not* sound for lower bounds, since
+    every row keeps its ``lb`` although a world may rank it out of the
+    top-k.  On rows ``(1, 10)``, ``(2, 20)``, ``(3, [5/30/40])``, each
+    ``(1, 1, 1)``, a top-1 by the second attribute descending keeps all
+    three rows at ``lb = 1``, which does not bound the SG world's top-1.
+    Sound position bounds for uncertain keys are an open item.  Bare
+    ``LIMIT`` without ORDER BY stays the identity in the AU engine: its
+    deterministic tuple-order tie-break is arbitrary and carries no
+    semantics to preserve under uncertainty.
     """
     from .ranges import domain_key
 

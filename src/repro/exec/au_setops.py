@@ -138,8 +138,10 @@ def topk_batch(
 ) -> AUColumnBatch:
     """``ORDER BY keys [DESC] LIMIT n``
     (:func:`repro.core.operators.au_topk`): with an uncertain order key
-    the merged input itself, else position bounds from prefix sums over
-    the rows sorted on their key (full content breaking ties)."""
+    the merged input itself — sound for upper bounds only, as every row
+    keeps its ``lb`` (the known gap documented there) — else position
+    bounds from prefix sums over the rows sorted on their key (full
+    content breaking ties)."""
     key_idx = [_attr_index(batch.schema, k) for k in keys]
     batch, _merged = batch.merge_duplicates()
     columns = batch.columns

@@ -17,9 +17,11 @@ The order / dedupe contract, step by step:
   reference's;
 * **SG part** — rows with ``ann_sg > 0``, every cell collapsed to its SG
   value (a cell whose three bounds are one object is reused), the row
-  lower bound kept only when every cell was certain; hash join on the SG
-  key values, per probe row its matches in build order, the residual
-  evaluated only when the condition is not a pure equi-conjunction;
+  lower bound kept only when every cell was certain; the hash join's
+  table on the SG key values (:func:`repro.exec.vectorized.build_join_table`
+  / :func:`~repro.exec.vectorized.probe_au_join_table`), per probe row
+  its matches in build order, the residual evaluated only when the
+  condition is not a pure equi-conjunction;
 * **possible part** — every row as ``(0, 0, ub)``; beyond ``buckets``
   rows they are stably sorted on the compress attribute's SG value and
   boxed column-wise (first minimum lower bound / first maximum upper
@@ -46,9 +48,16 @@ from .batch import AUColumnBatch, charge_materialization
 __all__ = ["compressed_join"]
 
 #: ``emit_pairs(left, right, li, ri, condition)``: the executor's pair
-#: combiner (``_AUExec._emit_pairs`` — compiled or interpreted residual)
+#: combiner (``_AUExec._emit_pairs`` — compiled or interpreted residual;
+#: ``li=None`` pairs every left row in order)
 EmitPairs = Callable[
-    [AUColumnBatch, AUColumnBatch, List[int], List[int], Optional[Expression]],
+    [
+        AUColumnBatch,
+        AUColumnBatch,
+        Optional[List[int]],
+        Sequence[int],
+        Optional[Expression],
+    ],
     AUColumnBatch,
 ]
 
@@ -74,10 +83,13 @@ def compressed_join(
     l_keys = [left.schema.index(a) for a, _ in eq_pairs]
     r_keys = [right.schema.index(b) for _, b in eq_pairs]
 
+    # the executor module imports this one
+    from .vectorized import build_join_table, probe_au_join_table
+
     sg_left, sg_right = _split_sg(left), _split_sg(right)
-    li, ri = _hash_pairs(
-        [[c.sg for c in sg_left.columns[k]] for k in l_keys],
-        [[c.sg for c in sg_right.columns[k]] for k in r_keys],
+    table = build_join_table(sg_right, [b for _, b in eq_pairs])
+    li, ri, _probe, _uncertain = probe_au_join_table(
+        table, [sg_left.columns[k] for k in l_keys]
     )
     sg_part = emit_pairs(sg_left, sg_right, li, ri, residual)
 
@@ -93,7 +105,7 @@ def compressed_join(
         _tm.annotate(
             buckets=buckets,
             dedup_rows=l_merged + r_merged,
-            sg_pairs=len(li),
+            sg_pairs=len(ri),
             poss_boxes_left=len(box_left),
             poss_boxes_right=len(box_right),
             box_pairs_tested=tested,
@@ -123,24 +135,6 @@ def _split_sg(batch: AUColumnBatch) -> AUColumnBatch:
             out.append(RangeValue(v, v, v))
         columns.append(out)
     return AUColumnBatch(batch.schema, columns, lb, sg, sg)
-
-
-def _hash_pairs(
-    l_keys: Sequence[Sequence], r_keys: Sequence[Sequence]
-) -> Tuple[List[int], List[int]]:
-    """Equi-join row pairs on plain key values: probe rows in order,
-    each with its matches in build order."""
-    table: Dict[Tuple, List[int]] = {}
-    for j, key in enumerate(zip(*r_keys)):
-        table.setdefault(key, []).append(j)
-    li: List[int] = []
-    ri: List[int] = []
-    for i, key in enumerate(zip(*l_keys)):
-        matches = table.get(key)
-        if matches:
-            li.extend([i] * len(matches))
-            ri.extend(matches)
-    return li, ri
 
 
 def _compress(batch: AUColumnBatch, attribute: str, buckets: int) -> AUColumnBatch:

@@ -19,8 +19,8 @@ Execution of one Exchange:
 2. subtrees of the region that do *not* contain the ParallelScan are
    partition-invariant — they are evaluated **once** in the parent and
    injected into the workers as pre-bound results, and hash-join build
-   sides on the driver spine are built once (AU build sides split into
-   their certain-key hash + uncertain interval-match parts once);
+   sides on the driver spine are built once (an AU build side's join
+   table holds its certain-key rows and lists its uncertain-key ones);
 3. each worker interprets the region over its morsel.  Workers come
    from the session's **persistent pool** (:class:`WorkerPool`, owned
    by :class:`repro.session.Connection` — forked once, reused across
@@ -137,25 +137,22 @@ def _prebuild_join_tables(
     scan: phys.ParallelScan,
     bindings: Dict[int, Any],
     join_tables: Dict[int, Any],
-    au: bool = False,
 ) -> None:
     """Build hash tables for partition-invariant build sides once.
 
     A ``HashJoin`` on the driver spine probes a build side that is the
     same for every morsel — without this, each worker would rebuild the
-    identical table.  For AU joins the build is the certain-key hash +
-    uncertain interval-match partition of
-    :func:`repro.exec.vectorized.build_au_join_table`."""
-    from .vectorized import build_au_join_table, build_join_table
+    identical table (:func:`repro.exec.vectorized.build_join_table`, on
+    either engine)."""
+    from .vectorized import build_join_table
 
     if isinstance(pnode, phys.HashJoin) and id(pnode.right) in bindings:
-        build = build_au_join_table if au else build_join_table
-        join_tables[id(pnode)] = build(
+        join_tables[id(pnode)] = build_join_table(
             bindings[id(pnode.right)], [b for _, b in pnode.eq_pairs]
         )
     for child in pnode.children():
         if _contains(child, scan):
-            _prebuild_join_tables(child, scan, bindings, join_tables, au)
+            _prebuild_join_tables(child, scan, bindings, join_tables)
 
 
 def execute_exchange(parent_exec, node: phys.Exchange):
@@ -247,7 +244,7 @@ def _run_inline(
     from .vectorized import _AUExec, _DetExec
 
     join_tables: Dict[int, Any] = {}
-    _prebuild_join_tables(node.child, scan, bindings, join_tables, au)
+    _prebuild_join_tables(node.child, scan, bindings, join_tables)
     cls = _AUExec if au else _DetExec
     return [
         _decode(
@@ -331,7 +328,7 @@ def _run_task(db, task: tuple) -> tuple:
         chunk_indices
     )
     join_tables: Dict[int, Any] = {}
-    _prebuild_join_tables(region, scan, bindings, join_tables, au)
+    _prebuild_join_tables(region, scan, bindings, join_tables)
     cls = _AUExec if au else _DetExec
     return _encode(cls(db, None, bindings, join_tables).eval(region))
 

@@ -264,7 +264,9 @@ class HashJoin(PhysNode):
     ``pure_equi`` (decided at plan time) means the condition is exactly
     the conjunction of the pairs, so hash matches need no residual
     re-check.  Under AU semantics this is the certain-key hash +
-    interval nested-loop split of :func:`repro.core.operators.join`.
+    interval nested-loop split of :func:`repro.core.operators.join`;
+    the vectorized executor runs the det join table on the certain-key
+    rows.
     """
 
     left: PhysNode = field(metadata=CHILD)
@@ -901,7 +903,7 @@ def explain_physical(
     (reason)`` — a compiled det filter also how many of its comparisons
     ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
     det select-project how many base columns it gathered
-    (``gathered_columns=k/n``), a vectorized det ``HashJoin`` which
+    (``gathered_columns=k/n``), a vectorized ``HashJoin`` which
     probe rule ran (``probe=map`` over a unique-key table, ``loop``
     otherwise) and how many probe-side rows it gathered
     (``gathered_left=0`` when the probe side passed through) — a

@@ -22,10 +22,10 @@ Operator implementations:
   agree with the tuple engine bit-for-bit; a table whose build keys are
   unique is probed by one ``map(dict.get)``, and when every probe row
   hits (a key–FK join) the probe columns pass through ungathered;
-  the AU ``HashJoin`` is the
-  certain-key hash + interval nested-loop split, the AU
-  ``CompressedJoin`` the columnar Section 10.4 join of
-  :mod:`repro.exec.compressed_join`;
+  the AU ``HashJoin`` is the certain-key hash + interval nested-loop
+  split, its certain-key rows running the same join table on their SG
+  key values, the AU ``CompressedJoin`` the columnar Section 10.4 join
+  of :mod:`repro.exec.compressed_join`;
 * **hash aggregation** groups once — one hash pass from each group key
   to its rows, in first-appearance order — then folds each aggregate's
   input column per group with one call of its det ``fold`` in the
@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import repeat
-from operator import itemgetter, mul
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, mul
 from typing import (
     Any,
     Callable,
@@ -74,6 +74,7 @@ from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
 from ..core.sums import count_float_addends, folds_in_c
 from ..core.expressions import Expression, RowView, Var
+from ..core.ranges import RangeValue
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
@@ -98,7 +99,7 @@ __all__ = [
     "JoinTable",
     "build_join_table",
     "probe_join_table",
-    "build_au_join_table",
+    "probe_au_join_table",
 ]
 
 
@@ -563,11 +564,14 @@ class _DetExec:
 
 
 class JoinTable(NamedTuple):
-    """A det hash join's build side: ``rows`` maps each key to its
-    build row when ``unique``, else to the list of its build rows."""
+    """A hash join's build side: ``rows`` maps each key to its build
+    row when ``unique``, else to the list of its build rows, in build
+    order.  ``uncertain`` lists the AU build rows with an uncertain key
+    cell, in build order; they are not in ``rows``."""
 
     rows: Dict[Any, Any]
     unique: bool
+    uncertain: Sequence[int] = ()
 
 
 def _join_keys(columns: Sequence[Sequence]) -> Iterable:
@@ -576,27 +580,130 @@ def _join_keys(columns: Sequence[Sequence]) -> Iterable:
     return columns[0] if len(columns) == 1 else zip(*columns)
 
 
-def build_join_table(right: ColumnBatch, key_attrs: Sequence[str]) -> JoinTable:
-    """Bucket the build side's raw key values, exactly like the tuple
-    engine's dict: Python's identity-or-equality lookup means a bucket
-    match implies the Eq conjuncts hold under domain_key comparison
-    (including the same-NaN-object identity case), so hash and
-    nested-loop plans agree with the tuple engine bit-for-bit.
+def build_join_table(
+    right: ColumnBatch | AUColumnBatch, key_attrs: Sequence[str]
+) -> JoinTable:
+    """The join table of a det or AU build side.
+
+    A det batch buckets its raw key values; an AU batch buckets the SG
+    key values of its rows whose key cells are all certain
+    (:func:`_key_split`) and lists the others as ``uncertain``, for the
+    interval path."""
+    r_index = _index_of(right.schema)
+    key_cols = [right.columns[r_index[b]] for b in key_attrs]
+    if not isinstance(right, AUColumnBatch):
+        return _join_table(key_cols, range(len(right)))
+    certain, uncertain, sg_cols = _key_split(key_cols)
+    if certain is None:
+        certain = range(len(right))
+    return _join_table(sg_cols, certain, uncertain)
+
+
+def _join_table(
+    key_cols: Sequence[Sequence], ids: Sequence[int], uncertain: Sequence[int] = ()
+) -> JoinTable:
+    """Bucket the key values of the build rows ``ids``, exactly like the
+    tuple engine's dict: Python's identity-or-equality lookup means a
+    bucket match implies the Eq conjuncts hold under domain_key
+    comparison (including the same-NaN-object identity case), so hash
+    and nested-loop plans agree with the tuple engine bit-for-bit.
 
     When no two build rows share a key — the same identity-or-equality
     test, so ``1``/``1.0``/``True`` collide and two distinct NaN
     objects do not — the table maps each key to its one row
     (``unique``), which :func:`probe_join_table` probes in C."""
-    r_index = _index_of(right.schema)
-    key_cols = [right.columns[r_index[b]] for b in key_attrs]
-    n = len(right)
-    rows = dict(zip(_join_keys(key_cols), range(n)))
-    if len(rows) == n:
-        return JoinTable(rows, True)
+    rows = dict(zip(_join_keys(key_cols), ids))
+    if len(rows) == len(ids):
+        return JoinTable(rows, True, uncertain)
     buckets: Dict[Any, List[int]] = {}
-    for j, key in enumerate(_join_keys(key_cols)):
+    for j, key in zip(ids, _join_keys(key_cols)):
         buckets.setdefault(key, []).append(j)
-    return JoinTable(buckets, False)
+    return JoinTable(buckets, False, uncertain)
+
+
+_IS_CERTAIN = attrgetter("is_certain")
+_SG = attrgetter("sg")
+
+
+def _key_split(
+    key_cols: Sequence[Sequence[RangeValue]],
+) -> Tuple[Optional[List[int]], List[int], List[List[Any]]]:
+    """Split AU rows by join-key certainty, one ``is_certain`` pass per
+    key column: ``(certain, uncertain, sg_cols)`` — the rows whose key
+    cells are all certain (``None``: every row), the other rows, and
+    the certain rows' SG key values column by column."""
+    uncertain: set = set()
+    for col in key_cols:
+        flags = list(map(_IS_CERTAIN, col))
+        if False in flags:
+            uncertain.update(j for j, ok in enumerate(flags) if not ok)
+    if not uncertain:
+        return None, [], [list(map(_SG, col)) for col in key_cols]
+    certain = [j for j in range(len(key_cols[0])) if j not in uncertain]
+    pick = _picker(certain)
+    return certain, sorted(uncertain), [list(map(_SG, pick(col))) for col in key_cols]
+
+
+def probe_au_join_table(
+    table: JoinTable, key_cols: Sequence[Sequence[RangeValue]]
+) -> Tuple[Optional[List[int]], Sequence[int], str, List[int]]:
+    """:func:`probe_join_table` with the SG keys of the AU probe rows
+    whose key cells are all certain: ``(li, ri, probe, uncertain)``,
+    ``uncertain`` being the probe rows left to the interval path."""
+    certain, uncertain, sg_cols = _key_split(key_cols)
+    li, ri, probe = probe_join_table(table, _join_keys(sg_cols))
+    if certain is not None:
+        li = certain if li is None else [certain[i] for i in li]
+    return li, ri, probe, uncertain
+
+
+def _interval_pairs(
+    l_key_cols: Sequence[Sequence[RangeValue]],
+    r_key_cols: Sequence[Sequence[RangeValue]],
+    l_uncertain: Sequence[int],
+    table: JoinTable,
+) -> Tuple[List[int], List[int]]:
+    """The key-overlapping pairs of the rows with an uncertain key cell,
+    probe-major: each probe row with an uncertain key against the
+    certain build rows, grouped by key in first-occurrence order (the
+    tuple engine's bucket order), then every probe row against the
+    uncertain build rows in build order."""
+    li: List[int] = []
+    ri: List[int] = []
+    r_uncertain = table.uncertain
+    if not l_uncertain and not r_uncertain:
+        return li, ri
+    l_cells = list(zip(*l_key_cols))
+    r_cells = list(zip(*r_key_cols))
+    groups = table.rows.values()
+    certain = list(groups if table.unique else chain.from_iterable(groups))
+    overlaps = ops._key_overlaps
+    uncertain_probe = set(l_uncertain)
+    for i in range(len(l_cells)) if r_uncertain else l_uncertain:
+        keyvals = l_cells[i]
+        if i in uncertain_probe:
+            for j in certain:
+                if overlaps(keyvals, r_cells[j]):
+                    li.append(i)
+                    ri.append(j)
+        for j in r_uncertain:
+            if overlaps(keyvals, r_cells[j]):
+                li.append(i)
+                ri.append(j)
+    return li, ri
+
+
+def _probe_major(first: Sequence[Sequence], second: Sequence[Sequence]) -> Sequence:
+    """Two row-pair lists (probe rows first, then build rows and any
+    per-pair columns), each probe-major, as one probe-major list: per
+    probe row the pairs of ``first`` before those of ``second``.
+    ``first``'s probe rows may be ``None``: every probe row once."""
+    if not second[0]:
+        return first
+    li = range(len(first[1])) if first[0] is None else first[0]
+    merged = [list(a) + list(b) for a, b in zip((li, *first[1:]), second)]
+    pick = _picker(sorted(range(len(merged[0])), key=merged[0].__getitem__))
+    return [pick(col) for col in merged]
 
 
 def probe_join_table(
@@ -862,10 +969,10 @@ class _AUExec:
         #: of a parallel region, and the per-worker morsel of its
         #: ParallelScan (see repro.exec.parallel)
         self.bindings: Dict[int, AUColumnBatch] = bindings or {}
-        #: pre-built AU hash tables by HashJoin node id — a parallel
+        #: pre-built join tables by HashJoin node id — a parallel
         #: region builds each partition-invariant build side once and
         #: shares it between its morsels
-        self.join_tables: Dict[int, Tuple] = join_tables or {}
+        self.join_tables: Dict[int, JoinTable] = join_tables or {}
         #: persistent worker pool (Connection-owned) for Exchange regions
         self.pool = pool
 
@@ -966,7 +1073,8 @@ class _AUExec:
         """Chunk-at-a-time selection over an AU base table (the AU
         mirror of ``_DetExec._stream_select_project``); row-local
         selection commutes with chunk order, so the result is
-        bit-identical to filtering the whole-table concatenation."""
+        bit-identical to filtering the whole-table concatenation.  Only
+        the columns the fused projection references are gathered."""
         tr = _tm._ACTIVE
         span = tr.begin_op(scan) if tr is not None else None
         store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
@@ -985,8 +1093,12 @@ class _AUExec:
                 self.actuals[id(src)] = scanned
         schema = store.schema
         condition = p.condition
+        gathered = range(len(schema))
+        if p.columns is not None:
+            names = set().union(*(expr.variables() for expr, _ in p.columns))
+            gathered = [j for j, name in enumerate(schema) if name in names]
         kernel = _compiled(compile_range_filter, condition, schema)
-        cols: List[List[Any]] = [[] for _ in schema]
+        cols: List[List[Any]] = [[] for _ in gathered]
         ann_lb: List[int] = []
         ann_sg: List[int] = []
         ann_ub: List[int] = []
@@ -999,12 +1111,15 @@ class _AUExec:
                 keep, lb, sg, ub = _interpret_selection(
                     ch.batch(schema), condition
                 )
-            for out, col in zip(cols, ch.rv_cols):
+            for out, j in zip(cols, gathered):
+                col = ch.rv_cols[j]
                 out.extend([col[i] for i in keep])
             ann_lb.extend(lb)
             ann_sg.extend(sg)
             ann_ub.extend(ub)
-        batch = AUColumnBatch(schema, cols, ann_lb, ann_sg, ann_ub)
+        batch = AUColumnBatch(
+            [schema[j] for j in gathered], cols, ann_lb, ann_sg, ann_ub
+        )
         if p.columns is not None:
             batch = self._projection(batch, p.columns)
         return batch
@@ -1059,98 +1174,103 @@ class _AUExec:
         return self._emit_pairs(left, right, li, ri, p.condition)
 
     def _hash_join(self, p: phys.HashJoin) -> AUColumnBatch:
+        """Certain-key rows run the det join table on their SG key
+        values; a row with an uncertain key cell takes the interval
+        path.  Per probe row its certain-key matches come first, then
+        its interval matches — the tuple engine's emission order."""
         left, right = self.eval(p.left), self.eval(p.right)
-        condition = p.condition
         l_index, r_index = _index_of(left.schema), _index_of(right.schema)
         l_key_cols = [left.columns[l_index[a]] for a, _ in p.eq_pairs]
         r_key_cols = [right.columns[r_index[b]] for _, b in p.eq_pairs]
-        pure_equi = p.pure_equi
 
         table = self.join_tables.get(id(p))
         if table is None:
-            table = build_au_join_table(right, [b for _, b in p.eq_pairs])
-        certain_right, certain_right_rows, uncertain_right = table
+            table = build_join_table(right, [b for _, b in p.eq_pairs])
+        li, ri, probe, l_uncertain = probe_au_join_table(table, l_key_cols)
+        interval = _interval_pairs(l_key_cols, r_key_cols, l_uncertain, table)
         if _tm._ACTIVE is not None:
+            # the probe side passes through: certain keys, one hit each
+            through = li is None and p.pure_equi and not interval[0]
             _tm.annotate(
                 build_rows=len(right),
-                build_keys=len(certain_right),
+                build_keys=len(table.rows),
                 probe_rows=len(left),
-                uncertain_build_rows=len(uncertain_right),
+                uncertain_build_rows=len(table.uncertain),
+                uncertain_probe_rows=len(l_uncertain),
+                probe=probe,
+                gathered_left=0 if through else len(ri) + len(interval[0]),
             )
-
-        fast_li: List[int] = []
-        fast_ri: List[int] = []
-        theta_li: List[int] = []
-        theta_ri: List[int] = []
-        for i in range(len(left)):
-            keyvals = [c[i] for c in l_key_cols]
-            if all(v.is_certain for v in keyvals):
-                matches = certain_right.get(tuple(v.sg for v in keyvals))
-                if matches:
-                    if pure_equi:
-                        for j in matches:
-                            fast_li.append(i)
-                            fast_ri.append(j)
-                    else:
-                        for j in matches:
-                            theta_li.append(i)
-                            theta_ri.append(j)
-            else:
-                # uncertain left key: may match any certain right tuple
-                for j in certain_right_rows:
-                    if ops._key_overlaps(keyvals, [c[j] for c in r_key_cols]):
-                        theta_li.append(i)
-                        theta_ri.append(j)
-            for j in uncertain_right:
-                if ops._key_overlaps(keyvals, [c[j] for c in r_key_cols]):
-                    theta_li.append(i)
-                    theta_ri.append(j)
-
-        fast = self._emit_pairs(left, right, fast_li, fast_ri, None)
-        if not theta_li:
-            return fast
-        checked = self._emit_pairs(left, right, theta_li, theta_ri, condition)
-        return fast.concat(checked)
+        if not p.pure_equi:
+            # hash matches re-check the residual beside the interval pairs
+            li, ri = _probe_major((li, ri), interval)
+            return self._emit_pairs(left, right, li, ri, p.condition)
+        # a hash match under a pure equi-condition is certainly true
+        pairs = self._pairs(left, right, li, ri, None)
+        if interval[0]:
+            checked = self._pairs(left, right, *interval, p.condition)
+            pairs = _probe_major(pairs, checked)
+        return self._pair_batch(left, right, pairs)
 
     def _emit_pairs(
         self,
         left: AUColumnBatch,
         right: AUColumnBatch,
-        li: List[int],
-        ri: List[int],
+        li: Optional[List[int]],
+        ri: Sequence[int],
         condition: Optional[Expression],
     ) -> AUColumnBatch:
         """Combine row pairs, multiplying annotations in ``K^AU``.
 
         With ``condition`` the pair annotation is additionally multiplied
         by ``M_N(θ)`` and pairs that are certainly non-matching
-        (``ub == 0``) are dropped.
+        (``ub == 0``) are dropped.  ``li=None`` pairs every left row, in
+        order, with its ``ri`` row: without a condition the left
+        columns pass through ungathered.
         """
+        return self._pair_batch(
+            left, right, self._pairs(left, right, li, ri, condition)
+        )
+
+    def _pairs(
+        self,
+        left: AUColumnBatch,
+        right: AUColumnBatch,
+        li: Optional[List[int]],
+        ri: Sequence[int],
+        condition: Optional[Expression],
+    ) -> Tuple:
+        """The kept pairs of :meth:`_emit_pairs` and their annotations,
+        ``(li, ri, ann_lb, ann_sg, ann_ub)``, before any gather."""
         llb, lsg, lub = left.ann_lb, left.ann_sg, left.ann_ub
         rlb, rsg, rub = right.ann_lb, right.ann_sg, right.ann_ub
-        schema = tuple(left.schema) + tuple(right.schema)
         if condition is None:
-            return AUColumnBatch(
-                schema,
-                _gather(left.columns, li) + _gather(right.columns, ri),
-                [llb[i] * rlb[j] for i, j in zip(li, ri)],
-                [lsg[i] * rsg[j] for i, j in zip(li, ri)],
-                [lub[i] * rub[j] for i, j in zip(li, ri)],
+            pl, pr = _picker(li), _picker(ri)
+            return (
+                li,
+                ri,
+                list(map(mul, pl(llb), pr(rlb))),
+                list(map(mul, pl(lsg), pr(rsg))),
+                list(map(mul, pl(lub), pr(rub))),
             )
+        if li is None:
+            li = list(range(len(ri)))
         kernel = _compiled(
             compile_range_pair_filter, condition, left.schema, right.schema
         )
         if kernel is not None:
-            keep_l, keep_r, ann_lb, ann_sg, ann_ub = kernel(
+            return kernel(
                 left.columns, right.columns, li, ri, llb, lsg, lub, rlb, rsg, rub
             )
-        else:
-            keep_l, keep_r, ann_lb, ann_sg, ann_ub = _interpret_pairs(
-                left, right, li, ri, condition
-            )
+        return _interpret_pairs(left, right, li, ri, condition)
+
+    @staticmethod
+    def _pair_batch(
+        left: AUColumnBatch, right: AUColumnBatch, pairs: Sequence
+    ) -> AUColumnBatch:
+        li, ri, ann_lb, ann_sg, ann_ub = pairs
         return AUColumnBatch(
-            schema,
-            _gather(left.columns, keep_l) + _gather(right.columns, keep_r),
+            tuple(left.schema) + tuple(right.schema),
+            _gather(left.columns, li) + _gather(right.columns, ri),
             ann_lb,
             ann_sg,
             ann_ub,
@@ -1206,32 +1326,3 @@ def _interpret_selection(
         batch, _UNIT, range(len(batch)), repeat(0), condition
     )
     return keep, ann_lb, ann_sg, ann_ub
-
-
-def build_au_join_table(
-    right: AUColumnBatch, key_attrs: Sequence[str]
-) -> Tuple[Dict[Tuple, List[int]], List[int], List[int]]:
-    """Partition an AU build side for the certain-key hash join.
-
-    Rows whose join-key attributes are all certain bucket by their SG
-    value tuple (``certain_right``); the rest (``uncertain_right``)
-    interval-match against every probe row.  ``certain_right_rows``
-    keeps the certain rows in order for uncertain-probe overlap scans.
-    A parallel region builds this once and probes it from every
-    morsel instead of rebuilding it per morsel.
-    """
-    r_index = _index_of(right.schema)
-    r_key_cols = [right.columns[r_index[b]] for b in key_attrs]
-    certain_right: Dict[Tuple, List[int]] = {}
-    certain_right_rows: List[int] = []
-    uncertain_right: List[int] = []
-    for j in range(len(right)):
-        keyvals = [c[j] for c in r_key_cols]
-        if all(v.is_certain for v in keyvals):
-            certain_right.setdefault(
-                tuple(v.sg for v in keyvals), []
-            ).append(j)
-            certain_right_rows.append(j)
-        else:
-            uncertain_right.append(j)
-    return certain_right, certain_right_rows, uncertain_right

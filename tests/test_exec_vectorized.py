@@ -530,13 +530,33 @@ class TestAuTopK:
             expected = _topk(sgw_in, ["k"], descending, n).as_bag()
             assert out.selected_guess_world() == expected, f"case {_case}"
 
-    def test_bounds_every_sampled_world(self):
+    @pytest.mark.parametrize(
+        "uncertain_key",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=(
+                        "known gap: with an uncertain order key au_topk returns "
+                        "its input, so every row keeps its lb; sound position "
+                        "bounds are ROADMAP.md item 2"
+                    ),
+                ),
+            ),
+        ],
+        ids=["certain_key", "uncertain_key"],
+    )
+    def test_bounds_every_sampled_world(self, uncertain_key):
         """au_topk(R) must bound ORDER-BY-LIMIT of every world R bounds."""
         rng = random.Random(42)
         for _case in range(60):
             rel = AURelation(["k", "v"])
             for _ in range(rng.randint(1, 6)):
-                k = rng.randint(0, 3)  # certain order key
+                k = rng.randint(0, 3)
+                if uncertain_key and rng.random() < 0.5:
+                    k = between(k, k + 1, k + 2)
                 v = between(*sorted([rng.randint(0, 9) for _ in range(3)]))
                 lb = rng.randint(0, 1)
                 sg = lb + rng.randint(0, 1)
