@@ -255,6 +255,6 @@ def overlap_index(
     def probe(value: RangeValue) -> List[int]:
         lo, hi = domain_key(value.lb), domain_key(value.ub)
         window = by_lo[bisect_left(reach, lo) : bisect_right(sorted_lo, hi)]
-        return sorted(k for k in window if hi_keys[k] >= lo)
+        return sorted([k for k in window if hi_keys[k] >= lo])
 
     return probe

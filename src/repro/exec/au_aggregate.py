@@ -724,7 +724,7 @@ def _bounding(cells: List[RangeValue], sg: Any) -> RangeValue:
 
 def _bucket_boxes(
     batch: AUColumnBatch,
-    rows: List[int],
+    rows: Sequence[int],
     sort_on: int,
     read_idx: Sequence[int],
     buckets: int,
@@ -735,7 +735,8 @@ def _bucket_boxes(
     The rows are stably sorted on the SG value of column ``sort_on`` and
     cut into at most ``buckets`` runs; a box bounds its run column-wise
     on the ``read_idx`` columns and keeps the first row's cell elsewhere
-    (nothing reads it).
+    (nothing reads it).  Over every row and column this is the
+    compressed join's ``Cpr`` (:mod:`repro.exec.compressed_join`).
     """
     sort_col = batch.columns[sort_on]
     order = sorted(rows, key=lambda r: domain_key(sort_col[r].sg))

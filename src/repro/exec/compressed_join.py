@@ -17,32 +17,35 @@ The order / dedupe contract, step by step:
   reference's;
 * **SG part** — rows with ``ann_sg > 0``, every cell collapsed to its SG
   value (a cell whose three bounds are one object is reused), the row
-  lower bound kept only when every cell was certain; the hash join's
-  table on the SG key values (:func:`repro.exec.vectorized.build_join_table`
-  / :func:`~repro.exec.vectorized.probe_au_join_table`), per probe row
-  its matches in build order, the residual evaluated only when the
-  condition is not a pure equi-conjunction;
+  lower bound kept only when every cell was certain; joined by the AU
+  hash join's pairing (:func:`repro.exec.vectorized.au_join_pairs`),
+  which on these all-certain keys is the det join table on the SG key
+  values, per probe row its matches in build order; the residual is
+  evaluated only when the condition is not a pure equi-conjunction;
 * **possible part** — every row as ``(0, 0, ub)``; beyond ``buckets``
-  rows they are stably sorted on the compress attribute's SG value and
-  boxed column-wise (first minimum lower bound / first maximum upper
-  bound under ``domain_key``, the run's first SG value, summed ``ub``);
-  the box join probes a sorted-endpoint overlap index
-  (:func:`repro.core.ranges.overlap_index`) on the first key pair, and
-  its candidates are then put in :func:`repro.core.operators.join`'s
-  emission order — per probe box the certain-key build boxes grouped by
-  key in first-occurrence order, then the uncertain-key ones;
+  rows they are boxed by the γ's Section 10.5 boxer
+  (:func:`repro.exec.au_aggregate._bucket_boxes` over every row and
+  column: stably sorted on the compress attribute's SG value, cut into
+  runs, bounded column-wise by first minimum lower bound / first
+  maximum upper bound under ``domain_key``, the run's first SG value,
+  summed ``ub``); the box join is the AU hash join's pairing over the
+  boxes — certain-key boxes through the join table, the pairs with an
+  uncertain key box from an overlap index in
+  :func:`repro.core.operators.join`'s emission order (per probe box the
+  certain-key build boxes grouped by key in first-occurrence order,
+  then the uncertain-key ones);
 * the output is the SG rows followed by the possible rows, unmerged.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .. import telemetry as _tm
 from ..core.expressions import Expression
 from ..core.operators import _extract_equi_pairs, _is_pure_equi_condition
-from ..core.ranges import RangeValue, domain_key, overlap_index
+from ..core.ranges import RangeValue
+from .au_aggregate import _bucket_boxes
 from .batch import AUColumnBatch, charge_materialization
 
 __all__ = ["compressed_join"]
@@ -80,35 +83,27 @@ def compressed_join(
     )
     left, l_merged = left.merge_duplicates()
     right, r_merged = right.merge_duplicates()
-    l_keys = [left.schema.index(a) for a, _ in eq_pairs]
-    r_keys = [right.schema.index(b) for _, b in eq_pairs]
 
     # the executor module imports this one
-    from .vectorized import build_join_table, probe_au_join_table
+    from .vectorized import au_join_pairs
 
     sg_left, sg_right = _split_sg(left), _split_sg(right)
-    table = build_join_table(sg_right, [b for _, b in eq_pairs])
-    li, ri, _probe, _uncertain = probe_au_join_table(
-        table, [sg_left.columns[k] for k in l_keys]
-    )
-    sg_part = emit_pairs(sg_left, sg_right, li, ri, residual)
+    sg_pairs = au_join_pairs(sg_left, sg_right, eq_pairs)
+    sg_part = emit_pairs(sg_left, sg_right, *sg_pairs.merged(), residual)
 
     box_left = _compress(left, left_compress_on, buckets)
     box_right = _compress(right, right_compress_on, buckets)
-    bi, bj, tested = _overlap_pairs(
-        [box_left.columns[k] for k in l_keys],
-        [box_right.columns[k] for k in r_keys],
-    )
-    poss_part = emit_pairs(box_left, box_right, bi, bj, residual)
+    box_pairs = au_join_pairs(box_left, box_right, eq_pairs)
+    poss_part = emit_pairs(box_left, box_right, *box_pairs.merged(), residual)
 
     if _tm._ACTIVE is not None:
         _tm.annotate(
             buckets=buckets,
             dedup_rows=l_merged + r_merged,
-            sg_pairs=len(ri),
+            sg_pairs=len(sg_pairs.ri),
             poss_boxes_left=len(box_left),
             poss_boxes_right=len(box_right),
-            box_pairs_tested=tested,
+            box_pairs_tested=len(box_pairs.ri) + box_pairs.interval_tested,
             box_pairs_matched=len(poss_part),
         )
     charge_materialization(len(sg_part) + len(poss_part))
@@ -138,96 +133,22 @@ def _split_sg(batch: AUColumnBatch) -> AUColumnBatch:
 
 
 def _compress(batch: AUColumnBatch, attribute: str, buckets: int) -> AUColumnBatch:
-    """``Cpr_{attribute,buckets}(split_up(batch))`` over distinct rows."""
+    """``Cpr_{attribute,buckets}(split_up(batch))`` over distinct rows:
+    the γ's Section 10.5 boxer over every row and column, except that
+    at most ``buckets`` rows stay as they are, in input order (the
+    reference keeps them unsorted)."""
     if buckets <= 0:
         raise ValueError("bucket count must be positive")
     n = len(batch)
     if n <= buckets:
         zeros = [0] * n
         return AUColumnBatch(batch.schema, batch.columns, zeros, zeros, batch.ann_ub)
-    sort_keys = [
-        domain_key(cell.sg) for cell in batch.columns[batch.schema.index(attribute)]
-    ]
-    order = sorted(range(n), key=sort_keys.__getitem__)
-    size = -(-n // buckets)  # ceil division
-    runs = [order[start : start + size] for start in range(0, n, size)]
-    columns = []
-    for col in batch.columns:
-        # min/max return the first extreme row of a run, as the
-        # reference's left fold of ``RangeValue.merge`` does
-        lb_keys = [domain_key(cell.lb) for cell in col]
-        ub_keys = [
-            key if cell.ub is cell.lb else domain_key(cell.ub)
-            for key, cell in zip(lb_keys, col)
-        ]
-        lowest, highest = lb_keys.__getitem__, ub_keys.__getitem__
-        columns.append(
-            [
-                RangeValue(
-                    col[min(run, key=lowest)].lb,
-                    col[run[0]].sg,
-                    col[max(run, key=highest)].ub,
-                )
-                for run in runs
-            ]
-        )
-    ann_ub = batch.ann_ub
-    zeros = [0] * len(runs)
-    return AUColumnBatch(
-        batch.schema, columns, zeros, zeros, [sum(ann_ub[i] for i in run) for run in runs]
+    columns, ann_ub = _bucket_boxes(
+        batch,
+        range(n),
+        batch.schema.index(attribute),
+        range(len(batch.columns)),
+        buckets,
     )
-
-
-def _overlap_pairs(
-    l_keys: Sequence[Sequence[RangeValue]], r_keys: Sequence[Sequence[RangeValue]]
-) -> Tuple[List[int], List[int], int]:
-    """Box pairs the interval join of :func:`repro.core.operators.join`
-    evaluates its condition on, in its order, and how many candidates
-    the overlap probe on the first key pair produced.
-
-    A pair qualifies when both keys are certain and equal as hash keys,
-    or when one is uncertain and every key range overlaps.
-    """
-    l_rows, l_point = _key_points(l_keys)
-    r_rows, r_point = _key_points(r_keys)
-    # the build side in the reference's order: certain-key boxes grouped
-    # by key in first-occurrence order, then the uncertain-key ones
-    groups: Dict[Tuple, List[int]] = {}
-    uncertain: List[int] = []
-    for j, point in enumerate(r_point):
-        if point is None:
-            uncertain.append(j)
-        else:
-            groups.setdefault(point, []).append(j)
-    rank = [0] * len(r_rows)
-    for position, j in enumerate(chain(*groups.values(), uncertain)):
-        rank[j] = position
-
-    on_first = overlap_index(r_keys[0])
-    tested = 0
-    matched: List[Tuple[int, int, int]] = []
-    for i, cells in enumerate(l_rows):
-        candidates = on_first(cells[0])
-        tested += len(candidates)
-        for j in candidates:
-            if l_point[i] is not None and r_point[j] is not None:
-                if l_point[i] != r_point[j]:
-                    continue
-            elif not all(x.overlaps(y) for x, y in zip(cells[1:], r_rows[j][1:])):
-                continue
-            matched.append((i, rank[j], j))
-    matched.sort()
-    return [i for i, _, _ in matched], [j for _, _, j in matched], tested
-
-
-def _key_points(
-    keys: Sequence[Sequence[RangeValue]],
-) -> Tuple[List[Tuple[RangeValue, ...]], List[Optional[Tuple]]]:
-    """Per row: its key cells, and its SG key values when every key cell
-    is certain (``None`` otherwise)."""
-    rows = list(zip(*keys))
-    points = [
-        tuple(c.sg for c in cells) if all(c.is_certain for c in cells) else None
-        for cells in rows
-    ]
-    return rows, points
+    zeros = [0] * len(ann_ub)
+    return AUColumnBatch(batch.schema, columns, zeros, zeros, ann_ub)

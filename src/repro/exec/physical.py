@@ -16,7 +16,7 @@ makes those choices *once, at plan time*, in an explicit IR:
   one pass (one gather for a ``π∘σ`` pair on the deterministic side);
 * :class:`HashJoin` / :class:`NLJoin` — the join algorithm, chosen from
   the statistics catalog (:data:`HASH_JOIN_MIN_ROWS`); for the AU engine
-  ``HashJoin`` means the certain-key hash + interval nested-loop split
+  ``HashJoin`` means the certain-key hash + key-overlap interval split
   and ``NLJoin`` the pure interval-overlap loop;
 * :class:`CompressedJoin` — the paper's ``Cpr`` join with its bucket
   budget resolved (absorbing the optimizer's adaptive placement);
@@ -264,9 +264,10 @@ class HashJoin(PhysNode):
     ``pure_equi`` (decided at plan time) means the condition is exactly
     the conjunction of the pairs, so hash matches need no residual
     re-check.  Under AU semantics this is the certain-key hash +
-    interval nested-loop split of :func:`repro.core.operators.join`;
-    the vectorized executor runs the det join table on the certain-key
-    rows.
+    interval split of :func:`repro.core.operators.join`; the vectorized
+    executor runs the det join table on the certain-key rows and an
+    overlap index on the rows with an uncertain key cell
+    (:func:`repro.exec.vectorized.au_join_pairs`).
     """
 
     left: PhysNode = field(metadata=CHILD)
@@ -975,7 +976,8 @@ def explain_physical(
                             line += f" ({a['kernel_reason']})"
                 for count in (
                     "native_compares", "gathered_columns", "probe", "gathered_left",
-                    "overlap_probes", "certain_equal",
+                    "uncertain_probe_rows", "interval_tested", "overlap_probes",
+                    "certain_equal",
                 ):
                     if count in a:
                         line += f", {count}={a[count]}"

@@ -22,10 +22,11 @@ Operator implementations:
   agree with the tuple engine bit-for-bit; a table whose build keys are
   unique is probed by one ``map(dict.get)``, and when every probe row
   hits (a key–FK join) the probe columns pass through ungathered;
-  the AU ``HashJoin`` is the certain-key hash + interval nested-loop
-  split, its certain-key rows running the same join table on their SG
-  key values, the AU ``CompressedJoin`` the columnar Section 10.4 join
-  of :mod:`repro.exec.compressed_join`;
+  the AU ``HashJoin`` runs the same join table on the SG key values of
+  its certain-key rows and an overlap index on the rows with an
+  uncertain key cell (:func:`au_join_pairs`, which both parts of the
+  AU ``CompressedJoin`` — the columnar Section 10.4 join of
+  :mod:`repro.exec.compressed_join` — call too);
 * **hash aggregation** groups once — one hash pass from each group key
   to its rows, in first-appearance order — then folds each aggregate's
   input column per group with one call of its det ``fold`` in the
@@ -68,13 +69,12 @@ from typing import (
 )
 
 from .. import telemetry as _tm
-from ..core import operators as ops
 from ..db import chunks as _chunks
 from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
 from ..core.sums import count_float_addends, folds_in_c
 from ..core.expressions import Expression, RowView, Var
-from ..core.ranges import RangeValue
+from ..core.ranges import RangeValue, overlap_index
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
@@ -99,7 +99,8 @@ __all__ = [
     "JoinTable",
     "build_join_table",
     "probe_join_table",
-    "probe_au_join_table",
+    "AUJoinPairs",
+    "au_join_pairs",
 ]
 
 
@@ -644,17 +645,52 @@ def _key_split(
     return certain, sorted(uncertain), [list(map(_SG, pick(col))) for col in key_cols]
 
 
-def probe_au_join_table(
-    table: JoinTable, key_cols: Sequence[Sequence[RangeValue]]
-) -> Tuple[Optional[List[int]], Sequence[int], str, List[int]]:
-    """:func:`probe_join_table` with the SG keys of the AU probe rows
-    whose key cells are all certain: ``(li, ri, probe, uncertain)``,
-    ``uncertain`` being the probe rows left to the interval path."""
-    certain, uncertain, sg_cols = _key_split(key_cols)
+class AUJoinPairs(NamedTuple):
+    """The pairs of an AU equi-join, each list probe-major: ``li`` /
+    ``ri`` the join table's certain-key pairs (``li=None``: every probe
+    row once, in order), ``interval`` the key-overlapping pairs with an
+    uncertain key cell; the ``table`` probed, the probe rule, the probe
+    rows with an uncertain key cell and the overlap-index candidates
+    the interval path examined."""
+
+    li: Optional[List[int]]
+    ri: Sequence[int]
+    interval: Tuple[List[int], List[int]]
+    table: JoinTable
+    probe: str
+    uncertain_probe_rows: int
+    interval_tested: int
+
+    def merged(self) -> Sequence:
+        """``(li, ri)`` of every pair: per probe row its certain-key
+        pairs, then its interval pairs — the tuple engine's order."""
+        return _probe_major((self.li, self.ri), self.interval)
+
+
+def au_join_pairs(
+    left: AUColumnBatch,
+    right: AUColumnBatch,
+    eq_pairs: Sequence[Tuple[str, str]],
+    table: Optional[JoinTable] = None,
+) -> AUJoinPairs:
+    """The pairs :func:`repro.core.operators.join` evaluates its
+    condition on, for ``left`` probing ``right`` on ``eq_pairs``.
+
+    The probe rows whose key cells are all certain probe the join table
+    (``table``, else :func:`build_join_table` of ``right``) with their
+    SG key values through :func:`probe_join_table`; the pairs with an
+    uncertain key cell come from :func:`_interval_pairs`."""
+    l_index, r_index = _index_of(left.schema), _index_of(right.schema)
+    l_key_cols = [left.columns[l_index[a]] for a, _ in eq_pairs]
+    r_key_cols = [right.columns[r_index[b]] for _, b in eq_pairs]
+    if table is None:
+        table = build_join_table(right, [b for _, b in eq_pairs])
+    certain, uncertain, sg_cols = _key_split(l_key_cols)
     li, ri, probe = probe_join_table(table, _join_keys(sg_cols))
     if certain is not None:
         li = certain if li is None else [certain[i] for i in li]
-    return li, ri, probe, uncertain
+    interval, tested = _interval_pairs(l_key_cols, r_key_cols, uncertain, table)
+    return AUJoinPairs(li, ri, interval, table, probe, len(uncertain), tested)
 
 
 def _interval_pairs(
@@ -662,35 +698,45 @@ def _interval_pairs(
     r_key_cols: Sequence[Sequence[RangeValue]],
     l_uncertain: Sequence[int],
     table: JoinTable,
-) -> Tuple[List[int], List[int]]:
-    """The key-overlapping pairs of the rows with an uncertain key cell,
-    probe-major: each probe row with an uncertain key against the
-    certain build rows, grouped by key in first-occurrence order (the
-    tuple engine's bucket order), then every probe row against the
-    uncertain build rows in build order."""
+) -> Tuple[Tuple[List[int], List[int]], int]:
+    """The key-overlapping pairs with an uncertain key cell,
+    probe-major, and the overlap-index candidates examined.
+
+    The build rows are indexed on their first key cell in the tuple
+    engine's emission order — the certain-key rows grouped by key in
+    first-occurrence order (the join table's order), then the uncertain
+    rows in build order — so index positions are emission ranks.  A
+    probe row with an uncertain key takes every candidate; a certain
+    probe row only the uncertain build rows, from an index of its own
+    (it met the certain ones in the join table, and one wide uncertain
+    range would widen every window of the shared index).  The other key
+    cells are tested on the candidates only."""
     li: List[int] = []
     ri: List[int] = []
     r_uncertain = table.uncertain
     if not l_uncertain and not r_uncertain:
-        return li, ri
-    l_cells = list(zip(*l_key_cols))
-    r_cells = list(zip(*r_key_cols))
-    groups = table.rows.values()
-    certain = list(groups if table.unique else chain.from_iterable(groups))
-    overlaps = ops._key_overlaps
+        return (li, ri), 0
+    r_first, l_first = r_key_cols[0], l_key_cols[0]
+    rest = list(zip(l_key_cols[1:], r_key_cols[1:]))
+    # (overlap index, the build row at each of its positions)
+    every_row = uncertain_rows = None
+    if l_uncertain:
+        groups = table.rows.values()
+        order = [*(groups if table.unique else chain.from_iterable(groups)), *r_uncertain]
+        every_row = overlap_index([r_first[j] for j in order]), order
+    if r_uncertain:
+        uncertain_rows = overlap_index([r_first[j] for j in r_uncertain]), r_uncertain
     uncertain_probe = set(l_uncertain)
-    for i in range(len(l_cells)) if r_uncertain else l_uncertain:
-        keyvals = l_cells[i]
-        if i in uncertain_probe:
-            for j in certain:
-                if overlaps(keyvals, r_cells[j]):
-                    li.append(i)
-                    ri.append(j)
-        for j in r_uncertain:
-            if overlaps(keyvals, r_cells[j]):
-                li.append(i)
-                ri.append(j)
-    return li, ri
+    tested = 0
+    for i in range(len(l_first)) if r_uncertain else l_uncertain:
+        on_first, rows = every_row if i in uncertain_probe else uncertain_rows
+        found = [rows[k] for k in on_first(l_first[i])]
+        tested += len(found)
+        if rest:
+            found = [j for j in found if all(lc[i].overlaps(rc[j]) for lc, rc in rest)]
+        li += repeat(i, len(found))
+        ri += found
+    return (li, ri), tested
 
 
 def _probe_major(first: Sequence[Sequence], second: Sequence[Sequence]) -> Sequence:
@@ -1174,42 +1220,33 @@ class _AUExec:
         return self._emit_pairs(left, right, li, ri, p.condition)
 
     def _hash_join(self, p: phys.HashJoin) -> AUColumnBatch:
-        """Certain-key rows run the det join table on their SG key
-        values; a row with an uncertain key cell takes the interval
-        path.  Per probe row its certain-key matches come first, then
-        its interval matches — the tuple engine's emission order."""
+        """The pairs of :func:`au_join_pairs`; under a pure
+        equi-condition only the interval pairs evaluate it."""
         left, right = self.eval(p.left), self.eval(p.right)
-        l_index, r_index = _index_of(left.schema), _index_of(right.schema)
-        l_key_cols = [left.columns[l_index[a]] for a, _ in p.eq_pairs]
-        r_key_cols = [right.columns[r_index[b]] for _, b in p.eq_pairs]
-
-        table = self.join_tables.get(id(p))
-        if table is None:
-            table = build_join_table(right, [b for _, b in p.eq_pairs])
-        li, ri, probe, l_uncertain = probe_au_join_table(table, l_key_cols)
-        interval = _interval_pairs(l_key_cols, r_key_cols, l_uncertain, table)
+        pairs = au_join_pairs(left, right, p.eq_pairs, self.join_tables.get(id(p)))
+        interval = pairs.interval
         if _tm._ACTIVE is not None:
             # the probe side passes through: certain keys, one hit each
-            through = li is None and p.pure_equi and not interval[0]
+            through = pairs.li is None and p.pure_equi and not interval[0]
             _tm.annotate(
                 build_rows=len(right),
-                build_keys=len(table.rows),
+                build_keys=len(pairs.table.rows),
                 probe_rows=len(left),
-                uncertain_build_rows=len(table.uncertain),
-                uncertain_probe_rows=len(l_uncertain),
-                probe=probe,
-                gathered_left=0 if through else len(ri) + len(interval[0]),
+                uncertain_build_rows=len(pairs.table.uncertain),
+                uncertain_probe_rows=pairs.uncertain_probe_rows,
+                interval_tested=pairs.interval_tested,
+                probe=pairs.probe,
+                gathered_left=0 if through else len(pairs.ri) + len(interval[0]),
             )
         if not p.pure_equi:
             # hash matches re-check the residual beside the interval pairs
-            li, ri = _probe_major((li, ri), interval)
-            return self._emit_pairs(left, right, li, ri, p.condition)
+            return self._emit_pairs(left, right, *pairs.merged(), p.condition)
         # a hash match under a pure equi-condition is certainly true
-        pairs = self._pairs(left, right, li, ri, None)
+        kept = self._pairs(left, right, pairs.li, pairs.ri, None)
         if interval[0]:
             checked = self._pairs(left, right, *interval, p.condition)
-            pairs = _probe_major(pairs, checked)
-        return self._pair_batch(left, right, pairs)
+            kept = _probe_major(kept, checked)
+        return self._pair_batch(left, right, kept)
 
     def _emit_pairs(
         self,

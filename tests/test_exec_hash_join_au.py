@@ -4,24 +4,30 @@ The AU hash join splits each side by join-key certainty, one
 ``is_certain`` pass per key column.  The build rows whose key cells are
 all certain go into the det join table on their SG key values
 (:func:`repro.exec.vectorized.build_join_table`), and the certain probe
-rows probe it (:func:`~repro.exec.vectorized.probe_au_join_table`): one
+rows probe it (:func:`~repro.exec.vectorized.probe_join_table`): one
 ``map(dict.get)`` when the build keys are unique, the bucket loop
 otherwise.  Only rows with an uncertain key cell take the interval
-path.  Per probe row its certain-key matches come first, then its
-interval matches: the probe row with an uncertain key against the
-certain build rows, grouped by key, then against the uncertain build
-rows.  Every shape must agree with the legacy logical interpreter
+path: an overlap index over the build rows in the tuple engine's
+emission order.  One function pairs them all
+(:func:`~repro.exec.vectorized.au_join_pairs`).  Per
+probe row its certain-key matches come first, then its interval
+matches: the probe row with an uncertain key against the certain build
+rows, grouped by key, then against the uncertain build rows.  Every
+shape must agree with the legacy logical interpreter
 (``physical=False``) in **rows, row order, the ``repr`` of every cell
 and every annotation**.
 
 The generators cover certain and uncertain keys on both sides, unique
 and duplicate build keys, probe misses, the keys ``1`` / ``1.0`` /
 ``True`` (one key under dict equality) and a certain cell whose bounds
-are distinct objects (``[1/True/1.0]``), two-column keys, a residual
+are distinct objects (``[1/True/1.0]``), a range spanning every numeric
+key (it lifts the index's running maximum upper bound over the whole
+window) and a string range (numbers and strings in one domain order),
+two-column keys, a residual
 conjunct, the same join inside a parallel region at parallelism 2 whose
 build table is prebuilt once for both morsels, and the Section 10.4
-``CompressedJoin`` (whose SG part runs the same table) at 1, 2 and 64
-buckets.
+``CompressedJoin`` (whose SG part and box join run the same pairing)
+at 1, 2 and 64 buckets.
 """
 
 from unittest import mock
@@ -47,7 +53,10 @@ CERTAIN_KEYS = DISTINCT_KEYS + [
     certain(1.0), certain(True), RangeValue(1, True, 1.0), certain(7), certain("t"),
 ]
 #: uncertain key cells overlapping some of the certain keys
-UNCERTAIN_KEYS = [between(0, 1, 2), between(1, 2, 3), between(2, 3, 3), between(5, 6, 9)]
+UNCERTAIN_KEYS = [
+    between(0, 1, 2), between(1, 2, 3), between(2, 3, 3), between(5, 6, 9),
+    between(0, 2, 9), between("r", "s", "t"),
+]
 ANY_KEY = st.sampled_from(CERTAIN_KEYS + UNCERTAIN_KEYS)
 PAYLOAD = st.sampled_from([certain(0), certain(-1), certain(2.5), between(0, 1, 4)])
 SECOND_KEY = st.sampled_from([certain(0), certain(1), between(0, 0, 1)])
@@ -219,6 +228,54 @@ def test_uncertain_keys_take_the_interval_path():
     items.add((between(0, 1, 2), certain(-1)), (1, 1, 1))
     orders = _orders()
     orders.add((between(3, 4, 4), certain(9)), (0, 1, 1))
-    attrs, _text = _join_span(orders, items)
+    attrs, text = _join_span(orders, items)
     assert _counts(attrs) == ("map", 60 + 3 + 6, 1, 1)
     assert attrs["build_keys"] == 20
+    # the certain probe rows are tested against the uncertain build row
+    # only: no certain build row they missed in the table is a candidate
+    assert attrs["interval_tested"] == 3 + 6
+    assert "uncertain_probe_rows=1, interval_tested=9" in text
+
+
+def test_uncertain_probe_key_tests_only_its_overlap_candidates():
+    # [5/6/7] against 1 000 unique certain build keys: the overlap index
+    # hands the interval path the three keys it overlaps, not all 1 000
+    probe = AURelation(["a", "b", "x"])
+    probe.add((between(5, 6, 7), certain(0), certain(-1)), (0, 1, 1))
+    for i in range(40):
+        probe.add((certain(i * 25), certain(0), certain(i)), (1, 1, 1))
+    build = AURelation(["k", "l", "z"])
+    for k in range(1000):
+        build.add((certain(k), certain(0), certain(k % 7)), (1, 1, 1))
+    db = AUDatabase({"t": probe, "u": build})
+    condition = Eq(Var("a"), Var("k"))
+    plan = Join(TableRef("t"), TableRef("u"), condition)
+    conn = Connection(db, config=EvalConfig(optimize=False), trace=True)
+    got = conn.execute(plan)
+    assert image(got) == image(legacy(db, condition))
+    assert [repr(t[3]) for t, _ann in got.tuples()][:3] == [
+        repr(certain(k)) for k in (5, 6, 7)
+    ]
+    (span,) = [
+        s for s in conn.last_trace.spans()
+        if s.cat == "operator" and s.name == "HashJoin"
+    ]
+    assert span.attrs["uncertain_probe_rows"] == 1
+    assert span.attrs["interval_tested"] == 3
+    assert "uncertain_probe_rows=1, interval_tested=3" in conn.explain_analyze(plan)
+
+
+def test_uncertain_probe_key_meets_build_keys_grouped_by_key():
+    # build keys 1, 2, 1.0: the tuple engine meets the certain build
+    # rows bucket by bucket (rows 0 and 2, then row 1), not in build order
+    probe = AURelation(["a", "b", "x"])
+    probe.add((between(0, 1, 2), certain(0), certain(0)), (1, 1, 1))
+    build = AURelation(["k", "l", "z"])
+    for z, key in enumerate([certain(1), certain(2), certain(1.0)]):
+        build.add((key, certain(0), certain(z)), (1, 1, 1))
+    db = AUDatabase({"t": probe, "u": build})
+    condition, pairs, pure = CONDITIONS[0]
+    pplan = phys.HashJoin(phys.Scan("t"), phys.Scan("u"), condition, pairs, pure)
+    got = execute_audb(pplan, db)
+    assert image(got) == image(legacy(db, condition))
+    assert [t[5].sg for t, _ann in got.tuples()] == [0, 2, 1]
