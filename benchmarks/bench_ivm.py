@@ -29,6 +29,13 @@ stores built and γ states rebuilt per dirty read (0 while the segments'
 stores and the aggregate's state are maintained by the writes).  The
 ``GROUP BY status`` dirty read is gated at <= 0.25x its refresh read.
 
+Then, ungated: the same ``GROUP BY status`` view (``COUNT`` + ``SUM``)
+over 7 500 orders, timed on the first certain-key delete after a γ
+rebuild (forced by an uncertain-key insert) and on the next one, write
+plus read each.
+Taking a contribution out of a kept state costs the same whether or not
+the state was just rebuilt, so the two should be close.
+
 Last, ungated: a det join + ``MIN`` view over the same ``r ⋈ s``, read
 after each of a stream of deletes that each take a group's current
 minimum.  The kept γ state cannot fold such a delete (the runner-up is
@@ -38,6 +45,7 @@ re-execution of the same query for scale, and the γ states rebuilt per
 read (1.0: one per extremum delete).
 """
 
+import gc
 import random
 import statistics
 import time
@@ -92,6 +100,9 @@ def write_stream(n_writes: int = N_WRITES):
 
 MIN_SQL = "SELECT d, MIN(b) AS low, COUNT(*) AS n FROM r, s WHERE a = c GROUP BY d"
 N_EXTREMUM_DELETES = 24
+#: orders under the AU GROUP BY view whose removals after a rebuild are timed
+N_REMOVAL_ORDERS = 7_500
+N_REMOVAL_ROUNDS = 5
 
 
 N_ORDERS = 600
@@ -161,6 +172,43 @@ def run_au_view(sql: str, n_writes: int = N_WRITES):
     same = [repr(t) for t in got.tuples()] == [repr(t) for t in fresh.tuples()]
     view.close()
     return reads, refreshes, built, rebuilt, same
+
+
+def run_removals_after_rebuild(
+    n_orders: int = N_REMOVAL_ORDERS, rounds: int = N_REMOVAL_ROUNDS
+):
+    """Per round: make the ``GROUP BY status`` view rebuild its γ state
+    (an order with an uncertain status, then a read: the segment and its
+    chunk store stay as they are), then delete the last two certain-key
+    orders, write plus read each; returns the first and the second
+    removal's seconds per round, the γ states rebuilt by the timed
+    writes and reads, and whether the last read equals a fresh
+    execution."""
+    sql = AU_VIEWS["group_by_status"]
+    db = make_au_orders(n_orders)
+    orders = db["orders"]
+    victims = [t for t, _ann in orders.tuples() if t[1].is_certain]
+    victims = victims[::-1][: 2 * rounds]
+    conn = Connection(db)
+    view = conn.subscribe(sql)
+    view.result()
+    first, later = [], []
+    rebuilt = 0
+    for r in range(rounds):
+        orders.add((n_orders + r, between("F", "O", "P"), 1.0), (1, 1, 1))
+        view.result()
+        before = _gamma_rebuilds()
+        for times, t in ((first, victims[2 * r]), (later, victims[2 * r + 1])):
+            gc.collect()  # neither pays a collection of the rebuild's garbage
+            start = time.perf_counter()
+            orders.delete(t, (1, 1, 1))
+            got = view.result()
+            times.append(time.perf_counter() - start)
+        rebuilt += _gamma_rebuilds() - before
+    fresh = Connection(db).execute(sql)
+    same = [repr(t) for t in got.tuples()] == [repr(t) for t in fresh.tuples()]
+    view.close()
+    return first, later, rebuilt, same
 
 
 def run_extremum_deletes(n_deletes: int = N_EXTREMUM_DELETES):
@@ -309,6 +357,27 @@ def main() -> int:
             f"(gate: <={GAMMA_GATE}x)"
         )
 
+    run_removals_after_rebuild(600, 1)  # warm-up
+    first, later, rebuilt, same = run_removals_after_rebuild()
+    removals = {
+        "orders": N_REMOVAL_ORDERS,
+        "rounds": len(first),
+        "first_removal_ms": round(statistics.median(first) * 1e3, 4),
+        "later_removal_ms": round(statistics.median(later) * 1e3, 4),
+        "gamma_rebuilds": rebuilt,
+    }
+    removals["first_vs_later"] = round(
+        removals["first_removal_ms"] / removals["later_removal_ms"], 2
+    )
+    print(
+        f"AU GROUP BY view over orders({N_REMOVAL_ORDERS} rows), write + read: "
+        f"first removal after a γ rebuild {removals['first_removal_ms']:8.3f} ms, "
+        f"a later one {removals['later_removal_ms']:8.3f} ms "
+        f"({removals['first_vs_later']:.1f}x), {rebuilt:.0f} γ-state rebuilds"
+    )
+    if not same:
+        failures.append("AU GROUP BY removals: maintained result differs from fresh")
+
     run_extremum_deletes(2)  # warm-up
     reads, fresh_times, rebuilt, same = run_extremum_deletes()
     extremum = {
@@ -345,6 +414,7 @@ def main() -> int:
             "speedup": round(speedup, 2),
             "gamma_gate": GAMMA_GATE,
             "au_views": au_views,
+            "au_removal_after_rebuild": removals,
             "det_min_extremum_delete": extremum,
             "failures": failures,
         },

@@ -51,6 +51,7 @@ from .sums import (
     finish,
     merge_acc,
     new_acc,
+    unmerge_acc,
 )
 from .tuples import AUTuple
 
@@ -598,7 +599,7 @@ def _group_annotation(
 class _Algebra(NamedTuple):
     """A mergeable aggregation state — the commutative monoid of Section
     9.1 folded through the multiplicity action, spelled as five members
-    and an optional sixth:
+    and two optional ones:
 
     * ``init()`` — a fresh state (the monoid's neutral element);
     * ``step`` — fold one weighted input into a state.  Det:
@@ -626,7 +627,12 @@ class _Algebra(NamedTuple):
       ≡ the ``step`` of those rows in any order, to the bit of
       ``finalize``;
       ``None`` (a function whose result depends on the row order) means
-      every row takes ``step``.
+      every row takes ``step``;
+    * ``unmerge(a, b) -> state`` (optional) — the exact inverse of
+      ``merge``: ``finalize(unmerge(merge(a, b), b))`` is
+      ``finalize(a)`` to the bit, for a ``b`` that holds no non-finite
+      float, so a kept state takes a contribution back out.  ``None``:
+      the state keeps extrema or envelopes, and only grows.
     """
 
     init: Callable[[], Any]
@@ -635,6 +641,7 @@ class _Algebra(NamedTuple):
     finalize: Callable[[Any], Any]
     empty: Any
     fold: Optional[Callable[..., Any]] = None
+    unmerge: Optional[Callable[[Any, Any], Any]] = None
 
     def column_fold(self) -> Callable[[Any, Iterable, Sequence[int]], Any]:
         """The det ``fold``, or the ``step`` loop it defaults to."""
@@ -664,18 +671,6 @@ class _AggregateFunction:
     #: ``False``: ``expr`` is not evaluated (det folds ``None``, AU the
     #: constant 1)
     takes_input: bool = True
-    #: det ``step`` with weight ``-w`` exactly undoes ``+w`` (a group,
-    #: not only a monoid), so deletes fold into maintained state
-    invertible: bool = True
-    #: the exact :mod:`repro.core.sums` accumulator inside a det state
-    #: (``None``: the state holds none)
-    det_sum: Optional[Callable[[Any], list]] = None
-    #: the exact accumulators an AU state consists of, when it consists
-    #: of nothing else: its ``finalize`` is then a pure function of the
-    #: multiset of contributions, so one can be taken back out
-    #: (:func:`repro.core.sums.unmerge_acc`).  ``None``: the state keeps
-    #: order-dependent envelopes or extrema as well, and only grows
-    au_sums: Optional[Callable[[Any], Sequence[list]]] = None
 
 
 # -- det: SUM / COUNT / AVG (exact sums), MIN / MAX (domain-key pairs) --
@@ -698,6 +693,11 @@ def _det_sum_merge(a: list, b: list) -> list:
     return a
 
 
+def _det_sum_unmerge(a: list, b: list) -> list:
+    unmerge_acc(a, b)
+    return a
+
+
 def _det_avg_step(state: list, value: Any, weight: int) -> list:
     add_product(state[0], value, weight)
     state[1] += weight
@@ -713,6 +713,12 @@ def _det_avg_fold(state: list, values: Sequence, weights: Sequence[int]) -> list
 def _det_avg_merge(a: list, b: list) -> list:
     merge_acc(a[0], b[0])
     a[1] += b[1]
+    return a
+
+
+def _det_avg_unmerge(a: list, b: list) -> list:
+    unmerge_acc(a[0], b[0])
+    a[1] -= b[1]
     return a
 
 
@@ -823,6 +829,12 @@ def _au_sum_merge(dst: list, src: list) -> list:
     return dst
 
 
+def _au_sum_unmerge(dst: list, src: list) -> list:
+    for d, s in zip(dst, src):
+        unmerge_acc(d, s)
+    return dst
+
+
 _AU_SUM = _Algebra(
     init=lambda: [new_acc(), new_acc(), new_acc()],  # lo, sg, hi
     step=_au_sum_step,
@@ -830,6 +842,7 @@ _AU_SUM = _Algebra(
     finalize=lambda s: _clamped_range(finish(s[0]), finish(s[1]), finish(s[2])),
     empty=certain(0),
     fold=_au_sum_fold,
+    unmerge=_au_sum_unmerge,
 )
 
 
@@ -901,10 +914,22 @@ def _au_avg_merge(dst: list, src: list) -> list:
 
 
 def _au_avg_finalize(state: list) -> RangeValue:
+    """The envelope around the SG world's mean ``Σ / count`` — the det
+    ``AVG`` of that world, to the bit: its rounding may leave the
+    envelope (three ``0.1`` average to ``0.10000000000000002``), which
+    is widened to contain it.  Without an SG member the SG value is
+    ``0.0`` clamped into the envelope."""
     lo, hi, acc, cnt, seen = state
-    sg = finish(acc) / cnt if cnt else 0.0
     if not seen:  # no possible contributor
         return RangeValue(0.0, 0.0, 0.0)
+    if cnt:
+        sg = finish(acc) / cnt
+        if not _dom_le(lo, sg):
+            lo = sg
+        if not _dom_le(sg, hi):
+            hi = sg
+        return RangeValue(lo, sg, hi)
+    sg = 0.0
     if not _dom_le(lo, sg):
         sg = lo
     if not _dom_le(sg, hi):
@@ -942,12 +967,11 @@ def _type_of_input(inner: Any) -> Tuple[str, bool]:
 AGGREGATES: Dict[str, _AggregateFunction] = {
     "sum": _AggregateFunction(
         det=_Algebra(
-            new_acc, _det_sum_step, _det_sum_merge, finish, 0, _det_sum_fold
+            new_acc, _det_sum_step, _det_sum_merge, finish, 0, _det_sum_fold,
+            _det_sum_unmerge,
         ),
         au=_AU_SUM,
         result_type=_sum_type,
-        det_sum=lambda state: state,
-        au_sums=lambda state: state,
     ),
     "count": _AggregateFunction(
         det=_Algebra(
@@ -957,23 +981,21 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
             finalize=lambda state: state,
             empty=0,
             fold=lambda state, _values, weights: state + sum(weights),
+            unmerge=lambda a, b: a - b,
         ),
         au=_AU_SUM,  # SUM of the constant 1
         result_type=lambda inner: ("number", False),
         takes_input=False,
-        au_sums=lambda state: state,
     ),
     "min": _AggregateFunction(
         det=_det_extremum(_det_min_step),
         au=_au_monoid(MIN),
         result_type=_type_of_input,
-        invertible=False,
     ),
     "max": _AggregateFunction(
         det=_det_extremum(_det_max_step),
         au=_au_monoid(MAX),
         result_type=_type_of_input,
-        invertible=False,
     ),
     "avg": _AggregateFunction(
         det=_Algebra(
@@ -983,6 +1005,7 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
             finalize=lambda state: finish(state[0]) / state[1],
             empty=0.0,
             fold=_det_avg_fold,
+            unmerge=_det_avg_unmerge,
         ),
         au=_Algebra(
             # envelope lo, hi; exact SG Σ; SG count; any possible row
@@ -993,7 +1016,6 @@ AGGREGATES: Dict[str, _AggregateFunction] = {
             empty=certain(0.0),
         ),
         result_type=_avg_type,
-        det_sum=lambda state: state[0],
     ),
 }
 

@@ -239,22 +239,35 @@ def overlap_index(
     """Index ``cells`` for interval-overlap probes.
 
     The returned function maps a probe value to the ascending positions
-    of the cells it :meth:`~RangeValue.overlaps`.  The cells are sorted on
-    their lower bound once; a probe bisects to the window that can
-    overlap it — cells starting at or below its upper bound, from the
-    first prefix whose running maximum upper bound reaches its lower
-    bound — so near-disjoint cells (``Cpr`` boxes of a sorted run) cost
-    a probe ``O(log n)`` plus its matches instead of ``n`` tests.
+    of the cells it :meth:`~RangeValue.overlaps`.  Point cells (equal
+    lower and upper keys) form one sorted run, where a probe's matches
+    are the slice between two bisects.  The other cells are sorted on
+    their lower bound; a probe bisects to the window that can overlap
+    it — cells starting at or below its upper bound, from the first
+    prefix whose running maximum upper bound reaches its lower bound —
+    so near-disjoint cells (``Cpr`` boxes of a sorted run) cost a probe
+    ``O(log n)`` plus its matches instead of ``n`` tests, and one wide
+    range widens the windows of the ranges only, not of the points.
     """
     lo_keys = [domain_key(c.lb) for c in cells]
-    hi_keys = [domain_key(c.ub) for c in cells]
+    hi_keys = [
+        low if c.ub is c.lb else domain_key(c.ub) for low, c in zip(lo_keys, cells)
+    ]
     by_lo = sorted(range(len(cells)), key=lo_keys.__getitem__)
-    sorted_lo = [lo_keys[k] for k in by_lo]
-    reach = list(accumulate((hi_keys[k] for k in by_lo), max))
+    points = [k for k in by_lo if lo_keys[k] == hi_keys[k]]
+    point_keys = [lo_keys[k] for k in points]
+    spans = [k for k in by_lo if lo_keys[k] != hi_keys[k]]
+    span_lo = [lo_keys[k] for k in spans]
+    reach = list(accumulate((hi_keys[k] for k in spans), max))
 
     def probe(value: RangeValue) -> List[int]:
-        lo, hi = domain_key(value.lb), domain_key(value.ub)
-        window = by_lo[bisect_left(reach, lo) : bisect_right(sorted_lo, hi)]
-        return sorted([k for k in window if hi_keys[k] >= lo])
+        lo = domain_key(value.lb)
+        hi = lo if value.ub is value.lb else domain_key(value.ub)
+        found = points[bisect_left(point_keys, lo) : bisect_right(point_keys, hi)]
+        if spans:
+            window = spans[bisect_left(reach, lo) : bisect_right(span_lo, hi)]
+            found += [k for k in window if hi_keys[k] >= lo]
+        found.sort()
+        return found
 
     return probe

@@ -21,7 +21,20 @@ function of the *multiset* of addends:
   terms long;
 * non-finite floats (``inf``/``nan``) accumulate in a separate IEEE
   slot where they are absorbing, so their propagation does not depend
-  on where in the stream they appeared.
+  on where in the stream they appeared;
+* every ``add_*`` call that adds a float — finite or not, at any
+  weight, ``0`` included — counts one *float addend*.  Whether
+  :func:`finish` returns the exact ``int`` or a ``float`` depends on
+  whether the stream held a float at all, which cancellation cannot
+  tell: a float added and taken out again leaves terms summing to an
+  exact zero.  The count can: :func:`unmerge_acc` drops the float part
+  when it returns to 0, so a maintained sum whose last float addend
+  left finishes as the ``int`` a from-scratch fold of the rest returns.
+
+An accumulator (:func:`new_acc`) is the list ``[int_sum, float_terms,
+nonfinite_sum, float_spill, float_addends]``: the exact integer sum,
+the term list, the absorbing IEEE slot, the integer spill slot of
+overflowing float terms (below) and the float-addend count.
 
 :func:`finish` rounds the exact value once, so any two executions that
 add the same values — in any order, in any partitioning — return
@@ -48,7 +61,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, Sequence, Tuple
 
 __all__ = [
     "new_acc",
@@ -59,7 +72,6 @@ __all__ = [
     "add_product_each",
     "merge_acc",
     "unmerge_acc",
-    "count_float_addends",
     "finish",
     "exact_sum",
 ]
@@ -71,8 +83,8 @@ _COMPACT_AT = 64
 
 def new_acc() -> list:
     """A fresh accumulator:
-    ``[int_sum, float_terms, nonfinite_sum, float_spill]``."""
-    return [0, [], 0.0, 0]
+    ``[int_sum, float_terms, nonfinite_sum, float_spill, float_addends]``."""
+    return [0, [], 0.0, 0, 0]
 
 
 def _add_float(acc: list, x: float) -> None:
@@ -139,6 +151,7 @@ def add_exact(acc: list, value: Any) -> None:
     values raise ``TypeError`` like the plain ``sum()`` they replace.
     """
     if type(value) is float:
+        acc[4] += 1
         if math.isfinite(value):
             _add_float(acc, value)
         else:
@@ -163,6 +176,7 @@ def add_product(acc: list, value: Any, mult: int) -> None:
     if type(value) is not float:
         acc[0] += value * mult  # exact for int/bool
         return
+    acc[4] += 1
     if not math.isfinite(value):
         acc[2] += value * mult  # absorbing slot (inf * 0 -> nan, as before)
         return
@@ -237,6 +251,7 @@ def add_products(acc: list, values: Sequence, weights: Sequence[int]) -> None:
     if type(total) is int:
         acc[0] += total
     elif _finite_floats(values, weights, total):
+        acc[4] += len(values)
         terms = acc[1]
         terms.extend(values)
         if len(terms) > _COMPACT_AT:
@@ -256,6 +271,7 @@ def add_product_each(accs: Iterable[list], value: Any, mult: int) -> None:
             acc[0] += product
     elif mult == 1 and math.isfinite(value):
         for acc in accs:
+            acc[4] += 1
             terms = acc[1]
             terms.append(value)
             if len(terms) > _COMPACT_AT:
@@ -275,39 +291,27 @@ def merge_acc(acc: list, other: list) -> None:
         _compact(acc)
     acc[2] += other[2]
     acc[3] += other[3]
+    acc[4] += other[4]
 
 
 def unmerge_acc(acc: list, other: list) -> None:
     """Take accumulator ``other`` back out of ``acc``, exactly: the
     inverse of :func:`merge_acc` for a finite ``other`` (its absorbing
     ``inf``/``nan`` slot has no inverse, so the caller keeps it 0).  The
-    float part negates term by term, which is exact; whether ``acc``
-    still holds a float addend at all is :func:`count_float_addends`'s
-    business."""
+    float part negates term by term, which is exact, and is dropped when
+    the last float addend leaves: the rest is integer-only, and a
+    from-scratch fold of it would hold no float term."""
     acc[0] -= other[0]
+    acc[4] -= other[4]
+    if not acc[4]:
+        acc[1] = []
+        acc[3] = 0
+        return
     terms = acc[1]
     terms.extend([-x for x in other[1]])
     if len(terms) > _COMPACT_AT:
         _compact(acc)
     acc[3] -= other[3]
-
-
-def count_float_addends(acc: list, counts: List[int], i: int, change: int) -> None:
-    """Move ``counts[i]`` — how many float addends (or how much float
-    multiplicity) the maintained accumulator ``acc`` holds — by
-    ``change``, and drop ``acc``'s float part when it returns to zero.
-
-    The float part decides whether :func:`finish` returns the exact
-    ``int`` or a ``float``, and cancellation cannot reconstruct it: a
-    float added and taken out again leaves terms summing to an exact
-    zero.  Once no float addend remains, the remaining multiset is
-    integer-only and a from-scratch fold would never have created those
-    terms, so they are dropped.  The one rule every delta fold of an
-    exact sum follows, det and AU alike."""
-    counts[i] += change
-    if not counts[i]:
-        acc[1] = []
-        acc[3] = 0
 
 
 def finish(acc: list) -> Any:
@@ -319,7 +323,7 @@ def finish(acc: list) -> Any:
     plus the integer sum as a double — ``±inf`` only when that true
     value rounds out of the double range.
     """
-    int_sum, terms, nonfinite, spill = acc
+    int_sum, terms, nonfinite, spill, _ = acc
     if nonfinite != 0.0 or nonfinite != nonfinite:  # ±inf or nan seen
         return nonfinite  # absorbing: any finite rest leaves it as it is
     if not terms:

@@ -63,6 +63,7 @@ into it, so that a read only finalizes.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -77,7 +78,6 @@ from ..core.aggregation import (
 )
 from ..core.expressions import Var
 from ..core.ranges import RangeValue, domain_key, overlap_index
-from ..core.sums import count_float_addends, unmerge_acc
 from .batch import AUColumnBatch, BatchRowView, charge_materialization
 from .compile import CompileError, compile_range_values
 
@@ -231,15 +231,13 @@ class GammaState:
 
     A change folds when the row's group-by cells are certain and its SG
     group exists.  The old annotation's contribution is stepped into a
-    scratch state and taken out (:func:`repro.core.sums.unmerge_acc`),
-    the new one's stepped in and merged: into the group's state with the
-    flags the fold gives a member, and into the state of every group
-    with an uncertain box that the key overlaps, as a foreign
-    contributor (a certain key overlaps no certain box, and under a
-    bucket budget a certain-key row is a member only).  So a change
-    costs O(aggregates × (1 + uncertain-box groups)).  Every exact sum
-    counts its float addends (:func:`repro.core.sums.count_float_addends`)
-    so that it finishes as an ``int`` again when the last one leaves.
+    scratch state and taken out (the registry's ``unmerge``), the new
+    one's stepped in and merged: into the group's state with the flags
+    the fold gives a member, and into the state of every group with an
+    uncertain box that the key overlaps, as a foreign contributor (a
+    certain key overlaps no certain box, and under a bucket budget a
+    certain-key row is a member only).  So a change costs
+    O(aggregates × (1 + uncertain-box groups)).
     """
 
     def __init__(
@@ -255,10 +253,9 @@ class GammaState:
         self._group_idx = [_attr_index(schema, a) for a in group_by]
         self._kernels = _input_kernels(schema, aggregates)[0]
         self._algebras = [AGGREGATES[spec.kind].au for spec in aggregates]
-        self._sums = [AGGREGATES[spec.kind].au_sums for spec in aggregates]
-        #: every state a multiset of exact sums: a change may also take a
-        #: contribution out, or land before a bucket merge
-        self._order_free = None not in self._sums
+        #: every state takes a contribution back out: a change may also
+        #: remove one, or land before a bucket merge
+        self._order_free = all(a.unmerge is not None for a in self._algebras)
         self.groups: Groups = {}
         #: group key -> [members, first member, first certain-key member
         #: (or None), box certain, receives bucket merges]
@@ -267,11 +264,6 @@ class GammaState:
         self._rows: Dict[Tuple, Tuple] = {}
         #: keys of the groups whose box is uncertain
         self._uncertain: List[Tuple] = []
-        #: (group key, aggregate) -> float addends per exact sum
-        self._floats: Dict[Tuple[Tuple, int], List[int]] = {}
-        #: the last rebuild's fold until the first removal needs the
-        #: float counts it implies (:meth:`_settle_float_counts`)
-        self._pending: Optional[_Fold] = None
 
     def rebuild(self, batch: AUColumnBatch) -> AUColumnBatch:
         """Aggregate all of ``batch`` and keep the state; returns the γ
@@ -293,10 +285,6 @@ class GammaState:
         self._info = info
         self._rows = dict(zip(rows, rows))
         self._uncertain = [key for key in keys if not info[key][3]]
-        self._floats = {}
-        # the input columns may be a chunk store's own lists, which its
-        # later writes change in place
-        self._pending = fold._replace(inputs=[list(col) for col in fold.inputs])
         return self.result()
 
     def result(self) -> AUColumnBatch:
@@ -320,9 +308,10 @@ class GammaState:
         member or first certain-key member that fix group order and the
         box (``first_member_deleted``), a state keeps order-dependent
         envelopes (``order_sensitive_delta``: anything but a new row, or
-        a new row in a group bucket boxes merge into after it), a
-        contribution is not finite (``non_finite_addend``), or stepping
-        it raised (``fold_error``)."""
+        a new row in a group bucket boxes merge into after it), an input
+        bound of an aggregate with ``unmerge`` is a non-finite float
+        (``non_finite_addend``: the absorbing IEEE slot has no inverse),
+        or stepping it raised (``fold_error``)."""
         cells = [t[j] for j in self._group_idx]
         for cell in cells:
             if cell.lb is not cell.ub and not cell.is_certain:
@@ -358,37 +347,20 @@ class GammaState:
         columns = [[cell] for cell in row]
         parts = []
         try:
-            for a, (kernel, algebra, sums) in enumerate(
-                zip(self._kernels, self._algebras, self._sums)
-            ):
+            for a, (kernel, algebra) in enumerate(zip(self._kernels, self._algebras)):
                 m = kernel(columns, 1)[0]
+                if algebra.unmerge is not None and not _finite(m):
+                    return "non_finite_addend"
                 for target, certain, in_sg in entered:
-                    for ann, sign in ((old, -1), (new, 1)):
-                        if ann is None:
-                            continue
-                        part = algebra.init()
-                        algebra.step(part, ann, m, certain and ann[0] > 0, in_sg)
-                        # the absorbing slot holds 0.0 or an inf / nan
-                        if sums is not None and any(acc[2] for acc in sums(part)):
-                            return "non_finite_addend"
-                        parts.append((target, a, sign, part))
+                    for ann, combine in ((old, algebra.unmerge), (new, algebra.merge)):
+                        if ann is not None:
+                            part = algebra.init()
+                            algebra.step(part, ann, m, certain and ann[0] > 0, in_sg)
+                            parts.append((self.groups[target][2], a, combine, part))
         except (TypeError, ValueError, ArithmeticError):
             return "fold_error"  # the re-run raises it to the reader
-        if old is not None:
-            self._settle_float_counts()
-        for target, a, sign, part in parts:
-            states = self.groups[target][2]
-            sums = self._sums[a]
-            if sign > 0:
-                states[a] = self._algebras[a].merge(states[a], part)
-            else:
-                for acc, p in zip(sums(states[a]), sums(part)):
-                    unmerge_acc(acc, p)
-            if sums is not None:
-                counts = self._float_counts(target, a)
-                for j, (acc, p) in enumerate(zip(sums(states[a]), sums(part))):
-                    if p[1]:
-                        count_float_addends(acc, counts, j, sign)
+        for states, a, combine, part in parts:
+            states[a] = combine(states[a], part)
         total = entry[1]
         for ann, sign in ((old, -1), (new, 1)):
             if ann is not None:
@@ -405,44 +377,10 @@ class GammaState:
             del self._rows[row]
         return None
 
-    def _float_counts(self, key: Tuple, a: int) -> List[int]:
-        """Per exact sum of aggregate ``a`` in group ``key``: its float
-        addends — since the last rebuild until :meth:`_settle_float_counts`
-        adds the rebuild's own."""
-        counts = self._floats.get((key, a))
-        if counts is None:
-            counts = self._floats[key, a] = [0, 0, 0]
-        return counts
 
-    def _settle_float_counts(self) -> None:
-        """Add the float addends of the last rebuild's fold to the
-        counts, once, before the first removal needs them: each
-        contribution stepped into a scratch state, and counted in the
-        exact sums it left a float term in."""
-        fold = self._pending
-        if fold is None:
-            return
-        self._pending = None
-        keys = list(self.groups)
-        for a, (algebra, sums, col) in enumerate(
-            zip(self._algebras, self._sums, fold.inputs)
-        ):
-            if sums is None or not any(
-                float in (type(m.lb), type(m.sg), type(m.ub)) for m in col
-            ):
-                continue  # no float term can arise
-            init, step = algebra.init, algebra.step
-            rows = zip(fold.owner, fold.contributions, col, fold.certainly)
-            for r, (g, ann, m, sure) in enumerate(rows):
-                entered = [(g, sure, True)] if g >= 0 else []
-                entered += [(h, False, False) for h in fold.targets.get(r, ())]
-                for h, certain, in_sg in entered:
-                    part = init()
-                    step(part, ann, m, certain, in_sg)
-                    counts = self._float_counts(keys[h], a)
-                    for j, acc in enumerate(sums(part)):
-                        if acc[1]:
-                            counts[j] += 1
+def _finite(m: RangeValue) -> bool:
+    """No bound of ``m`` is an ``inf`` / ``nan`` float."""
+    return all(type(x) is not float or math.isfinite(x) for x in (m.lb, m.sg, m.ub))
 
 
 # ----------------------------------------------------------------------
@@ -468,13 +406,6 @@ class _Fold(NamedTuple):
     key_uncertain: List[bool]
     #: per group number: no member has an uncertain group-by cell
     box_certain: List[bool]
-    #: per contributor: its group number (-1: a bucket box), annotation
-    #: and Definition 26 ``certainly_in_group`` flag as a member
-    owner: List[int]
-    contributions: List[Tuple[int, int, int]]
-    certainly: List[bool]
-    #: per aggregate, per contributor: the aggregate's input range
-    inputs: List[Sequence[RangeValue]]
     #: contributor -> the groups it enters as a foreign contributor
     targets: Dict[int, List[int]]
 
@@ -631,10 +562,7 @@ def _fold(
         key: [[box[g] for box in boxes], totals[g], [s[g] for s in states]]
         for g, key in enumerate(index_of)
     }
-    return _Fold(
-        groups, attrs, members, key_uncertain, box_certain, owner,
-        contributions, certainly, inputs, targets,
-    )
+    return _Fold(groups, attrs, members, key_uncertain, box_certain, targets)
 
 
 def _fold_points(

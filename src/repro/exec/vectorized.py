@@ -72,7 +72,7 @@ from .. import telemetry as _tm
 from ..db import chunks as _chunks
 from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
-from ..core.sums import count_float_addends, folds_in_c
+from ..core.sums import folds_in_c
 from ..core.expressions import Expression, RowView, Var
 from ..core.ranges import RangeValue, overlap_index
 from ..core.relation import AUDatabase, AURelation
@@ -131,12 +131,12 @@ def _gather(columns: Sequence, rows: Sequence[int]) -> List:
 
 def _folded_in_c(fn, values: Sequence, weights: Sequence[int]) -> bool:
     """Whether ``fn``'s det ``fold`` of one group ran in C: a registry
-    ``fold`` over no exact sum, or one whose exact sum
+    ``fold`` that takes no input (``COUNT``), or one whose exact sum
     :func:`~repro.core.sums.add_products` takes without its per-value
     loop — never the default ``step`` loop."""
     if fn.det.fold is None:
         return False
-    return fn.det_sum is None or folds_in_c(values, weights)
+    return not fn.takes_input or folds_in_c(values, weights)
 
 
 def _compiled(compiler: Callable, condition: Expression, *schemas):
@@ -811,13 +811,13 @@ class DetGammaState:
     what :meth:`_DetExec._aggregate` returns over the changed input, as
     a bag.
 
-    ``groups`` maps each group key to ``[weight, accs, floats]``:
-    ``accs`` holds one registry (``AGGREGATES``) det state per
-    aggregate, stepped with signed weights, and ``floats`` the float
-    multiplicity each exact sum holds
-    (:func:`repro.core.sums.count_float_addends`: when it returns to
-    zero the accumulator finishes as an exact ``int`` again).  A group
-    is born with its first row and dies with its weight.
+    ``groups`` maps each group key to ``[weight, accs]``: ``accs`` holds
+    one registry (``AGGREGATES``) det state per aggregate.  A change
+    takes the row's old contribution out (stepped into a scratch state,
+    then ``unmerge``) and steps its new one in, so an exact sum counts
+    one float addend per float row it holds, whatever its multiplicity
+    (:mod:`repro.core.sums`).  A group is born with its first row and
+    dies with its weight.
     """
 
     def __init__(
@@ -832,14 +832,19 @@ class DetGammaState:
         self._group_idx = [self._index[a] for a in group_by]
         self._fns = [AGGREGATES[spec.kind] for spec in aggregates]
         self.groups: Dict[Tuple, List[Any]] = {}
+        #: each input row -> itself: the stored cells of a value-equal
+        #: row (``0`` where a write says ``0.0``), whose contribution is
+        #: the one to take out
+        self._rows: Dict[Tuple, Tuple] = {}
 
     def rebuild(self, rel: DetRelation) -> ColumnBatch:
         """Fold every row of ``rel`` into a new state; returns the γ
         output batch."""
         self.groups = {}
+        self._rows = dict(zip(rel.rows, rel.rows))
         group_idx = self._group_idx
         for t, m in rel.rows.items():
-            self._step(tuple(t[j] for j in group_idx), self._values(t), m)
+            self._fold(tuple(t[j] for j in group_idx), self._values(t), None, m)
         return self.result()
 
     def result(self) -> ColumnBatch:
@@ -858,10 +863,12 @@ class DetGammaState:
         why it cannot — the state is then unusable until the next
         :meth:`rebuild`: a delete ties or beats a surviving group's
         ``MIN`` / ``MAX`` (``extremum_deleted``: the runner-up is not
-        kept), a ``SUM`` / ``AVG`` addend is not finite
-        (``non_finite_addend``: the absorbing IEEE slot is not
-        invertible), or evaluating or stepping an input raised
+        kept), an input of an aggregate with ``unmerge`` is a non-finite
+        float (``non_finite_addend``: the absorbing IEEE slot has no
+        inverse), or evaluating or stepping an input raised
         (``fold_error``)."""
+        if old is not None:
+            t = self._rows[t]
         w = (new or 0) - (old or 0)
         key = tuple(t[j] for j in self._group_idx)
         entry = self.groups.get(key)
@@ -869,19 +876,21 @@ class DetGammaState:
             values = self._values(t)
             if entry is None or entry[0] + w:  # the group survives
                 for a, (fn, v) in enumerate(zip(self._fns, values)):
-                    if w < 0 and not fn.invertible:
-                        alone = fn.det.step(fn.det.init(), v, -w)
-                        if fn.det.merge(alone, entry[1][a]) is alone:
+                    algebra = fn.det
+                    if algebra.unmerge is not None:
+                        if type(v) is float and not math.isfinite(v):
+                            return "non_finite_addend"
+                    elif w < 0:
+                        alone = algebra.step(algebra.init(), v, old)
+                        if algebra.merge(alone, entry[1][a]) is alone:
                             return "extremum_deleted"
-                    elif (
-                        fn.det_sum is not None
-                        and type(v) is float
-                        and not math.isfinite(v)
-                    ):
-                        return "non_finite_addend"
-            self._step(key, values, w)
+            self._fold(key, values, old, new)
         except (TypeError, ValueError, ArithmeticError):
             return "fold_error"  # the re-run raises it to the reader
+        if old is None:
+            self._rows[t] = t
+        elif new is None:
+            del self._rows[t]
         return None
 
     def _values(self, t: Tuple) -> List[Any]:
@@ -897,27 +906,30 @@ class DetGammaState:
                 values.append(spec.expr.eval(RowView(index, t)))
         return values
 
-    def _step(self, key: Tuple, values: List[Any], w: int) -> None:
-        """Step one row's inputs ``values`` with weight ``w`` into group
-        ``key``: birth, death, and every aggregate but a deleted
-        extremum (:meth:`apply` checked it leaves the state as it is)."""
+    def _fold(
+        self, key: Tuple, values: List[Any], old: Optional[int], new: Optional[int]
+    ) -> None:
+        """Change one row's multiplicity in group ``key`` from ``old`` to
+        ``new``: birth, death, and in every aggregate the old
+        contribution out and the new one in — an aggregate without
+        ``unmerge`` (``MIN`` / ``MAX``) only takes a new row, and
+        :meth:`apply` checked that a deleted one leaves it as it is."""
         entry = self.groups.get(key)
         if entry is None:
-            fns = self._fns
-            entry = self.groups[key] = [
-                0, [fn.det.init() for fn in fns], [0] * len(fns)
-            ]
-        entry[0] += w
+            entry = self.groups[key] = [0, [fn.det.init() for fn in self._fns]]
+        entry[0] += (new or 0) - (old or 0)
         if not entry[0]:
             del self.groups[key]  # from scratch it would not exist
             return
-        accs, floats = entry[1], entry[2]
+        accs = entry[1]
         for a, (fn, v) in enumerate(zip(self._fns, values)):
-            if w < 0 and not fn.invertible:
-                continue
-            accs[a] = fn.det.step(accs[a], v, w)
-            if fn.det_sum is not None and type(v) is float:
-                count_float_addends(fn.det_sum(accs[a]), floats, a, w)
+            algebra = fn.det
+            if old is not None:
+                if algebra.unmerge is None:
+                    continue
+                accs[a] = algebra.unmerge(accs[a], algebra.step(algebra.init(), v, old))
+            if new is not None:
+                accs[a] = algebra.step(accs[a], v, new)
 
 
 def _on_rows(batch: ColumnBatch, op: Callable, *args: Any) -> ColumnBatch:

@@ -3,7 +3,8 @@
 Every aggregate function is defined once — per engine a mergeable state
 ``(init, step, merge, finalize, empty)``, an optional column ``fold``
 (det: ≡ the ``step`` loop; AU: ≡ the ``step`` of point contributions,
-per slot set of ``point_slots``), plus one ``result_type`` — and
+per slot set of ``point_slots``), an optional ``unmerge`` (the exact
+inverse of ``merge``), plus one ``result_type`` — and
 every fold in the system (serial, partial, parallel merge, delta,
 typing) runs those functions.  The functions are *enumerated* here, not
 listed, so a sixth function is held to the whole-group references
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.algebra.ast import Aggregate, TableRef
+from repro.algebra.evaluator import EvalConfig
 from repro.analysis import PlanTypeError, infer_logical
 from repro.core.aggregation import (
     AGGREGATES,
@@ -33,8 +35,8 @@ from repro.core.aggregation import (
     point_slots,
 )
 from repro.core.expressions import Var
-from repro.core.ranges import RangeValue, certain
-from repro.core.relation import AURelation
+from repro.core.ranges import RangeValue, certain, domain_key, domain_le
+from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import _empty_value, _fold, evaluate_det
 from repro.db.storage import DetDatabase, DetRelation
 from repro.exec.au_aggregate import (
@@ -178,10 +180,10 @@ def test_det_merge_of_an_in_order_partition_is_the_fold(kind, rows, cuts):
 def test_det_negative_weight_undoes_the_step(kind, rows, value, weight):
     fn = AGGREGATES[kind]
     expected = fn.det.finalize(_det_fold(fn, rows))
-    if fn.invertible:
-        # the algebra alone: the same value (an int sum that saw a
-        # float and lost it again is still a float — the delta fold's
-        # float-multiplicity bookkeeping restores the type, below)
+    if fn.det.unmerge is not None:
+        # the algebra alone: the same value (stepping ``-weight`` adds
+        # a second float addend, so an int sum that saw a float is still
+        # a float — ``unmerge`` restores the type, below)
         state = fn.det.step(_det_fold(fn, rows), value, weight)
         assert fn.det.finalize(fn.det.step(state, value, -weight)) == expected
     # the kept γ state: to the bit, or a named stale reason asks for a
@@ -197,11 +199,39 @@ def test_det_negative_weight_undoes_the_step(kind, rows, value, weight):
         reason = maintained.apply((value,), before, after)
         if reason is not None:
             assert reason in ("extremum_deleted", "non_finite_addend")
-            assert fn.det_sum is not None or not fn.invertible
+            assert fn.det.unmerge is None or fn.takes_input
             return
     fresh = DetGammaState(("v",), [], [spec])
     assert _bits(sorted(maintained.result().to_relation().tuples())) == _bits(
         sorted(fresh.rebuild(base).to_relation().tuples())
+    )
+
+
+#: addends an ``unmerge`` must take back out to the bit: ints and bools,
+#: signed zeros, finite floats of every magnitude (huge ones spill)
+_UNMERGE_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, True, -3, 0.1, 2.5, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_UNMERGE_KINDS = [kind for kind in KINDS if AGGREGATES[kind].det.unmerge is not None]
+
+
+@pytest.mark.parametrize("kind", _UNMERGE_KINDS)
+@SETTINGS
+@given(
+    rows=st.lists(st.tuples(_UNMERGE_VALUES, st.integers(1, 3)), min_size=1, max_size=5),
+    part=st.lists(st.tuples(_UNMERGE_VALUES, st.integers(0, 3)), max_size=5),
+)
+# an int-only state after a float part leaves; a weight-0 float; zeros
+@example(rows=[(1, 2)], part=[(0.5, 1), (3, 1)])
+@example(rows=[(3, 1)], part=[(2.5, 0)])
+@example(rows=[(0, 1), (-0.0, 1)], part=[(0.0, 2), (-0.0, 1)])
+def test_det_unmerge_takes_a_merged_part_back_out(kind, rows, part):
+    fn = AGGREGATES[kind]
+    state = fn.det.merge(_det_fold(fn, rows), _det_fold(fn, part))
+    state = fn.det.unmerge(state, _det_fold(fn, part))
+    assert _bits(fn.det.finalize(state)) == _bits(
+        fn.det.finalize(_det_fold(fn, rows))
     )
 
 
@@ -458,6 +488,100 @@ def test_au_merge_of_an_in_order_partition_is_the_operator(kind, rows, cuts):
         assert _bits(fn.au.finalize(state)) == _bits(
             fn.au.finalize(_au_fold(fn, group))
         )
+
+
+#: float ranges, annotations with and without SG copies
+_AU_AVG_ROWS = st.lists(
+    st.tuples(
+        st.tuples(
+            st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)
+        ).map(sorted),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)).map(
+            sorted
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@SETTINGS
+@given(rows=_AU_AVG_ROWS)
+# the mean of three 0.1 rounds above every member
+@example(rows=[((0.1, 0.1, 0.1), (1, 1, 1))] * 3)
+@example(rows=[((0.1, 0.1, 0.1), (3, 3, 3))])
+def test_au_avg_sg_is_the_det_avg_of_the_sg_world(rows):
+    fn, spec = AGGREGATES["avg"], _spec("avg")
+    rows = [(RangeValue(*bounds), tuple(ann)) for bounds, ann in rows]
+    out = fn.au.finalize(_au_fold(fn, rows))
+    assert domain_le(out.lb, out.sg) and domain_le(out.sg, out.ub)
+    selected = [((m.sg,), ann[1]) for m, ann in rows if ann[1] > 0]
+    if selected:
+        assert _bits(out.sg) == _bits(_fold(spec, ("v",), selected))
+
+
+@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
+def test_au_avg_of_three_tenths_is_the_det_avg(backend):
+    sql = "SELECT AVG(v) AS av FROM t"
+    au = AURelation(("k", "v"))
+    det = DetRelation(("k", "v"))
+    for k in range(3):
+        au.add((certain(k), certain(0.1)), (1, 1, 1))
+        det.add((k, 0.1))
+    config = EvalConfig(backend=backend)
+    want = Connection(DetDatabase({"t": det}), config=config).execute(sql)
+    got = Connection(AUDatabase({"t": au}), config=config).execute(sql)
+    assert _bits(want.rows) == "{(0.10000000000000002,): 1}"
+    ((cell,), _ann), = got.tuples()
+    assert _bits(cell.sg) == "0.10000000000000002"
+    assert got.selected_guess_world() == want.as_bag()
+    assert cell.lb == 0.1 and cell.ub == 0.10000000000000002
+
+
+@st.composite
+def _au_unmerge_row(draw):
+    """A contribution with any Definition 26 flags: a point or a range
+    input, annotation components 0 included (weight-0 products)."""
+    if draw(st.booleans()):
+        m = certain(draw(_UNMERGE_VALUES))
+    else:
+        lb, sg, ub = sorted(
+            draw(st.tuples(_UNMERGE_VALUES, _UNMERGE_VALUES, _UNMERGE_VALUES)),
+            key=domain_key,
+        )
+        m = RangeValue(lb, sg, ub)
+    ann = tuple(sorted(draw(st.tuples(*[st.integers(0, 2)] * 3))))
+    return m, ann, draw(_AU_FLAGS)
+
+
+def _au_unmerge_fold(fn, rows):
+    state = fn.au.init()
+    for m, ann, (certainly_in_group, in_sg_group) in rows:
+        fn.au.step(state, ann, m, certainly_in_group, in_sg_group)
+    return state
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind in KINDS if AGGREGATES[kind].au.unmerge is not None]
+)
+@SETTINGS
+@given(
+    rows=st.lists(_au_unmerge_row(), max_size=4),
+    part=st.lists(_au_unmerge_row(), max_size=4),
+)
+@example(
+    rows=[(certain(1), (1, 1, 1), (True, True))],
+    part=[(certain(0.5), (0, 0, 1), (False, True))],
+)
+def test_au_unmerge_takes_a_merged_part_back_out(kind, rows, part):
+    fn = AGGREGATES[kind]
+    if not fn.takes_input:
+        rows = [(certain(1), ann, flags) for _m, ann, flags in rows]
+        part = [(certain(1), ann, flags) for _m, ann, flags in part]
+    state = fn.au.merge(_au_unmerge_fold(fn, rows), _au_unmerge_fold(fn, part))
+    state = fn.au.unmerge(state, _au_unmerge_fold(fn, part))
+    out, want = fn.au.finalize(state), fn.au.finalize(_au_unmerge_fold(fn, rows))
+    assert _bits((out.lb, out.sg, out.ub)) == _bits((want.lb, want.sg, want.ub))
 
 
 #: AU column folds: point inputs of the types a SUM meets — ints and

@@ -195,3 +195,15 @@ class TestOverlapIndex:
             assert overlap_index(indexed)(probe) == expected
 
         check()
+
+        # many points and one wide range: the points keep a window of
+        # their own, the range does not widen it
+        points = scalars.map(lambda x: RangeValue(x, x, x))
+
+        @given(st.lists(points, max_size=40), cells, st.integers(0, 40), cells)
+        def check_points(indexed, wide, at, probe):
+            indexed.insert(at, wide)
+            expected = [k for k, c in enumerate(indexed) if c.overlaps(probe)]
+            assert overlap_index(indexed)(probe) == expected
+
+        check_points()

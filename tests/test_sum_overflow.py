@@ -349,7 +349,7 @@ def test_add_products_takes_the_c_path_only_where_it_is_exact():
 
 def test_merge_acc_never_aliases_its_source():
     source = _fold([0.5, 0.25, 1e16])
-    snapshot = [source[0], list(source[1]), source[2], source[3]]
+    snapshot = [source[0], list(source[1]), *source[2:]]
     for target in (new_acc(), _fold([1.0] * _LIMIT)):
         merge_acc(target, source)
         assert target[1] is not source[1]
@@ -446,3 +446,44 @@ def test_maintained_view_of_huge_values_is_the_fresh_result(backend):
                 sorted(fresh.tuples())
             ), (op, row)
         assert view.full_refreshes == 0  # every write folded as a delta
+
+
+# ----------------------------------------------------------------------
+# the float-addend count: what lets a maintained sum become an int again
+# ----------------------------------------------------------------------
+def test_the_float_addend_count_survives_compaction_spill_and_weight_zero():
+    acc = new_acc()
+    add_product(acc, 2.5, 0)  # a float at weight 0 is an addend too
+    assert acc[4] == 1 and repr(finish(acc)) == "0.0"
+    add_product(acc, 1.5, 6)  # several power-of-two terms, one addend
+    assert acc[4] == 2
+    for _ in range(_LIMIT):  # compacts the terms, not the count
+        add_product(acc, 0.1, 1)
+    assert len(acc[1]) < _LIMIT and acc[4] == _LIMIT + 2
+    spill = _fold([1.7e308, 1.7e308, -1.7e308, -1.7e308] + [0.25] * (_LIMIT - 3))
+    assert spill[3] != 0 and spill[4] == _LIMIT + 1  # the overflow path
+    merge_acc(acc, spill)
+    assert acc[4] == 2 * _LIMIT + 3
+    sums.add_products(acc, [0.5, -0.0], [1, 1])  # one extend, two addends
+    sums.add_products(acc, [1, True], [1, 5])  # ints: none
+    assert acc[4] == 2 * _LIMIT + 5
+    sums.add_product_each([acc, spill], 0.75, 1)
+    assert acc[4] == 2 * _LIMIT + 6 and spill[4] == _LIMIT + 2
+
+
+def test_unmerge_drops_the_float_part_with_the_last_float_addend():
+    ints = new_acc()
+    add_product(ints, 7, 3)
+    floats = _fold([1.7e308, 1.7e308, -1.7e308, -1.7e308] + [0.25] * _LIMIT)
+    add_product(floats, 0.1, 0)
+    merge_acc(ints, floats)
+    assert type(finish(ints)) is float and ints[3] != 0
+    sums.unmerge_acc(ints, floats)
+    assert ints == [21, [], 0.0, 0, 0] and repr(finish(ints)) == "21"
+    # a float part that keeps an addend stays, with its exact sum
+    acc = _fold([0.5, 0.25])
+    half = _fold([0.5])
+    sums.unmerge_acc(acc, half)
+    assert acc[4] == 1 and repr(finish(acc)) == "0.25"
+    sums.unmerge_acc(acc, _fold([0.25]))
+    assert repr(finish(acc)) == "0"
