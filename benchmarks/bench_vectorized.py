@@ -51,7 +51,15 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   certain build row per uncertain probe row costs ≈ 200x).  Reported
   beside them: every probe key certain and one order key widened to span
   every order key, so each probe row also pairs with that build row
-  through the overlap index of the uncertain build rows.
+  through an index of the certain probe rows' keys.
+* **Filter AU ÷ det (reported, no gate)**: ns per row of the streamed
+  select over a scan of lineitem on the AU engine against the same
+  operator on the det engine, over AU data whose selected-guess world
+  is the det data: the two-conjunct filter at 0 % and 2 % uncertain
+  ``l_qty`` / ``l_price`` cells (ROADMAP item 3's filter row) and a key
+  ``=`` lookup on ``l_orderkey``.  A row whose cells are all points
+  takes the AU kernel's point lane: one test of the condition on the SG
+  values.
 
 Both backends must return identical results (integer measures, so even
 SUM/AVG are bit-exact).
@@ -335,6 +343,59 @@ def key_fk_join_ratios(det: DetDatabase):
     return timings, same
 
 
+#: the shares of uncertain l_qty / l_price cells in the filter AU ÷ det rows
+FILTER_UNCERTAINTY = (0.0, 0.02)
+
+
+def au_filter_world_db(det: DetDatabase, uncertain: float, seed: int = 1) -> AUDatabase:
+    """``det``'s lineitem as an AU table whose selected-guess world is
+    ``det``'s, each ``l_qty`` / ``l_price`` cell widened to
+    ``[v-1/v/v+1]`` with probability ``uncertain``."""
+    rng = random.Random(seed)
+    rel = AURelation(det["lineitem"].schema)
+    for row, m in det["lineitem"].rows.items():
+        row = tuple(
+            between(v - 1, v, v + 1) if j in (1, 2) and rng.random() < uncertain else v
+            for j, v in enumerate(row)
+        )
+        rel.add(row, (m, m, m))
+    return AUDatabase({"lineitem": rel})
+
+
+def filter_plans():
+    """``{name: select over a lineitem scan}`` of the filter AU ÷ det
+    rows: :func:`det_filter_condition` and a key ``=`` lookup."""
+    return {
+        "two-conjunct filter": phys.FusedSelectProject(
+            phys.Scan("lineitem"), det_filter_condition(), None
+        ),
+        "key = lookup": phys.FusedSelectProject(
+            phys.Scan("lineitem"), Eq(Var("l_orderkey"), Const(N_ORDERS // 2)), None
+        ),
+    }
+
+
+def filter_ratios(det: DetDatabase):
+    """``{(plan, share): (AU ns/row, det ns/row)}``, best of 7 each,
+    and whether every AU result's SG world was the det result."""
+    from repro.experiments.common import time_call
+
+    n = len(det["lineitem"].rows)
+    run_det = vectorized._DetExec(det).eval
+    out, same = {}, True
+    for share in FILTER_UNCERTAINTY:
+        au = au_filter_world_db(det, share)
+        run_au = vectorized._AUExec(au).eval
+        for name, plan in filter_plans().items():
+            run_det(plan), run_au(plan)  # build the chunk stores
+            t_det, r_det = time_call(lambda: run_det(plan), repeat=7)
+            t_au, r_au = time_call(lambda: run_au(plan), repeat=7)
+            out[name, f"{share:.0%}"] = (t_au / n * 1e9, t_det / n * 1e9)
+            sg_world = r_au.to_relation().selected_guess_world()
+            same = same and sg_world == r_det.to_relation().as_bag()
+    return out, same
+
+
 def join_agg_plan():
     """``SELECT o_status, sum(l_price), count(*), avg(l_qty) FROM orders
     JOIN lineitem ON o_id = l_orderkey WHERE l_qty > 10 AND l_price <=
@@ -585,6 +646,15 @@ def main() -> int:
             f"{t_au_join:.4f}s / det {t_det_join:.4f}s = "
             f"{t_au_join / t_det_join:.1f}x"
         )
+    filters, filters_same = filter_ratios(det)
+    if not filters_same:
+        failures.append("au_det_filter: SG world differs from the det answer")
+    for (name, share), (au_ns, det_ns) in filters.items():
+        print(
+            f"AU / det cost ratio, {name} ({share} of l_qty / l_price cells "
+            f"uncertain): AU {au_ns:.1f} ns/row / det {det_ns:.1f} ns/row = "
+            f"{au_ns / det_ns:.1f}x"
+        )
     t_au_gated, t_det_gated = key_fk[f"{KEY_FK_GATED_SHARE:.0%}"]
     key_fk_ratio = t_au_gated / t_det_gated
     if key_fk_ratio > KEY_FK_GATE:
@@ -663,6 +733,14 @@ def main() -> int:
                         "ratio": round(t_au_join / t_det_join, 4),
                     }
                     for case, (t_au_join, t_det_join) in key_fk.items()
+                },
+                "au_det_filter": {
+                    f"{name} [{share}]": {
+                        "au_ns_per_row": round(au_ns, 2),
+                        "det_ns_per_row": round(det_ns, 2),
+                        "ratio": round(au_ns / det_ns, 4),
+                    }
+                    for (name, share), (au_ns, det_ns) in filters.items()
                 },
             },
             "failures": failures,

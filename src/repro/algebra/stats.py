@@ -58,10 +58,28 @@ _OBSERVES = _tm.get_registry().counter(
     "repro_stats_observes_total",
     "Rows folded into incremental statistics accumulators.",
 )
-_RESCANS = _tm.get_registry().counter(
-    "repro_stats_rescans_total",
-    "Statistics harvests that fell back to a full relation rescan.",
+#: why a harvest rescanned (the ``reason`` label): no accumulator was
+#: cached, or the schema changed under it; else the first trigger since
+#: the last rescan — a delete tied a column's min or max, an insert fell
+#: outside a column's built histogram range after its samples were
+#: dropped (past the cap, or by an earlier numeric delete), or a
+#: numeric delete (which drops the samples) fell outside that range or
+#: met a histogram already awaiting its rebuild
+RESCAN_REASONS = (
+    "no_accumulator",
+    "schema_changed",
+    "extremum_deleted",
+    "out_of_range_insert",
+    "out_of_range_delete",
 )
+_RESCANS = {
+    reason: _tm.get_registry().counter(
+        "repro_stats_rescans_total",
+        "Statistics harvests that fell back to a full relation rescan.",
+        reason=reason,
+    )
+    for reason in RESCAN_REASONS
+}
 
 __all__ = [
     "ColumnStats",
@@ -73,6 +91,7 @@ __all__ = [
     "adaptive_morsel_count",
     "DEFAULT_SELECTIVITY",
     "HISTOGRAM_BUCKETS",
+    "RESCAN_REASONS",
     "MORSEL_TARGET_ROWS",
 ]
 
@@ -275,8 +294,8 @@ class StatsAccumulator:
     it from the retained weighted samples — the rebuild fallback —
     without rescanning the relation.  Sample retention is bounded
     (:data:`HISTOGRAM_SAMPLE_CAP` per column): columns past the cap
-    drop their samples after each build and flag ``rescan_needed`` when
-    an out-of-range write would need them, so
+    drop their samples after each build and record ``rescan_needed``
+    when an out-of-range write would need them, so
     :func:`_harvest_relation` falls back to a full rescan only when no
     accumulator is cached, the schema changed under it, or a capped
     column's histogram range grew.
@@ -317,9 +336,11 @@ class StatsAccumulator:
         self.hist_hi: List[float] = [0.0] * n
         self.hist_counts: List[Optional[List[int]]] = [None] * n
         self.hist_dirty = [True] * n
-        #: set when an out-of-range write hits a column whose samples
-        #: were dropped: only a full relation rescan can rebuild then
-        self.rescan_needed = False
+        #: the first reason (:data:`RESCAN_REASONS`) this state went
+        #: invalid — a boundary delete, or an out-of-range write to a
+        #: column whose samples were dropped: only a full relation
+        #: rescan can rebuild then; ``None`` while it is valid
+        self.rescan_needed: Optional[str] = None
         #: deleted row weight, counted *separately* from the insert
         #: stream: a delete shrinks distributions in ways an insert
         #: cannot, so staleness heuristics must not net it against
@@ -371,7 +392,7 @@ class StatsAccumulator:
                     if self.hist_dirty[i] and self.samples[i] is None:
                         # the range grew past a capped column's build:
                         # no samples to rebuild from — rescan instead
-                        self.rescan_needed = True
+                        self._invalidate("out_of_range_insert")
                 else:
                     self.numeric_ok[i] = False
                     self.samples[i] = None
@@ -392,7 +413,7 @@ class StatsAccumulator:
         Counters that are exactly invertible (total, nulls, uncertain,
         width sums, in-range histogram buckets) are decremented in
         place; quantities that can only shrink under deletion (min/max
-        bounds, distinct sketches, out-of-range histogram state) flag
+        bounds, distinct sketches, out-of-range histogram state) record
         ``rescan_needed`` instead of guessing, so the next harvest
         rescans.  ``weight`` is the deleted multiplicity (1 for an AU
         tuple removal).  Deleted weight also accumulates in
@@ -431,9 +452,9 @@ class StatsAccumulator:
                             counts[j if j < top else top] -= weight
                         else:
                             self.hist_dirty[i] = True
-                            self.rescan_needed = True
+                            self._invalidate("out_of_range_delete")
                     elif self.hist_dirty[i]:
-                        self.rescan_needed = True
+                        self._invalidate("out_of_range_delete")
             # the distinct sketch stays a superset; min/max can only
             # shrink, so a delete touching a boundary forces a rescan
             if self.mins[i] is not _UNSET:
@@ -441,7 +462,12 @@ class StatsAccumulator:
                     domain_key(lb) <= domain_key(self.mins[i])
                     or domain_key(ub) >= domain_key(self.maxs[i])
                 ):
-                    self.rescan_needed = True
+                    self._invalidate("extremum_deleted")
+
+    def _invalidate(self, reason: str) -> None:
+        """Record ``reason`` unless an earlier trigger already did."""
+        if self.rescan_needed is None:
+            self.rescan_needed = reason
 
     def _observe_histogram(self, i: int, v: float, weight: int) -> None:
         counts = self.hist_counts[i]
@@ -539,13 +565,15 @@ def _harvest_relation(rel) -> Dict[str, ColumnStats]:
     if cached is not None:
         return cached
     acc = getattr(rel, "_stats_acc", None)
-    if (
-        acc is None
-        or acc.schema != tuple(rel.schema)
-        or acc.rescan_needed
-    ):
+    if acc is None:
+        reason: Optional[str] = "no_accumulator"
+    elif acc.schema != tuple(rel.schema):
+        reason = "schema_changed"
+    else:
+        reason = acc.rescan_needed
+    if reason is not None:
         # rebuild fallback: no (valid) incremental state — full rescan
-        _RESCANS.inc()
+        _RESCANS[reason].inc()
         acc = StatsAccumulator(rel.schema)
         for t, annotation in rel.tuples():
             acc.observe(t, annotation)

@@ -53,7 +53,13 @@ bit-identical to the interpreter, errors included:
 * comparisons and ``And``/``Or``/``Not`` over truth triples cannot
   raise, so they are emitted as three pure expressions — one per truth
   bound — and only those short-circuit, inside ``and``/``or``.  All
-  three are evaluated for every row, as the interpreter does;
+  three are evaluated for every row, as the interpreter does — except
+  on the *point lane*: a condition built only from comparisons of
+  columns and constants under ``And``/``Or``/``Not`` tests a row whose
+  cells (and constants) are all points once, on the SG values — one
+  ``_le`` per ``<``, the upper truth first and the lower and SG truths
+  only on kept rows (:func:`_point_form`, shared with the value
+  kernels; :class:`RangeKernel` counts the rows that missed it);
 * ``And``/``Or``/``Not`` over an operand that is not itself a truth
   triple (a bare attribute, a constant, arithmetic) may fail the
   interpreter's range validation, and ``If``/``MakeUncertain`` evaluate
@@ -118,6 +124,7 @@ from ..core.ranges import RangeValue, domain_key, domain_le
 __all__ = [
     "CompileError",
     "DetKernel",
+    "RangeKernel",
     "compile_filter",
     "compile_projector",
     "compile_range_filter",
@@ -439,6 +446,7 @@ class _RowFeed:
     header = "for _i in range(_n):"
     ann = ("_alb[_i]", "_asg[_i]", "_aub[_i]")
     cursors = ("_i",)
+    size = "_n"
 
     def __init__(self, schema: Sequence[str]) -> None:
         self.index = {name: j for j, name in enumerate(schema)}
@@ -465,6 +473,7 @@ class _PairFeed:
     header = "for _i, _j in zip(_li, _ri):"
     ann = ("_llb[_i] * _rlb[_j]", "_lsg[_i] * _rsg[_j]", "_lub[_i] * _rub[_j]")
     cursors = ("_i", "_j")
+    size = "len(_li)"
 
     def __init__(self, left: Sequence[str], right: Sequence[str]) -> None:
         # as in the engines' combined-schema row views, the right side
@@ -655,16 +664,77 @@ def _hoists(feed, n_consts: int) -> List[str]:
     ]
 
 
-def _compile_range(condition: Expression, feed):
+class RangeKernel:
+    """A compiled AU filter or join residual: ``kernel(*feed)`` returns
+    the kernel's outputs (see :func:`compile_range_filter`,
+    :func:`compile_range_pair_filter`).
+
+    Over all its calls it counts the rows it evaluated (``rows``) and
+    those that ran the full truth triple (``range_rows``); the others
+    took the point lane (``point_rows``).  Only the triple counts, so
+    the lane pays nothing for the telemetry.
+    """
+
+    __slots__ = ("_fn", "_constants", "_points", "rows", "range_rows")
+
+    def __init__(self, fn: Callable, constants: Tuple) -> None:
+        self._fn = fn
+        self._constants = constants
+        self._points = _all_points(constants)
+        self.rows = 0
+        self.range_rows = 0
+
+    def __call__(self, *feed):
+        *out, rows, ranged = self._fn(
+            *feed, self._constants, self._points,
+            domain_key, domain_le, RangeValue, _zero_div,
+        )
+        self.rows += rows
+        self.range_rows += ranged
+        return tuple(out)
+
+    @property
+    def point_rows(self) -> int:
+        return self.rows - self.range_rows
+
+
+def _all_points(constants: Tuple) -> bool:
+    """Whether the point lane is open for these constants' bound
+    triples: only while every one is a point."""
+    return all(k[0] is k[1] is k[2] for k in constants)
+
+
+def _point_guard(feed) -> str:
+    """The lane's entry test: the constants (``_points``, once per call)
+    and every referenced cell are points."""
+    cells = "".join(f" and {v}.lb is {v}.sg is {v}.ub" for v in feed.loads)
+    return f"if _points{cells}:"
+
+
+def _compile_range(condition: Expression, feed) -> RangeKernel:
     emitter = _RangeEmitter(feed)
     lb, sg, ub, _truth = emitter.emit(condition)
+    point = _point_form(condition, emitter)
     constants = tuple(_bounds_of(value) for value in emitter.constants)
     prologue = _hoists(feed, len(constants))
     outputs = [f"_o{c}" for c in feed.cursors] + ["_olb", "_osg", "_oub"]
-    prologue += [f"{out} = []" for out in outputs]
+    prologue += [f"{out} = []" for out in outputs] + ["_r = 0"]
     body = [f"{local} = {src}" for local, src in feed.loads.items()]
+    if point is not None:
+        # the point lane: the upper truth first, then the lower and SG
+        # truths of the kept rows only, each distinct source once
+        plb, psg, pub = point[:3]
+        truths = {pub: None}
+        lane = [f"if not {pub}: continue", f"_u = {feed.ann[2]}", "if _u == 0: continue"]
+        for local, source in (("_lb", plb), ("_sg", psg)):
+            if source not in truths:
+                truths[source] = local
+                lane.append(f"{local} = {source}")
+        lane += _kept(feed, truths[plb], truths[psg])
+        body += [_point_guard(feed)] + [f"    {line}" for line in lane + ["continue"]]
+    body.append("_r += 1")
     body += emitter.lines
-    # the whole truth triple of every row, like eval_range
+    # the whole truth triple of every other row, like eval_range
     body += [
         f"_lb = {lb}",
         f"_sg = {sg}",
@@ -672,31 +742,33 @@ def _compile_range(condition: Expression, feed):
         f"_u = {feed.ann[2]}",
         "if _u == 0: continue",
     ]
-    body += [f"_o{c}.append({c})" for c in feed.cursors]
-    body += [
-        f"_olb.append({feed.ann[0]} if _lb else 0)",
-        f"_osg.append({feed.ann[1]} if _sg else 0)",
-        "_oub.append(_u)",
-    ]
+    body += _kept(feed, "_lb", "_sg")
     source = "".join(
-        [f"def _kernel({feed.params}, _K, _dk, _le, _RV, _zero_div):\n"]
+        [f"def _kernel({feed.params}, _K, _points, _dk, _le, _RV, _zero_div):\n"]
         + [f"    {line}\n" for line in prologue]
         + [f"    {feed.header}\n"]
         + [f"        {line}\n" for line in body]
-        + [f"    return {', '.join(outputs)}\n"]
+        + [f"    return {', '.join(outputs)}, {feed.size}, _r\n"]
     )
-    fn = _kernel(source, "au")
+    return RangeKernel(_kernel(source, "au"), constants)
 
-    def bound(*args):
-        return fn(*args, constants, domain_key, domain_le, RangeValue, _zero_div)
 
-    return bound
+def _kept(feed, lb: Optional[str], sg: Optional[str]) -> List[str]:
+    """Statements keeping the current row, annotated ``M_N(θ) · k``:
+    ``lb`` / ``sg`` name the row's lower / SG truth (``None``: true)."""
+    lines = [f"_o{c}.append({c})" for c in feed.cursors]
+    for out, ann, truth in (("_olb", feed.ann[0], lb), ("_osg", feed.ann[1], sg)):
+        lines.append(
+            f"{out}.append({ann})" if truth is None
+            else f"{out}.append({ann} if {truth} else 0)"
+        )
+    return lines + ["_oub.append(_u)"]
 
 
 def compile_range_filter(
     condition: Expression, schema: Sequence[str]
-) -> Callable[..., Tuple[List[int], List[int], List[int], List[int]]]:
-    """Compile an AU selection into
+) -> RangeKernel:
+    """Compile an AU selection into the :class:`RangeKernel`
     ``fn(columns, ann_lb, ann_sg, ann_ub, n) -> (rows, lb, sg, ub)``.
 
     ``columns`` holds one list of :class:`RangeValue` cells per
@@ -715,9 +787,9 @@ def compile_range_pair_filter(
     condition: Expression,
     left_schema: Sequence[str],
     right_schema: Sequence[str],
-) -> Callable[..., Tuple[List[int], List[int], List[int], List[int], List[int]]]:
-    """Compile an AU join residual into ``fn(left_columns,
-    right_columns, li, ri, *left_ann, *right_ann) ->
+) -> RangeKernel:
+    """Compile an AU join residual into the :class:`RangeKernel`
+    ``fn(left_columns, right_columns, li, ri, *left_ann, *right_ann) ->
     (left_rows, right_rows, lb, sg, ub)``.
 
     Pair ``k`` combines row ``li[k]`` of the left with row ``ri[k]`` of
@@ -727,31 +799,80 @@ def compile_range_pair_filter(
     return _compile_range(condition, _PairFeed(left_schema, right_schema))
 
 
-def _point_form(e: Expression, emitter: _RangeEmitter) -> Optional[str]:
-    """``e`` as one plain expression over the SG values of its (already
-    emitted) leaves, or ``None`` when ``e`` is not pure arithmetic.
+#: comparison node -> whether the point lane reads it as ``b <= a``
+#: (``Geq``, ``Lt``: the interpreter's orientation) and negates it
+_ORDER = {Leq: (False, False), Gt: (False, True), Geq: (True, False), Lt: (True, True)}
 
-    On a row whose leaves are all points — one object for the three
-    bounds — ``+ - * /`` and negation compute the same value for each
-    bound as :meth:`Expression.eval_range` does, in its operand order
-    and raising what it raises, a NaN result included: it reaches the
-    ``RangeValue`` the kernel builds and fails its validation there.
+
+def _point_form(e: Expression, emitter: _RangeEmitter) -> Optional[_Triple]:
+    """``e`` on a row whose referenced cells — and the constants — are
+    all points (one object for the three bounds): its three bounds as
+    plain expressions over the SG values of its (already emitted)
+    leaves, or ``None`` when ``e`` has no point form.
+
+    Two shapes have one, each computing on such a row exactly what the
+    range emitter's statements compute there:
+
+    * pure arithmetic over columns and constants (the value kernels):
+      ``+ - * /`` and negation compute one value, the same for each
+      bound as :meth:`Expression.eval_range` does, in its operand order
+      and raising what it raises, a NaN result included: it reaches the
+      ``RangeValue`` the kernel builds and fails its validation there;
+    * comparisons of columns and constants under ``AND`` / ``OR`` /
+      ``NOT`` (the filters): on points the three bounds of ``a <= b``
+      are one ``_le`` call, those of ``a = b`` the SG key equality (the
+      lower and SG truths) and the two-sided ``_le`` (the upper truth).
+      Those two differ only when one NaN object is compared with itself,
+      which no ``RangeValue`` can hold, so the form keeps both and the
+      lane stays the triple to the bit even there.  Nothing in this
+      shape can raise, so the lane may short-circuit and skip bounds.
+
+    ``IS NULL``, a comparison over arithmetic or over a comparison, and
+    arithmetic over a comparison have no point form: arithmetic in a
+    filter must raise on the rows the interpreter raises on, in its
+    order, which only the triple's statements guarantee.
     """
     kind = type(e)
     if kind is Var:
-        return emitter.feed.bounds(e.name)[1]
+        s = emitter.feed.bounds(e.name)[1]
+        return s, s, s, False
     if kind is Const:
-        return f"_k{emitter.slots[id(e)]}s"
-    if kind in _ARITH:
-        left = _point_form(e.left, emitter)
-        right = _point_form(e.right, emitter)
-        if left is None or right is None:
+        s = f"_k{emitter.slots[id(e)]}s"
+        return s, s, s, False
+    if kind in _ARITH or kind is Neg:
+        operands = [_point_form(x, emitter) for x in e.children()]
+        if any(x is None or x[3] for x in operands):
             return None
-        return f"({left} {_ARITH[kind]} {right})"
-    if kind is Neg:
-        operand = _point_form(e.operand, emitter)
-        return None if operand is None else f"(-{operand})"
-    return None
+        if kind is Neg:
+            v = f"(-{operands[0][1]})"
+        else:
+            v = f"({operands[0][1]} {_ARITH[kind]} {operands[1][1]})"
+        return v, v, v, False
+    if kind is And or kind is Or:
+        a = _point_form(e.left, emitter)
+        b = _point_form(e.right, emitter)
+        if a is None or b is None:
+            return None
+        op = "and" if kind is And else "or"
+        return tuple(f"({x} {op} {y})" for x, y in zip(a[:3], b[:3])) + (True,)
+    if kind is Not:
+        a = _point_form(e.operand, emitter)
+        return None if a is None else _RangeEmitter._negated(a)
+    if kind not in _ORDER and kind is not Eq and kind is not Neq:
+        return None
+    if type(e.left) not in (Var, Const) or type(e.right) not in (Var, Const):
+        return None
+    x = _point_form(e.left, emitter)[1]
+    y = _point_form(e.right, emitter)[1]
+    if kind in _ORDER:
+        swap, negate = _ORDER[kind]
+        t = f"_le({y}, {x})" if swap else f"_le({x}, {y})"
+        t = f"(not {t})" if negate else t
+        return t, t, t, True
+    key = f"(_dk({x}) == _dk({y}))"
+    overlap = f"(_le({x}, {y}) and _le({y}, {x}))"
+    eq = key, key, overlap, True
+    return eq if kind is Eq else _RangeEmitter._negated(eq)
 
 
 def compile_range_values(
@@ -776,15 +897,12 @@ def compile_range_values(
     prologue = _hoists(feed, len(constants))
     body = [f"{local} = {src}" for local, src in feed.loads.items()]
     if point is not None:
-        cells = "".join(
-            f" and {v}.lb is {v}.sg is {v}.ub" for v in feed.loads
-        )
-        body += [
-            f"if _points{cells}:",
-            f"    _p = {point}",
-            "    _append(_RV(_p, _p, _p))",
-            "    continue",
-        ]
+        plb, psg, pub = point[:3]
+        if plb == psg == pub:
+            lane = [f"_p = {psg}", "_append(_RV(_p, _p, _p))"]
+        else:
+            lane = [f"_append(_RV({plb}, {psg}, {pub}))"]
+        body += [_point_guard(feed)] + [f"    {line}" for line in lane + ["continue"]]
     body += emitter.lines
     body.append(f"_append(_RV({lb}, {sg}, {ub}))")
     source = "".join(
@@ -796,7 +914,7 @@ def compile_range_values(
         + ["    return _out\n"]
     )
     fn = _kernel(source, "au")
-    points = all(k[0] is k[1] is k[2] for k in constants)
+    points = _all_points(constants)
 
     def bound(columns: Sequence, n: int) -> List[RangeValue]:
         return fn(

@@ -902,7 +902,9 @@ def explain_physical(
     reading the one its writes maintain; vectorized operators
     that filter show ``kernel=compiled`` or ``kernel=interpreted
     (reason)`` — a compiled det filter also how many of its comparisons
-    ran as native ``<=``/``==`` (``native_compares=n``) and a streamed
+    ran as native ``<=``/``==`` (``native_compares=n``), a compiled AU
+    filter or join residual how many of the rows it evaluated took the
+    point lane (``point_rows=k/n``), and a streamed
     det select-project how many base columns it gathered
     (``gathered_columns=k/n``), a vectorized ``HashJoin`` which
     probe rule ran (``probe=map`` over a unique-key table, ``loop``
@@ -975,9 +977,9 @@ def explain_physical(
                         if "kernel_reason" in a:
                             line += f" ({a['kernel_reason']})"
                 for count in (
-                    "native_compares", "gathered_columns", "probe", "gathered_left",
-                    "uncertain_probe_rows", "interval_tested", "overlap_probes",
-                    "certain_equal",
+                    "native_compares", "point_rows", "gathered_columns", "probe",
+                    "gathered_left", "uncertain_probe_rows", "interval_tested",
+                    "overlap_probes", "certain_equal",
                 ):
                     if count in a:
                         line += f", {count}={a[count]}"

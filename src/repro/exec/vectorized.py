@@ -154,6 +154,14 @@ def _compiled(compiler: Callable, condition: Expression, *schemas):
     return kernel
 
 
+def _annotate_point_rows(kernel) -> None:
+    """Add a compiled range kernel's rows to the open operator span's
+    ``point_rows=k/n``: ``k`` of the ``n`` rows it evaluated took the
+    point lane (see :class:`~repro.exec.compile.RangeKernel`)."""
+    if kernel is not None and _tm._ACTIVE is not None:
+        _tm.annotate_ratio("point_rows", kernel.point_rows, kernel.rows)
+
+
 def _annotate_natives(kernel) -> None:
     """Record on the open operator span how many comparisons a compiled
     det kernel ran as native ``<=``/``==`` (see
@@ -702,47 +710,61 @@ def _interval_pairs(
     """The key-overlapping pairs with an uncertain key cell,
     probe-major, and the overlap-index candidates examined.
 
-    The build rows are indexed on their first key cell in the tuple
-    engine's emission order — the certain-key rows grouped by key in
-    first-occurrence order (the join table's order), then the uncertain
-    rows in build order — so index positions are emission ranks.  A
-    probe row with an uncertain key takes every candidate; a certain
-    probe row only the uncertain build rows, from an index of its own
-    (it met the certain ones in the join table, and one wide uncertain
-    range would widen every window of the shared index).  The other key
-    cells are tested on the candidates only."""
-    li: List[int] = []
-    ri: List[int] = []
+    A probe row with an uncertain key probes an index of the build rows'
+    first key cells, built in the tuple engine's emission order — the
+    certain-key rows grouped by key in first-occurrence order (the join
+    table's order), then the uncertain rows in build order — so index
+    positions are emission ranks.  The certain probe rows met the
+    certain build rows in the join table; their pairs with the
+    uncertain build rows come the other way round: the certain probe
+    rows' first key cells are indexed once, each uncertain build row
+    probes that index in build order, and one stable sort on the probe
+    row restores probe-major order (one wide uncertain range would
+    widen every window of the shared build index; a certain probe cell
+    is a point, which the index keeps in a sorted run of its own).  The
+    other key cells are tested on the candidates only."""
     r_uncertain = table.uncertain
     if not l_uncertain and not r_uncertain:
-        return (li, ri), 0
+        return ([], []), 0
     r_first, l_first = r_key_cols[0], l_key_cols[0]
-    rest = list(zip(l_key_cols[1:], r_key_cols[1:]))
-    # (overlap index, the build row at each of its positions)
-    every_row = uncertain_rows = None
+    li: List[int] = []
+    ri: List[int] = []
     if l_uncertain:
         groups = table.rows.values()
         order = [*(groups if table.unique else chain.from_iterable(groups)), *r_uncertain]
-        every_row = overlap_index([r_first[j] for j in order]), order
+        on_first = overlap_index([r_first[j] for j in order])
+        for i in l_uncertain:
+            found = on_first(l_first[i])
+            li += repeat(i, len(found))
+            ri += [order[k] for k in found]
+    # the certain probe rows' pairs, build-major
+    cli: List[int] = []
+    cri: List[int] = []
     if r_uncertain:
-        uncertain_rows = overlap_index([r_first[j] for j in r_uncertain]), r_uncertain
-    uncertain_probe = set(l_uncertain)
-    tested = 0
-    for i in range(len(l_first)) if r_uncertain else l_uncertain:
-        on_first, rows = every_row if i in uncertain_probe else uncertain_rows
-        found = [rows[k] for k in on_first(l_first[i])]
-        tested += len(found)
-        if rest:
-            found = [j for j in found if all(lc[i].overlaps(rc[j]) for lc, rc in rest)]
-        li += repeat(i, len(found))
-        ri += found
+        skip = set(l_uncertain)
+        certain = [i for i in range(len(l_first)) if i not in skip]
+        on_first = overlap_index([l_first[i] for i in certain])
+        for j in r_uncertain:
+            found = on_first(r_first[j])
+            cli += [certain[k] for k in found]
+            cri += repeat(j, len(found))
+    li, ri = _probe_major((li, ri), (cli, cri))
+    tested = len(li)
+    rest = list(zip(l_key_cols[1:], r_key_cols[1:]))
+    if rest:
+        kept = [
+            k for k, (i, j) in enumerate(zip(li, ri))
+            if all(lc[i].overlaps(rc[j]) for lc, rc in rest)
+        ]
+        li, ri = [li[k] for k in kept], [ri[k] for k in kept]
     return (li, ri), tested
 
 
 def _probe_major(first: Sequence[Sequence], second: Sequence[Sequence]) -> Sequence:
     """Two row-pair lists (probe rows first, then build rows and any
-    per-pair columns), each probe-major, as one probe-major list: per
-    probe row the pairs of ``first`` before those of ``second``.
+    per-pair columns), each listing a probe row's pairs in order, as one
+    probe-major list: per probe row the pairs of ``first`` before those
+    of ``second`` (one stable sort on the probe row).
     ``first``'s probe rows may be ``None``: every probe row once."""
     if not second[0]:
         return first
@@ -1175,6 +1197,7 @@ class _AUExec:
             ann_lb.extend(lb)
             ann_sg.extend(sg)
             ann_ub.extend(ub)
+        _annotate_point_rows(kernel)
         batch = AUColumnBatch(
             [schema[j] for j in gathered], cols, ann_lb, ann_sg, ann_ub
         )
@@ -1188,6 +1211,7 @@ class _AUExec:
             keep, ann_lb, ann_sg, ann_ub = kernel(
                 batch.columns, batch.ann_lb, batch.ann_sg, batch.ann_ub, len(batch)
             )
+            _annotate_point_rows(kernel)
         else:
             keep, ann_lb, ann_sg, ann_ub = _interpret_selection(batch, condition)
         return AUColumnBatch(
@@ -1307,9 +1331,11 @@ class _AUExec:
             compile_range_pair_filter, condition, left.schema, right.schema
         )
         if kernel is not None:
-            return kernel(
+            pairs = kernel(
                 left.columns, right.columns, li, ri, llb, lsg, lub, rlb, rsg, rub
             )
+            _annotate_point_rows(kernel)
+            return pairs
         return _interpret_pairs(left, right, li, ri, condition)
 
     @staticmethod

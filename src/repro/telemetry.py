@@ -77,6 +77,7 @@ __all__ = [
     "current_trace",
     "stage",
     "annotate",
+    "annotate_ratio",
     "run_op",
     "Counter",
     "Gauge",
@@ -442,6 +443,20 @@ def annotate(**attrs: Any) -> None:
     tr = _ACTIVE
     if tr is not None and tr._stack and tr._stack[-1].cat == "operator":
         tr._stack[-1].attrs.update(attrs)
+
+
+def annotate_ratio(name: str, part: int, whole: int) -> None:
+    """Add ``part`` of ``whole`` to the innermost open operator span's
+    ``name=k/n`` attribute (set to ``part/whole`` when absent), so an
+    operator that runs one kernel several times reports their sum; a
+    no-op where :func:`annotate` is one."""
+    tr = _ACTIVE
+    if tr is not None and tr._stack and tr._stack[-1].cat == "operator":
+        attrs = tr._stack[-1].attrs
+        if name in attrs:
+            k, n = attrs[name].split("/")
+            part, whole = part + int(k), whole + int(n)
+        attrs[name] = f"{part}/{whole}"
 
 
 # ======================================================================

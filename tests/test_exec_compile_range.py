@@ -17,6 +17,13 @@ chunks, and row pairs of a join.
 * a meta-test *enumerating* every ``Expression`` subclass: each one
   either compiles — and then agrees with the interpreter — or raises
   :class:`CompileError`; none silently takes a base class's semantics;
+* the point lane — rows whose referenced cells are all points test the
+  condition once, on the SG values — is pinned by examples held to the
+  interpreter (``1`` / ``1.0`` / ``True``, ``None`` and ``str`` points,
+  a ``RangeValue`` constant, conditions with no lane, mixed batches, the
+  pair feed), by a property holding it to the same kernel without the
+  lane (NaN points included, which no ``RangeValue`` can hold), and by
+  its source: a ``<`` costs one ``_le`` call;
 * kernels are cached by statement shape: one prepared AU statement run
   under 50 bindings compiles exactly once;
 * a filtered ``ParallelScan`` region answers the same at parallelism 1
@@ -27,9 +34,10 @@ chunks, and row pairs of a join.
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
 from repro.algebra.ast import Aggregate, Selection, TableRef
@@ -204,12 +212,70 @@ def ann(batch):
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
+def example_batch(*rows, schema=SCHEMA):
+    """One row per tuple of cells; row ``k`` annotated ``(k % 2, 1, 2)``
+    so both the lower-bound scaling and the zero-lower rule show."""
+    return AUColumnBatch(
+        schema,
+        [list(col) for col in zip(*rows)],
+        [k % 2 for k in range(len(rows))],
+        [1] * len(rows),
+        [2] * len(rows),
+    )
+
+
+a, b, c = Var("a"), Var("b"), Var("c")
+#: the lane's examples: 1 / 1.0 / True points compare equal under the
+#: domain order; None sorts below everything; a RangeValue constant
+#: closes the lane (a point one keeps it open); IS NULL and arithmetic
+#: have no lane; a batch mixing point and range rows takes both paths
+NUMERIC_POINTS = example_batch(
+    (certain(1), certain(1.0), certain(True)),
+    (certain(True), certain(1), certain(0.0)),
+    (certain(0), certain(False), certain(1.0)),
+)
+NONE_AND_STR_POINTS = example_batch(
+    (certain(None), certain("a"), certain("")),
+    (certain("b"), certain(None), certain("b")),
+    (certain(""), certain(""), certain(None)),
+)
+MIXED = example_batch(
+    (certain(1), RangeValue(NEG_INF, 1, POS_INF), certain(2)),
+    (certain(2), certain(2), certain(2)),
+    (RangeValue(-5, 0, 5), certain(0), certain(1)),
+    (certain(0), certain(1), certain(1)),
+)
+LANE_EXAMPLES = [
+    (NUMERIC_POINTS, And(Eq(a, b), Leq(c, Const(1.0)))),
+    (NUMERIC_POINTS, Or(Neq(a, Const(True)), Lt(c, b))),
+    (NUMERIC_POINTS, Not(Gt(a, Const(1.0)))),
+    (NONE_AND_STR_POINTS, Or(Lt(a, b), Eq(c, Const("")))),
+    (NONE_AND_STR_POINTS, And(Geq(a, Const(None)), Neq(b, c))),
+    (NUMERIC_POINTS, Eq(a, Const(RangeValue(0, 1, 2)))),
+    (NUMERIC_POINTS, Lt(a, Const(certain(2)))),
+    (NONE_AND_STR_POINTS, Or(IsNull(a), Eq(b, c))),
+    (MIXED, Gt(Add(a, Const(1)), c)),
+    (MIXED, And(Geq(a, Const(0)), Neq(b, c))),
+    (MIXED, Or(Eq(a, b), Not(Leq(c, a)))),
+]
+
+
+def with_examples(cases):
+    def decorate(test):
+        for batch, condition in reversed(cases):
+            test = example(batch=batch, condition=condition)(test)
+        return test
+
+    return decorate
+
+
 # ----------------------------------------------------------------------
 # compiled ≡ interpreted
 # ----------------------------------------------------------------------
 class TestCompiledEqualsInterpreted:
     @PROPERTY
     @given(batches(), conditions())
+    @with_examples(LANE_EXAMPLES)
     def test_row_kernels(self, batch, condition):
         expected = outcome(_interpret_selection, batch, condition)
         try:
@@ -346,6 +412,143 @@ class TestKernelsAreUsed:
         assert kernel(batch.columns, *ann(batch), 5) == (
             [0, 1, 2], [2, 0, 0], [2, 0, 1], [3, 2, 2],
         )
+
+
+# ----------------------------------------------------------------------
+# the point lane
+# ----------------------------------------------------------------------
+def forged_point(value):
+    """A point cell ``RangeValue`` refuses to hold (``nan <= nan`` is
+    false), forged: the one input where the two sources of ``=`` on the
+    lane differ."""
+    cell = object.__new__(RangeValue)
+    for bound in ("lb", "sg", "ub"):
+        object.__setattr__(cell, bound, value)
+    return cell
+
+
+#: two distinct NaN points: one compared with itself, and with the other
+NAN_POINTS = [forged_point(math.nan), forged_point(float("nan"))]
+
+
+def without_lane():
+    """The same commit with no point lane: every row runs the triple."""
+    return mock.patch.object(exec_compile, "_point_form", lambda e, emitter: None)
+
+
+@st.composite
+def nan_batches(draw):
+    """Batches over SCHEMA whose cells may be NaN points."""
+    batch = draw(batches())
+    columns = [
+        [draw(st.one_of(st.just(cell), st.sampled_from(NAN_POINTS))) for cell in col]
+        for col in batch.columns
+    ]
+    return AUColumnBatch(SCHEMA, columns, *ann(batch))
+
+
+class TestPointLane:
+    @pytest.mark.parametrize(
+        "batch, condition, point_rows",
+        [
+            (NUMERIC_POINTS, And(Eq(a, b), Leq(c, Const(1.0))), 3),
+            (NONE_AND_STR_POINTS, Or(Lt(a, b), Eq(c, Const(""))), 3),
+            (NUMERIC_POINTS, Eq(a, Const(RangeValue(0, 1, 2))), 0),
+            (NUMERIC_POINTS, Lt(a, Const(certain(2))), 3),
+            (NONE_AND_STR_POINTS, Or(IsNull(a), Eq(b, c)), 0),
+            (MIXED, Gt(Add(a, Const(1)), c), 0),
+            (MIXED, And(Geq(a, Const(0)), Neq(b, c)), 2),
+            (MIXED, Lt(b, c), 3),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, Expression) else "",
+    )
+    def test_which_rows_take_the_lane(self, batch, condition, point_rows):
+        # a row takes it when every cell it reads is a point and every
+        # constant is; IS NULL and arithmetic have no lane
+        kernel = compile_range_filter(condition, SCHEMA)
+        got = kernel(batch.columns, *ann(batch), len(batch))
+        assert got == _interpret_selection(batch, condition)
+        assert (kernel.point_rows, kernel.rows) == (point_rows, len(batch))
+        kernel(batch.columns, *ann(batch), len(batch))  # counts add up
+        assert (kernel.point_rows, kernel.rows) == (2 * point_rows, 2 * len(batch))
+
+    @PROPERTY
+    @given(nan_batches(), conditions())
+    @example(
+        batch=AUColumnBatch(SCHEMA, [NAN_POINTS[:1]] * 3, [1], [1], [1]),
+        condition=Eq(a, a),
+    )
+    @example(
+        batch=AUColumnBatch(SCHEMA, [NAN_POINTS[:1]] * 3, [1], [1], [1]),
+        condition=Neq(a, a),
+    )
+    @example(
+        batch=AUColumnBatch(SCHEMA, [NAN_POINTS[:1]] * 3, [1], [1], [1]),
+        condition=Or(Eq(a, b), Lt(c, Const(1))),
+    )
+    def test_lane_is_the_triple_to_the_bit(self, batch, condition):
+        # NaN compared with itself is the one case where the SG key
+        # equality (lower and SG truth of a = a) and the two-sided _le
+        # (its upper truth) differ: eval_range then builds the invalid
+        # truth triple [True/True/False] and raises, while the triple
+        # kernel drops the row on its upper truth.  No RangeValue holds
+        # a NaN point, so that is moot for real cells; what the lane
+        # owes is the triple's answer, and it gives it on every row
+        try:
+            kernel = compile_range_filter(condition, SCHEMA)
+        except CompileError:
+            return
+        lane = outcome(kernel, batch.columns, *ann(batch), len(batch))
+        with without_lane():
+            triple = compile_range_filter(condition, SCHEMA)
+        assert outcome(triple, batch.columns, *ann(batch), len(batch)) == lane
+        if lane[0] == "ok" and len(batch):
+            assert triple.point_rows == 0
+
+    def test_a_less_than_costs_one_le_call(self, monkeypatch):
+        monkeypatch.setattr(exec_compile, "_KERNELS", {})
+        for condition in (Lt(a, Const(1)), Lt(a, b), Eq(a, Const(1))):
+            compile_range_filter(condition, SCHEMA)
+        lanes = [_lane(source) for source in exec_compile._KERNELS]
+        # one _le decides all three truths of a < b; a = b needs the
+        # two-sided _le (upper) and, on kept rows, the key equality
+        assert [(lane.count("_le("), lane.count("_dk(")) for lane in lanes] == [
+            (1, 0), (1, 0), (2, 2),
+        ]
+        assert [lane.count(".lb") for lane in lanes] == [1, 2, 1]  # the guard
+
+    def test_pair_feed(self):
+        left = example_batch(
+            (certain(1), certain(2)),
+            (RangeValue(0, 1, 2), certain(2)),
+            (certain(2), certain(True)),
+            schema=("a", "b"),
+        )
+        right = example_batch(
+            (certain(1.0), certain(1)),
+            (certain(2), RangeValue(1, 2, 3)),
+            schema=("b", "c"),
+        )
+        li, ri = [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1]
+        for condition in (And(Eq(a, c), Lt(b, Const(2))), Or(Neq(a, b), Geq(c, a))):
+            kernel = compile_range_pair_filter(condition, left.schema, right.schema)
+            got = kernel(left.columns, right.columns, li, ri, *ann(left), *ann(right))
+            assert got == _interpret_pairs(left, right, li, ri, condition)
+            # pairs whose row cells are all points: (0, 0) and (2, 0)
+            assert (kernel.point_rows, kernel.rows) == (2, 6)
+
+
+def _lane(source):
+    """The point-lane block of a range kernel's source."""
+    lines = source.splitlines()
+    start = next(k for k, line in enumerate(lines) if "if _points" in line)
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    block = [lines[start]]
+    for line in lines[start + 1 :]:
+        if len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return "\n".join(block)
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +724,16 @@ def test_span_and_explain_analyze_report_the_kernel():
     conn.execute("SELECT k FROM t WHERE v >= 10")
     attrs = [s.attrs for s in conn.last_trace.spans() if "kernel" in s.attrs]
     assert attrs and attrs[0]["kernel"] == "compiled"
-    assert "kernel=compiled" in conn.explain_analyze("SELECT k FROM t WHERE v >= 10")
+    # the 6 rows whose v is a range (k % 7 == 0) ran the full triple
+    assert attrs[0]["point_rows"] == "34/40"
+    text = conn.explain_analyze("SELECT k FROM t WHERE v >= 10")
+    assert "kernel=compiled, point_rows=34/40" in text
+    # a join residual counts row pairs: 40 × 5, those with a range v not
+    db["u"] = AURelation(["w"])
+    for w in range(5):
+        db["u"].add([w], (1, 1, 1))
+    text = conn.explain_analyze("SELECT k FROM t, u WHERE v < w")
+    assert "point_rows=170/200" in text, text
 
     lazy = Selection(
         TableRef("t"), Geq(If(IsNull(Var("g")), Var("k"), Var("v")), Const(10))

@@ -557,3 +557,55 @@ class TestIncrementalStats:
         )["t"]["x"]
         assert out == scratch2
         assert rel._stats_acc is not acc  # rebuilt by a full rescan
+
+    @pytest.mark.parametrize(
+        "reason, writes",
+        [
+            ("no_accumulator", []),
+            ("schema_changed", ["reschema"]),
+            # the max deleted: only a rescan knows the new one
+            ("extremum_deleted", [("delete", 39.0)]),
+            # an interior delete drops the samples; the out-of-range
+            # insert after it has nothing to rebuild from
+            ("out_of_range_insert", [("delete", 10.0), ("add", 500.0)]),
+            # the insert dirties the histogram (its samples are kept);
+            # the interior delete then drops them
+            ("out_of_range_delete", [("add", 500.0), ("delete", 10.0)]),
+            # the first trigger since the last rescan names it
+            ("extremum_deleted", [("delete", 0.0), ("add", 500.0)]),
+        ],
+    )
+    def test_every_rescan_is_counted_under_its_reason(self, reason, writes):
+        from repro import telemetry
+        from repro.algebra.stats import RESCAN_REASONS, StatsAccumulator
+
+        def counts():
+            registry = telemetry.get_registry()
+            return {
+                r: registry.counter("repro_stats_rescans_total", reason=r).value
+                for r in RESCAN_REASONS
+            }
+
+        rel = DetRelation(["x"], [(float(i),) for i in range(40)])
+        db = DetDatabase({"t": rel})
+        if writes:
+            harvest_column_stats(db)
+        for write in writes:
+            if write == "reschema":
+                rel._stats_acc = StatsAccumulator(["y"])
+                rel.add((1.5,))  # drops the cached snapshot
+            elif write[0] == "add":
+                rel.add((write[1],))
+            else:
+                rel.delete((write[1],))
+        before = counts()
+        out = harvest_column_stats(db)["t"]["x"]
+        after = counts()
+        assert {r: after[r] - before[r] for r in RESCAN_REASONS} == {
+            r: int(r == reason) for r in RESCAN_REASONS
+        }
+        fresh = harvest_column_stats(
+            DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
+        )["t"]["x"]
+        assert out == fresh
+        assert rel._stats_acc.rescan_needed is None
