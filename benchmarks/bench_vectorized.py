@@ -60,6 +60,12 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   ``=`` lookup on ``l_orderkey``.  A row whose cells are all points
   takes the AU kernel's point lane: one test of the condition on the SG
   values.
+* **Top-k (reported, no gate)**: ``ORDER BY o_totalprice DESC LIMIT 10``
+  over 7 500 orders as a ``TopK`` over a scan, on the det engine (beside
+  the engine's plain two-sort ``take`` over the same merged rows, the
+  cost before the candidate rule) and on the AU engine over the same
+  rows, every cell certain (the certain-key path).  Both run
+  :func:`repro.db.engine.topk_candidates` before their sort.
 
 Both backends must return identical results (integer measures, so even
 SUM/AVG are bit-exact).
@@ -396,6 +402,46 @@ def filter_ratios(det: DetDatabase):
     return out, same
 
 
+#: the top-k rows: 7 500 orders, the ten most expensive
+N_TOPK_ROWS = 7500
+TOPK_N = 10
+
+
+def topk_dbs(rows: int = N_TOPK_ROWS, seed: int = 1):
+    """``(det, AU)`` databases of one ``orders(o_orderkey, o_totalprice)``
+    table holding the same rows, every AU cell certain."""
+    rng = random.Random(seed)
+    data = [(k, round(rng.uniform(900.0, 500000.0), 2)) for k in range(rows)]
+    schema = ["o_orderkey", "o_totalprice"]
+    rel = AURelation(schema)
+    for row in data:
+        rel.add(row, (1, 1, 1))
+    det = DetDatabase({"orders": DetRelation(schema, data)})
+    return det, AUDatabase({"orders": rel})
+
+
+def topk_timings():
+    """``{engine: s}`` of ``TopK`` over a scan (best of 7 each), the
+    engine's full ``take`` over the det scan's merged rows as
+    ``"take"``, and whether all three agree."""
+    from repro.db.engine import take
+    from repro.experiments.common import time_call
+
+    det, au = topk_dbs()
+    plan = phys.TopK(phys.Scan("orders"), ["o_totalprice"], True, TOPK_N)
+    run_det, run_au = vectorized._DetExec(det).eval, vectorized._AUExec(au).eval
+    scanned = run_det(phys.Scan("orders")).merged()
+    run_det(plan), run_au(plan)  # build the chunk stores
+    t_det, r_det = time_call(lambda: run_det(plan), repeat=7)
+    t_take, r_take = time_call(lambda: take(scanned, TOPK_N, [1], True), repeat=7)
+    t_au, r_au = time_call(lambda: run_au(plan), repeat=7)
+    same = (
+        r_det.merged() == r_take
+        and r_au.to_relation().selected_guess_world() == r_det.to_relation().as_bag()
+    )
+    return {"det": t_det, "take": t_take, "au": t_au}, same
+
+
 def join_agg_plan():
     """``SELECT o_status, sum(l_price), count(*), avg(l_qty) FROM orders
     JOIN lineitem ON o_id = l_orderkey WHERE l_qty > 10 AND l_price <=
@@ -655,6 +701,17 @@ def main() -> int:
             f"uncertain): AU {au_ns:.1f} ns/row / det {det_ns:.1f} ns/row = "
             f"{au_ns / det_ns:.1f}x"
         )
+    topk, topk_same = topk_timings()
+    if not topk_same:
+        failures.append("topk: det, take and the AU SG world differ")
+    print(
+        f"det top-{TOPK_N} of {N_TOPK_ROWS} rows: {topk['det'] * 1e3:.3f} ms "
+        f"(the full two-sort take: {topk['take'] * 1e3:.3f} ms)"
+    )
+    print(
+        f"AU certain-key top-{TOPK_N} of {N_TOPK_ROWS} rows: "
+        f"{topk['au'] * 1e3:.3f} ms, AU / det = {topk['au'] / topk['det']:.1f}x"
+    )
     t_au_gated, t_det_gated = key_fk[f"{KEY_FK_GATED_SHARE:.0%}"]
     key_fk_ratio = t_au_gated / t_det_gated
     if key_fk_ratio > KEY_FK_GATE:
@@ -733,6 +790,13 @@ def main() -> int:
                         "ratio": round(t_au_join / t_det_join, 4),
                     }
                     for case, (t_au_join, t_det_join) in key_fk.items()
+                },
+                "topk": {
+                    "rows": N_TOPK_ROWS,
+                    "n": TOPK_N,
+                    "det_s": round(topk["det"], 6),
+                    "take_s": round(topk["take"], 6),
+                    "au_certain_key_s": round(topk["au"], 6),
                 },
                 "au_det_filter": {
                     f"{name} [{share}]": {

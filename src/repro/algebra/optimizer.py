@@ -54,7 +54,7 @@ silently priced at :data:`DEFAULT_CARD`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.expressions import And, Eq, Expression, Var
 from ..analysis import verification_enabled
@@ -291,6 +291,7 @@ def estimate(
     plan: Plan,
     stats: Optional[Statistics],
     warnings: Optional[List[str]] = None,
+    memo: Optional[Dict[int, Tuple[Plan, Tuple[float, Any]]]] = None,
 ) -> float:
     """Cardinality estimate for ``plan``.
 
@@ -299,9 +300,12 @@ def estimate(
     magic-constant heuristics.  Tables the catalog does not know are
     priced at :data:`DEFAULT_CARD` and reported through ``warnings`` (a
     caller-supplied list) instead of failing silently — :func:`explain`
-    surfaces them as warning lines.
+    surfaces them as warning lines.  ``memo`` (``id(node) -> (node,
+    (rows, columns))``) records every subtree's estimate, as
+    :func:`schema_of`'s does, so a caller that asks about each node of
+    one plan walks it once.
     """
-    card, _columns = _estimate(plan, stats, warnings)
+    card, _columns = _estimate(plan, stats, warnings, memo)
     return card
 
 
@@ -316,14 +320,32 @@ def _warn_unknown_table(name: str, warnings: Optional[List[str]]) -> None:
 
 
 def _estimate(
-    plan: Plan, stats: Optional[Statistics], warnings: Optional[List[str]]
+    plan: Plan,
+    stats: Optional[Statistics],
+    warnings: Optional[List[str]],
+    memo: Optional[Dict[int, Tuple[Plan, Tuple[float, Any]]]] = None,
 ) -> Tuple[float, Optional[Dict[str, ColumnStats]]]:
     """Estimate ``plan``'s cardinality and propagate column statistics.
 
     Returns ``(rows, columns)`` where ``columns`` maps output attribute
     names to :class:`ColumnStats` (``None`` when the catalog cannot see
-    through this subtree).
+    through this subtree).  With a ``memo`` (see :func:`estimate`) the
+    ``columns`` dict may be shared with other nodes' answers: callers
+    read it and never mutate it.
     """
+    if memo is None:
+        return _estimate_node(plan, stats, warnings, None)
+    hit = memo.get(id(plan))
+    if hit is not None and hit[0] is plan:
+        return hit[1]
+    result = _estimate_node(plan, stats, warnings, memo)
+    memo[id(plan)] = (plan, result)
+    return result
+
+
+def _estimate_node(
+    plan: Plan, stats: Optional[Statistics], warnings: Optional[List[str]], memo
+) -> Tuple[float, Optional[Dict[str, ColumnStats]]]:
     if isinstance(plan, TableRef):
         if stats is None:
             return DEFAULT_CARD, None
@@ -334,7 +356,7 @@ def _estimate(
         columns = stats.columns.get(plan.name)
         return card, dict(columns) if columns is not None else None
     if isinstance(plan, Selection):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         if columns is not None:
             sel = predicate_selectivity(plan.condition, columns)
             columns = {k: v.scaled(sel) for k, v in columns.items()}
@@ -342,7 +364,7 @@ def _estimate(
             sel = DEFAULT_SELECTIVITY
         return max(1.0, card * sel), columns
     if isinstance(plan, Projection):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         if columns is None:
             return card, None
         out: Dict[str, ColumnStats] = {}
@@ -351,14 +373,14 @@ def _estimate(
                 out[name] = columns[expr.name]
         return card, out
     if isinstance(plan, Rename):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         if columns is None:
             return card, None
         mapping = plan.mapping_dict()
         return card, {mapping.get(k, k): v for k, v in columns.items()}
     if isinstance(plan, Join):
-        left_card, left_cols = _estimate(plan.left, stats, warnings)
-        right_card, right_cols = _estimate(plan.right, stats, warnings)
+        left_card, left_cols = _estimate(plan.left, stats, warnings, memo)
+        right_card, right_cols = _estimate(plan.right, stats, warnings, memo)
         if left_cols is None or right_cols is None:
             # legacy heuristic: one side acts as a key
             card = left_card * right_card / max(min(left_card, right_card), 1.0)
@@ -370,8 +392,8 @@ def _estimate(
         card = max(1.0, card)
         return card, {k: v.capped(card) for k, v in combined.items()}
     if isinstance(plan, CrossProduct):
-        left_card, left_cols = _estimate(plan.left, stats, warnings)
-        right_card, right_cols = _estimate(plan.right, stats, warnings)
+        left_card, left_cols = _estimate(plan.left, stats, warnings, memo)
+        right_card, right_cols = _estimate(plan.right, stats, warnings, memo)
         columns = (
             {**left_cols, **right_cols}
             if left_cols is not None and right_cols is not None
@@ -379,16 +401,16 @@ def _estimate(
         )
         return left_card * right_card, columns
     if isinstance(plan, Union):
-        left_card, _ = _estimate(plan.left, stats, warnings)
-        right_card, _ = _estimate(plan.right, stats, warnings)
+        left_card, _ = _estimate(plan.left, stats, warnings, memo)
+        right_card, _ = _estimate(plan.right, stats, warnings, memo)
         # column alignment across branches is positional; don't guess
         return left_card + right_card, None
     if isinstance(plan, Difference):
-        card, columns = _estimate(plan.left, stats, warnings)
-        _estimate(plan.right, stats, warnings)  # still surface warnings
+        card, columns = _estimate(plan.left, stats, warnings, memo)
+        _estimate(plan.right, stats, warnings, memo)  # still surface warnings
         return card, columns
     if isinstance(plan, Distinct):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         if columns is not None and columns:
             product = 1.0
             for col in columns.values():
@@ -398,9 +420,9 @@ def _estimate(
             card = max(1.0, min(card, product))
         return card, columns
     if isinstance(plan, OrderBy):
-        return _estimate(plan.child, stats, warnings)
+        return _estimate(plan.child, stats, warnings, memo)
     if isinstance(plan, Aggregate):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         if not plan.group_by:
             return 1.0, None
         if columns is not None and all(k in columns for k in plan.group_by):
@@ -414,7 +436,7 @@ def _estimate(
             return out_card, out_cols
         return max(1.0, card / 4.0), None
     if isinstance(plan, (Limit, TopK)):
-        card, columns = _estimate(plan.child, stats, warnings)
+        card, columns = _estimate(plan.child, stats, warnings, memo)
         card = min(float(plan.n), card)
         if columns is not None:
             columns = {k: v.capped(card) for k, v in columns.items()}

@@ -353,7 +353,9 @@ def au_topk(rel: AURelation, keys: Sequence[str], descending: bool, n: int) -> A
 
     **Certain-key case** (every row's order-key attributes are certain):
     a true top-k is sound.  Sort rows by key (with a deterministic
-    content tie-break) and bound, per row, how many of its copies can
+    content tie-break; both sorts on
+    :func:`~repro.core.ranges.order_key`, so a NaN bound of a non-key
+    cell sorts consistently) and bound, per row, how many of its copies can
     survive in the top-k of *any* world bounded by ``rel``:
 
     * ``ub' = min(ub, n − Σ lb`` over rows whose keys *strictly precede*
@@ -385,7 +387,7 @@ def au_topk(rel: AURelation, keys: Sequence[str], descending: bool, n: int) -> A
     deterministic tuple-order tie-break is arbitrary and carries no
     semantics to preserve under uncertainty.
     """
-    from .ranges import domain_key
+    from .ranges import order_key
 
     key_idx = [rel.attr_index(k) for k in keys]
     rows = list(rel.tuples())
@@ -398,19 +400,19 @@ def au_topk(rel: AURelation, keys: Sequence[str], descending: bool, n: int) -> A
     def content_key(item):
         t, _ann = item
         return (
-            tuple(domain_key(v.sg) for v in t),
-            tuple(domain_key(v.lb) for v in t),
-            tuple(domain_key(v.ub) for v in t),
+            tuple(order_key(v.sg) for v in t),
+            tuple(order_key(v.lb) for v in t),
+            tuple(order_key(v.ub) for v in t),
         )
 
     rows.sort(key=content_key)
     rows.sort(
-        key=lambda item: tuple(domain_key(item[0][i].sg) for i in key_idx),
+        key=lambda item: tuple(order_key(item[0][i].sg) for i in key_idx),
         reverse=descending,
     )
 
     # group rows by equal key values to form the prefix sums
-    key_of = lambda item: tuple(domain_key(item[0][i].sg) for i in key_idx)
+    key_of = lambda item: tuple(order_key(item[0][i].sg) for i in key_idx)
     out = AURelation(rel.schema)
     remaining_sg = n
     strict_lb = 0  # Σ lb of rows with strictly better keys

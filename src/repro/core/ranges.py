@@ -26,6 +26,7 @@ __all__ = [
     "certain",
     "between",
     "domain_key",
+    "order_key",
     "domain_le",
     "domain_min",
     "domain_max",
@@ -90,6 +91,28 @@ def domain_key(value: Any) -> tuple:
     if isinstance(value, str):
         return (2, value)
     return (3, repr(value))
+
+
+#: :func:`order_key` of every NaN: above every number, below every string
+_NAN_KEY = (1.5, 0)
+
+
+def order_key(value: Any) -> tuple:
+    """The sort key of ``ORDER BY`` / ``LIMIT``: :func:`domain_key`,
+    except that NaN ranks above every number and below every string,
+    all NaNs tied (PostgreSQL's order).  ``domain_key`` itself leaves NaN
+    among the numbers, where it compares false both ways, so a sort on it
+    is inconsistent and may misplace other rows; filters, zone maps and
+    ``MIN`` / ``MAX`` keep ``domain_key``'s semantics."""
+    kind = type(value)
+    if kind is int:
+        return (1, value)
+    if kind is float:
+        return (1, value) if value == value else _NAN_KEY
+    key = domain_key(value)
+    if key[0] == 1 and key[1] != key[1]:
+        return _NAN_KEY
+    return key
 
 
 def domain_le(a: Any, b: Any) -> bool:

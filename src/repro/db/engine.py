@@ -32,6 +32,9 @@ oracle runs the same plan in every world of an incomplete database.
 
 from __future__ import annotations
 
+from heapq import nlargest, nsmallest
+from itertools import compress, repeat
+from operator import ge, gt, le
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.ast import (
@@ -53,13 +56,15 @@ from ..algebra.ast import (
 from ..algebra.optimizer import DEFAULT_JOIN_ORDER
 from ..core.aggregation import AggregateSpec
 from ..core.expressions import Expression, RowView, Var
-from ..core.ranges import domain_key
+from ..core.ranges import domain_key, order_key
 from ..core.sums import exact_sum
 from ..exec import physical as phys
 from .. import telemetry as _tm
 from .storage import DetDatabase, DetRelation
 
-__all__ = ["evaluate_det", "execute_physical_det", "subtract", "take"]
+__all__ = [
+    "evaluate_det", "execute_physical_det", "subtract", "take", "topk_candidates"
+]
 
 Rows = Dict[Tuple[Any, ...], int]
 
@@ -428,13 +433,14 @@ def take(
     key_idx: Optional[Sequence[int]] = None,
     descending: bool = False,
 ) -> Rows:
-    """The first ``n`` copies of ``rows`` in full-tuple domain order or,
-    given ``key_idx``, ordered on those columns with that order breaking
-    ties: ``ORDER BY … [DESC] LIMIT n``."""
-    order = sorted(rows, key=lambda t: tuple(map(domain_key, t)))
+    """The first ``n`` copies of ``rows`` in full-tuple order or, given
+    ``key_idx``, ordered on those columns with that order breaking ties:
+    ``ORDER BY … [DESC] LIMIT n``.  Both sorts run on
+    :func:`~repro.core.ranges.order_key`, which ranks NaN consistently."""
+    order = sorted(rows, key=lambda t: tuple(map(order_key, t)))
     if key_idx is not None:
         order.sort(
-            key=lambda t: tuple(domain_key(t[j]) for j in key_idx),
+            key=lambda t: tuple(order_key(t[j]) for j in key_idx),
             reverse=descending,
         )
     out: Rows = {}
@@ -445,6 +451,36 @@ def take(
         out[t] = step = min(rows[t], n - taken)
         taken += step
     return out
+
+
+def topk_candidates(
+    keys: Sequence, firm: Sequence[int], n: int, descending: bool = False
+) -> Optional[List[int]]:
+    """The positions of the rows that can be among the first ``n`` output
+    copies of an ``ORDER BY … [DESC] LIMIT n`` (:func:`take`, or the AU
+    :func:`~repro.core.operators.au_topk`), or ``None`` when it keeps
+    every row.
+
+    ``keys`` holds each row's order key, ``firm`` how many copies the row
+    certainly contributes: a det row's multiplicity, an AU row's ``lb``.
+    A row strictly worse than the ``n``-th best key among the rows with
+    ``firm > 0`` follows at least ``n`` certain copies, so it is cut; the
+    rows that tie with or beat that key are kept, in their order.  The
+    callers then run the exact sort and prefix logic on the kept rows
+    only: they are a prefix of its order.
+    """
+    if n <= 0:
+        return []
+    if min(firm, default=1) <= 0:
+        keys_firm = list(compress(keys, map(gt, firm, repeat(0))))
+    else:
+        keys_firm = keys
+    if len(keys_firm) < n:
+        return None
+    bar = (nlargest if descending else nsmallest)(n, keys_firm)[-1]
+    beats = map(ge if descending else le, keys, repeat(bar))
+    kept = list(compress(range(len(keys)), beats))
+    return kept if len(kept) < len(keys) else None
 
 
 def _aggregate(

@@ -11,9 +11,10 @@ order, the same annotations and the same ``repr`` of every cell — so an
 order-sensitive operator above (a ``Cpr``, another top-k) sees what the
 tuple engine sees.  The shared steps:
 
-* the input rows are value-merged first, annotations summed, in
+* the input rows are value-merged, annotations summed, in
   first-occurrence order (:meth:`AUColumnBatch.merge_duplicates`, the
-  rows ``to_relation()`` would hold);
+  rows ``to_relation()`` would hold) — a certain-key top-k merges only
+  its candidates (below);
 * ``Ψ`` (Definition 21) is the SG-key hash pass of the AU aggregate
   (:func:`~repro.exec.au_aggregate.sg_groups`): a group of one keeps its
   row, a larger group becomes the box of its members built like the
@@ -21,8 +22,11 @@ tuple engine sees.  The shared steps:
   ``_bounding``), with the summed annotation;
 * Definition 22's ``≃`` and ``≡`` are tested against every right row,
   the reference's nested loop;
-* top-k sorts row positions on ``domain_key`` columns with the
-  reference's two stable sorts, then runs its prefix sums.
+* a certain-key top-k first keeps the rows
+  :func:`repro.db.engine.topk_candidates` keeps (every row with
+  ``lb > 0`` certainly takes a slot), merges them, sorts their positions
+  on :func:`~repro.core.ranges.order_key` columns with the reference's
+  two stable sorts, then runs its prefix sums.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 from .. import telemetry as _tm
-from ..core.ranges import domain_key
+from ..db import engine as _engine
+from ..core.ranges import order_key
 from ..core.tuples import tuples_certainly_equal, tuples_may_equal
 from .au_aggregate import _attr_index, _bounding, sg_groups
 from .batch import AUColumnBatch, charge_materialization
@@ -133,6 +138,13 @@ def except_batch(left: AUColumnBatch, right: AUColumnBatch) -> AUColumnBatch:
     return AUColumnBatch(left.schema, columns, ann_lb, ann_sg, ann_ub)
 
 
+def _keyed(columns: Sequence[Sequence], attr: str, count: int) -> List[Tuple]:
+    """Each of ``count`` rows' :func:`~repro.core.ranges.order_key` of
+    the ``attr`` bound of its cells in ``columns``, as a tuple."""
+    cols = [[order_key(getattr(c, attr)) for c in col] for col in columns]
+    return list(zip(*cols)) if cols else [()] * count
+
+
 def topk_batch(
     batch: AUColumnBatch, keys: Sequence[str], descending: bool, n: int
 ) -> AUColumnBatch:
@@ -140,30 +152,45 @@ def topk_batch(
     (:func:`repro.core.operators.au_topk`): with an uncertain order key
     the merged input itself — sound for upper bounds only, as every row
     keeps its ``lb`` (the known gap documented there) — else position
-    bounds from prefix sums over the rows sorted on their key (full
-    content breaking ties)."""
+    bounds from prefix sums over the candidate rows sorted on their key
+    (full content breaking ties)."""
     key_idx = [_attr_index(batch.schema, k) for k in keys]
-    batch, _merged = batch.merge_duplicates()
-    columns = batch.columns
     tracing = _tm._ACTIVE is not None
-    if not all(c.is_certain for j in key_idx for c in columns[j]):
+    live = [batch.columns[j] for j in key_idx]
+    ubs = batch.ann_ub
+    # rows with ub = 0 are not in the relation: the merge drops them
+    if not all(c.is_certain for col in live for c, ub in zip(col, ubs) if ub):
+        batch, _merged = batch.merge_duplicates()
         if tracing:
             _tm.annotate(topk="identity", topk_reason="uncertain order key")
         charge_materialization(len(batch))
         return batch
     if tracing:
         _tm.annotate(topk="bounded")
-
+    # value-equal rows share their key and the merge sums their lb, so
+    # the candidates of the unmerged rows are whole merged rows
+    count = len(batch)
+    picked = _engine.topk_candidates(
+        _keyed(live, "sg", count), batch.ann_lb, n, descending
+    )
+    if tracing:
+        kept = count if picked is None else len(picked)
+        _tm.annotate_ratio("candidates", kept, count)
+    if picked is not None:
+        columns = [[col[r] for r in picked] for col in batch.columns]
+        anns = (batch.ann_lb, batch.ann_sg, batch.ann_ub)
+        batch = AUColumnBatch(
+            batch.schema, columns, *([ann[r] for r in picked] for ann in anns)
+        )
+    batch, _merged = batch.merge_duplicates()
+    columns = batch.columns
     count = len(batch)
 
-    def keyed(attr: str, idx: Sequence[int]) -> List[Tuple]:
-        cols = [[domain_key(getattr(c, attr)) for c in columns[j]] for j in idx]
-        return list(zip(*cols)) if cols else [()] * count
-
-    every = range(len(columns))
-    content = list(zip(keyed("sg", every), keyed("lb", every), keyed("ub", every)))
+    key_of = _keyed([columns[j] for j in key_idx], "sg", count)
+    content = list(
+        zip(*(_keyed(columns, attr, count) for attr in ("sg", "lb", "ub")))
+    )
     order = sorted(range(count), key=content.__getitem__)
-    key_of = keyed("sg", key_idx)
     order.sort(key=key_of.__getitem__, reverse=descending)
 
     lbs, sgs, ubs = batch.ann_lb, batch.ann_sg, batch.ann_ub

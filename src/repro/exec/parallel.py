@@ -555,8 +555,7 @@ def _concat_au(batches: List[AUColumnBatch]) -> AUColumnBatch:
 
 
 def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
-    from ..db.engine import take
-    from .vectorized import _distinct, _on_rows, _topk, finalize_groups
+    from .vectorized import _distinct, _limit, _topk, finalize_groups
 
     final = node.final
     if node.merge == "concat":
@@ -582,7 +581,7 @@ def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
     if node.merge == "topk":
         return _topk(_concat(results), final.keys, final.descending, final.n)
     if node.merge == "limit":
-        return _on_rows(_concat(results), take, final.n)
+        return _limit(_concat(results), final.n)
     if node.merge == "distinct":
         return _distinct(_concat(results))
     raise TypeError(f"unsupported exchange merge {node.merge!r}")

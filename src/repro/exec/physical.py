@@ -479,9 +479,11 @@ class _Lowerer:
         self.stats = stats
         self.config = config
         self.au = config.engine == "au"
+        #: every node's estimate, each subtree estimated once per lowering
+        self._estimates: Dict[int, Any] = {}
 
     def _est(self, node: Plan) -> float:
-        return estimate(node, self.stats)
+        return estimate(node, self.stats, memo=self._estimates)
 
     def _tag(self, pnode: PhysNode, node: Plan) -> PhysNode:
         pnode.est = self._est(node)
@@ -921,9 +923,11 @@ def explain_physical(
     vectorized ``HashDistinct`` its groups, a vectorized AU
     ``HashExcept`` how many (left, right) row pairs it tested and how
     many of them were certainly equal (``overlap_probes=…,
-    certain_equal=…``), and a vectorized AU ``TopK`` whether it bounded
+    certain_equal=…``), a vectorized AU ``TopK`` whether it bounded
     positions or returned its input (``topk=bounded`` /
-    ``topk=identity (uncertain order key)``).
+    ``topk=identity (uncertain order key)``), and a vectorized det
+    ``TopK`` / ``Limit`` or bounded AU ``TopK`` how many of its input rows
+    were kept as candidates before the sort (``candidates=k/n``).
     """
     if times is not None:
         from ..telemetry import estimation_error
@@ -979,7 +983,7 @@ def explain_physical(
                 for count in (
                     "native_compares", "point_rows", "gathered_columns", "probe",
                     "gathered_left", "uncertain_probe_rows", "interval_tested",
-                    "overlap_probes", "certain_equal",
+                    "overlap_probes", "certain_equal", "candidates",
                 ):
                     if count in a:
                         line += f", {count}={a[count]}"

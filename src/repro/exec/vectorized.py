@@ -74,7 +74,7 @@ from ..db import engine as _engine
 from ..core.aggregation import AGGREGATES
 from ..core.sums import folds_in_c
 from ..core.expressions import Expression, RowView, Var
-from ..core.ranges import RangeValue, overlap_index
+from ..core.ranges import RangeValue, order_key, overlap_index
 from ..core.relation import AUDatabase, AURelation
 from ..db.storage import DetDatabase, DetRelation
 from . import physical as phys
@@ -87,6 +87,7 @@ from .compile import (
     compile_projector,
     compile_range_filter,
     compile_range_pair_filter,
+    _typed,
 )
 from .compressed_join import compressed_join
 
@@ -310,7 +311,7 @@ class _DetExec:
         if isinstance(p, phys.TopK):
             return _topk(self.eval(p.child), p.keys, p.descending, p.n)
         if isinstance(p, phys.Limit):
-            return _on_rows(self.eval(p.child), _engine.take, p.n)
+            return _limit(self.eval(p.child), p.n)
         if isinstance(p, phys.Exchange):
             from .parallel import execute_exchange
 
@@ -970,8 +971,53 @@ def _distinct(batch: ColumnBatch) -> ColumnBatch:
 def _topk(
     batch: ColumnBatch, keys: Sequence[str], descending: bool, n: int
 ) -> ColumnBatch:
+    """``ORDER BY keys [DESC] LIMIT n``: :func:`repro.db.engine.take` over
+    the merged candidate rows (:func:`_candidates`)."""
     key_idx = [_attr_index(batch.schema, k) for k in keys]
+    batch = _candidates(batch, key_idx, descending, n)
     return _on_rows(batch, _engine.take, n, key_idx, descending)
+
+
+def _limit(batch: ColumnBatch, n: int) -> ColumnBatch:
+    """Bare ``LIMIT n``: the top-k with every column as an ascending key."""
+    batch = _candidates(batch, range(len(batch.schema)), False, n)
+    return _on_rows(batch, _engine.take, n)
+
+
+def _order_column(col: Sequence) -> Sequence:
+    """The column's cells as sort keys that order as
+    :func:`~repro.core.ranges.order_key` does: the column itself when it
+    is typed (``_pack_typed`` packs only homogeneous, NaN-free numbers)
+    or holds only ``int`` or only NaN-free ``float`` cells — then the
+    domain order is Python's — else each cell's ``order_key``."""
+    if _typed(col):
+        return col
+    kinds = set(map(type, col))
+    if kinds == {int} or (kinds == {float} and not any(map(math.isnan, col))):
+        return col
+    return list(map(order_key, col))
+
+
+def _candidates(
+    batch: ColumnBatch, key_idx: Sequence[int], descending: bool, n: int
+) -> ColumnBatch:
+    """The rows of ``batch`` that :func:`repro.db.engine.topk_candidates`
+    keeps — every row with a positive multiplicity gives at least one
+    copy — in their order; the open operator span records
+    ``candidates=k/n``."""
+    count = len(batch)
+    picked = None
+    if key_idx:
+        cols = [_order_column(batch.columns[j]) for j in key_idx]
+        keys = cols[0] if len(cols) == 1 else list(zip(*cols))
+        picked = _engine.topk_candidates(keys, batch.mult, n, descending)
+    if _tm._ACTIVE is not None:
+        kept = count if picked is None else len(picked)
+        _tm.annotate_ratio("candidates", kept, count)
+    if picked is None:
+        return batch
+    pick = _picker(picked)
+    return ColumnBatch(batch.schema, [pick(c) for c in batch.columns], pick(batch.mult))
 
 
 # ======================================================================

@@ -688,4 +688,5 @@ def test_set_operators_say_what_they_decided():
     assert ", topk=identity (uncertain order key)" in line
     attrs, line = decided("SELECT x, y FROM k ORDER BY x DESC LIMIT 3", "TopK")
     assert attrs["topk"] == "bounded" and "topk_reason" not in attrs
-    assert line.rstrip(")").endswith(", topk=bounded")
+    # x = 3 and x = 2 (twice each) hold the top-3: 4 of the 9 rows can place
+    assert line.rstrip(")").endswith(", topk=bounded, candidates=4/9")

@@ -17,8 +17,16 @@ of ``repro.exec.au_setops`` are a second implementation.
 * one derandomized property per AU batch operator against its reference
   on random unmerged batches (value-equal ``1``/``1.0`` cells, zero
   annotations, an exotic NaN lower bound);
+* the top-k candidate rule: det ``TopK`` / ``Limit`` against the
+  engine's ``take`` over the merged rows and the AU ``topk_batch``
+  against ``au_topk`` on inputs where it cuts, ties at the ``n``-th key,
+  the NaN order key, and that no det top-k merges more rows than it
+  kept;
 * no relation is built between scan and result.
 """
+
+from array import array
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,9 +45,11 @@ from repro.core import operators as ops
 from repro.core.expressions import Var
 from repro.core.ranges import RangeValue, between, certain
 from repro.core.relation import AUDatabase, AURelation
+from repro.db import engine
 from repro.db.storage import DetDatabase, DetRelation
+from repro.exec import vectorized
 from repro.exec.au_setops import distinct_batch, except_batch, topk_batch
-from repro.exec.batch import AUColumnBatch, ColumnBatch
+from repro.exec.batch import AUColumnBatch, ColumnBatch, _pack_typed
 from repro.session import Connection
 
 PATHS = {
@@ -277,3 +287,182 @@ def test_topk_batch_is_the_reference(batch, keys, descending, n):
         topk_batch(batch, keys, descending, n),
         ops.au_topk(batch.to_relation(), keys, descending, n),
     )
+
+
+# ----------------------------------------------------------------------
+# the top-k candidate rule
+# ----------------------------------------------------------------------
+_NAN2 = float("nan")  # a second NaN object: not the same row as _NAN
+#: each column draws from one pool; the int and float pools pack typed
+_DET_POOLS = [
+    [0, 1, 1.0, True, False, 2, 2.5, None, "a", "b", _NAN, _NAN2],
+    [0, 1, 2, 3],
+    [0.5, 1.0, 2.0],
+]
+
+
+@st.composite
+def _det_batches(draw):
+    """An unmerged two-column batch: multiplicities 1–3, some rows
+    repeated later in the batch, each column typed where it can be or a
+    tuple, as a gather leaves it."""
+    pools = [draw(st.sampled_from(_DET_POOLS)) for _ in range(2)]
+    row = st.tuples(*(st.sampled_from(pool) for pool in pools))
+    rows = draw(st.lists(st.tuples(row, st.integers(1, 3)), max_size=12))
+    if rows:
+        again = st.integers(0, len(rows) - 1)
+        rows += [rows[i] for i in draw(st.lists(again, max_size=4))]
+    pack = draw(st.sampled_from([_pack_typed, tuple]))
+    columns = [pack([t[j] for t, _m in rows]) for j in range(2)]
+    return ColumnBatch(("a", "b"), columns, array("q", [m for _t, m in rows]))
+
+
+def _ns(rows):
+    """``n`` ∈ {0, 1, rows − 1, rows, rows + 5}."""
+    return st.sampled_from(sorted({0, 1, max(0, rows - 1), rows, rows + 5}))
+
+
+def det_batch_image(batch):
+    rows = zip(*batch.columns) if batch.columns else [()] * len(batch)
+    return [([repr(v) for v in t], m) for t, m in zip(rows, batch.mult)]
+
+
+@PROPERTY
+@given(st.data(), _det_batches(), st.sampled_from([[0], [1], [1, 0]]), st.booleans())
+def test_det_topk_and_limit_are_take(data, batch, key_idx, descending):
+    n = data.draw(_ns(len(batch)))
+    keys = [batch.schema[j] for j in key_idx]
+    for got, want in (
+        (vectorized._topk(batch, keys, descending, n),
+         engine.take(batch.merged(), n, key_idx, descending)),
+        (vectorized._limit(batch, n), engine.take(batch.merged(), n)),
+    ):
+        want = ColumnBatch.from_rows(batch.schema, want)
+        assert det_batch_image(got) == det_batch_image(want)
+
+
+#: certain order-key cells: ``1`` / ``1.0`` / ``True`` tie, ``None`` and
+#: strings rank below / above the numbers
+_KEY_POINTS = [0, 1, 1.0, True, 2, 2.5, None, "a"]
+#: non-key cells; the NaN lower bounds tie with ``[0/a/b]`` on their SG
+#: and upper bound, so only a consistent NaN order places them
+_CONTENT = [certain(1), between(0, 1, 2), RangeValue(_NAN, "a", "b"),
+            RangeValue(0, "a", "b"), RangeValue(_NAN2, "a", "b")]
+
+
+@st.composite
+def _au_topk_batches(draw):
+    cells = st.tuples(
+        st.sampled_from(_KEY_POINTS).map(certain),
+        st.sampled_from(_KEY_POINTS).map(certain),
+        st.sampled_from(_CONTENT),
+    )
+    rows = draw(st.lists(st.tuples(cells, _ANNS), max_size=12))
+    return AUColumnBatch.from_rows(("a", "b", "c"), rows)
+
+
+@PROPERTY
+@given(
+    st.data(),
+    _au_topk_batches(),
+    st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"]]),
+    st.booleans(),
+)
+def test_topk_batch_cuts_as_the_reference(data, batch, keys, descending):
+    n = data.draw(_ns(len(batch)))
+    _same(
+        topk_batch(batch, keys, descending, n),
+        ops.au_topk(batch.to_relation(), keys, descending, n),
+    )
+
+
+def test_topk_batch_ignores_the_key_of_a_row_that_is_not_there():
+    # a ub = 0 row is not in the relation: its uncertain key does not
+    # make the top-k the identity
+    rows = [((certain(2),), (1, 1, 1)), ((certain(1),), (1, 1, 1)),
+            ((between(0, 1, 5),), (0, 0, 0))]
+    batch = AUColumnBatch.from_rows(("a",), rows)
+    got = topk_batch(batch, ["a"], True, 1)
+    assert batch_image(got)[1] == [(["2"], (1, 1, 1))]
+    _same(got, ops.au_topk(batch.to_relation(), ["a"], True, 1))
+
+
+def test_au_topk_orders_nan_bounds_consistently():
+    # three rows tie on the key and on their SG; only the NaN lower bound
+    # tells two of them apart from [0/a/b]
+    rows = [
+        ([certain(1), RangeValue(_NAN, "a", "b")], (1, 1, 1)),
+        ([certain(1), RangeValue(0, "a", "b")], (1, 1, 1)),
+        ([certain(1), RangeValue(_NAN2, "a", "b")], (1, 1, 1)),
+        ([certain(0), certain(5)], (1, 1, 1)),
+    ]
+    images = set()
+    for order in permutations(rows):
+        rel = AURelation(["k", "v"])
+        for t, ann in order:
+            rel.add(t, ann)
+        image = au_image(ops.au_topk(rel, ["k"], False, 2))
+        _same(topk_batch(AUColumnBatch.from_relation(rel), ["k"], False, 2),
+              ops.au_topk(rel, ["k"], False, 2))
+        images.add(repr(image))
+    assert len(images) == 1  # the same rows and bounds whatever the input order
+
+
+@pytest.fixture
+def nan_db():
+    nan = float("nan")
+    return DetDatabase({"t": DetRelation(["a", "b"], [(0, 5.0), (0, nan), (0, 1.0)])})
+
+
+@pytest.mark.parametrize(
+    "sql, expected",
+    [
+        # NaN ranks above every number: the two smallest are 1.0 and 5.0
+        ("SELECT a, b FROM t ORDER BY b LIMIT 2", ["1.0", "5.0"]),
+        ("SELECT a, b FROM t ORDER BY b DESC LIMIT 2", ["nan", "5.0"]),
+        ("SELECT a, b FROM t LIMIT 2", ["1.0", "5.0"]),
+    ],
+)
+def test_nan_order_key(nan_db, sql, expected):
+    _schema, rows = on_every_path(nan_db, sql)
+    assert [t[1] for t, _m in rows] == expected
+
+
+def test_det_topk_merges_only_its_candidates(monkeypatch):
+    det = DetDatabase({"r": DetRelation(["a", "b"], [(i % 17, i) for i in range(300)])})
+    kept, merged = [], []
+    rule, merge = engine.topk_candidates, ColumnBatch.merged
+
+    def candidates(*args):
+        picked = rule(*args)
+        kept.append(picked)
+        return picked
+
+    monkeypatch.setattr(engine, "topk_candidates", candidates)
+    monkeypatch.setattr(
+        ColumnBatch, "merged", lambda self: merged.append(len(self)) or merge(self)
+    )
+    conn = Connection(det, config=EvalConfig(backend="vectorized"))
+    for plan in (TopK(TableRef("r"), ["a"], True, 3), Limit(TableRef("r"), 3)):
+        kept.clear(), merged.clear()
+        conn.execute(plan)
+        # a = 16 comes 17 times, all of them candidates of the top-3; the
+        # three smallest rows are distinct
+        assert [len(p) for p in kept] == [17 if isinstance(plan, TopK) else 3]
+        assert merged and max(merged) <= len(kept[0])
+
+
+def test_explain_analyze_shows_the_candidates():
+    det = DetDatabase({"r": DetRelation(["a", "b"], [(i % 17, i) for i in range(300)])})
+    conn = Connection(det, config=EvalConfig(backend="vectorized"), trace=True)
+    # a = 16 and a = 15 come 17 times each
+    assert "candidates=34/300" in conn.explain_analyze(
+        "SELECT a, b FROM r ORDER BY a DESC LIMIT 20"
+    )
+    rel = AURelation(["a", "b"])
+    for i in range(40):
+        rel.add([i % 8, between(i, i, i + 1)], (1, 1, 1) if i % 2 else (0, 1, 1))
+    conn = Connection(AUDatabase({"r": rel}), config=EvalConfig(backend="vectorized"))
+    # the rows with lb > 0 hold a = 1, 3, 5, 7 five times each
+    text = conn.explain_analyze("SELECT a, b FROM r ORDER BY a DESC LIMIT 6")
+    assert "topk=bounded, candidates=15/40" in text, text
