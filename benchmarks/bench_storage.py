@@ -30,6 +30,14 @@ Both layouts must return identical results.  The gate runs each layout
 on its own copy of the table: a relation keeps one chunk store, so
 alternating chunk sizes on a shared relation would time store rebuilds.
 
+* **Statistics after deletes (reported, not gated)**: on a third copy,
+  delete the row of the current max key ``STATS_DELETES`` times and
+  harvest the column statistics after each delete; the row reports the
+  median ms of those harvests beside one cold harvest (a full scan of
+  the table).  The writes maintain the statistics, so no harvest after
+  a delete rescans the table.  The script fails if the maintained
+  statistics differ from a fresh harvest of the same rows.
+
 Run standalone for the CI gate::
 
     PYTHONPATH=src python benchmarks/bench_storage.py
@@ -59,6 +67,8 @@ SKIP_GATE = 5.0
 OVERHEAD_GATE = 1.1
 #: (single-chunk, chunked) timing pairs behind the full-scan ratio
 OVERHEAD_PAIRS = 11
+#: max-key deletes, each followed by a harvest, behind the stats row
+STATS_DELETES = 5
 
 
 def make_db(n: int = N_ROWS, seed: int = 11) -> DetDatabase:
@@ -130,6 +140,30 @@ def test_full_scan_aggregate(benchmark, db, chunk_size):
             plan, db, backend="vectorized", chunk_size=chunk_size
         )
     )
+
+
+def stats_after_max_deletes(deletes: int = STATS_DELETES):
+    """``(cold_ms, median_ms, exact)``: one cold statistics harvest of a
+    fresh table, the median harvest after each of ``deletes`` deletes of
+    its max-key row, and whether the maintained statistics equal a fresh
+    harvest of the rows left."""
+    from repro.algebra.stats import harvest_column_stats
+
+    db = make_db()
+    rel = db.relations["t"]
+    start = time.perf_counter()
+    harvest_column_stats(db)
+    cold_ms = (time.perf_counter() - start) * 1e3
+    times = []
+    for _ in range(deletes):
+        rel.delete(max(rel.rows))  # rows lead with the key
+        start = time.perf_counter()
+        maintained = harvest_column_stats(db)["t"]
+        times.append((time.perf_counter() - start) * 1e3)
+    fresh = harvest_column_stats(
+        DetDatabase({"t": DetRelation(rel.schema, dict(rel.rows))})
+    )["t"]
+    return cold_ms, statistics.median(times), maintained == fresh
 
 
 def main() -> int:
@@ -220,6 +254,10 @@ def main() -> int:
             f"{OVERHEAD_GATE:.1f}x bar"
         )
 
+    cold_ms, harvest_ms, exact = stats_after_max_deletes()
+    if not exact:
+        failures.append("stats: maintained statistics differ from a fresh harvest")
+
     print(
         f"paged chunked storage: {N_ROWS} rows clustered on k, "
         f"selective cut k>={SELECTIVE_CUT}"
@@ -238,6 +276,11 @@ def main() -> int:
         f"{'full-scan':<10} {t_flat_full:>15.4f} {t_chunk_full:>11.4f} "
         f"{overhead:>7.2f}x  (gate <= {OVERHEAD_GATE:.1f}x on the median "
         f"of {OVERHEAD_PAIRS} alternating pairs, {len(r_chunk_full)} groups)"
+    )
+    print(
+        f"{'stats':<10} harvest after a max-key delete {harvest_ms:.1f} ms "
+        f"(median of {STATS_DELETES}; cold full-scan harvest "
+        f"{cold_ms:.1f} ms; not gated)"
     )
     for failure in failures:
         print(f"FAIL: {failure}")
@@ -265,6 +308,12 @@ def main() -> int:
                 "chunked_s": round(t_chunk_full, 6),
                 "overhead": round(overhead, 4),
                 "pairs": OVERHEAD_PAIRS,
+            },
+            "stats_after_deletes": {
+                "cold_harvest_ms": round(cold_ms, 3),
+                "harvest_ms": round(harvest_ms, 3),
+                "deletes": STATS_DELETES,
+                "exact": exact,
             },
             "failures": failures,
         },

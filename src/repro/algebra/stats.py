@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.expressions import (
@@ -49,37 +50,22 @@ from ..core.expressions import (
     Var,
 )
 from ..core.ranges import RangeValue, domain_key
+from ..core.sums import exact_sum
 from .. import telemetry as _tm
 
-# process-wide accumulator counters (repro.telemetry registry): how much
-# incremental statistics work the write path does, and how often the
-# incremental state was invalid and a harvest fell back to a full rescan
+# process-wide accumulator counters (repro.telemetry registry): rows
+# folded into the incremental statistics, and relations scanned to build
+# their accumulator — once each, at the first harvest (the harvests
+# after it are maintained by the writes and never rescan)
 _OBSERVES = _tm.get_registry().counter(
     "repro_stats_observes_total",
     "Rows folded into incremental statistics accumulators.",
 )
-#: why a harvest rescanned (the ``reason`` label): no accumulator was
-#: cached, or the schema changed under it; else the first trigger since
-#: the last rescan — a delete tied a column's min or max, an insert fell
-#: outside a column's built histogram range after its samples were
-#: dropped (past the cap, or by an earlier numeric delete), or a
-#: numeric delete (which drops the samples) fell outside that range or
-#: met a histogram already awaiting its rebuild
-RESCAN_REASONS = (
-    "no_accumulator",
-    "schema_changed",
-    "extremum_deleted",
-    "out_of_range_insert",
-    "out_of_range_delete",
+_FIRST_BUILDS = _tm.get_registry().counter(
+    "repro_stats_rescans_total",
+    "Statistics harvests that scanned a relation to build its accumulator.",
+    reason="no_accumulator",
 )
-_RESCANS = {
-    reason: _tm.get_registry().counter(
-        "repro_stats_rescans_total",
-        "Statistics harvests that fell back to a full relation rescan.",
-        reason=reason,
-    )
-    for reason in RESCAN_REASONS
-}
 
 __all__ = [
     "ColumnStats",
@@ -91,7 +77,6 @@ __all__ = [
     "adaptive_morsel_count",
     "DEFAULT_SELECTIVITY",
     "HISTOGRAM_BUCKETS",
-    "RESCAN_REASONS",
     "MORSEL_TARGET_ROWS",
 ]
 
@@ -128,16 +113,6 @@ DEFAULT_SELECTIVITY = 1.0 / 3.0
 #: Equi-width bucket count harvested per numeric column.
 HISTOGRAM_BUCKETS = 16
 
-#: Per-column cap on the weighted samples a :class:`StatsAccumulator`
-#: retains for histogram rebuilds.  Columns past the cap drop their
-#: samples after each (re)build — in-place bucket maintenance continues
-#: exactly, and the rare out-of-range write then falls back to a full
-#: relation rescan instead of a rebuild-from-samples.  Bounds a
-#: long-lived serving connection's memory at O(cap) per numeric column
-#: rather than O(total writes).
-HISTOGRAM_SAMPLE_CAP = 100_000
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Equi-width histogram over a numeric column.
@@ -158,8 +133,7 @@ class Histogram:
     def build(
         cls, values: List[Any], buckets: int = HISTOGRAM_BUCKETS
     ) -> Optional["Histogram"]:
-        """Build from weighted ``(value, weight)`` pairs; a bare number
-        is a value of weight 1.
+        """Build from weighted ``(value, weight)`` pairs.
 
         Returns ``None`` for degenerate inputs (no values, a single
         point, or a span ``hi - lo`` beyond the double range — min/max
@@ -167,7 +141,6 @@ class Histogram:
         """
         if not values:
             return None
-        values = [s if type(s) is tuple else (s, 1) for s in values]
         lo = min(v for v, _w in values)
         hi = max(v for v, _w in values)
         span = hi - lo  # inf when it leaves the double range
@@ -230,9 +203,9 @@ class ColumnStats:
     null_fraction: float = 0.0
     uncertain_fraction: float = 0.0
     avg_width: float = 0.0
-    #: equi-width histogram over the column's numeric SG values, or
-    #: ``None`` for non-numeric / degenerate columns (range predicates
-    #: then fall back to min/max interpolation)
+    #: equi-width histogram over the column's numeric SG values (bools
+    #: as 0 / 1), or ``None`` for non-numeric / degenerate columns
+    #: (range predicates then fall back to min/max interpolation)
     histogram: Optional[Histogram] = None
 
     def scaled(self, selectivity: float) -> "ColumnStats":
@@ -273,43 +246,43 @@ class ColumnStats:
 # ----------------------------------------------------------------------
 # harvesting (one-pass initial scan + incremental maintenance)
 # ----------------------------------------------------------------------
-_UNSET = object()
-
-
 class StatsAccumulator:
-    """Incrementally maintainable harvest state for one relation.
+    """Incrementally maintained harvest state for one relation.
 
-    The initial harvest feeds every tuple through :meth:`observe`; after
-    that, the storage layers (``DetRelation.add`` / ``AURelation.add``)
-    keep the accumulator current by observing each write instead of
-    throwing the whole harvest away.  All maintained quantities are
-    *add-only exact*: counts, null/uncertain counters, width sums, and
-    the per-column distinct sketches (plain sets of domain keys — exact,
-    so the documented "sketch tolerance" for distinct counts is
-    currently zero; a lossy sketch may replace them if memory ever
-    becomes the constraint) absorb a write in O(columns), min/max bounds
-    only ever widen, and histogram *bucket counters* are bumped in place
-    while the new value lies inside the built range.  A value outside
-    the range only dirties the histogram: :meth:`finalize` then rebuilds
-    it from the retained weighted samples — the rebuild fallback —
-    without rescanning the relation.  Sample retention is bounded
-    (:data:`HISTOGRAM_SAMPLE_CAP` per column): columns past the cap
-    drop their samples after each build and record ``rescan_needed``
-    when an out-of-range write would need them, so
-    :func:`_harvest_relation` falls back to a full rescan only when no
-    accumulator is cached, the schema changed under it, or a capped
-    column's histogram range grew.
+    The first harvest feeds every tuple through :meth:`observe`; after
+    that the storage layers keep the accumulator current by observing
+    each write (``add`` → :meth:`observe`, ``delete`` →
+    :meth:`observe_delete`).  Every quantity is a *counted* one, so a
+    write of ``Δ`` costs O(|Δ|) in either direction and never needs a
+    recomputation:
 
-    ``finalize`` snapshots the state into immutable
-    :class:`ColumnStats`, bit-identical to what a from-scratch harvest
-    of the same rows would produce (``tests/test_stats.py`` holds a
-    Hypothesis property to that effect).
+    * counters — rows, nulls, uncertain cells, cells of finite width,
+      and cells whose SG value has no histogram bucket (non-numbers,
+      NaN) — per column;
+    * one counted map ``{SG value: weight}`` per column, plus, for AU
+      columns, counted maps over the ``lb`` / ``ub`` of the *uncertain*
+      cells only (a certain cell has ``lb = sg = ub``) and over the
+      finite non-zero widths.
+
+    The maps are keyed by the raw value.  For the engine's value types
+    (``bool``, ``int``, ``float``, ``str``) that counts the same classes
+    as :func:`~repro.core.ranges.domain_key`: ``1``, ``1.0`` and
+    ``True`` are one dict key exactly as they are one domain key.
+
+    :meth:`finalize` derives the rest from the maps: ``distinct`` is
+    the SG map's length, ``min_value`` / ``max_value`` the extremes
+    under :func:`~repro.core.ranges.domain_key` of the SG keys with the
+    ``lb`` (``ub``) keys, the histogram :meth:`Histogram.build` over
+    the SG map's items, and ``avg_width`` an exact (order-free) sum.
+    So the snapshot equals a from-scratch harvest of the same rows
+    after any interleaving of inserts and deletes
+    (``tests/test_stats.py`` holds Hypothesis properties to that
+    effect).
     """
 
     __slots__ = (
-        "schema", "total", "nulls", "uncertain", "width_sum", "width_n",
-        "distinct", "mins", "maxs", "numeric_ok", "samples", "hist_lo",
-        "hist_hi", "hist_counts", "hist_dirty", "rescan_needed", "deletes",
+        "schema", "total", "nulls", "uncertain", "width_n", "unbinned",
+        "sgs", "lbs", "ubs", "widths",
     )
 
     def __init__(self, schema) -> None:
@@ -318,34 +291,12 @@ class StatsAccumulator:
         self.total = 0
         self.nulls = [0] * n
         self.uncertain = [0] * n
-        self.width_sum = [0.0] * n
         self.width_n = [0] * n
-        self.distinct: List[set] = [set() for _ in range(n)]
-        self.mins: List[Any] = [_UNSET] * n
-        self.maxs: List[Any] = [_UNSET] * n
-        # histogram eligibility (False once a non-numeric value
-        # disqualifies the column) and the weighted numeric SG samples
-        # kept so an out-of-range write can rebuild the histogram
-        # without rescanning the relation; samples are dropped (None)
-        # once a column exceeds HISTOGRAM_SAMPLE_CAP — see finalize()
-        self.numeric_ok = [True] * n
-        self.samples: List[Optional[List[Any]]] = [[] for _ in range(n)]
-        # built histogram state per column (bucket counters maintained
-        # in place while values stay inside [hist_lo, hist_hi])
-        self.hist_lo: List[float] = [0.0] * n
-        self.hist_hi: List[float] = [0.0] * n
-        self.hist_counts: List[Optional[List[int]]] = [None] * n
-        self.hist_dirty = [True] * n
-        #: the first reason (:data:`RESCAN_REASONS`) this state went
-        #: invalid — a boundary delete, or an out-of-range write to a
-        #: column whose samples were dropped: only a full relation
-        #: rescan can rebuild then; ``None`` while it is valid
-        self.rescan_needed: Optional[str] = None
-        #: deleted row weight, counted *separately* from the insert
-        #: stream: a delete shrinks distributions in ways an insert
-        #: cannot, so staleness heuristics must not net it against
-        #: inserts (a delete-heavy stream would otherwise look idle)
-        self.deletes = 0
+        self.unbinned = [0] * n
+        self.sgs: List[Dict[Any, int]] = [{} for _ in range(n)]
+        self.lbs: List[Dict[Any, int]] = [{} for _ in range(n)]
+        self.ubs: List[Dict[Any, int]] = [{} for _ in range(n)]
+        self.widths: List[Dict[float, int]] = [{} for _ in range(n)]
 
     def observe(self, t, annotation) -> None:
         """Fold one stored row into the running statistics.
@@ -357,189 +308,82 @@ class StatsAccumulator:
         annotation merges leave the value distribution untouched).
         """
         _OBSERVES.inc()
-        weight = 1 if isinstance(annotation, tuple) else annotation
+        self._fold(t, 1 if isinstance(annotation, tuple) else annotation)
+
+    def observe_delete(self, t, weight: int) -> None:
+        """Fold ``weight`` copies of a deleted row out of the running
+        statistics (1 for an AU tuple removal)."""
+        self._fold(t, -weight)
+
+    def _fold(self, t, weight: int) -> None:
         self.total += weight
         for i, value in enumerate(t):
             if isinstance(value, RangeValue):
-                sg, lb, ub = value.sg, value.lb, value.ub
-                if not value.is_certain:
-                    self.uncertain[i] += weight
+                sg = value.sg
                 w = value.width()
                 if math.isfinite(w):
-                    self.width_sum[i] += w * weight
                     self.width_n[i] += weight
+                    if w:
+                        _bump(self.widths[i], w, weight)
+                if not value.is_certain:
+                    self.uncertain[i] += weight
+                    if sg is not None:
+                        _bump(self.lbs[i], value.lb, weight)
+                        _bump(self.ubs[i], value.ub, weight)
             else:
-                sg = lb = ub = value
+                sg = value
                 self.width_n[i] += weight
             if sg is None:
                 self.nulls[i] += weight
                 continue
-            if self.numeric_ok[i]:
-                # NaN has no bucket: like a non-number, it retires the
-                # column to min/max interpolation
-                if (
-                    isinstance(sg, (int, float))
-                    and not isinstance(sg, bool)
-                    and sg == sg
-                ):
-                    if self.samples[i] is not None:
-                        # a bare value stands for weight 1: the common
-                        # case costs a list slot, not a tuple per row
-                        self.samples[i].append(
-                            sg if weight == 1 else (sg, weight)
-                        )
-                    self._observe_histogram(i, sg, weight)
-                    if self.hist_dirty[i] and self.samples[i] is None:
-                        # the range grew past a capped column's build:
-                        # no samples to rebuild from — rescan instead
-                        self._invalidate("out_of_range_insert")
-                else:
-                    self.numeric_ok[i] = False
-                    self.samples[i] = None
-                    self.hist_counts[i] = None
-                    self.hist_dirty[i] = False
-            self.distinct[i].add(domain_key(sg))
-            if self.mins[i] is _UNSET:
-                self.mins[i], self.maxs[i] = lb, ub
-            else:
-                if domain_key(lb) < domain_key(self.mins[i]):
-                    self.mins[i] = lb
-                if domain_key(ub) > domain_key(self.maxs[i]):
-                    self.maxs[i] = ub
-
-    def observe_delete(self, t, weight: int) -> None:
-        """Fold one *deleted* row out of the running statistics.
-
-        Counters that are exactly invertible (total, nulls, uncertain,
-        width sums, in-range histogram buckets) are decremented in
-        place; quantities that can only shrink under deletion (min/max
-        bounds, distinct sketches, out-of-range histogram state) record
-        ``rescan_needed`` instead of guessing, so the next harvest
-        rescans.  ``weight`` is the deleted multiplicity (1 for an AU
-        tuple removal).  Deleted weight also accumulates in
-        :attr:`deletes` — separately from :attr:`total` — so staleness
-        heuristics can see a delete-heavy stream for what it is.
-        """
-        self.total -= weight
-        self.deletes += weight
-        for i, value in enumerate(t):
-            if isinstance(value, RangeValue):
-                sg, lb, ub = value.sg, value.lb, value.ub
-                if not value.is_certain:
-                    self.uncertain[i] -= weight
-                w = value.width()
-                if math.isfinite(w):
-                    self.width_sum[i] -= w * weight
-                    self.width_n[i] -= weight
-            else:
-                sg = lb = ub = value
-                self.width_n[i] -= weight
-            if sg is None:
-                self.nulls[i] -= weight
-                continue
-            if self.numeric_ok[i]:
-                if isinstance(sg, (int, float)) and not isinstance(sg, bool):
-                    # retained samples now over-count: they cannot seed
-                    # a rebuild any more, only a rescan can
-                    self.samples[i] = None
-                    counts = self.hist_counts[i]
-                    if counts is not None and not self.hist_dirty[i]:
-                        lo, hi = self.hist_lo[i], self.hist_hi[i]
-                        if lo <= sg <= hi:
-                            buckets = len(counts)
-                            j = int((sg - lo) * (buckets / (hi - lo)))
-                            top = buckets - 1
-                            counts[j if j < top else top] -= weight
-                        else:
-                            self.hist_dirty[i] = True
-                            self._invalidate("out_of_range_delete")
-                    elif self.hist_dirty[i]:
-                        self._invalidate("out_of_range_delete")
-            # the distinct sketch stays a superset; min/max can only
-            # shrink, so a delete touching a boundary forces a rescan
-            if self.mins[i] is not _UNSET:
-                if (
-                    domain_key(lb) <= domain_key(self.mins[i])
-                    or domain_key(ub) >= domain_key(self.maxs[i])
-                ):
-                    self._invalidate("extremum_deleted")
-
-    def _invalidate(self, reason: str) -> None:
-        """Record ``reason`` unless an earlier trigger already did."""
-        if self.rescan_needed is None:
-            self.rescan_needed = reason
-
-    def _observe_histogram(self, i: int, v: float, weight: int) -> None:
-        counts = self.hist_counts[i]
-        if counts is None or self.hist_dirty[i]:
-            return  # nothing built yet / already awaiting rebuild
-        lo, hi = self.hist_lo[i], self.hist_hi[i]
-        if lo <= v <= hi:
-            # same bucket-assignment arithmetic as Histogram.build, so
-            # the counters stay bit-identical to a from-scratch build
-            buckets = len(counts)
-            j = int((v - lo) * (buckets / (hi - lo)))
-            top = buckets - 1
-            counts[j if j < top else top] += weight
-        else:
-            self.hist_dirty[i] = True  # range grew: rebuild at finalize
-
-    def _finalize_histogram(self, i: int) -> Optional[Histogram]:
-        if not self.numeric_ok[i]:
-            return None
-        samples = self.samples[i]
-        if self.hist_dirty[i]:
-            if not samples:
-                # dropped (rescan_needed drives a full rescan) or empty
-                return None
-            built = Histogram.build(samples)
-            if built is None:
-                # degenerate (single point / non-finite): stay dirty so
-                # future observes re-attempt once the range widens —
-                # unless the column is past the sample cap, where
-                # re-attempting would mean rescanning on every write;
-                # such columns retire to min/max interpolation
-                self.hist_counts[i] = None
-                if len(samples) > HISTOGRAM_SAMPLE_CAP:
-                    self.numeric_ok[i] = False
-                    self.samples[i] = None
-                    self.hist_dirty[i] = False
-                return None
-            self.hist_lo[i], self.hist_hi[i] = built.lo, built.hi
-            self.hist_counts[i] = list(built.counts)
-            self.hist_dirty[i] = False
-            if len(samples) > HISTOGRAM_SAMPLE_CAP:
-                self.samples[i] = None  # bound memory; rescan on regrow
-            return built
-        counts = self.hist_counts[i]
-        if counts is None:
-            return None
-        if samples is not None and len(samples) > HISTOGRAM_SAMPLE_CAP:
-            self.samples[i] = None
-        return Histogram(self.hist_lo[i], self.hist_hi[i], tuple(counts))
+            # bools bin as the numbers 0 / 1 (domain_key's rank): every
+            # member of an == class (1, 1.0, True) bins alike, whichever
+            # one the caller passes and storage keeps
+            if not (isinstance(sg, (int, float)) and sg == sg):
+                self.unbinned[i] += weight
+            _bump(self.sgs[i], sg, weight)
 
     def finalize(self) -> Dict[str, ColumnStats]:
         """Snapshot the running state into per-column :class:`ColumnStats`."""
         total = self.total
         out: Dict[str, ColumnStats] = {}
         for i, name in enumerate(self.schema):
+            sgs = self.sgs[i]
+            lo = hi = None
+            if sgs:
+                lo = min(chain(sgs, self.lbs[i]), key=domain_key)
+                hi = max(chain(sgs, self.ubs[i]), key=domain_key)
             out[name] = ColumnStats(
                 count=total,
-                distinct=len(self.distinct[i]),
-                min_value=None if self.mins[i] is _UNSET else self.mins[i],
-                max_value=None if self.maxs[i] is _UNSET else self.maxs[i],
+                distinct=len(sgs),
+                min_value=lo,
+                max_value=hi,
                 null_fraction=self.nulls[i] / total if total else 0.0,
                 uncertain_fraction=(
                     self.uncertain[i] / total if total else 0.0
                 ),
                 avg_width=(
-                    self.width_sum[i] / self.width_n[i]
+                    exact_sum(self.widths[i].items()) / self.width_n[i]
                     if self.width_n[i]
                     else 0.0
                 ),
-                histogram=self._finalize_histogram(i),
+                histogram=(
+                    None
+                    if self.unbinned[i]
+                    else Histogram.build(list(sgs.items()))
+                ),
             )
         return out
+
+
+def _bump(counts: Dict[Any, int], key: Any, weight: int) -> None:
+    """Add ``weight`` to ``counts[key]``; a key whose count reaches 0
+    leaves the map."""
+    n = counts.get(key, 0) + weight
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
 
 
 def harvest_column_stats(db) -> Dict[str, Dict[str, ColumnStats]]:
@@ -557,23 +401,16 @@ def harvest_column_stats(db) -> Dict[str, Dict[str, ColumnStats]]:
 
 
 def _harvest_relation(rel) -> Dict[str, ColumnStats]:
-    # both storage layers memoize the harvest; add() keeps the
-    # accumulator current incrementally (see StatsAccumulator) and only
-    # drops the finalized snapshot, so repeated harvests between writes
-    # are O(columns), not O(rows)
+    # both storage layers memoize the harvest; their writes keep the
+    # accumulator current (see StatsAccumulator) and only drop the
+    # finalized snapshot, so a relation is scanned once, at its first
+    # harvest, and repeated harvests between writes are O(columns)
     cached = getattr(rel, "_column_stats_cache", None)
     if cached is not None:
         return cached
     acc = getattr(rel, "_stats_acc", None)
     if acc is None:
-        reason: Optional[str] = "no_accumulator"
-    elif acc.schema != tuple(rel.schema):
-        reason = "schema_changed"
-    else:
-        reason = acc.rescan_needed
-    if reason is not None:
-        # rebuild fallback: no (valid) incremental state — full rescan
-        _RESCANS[reason].inc()
+        _FIRST_BUILDS.inc()
         acc = StatsAccumulator(rel.schema)
         for t, annotation in rel.tuples():
             acc.observe(t, annotation)

@@ -63,7 +63,8 @@ class AURelation:
         self.stats_epoch = 0
         # memoized per-column statistics (repro.algebra.stats), kept
         # current *incrementally* (_stats_acc) — operators treat
-        # relations as immutable, so add() is the only mutation path
+        # relations as immutable, so add() / delete() are the only
+        # mutation paths
         self._column_stats_cache = None
         # chunked columnar store (repro.db.chunks.AUChunkStore) with
         # per-chunk zone maps; maintained in place by add()/delete()
@@ -144,19 +145,23 @@ class AURelation:
                 f"cannot delete {annotation!r} from {existing!r}: "
                 f"remainder {remaining!r} is not a valid K^AU annotation"
             )
-        if remaining == (0, 0, 0):
+        gone = remaining == (0, 0, 0)
+        if gone:
             del self._rows[t]
         else:
             self._rows[t] = remaining  # type: ignore[assignment]
         self.stats_epoch += 2
-        self._column_stats_cache = None
         store = self._chunk_cache
         if store is not None and not store.on_delete(
-            t, None if remaining == (0, 0, 0) else remaining
+            t, None if gone else remaining
         ):
             self._chunk_cache = None
-        if remaining == (0, 0, 0) and self._stats_acc is not None:
-            self._stats_acc.observe_delete(t, 1)
+        if gone:
+            # as in add(): statistics weight AU rows one-per-tuple, so
+            # only a tuple that leaves changes them
+            self._column_stats_cache = None
+            if self._stats_acc is not None:
+                self._stats_acc.observe_delete(t, 1)
         for sink in self._delta_sinks:
             sink(t, annotation, -1)
 

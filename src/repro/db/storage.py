@@ -44,9 +44,9 @@ class DetRelation:
         #: session layer's plan cache (repro.session)
         self.stats_epoch = 0
         # memoized per-column statistics (repro.algebra.stats).  add()
-        # drops the finalized stats snapshot but keeps the incremental
-        # accumulator (_stats_acc) current, so the next harvest is
-        # O(columns) — mutate through add() only, as documented
+        # and delete() drop the finalized stats snapshot but keep the
+        # incremental accumulator (_stats_acc) current, so the next
+        # harvest never rescans — mutate through them only, as documented
         self._column_stats_cache = None
         # chunked columnar store (repro.db.chunks.DetChunkStore) with
         # per-chunk zone maps; maintained in place by add()/delete()

@@ -476,20 +476,23 @@ def test_delete_heavy_stream_triggers_relowering():
     assert conn.metrics.relowerings == 1
 
 
-def test_stats_accumulator_counts_deletes_separately():
+def test_stats_accumulator_folds_deletes_out_of_its_counted_maps():
     from repro.algebra.stats import harvest_column_stats
 
     db = DetDatabase()
     db["r"] = DetRelation(("a",), {(v,): 2 for v in (1, 2, 3, 4)})
     harvest_column_stats(db)  # attaches + builds the accumulator
     acc = db["r"]._stats_acc
-    assert acc.total == 8 and acc.deletes == 0
-    db["r"].delete((2,), 2)
-    assert acc.total == 6
-    assert acc.deletes == 2  # not netted against the insert stream
-    assert not acc.rescan_needed  # interior value: decremented in place
-    db["r"].delete((4,), 2)
-    assert acc.rescan_needed  # max boundary touched: only a rescan knows
+    assert acc.total == 8 and acc.sgs[0] == {1: 2, 2: 2, 3: 2, 4: 2}
+    db["r"].delete((2,), 1)
+    assert acc.total == 7 and acc.sgs[0][2] == 1
+    db["r"].delete((2,), 1)
+    assert acc.total == 6 and 2 not in acc.sgs[0]  # weight 0: key gone
+    db["r"].delete((4,), 2)  # the max: folded out like any other value
+    stats = harvest_column_stats(db)["r"]["a"]
+    assert db["r"]._stats_acc is acc
+    assert (stats.count, stats.distinct) == (4, 2)
+    assert (stats.min_value, stats.max_value) == (1, 3)
 
 
 def test_harvest_after_deletes_matches_fresh_scan():
@@ -498,7 +501,7 @@ def test_harvest_after_deletes_matches_fresh_scan():
     db = DetDatabase()
     db["r"] = DetRelation(("a",), {(float(i),): 1 for i in range(40)})
     harvest_column_stats(db)
-    db["r"].delete((39.0,))  # extremum: forces the rescan path
+    db["r"].delete((39.0,))  # the max: folded out, no rescan
     db["r"].delete((7.0,))
     after = harvest_column_stats(db)
     fresh_db = DetDatabase()

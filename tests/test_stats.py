@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.algebra.ast import Join, Selection, TableRef
 from repro.algebra.optimizer import Statistics, compression_hints, estimate
@@ -214,7 +214,7 @@ class TestHistogram:
         with it every ``prepare``/``execute`` over such a table."""
         from repro.session import Connection
 
-        assert Histogram.build([-1e308, 1.5e308, 3.0]) is None
+        assert Histogram.build([(-1e308, 1), (1.5e308, 1), (3.0, 1)]) is None
         det = DetRelation(["x"], [(-1e308,), (1.5e308,), (3.0,)])
         au = AURelation(["x"])
         for (x,) in det.rows:
@@ -376,120 +376,198 @@ class TestCompressionHints:
 # ----------------------------------------------------------------------
 # incremental maintenance (the session layer's epoch-friendly harvest)
 # ----------------------------------------------------------------------
+NAN = float("nan")
+
+#: point cells: numbers, the equal trio 1 / 1.0 / True (and 0 / 0.0 /
+#: False), strings and NULL
+point_cells = st.one_of(
+    st.integers(-30, 30),
+    st.floats(-30, 30, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1, 1.0, True, 0, 0.0, False]),
+    st.sampled_from(["a", "b", "c"]),
+    st.none(),
+)
+
+
 @st.composite
-def det_add_sequences(draw):
+def au_cells(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:  # a numeric range; int or float bounds, maybe a NULL lb
+        lo = draw(
+            st.one_of(
+                st.integers(-10, 10),
+                st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+            )
+        )
+        mid = lo + draw(st.integers(0, 3))
+        hi = mid + draw(st.integers(0, 3))
+        return RangeValue(None if draw(st.booleans()) else lo, mid, hi)
+    if kind == 1:  # a string range
+        cells = st.lists(st.sampled_from("abc"), min_size=3, max_size=3)
+        lo, mid, hi = sorted(draw(cells))
+        return RangeValue(lo, mid, hi)
+    return draw(point_cells)
+
+
+def _deletes():
+    """``("delete", pick, part, form)``: delete the live row ``pick``
+    (mod the live count) — all of it (``part`` 0) or a part — passing
+    its 1 / 1.0 / True cells in ``form``, not necessarily the stored
+    one."""
+    return st.tuples(
+        st.just("delete"),
+        st.integers(0, 99),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+
+
+@st.composite
+def det_write_sequences(draw):
     n_cols = draw(st.integers(1, 3))
-    rows = draw(
-        st.lists(
-            st.tuples(
-                st.lists(
-                    st.one_of(
-                        st.integers(-30, 30),
-                        st.floats(
-                            -30, 30, allow_nan=False, allow_infinity=False
-                        ),
-                        st.sampled_from(["a", "b", "c"]),
-                        st.none(),
-                    ),
-                    min_size=n_cols,
-                    max_size=n_cols,
-                ),
-                st.integers(1, 3),
-            ),
-            max_size=25,
-        )
+    adds = st.tuples(
+        st.just("add"),
+        st.tuples(*[point_cells] * n_cols),
+        st.integers(1, 3),
     )
-    return n_cols, rows
+    return n_cols, draw(st.lists(st.one_of(adds, _deletes()), max_size=25))
 
 
 @st.composite
-def au_add_sequences(draw):
+def au_write_sequences(draw):
     n_cols = draw(st.integers(1, 2))
-
-    @st.composite
-    def au_value(draw_inner):
-        lo = draw_inner(st.integers(-10, 10))
-        mid = lo + draw_inner(st.integers(0, 3))
-        hi = mid + draw_inner(st.integers(0, 3))
-        if draw_inner(st.booleans()):
-            return RangeValue(lo, mid, hi)
-        return mid
-
-    rows = draw(
-        st.lists(
-            st.tuples(
-                st.lists(au_value(), min_size=n_cols, max_size=n_cols),
-                st.tuples(
-                    st.integers(0, 1), st.integers(0, 1), st.integers(1, 2)
-                ),
-            ),
-            max_size=20,
-        )
+    annotations = st.tuples(
+        st.integers(0, 1), st.integers(0, 1), st.integers(1, 2)
+    ).map(lambda a: (a[0], a[0] + a[1], a[0] + a[1] + a[2]))
+    adds = st.tuples(
+        st.just("add"), st.tuples(*[au_cells()] * n_cols), annotations
     )
-    # make the annotations valid (lb <= sg <= ub)
-    rows = [
-        (vals, (lb, lb + sg, lb + sg + ub)) for vals, (lb, sg, ub) in rows
-    ]
-    return n_cols, rows
+    return n_cols, draw(st.lists(st.one_of(adds, _deletes()), max_size=20))
+
+
+def _equal_form(v, form):
+    """``v``, or an equal cell of another type: a certain range as its
+    plain value (AU storage lifts it back), 1 / 1.0 / True (and 0)."""
+    if isinstance(v, RangeValue) and v.is_certain:
+        v = v.sg
+    if v in (0, 1):  # False for strings, None, NaN and ranges
+        return (int(v), float(v), bool(v))[form]
+    return v
+
+
+def _rescans():
+    from repro import telemetry
+
+    return telemetry.get_registry().counter(
+        "repro_stats_rescans_total", reason="no_accumulator"
+    ).value
+
+
+def _assert_maintained(live, writes, db_cls, delete, copy):
+    """Apply ``writes`` to ``live``, harvesting after each: the harvest
+    after the first is maintained by the writes (no rescan) and equals
+    a fresh harvest of the same rows."""
+    harvest_column_stats(db_cls({"t": live}))  # the one scan
+    for write in writes:
+        if write[0] == "add":
+            live.add(write[1], write[2])
+        elif len(live):
+            _, pick, part, form = write
+            row, annotation = list(live.tuples())[pick % len(live)]
+            delete(tuple(_equal_form(v, form) for v in row), annotation, part)
+        before = _rescans()
+        maintained = harvest_column_stats(db_cls({"t": live}))["t"]
+        assert _rescans() == before
+        assert maintained == harvest_column_stats(db_cls({"t": copy(live)}))["t"]
 
 
 class TestIncrementalStats:
     """Incrementally maintained ColumnStats equal a from-scratch harvest
-    after ANY add-sequence.
-
-    The per-column distinct "sketch" is currently an exact set of domain
-    keys, so the documented sketch tolerance for ``distinct`` is zero —
-    these properties assert full equality (histograms included).  If a
-    lossy sketch ever replaces the sets, relax the ``distinct`` check to
-    the sketch's error bound and keep the rest exact.
-    """
+    after ANY interleaving of inserts and deletes — histograms, bounds
+    and distinct counts included — and only a relation's first harvest
+    scans it."""
 
     @SETTINGS
-    @given(det_add_sequences(), st.data())
-    def test_det_incremental_equals_scratch(self, seq, data):
-        n_cols, rows = seq
+    @given(det_write_sequences())
+    @example(
+        (1, [("add", (NAN,), 2), ("add", (1.0,), 1), ("delete", 0, 1, 0),
+             ("add", (True,), 1), ("add", (4,), 1), ("delete", 0, 0, 0)])
+    )
+    def test_det_incremental_equals_scratch(self, seq):
+        n_cols, writes = seq
         schema = [f"c{i}" for i in range(n_cols)]
         live = DetRelation(schema)
-        # interleave harvests with the adds so later adds really do
-        # maintain a warm accumulator instead of starting cold
-        harvest_points = {
-            data.draw(st.integers(0, max(len(rows) - 1, 0)), label="warmup")
-        }
-        for i, (row, mult) in enumerate(rows):
-            if i in harvest_points:
-                harvest_column_stats(DetDatabase({"t": live}))
-            live.add(tuple(row), mult)
-        incremental = harvest_column_stats(DetDatabase({"t": live}))["t"]
-        scratch_rel = DetRelation(schema, dict(live.rows))
-        scratch = harvest_column_stats(DetDatabase({"t": scratch_rel}))["t"]
-        assert incremental == scratch
+
+        def delete(row, multiplicity, part):
+            live.delete(row, multiplicity if part == 0 else min(part, multiplicity))
+
+        _assert_maintained(
+            live, writes, DetDatabase, delete,
+            lambda rel: DetRelation(schema, dict(rel.rows)),
+        )
 
     @SETTINGS
-    @given(au_add_sequences(), st.data())
-    def test_au_incremental_equals_scratch(self, seq, data):
-        n_cols, rows = seq
+    @given(au_write_sequences())
+    @example(  # widths 1.0, 2 - 2**-52, 3 - 2**-51, 1.0: their sum
+        # depends on the order of its addends
+        (1, [("add", (RangeValue(lo, lo, lo + w),), (1, 1, 1))
+             for lo, w in [(-7.7, 1), (0.3, 2), (1.1, 3), (-6.7, 1)]]
+         + [("delete", 0, 0, 0)])
+    )
+    def test_au_incremental_equals_scratch(self, seq):
+        n_cols, writes = seq
         schema = [f"c{i}" for i in range(n_cols)]
         live = AURelation(schema)
-        harvest_points = {
-            data.draw(st.integers(0, max(len(rows) - 1, 0)), label="warmup")
-        }
-        for i, (row, ann) in enumerate(rows):
-            if i in harvest_points:
-                harvest_column_stats(AUDatabase({"t": live}))
-            live.add(row, ann)
-        incremental = harvest_column_stats(AUDatabase({"t": live}))["t"]
-        scratch_rel = AURelation(schema)
-        for t, ann in live.tuples():
-            scratch_rel.add(t, ann)
-        scratch = harvest_column_stats(AUDatabase({"t": scratch_rel}))["t"]
-        assert incremental == scratch
+
+        def delete(row, annotation, part):
+            lb, sg, ub = annotation
+            if part == 1 and ub > sg:
+                annotation = (0, 0, 1)  # one possible-only copy
+            elif part == 2 and lb >= 1 and ub > 1:
+                annotation = (1, 1, 1)  # one certain copy
+            live.delete(row, annotation)
+
+        def copy(rel):
+            scratch = AURelation(schema)
+            for t, annotation in rel.tuples():
+                scratch.add(t, annotation)
+            return scratch
+
+        _assert_maintained(live, writes, AUDatabase, delete, copy)
+
+    def test_delete_passes_the_callers_cell(self):
+        """Storage keeps the first of the equal cells 1 / 1.0 / True;
+        the accumulator folds out the one the delete names."""
+        rel = DetRelation(["x"], [(True,), (5,), (7,)])
+        db = DetDatabase({"t": rel})
+        harvest_column_stats(db)
+        rel.delete((1,))
+        stats = harvest_column_stats(db)["t"]["x"]
+        fresh = harvest_column_stats(
+            DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
+        )["t"]["x"]
+        assert stats == fresh
+        assert (stats.distinct, stats.min_value) == (2, 5)
+        assert stats.histogram is not None and stats.histogram.total == 2
+
+    def test_au_annotation_only_delete_keeps_the_snapshot(self):
+        rel = AURelation(["x"])
+        rel.add([1], (1, 1, 2))
+        rel.add([2], (1, 1, 1))
+        db = AUDatabase({"t": rel})
+        snapshot = harvest_column_stats(db)["t"]
+        rel.delete([1], (0, 0, 1))  # the tuple stays: one per tuple
+        assert harvest_column_stats(db)["t"] is snapshot
+        rel.delete([1], (1, 1, 1))  # the tuple goes
+        after = harvest_column_stats(db)["t"]
+        assert after is not snapshot and after["x"].count == 1
 
     def test_histogram_out_of_range_write_rebuilds(self):
         rel = DetRelation(["x"], [(float(i),) for i in range(32)])
         first = harvest_column_stats(DetDatabase({"t": rel}))["t"]["x"]
         assert first.histogram is not None
         assert first.histogram.hi == 31.0
-        rel.add((1000.0,))  # outside the built range: dirties, no rescan
+        rel.add((1000.0,))  # outside the first histogram's range
         second = harvest_column_stats(DetDatabase({"t": rel}))["t"]["x"]
         assert second.histogram.hi == 1000.0
         assert second.histogram.total == 33
@@ -499,17 +577,46 @@ class TestIncrementalStats:
         assert second == scratch
 
     def test_in_range_write_bumps_bucket_counters_in_place(self):
+        """An in-range insert bumps its value's weight in the column's
+        counted map; the accumulator is kept (no rescan) and the
+        histogram built from the map counts the new copies."""
         rel = DetRelation(["x"], [(float(i),) for i in range(32)])
         harvest_column_stats(DetDatabase({"t": rel}))
         acc = rel._stats_acc
-        assert acc is not None and not acc.hist_dirty[0]
+        before = _rescans()
         rel.add((15.5,), 3)
-        assert not acc.hist_dirty[0]  # maintained in place, not rebuilt
+        assert rel._stats_acc is acc and acc.sgs[0][15.5] == 3
+        rel.add((15.5,), 1)
+        assert acc.sgs[0][15.5] == 4
         stats = harvest_column_stats(DetDatabase({"t": rel}))["t"]["x"]
+        assert _rescans() == before
+        assert stats.histogram.total == 36
         scratch = harvest_column_stats(
             DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
         )["t"]["x"]
         assert stats == scratch
+
+    def test_au_delete_of_the_widest_range_moves_the_bounds_back(self):
+        """``min_value`` / ``max_value`` come from the counted ``lb`` /
+        ``ub`` maps of the uncertain cells: deleting the range that
+        held both extremes moves them back to the points'."""
+        rel = AURelation(["x"])
+        rel.add([RangeValue(-5, 2, 10)], (1, 1, 1))
+        rel.add([3], (1, 1, 1))
+        rel.add([4], (1, 1, 1))
+        db = AUDatabase({"t": rel})
+        first = harvest_column_stats(db)["t"]["x"]
+        assert (first.min_value, first.max_value) == (-5, 10)
+        before = _rescans()
+        rel.delete([RangeValue(-5, 2, 10)], (1, 1, 1))
+        after = harvest_column_stats(db)["t"]["x"]
+        assert _rescans() == before
+        assert (after.min_value, after.max_value, after.distinct) == (3, 4, 2)
+        assert after.uncertain_fraction == 0.0
+        fresh = AURelation(["x"])
+        for t, annotation in rel.tuples():
+            fresh.add(t, annotation)
+        assert after == harvest_column_stats(AUDatabase({"t": fresh}))["t"]["x"]
 
     def test_epoch_bumps_on_every_write_path(self):
         rel = DetRelation(["x"], [(1,)])
@@ -532,80 +639,58 @@ class TestIncrementalStats:
         audb["u"] = AURelation(["y"])
         assert audb.epoch > a2
 
-    def test_sample_cap_bounds_retention_and_rescans_on_range_growth(
-        self, monkeypatch
-    ):
-        from repro.algebra import stats as stats_mod
-
-        monkeypatch.setattr(stats_mod, "HISTOGRAM_SAMPLE_CAP", 8)
-        rel = DetRelation(["x"], [(float(i),) for i in range(20)])
-        harvest_column_stats(DetDatabase({"t": rel}))
-        acc = rel._stats_acc
-        assert acc.samples[0] is None  # dropped past the cap
-        rel.add((10.5,))  # in range: bucket counters maintained exactly
-        mid = harvest_column_stats(DetDatabase({"t": rel}))["t"]["x"]
-        scratch = harvest_column_stats(
-            DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
-        )["t"]["x"]
-        assert mid == scratch
-        assert rel._stats_acc is acc  # no rescan was needed
-        rel.add((500.0,))  # out of range, no samples retained
-        assert acc.rescan_needed
-        out = harvest_column_stats(DetDatabase({"t": rel}))["t"]["x"]
-        scratch2 = harvest_column_stats(
-            DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
-        )["t"]["x"]
-        assert out == scratch2
-        assert rel._stats_acc is not acc  # rebuilt by a full rescan
-
+    # each case keeps the id it had while its writes forced a rescan
+    # counted under ``reason``; ``writes1`` forged a schema change, which
+    # has no branch left (schemas are fixed at construction)
     @pytest.mark.parametrize(
         "reason, writes",
         [
-            ("no_accumulator", []),
-            ("schema_changed", ["reschema"]),
-            # the max deleted: only a rescan knows the new one
-            ("extremum_deleted", [("delete", 39.0)]),
-            # an interior delete drops the samples; the out-of-range
-            # insert after it has nothing to rebuild from
-            ("out_of_range_insert", [("delete", 10.0), ("add", 500.0)]),
-            # the insert dirties the histogram (its samples are kept);
-            # the interior delete then drops them
-            ("out_of_range_delete", [("add", 500.0), ("delete", 10.0)]),
-            # the first trigger since the last rescan names it
-            ("extremum_deleted", [("delete", 0.0), ("add", 500.0)]),
+            pytest.param("no_accumulator", [], id="no_accumulator-writes0"),
+            # the max deleted
+            pytest.param(
+                "extremum_deleted", [("delete", 39.0)],
+                id="extremum_deleted-writes2",
+            ),
+            # an interior delete, then an insert outside the histogram's
+            # range
+            pytest.param(
+                "out_of_range_insert", [("delete", 10.0), ("add", 500.0)],
+                id="out_of_range_insert-writes3",
+            ),
+            # an insert outside the range, then an interior delete
+            pytest.param(
+                "out_of_range_delete", [("add", 500.0), ("delete", 10.0)],
+                id="out_of_range_delete-writes4",
+            ),
+            # the min deleted, then an insert outside the range
+            pytest.param(
+                "extremum_deleted", [("delete", 0.0), ("add", 500.0)],
+                id="extremum_deleted-writes5",
+            ),
         ],
     )
     def test_every_rescan_is_counted_under_its_reason(self, reason, writes):
-        from repro import telemetry
-        from repro.algebra.stats import RESCAN_REASONS, StatsAccumulator
-
-        def counts():
-            registry = telemetry.get_registry()
-            return {
-                r: registry.counter("repro_stats_rescans_total", reason=r).value
-                for r in RESCAN_REASONS
-            }
-
+        """A relation is scanned once, at its first harvest, under
+        ``reason="no_accumulator"``; the writes that once forced a
+        rescan under ``reason`` are folded in, and the maintained
+        snapshot equals a fresh harvest."""
         rel = DetRelation(["x"], [(float(i),) for i in range(40)])
         db = DetDatabase({"t": rel})
         if writes:
             harvest_column_stats(db)
-        for write in writes:
-            if write == "reschema":
-                rel._stats_acc = StatsAccumulator(["y"])
-                rel.add((1.5,))  # drops the cached snapshot
-            elif write[0] == "add":
-                rel.add((write[1],))
-            else:
-                rel.delete((write[1],))
-        before = counts()
+        acc = rel._stats_acc
+        for write, x in writes:
+            getattr(rel, write)((x,))
+        before = _rescans()
         out = harvest_column_stats(db)["t"]["x"]
-        after = counts()
-        assert {r: after[r] - before[r] for r in RESCAN_REASONS} == {
-            r: int(r == reason) for r in RESCAN_REASONS
-        }
+        assert _rescans() - before == int(reason == "no_accumulator")
+        if writes:
+            assert rel._stats_acc is acc
         fresh = harvest_column_stats(
             DetDatabase({"t": DetRelation(["x"], dict(rel.rows))})
         )["t"]["x"]
         assert out == fresh
-        assert rel._stats_acc.rescan_needed is None
+        expected = sorted(x for (x,) in rel.rows)
+        assert (out.min_value, out.max_value, out.distinct) == (
+            expected[0], expected[-1], len(expected)
+        )
