@@ -14,22 +14,39 @@ connection (the text's comparison literal is lifted into a parameter,
 so all texts share one cached plan) against a fresh connection per
 call.
 
+Both rows execute every key at one catalog epoch, so a warm execution
+could read the prepared query's parameter-free subplans from the epoch
+memo (:meth:`repro.session.PreparedQuery._subplan_memo`); on this chain
+every build side lies above the bound key and none does.  Each report
+prints how many executions read the memo.
+
 Run standalone for a throughput report (asserts the >=5x acceptance
 bar)::
 
     PYTHONPATH=src python benchmarks/bench_session.py
+
+``--subplan-memo`` gates the memo itself: the ``order_lines_join``
+shape (one order's lines, a key join over the whole ``lineitem``) on a
+det and an AU PDBench database, timing an execution right after a write
+to an unrelated table (memo miss) against one with a new key at an
+unchanged epoch (memo hit); writes ``BENCH_session.json``::
+
+    PYTHONPATH=src python benchmarks/bench_session.py --subplan-memo
 
 or under pytest-benchmark::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_session.py
 """
 
+import statistics
 import time
 
 import pytest
 
+from repro.algebra.evaluator import EvalConfig
 from repro.db.storage import DetDatabase, DetRelation
 from repro.session import Connection
+from repro.telemetry import get_registry
 
 N_TABLES = 8
 N_ROWS = 120
@@ -135,6 +152,7 @@ def verify_overhead_main() -> int:
         f"warm prepared serving, verification on : {t_on / n * 1e3:.3f} ms/query"
     )
     print(f"overhead ratio: {ratio:.3f}x  (gate: <=1.05x)")
+    _print_memo_hits()
     failures = []
     if ratio > 1.05:
         failures.append(f"verification overhead {ratio:.3f}x exceeds the 1.05x bar")
@@ -205,6 +223,7 @@ def telemetry_overhead_main() -> int:
     print(f"warm prepared serving, plain           : {best['plain'] / n * 1e3:.3f} ms/query")
     print(f"warm prepared serving, telemetry (off) : {best['features'] / n * 1e3:.3f} ms/query")
     print(f"warm prepared serving, tracing on      : {best['traced'] / n * 1e3:.3f} ms/query")
+    _print_memo_hits()
     gates = {"features": 1.05, "traced": 1.5}
     failures = []
     for mode, gate in gates.items():
@@ -223,6 +242,121 @@ def telemetry_overhead_main() -> int:
     for f in failures:
         print(f"FAIL: {f}")
     return 1 if failures else 0
+
+
+#: the serving workload's key join: the lineitem side mentions no
+#: parameter, so its projection and join table are memo material
+MEMO_SQL = (
+    "SELECT o_orderdate, l_linenumber, l_quantity FROM orders, lineitem "
+    "WHERE o_orderkey = l_orderkey AND o_orderkey = ?"
+)
+MEMO_PAIRS = 120
+#: a memo hit must take at most this share of a miss (medians)
+MEMO_GATE = 0.5
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, DetRelation):
+        return a.schema == b.schema and a.rows == b.rows
+    return a.schema == b.schema and dict(a.tuples()) == dict(b.tuples())
+
+
+def _memo_engine(engine: str, db, write) -> dict:
+    """Median miss / hit milliseconds of :data:`MEMO_SQL` on ``db``;
+    ``write(i)`` changes a table the query does not read."""
+    config = EvalConfig(backend="vectorized")
+    # no re-lower may land in the timed loop: it would drop the memo
+    conn = Connection(db, config=config, staleness=1_000_000)
+    prepared = conn.prepare(MEMO_SQL)
+    n_orders = len(db["orders"])
+    miss, hit, failures = [], [], []
+    for i in range(MEMO_PAIRS):
+        write(i)
+        # two new keys: the result memo cannot answer either
+        keys = (1 + (2 * i) % n_orders, 1 + (2 * i + 1) % n_orders)
+        for key, times in zip(keys, (miss, hit)):
+            start = time.perf_counter()
+            result = prepared.execute([key])
+            times.append(time.perf_counter() - start)
+            fresh = Connection(db, config=config).execute(MEMO_SQL, [key])
+            if not _same(result, fresh):
+                failures.append(f"{engine} key {key}: result differs from a fresh connection")
+    miss_ms = statistics.median(miss) * 1e3
+    hit_ms = statistics.median(hit) * 1e3
+    return {
+        "miss_ms": round(miss_ms, 4),
+        "hit_ms": round(hit_ms, 4),
+        "ratio": round(hit_ms / miss_ms, 4),
+        "memo_hits": conn.metrics.subplan_memo_hits,
+        "relowerings": conn.metrics.relowerings,
+        "failures": failures,
+    }
+
+
+def subplan_memo_main() -> int:
+    """Gate the subplan memo: a hit at most :data:`MEMO_GATE` of a miss
+    on both engines, every result equal to a fresh connection's."""
+    from repro.tpch.pdbench import make_pdbench
+
+    inst = make_pdbench(scale=0.4, uncertainty=0.02, seed=7)
+    databases = {"det": inst.selected_world(), "au": inst.audb()}
+    print(
+        f"order_lines_join, {MEMO_PAIRS} miss/hit pairs per engine "
+        f"(miss: after a write to nation; hit: a new key, same epoch)"
+    )
+    report, failures = {}, []
+    for engine, db in databases.items():
+        nation = db["nation"]
+        row = (99, "ATLANTIS", 0) if engine == "det" else [99, "ATLANTIS", 0]
+        ann = 1 if engine == "det" else (1, 1, 1)
+
+        def write(i, nation=nation, row=row, ann=ann):
+            # insert, then delete: the table does not grow
+            (nation.delete if i % 2 else nation.add)(row, ann)
+
+        out = report[engine] = _memo_engine(engine, db, write)
+        print(
+            f"  {engine:<3} miss {out['miss_ms']:7.3f} ms  hit "
+            f"{out['hit_ms']:7.3f} ms  hit/miss {out['ratio']:.3f}x "
+            f"(gate: <={MEMO_GATE}x)  memo hits {out['memo_hits']}"
+        )
+        failures += out.pop("failures")
+        if out["ratio"] > MEMO_GATE:
+            failures.append(
+                f"{engine} memo hit/miss {out['ratio']:.3f}x above {MEMO_GATE}x"
+            )
+        if out["memo_hits"] != MEMO_PAIRS or out["relowerings"]:
+            failures.append(
+                f"{engine}: {out['memo_hits']} memo hits, "
+                f"{out['relowerings']} re-lowerings in {MEMO_PAIRS} pairs"
+            )
+    for f in failures:
+        print(f"FAIL: {f}")
+
+    from _results import write_result
+
+    write_result(
+        "session",
+        {
+            "benchmark": "session_subplan_memo",
+            "sql": MEMO_SQL,
+            "pairs": MEMO_PAIRS,
+            "gate": MEMO_GATE,
+            "engines": report,
+            "failures": failures,
+        },
+    )
+    return 1 if failures else 0
+
+
+def _print_memo_hits() -> None:
+    """Say how many executions read the subplan memo: the warm loops
+    run many keys at one epoch, so any parameter-free subplan of the
+    statement would be read from it."""
+    hits = get_registry().counter(
+        "repro_session_subplan_memo_hits_total", engine="det"
+    ).value
+    print(f"executions that read the subplan memo: {hits:g}")
 
 
 def _gate(label: str, db: DetDatabase, keys, warm, cold) -> list:
@@ -270,6 +404,7 @@ def main() -> int:
         run_warm_literal,
         run_cold_literal,
     )
+    _print_memo_hits()
     for f in failures:
         print(f"FAIL: {f}")
     return 1 if failures else 0
@@ -282,4 +417,6 @@ if __name__ == "__main__":
         raise SystemExit(verify_overhead_main())
     if "--telemetry-overhead" in sys.argv[1:]:
         raise SystemExit(telemetry_overhead_main())
+    if "--subplan-memo" in sys.argv[1:]:
+        raise SystemExit(subplan_memo_main())
     raise SystemExit(main())

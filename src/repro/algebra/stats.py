@@ -49,7 +49,7 @@ from ..core.expressions import (
     Or,
     Var,
 )
-from ..core.ranges import RangeValue, domain_key
+from ..core.ranges import RangeValue, domain_key, order_key
 from ..core.sums import exact_sum
 from .. import telemetry as _tm
 
@@ -231,11 +231,14 @@ class ColumnStats:
         return replace(self, distinct=limit)
 
     def fingerprint(self) -> tuple:
+        """A hashable that is equal for equal statistics: the bounds go
+        in as their :func:`~repro.core.ranges.order_key`, so ``True``,
+        ``1`` and ``1.0`` agree (``==`` does) and every NaN ties."""
         return (
             self.count,
             self.distinct,
-            repr(self.min_value),
-            repr(self.max_value),
+            order_key(self.min_value),
+            order_key(self.max_value),
             round(self.null_fraction, 9),
             round(self.uncertain_fraction, 9),
             round(self.avg_width, 9),

@@ -141,7 +141,8 @@ class RangeValue:
     """An element ``[lb / sg / ub]`` of the range-annotated domain ``D_I``.
 
     Invariant (checked on construction): ``lb <= sg <= ub`` under the
-    universal domain order.
+    universal domain order, and no position holds NaN — it has no place
+    in that order, whatever the other positions hold.
     """
 
     lb: Any
@@ -149,10 +150,14 @@ class RangeValue:
     ub: Any
 
     def __post_init__(self) -> None:
-        lb = self.lb
-        if lb is self.ub and lb is self.sg and lb == lb:
+        lb, sg, ub = self.lb, self.sg, self.ub
+        if lb is ub and lb is sg and lb == lb:
             return  # a point of anything but NaN is in order
-        if not (domain_le(lb, self.sg) and domain_le(self.sg, self.ub)):
+        if lb != lb or sg != sg or ub != ub:
+            raise ValueError(
+                f"range value cannot hold NaN, got [{lb!r}/{sg!r}/{ub!r}]"
+            )
+        if not (domain_le(lb, sg) and domain_le(sg, ub)):
             raise ValueError(
                 f"range value must satisfy lb <= sg <= ub, got "
                 f"[{self.lb!r}/{self.sg!r}/{self.ub!r}]"

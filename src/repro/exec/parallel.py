@@ -143,11 +143,12 @@ def _prebuild_join_tables(
     A ``HashJoin`` on the driver spine probes a build side that is the
     same for every morsel — without this, each worker would rebuild the
     identical table (:func:`repro.exec.vectorized.build_join_table`, on
-    either engine)."""
+    either engine).  Tables are keyed by the build child's node id, the
+    key the executors look them up by."""
     from .vectorized import build_join_table
 
     if isinstance(pnode, phys.HashJoin) and id(pnode.right) in bindings:
-        join_tables[id(pnode)] = build_join_table(
+        join_tables[id(pnode.right)] = build_join_table(
             bindings[id(pnode.right)], [b for _, b in pnode.eq_pairs]
         )
     for child in pnode.children():

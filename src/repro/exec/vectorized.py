@@ -57,9 +57,11 @@ from collections import defaultdict
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter, mul
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     NamedTuple,
@@ -94,6 +96,7 @@ from .compressed_join import compressed_join
 __all__ = [
     "execute_det",
     "execute_audb",
+    "SubplanMemo",
     "PartialAggregate",
     "AUPartialGroups",
     "DetGammaState",
@@ -207,11 +210,34 @@ class AUPartialGroups:
 # ======================================================================
 # deterministic executor
 # ======================================================================
+class SubplanMemo(NamedTuple):
+    """What one database state lets a prepared plan's executions share.
+
+    ``sites`` are the ids of the plan nodes whose output batches go into
+    ``batches``; a site that is a hash join's build side also keeps its
+    :class:`JoinTable` in ``tables``, keyed by the same id.  The
+    executor reads both maps like the pre-bound results of a parallel
+    region and fills them on first evaluation; the owner
+    (:class:`repro.session.PreparedQuery`) drops them when the database
+    changes.  Kept batches are shared by every later execution, which
+    is sound because no operator changes an input batch in place.
+    """
+
+    sites: FrozenSet[int]
+    batches: Dict[int, Any]
+    tables: Dict[int, "JoinTable"]
+
+
+#: no memo: the executor starts with empty maps and keeps nothing
+_NO_MEMO = (frozenset(), None, None)
+
+
 def execute_det(
     pplan: phys.PhysNode,
     db: DetDatabase,
     actuals: Optional[Dict[int, int]] = None,
     pool=None,
+    memo: Optional[SubplanMemo] = None,
 ) -> DetRelation:
     """Interpret the physical plan ``pplan`` over ``db`` vectorized.
 
@@ -219,9 +245,11 @@ def execute_det(
     ``actuals`` collects per-node output cardinalities, keyed by both
     the physical node id and its logical source ids (for the two
     ``explain`` renderings).  ``pool`` is an optional persistent
-    :class:`repro.exec.parallel.WorkerPool` for Exchange regions.
+    :class:`repro.exec.parallel.WorkerPool` for Exchange regions;
+    ``memo`` an optional :class:`SubplanMemo` to read and fill.
     """
-    return _DetExec(db, actuals, pool=pool).run(pplan)
+    sites, batches, tables = memo or _NO_MEMO
+    return _DetExec(db, actuals, batches, tables, pool, sites).run(pplan)
 
 
 def _bag_rows(batch: Any) -> Optional[int]:
@@ -232,29 +260,44 @@ def _bag_rows(batch: Any) -> Optional[int]:
 
 class _DetExec:
     def __init__(
-        self, db, actuals=None, bindings=None, join_tables=None, pool=None
+        self,
+        db,
+        actuals=None,
+        bindings=None,
+        join_tables=None,
+        pool=None,
+        keep: AbstractSet[int] = frozenset(),
     ) -> None:
         self.db = db
         self.actuals = actuals
         #: persistent worker pool (Connection-owned) for Exchange regions
         self.pool = pool
         #: pre-computed results by node id: partition-invariant subtrees
-        #: of a parallel region, and the per-worker morsel of its
-        #: ParallelScan (see repro.exec.parallel)
-        self.bindings: Dict[int, ColumnBatch] = bindings or {}
-        #: pre-built hash tables by HashJoin node id: a parallel region
-        #: builds each partition-invariant build side once in the parent
-        #: instead of once per morsel
-        self.join_tables: Dict[int, JoinTable] = join_tables or {}
+        #: of a parallel region, the per-worker morsel of its
+        #: ParallelScan (see repro.exec.parallel), and a prepared
+        #: query's parameter-free subplans (SubplanMemo)
+        self.bindings: Dict[int, ColumnBatch] = {} if bindings is None else bindings
+        #: pre-built hash tables by build-child node id: a parallel
+        #: region builds each partition-invariant build side once in the
+        #: parent instead of once per morsel
+        self.join_tables: Dict[int, JoinTable] = (
+            {} if join_tables is None else join_tables
+        )
+        #: node ids whose results (and join tables) this run keeps
+        self.keep = keep
 
     def run(self, pplan: phys.PhysNode) -> DetRelation:
         return self.eval(pplan).to_relation()
 
     def eval(self, pnode: phys.PhysNode):
-        bound = self.bindings.get(id(pnode))
+        key = id(pnode)
+        bound = self.bindings.get(key)
         if bound is not None:
             return bound
-        return _tm.run_op(pnode, self._node, (), self.actuals, _bag_rows)
+        out = _tm.run_op(pnode, self._node, (), self.actuals, _bag_rows)
+        if key in self.keep:
+            self.bindings[key] = out
+        return out
 
     # -- plan dispatch -------------------------------------------------
     def _node(self, p: phys.PhysNode):
@@ -449,12 +492,9 @@ class _DetExec:
 
     def _hash_join(self, p: phys.HashJoin) -> ColumnBatch:
         left, right = self.eval(p.left), self.eval(p.right)
-        table = self.join_tables.get(id(p))
+        table = _join_table_of(self, p, right)
         l_index = _index_of(left.schema)
         l_cols = [left.columns[l_index[a]] for a, _ in p.eq_pairs]
-
-        if table is None:
-            table = build_join_table(right, [b for _, b in p.eq_pairs])
         li, ri, probe = probe_join_table(table, _join_keys(l_cols))
         pick = _picker(ri)
         if li is None:
@@ -607,6 +647,20 @@ def build_join_table(
     if certain is None:
         certain = range(len(right))
     return _join_table(sg_cols, certain, uncertain)
+
+
+def _join_table_of(executor, p: phys.HashJoin, right) -> JoinTable:
+    """The join table of ``p``'s build side ``right``: pre-built under
+    the build child's node id (a parallel region's invariant build side,
+    a prepared query's memo), else built — and kept when the executor
+    keeps the build child."""
+    key = id(p.right)
+    table = executor.join_tables.get(key)
+    if table is None:
+        table = build_join_table(right, [b for _, b in p.eq_pairs])
+        if key in executor.keep:
+            executor.join_tables[key] = table
+    return table
 
 
 def _join_table(
@@ -1028,6 +1082,7 @@ def execute_audb(
     db: AUDatabase,
     actuals: Optional[Dict[int, int]] = None,
     pool=None,
+    memo: Optional[SubplanMemo] = None,
 ) -> AURelation:
     """Interpret the physical plan ``pplan`` over the AU-database ``db``.
 
@@ -1038,9 +1093,10 @@ def execute_audb(
     :mod:`repro.exec.au_aggregate`, :mod:`repro.exec.au_setops`) — and
     the batch becomes a relation only as the result.  ``pool`` is an
     optional persistent :class:`repro.exec.parallel.WorkerPool` for
-    Exchange regions.
+    Exchange regions; ``memo`` an optional :class:`SubplanMemo`.
     """
-    return _AUExec(db, actuals, pool=pool).run(pplan)
+    sites, batches, tables = memo or _NO_MEMO
+    return _AUExec(db, actuals, batches, tables, pool, sites).run(pplan)
 
 
 class _PairView:
@@ -1087,31 +1143,48 @@ def _au_distinct(batch: Any) -> Optional[int]:
 
 class _AUExec:
     def __init__(
-        self, db, actuals=None, bindings=None, join_tables=None, pool=None
+        self,
+        db,
+        actuals=None,
+        bindings=None,
+        join_tables=None,
+        pool=None,
+        keep: AbstractSet[int] = frozenset(),
     ) -> None:
         self.db = db
         self.actuals = actuals
         #: pre-computed results by node id: partition-invariant subtrees
-        #: of a parallel region, and the per-worker morsel of its
-        #: ParallelScan (see repro.exec.parallel)
-        self.bindings: Dict[int, AUColumnBatch] = bindings or {}
-        #: pre-built join tables by HashJoin node id — a parallel
+        #: of a parallel region, the per-worker morsel of its
+        #: ParallelScan (see repro.exec.parallel), and a prepared
+        #: query's parameter-free subplans (SubplanMemo)
+        self.bindings: Dict[int, AUColumnBatch] = (
+            {} if bindings is None else bindings
+        )
+        #: pre-built join tables by build-child node id — a parallel
         #: region builds each partition-invariant build side once and
         #: shares it between its morsels
-        self.join_tables: Dict[int, JoinTable] = join_tables or {}
+        self.join_tables: Dict[int, JoinTable] = (
+            {} if join_tables is None else join_tables
+        )
         #: persistent worker pool (Connection-owned) for Exchange regions
         self.pool = pool
+        #: node ids whose results (and join tables) this run keeps
+        self.keep = keep
 
     def run(self, pplan: phys.PhysNode):
         return self.eval(pplan).to_relation()
 
     def eval(self, pnode: phys.PhysNode) -> AUColumnBatch:
-        bound = self.bindings.get(id(pnode))
+        key = id(pnode)
+        bound = self.bindings.get(key)
         if bound is not None:
             return bound
-        return _tm.run_op(
+        out = _tm.run_op(
             pnode, self._node, (), self.actuals, _au_rows, _au_distinct
         )
+        if key in self.keep:
+            self.bindings[key] = out
+        return out
 
     # -- plan dispatch -------------------------------------------------
     def _node(self, p: phys.PhysNode) -> AUColumnBatch:
@@ -1305,7 +1378,9 @@ class _AUExec:
         """The pairs of :func:`au_join_pairs`; under a pure
         equi-condition only the interval pairs evaluate it."""
         left, right = self.eval(p.left), self.eval(p.right)
-        pairs = au_join_pairs(left, right, p.eq_pairs, self.join_tables.get(id(p)))
+        pairs = au_join_pairs(
+            left, right, p.eq_pairs, _join_table_of(self, p, right)
+        )
         interval = pairs.interval
         if _tm._ACTIVE is not None:
             # the probe side passes through: certain keys, one hit each

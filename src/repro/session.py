@@ -70,7 +70,9 @@ from .db.chunks import resolve_chunk_size
 from .db.storage import DetDatabase
 from . import telemetry as _tm
 from .exec import BACKENDS
+from .exec import batch as _batch
 from .exec import physical as phys
+from .exec.vectorized import SubplanMemo
 from .sql.lexer import normalize
 from .sql.parser import parse_sql
 
@@ -242,6 +244,30 @@ def _binding_key(binding) -> Optional[tuple]:
     return key
 
 
+def _memo_sites(pplan: phys.PhysNode, spine: FrozenSet[int]) -> FrozenSet[int]:
+    """The ids of the nodes of ``pplan`` whose results the subplan memo
+    keeps: each maximal subtree that mentions no parameter — off the
+    binding ``spine``, its parent on it.  A bare scan only as a hash
+    join's build side, for its join table: elsewhere its parent may be
+    a streamed σ/π, which reads the table chunk by chunk only while the
+    scan is unbound.  Nothing inside an ``Exchange`` region (the region
+    binds its own invariant subtrees)."""
+    sites = set()
+    stack = [pplan] if id(pplan) in spine else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, phys.Exchange):
+            continue
+        for child in node.children():
+            if id(child) in spine:
+                stack.append(child)
+            elif not isinstance(child, (phys.Scan, phys.ParallelScan)) or (
+                isinstance(node, phys.HashJoin) and child is node.right
+            ):
+                sites.add(id(child))
+    return frozenset(sites)
+
+
 def _param_repr(params) -> Optional[str]:
     """A bounded textual form of a parameter binding for the event log."""
     if params is None:
@@ -278,6 +304,7 @@ _METRIC_FIELDS: "OrderedDict[str, str]" = OrderedDict(
     auto_parameterized="SQL texts run as their template, comparison literals lifted.",
     executions="Query executions.",
     result_cache_hits="Executions answered from the epoch result memo.",
+    subplan_memo_hits="Executions that read parameter-free subplans from the epoch memo.",
     stats_refreshes="Statistics-catalog harvests.",
     statements_prepared="PreparedQuery objects compiled.",
     subscriptions="Connection.subscribe() calls.",
@@ -296,7 +323,9 @@ class ConnectionMetrics:
     subset of ``lowerings``); ``stats_refreshes`` counts catalog
     harvests; ``executions`` counts query executions
     (``result_cache_hits`` of which were answered from the read-only
-    epoch result memo without running an executor);
+    epoch result memo without running an executor, and
+    ``subplan_memo_hits`` of which read the parameter-free subplans of
+    an earlier execution at the same epoch);
     ``subscriptions`` counts :meth:`Connection.subscribe` calls.
 
     Since the telemetry PR this is a *view* over the process-wide
@@ -456,6 +485,10 @@ class PreparedQuery:
         )
         # ... and the only nodes binding visits
         self._spine = analysis.binding_spine(self.pplan)
+        # what each binding can share with the last one at its epoch
+        self._memo_sites = _memo_sites(self.pplan, self._spine)
+        self._memo: Optional[SubplanMemo] = None
+        self._memo_epoch = -1
         conn.metrics.lowerings += 1
         if relower:
             conn.metrics.relowerings += 1
@@ -471,7 +504,9 @@ class PreparedQuery:
 
         Re-executing a binding at an unchanged catalog epoch (no write
         happened since) returns the memoized relation of the previous
-        run — treat results as read-only snapshots.
+        run — treat results as read-only snapshots.  Any binding at an
+        unchanged epoch reuses the parameter-free subplan results of the
+        previous execution (:meth:`_subplan_memo`).
         """
         conn = self.connection
         if _tm._ACTIVE is None and conn.tracing:
@@ -551,10 +586,13 @@ class PreparedQuery:
                         tr.mark("result-memo-hit")
                     return entry[1], True
         pplan = self.pplan
+        memo = None
         if binding:
             pplan = _bind(pplan, binding, self._spine)
             if conn.verify_plans:
                 analysis.verify_bound(pplan, binding, self._sites)
+            if actuals is None and self.config.backend == "vectorized":
+                memo = self._subplan_memo()
         try:
             with _tm.stage(
                 "execute",
@@ -570,6 +608,7 @@ class PreparedQuery:
                             conn.db,
                             actuals=actuals,
                             pool=conn._worker_pool(self.config),
+                            memo=memo,
                         )
                     else:
                         from .db.engine import execute_physical_det
@@ -583,6 +622,7 @@ class PreparedQuery:
                         conn.db,
                         actuals,
                         pool=conn._worker_pool(self.config),
+                        memo=memo,
                     )
                 else:
                     result = execute_physical_audb(pplan, conn.db, actuals)
@@ -607,6 +647,35 @@ class PreparedQuery:
             while len(self._results) > _RESULT_MEMO:
                 self._results.popitem(last=False)
         return result, False
+
+    def _subplan_memo(self) -> Optional[SubplanMemo]:
+        """The memo of this plan's parameter-free subplans at the
+        connection's epoch, for a vectorized execution without
+        ``actuals``: the output batch of each :func:`_memo_sites` node
+        and the join table built over it as a hash-join build side.
+        ``_bind`` leaves those nodes the template's own objects, so
+        their ids key the memo for as long as the plan lives; a write or
+        a re-lower drops it.  ``None`` — nothing read, nothing kept —
+        without sites, on a database without ``epoch`` and under a
+        materialization budget (a kept batch would skip the charge of a
+        later run)."""
+        conn = self.connection
+        if (
+            not self._memo_sites
+            or not hasattr(conn.db, "epoch")
+            or _batch.MATERIALIZATION_BUDGET is not None
+        ):
+            return None
+        memo = self._memo
+        if memo is None or self._memo_epoch != conn.epoch:
+            memo = self._memo = SubplanMemo(self._memo_sites, {}, {})
+            self._memo_epoch = conn.epoch
+        elif memo.batches:
+            conn.metrics.subplan_memo_hits += 1
+            tr = _tm._ACTIVE
+            if tr is not None:
+                tr.mark("subplan-memo-hit", subplans=len(memo.batches))
+        return memo
 
     def _execute_legacy(self, binding, actuals):
         """Legacy direct interpretation of the (bound) logical plan."""

@@ -370,9 +370,11 @@ def _outcome(run):
 
 def _check_prepared_lane(rng, plan, schema, used, det, audb, context) -> None:
     """Prepared-statement lane: ``prepare`` once, execute with three
-    bindings interleaved with writes, and compare against the literal
-    twin (the bound plan prepared fresh) and the legacy interpreter, on
-    both engines and both backends, at a random chunk size.
+    bindings interleaved with writes — each followed by the next binding
+    at the same epoch, which reads the subplan memo — and compare
+    against the literal twin (the bound plan prepared fresh) and the
+    legacy interpreter, on both engines and both backends, at a random
+    chunk size.
 
     The parameterized atom is any comparison in either orientation and
     the bindings include NaN, ``None``, bools, strings and floats next
@@ -404,25 +406,36 @@ def _check_prepared_lane(rng, plan, schema, used, det, audb, context) -> None:
         au_twin = Connection(au_db, config=config)
         det_prepared = det_conn.prepare(param_plan)
         au_prepared = au_conn.prepare(param_plan)
-        for (table, row), value in zip(writes, bindings):
-            bound = bind_parameters(param_plan, [value])
-            where = f"[{backend} chunk={chunk_size} ?={value!r}] {context}"
-            for engine, prepared, twin, legacy in (
-                ("det", det_prepared, det_twin,
-                 lambda: legacy_det(bound, det_db)),
-                ("AU", au_prepared, au_twin,
-                 lambda: legacy_au(bound, au_db)),
-            ):
-                got, skipped = _outcome(lambda: prepared.execute([value]))
-                want, twin_skipped = _outcome(lambda: twin.execute(bound))
-                assert got == want, f"prepared {engine} vs literal {where}"
-                assert got == _outcome(legacy)[0], (
-                    f"prepared {engine} vs legacy {where}"
-                )
-                assert skipped == twin_skipped, (
-                    f"prepared {engine} skipped {skipped} chunks, its "
-                    f"literal twin {twin_skipped} {where}"
-                )
+        for k, (table, row) in enumerate(writes):
+            # the next binding at the same epoch reads the parameter-free
+            # subplans the first one kept (the subplan memo)
+            for value in (bindings[k], bindings[(k + 1) % len(bindings)]):
+                bound = bind_parameters(param_plan, [value])
+                where = f"[{backend} chunk={chunk_size} ?={value!r}] {context}"
+                for engine, prepared, twin, legacy in (
+                    ("det", det_prepared, det_twin,
+                     lambda: legacy_det(bound, det_db)),
+                    ("AU", au_prepared, au_twin,
+                     lambda: legacy_au(bound, au_db)),
+                ):
+                    metrics = prepared.connection.metrics
+                    hits = metrics.subplan_memo_hits + metrics.result_cache_hits
+                    got, skipped = _outcome(lambda: prepared.execute([value]))
+                    want, twin_skipped = _outcome(lambda: twin.execute(bound))
+                    assert got == want, f"prepared {engine} vs literal {where}"
+                    assert got == _outcome(legacy)[0], (
+                        f"prepared {engine} vs legacy {where}"
+                    )
+                    # a memo hit runs no scan of the memoised subtrees
+                    # (a result memo hit none at all): it skips, and
+                    # reads, only the chunks of the rest
+                    hit = metrics.subplan_memo_hits + metrics.result_cache_hits > hits
+                    assert skipped == twin_skipped or (
+                        hit and skipped < twin_skipped
+                    ), (
+                        f"prepared {engine} skipped {skipped} chunks, its "
+                        f"literal twin {twin_skipped} {where}"
+                    )
             det_db[table].add(tuple(row), 1)
             au_db[table].add(row, (1, 1, 1))
         # the whole point of preparing: one parse/optimize per statement

@@ -54,6 +54,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RangeValue(True, False, True)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            (math.nan, math.nan, math.nan),  # a certain NaN
+            (math.nan, 1, 2),
+            (1, math.nan, 2),
+            (1, 2, math.nan),
+            (math.nan, "a", "b"),  # NaN ranks below strings in domain_key
+            (None, math.nan, "z"),
+            ("a", "b", math.nan),
+            (None, None, math.nan),
+        ],
+    )
+    def test_nan_rejected_in_any_position(self, cells):
+        with pytest.raises(ValueError):
+            RangeValue(*cells)
+
     def test_hashable_and_frozen(self):
         v = between(1, 2, 3)
         assert hash(v) == hash(between(1, 2, 3))

@@ -720,3 +720,197 @@ class TestMetricsRegistryView:
         after = self._registry_values("det")
         deltas = {k: after[k] - before[k] for k in after}
         assert deltas == snap
+
+
+def make_memo_db(engine: str, n: int = 60, m: int = 20):
+    """orders ⋈ customers with enough rows that both engines hash-join."""
+    if engine == "det":
+        orders = DetRelation(["okey", "cust", "price"])
+        customers = DetRelation(["ckey", "segment"])
+        for i in range(n):
+            orders.add((i, i % m, float(i) + 0.25), 1 + i % 2)
+        for c in range(m):
+            customers.add((c, f"seg{c % 3}"), 1)
+        return DetDatabase({"orders": orders, "customers": customers})
+    orders = AURelation(["okey", "cust", "price"])
+    customers = AURelation(["ckey", "segment"])
+    for i in range(n):
+        price = between(float(i), float(i) + 0.5, float(i) + 2.0) if i % 3 == 0 else float(i)
+        orders.add([i, i % m, price], (1, 1, 1 + i % 2))
+    for c in range(m):
+        customers.add([c, f"seg{c % 3}"], (1, 1, 1))
+    return AUDatabase({"orders": orders, "customers": customers})
+
+
+def write(engine, rel, row, delete=False):
+    """Insert (or delete) one copy of ``row`` on either engine."""
+    if engine == "det":
+        (rel.delete if delete else rel.add)(row, 1)
+    else:
+        (rel.delete if delete else rel.add)(list(row), (1, 1, 1))
+
+
+#: the parameter filters orders; the customers side mentions none
+MEMO_SQL = (
+    "SELECT okey, price, segment FROM orders, customers "
+    "WHERE cust = ckey AND okey >= ? AND segment = 'seg1'"
+)
+
+
+class TestSubplanMemo:
+    """A prepared query keeps the results of its parameter-free subplans
+    (and the join tables built over them) for one epoch: a second
+    binding reads them, and every result equals a fresh connection's."""
+
+    @staticmethod
+    def bits(engine, rel):
+        return det_bits(rel) if engine == "det" else au_bits(rel)
+
+    def check(self, engine, db, sql, params, result, config=None):
+        fresh = Connection(
+            db, config=config or EvalConfig(backend="vectorized")
+        ).execute(sql, params)
+        assert self.bits(engine, result) == self.bits(engine, fresh)
+
+    def prepared(self, engine, db=None, sql=MEMO_SQL, **kwargs):
+        db = make_memo_db(engine) if db is None else db
+        conn = Connection(db, config=EvalConfig(backend="vectorized"), **kwargs)
+        return db, conn, conn.prepare(sql)
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_second_binding_at_one_epoch_hits(self, engine):
+        db, conn, prepared = self.prepared(engine)
+        kinds = {type(n).__name__ for n in prepared.pplan.walk()}
+        assert "HashJoin" in kinds
+        assert len(prepared._memo_sites) == 1
+        for i, key in enumerate((10, 33, 47)):
+            self.check(engine, db, MEMO_SQL, [key], prepared.execute([key]))
+            assert conn.metrics.subplan_memo_hits == i
+        # the build side's batch and its join table are both kept
+        memo = prepared._memo
+        assert set(memo.batches) == set(prepared._memo_sites)
+        assert set(memo.tables) == set(prepared._memo_sites)
+
+    def test_a_bare_scan_build_side_keeps_its_join_table(self):
+        sql = (
+            "SELECT okey, segment FROM orders, customers "
+            "WHERE cust = ckey AND okey = ?"
+        )
+        db, conn, prepared = self.prepared("det", sql=sql)
+        join = next(
+            n for n in prepared.pplan.walk() if type(n).__name__ == "HashJoin"
+        )
+        assert type(join.right).__name__ == "Scan"
+        assert prepared._memo_sites == {id(join.right)}
+        for key in (4, 9):
+            self.check("det", db, sql, [key], prepared.execute([key]))
+        assert conn.metrics.subplan_memo_hits == 1
+        assert set(prepared._memo.tables) == {id(join.right)}
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    @pytest.mark.parametrize("table", ["customers", "orders"])
+    def test_writes_inside_and_outside_the_memoised_subtree(self, engine, table):
+        db, conn, prepared = self.prepared(engine)
+        # a customer row joining key 7 (segment seg1), a row of orders
+        # joining it; then the deletes take both out again
+        row = (7, "seg1") if table == "customers" else (90, 7, 91.0)
+        for delete in (False, True):
+            prepared.execute([5])
+            prepared.execute([6])  # warm: reads the memo
+            hits = conn.metrics.subplan_memo_hits
+            write(engine, db[table], row, delete)
+            for key in (3, 41):
+                self.check(engine, db, MEMO_SQL, [key], prepared.execute([key]))
+            # the first execution after the write refilled the memo
+            assert conn.metrics.subplan_memo_hits == hits + 1
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_relower_drops_the_memo(self, engine):
+        db, conn, prepared = self.prepared(engine, staleness=1)
+        prepared.execute([5])
+        sites = prepared._memo_sites
+        for i in range(3):
+            write(engine, db["orders"], (100 + i, 2, 1.0))
+        self.check(engine, db, MEMO_SQL, [5], prepared.execute([5]))
+        assert conn.metrics.relowerings == 1
+        assert prepared._memo_sites != sites  # the re-lowered plan's nodes
+        assert conn.metrics.subplan_memo_hits == 0
+        self.check(engine, db, MEMO_SQL, [8], prepared.execute([8]))
+        assert conn.metrics.subplan_memo_hits == 1
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_explain_analyze_after_a_hit_shows_every_node(self, engine):
+        _db, conn, prepared = self.prepared(engine, trace=True)
+        prepared.execute([5])
+        prepared.execute([6])
+        assert conn.metrics.subplan_memo_hits == 1
+        marks = [s.name for s in conn.last_trace.root.walk()]
+        assert "subplan-memo-hit" in marks
+        text = prepared.explain_analyze([7])
+        body = [
+            line for line in text.splitlines()[1:] if not line.startswith("stages:")
+        ]
+        assert len(body) == sum(1 for _ in prepared.pplan.walk())
+        for line in body:
+            assert "actual" in line and "ms" in line, line
+        assert conn.metrics.subplan_memo_hits == 1  # actuals bypass it
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_budget_error_survives_a_warm_memo(self, engine):
+        from repro.exec.batch import (
+            MaterializationBudgetError,
+            materialization_budget,
+        )
+
+        sql = (
+            "SELECT okey, segment FROM orders, "
+            "(SELECT DISTINCT ckey, segment FROM customers) AS c "
+            "WHERE cust = ckey AND okey >= ?"
+        )
+        db, conn, prepared = self.prepared(engine, sql=sql)
+        assert prepared._memo_sites
+        with materialization_budget(5):
+            with pytest.raises(MaterializationBudgetError):
+                Connection(db, config=EvalConfig(backend="vectorized")).execute(sql, [3])
+        prepared.execute([3])  # fills the memo outside the budget
+        with materialization_budget(5):
+            with pytest.raises(MaterializationBudgetError):
+                prepared.execute([4])
+        self.check(engine, db, sql, [9], prepared.execute([9]))
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_bypassed_with_actuals_and_without_epoch(self, engine):
+        db, conn, prepared = self.prepared(engine)
+        prepared.execute([5], actuals={})
+        prepared.execute([6], actuals={})
+        assert prepared._memo is None
+        unversioned = {name: db[name] for name in ("orders", "customers")}
+        conn = Connection(
+            unversioned, engine=engine, config=EvalConfig(backend="vectorized")
+        )
+        loose = conn.prepare(MEMO_SQL)
+        assert loose._memo_sites
+        for key in (5, 6):
+            self.check(engine, db, MEMO_SQL, [key], loose.execute([key]))
+        assert loose._memo is None and conn.metrics.subplan_memo_hits == 0
+
+    @pytest.mark.parametrize("engine", ["det", "au"])
+    def test_nothing_inside_an_exchange_region(self, engine):
+        config = EvalConfig(backend="vectorized", parallelism=4)
+        db = make_memo_db(engine)
+        conn = Connection(db, config=config)
+        sql = (
+            "SELECT segment, sum(price) AS total FROM orders, customers "
+            "WHERE cust = ckey AND price >= ? AND segment = 'seg1' "
+            "GROUP BY segment"
+        )
+        prepared = conn.prepare(sql)
+        regions = [
+            n for n in prepared.pplan.walk() if type(n).__name__ == "Exchange"
+        ]
+        assert regions
+        inside = {id(n) for region in regions for n in region.walk()}
+        assert not inside & prepared._memo_sites
+        for key in (3.0, 20.0):
+            self.check(engine, db, sql, [key], prepared.execute([key]), config)
+        assert conn.metrics.subplan_memo_hits == 0

@@ -550,6 +550,30 @@ class TestIncrementalStats:
         assert (stats.distinct, stats.min_value) == (2, 5)
         assert stats.histogram is not None and stats.histogram.total == 2
 
+    def test_equal_stats_fingerprint_equal(self):
+        """The maintained minimum keeps the first of the equal cells
+        ``True`` / ``1``; a fresh harvest finds ``1``.  The two catalogs
+        are ``==``, so their fingerprints — the optimizer's cache key —
+        must be too."""
+        rel = DetRelation(["x", "y"], [(True, "a"), (1, "b"), (5, "c")])
+        db = DetDatabase({"t": rel})
+        harvest_column_stats(db)
+        rel.delete((True, "a"))
+        fresh_db = DetDatabase({"t": DetRelation(["x", "y"], dict(rel.rows))})
+        stats = harvest_column_stats(db)["t"]["x"]
+        fresh = harvest_column_stats(fresh_db)["t"]["x"]
+        assert stats == fresh
+        assert stats.fingerprint() == fresh.fingerprint()
+        assert (
+            Statistics.from_database(db).fingerprint()
+            == Statistics.from_database(fresh_db).fingerprint()
+        )
+        nan = ColumnStats(count=1, distinct=1, min_value=NAN, max_value=NAN)
+        other = ColumnStats(
+            count=1, distinct=1, min_value=float("nan"), max_value=float("nan")
+        )
+        assert nan.fingerprint() == other.fingerprint()
+
     def test_au_annotation_only_delete_keeps_the_snapshot(self):
         rel = AURelation(["x"])
         rel.add([1], (1, 1, 2))

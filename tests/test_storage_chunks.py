@@ -462,9 +462,12 @@ def test_au_store_roundtrip_and_certain_fraction():
 
 def test_au_nan_range_disables_zone_entry():
     r = AURelation(["a"])
-    # mixed-type triple smuggles NaN past RangeValue validation (the
-    # domain order short-circuits on type rank before comparing values)
-    r.add([RangeValue(float("nan"), "x", "y")], (1, 1, 1))
+    # the constructor refuses NaN in any position; a forged cell checks
+    # that the zone map still disables the column if one gets in
+    cell = object.__new__(RangeValue)
+    for bound, value in zip(("lb", "sg", "ub"), (float("nan"), "x", "y")):
+        object.__setattr__(cell, bound, value)
+    r.add([cell], (1, 1, 1))
     r.add([RangeValue(1, 1, 1)], (1, 1, 1))
     store = au_store(r, 4)
     zone = store.chunks[0].zone
