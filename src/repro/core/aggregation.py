@@ -39,6 +39,7 @@ from .ranges import (
     domain_key,
     domain_max,
     domain_min,
+    order_key,
     overlap_index,
 )
 from .ranges import domain_le as _ranges_domain_le
@@ -723,23 +724,25 @@ def _det_avg_unmerge(a: list, b: list) -> list:
 
 
 def _det_min_step(state: Optional[tuple], value: Any, _weight: int) -> tuple:
-    key = domain_key(value)
+    key = order_key(value)
     if state is None or key < state[0]:
         return (key, value)
     return state
 
 
 def _det_max_step(state: Optional[tuple], value: Any, _weight: int) -> tuple:
-    key = domain_key(value)
+    key = order_key(value)
     if state is None or key > state[0]:
         return (key, value)
     return state
 
 
 def _det_extremum(step: Callable[..., tuple]) -> _Algebra:
-    """MIN / MAX keep ``(domain key, value)`` of the first row attaining
+    """MIN / MAX keep ``(order key, value)`` of the first row attaining
     the extremum (``None`` before any row); SQL's empty result is NULL,
-    not the monoid's ±inf neutral element."""
+    not the monoid's ±inf neutral element.  Ranking by
+    :func:`~repro.core.ranges.order_key` puts NaN above every number, so
+    the extremum does not depend on row order."""
     return _Algebra(
         init=lambda: None,
         step=step,

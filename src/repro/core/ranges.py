@@ -102,8 +102,9 @@ def order_key(value: Any) -> tuple:
     except that NaN ranks above every number and below every string,
     all NaNs tied (PostgreSQL's order).  ``domain_key`` itself leaves NaN
     among the numbers, where it compares false both ways, so a sort on it
-    is inconsistent and may misplace other rows; filters, zone maps and
-    ``MIN`` / ``MAX`` keep ``domain_key``'s semantics."""
+    is inconsistent and may misplace other rows.  Det ``MIN`` / ``MAX``
+    rank by it too, so their result does not depend on row order;
+    filters and zone maps keep ``domain_key``'s semantics."""
     kind = type(value)
     if kind is int:
         return (1, value)

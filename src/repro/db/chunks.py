@@ -511,21 +511,6 @@ def _col_bytes(col) -> int:
     return sys.getsizeof(col) + sum(sys.getsizeof(v) for v in col)
 
 
-def _concat_cols(parts: Sequence) -> Any:
-    first = parts[0]
-    if type(first) is array and all(
-        type(p) is array and p.typecode == first.typecode for p in parts
-    ):
-        out = array(first.typecode)
-        for p in parts:
-            out.extend(p)
-        return out
-    merged: list = []
-    for p in parts:
-        merged.extend(p)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # deterministic store
 # ---------------------------------------------------------------------------
@@ -553,6 +538,9 @@ class _BaseStore:
     """Shared plumbing: chunk registry, row locator, skip evaluation."""
 
     __slots__ = ("schema", "chunk_size", "chunks", "_index", "_row_loc", "_scan_cache")
+
+    #: the batch class of the store's chunks
+    batch_cls: Any = None
 
     def __init__(self, schema: Sequence[str], chunk_size: int) -> None:
         if chunk_size <= 0:
@@ -604,9 +592,9 @@ class _BaseStore:
         if skip is None and self._scan_cache is not None:
             batch, total = self._scan_cache
             return batch, total, 0
-        kept, total, skipped = self.survivors(skip)
-        charge_materialization(sum(len(ch) for ch in kept))
-        batch = self._concat(kept)
+        batches, total, skipped = self.iter_batches(skip)
+        charge_materialization(sum(map(len, batches)))
+        batch = self.batch_cls.concat(self.schema, batches)
         if skip is None:
             self._scan_cache = (batch, total)
         return batch, total, skipped
@@ -620,7 +608,16 @@ class _BaseStore:
         (fork-inherited, same-epoch) store — chunk boundaries are
         deterministic for identical relation state, so the batch is
         bit-identical to the parent's."""
-        return self._concat([self.chunks[ci] for ci in indices])
+        chunks = [self._chunk_batch(self.chunks[ci]) for ci in indices]
+        return self.batch_cls.concat(self.schema, chunks)
+
+    def iter_batches(
+        self, skip: Optional[ChunkSkipPredicate] = None
+    ) -> Tuple[List[Any], int, int]:
+        """The batches of the chunks a scan must read, in order — the
+        streamed form of :meth:`scan`: ``(batches, total, skipped)``."""
+        kept, total, skipped = self.survivors(skip)
+        return [self._chunk_batch(ch) for ch in kept], total, skipped
 
     def morsel_chunk_groups(
         self, partitions: int, skip: Optional[ChunkSkipPredicate] = None
@@ -645,7 +642,7 @@ class _BaseStore:
     def _chunk_bytes(self, ch) -> int:
         raise NotImplementedError
 
-    def _concat(self, kept: List[Any]):
+    def _chunk_batch(self, ch) -> Any:
         raise NotImplementedError
 
     def _reindex_tail(self, ci: int, start: int) -> None:
@@ -656,6 +653,7 @@ class DetChunkStore(_BaseStore):
     """A ``DetRelation`` as fixed-size columnar chunks with zone maps."""
 
     __slots__ = ()
+    batch_cls = ColumnBatch
 
     @classmethod
     def build(cls, rel, chunk_size: int) -> "DetChunkStore":
@@ -780,25 +778,9 @@ class DetChunkStore(_BaseStore):
             batch.mult
         )
 
-    # -- scan surface -------------------------------------------------
-    def _concat(self, kept: List[DetChunk]) -> ColumnBatch:
-        if not kept:
-            return ColumnBatch(self.schema, [[] for _ in self.schema], array("q"))
-        if len(kept) == 1:
-            return kept[0].batch
-        columns = [
-            _concat_cols([ch.batch.columns[j] for ch in kept])
-            for j in range(len(self.schema))
-        ]
-        mult = _concat_cols([ch.batch.mult for ch in kept])
-        return ColumnBatch(self.schema, columns, mult)
+    def _chunk_batch(self, ch: DetChunk) -> ColumnBatch:
+        return ch.batch
 
-    def iter_batches(
-        self, skip: Optional[ChunkSkipPredicate] = None
-    ) -> Tuple[List[ColumnBatch], int, int]:
-        """Per-chunk batches for streaming execution."""
-        kept, total, skipped = self.survivors(skip)
-        return [ch.batch for ch in kept], total, skipped
 
 def _group_runs(
     items: List[Any], sizes: List[int], partitions: int
@@ -867,6 +849,7 @@ class AUChunkStore(_BaseStore):
     """An ``AURelation`` as chunks of range-value columns with zone maps."""
 
     __slots__ = ()
+    batch_cls = AUColumnBatch
 
     @classmethod
     def build(cls, rel, chunk_size: int) -> "AUChunkStore":
@@ -965,29 +948,9 @@ class AUChunkStore(_BaseStore):
         total += _col_bytes(ch.ann_ub)
         return total
 
-    # -- scan surface -------------------------------------------------
-    def _concat(self, kept: List[AUChunk]) -> AUColumnBatch:
-        if not kept:
-            return AUColumnBatch(
-                self.schema,
-                [[] for _ in self.schema],
-                array("q"),
-                array("q"),
-                array("q"),
-            )
-        if len(kept) == 1:
-            return kept[0].batch(self.schema)
-        columns = [
-            _concat_cols([ch.rv_cols[j] for ch in kept])
-            for j in range(len(self.schema))
-        ]
-        return AUColumnBatch(
-            self.schema,
-            columns,
-            _concat_cols([ch.ann_lb for ch in kept]),
-            _concat_cols([ch.ann_sg for ch in kept]),
-            _concat_cols([ch.ann_ub for ch in kept]),
-        )
+    def _chunk_batch(self, ch: AUChunk) -> AUColumnBatch:
+        return ch.batch(self.schema)
+
 
 # ---------------------------------------------------------------------------
 # store accessors (cached on the relation's ``_chunk_cache`` slot)

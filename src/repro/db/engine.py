@@ -56,7 +56,7 @@ from ..algebra.ast import (
 from ..algebra.optimizer import DEFAULT_JOIN_ORDER
 from ..core.aggregation import AggregateSpec
 from ..core.expressions import Expression, RowView, Var
-from ..core.ranges import domain_key, order_key
+from ..core.ranges import order_key
 from ..core.sums import exact_sum
 from ..exec import physical as phys
 from .. import telemetry as _tm
@@ -529,9 +529,9 @@ def _fold(
     if spec.kind == "sum":
         return exact_sum(values)
     if spec.kind == "min":
-        return min((v for v, _m in values), key=domain_key)
+        return min((v for v, _m in values), key=order_key)
     if spec.kind == "max":
-        return max((v for v, _m in values), key=domain_key)
+        return max((v for v, _m in values), key=order_key)
     if spec.kind == "avg":
         total_m = sum(m for _v, m in values)
         return exact_sum(values) / total_m

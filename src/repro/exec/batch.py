@@ -114,6 +114,23 @@ def _pack_typed(values: list):
     return values
 
 
+def _concat_cols(parts: Sequence) -> Any:
+    """One column of the cells of ``parts`` in order: a typed array when
+    every part is one of the same type code, else a list."""
+    first = parts[0]
+    if type(first) is array and all(
+        type(p) is array and p.typecode == first.typecode for p in parts
+    ):
+        out = array(first.typecode)
+        for p in parts:
+            out.extend(p)
+        return out
+    merged: list = []
+    for p in parts:
+        merged.extend(p)
+    return merged
+
+
 class BatchRowView:
     """A lazy ``{attribute: value}`` valuation over one batch row.
 
@@ -179,6 +196,22 @@ class ColumnBatch:
             columns = [[] for _ in schema]
             mult = array("q")
         return cls(schema, columns, mult)
+
+    @classmethod
+    def concat(
+        cls, schema: Sequence[str], batches: Sequence["ColumnBatch"]
+    ) -> "ColumnBatch":
+        """The rows of ``batches`` in order, under ``schema``: a single
+        batch is returned as it is, no batch gives an empty one."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls(schema, [[] for _ in schema], array("q"))
+        return cls(
+            schema,
+            [_concat_cols(parts) for parts in zip(*(b.columns for b in batches))],
+            _concat_cols([b.mult for b in batches]),
+        )
 
     @classmethod
     def from_relation(cls, rel: DetRelation) -> "ColumnBatch":
@@ -256,6 +289,24 @@ class AUColumnBatch:
             columns = [[] for _ in schema]
             ann_lb, ann_sg, ann_ub = array("q"), array("q"), array("q")
         return cls(schema, columns, ann_lb, ann_sg, ann_ub)
+
+    @classmethod
+    def concat(
+        cls, schema: Sequence[str], batches: Sequence["AUColumnBatch"]
+    ) -> "AUColumnBatch":
+        """The rows of ``batches`` in order, under ``schema``: a single
+        batch is returned as it is, no batch gives an empty one."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            empty = [[] for _ in schema]
+            return cls(schema, empty, array("q"), array("q"), array("q"))
+        anns = zip(*((b.ann_lb, b.ann_sg, b.ann_ub) for b in batches))
+        return cls(
+            schema,
+            [_concat_cols(parts) for parts in zip(*(b.columns for b in batches))],
+            *map(_concat_cols, anns),
+        )
 
     @classmethod
     def from_relation(cls, rel: AURelation) -> "AUColumnBatch":
@@ -337,16 +388,6 @@ class AUColumnBatch:
             return self, 0
         columns = [[col[i] for i in keep] for col in self.columns]
         return AUColumnBatch(self.schema, columns, lb, sg, ub), removed
-
-    def concat(self, other: "AUColumnBatch") -> "AUColumnBatch":
-        """This batch's rows followed by ``other``'s, under this schema."""
-        return AUColumnBatch(
-            self.schema,
-            [list(a) + list(b) for a, b in zip(self.columns, other.columns)],
-            list(self.ann_lb) + list(other.ann_lb),
-            list(self.ann_sg) + list(other.ann_sg),
-            list(self.ann_ub) + list(other.ann_ub),
-        )
 
     def annotations(self) -> List[AUAnnotation]:
         return list(zip(self.ann_lb, self.ann_sg, self.ann_ub))

@@ -107,7 +107,7 @@ def compressed_join(
             box_pairs_matched=len(poss_part),
         )
     charge_materialization(len(sg_part) + len(poss_part))
-    return sg_part.concat(poss_part)
+    return AUColumnBatch.concat(sg_part.schema, [sg_part, poss_part])
 
 
 def _split_sg(batch: AUColumnBatch) -> AUColumnBatch:

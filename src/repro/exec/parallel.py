@@ -157,17 +157,16 @@ def _prebuild_join_tables(
 
 
 def execute_exchange(parent_exec, node: phys.Exchange):
-    """Run the parallel region under ``node`` and merge the partitions."""
-    from .vectorized import _AUExec
-
-    au = isinstance(parent_exec, _AUExec)
+    """Run the parallel region under ``node`` and merge the partitions;
+    the morsels run on ``parent_exec``'s executor class."""
+    cls = type(parent_exec)
     scan = next(
         p for p in node.child.walk() if isinstance(p, phys.ParallelScan)
     )
     db = parent_exec.db
     # morsels map 1:1 onto contiguous runs of surviving chunks, so
     # zone-map skipping prunes work *before* it is handed to workers
-    store = _scan_store(db, scan, au)
+    store = cls.store(db[scan.table], scan.chunk_size)
     chunk_groups, group_rows, chunks_total, chunks_skipped = (
         store.morsel_chunk_groups(node.partitions, scan.skip)
     )
@@ -201,14 +200,14 @@ def execute_exchange(parent_exec, node: phys.Exchange):
         results = None
         if use_pool:
             try:
-                results = _run_pooled(pool, node, scan, au, bindings, chunk_groups)
+                results = _run_pooled(pool, node, scan, cls, bindings, chunk_groups)
             except PoolBrokenError:
                 pass  # the in-process path below serves the region
         if results is None:
             results = _run_inline(
-                db, node, scan, au, bindings, store, chunk_groups
+                db, node, scan, cls, bindings, store, chunk_groups
             )
-        return _merge_au(node, results) if au else _merge(node, results)
+        return _merge(cls, node, results)
     except UncertainGroupError:
         # a morsel met uncertain group-by values: partial aggregation is
         # not sound there, so run the original serial operator instead
@@ -218,20 +217,11 @@ def execute_exchange(parent_exec, node: phys.Exchange):
         return parent_exec.eval(node.final)
 
 
-def _scan_store(db, scan: phys.ParallelScan, au: bool):
-    rel = db[scan.table]
-    return (
-        _chunks.au_store(rel, scan.chunk_size)
-        if au
-        else _chunks.det_store(rel, scan.chunk_size)
-    )
-
-
 def _run_inline(
     db,
     node: phys.Exchange,
     scan: phys.ParallelScan,
-    au: bool,
+    cls: type,
     bindings: Dict[int, Any],
     store,
     chunk_groups: List[List[int]],
@@ -242,11 +232,8 @@ def _run_inline(
     results round-trip through encode/decode so both transports are
     byte-for-byte the same computation.
     """
-    from .vectorized import _AUExec, _DetExec
-
     join_tables: Dict[int, Any] = {}
     _prebuild_join_tables(node.child, scan, bindings, join_tables)
-    cls = _AUExec if au else _DetExec
     return [
         _decode(
             _encode(
@@ -313,9 +300,7 @@ class PoolBrokenError(RuntimeError):
 
 def _run_task(db, task: tuple) -> tuple:
     """Execute one morsel task inside a pool worker."""
-    from .vectorized import _AUExec, _DetExec
-
-    region_bytes, au, scan_idx, enc_bindings, chunk_indices = task
+    region_bytes, cls, scan_idx, enc_bindings, chunk_indices = task
     region = pickle.loads(region_bytes)
     # node identities do not survive pickling: bindings travel keyed by
     # preorder walk index and re-key against the worker's copy
@@ -325,12 +310,10 @@ def _run_task(db, task: tuple) -> tuple:
     # the fork-inherited relation state is identical at the same epoch,
     # so chunk boundaries — and therefore the morsel batch — are
     # bit-identical to the parent's
-    bindings[id(scan)] = _scan_store(db, scan, au).batch_for_chunks(
-        chunk_indices
-    )
+    store = cls.store(db[scan.table], scan.chunk_size)
+    bindings[id(scan)] = store.batch_for_chunks(chunk_indices)
     join_tables: Dict[int, Any] = {}
     _prebuild_join_tables(region, scan, bindings, join_tables)
-    cls = _AUExec if au else _DetExec
     return _encode(cls(db, None, bindings, join_tables).eval(region))
 
 
@@ -488,7 +471,7 @@ def _run_pooled(
     pool: WorkerPool,
     node: phys.Exchange,
     scan: phys.ParallelScan,
-    au: bool,
+    cls: type,
     bindings: Dict[int, Any],
     chunk_groups: List[List[int]],
 ) -> List[Any]:
@@ -509,7 +492,7 @@ def _run_pooled(
             if key in idx_of
         )
         tasks = [
-            (region_bytes, au, idx_of[id(scan)], enc_bindings, g)
+            (region_bytes, cls, idx_of[id(scan)], enc_bindings, g)
             for g in chunk_groups
         ]
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
@@ -525,42 +508,24 @@ def _run_pooled(
 # ----------------------------------------------------------------------
 # merges
 # ----------------------------------------------------------------------
-def _concat(batches: List[ColumnBatch]) -> ColumnBatch:
-    first = batches[0]
-    if len(batches) == 1:
-        return first
-    columns: List[list] = [list(col) for col in first.columns]
-    mult = list(first.mult)
-    for batch in batches[1:]:
-        for acc, col in zip(columns, batch.columns):
-            acc.extend(col)
-        mult.extend(batch.mult)
-    return ColumnBatch(first.schema, columns, mult)
+def _merge(cls: type, node: phys.Exchange, results: List[Any]):
+    """Recombine the morsel results of the region (on ``cls``'s engine).
 
-
-def _concat_au(batches: List[AUColumnBatch]) -> AUColumnBatch:
-    first = batches[0]
-    if len(batches) == 1:
-        return first
-    columns: List[list] = [list(col) for col in first.columns]
-    ann_lb = list(first.ann_lb)
-    ann_sg = list(first.ann_sg)
-    ann_ub = list(first.ann_ub)
-    for batch in batches[1:]:
-        for acc, col in zip(columns, batch.columns):
-            acc.extend(col)
-        ann_lb.extend(batch.ann_lb)
-        ann_sg.extend(batch.ann_sg)
-        ann_ub.extend(batch.ann_ub)
-    return AUColumnBatch(first.schema, columns, ann_lb, ann_sg, ann_ub)
-
-
-def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
-    from .vectorized import _distinct, _limit, _topk, finalize_groups
+    Partial aggregation states combine exactly and finalize — det ones
+    through the registry's merges, AU ones in partition order through
+    :func:`~repro.exec.au_aggregate.merge_partial_groups` (exact
+    Shewchuk accumulators make SUM/AVG regrouping-invariant; MIN/MAX/
+    AVG-envelope tie rules replay the serial fold because merging
+    follows partition order) — and ``HAVING`` filters through the
+    engine's σ.  Batches concatenate in partition order; a ``topk`` /
+    ``au_topk`` / ``limit`` / ``distinct`` region applies its operator
+    once over the concatenation (the AU top-k's prefix-sum bounds need
+    the entire input).
+    """
+    from . import au_aggregate
+    from .vectorized import _limit, finalize_groups
 
     final = node.final
-    if node.merge == "concat":
-        return _concat(results)
     if node.merge == "aggregate":
         merged: Dict[Tuple, List[Any]] = {}
         merges = [AGGREGATES[spec.kind].det.merge for spec in final.aggregates]
@@ -573,49 +538,22 @@ def _merge(node: phys.Exchange, results: List[Any]) -> ColumnBatch:
                 for a, merge in enumerate(merges):
                     mine[a] = merge(mine[a], accs[a])
         batch = finalize_groups(merged, final.group_by, final.aggregates)
-        if final.having is not None:
-            # re-filter through the vectorized selection path
-            from .vectorized import _DetExec
-
-            batch = _DetExec(None)._select_project(batch, final.having, None)
-        return batch
-    if node.merge == "topk":
-        return _topk(_concat(results), final.keys, final.descending, final.n)
-    if node.merge == "limit":
-        return _limit(_concat(results), final.n)
-    if node.merge == "distinct":
-        return _distinct(_concat(results))
-    raise TypeError(f"unsupported exchange merge {node.merge!r}")
-
-
-def _merge_au(node: phys.Exchange, results: List[Any]) -> AUColumnBatch:
-    """Recombine AU morsel results (annotations add at the merge).
-
-    ``au_aggregate`` merges the per-worker SG-combine partial states in
-    partition order and finalizes — bit-identical to the serial
-    operator (exact Shewchuk accumulators make SUM/AVG regrouping-
-    invariant; MIN/MAX/AVG-envelope tie rules replay the serial fold
-    because merging follows partition order).  ``au_topk`` concatenates
-    the full morsel outputs and applies the exact top-k operator once —
-    its prefix-sum bound construction needs the entire input.
-    """
-    from .au_aggregate import finalize_groups, merge_partial_groups
-    from .au_setops import topk_batch
-    from .vectorized import _AUExec
-
-    if node.merge == "concat":
-        return _concat_au(results)
-    final = node.final
-    if node.merge == "au_aggregate":
-        merged: Dict[Tuple, list] = {}
+    elif node.merge == "au_aggregate":
+        groups: Dict[Tuple, list] = {}
         for part in results:
-            merge_partial_groups(merged, part.groups, final.aggregates)
-        batch = finalize_groups(merged, final.group_by, final.aggregates)
-        if final.having is not None:
-            batch = _AUExec(None)._selection(batch, final.having)
-        return batch
-    if node.merge == "au_topk":
-        return topk_batch(
-            _concat_au(results), final.keys, final.descending, final.n
-        )
-    raise TypeError(f"unsupported AU exchange merge {node.merge!r}")
+            au_aggregate.merge_partial_groups(groups, part.groups, final.aggregates)
+        batch = au_aggregate.finalize_groups(groups, final.group_by, final.aggregates)
+    else:
+        batch = cls.batch.concat(results[0].schema, results)
+        if node.merge == "concat":
+            return batch
+        if node.merge in ("topk", "au_topk"):
+            return cls._topk(batch, final.keys, final.descending, final.n)
+        if node.merge == "limit":
+            return _limit(batch, final.n)
+        if node.merge == "distinct":
+            return cls._distinct(batch)
+        raise TypeError(f"unsupported exchange merge {node.merge!r}")
+    if final.having is not None:
+        batch = cls(None)._selection(batch, final.having)
+    return batch

@@ -3,20 +3,30 @@
 This module is the columnar *runtime* of the execution stack: it
 interprets the physical plans produced by
 :func:`repro.exec.physical.lower` over :mod:`repro.exec.batch` columns.
-Since PR 4 it makes **no physical decisions of its own** — the join
-algorithm (``HashJoin`` vs ``NLJoin`` vs ``CompressedJoin``) and the
-parallel region shape (``ParallelScan``/``Exchange``) arrive pre-chosen
-in the plan.  Every operator takes batches and returns a batch; a
-relation exists only at the result edge (:meth:`_DetExec.run`,
-:meth:`_AUExec.run`).
+It makes **no physical decisions of its own** — the join algorithm
+(``HashJoin`` vs ``NLJoin`` vs ``CompressedJoin``) and the parallel
+region shape (``ParallelScan``/``Exchange``) arrive pre-chosen in the
+plan.  Every operator takes batches and returns a batch; a relation
+exists only at the result edge (:meth:`_Executor.run`).
+
+A deterministic relation is an AU-relation whose cells are points and
+whose annotations are ``(k, k, k)``, so both engines walk a plan the
+same way: one executor, :class:`_Executor`, owns the plan walk — the
+memo of pre-computed results, kept join tables, actuals, spans, chunk
+scans and the dispatch of every shared node kind — and
+:class:`_DetExec` / :class:`_AUExec` supply only their batch class,
+chunk store, operator kernels and the nodes only they have.
 
 Operator implementations:
 
 * **scans** read the base relation's chunk store
   (:mod:`repro.db.chunks`), whole or one chunk at a time;
-* **selection/projection** run fused compiled loops
-  (:mod:`repro.exec.compile`) — a ``FusedSelectProject`` filters and
-  gathers survivors in one pass;
+* **selection/projection** take one path on both engines: a
+  ``FusedSelectProject`` over a scan streams the table's chunks, over
+  any other input it takes that one batch; the condition compiles once
+  per node (:mod:`repro.exec.compile`), each piece is filtered and
+  gathers only the columns the projection references, and the
+  survivors concatenate before the projection runs;
 * **hash equi-joins** bucket raw key values exactly like the tuple
   engine's dict (identity-or-equality lookup), so both join algorithms
   agree with the tuple engine bit-for-bit; a table whose build keys are
@@ -52,6 +62,7 @@ lowering, and parallelism 1 vs 4.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import defaultdict
 from itertools import chain, repeat
@@ -85,6 +96,7 @@ from .au_setops import distinct_batch, except_batch, topk_batch
 from .batch import AUColumnBatch, BatchRowView, ColumnBatch
 from .compile import (
     CompileError,
+    RangeKernel,
     compile_filter,
     compile_projector,
     compile_range_filter,
@@ -158,19 +170,18 @@ def _compiled(compiler: Callable, condition: Expression, *schemas):
     return kernel
 
 
-def _annotate_point_rows(kernel) -> None:
-    """Add a compiled range kernel's rows to the open operator span's
-    ``point_rows=k/n``: ``k`` of the ``n`` rows it evaluated took the
-    point lane (see :class:`~repro.exec.compile.RangeKernel`)."""
-    if kernel is not None and _tm._ACTIVE is not None:
+def _annotate_kernel(kernel) -> None:
+    """Record a compiled kernel's lanes on the open operator span: how
+    many comparisons a det kernel ran as native ``<=``/``==``
+    (``native_compares=n``, see :class:`~repro.exec.compile.DetKernel`),
+    or how many of the rows an AU range kernel evaluated took its point
+    lane (``point_rows=k/n``, summed over the operator's kernels; see
+    :class:`~repro.exec.compile.RangeKernel`)."""
+    if kernel is None or _tm._ACTIVE is None:
+        return
+    if isinstance(kernel, RangeKernel):
         _tm.annotate_ratio("point_rows", kernel.point_rows, kernel.rows)
-
-
-def _annotate_natives(kernel) -> None:
-    """Record on the open operator span how many comparisons a compiled
-    det kernel ran as native ``<=``/``==`` (see
-    :class:`~repro.exec.compile.DetKernel`)."""
-    if kernel is not None and kernel.native_compares is not None:
+    elif kernel.native_compares is not None:
         _tm.annotate(native_compares=kernel.native_compares)
 
 
@@ -207,9 +218,6 @@ class AUPartialGroups:
         self.groups = groups
 
 
-# ======================================================================
-# deterministic executor
-# ======================================================================
 class SubplanMemo(NamedTuple):
     """What one database state lets a prepared plan's executions share.
 
@@ -232,6 +240,199 @@ class SubplanMemo(NamedTuple):
 _NO_MEMO = (frozenset(), None, None)
 
 
+# ======================================================================
+# the executor both engines share
+# ======================================================================
+_SCANS = (phys.Scan, phys.ParallelScan)
+
+
+class _Executor:
+    """One interpretation of a physical plan, batch to batch.
+
+    This base walks the plan the same way on both engines: the memo of
+    pre-computed results, join tables kept for a prepared query, the
+    per-node actuals and spans, the chunk scans, the one σ/π path and
+    the dispatch of every node kind both engines have.  An engine
+    (:class:`_DetExec`, :class:`_AUExec`) supplies its batch class and
+    chunk-store accessor, its σ/π kernels (``_kernel`` compiles the
+    filter ``_select`` runs; ``_project``), the kernels of the shared
+    node kinds (``_aggregate``, ``_distinct``, ``_except``, ``_topk``,
+    ``_hash_join``, ``_nl_join``), its row counts, and the nodes only it
+    has (``_engine_node``).
+    """
+
+    #: the engine's batch class and chunk-store accessor
+    batch: Any
+    store: Callable
+    #: a result's rows for its span, and its plan cardinality when that
+    #: counts otherwise (``None``: the span's rows)
+    _rows: Callable[[Any], Optional[int]]
+    _actual_rows: Optional[Callable[[Any], Optional[int]]] = None
+
+    def __init__(
+        self,
+        db,
+        actuals=None,
+        bindings=None,
+        join_tables=None,
+        pool=None,
+        keep: AbstractSet[int] = frozenset(),
+    ) -> None:
+        self.db = db
+        self.actuals = actuals
+        #: persistent worker pool (Connection-owned) for Exchange regions
+        self.pool = pool
+        #: pre-computed results by node id: partition-invariant subtrees
+        #: of a parallel region, the per-worker morsel of its
+        #: ParallelScan (see repro.exec.parallel), and a prepared
+        #: query's parameter-free subplans (SubplanMemo)
+        self.bindings: Dict[int, Any] = {} if bindings is None else bindings
+        #: pre-built join tables by build-child node id: a parallel
+        #: region builds each partition-invariant build side once in the
+        #: parent instead of once per morsel
+        self.join_tables: Dict[int, JoinTable] = (
+            {} if join_tables is None else join_tables
+        )
+        #: node ids whose results (and join tables) this run keeps
+        self.keep = keep
+
+    def run(self, pplan: phys.PhysNode):
+        return self.eval(pplan).to_relation()
+
+    def eval(self, pnode: phys.PhysNode):
+        key = id(pnode)
+        bound = self.bindings.get(key)
+        if bound is not None:
+            return bound
+        out = _tm.run_op(
+            pnode, self._node, (), self.actuals, self._rows, self._actual_rows
+        )
+        if key in self.keep:
+            self.bindings[key] = out
+        return out
+
+    # -- plan dispatch -------------------------------------------------
+    def _node(self, p: phys.PhysNode):
+        if isinstance(p, _SCANS):
+            # outside an Exchange binding (serial collapse) a
+            # ParallelScan's morsel is the whole table
+            return self._scan(p)
+        if isinstance(p, phys.FusedSelectProject):
+            child = p.child
+            if (
+                p.condition is not None
+                and isinstance(child, _SCANS)
+                and id(child) not in self.bindings
+            ):
+                # stream the table: its chunks are filtered one by one,
+                # so the whole base batch never exists (nor charges the
+                # materialization budget)
+                pieces = _tm.run_op(
+                    child, self._scan, (True,), self.actuals, self._piece_rows
+                )
+                schema = self.db[child.table].schema
+                return self._select_project(
+                    schema, pieces, p.condition, p.columns, True
+                )
+            batch = self.eval(child)
+            return self._select_project(
+                batch.schema, [batch], p.condition, p.columns
+            )
+        if isinstance(p, phys.HashJoin):
+            return self._hash_join(p)
+        if isinstance(p, phys.NLJoin):
+            return self._nl_join(p)
+        if isinstance(p, phys.Concat):
+            left, right = self._compatible(p, "union")
+            return self.batch.concat(left.schema, [left, right])
+        if isinstance(p, phys.Rename):
+            batch = copy.copy(self.eval(p.child))
+            batch.schema = tuple(p.mapping.get(a, a) for a in batch.schema)
+            return batch
+        if isinstance(p, phys.HashAggregate):
+            result = self._aggregate(self.eval(p.child), p)
+            if not p.partial and p.having is not None:
+                result = self._selection(result, p.having)
+            return result
+        if isinstance(p, phys.HashDistinct):
+            return self._distinct(self.eval(p.child))
+        if isinstance(p, phys.HashExcept):
+            return self._except(*self._compatible(p, "difference"))
+        if isinstance(p, phys.TopK):
+            return self._topk(self.eval(p.child), p.keys, p.descending, p.n)
+        if isinstance(p, phys.Exchange):
+            from .parallel import execute_exchange
+
+            return execute_exchange(self, p)
+        return self._engine_node(p)
+
+    def _engine_node(self, p: phys.PhysNode):
+        raise TypeError(f"unsupported physical node {type(p).__name__}")
+
+    def _compatible(self, p: phys.PhysNode, what: str) -> Tuple[Any, Any]:
+        left, right = self.eval(p.left), self.eval(p.right)
+        if len(left.schema) != len(right.schema):
+            raise ValueError(f"{what} requires union-compatible schemas")
+        return left, right
+
+    # -- scans and the σ/π path ----------------------------------------
+    def _scan(self, p: phys.Scan, stream: bool = False):
+        """The table's surviving chunks as one batch — or, ``stream``,
+        as the list of their batches."""
+        store = self.store(self.db[p.table], p.chunk_size)
+        out, total, skipped = (
+            store.iter_batches(p.skip) if stream else store.scan(p.skip)
+        )
+        if _tm._ACTIVE is not None:
+            _tm.annotate(**_chunks.skip_attrs(p.skip, total, skipped))
+        return out
+
+    def _piece_rows(self, pieces: Sequence) -> int:
+        return sum(map(self._rows, pieces))
+
+    def _select_project(
+        self,
+        schema: Sequence[str],
+        pieces: Sequence,
+        condition: Optional[Expression],
+        columns: Optional[Tuple[Tuple[Expression, str], ...]],
+        streamed: bool = False,
+    ):
+        """``π_columns(σ_condition(pieces))`` over the batches ``pieces``
+        of one input under ``schema`` — a streamed scan's chunks, or one
+        batch.
+
+        The condition compiles once; each piece is filtered and keeps
+        only the columns the projection references, the survivors
+        concatenate in order, and the projection runs over them:
+        bit-identical to filtering the whole-table concatenation.  A
+        streamed span records ``gathered_columns=k/n``."""
+        if condition is None:
+            (batch,) = pieces
+        else:
+            gathered: Sequence[int] = range(len(schema))
+            if columns is not None:
+                names = set().union(*(expr.variables() for expr, _ in columns))
+                gathered = [j for j, name in enumerate(schema) if name in names]
+            kernel = self._kernel(condition, schema)
+            batch = self.batch.concat(
+                [schema[j] for j in gathered],
+                [self._select(piece, condition, kernel, gathered) for piece in pieces],
+            )
+            if _tm._ACTIVE is not None:
+                _annotate_kernel(kernel)
+                if streamed:
+                    _tm.annotate(gathered_columns=f"{len(gathered)}/{len(schema)}")
+        return batch if columns is None else self._project(batch, columns)
+
+    def _selection(self, batch, condition: Expression):
+        """The rows of ``batch`` that satisfy ``condition``."""
+        return self._select_project(batch.schema, [batch], condition, None)
+
+
+# ======================================================================
+# deterministic executor
+# ======================================================================
 def execute_det(
     pplan: phys.PhysNode,
     db: DetDatabase,
@@ -258,237 +459,140 @@ def _bag_rows(batch: Any) -> Optional[int]:
     return sum(batch.mult) if isinstance(batch, ColumnBatch) else None
 
 
-class _DetExec:
-    def __init__(
-        self,
-        db,
-        actuals=None,
-        bindings=None,
-        join_tables=None,
-        pool=None,
-        keep: AbstractSet[int] = frozenset(),
-    ) -> None:
-        self.db = db
-        self.actuals = actuals
-        #: persistent worker pool (Connection-owned) for Exchange regions
-        self.pool = pool
-        #: pre-computed results by node id: partition-invariant subtrees
-        #: of a parallel region, the per-worker morsel of its
-        #: ParallelScan (see repro.exec.parallel), and a prepared
-        #: query's parameter-free subplans (SubplanMemo)
-        self.bindings: Dict[int, ColumnBatch] = {} if bindings is None else bindings
-        #: pre-built hash tables by build-child node id: a parallel
-        #: region builds each partition-invariant build side once in the
-        #: parent instead of once per morsel
-        self.join_tables: Dict[int, JoinTable] = (
-            {} if join_tables is None else join_tables
-        )
-        #: node ids whose results (and join tables) this run keeps
-        self.keep = keep
+def _on_rows(batch: ColumnBatch, op: Callable, *args: Any) -> ColumnBatch:
+    """The :mod:`repro.db.engine` bag operator ``op`` over the batch's
+    merged rows."""
+    return ColumnBatch.from_rows(batch.schema, op(batch.merged(), *args))
 
-    def run(self, pplan: phys.PhysNode) -> DetRelation:
-        return self.eval(pplan).to_relation()
 
-    def eval(self, pnode: phys.PhysNode):
-        key = id(pnode)
-        bound = self.bindings.get(key)
-        if bound is not None:
-            return bound
-        out = _tm.run_op(pnode, self._node, (), self.actuals, _bag_rows)
-        if key in self.keep:
-            self.bindings[key] = out
-        return out
+def _except(left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
+    return _on_rows(left, _engine.subtract, right.merged())
 
-    # -- plan dispatch -------------------------------------------------
-    def _node(self, p: phys.PhysNode):
-        if isinstance(p, (phys.Scan, phys.ParallelScan)):
-            # outside an Exchange binding (serial collapse) a
-            # ParallelScan's morsel is the whole table
-            return self._scan(p)
-        if isinstance(p, phys.FusedSelectProject):
-            child = p.child
-            if (
-                p.condition is not None
-                and isinstance(child, (phys.Scan, phys.ParallelScan))
-                and id(child) not in self.bindings
-            ):
-                return self._stream_select_project(p, child)
-            return self._select_project(self.eval(p.child), p.condition, p.columns)
-        if isinstance(p, phys.HashJoin):
-            return self._hash_join(p)
-        if isinstance(p, phys.NLJoin):
-            joined = self._cross(self.eval(p.left), self.eval(p.right))
-            if p.condition is not None:
-                joined = self._select_project(joined, p.condition, None)
-            return joined
-        if isinstance(p, phys.Concat):
-            left, right = self.eval(p.left), self.eval(p.right)
-            if len(left.schema) != len(right.schema):
-                raise ValueError("union requires union-compatible schemas")
-            return ColumnBatch(
-                left.schema,
-                [list(lc) + list(rc) for lc, rc in zip(left.columns, right.columns)],
-                list(left.mult) + list(right.mult),
-            )
-        if isinstance(p, phys.HashDistinct):
-            return _distinct(self.eval(p.child))
-        if isinstance(p, phys.HashExcept):
-            left, right = self.eval(p.left), self.eval(p.right)
-            if len(left.schema) != len(right.schema):
-                raise ValueError("difference requires union-compatible schemas")
-            return _on_rows(left, _engine.subtract, right.merged())
-        if isinstance(p, phys.HashAggregate):
-            result = self._aggregate(
-                self.eval(p.child), p.group_by, p.aggregates, p.partial
-            )
-            if not p.partial and p.having is not None:
-                result = self._select_project(result, p.having, None)
-            return result
-        if isinstance(p, phys.Rename):
-            batch = self.eval(p.child)
-            return ColumnBatch(
-                [p.mapping.get(a, a) for a in batch.schema],
-                batch.columns,
-                batch.mult,
-            )
-        if isinstance(p, phys.TopK):
-            return _topk(self.eval(p.child), p.keys, p.descending, p.n)
+
+def _distinct(batch: ColumnBatch) -> ColumnBatch:
+    out = _on_rows(batch, dict.fromkeys, 1)
+    if _tm._ACTIVE is not None:
+        _tm.annotate(groups=len(out))
+    return out
+
+
+def _topk(
+    batch: ColumnBatch, keys: Sequence[str], descending: bool, n: int
+) -> ColumnBatch:
+    """``ORDER BY keys [DESC] LIMIT n``: :func:`repro.db.engine.take` over
+    the merged candidate rows (:func:`_candidates`)."""
+    key_idx = [_attr_index(batch.schema, k) for k in keys]
+    batch = _candidates(batch, key_idx, descending, n)
+    return _on_rows(batch, _engine.take, n, key_idx, descending)
+
+
+def _limit(batch: ColumnBatch, n: int) -> ColumnBatch:
+    """Bare ``LIMIT n``: the top-k with every column as an ascending key."""
+    batch = _candidates(batch, range(len(batch.schema)), False, n)
+    return _on_rows(batch, _engine.take, n)
+
+
+def _order_column(col: Sequence) -> Sequence:
+    """The column's cells as sort keys that order as
+    :func:`~repro.core.ranges.order_key` does: the column itself when it
+    is typed (``_pack_typed`` packs only homogeneous, NaN-free numbers)
+    or holds only ``int`` or only NaN-free ``float`` cells — then the
+    domain order is Python's — else each cell's ``order_key``."""
+    if _typed(col):
+        return col
+    kinds = set(map(type, col))
+    if kinds == {int} or (kinds == {float} and not any(map(math.isnan, col))):
+        return col
+    return list(map(order_key, col))
+
+
+def _candidates(
+    batch: ColumnBatch, key_idx: Sequence[int], descending: bool, n: int
+) -> ColumnBatch:
+    """The rows of ``batch`` that :func:`repro.db.engine.topk_candidates`
+    keeps — every row with a positive multiplicity gives at least one
+    copy — in their order; the open operator span records
+    ``candidates=k/n``."""
+    count = len(batch)
+    picked = None
+    if key_idx:
+        cols = [_order_column(batch.columns[j]) for j in key_idx]
+        keys = cols[0] if len(cols) == 1 else list(zip(*cols))
+        picked = _engine.topk_candidates(keys, batch.mult, n, descending)
+    if _tm._ACTIVE is not None:
+        kept = count if picked is None else len(picked)
+        _tm.annotate_ratio("candidates", kept, count)
+    if picked is None:
+        return batch
+    pick = _picker(picked)
+    return ColumnBatch(batch.schema, [pick(c) for c in batch.columns], pick(batch.mult))
+
+
+class _DetExec(_Executor):
+    batch = ColumnBatch
+    store = staticmethod(_chunks.det_store)
+    _rows = staticmethod(_bag_rows)
+    _distinct = staticmethod(_distinct)
+    _except = staticmethod(_except)
+    _topk = staticmethod(_topk)
+
+    def _engine_node(self, p: phys.PhysNode):
         if isinstance(p, phys.Limit):
             return _limit(self.eval(p.child), p.n)
-        if isinstance(p, phys.Exchange):
-            from .parallel import execute_exchange
-
-            return execute_exchange(self, p)
-        raise TypeError(f"unsupported physical node {type(p).__name__}")
+        return super()._engine_node(p)
 
     # -- operators -----------------------------------------------------
-    def _scan(self, p) -> ColumnBatch:
-        store = _chunks.det_store(self.db[p.table], p.chunk_size)
-        batch, total, skipped = store.scan(p.skip)
-        if _tm._ACTIVE is not None:
-            _tm.annotate(**_chunks.skip_attrs(p.skip, total, skipped))
-        return batch
+    def _kernel(self, condition: Expression, schema: Sequence[str]):
+        return _compiled(compile_filter, condition, schema)
 
-    def _stream_select_project(
-        self, p: phys.FusedSelectProject, scan
-    ) -> ColumnBatch:
-        """Filter a base table one chunk at a time.
-
-        Bit-identical to filtering the whole-table concatenation
-        (chunks in order, survivors gathered in order, the same
-        compiled filter), but the working set is one chunk plus the
-        survivors — with a selective predicate the full base batch
-        never exists, which is what lets scans obey a materialization
-        budget the whole table would bust.  Only the columns the fused
-        projection references are gathered.
-        """
-        tr = _tm._ACTIVE
-        span = tr.begin_op(scan) if tr is not None else None
-        store = _chunks.det_store(self.db[scan.table], scan.chunk_size)
-        batches, total, skipped = store.iter_batches(scan.skip)
-        scanned = sum(sum(b.mult) for b in batches)
-        if span is not None:
-            tr.annotate(**_chunks.skip_attrs(scan.skip, total, skipped))
-            tr.end_op(span, scanned)
-        if self.actuals is not None:
-            self.actuals[id(scan)] = scanned
-            for src in scan.sources:
-                self.actuals[id(src)] = scanned
-        condition = p.condition
-        schema = store.schema
-        gathered = range(len(schema))
-        if p.columns is not None:
-            names = set().union(*(expr.variables() for expr, _ in p.columns))
-            gathered = [j for j, name in enumerate(schema) if name in names]
-        flt = _compiled(compile_filter, condition, schema)
-        kept_cols: List[List[Any]] = [[] for _ in gathered]
-        kept_mult: List[int] = []
-        for b in batches:
-            n = len(b)
-            if flt is not None:
-                keep = flt(b.columns, n)
-            else:
-                view = b.row_view()
-                keep = []
-                for i in range(n):
-                    view.i = i
-                    if bool(condition.eval(view)):
-                        keep.append(i)
-            if len(keep) == n:
-                for kc, j in zip(kept_cols, gathered):
-                    kc.extend(b.columns[j])
-                kept_mult.extend(b.mult)
-            else:
-                pick = _picker(keep)
-                for kc, j in zip(kept_cols, gathered):
-                    kc.extend(pick(b.columns[j]))
-                kept_mult.extend(pick(b.mult))
-        if tr is not None:
-            _annotate_natives(flt)
-            _tm.annotate(gathered_columns=f"{len(gathered)}/{len(schema)}")
-        batch = ColumnBatch([schema[j] for j in gathered], kept_cols, kept_mult)
-        if p.columns is None:
-            return batch
-        return self._select_project(batch, None, p.columns)
-
-    def _select_project(
+    def _select(
         self,
         batch: ColumnBatch,
-        condition: Optional[Expression],
-        columns: Optional[Tuple[Tuple[Expression, str], ...]],
+        condition: Expression,
+        kernel: Optional[Callable],
+        gathered: Sequence[int],
+    ) -> ColumnBatch:
+        """The rows of ``batch`` that satisfy ``condition`` (through the
+        compiled ``kernel``, else interpreted), columns ``gathered``."""
+        n = len(batch)
+        if kernel is not None:
+            keep = kernel(batch.columns, n)
+        else:
+            view = batch.row_view()
+            keep = []
+            for i in range(n):
+                view.i = i
+                if bool(condition.eval(view)):
+                    keep.append(i)
+        schema = [batch.schema[j] for j in gathered]
+        cols = [batch.columns[j] for j in gathered]
+        if len(keep) == n:
+            return ColumnBatch(schema, cols, batch.mult)
+        pick = _picker(keep)
+        return ColumnBatch(schema, [pick(col) for col in cols], pick(batch.mult))
+
+    def _project(
+        self, batch: ColumnBatch, columns: Tuple[Tuple[Expression, str], ...]
     ) -> ColumnBatch:
         n = len(batch)
-        keep: Optional[List[int]] = None
-        if condition is not None:
-            flt = _compiled(compile_filter, condition, batch.schema)
-            if flt is not None:
-                keep = flt(batch.columns, n)
-                if _tm._ACTIVE is not None:
-                    _annotate_natives(flt)
-            else:
-                view = batch.row_view()
-                keep = []
-                for i in range(n):
-                    view.i = i
-                    if bool(condition.eval(view)):
-                        keep.append(i)
-            if len(keep) == n:
-                keep = None
-
-        if columns is None:
-            if keep is None:
-                return batch
-            return ColumnBatch(
-                batch.schema,
-                _gather(batch.columns, keep),
-                _picker(keep)(batch.mult),
-            )
-
-        # gather survivors once, then project over the narrowed batch
-        if keep is None:
-            base_cols, mult, rows = batch.columns, batch.mult, n
-        else:
-            base_cols = _gather(batch.columns, keep)
-            mult = _picker(keep)(batch.mult)
-            rows = len(keep)
         index = _index_of(batch.schema)
         out_cols: List = []
         for expr, _name in columns:
             if isinstance(expr, Var) and expr.name in index:
-                out_cols.append(base_cols[index[expr.name]])
+                out_cols.append(batch.columns[index[expr.name]])
                 continue
             try:
                 out_cols.append(
-                    compile_projector(expr, batch.schema)(base_cols, rows)
+                    compile_projector(expr, batch.schema)(batch.columns, n)
                 )
             except CompileError:
-                view = BatchRowView(index, base_cols)
+                view = BatchRowView(index, batch.columns)
                 col = []
-                for i in range(rows):
+                for i in range(n):
                     view.i = i
                     col.append(expr.eval(view))
                 out_cols.append(col)
-        return ColumnBatch([name for _, name in columns], out_cols, mult)
+        return ColumnBatch([name for _, name in columns], out_cols, batch.mult)
 
     def _hash_join(self, p: phys.HashJoin) -> ColumnBatch:
         left, right = self.eval(p.left), self.eval(p.right)
@@ -525,27 +629,30 @@ class _DetExec:
             return joined
         # residual conjuncts (the tuple engine evaluates the full
         # condition on every hash match)
-        return self._select_project(joined, p.condition, None)
+        return self._selection(joined, p.condition)
 
-    def _cross(self, left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
+    def _nl_join(self, p: phys.NLJoin) -> ColumnBatch:
+        left, right = self.eval(p.left), self.eval(p.right)
         nl, nr = len(left), len(right)
         li = [i for i in range(nl) for _ in range(nr)]
         ri = list(range(nr)) * nl
         lm, rm = left.mult, right.mult
-        return ColumnBatch(
+        joined = ColumnBatch(
             tuple(left.schema) + tuple(right.schema),
             _gather(left.columns, li) + _gather(right.columns, ri),
             [lm[i] * rm[j] for i, j in zip(li, ri)],
         )
+        if p.condition is None:
+            return joined
+        return self._selection(joined, p.condition)
 
-    def _aggregate(
-        self, batch: ColumnBatch, group_by, aggregates, partial: bool
-    ):
+    def _aggregate(self, batch: ColumnBatch, p: phys.HashAggregate):
         """Hash aggregation, column at a time: one hash pass maps each
         group key to its rows in first-appearance order, then each
         aggregate's input column is folded per group by one registry
         (:data:`~repro.core.aggregation.AGGREGATES`) det ``fold`` call.
         A group holding every row folds the columns themselves."""
+        group_by, aggregates = p.group_by, p.aggregates
         n = len(batch)
         index = _index_of(batch.schema)
         mult = batch.mult
@@ -608,7 +715,7 @@ class _DetExec:
             )
 
         groups = dict(zip(keys, states))
-        if partial:
+        if p.partial:
             return PartialAggregate(groups)
         return finalize_groups(groups, group_by, aggregates)
 
@@ -1009,70 +1116,6 @@ class DetGammaState:
                 accs[a] = algebra.step(accs[a], v, new)
 
 
-def _on_rows(batch: ColumnBatch, op: Callable, *args: Any) -> ColumnBatch:
-    """The :mod:`repro.db.engine` bag operator ``op`` over the batch's
-    merged rows."""
-    return ColumnBatch.from_rows(batch.schema, op(batch.merged(), *args))
-
-
-def _distinct(batch: ColumnBatch) -> ColumnBatch:
-    out = _on_rows(batch, dict.fromkeys, 1)
-    if _tm._ACTIVE is not None:
-        _tm.annotate(groups=len(out))
-    return out
-
-
-def _topk(
-    batch: ColumnBatch, keys: Sequence[str], descending: bool, n: int
-) -> ColumnBatch:
-    """``ORDER BY keys [DESC] LIMIT n``: :func:`repro.db.engine.take` over
-    the merged candidate rows (:func:`_candidates`)."""
-    key_idx = [_attr_index(batch.schema, k) for k in keys]
-    batch = _candidates(batch, key_idx, descending, n)
-    return _on_rows(batch, _engine.take, n, key_idx, descending)
-
-
-def _limit(batch: ColumnBatch, n: int) -> ColumnBatch:
-    """Bare ``LIMIT n``: the top-k with every column as an ascending key."""
-    batch = _candidates(batch, range(len(batch.schema)), False, n)
-    return _on_rows(batch, _engine.take, n)
-
-
-def _order_column(col: Sequence) -> Sequence:
-    """The column's cells as sort keys that order as
-    :func:`~repro.core.ranges.order_key` does: the column itself when it
-    is typed (``_pack_typed`` packs only homogeneous, NaN-free numbers)
-    or holds only ``int`` or only NaN-free ``float`` cells — then the
-    domain order is Python's — else each cell's ``order_key``."""
-    if _typed(col):
-        return col
-    kinds = set(map(type, col))
-    if kinds == {int} or (kinds == {float} and not any(map(math.isnan, col))):
-        return col
-    return list(map(order_key, col))
-
-
-def _candidates(
-    batch: ColumnBatch, key_idx: Sequence[int], descending: bool, n: int
-) -> ColumnBatch:
-    """The rows of ``batch`` that :func:`repro.db.engine.topk_candidates`
-    keeps — every row with a positive multiplicity gives at least one
-    copy — in their order; the open operator span records
-    ``candidates=k/n``."""
-    count = len(batch)
-    picked = None
-    if key_idx:
-        cols = [_order_column(batch.columns[j]) for j in key_idx]
-        keys = cols[0] if len(cols) == 1 else list(zip(*cols))
-        picked = _engine.topk_candidates(keys, batch.mult, n, descending)
-    if _tm._ACTIVE is not None:
-        kept = count if picked is None else len(picked)
-        _tm.annotate_ratio("candidates", kept, count)
-    if picked is None:
-        return batch
-    pick = _picker(picked)
-    return ColumnBatch(batch.schema, [pick(c) for c in batch.columns], pick(batch.mult))
-
 
 # ======================================================================
 # AU executor
@@ -1141,74 +1184,16 @@ def _au_distinct(batch: Any) -> Optional[int]:
     return min(1, len(batch))
 
 
-class _AUExec:
-    def __init__(
-        self,
-        db,
-        actuals=None,
-        bindings=None,
-        join_tables=None,
-        pool=None,
-        keep: AbstractSet[int] = frozenset(),
-    ) -> None:
-        self.db = db
-        self.actuals = actuals
-        #: pre-computed results by node id: partition-invariant subtrees
-        #: of a parallel region, the per-worker morsel of its
-        #: ParallelScan (see repro.exec.parallel), and a prepared
-        #: query's parameter-free subplans (SubplanMemo)
-        self.bindings: Dict[int, AUColumnBatch] = (
-            {} if bindings is None else bindings
-        )
-        #: pre-built join tables by build-child node id — a parallel
-        #: region builds each partition-invariant build side once and
-        #: shares it between its morsels
-        self.join_tables: Dict[int, JoinTable] = (
-            {} if join_tables is None else join_tables
-        )
-        #: persistent worker pool (Connection-owned) for Exchange regions
-        self.pool = pool
-        #: node ids whose results (and join tables) this run keeps
-        self.keep = keep
+class _AUExec(_Executor):
+    batch = AUColumnBatch
+    store = staticmethod(_chunks.au_store)
+    _rows = staticmethod(_au_rows)
+    _actual_rows = staticmethod(_au_distinct)
+    _distinct = staticmethod(distinct_batch)
+    _except = staticmethod(except_batch)
+    _topk = staticmethod(topk_batch)
 
-    def run(self, pplan: phys.PhysNode):
-        return self.eval(pplan).to_relation()
-
-    def eval(self, pnode: phys.PhysNode) -> AUColumnBatch:
-        key = id(pnode)
-        bound = self.bindings.get(key)
-        if bound is not None:
-            return bound
-        out = _tm.run_op(
-            pnode, self._node, (), self.actuals, _au_rows, _au_distinct
-        )
-        if key in self.keep:
-            self.bindings[key] = out
-        return out
-
-    # -- plan dispatch -------------------------------------------------
-    def _node(self, p: phys.PhysNode) -> AUColumnBatch:
-        if isinstance(p, (phys.Scan, phys.ParallelScan)):
-            # outside an Exchange binding (serial collapse) a
-            # ParallelScan's morsel is the whole table
-            return self._scan(p)
-        if isinstance(p, phys.FusedSelectProject):
-            if (
-                p.condition is not None
-                and isinstance(p.child, (phys.Scan, phys.ParallelScan))
-                and id(p.child) not in self.bindings
-            ):
-                return self._stream_select_project(p, p.child)
-            batch = self.eval(p.child)
-            if p.condition is not None:
-                batch = self._selection(batch, p.condition)
-            if p.columns is not None:
-                batch = self._projection(batch, p.columns)
-            return batch
-        if isinstance(p, phys.HashJoin):
-            return self._hash_join(p)
-        if isinstance(p, phys.NLJoin):
-            return self._nl_join(p)
+    def _engine_node(self, p: phys.PhysNode):
         if isinstance(p, phys.CompressedJoin):
             return compressed_join(
                 self.eval(p.left),
@@ -1219,125 +1204,42 @@ class _AUExec:
                 p.buckets,
                 self._emit_pairs,
             )
-        if isinstance(p, phys.Concat):
-            left, right = self.eval(p.left), self.eval(p.right)
-            if len(left.schema) != len(right.schema):
-                raise ValueError("union requires union-compatible schemas")
-            return left.concat(right)
-        if isinstance(p, phys.Rename):
-            batch = self.eval(p.child)
-            return AUColumnBatch(
-                [p.mapping.get(a, a) for a in batch.schema],
-                batch.columns,
-                batch.ann_lb,
-                batch.ann_sg,
-                batch.ann_ub,
-            )
-        if isinstance(p, phys.HashAggregate):
-            result = aggregate_batch(
-                self.eval(p.child), p.group_by, p.aggregates, p.buckets
-            )
-            if p.having is not None:
-                result = self._selection(result, p.having)
-            return result
-        if isinstance(p, phys.HashDistinct):
-            return distinct_batch(self.eval(p.child))
-        if isinstance(p, phys.HashExcept):
-            return except_batch(self.eval(p.left), self.eval(p.right))
-        if isinstance(p, phys.TopK):
-            return topk_batch(self.eval(p.child), p.keys, p.descending, p.n)
         if isinstance(p, phys.AUPartialAggregate):
             # raises UncertainGroupError on an uncertain group-by value:
             # the Exchange then re-runs its serial final operator
             return AUPartialGroups(
                 fold_partial_groups(self.eval(p.child), p.group_by, p.aggregates)
             )
-        if isinstance(p, phys.Exchange):
-            from .parallel import execute_exchange
-
-            return execute_exchange(self, p)
-        raise TypeError(f"unsupported physical node {type(p).__name__}")
+        return super()._engine_node(p)
 
     # -- operators -----------------------------------------------------
-    def _scan(self, p: phys.Scan) -> AUColumnBatch:
-        store = _chunks.au_store(self.db[p.table], p.chunk_size)
-        batch, total, skipped = store.scan(p.skip)
-        if _tm._ACTIVE is not None:
-            _tm.annotate(**_chunks.skip_attrs(p.skip, total, skipped))
-        return batch
+    def _kernel(self, condition: Expression, schema: Sequence[str]):
+        return _compiled(compile_range_filter, condition, schema)
 
-    def _stream_select_project(
-        self, p: phys.FusedSelectProject, scan: phys.Scan
+    def _select(
+        self,
+        batch: AUColumnBatch,
+        condition: Expression,
+        kernel: Optional[Callable],
+        gathered: Sequence[int],
     ) -> AUColumnBatch:
-        """Chunk-at-a-time selection over an AU base table (the AU
-        mirror of ``_DetExec._stream_select_project``); row-local
-        selection commutes with chunk order, so the result is
-        bit-identical to filtering the whole-table concatenation.  Only
-        the columns the fused projection references are gathered."""
-        tr = _tm._ACTIVE
-        span = tr.begin_op(scan) if tr is not None else None
-        store = _chunks.au_store(self.db[scan.table], scan.chunk_size)
-        chunks, total, skipped = store.survivors(scan.skip)
-        # base-table AU tuples are distinct by construction, so the
-        # scan's distinct-tuple actual is just the surviving row count
-        scanned = sum(len(ch) for ch in chunks)
-        if not store.schema:
-            scanned = min(1, scanned)
-        if span is not None:
-            tr.annotate(**_chunks.skip_attrs(scan.skip, total, skipped))
-            tr.end_op(span, scanned)
-        if self.actuals is not None:
-            self.actuals[id(scan)] = scanned
-            for src in scan.sources:
-                self.actuals[id(src)] = scanned
-        schema = store.schema
-        condition = p.condition
-        gathered = range(len(schema))
-        if p.columns is not None:
-            names = set().union(*(expr.variables() for expr, _ in p.columns))
-            gathered = [j for j, name in enumerate(schema) if name in names]
-        kernel = _compiled(compile_range_filter, condition, schema)
-        cols: List[List[Any]] = [[] for _ in gathered]
-        ann_lb: List[int] = []
-        ann_sg: List[int] = []
-        ann_ub: List[int] = []
-        for ch in chunks:
-            if kernel is not None:
-                keep, lb, sg, ub = kernel(
-                    ch.rv_cols, ch.ann_lb, ch.ann_sg, ch.ann_ub, len(ch)
-                )
-            else:
-                keep, lb, sg, ub = _interpret_selection(
-                    ch.batch(schema), condition
-                )
-            for out, j in zip(cols, gathered):
-                col = ch.rv_cols[j]
-                out.extend([col[i] for i in keep])
-            ann_lb.extend(lb)
-            ann_sg.extend(sg)
-            ann_ub.extend(ub)
-        _annotate_point_rows(kernel)
-        batch = AUColumnBatch(
-            [schema[j] for j in gathered], cols, ann_lb, ann_sg, ann_ub
-        )
-        if p.columns is not None:
-            batch = self._projection(batch, p.columns)
-        return batch
-
-    def _selection(self, batch: AUColumnBatch, condition: Expression) -> AUColumnBatch:
-        kernel = _compiled(compile_range_filter, condition, batch.schema)
+        """The rows of ``batch`` where ``condition`` possibly holds, with
+        their annotations times ``M_N(condition)`` (through the compiled
+        ``kernel``, else interpreted), columns ``gathered``."""
         if kernel is not None:
             keep, ann_lb, ann_sg, ann_ub = kernel(
                 batch.columns, batch.ann_lb, batch.ann_sg, batch.ann_ub, len(batch)
             )
-            _annotate_point_rows(kernel)
         else:
             keep, ann_lb, ann_sg, ann_ub = _interpret_selection(batch, condition)
+        cols = [batch.columns[j] for j in gathered]
+        if len(keep) < len(batch):
+            cols = _gather(cols, keep)
         return AUColumnBatch(
-            batch.schema, _gather(batch.columns, keep), ann_lb, ann_sg, ann_ub
+            [batch.schema[j] for j in gathered], cols, ann_lb, ann_sg, ann_ub
         )
 
-    def _projection(self, batch: AUColumnBatch, columns) -> AUColumnBatch:
+    def _project(self, batch: AUColumnBatch, columns) -> AUColumnBatch:
         n = len(batch)
         index = _index_of(batch.schema)
         out_cols: List = []
@@ -1359,6 +1261,11 @@ class _AUExec:
             batch.ann_sg,
             batch.ann_ub,
         )
+
+    def _aggregate(
+        self, batch: AUColumnBatch, p: phys.HashAggregate
+    ) -> AUColumnBatch:
+        return aggregate_batch(batch, p.group_by, p.aggregates, p.buckets)
 
     def _nl_join(self, p: phys.NLJoin) -> AUColumnBatch:
         left, right = self.eval(p.left), self.eval(p.right)
@@ -1455,7 +1362,7 @@ class _AUExec:
             pairs = kernel(
                 left.columns, right.columns, li, ri, llb, lsg, lub, rlb, rsg, rub
             )
-            _annotate_point_rows(kernel)
+            _annotate_kernel(kernel)
             return pairs
         return _interpret_pairs(left, right, li, ri, condition)
 

@@ -21,6 +21,7 @@ from a join; ``HAVING``; and the ``partial`` fold merged at an
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.ast import Aggregate, TableRef
@@ -229,6 +230,37 @@ def test_empty_input_without_group_by_is_one_row():
     out = _run({}, [], [agg_sum("v", "s"), agg_count("n")])
     assert list(out.tuples()) == [((0, 0), 1)]
     assert list(_run({}, ["g"], [agg_count("n")]).tuples()) == []
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_min_max_rank_nan_above_every_number_in_any_row_order(nan_first):
+    # MIN / MAX rank by core.ranges.order_key, as ORDER BY does: NaN
+    # above every number, so neither the insert order nor chunking nor
+    # parallel morsels change the answer
+    rows = [(0, math.nan), (1, 1.0), (2, 3.0)]
+    if not nan_first:
+        rows[0], rows[1] = rows[1], rows[0]
+    db = DetDatabase({"t": DetRelation(["a", "b"], rows)})
+    plan = Aggregate(
+        TableRef("t"),
+        [],
+        [AggregateSpec("min", Var("b"), "lo"), AggregateSpec("max", Var("b"), "hi")],
+    )
+    old = exec_parallel.PARALLEL_MIN_ROWS
+    exec_parallel.PARALLEL_MIN_ROWS = 0
+    try:
+        for physical in (False, True):
+            for chunk_size in (1, None):
+                for parallelism in (1, 4):
+                    got = evaluate_det(
+                        plan, db, backend="vectorized", physical=physical,
+                        chunk_size=chunk_size, parallelism=parallelism,
+                    )
+                    assert repr(list(got.tuples())) == "[((1.0, nan), 1)]", (
+                        physical, chunk_size, parallelism
+                    )
+    finally:
+        exec_parallel.PARALLEL_MIN_ROWS = old
 
 
 def _span(conn, sql):

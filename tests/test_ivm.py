@@ -841,6 +841,26 @@ def test_det_gamma_state_stale_reasons(reason, backend):
     assert _SEGMENT_REFRESHES.value == segments
 
 
+def test_det_gamma_min_max_over_nan_equal_the_tail_rerun():
+    # det MIN / MAX rank NaN above every number (core.ranges.order_key):
+    # the view answers what a re-run of its γ answers, before and after
+    # the NaN row — its group's MAX — is deleted
+    nan = float("nan")
+    db = DetDatabase(
+        {"t": DetRelation(("g", "b"), [(0, nan), (0, 1.0), (0, 3.0), (1, 2.0)])}
+    )
+    sql = "SELECT g, MIN(b) AS lo, MAX(b) AS hi FROM t GROUP BY g"
+    view = Connection(db, verify=True).subscribe(sql)
+    assert "γ state maintained" in view.explain_delta()
+    assert _bits(view.result()) == _bits(view.run_tail()) == [
+        "((0, 1.0, nan), 1)", "((1, 2.0, 2.0), 1)"
+    ]
+    db["t"].delete((0, nan))
+    assert _bits(view.result()) == _bits(view.run_tail()) == [
+        "((0, 1.0, 3.0), 1)", "((1, 2.0, 2.0), 1)"
+    ]
+
+
 def test_det_gamma_view_explain_golden():
     view = Connection(_det_join_db(), verify=True).subscribe(_DET_GAMMA_SQL)
     assert view.explain_delta() == """\

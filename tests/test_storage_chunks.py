@@ -598,3 +598,84 @@ def test_parallel_exchange_morsels_follow_chunks():
     attrs = spans[0].attrs
     assert attrs["chunks_total"] == 10 and attrs["chunks_skipped"] == 6
     assert attrs["driver_rows"] == 40  # post-skip morsel rows
+
+
+# ----------------------------------------------------------------------
+# the streamed σ/π path ≡ the legacy oracle
+# ----------------------------------------------------------------------
+class _OpaqueGeq(Geq):
+    """``Geq`` under another type: :mod:`repro.exec.compile` dispatches
+    on exact node types, so this condition takes the interpreted lane."""
+
+
+#: what each condition covers over ``a`` = 0..9, ``b`` = 10·a: the
+#: interpreted lane, chunks whose every row survives, chunks read with
+#: no survivor, and every chunk skipped by its zone map
+_STREAMED = {
+    "interpreted": _OpaqueGeq(Var("a"), Const(4)),
+    "all_survive": Geq(Var("a"), Const(0)),
+    "none_survive": Eq(Var("b"), Const(15)),
+    "all_skipped": Gt(Var("a"), Const(99)),
+}
+
+
+@pytest.mark.parametrize("engine", ["det", "au"])
+@pytest.mark.parametrize("case", sorted(_STREAMED))
+@pytest.mark.parametrize("chunk_size", [1, 3, None])
+def test_streamed_select_project_equals_the_legacy_oracle(engine, case, chunk_size):
+    from repro.algebra.ast import Projection, Selection, TableRef
+    from repro.algebra.evaluator import EvalConfig, evaluate_audb
+    from repro.core.expressions import Add
+    from repro.core.relation import AUDatabase
+    from repro.db.engine import evaluate_det
+    from repro.session import Connection
+
+    condition = _STREAMED[case]
+    selection = Selection(TableRef("t"), condition)
+    plans = [selection, Projection(selection, [(Add(Var("b"), Const(1)), "b1")])]
+    if engine == "det":
+        db = DetDatabase({"t": _det_rel()})
+        for plan in plans:
+            want = evaluate_det(plan, db, physical=False)
+            got = evaluate_det(plan, db, backend="vectorized", chunk_size=chunk_size)
+            assert list(got.rows.items()) == list(want.rows.items())
+    else:
+        db = AUDatabase({"t": _au_rel()})
+        for plan in plans:
+            want = evaluate_audb(plan, db, EvalConfig(physical=False))
+            got = evaluate_audb(
+                plan, db, EvalConfig(backend="vectorized", chunk_size=chunk_size)
+            )
+            assert list(got.tuples()) == list(want.tuples())
+    # the streamed span says which lane ran and what it gathered: the
+    # det σ fuses the π above it, the AU one keeps every column
+    conn = Connection(
+        db, engine=engine, config=EvalConfig(backend="vectorized", chunk_size=chunk_size)
+    )
+    (line,) = [
+        ln for ln in conn.explain_analyze(plans[1]).splitlines() if " σ[" in ln
+    ]
+    gathered = "1/2" if engine == "det" else "2/2"
+    lane = "interpreted" if case == "interpreted" else "compiled"
+    assert f"kernel={lane}" in line and f"gathered_columns={gathered}" in line
+
+
+def test_au_streamed_select_project_explain_analyze_golden():
+    import re
+
+    from repro.algebra.evaluator import EvalConfig
+    from repro.core.relation import AUDatabase
+    from repro.session import Connection
+
+    # a = [i/i/i+1]: the first chunk (a <= 3) is skipped, row 3 possibly
+    # passes, and no row is all points, so none takes the point lane
+    conn = Connection(
+        AUDatabase({"t": _au_rel()}),
+        engine="au",
+        config=EvalConfig(backend="vectorized", chunk_size=3),
+    )
+    text = conn.prepare("SELECT b FROM t WHERE a >= 4").explain_analyze()
+    assert re.sub(r"\d+\.\d{3}ms", "Tms", text).splitlines()[2] == (
+        "  FusedSelectProject σ[(a >= 4)]  (~10 rows, actual 7, err 1.38x, Tms,"
+        " kernel=compiled, point_rows=0/7, gathered_columns=2/2)"
+    )
