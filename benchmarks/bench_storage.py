@@ -37,6 +37,13 @@ alternating chunk sizes on a shared relation would time store rebuilds.
   the table).  The writes maintain the statistics, so no harvest after
   a delete rescans the table.  The script fails if the maintained
   statistics differ from a fresh harvest of the same rows.
+* **Writes (reported, not gated)**: one ``writes`` row per engine over
+  the e2e benchmark's data — the AU PDBench ``lineitem`` of
+  ``mixed_rw_views`` and the det ``lineitem`` of ``det_scan``: the
+  best of ``BUILD_REPEATS`` chunk-store builds in ms, and the median
+  µs of one ``add`` and of one ``delete`` over ``WRITE_ROWS`` fresh
+  rows written to the relation while its store is attached (every
+  write maintains the store).
 
 Run standalone for the CI gate::
 
@@ -47,8 +54,10 @@ or under pytest-benchmark::
     PYTHONPATH=src python -m pytest benchmarks/bench_storage.py
 """
 
+import os
 import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -69,6 +78,9 @@ OVERHEAD_GATE = 1.1
 OVERHEAD_PAIRS = 11
 #: max-key deletes, each followed by a harvest, behind the stats row
 STATS_DELETES = 5
+#: store builds (best of) and fresh rows written behind the writes rows
+BUILD_REPEATS = 7
+WRITE_ROWS = 200
 
 
 def make_db(n: int = N_ROWS, seed: int = 11) -> DetDatabase:
@@ -166,8 +178,54 @@ def stats_after_max_deletes(deletes: int = STATS_DELETES):
     return cold_ms, statistics.median(times), maintained == fresh
 
 
+def write_costs(rel, layout, payload):
+    """``(build_ms, add_us, delete_us)`` of ``rel``: the best of
+    ``BUILD_REPEATS`` chunk-store builds, and the median ``add`` /
+    ``delete`` of ``WRITE_ROWS`` fresh rows (its first row with the
+    first cell moved past every key) with the store attached."""
+    from repro.db.chunks import DEFAULT_CHUNK_SIZE, ChunkStore, chunk_store
+
+    builds = []
+    for _ in range(BUILD_REPEATS):
+        start = time.perf_counter()
+        ChunkStore.build(rel, DEFAULT_CHUNK_SIZE, layout)
+        builds.append(time.perf_counter() - start)
+    chunk_store(rel, None)
+    template = next(iter(rel.rows))
+    rows = [(10**9 + i,) + tuple(template[1:]) for i in range(WRITE_ROWS)]
+    adds, deletes = [], []
+    clock = time.perf_counter
+    for row in rows:
+        start = clock()
+        rel.add(row, payload)
+        adds.append(clock() - start)
+    for row in rows:
+        start = clock()
+        rel.delete(row, payload)
+        deletes.append(clock() - start)
+    return (
+        min(builds) * 1e3,
+        statistics.median(adds) * 1e6,
+        statistics.median(deletes) * 1e6,
+    )
+
+
+def e2e_lineitems():
+    """``{engine: lineitem}`` of the e2e benchmark's data: the AU
+    PDBench instance of ``mixed_rw_views`` and the det table of
+    ``det_scan``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e"))
+    import generators as gen
+
+    return {
+        "au": gen.pdbench(gen.SPECS["mixed_rw_views"]).audb()["lineitem"],
+        "det": gen.scan_database(gen.SPECS["det_scan"])["lineitem"],
+    }
+
+
 def main() -> int:
     from repro.algebra.optimizer import Statistics, optimize
+    from repro.db.chunks import AU, DET
     from repro.exec import execute_det
     from repro.exec import physical as phys
     from repro.experiments.common import time_call
@@ -258,6 +316,18 @@ def main() -> int:
     if not exact:
         failures.append("stats: maintained statistics differ from a fresh harvest")
 
+    writes = {}
+    for engine, rel in e2e_lineitems().items():
+        layout, payload = (AU, (1, 1, 1)) if engine == "au" else (DET, 1)
+        build_ms, add_us, delete_us = write_costs(rel, layout, payload)
+        writes[engine] = {
+            "rows": len(rel),
+            "columns": len(rel.schema),
+            "build_ms": round(build_ms, 3),
+            "add_us": round(add_us, 2),
+            "delete_us": round(delete_us, 2),
+        }
+
     print(
         f"paged chunked storage: {N_ROWS} rows clustered on k, "
         f"selective cut k>={SELECTIVE_CUT}"
@@ -282,6 +352,13 @@ def main() -> int:
         f"(median of {STATS_DELETES}; cold full-scan harvest "
         f"{cold_ms:.1f} ms; not gated)"
     )
+    for engine, w in writes.items():
+        print(
+            f"{'writes':<10} {engine:<3} lineitem {w['rows']}x{w['columns']}: "
+            f"store build {w['build_ms']:.1f} ms (best of {BUILD_REPEATS}), "
+            f"add {w['add_us']:.1f} us, delete {w['delete_us']:.1f} us "
+            f"(medians of {WRITE_ROWS}; not gated)"
+        )
     for failure in failures:
         print(f"FAIL: {failure}")
 
@@ -314,6 +391,11 @@ def main() -> int:
                 "harvest_ms": round(harvest_ms, 3),
                 "deletes": STATS_DELETES,
                 "exact": exact,
+            },
+            "writes": {
+                **writes,
+                "build_repeats": BUILD_REPEATS,
+                "write_rows": WRITE_ROWS,
             },
             "failures": failures,
         },

@@ -17,8 +17,9 @@ attribute plus ``row_lb, row_sg, row_ub``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from ..db.storage import Catalog, Relation
 from .ranges import RangeValue, certain
 from .semirings import AUAnnotation, au_add, au_is_valid
 from .tuples import AUTuple, make_tuple, sg_tuple
@@ -26,7 +27,7 @@ from .tuples import AUTuple, make_tuple, sg_tuple
 __all__ = ["AURelation", "AUDatabase", "encode", "decode"]
 
 
-class AURelation:
+class AURelation(Relation):
     """A bag-semantics ``N^AU``-relation.
 
     Parameters
@@ -39,15 +40,9 @@ class AURelation:
         :class:`RangeValue` instances.
     """
 
-    __slots__ = (
-        "schema",
-        "_rows",
-        "stats_epoch",
-        "_column_stats_cache",
-        "_chunk_cache",
-        "_stats_acc",
-        "_delta_sinks",
-    )
+    __slots__ = ()
+
+    rows: Dict[AUTuple, AUAnnotation]
 
     def __init__(
         self,
@@ -56,24 +51,7 @@ class AURelation:
         | Iterable[Tuple[Iterable[Any], AUAnnotation]]
         | None = None,
     ) -> None:
-        self.schema: Tuple[str, ...] = tuple(schema)
-        self._rows: Dict[AUTuple, AUAnnotation] = {}
-        #: monotonically increasing write counter — every add() bumps it;
-        #: databases sum it into their catalog epoch (repro.session)
-        self.stats_epoch = 0
-        # memoized per-column statistics (repro.algebra.stats), kept
-        # current *incrementally* (_stats_acc) — operators treat
-        # relations as immutable, so add() / delete() are the only
-        # mutation paths
-        self._column_stats_cache = None
-        # chunked columnar store (repro.db.chunks.AUChunkStore) with
-        # per-chunk zone maps; maintained in place by add()/delete()
-        self._chunk_cache = None
-        self._stats_acc = None
-        # per-write delta observers (repro.ivm): callables
-        # ``sink(tuple, annotation, sign)`` fired after the write is
-        # applied, with sign +1 for add() and -1 for delete()
-        self._delta_sinks = ()
+        super().__init__(schema)
         if rows is None:
             return
         items = rows.items() if isinstance(rows, Mapping) else rows
@@ -101,14 +79,8 @@ class AURelation:
             raise ValueError(
                 f"tuple arity {len(t)} does not match schema {self.schema}"
             )
-        existing = self._rows.get(t)
-        self._rows[t] = au_add(existing, annotation) if existing else annotation
-        self.stats_epoch += 1
-        store = self._chunk_cache
-        if store is not None and not store.on_add(
-            t, self._rows[t], existing is None
-        ):
-            self._chunk_cache = None
+        existing = self.rows.get(t)
+        self.rows[t] = au_add(existing, annotation) if existing else annotation
         if existing is None:
             # column statistics weight AU rows one-per-tuple, so only a
             # *new* tuple changes them; an annotation merge leaves the
@@ -116,8 +88,7 @@ class AURelation:
             self._column_stats_cache = None
             if self._stats_acc is not None:
                 self._stats_acc.observe(t, annotation)
-        for sink in self._delta_sinks:
-            sink(t, annotation, 1)
+        self._publish(t, annotation, 1, existing is None)
 
     def delete(self, values: Iterable[Any], annotation: AUAnnotation) -> None:
         """Subtract ``annotation`` from the tuple built from ``values``.
@@ -125,8 +96,8 @@ class AURelation:
         Both the subtracted annotation and the remaining annotation must
         be valid ``K^AU`` triples (``0 <= lb <= sg <= ub``); a remainder
         of ``(0, 0, 0)`` removes the tuple.  Like the deterministic
-        side, deletes advance the write epoch by 2 so delete-heavy
-        streams re-trigger plan staleness at least as fast as inserts.
+        side, deletes advance the write epoch by 2
+        (see :meth:`~repro.db.storage.Relation._publish`).
         """
         annotation = tuple(annotation)  # type: ignore[assignment]
         if not au_is_valid(annotation):
@@ -136,7 +107,7 @@ class AURelation:
         if annotation == (0, 0, 0):
             return
         t = make_tuple(values)
-        existing = self._rows.get(t)
+        existing = self.rows.get(t)
         if existing is None:
             raise ValueError(f"cannot delete absent tuple {t!r}")
         remaining = tuple(e - d for e, d in zip(existing, annotation))
@@ -145,25 +116,16 @@ class AURelation:
                 f"cannot delete {annotation!r} from {existing!r}: "
                 f"remainder {remaining!r} is not a valid K^AU annotation"
             )
-        gone = remaining == (0, 0, 0)
-        if gone:
-            del self._rows[t]
-        else:
-            self._rows[t] = remaining  # type: ignore[assignment]
-        self.stats_epoch += 2
-        store = self._chunk_cache
-        if store is not None and not store.on_delete(
-            t, None if gone else remaining
-        ):
-            self._chunk_cache = None
-        if gone:
+        if remaining == (0, 0, 0):
+            del self.rows[t]
             # as in add(): statistics weight AU rows one-per-tuple, so
             # only a tuple that leaves changes them
             self._column_stats_cache = None
             if self._stats_acc is not None:
                 self._stats_acc.observe_delete(t, 1)
-        for sink in self._delta_sinks:
-            sink(t, annotation, -1)
+        else:
+            self.rows[t] = remaining  # type: ignore[assignment]
+        self._publish(t, annotation, -1, False)
 
     @classmethod
     def from_certain_rows(
@@ -180,28 +142,10 @@ class AURelation:
     # ------------------------------------------------------------------
     def annotation(self, t: AUTuple) -> AUAnnotation:
         """``R(t)`` — the annotation of ``t`` (``(0,0,0)`` if absent)."""
-        return self._rows.get(t, (0, 0, 0))
-
-    def tuples(self) -> Iterator[Tuple[AUTuple, AUAnnotation]]:
-        """Iterate over ``(tuple, annotation)`` pairs with non-zero annotation."""
-        return iter(self._rows.items())
-
-    def __iter__(self) -> Iterator[AUTuple]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        return self.rows.get(t, (0, 0, 0))
 
     def __contains__(self, t: AUTuple) -> bool:
-        return t in self._rows
-
-    def attr_index(self, name: str) -> int:
-        try:
-            return self.schema.index(name)
-        except ValueError:
-            raise KeyError(
-                f"attribute {name!r} not in schema {self.schema}"
-            ) from None
+        return t in self.rows
 
     def row_as_dict(self, t: AUTuple) -> Dict[str, RangeValue]:
         """Valuation mapping attribute names to range values (for expressions)."""
@@ -213,7 +157,7 @@ class AURelation:
     def selected_guess_world(self) -> Dict[Tuple[Any, ...], int]:
         """The deterministic bag ``R^sg`` encoded by this AU-relation."""
         world: Dict[Tuple[Any, ...], int] = {}
-        for t, (_, sg, _) in self._rows.items():
+        for t, (_, sg, _) in self.rows.items():
             if sg == 0:
                 continue
             key = sg_tuple(t)
@@ -226,38 +170,26 @@ class AURelation:
     def total_annotations(self) -> AUAnnotation:
         """Sum of all tuple annotations (bag cardinality bounds)."""
         total = (0, 0, 0)
-        for ann in self._rows.values():
+        for ann in self.rows.values():
             total = au_add(total, ann)
         return total
 
-    def memory_footprint(self, chunk_size: int | None = None) -> int:
-        """Resident bytes of this relation's chunked columnar store.
-
-        Builds (and caches) the :class:`~repro.db.chunks.AUChunkStore`
-        at ``chunk_size`` if none is cached yet, then sums the chunk
-        payloads: the ``RangeValue`` columns and the three ``K^AU``
-        annotation arrays.
-        """
-        from ..db.chunks import au_store
-
-        return au_store(self, chunk_size).memory_footprint()
-
     def __repr__(self) -> str:
         header = ", ".join(self.schema)
-        lines = [f"AURelation({header}) [{len(self._rows)} tuples]"]
+        lines = [f"AURelation({header}) [{len(self.rows)} tuples]"]
         for t, ann in sorted(
-            self._rows.items(), key=lambda item: repr(item[0])
+            self.rows.items(), key=lambda item: repr(item[0])
         )[:20]:
             vals = ", ".join(repr(v) for v in t)
             lines.append(f"  ({vals}) -> {ann}")
-        if len(self._rows) > 20:
-            lines.append(f"  ... {len(self._rows) - 20} more")
+        if len(self.rows) > 20:
+            lines.append(f"  ... {len(self.rows) - 20} more")
         return "\n".join(lines)
 
     def pretty(self, limit: int = 50) -> str:
         """Human-readable table rendering (used by examples)."""
         cols = [list(self.schema) + ["N^AU"]]
-        for t, ann in list(self._rows.items())[:limit]:
+        for t, ann in list(self.rows.items())[:limit]:
             cols.append([repr(v) for v in t] + [repr(ann)])
         widths = [max(len(row[i]) for row in cols) for i in range(len(cols[0]))]
         lines = []
@@ -268,46 +200,11 @@ class AURelation:
         return "\n".join(lines)
 
 
-class AUDatabase:
-    """A named collection of AU-relations."""
+class AUDatabase(Catalog[AURelation]):
+    """A named collection of AU-relations (epoch: see
+    :attr:`repro.db.storage.Catalog.epoch`)."""
 
-    __slots__ = ("relations", "_epoch_base")
-
-    def __init__(self, relations: Mapping[str, AURelation] | None = None) -> None:
-        self.relations: Dict[str, AURelation] = dict(relations or {})
-        self._epoch_base = 0
-
-    @property
-    def epoch(self) -> int:
-        """Catalog epoch — see :attr:`repro.db.storage.DetDatabase.epoch`.
-
-        Strictly increases on every ``AURelation.add`` and every
-        ``db[name] = rel`` rebinding; the session layer keys plan-cache
-        staleness on it.
-        """
-        return self._epoch_base + sum(
-            rel.stats_epoch for rel in self.relations.values()
-        )
-
-    def __getitem__(self, name: str) -> AURelation:
-        try:
-            return self.relations[name]
-        except KeyError:
-            raise KeyError(
-                f"relation {name!r} not found; have {sorted(self.relations)}"
-            ) from None
-
-    def __setitem__(self, name: str, rel: AURelation) -> None:
-        previous = self.relations.get(name)
-        # keep the epoch monotone even when the incoming relation's own
-        # write counter is behind the one it replaces
-        self._epoch_base += 1 + (
-            previous.stats_epoch if previous is not None else 0
-        )
-        self.relations[name] = rel
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.relations
+    __slots__ = ()
 
     def selected_guess_world(self) -> Dict[str, Dict[Tuple[Any, ...], int]]:
         return {

@@ -3,26 +3,28 @@
 This module is the only columnar image of a base table: scans, streamed
 selections and Exchange morsels all read fixed-size **column chunks**:
 
-* :class:`DetChunkStore` — a :class:`~repro.db.storage.DetRelation`
-  split into :class:`DetChunk` pages, each a small
-  :class:`~repro.exec.batch.ColumnBatch` (typed-packed per chunk).
-* :class:`AUChunkStore` — an :class:`~repro.core.relation.AURelation`
-  split into :class:`AUChunk` pages: one column of
-  :class:`~repro.core.ranges.RangeValue` cells per attribute (the
-  compiled kernels read the three bounds through the cells), alongside
-  the three ``K^AU`` annotation arrays.
+One :class:`ChunkStore` serves both engines: a relation's rows split
+into :class:`Chunk` pages, each one batch of the engine's batch class —
+a :class:`~repro.exec.batch.ColumnBatch` (typed-packed columns and a
+multiplicity column) for a :class:`~repro.db.storage.DetRelation`, an
+:class:`~repro.exec.batch.AUColumnBatch` (one column of
+:class:`~repro.core.ranges.RangeValue` cells per attribute and the
+three ``K^AU`` annotation columns) for an
+:class:`~repro.core.relation.AURelation`.  The engine enters only as
+data, its :class:`Layout`: the batch class, its annotation columns and
+the bounds a cell widens its zone by.
 
 Every chunk carries an incrementally-maintained :class:`ChunkZone`
 ("zone map"): per-column min/max keys in the universal domain order
-(min over lower bounds, max over upper bounds), a null count, and a
-certain-row count.  The zones are updated in place by the relations'
-write paths (``DetRelation.add``/``delete`` and ``AURelation.add``/
-``delete`` call :meth:`on_add`/:meth:`on_delete`), mirroring how
+(min over lower bounds, max over upper bounds) and a null count.  The
+zones are updated in place by the relations' write path
+(``add``/``delete`` call :meth:`~ChunkStore.on_add` /
+:meth:`~ChunkStore.on_delete`), mirroring how
 :class:`~repro.algebra.stats.StatsAccumulator` maintains catalog
 statistics per write:
 
 * appends and annotation/multiplicity merges *widen* the zone exactly;
-* a delete decrements the row, null and certain counts exactly and
+* a delete decrements the row and null counts exactly and
   leaves min/max alone: the zone stays a sound *over-approximation*
   (every skip rule of :func:`_zone_allows` holds for a wider range),
   so the write path never rescans and the read path never rebuilds;
@@ -59,7 +61,19 @@ import math
 import sys
 from array import array
 from itertools import count, repeat
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry as _tm
 from ..core.expressions import (
@@ -78,7 +92,7 @@ from ..core.expressions import (
     Var,
 )
 from ..core.ranges import RangeValue, domain_key
-from ..core.semirings import AUAnnotation
+from ..core.relation import AURelation
 from ..exec.batch import (
     AUColumnBatch,
     ColumnBatch,
@@ -93,10 +107,12 @@ __all__ = [
     "SkipConstraint",
     "derive_skip",
     "skip_attrs",
-    "DetChunkStore",
-    "AUChunkStore",
-    "det_store",
-    "au_store",
+    "Layout",
+    "DET",
+    "AU",
+    "Chunk",
+    "ChunkStore",
+    "chunk_store",
     "resolve_chunk_size",
     "storage_report",
 ]
@@ -143,6 +159,8 @@ def _extent_rank(col) -> Optional[int]:
     ``str`` — else ``None`` (``None`` cells, bools, NaN, mixed ranks)."""
     if type(col) is array:
         return 1  # _pack_typed packs only ints and NaN-free floats
+    if not col or type(col[0]) not in _NATIVE_RANK:
+        return None
     kinds = set(map(type, col))
     ranks = {_NATIVE_RANK.get(kind) for kind in kinds}
     if len(ranks) != 1 or None in ranks:
@@ -344,7 +362,7 @@ def derive_skip(condition: Optional[Expression]) -> Optional[ChunkSkipPredicate]
 
 
 class ChunkZone:
-    """Per-chunk, per-column min/max/null/certain statistics.
+    """Per-chunk, per-column min/max/null statistics.
 
     ``min_keys[j]``/``max_keys[j]`` are :func:`domain_key` values — the
     minimum over the column's lower bounds and the maximum over its
@@ -360,7 +378,6 @@ class ChunkZone:
         "min_keys",
         "max_keys",
         "nulls",
-        "certain",
         "enabled",
     )
 
@@ -369,11 +386,7 @@ class ChunkZone:
         self.min_keys: List[Optional[tuple]] = [None] * n_cols
         self.max_keys: List[Optional[tuple]] = [None] * n_cols
         self.nulls = [0] * n_cols
-        self.certain = 0
         self.enabled = [True] * n_cols
-
-    def certain_fraction(self) -> float:
-        return 1.0 if not self.rows else self.certain / self.rows
 
     # -- incremental maintenance -------------------------------------
     def widen(self, j: int, lb: Any, ub: Any) -> None:
@@ -484,6 +497,15 @@ def _append_demote(col, v):
     return col
 
 
+def _int_column(values: Iterable[int]) -> Any:
+    """An annotation column: a typed ``q`` array, or a list when a value
+    does not fit one."""
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):
+        return list(values)
+
+
 def _set_demote(col, i, v):
     """Assign ``col[i] = v`` with the same demotion rule as append."""
     if type(col) is array:
@@ -512,8 +534,37 @@ def _col_bytes(col) -> int:
 
 
 # ---------------------------------------------------------------------------
-# deterministic store
+# the chunk store
 # ---------------------------------------------------------------------------
+
+
+class Layout(NamedTuple):
+    """How one engine's rows become chunks — the only thing the store
+    knows about the engine.
+
+    ``batch_cls`` is the engine's batch class, built as
+    ``batch_cls(schema, columns, *annotation_columns)``; ``ann`` names
+    its annotation columns and ``ann_columns`` splits a run of rows'
+    stored payloads (``rows[t]``) into those columns' values; ``cell``
+    gives a cell's ``(lb, sg, ub)``: the zone folds ``lb`` / ``ub`` in
+    and counts the cell as NULL when ``sg`` is ``None``.
+    """
+
+    batch_cls: Any
+    ann: Tuple[str, ...]
+    ann_columns: Callable[[Sequence[Any]], Iterable[Sequence[int]]]
+    cell: Callable[[Any], Tuple[Any, Any, Any]]
+
+
+#: a ``DetRelation``: one multiplicity column; a value is its own bounds
+DET = Layout(ColumnBatch, ("mult",), lambda ms: (ms,), lambda v: (v, v, v))
+#: an ``AURelation``: the three ``K^AU`` columns; ``RangeValue`` cells
+AU = Layout(
+    AUColumnBatch,
+    ("ann_lb", "ann_sg", "ann_ub"),
+    lambda anns: zip(*anns),
+    attrgetter("lb", "sg", "ub"),
+)
 
 
 def _relocate(row_loc: Dict, columns: Sequence, ci: int, start: int) -> None:
@@ -523,10 +574,13 @@ def _relocate(row_loc: Dict, columns: Sequence, ci: int, start: int) -> None:
     row_loc.update(zip(tail, zip(repeat(ci), count(start))))
 
 
-class DetChunk:
+class Chunk:
+    """One page of a relation: a batch of the engine's batch class and
+    the zone map of its rows."""
+
     __slots__ = ("batch", "zone")
 
-    def __init__(self, batch: ColumnBatch, zone: ChunkZone) -> None:
+    def __init__(self, batch: Any, zone: ChunkZone) -> None:
         self.batch = batch
         self.zone = zone
 
@@ -534,24 +588,159 @@ class DetChunk:
         return len(self.batch)
 
 
-class _BaseStore:
-    """Shared plumbing: chunk registry, row locator, skip evaluation."""
+def _column_zone(zone: ChunkZone, j: int, col: Sequence, cell: Callable) -> None:
+    """Fold a freshly packed column ``j`` into ``zone``: C-level
+    ``min``/``max`` over a column of native values whose domain order
+    they follow (:func:`_extent_rank`; such a value is its own bounds),
+    the per-value :meth:`ChunkZone.widen` walk for the rest."""
+    rank = _extent_rank(col)
+    if rank is not None:
+        zone.min_keys[j] = (rank, min(col))
+        zone.max_keys[j] = (rank, max(col))
+        return
+    widen = zone.widen
+    nulls = 0
+    for v in col:
+        lb, sg, ub = cell(v)
+        widen(j, lb, ub)
+        if sg is None:
+            nulls += 1
+    zone.nulls[j] = nulls
 
-    __slots__ = ("schema", "chunk_size", "chunks", "_index", "_row_loc", "_scan_cache")
 
-    #: the batch class of the store's chunks
-    batch_cls: Any = None
+class ChunkStore:
+    """A relation as fixed-size column chunks with zone maps, kept in
+    step with the relation by its write path (:meth:`on_add` /
+    :meth:`on_delete`); ``layout`` says how the engine's rows map to
+    chunks."""
 
-    def __init__(self, schema: Sequence[str], chunk_size: int) -> None:
+    __slots__ = (
+        "schema",
+        "chunk_size",
+        "layout",
+        "chunks",
+        "_index",
+        "_row_loc",
+        "_scan_cache",
+    )
+
+    def __init__(self, schema: Sequence[str], chunk_size: int, layout: Layout) -> None:
         if chunk_size <= 0:
             raise ValueError("chunk stores need a positive chunk_size")
         self.schema: Tuple[str, ...] = tuple(schema)
         self.chunk_size = chunk_size
-        self.chunks: List[Any] = []
+        self.layout = layout
+        self.chunks: List[Chunk] = []
         self._index = {name: j for j, name in enumerate(self.schema)}
         self._row_loc: Dict[Tuple[Any, ...], Tuple[int, int]] = {}
         self._scan_cache = None
 
+    @classmethod
+    def build(cls, rel, chunk_size: int, layout: Layout) -> "ChunkStore":
+        """The chunks of ``rel.rows`` in row order, packed column by
+        column (:func:`~repro.exec.batch._pack_typed`)."""
+        store = cls(rel.schema, chunk_size, layout)
+        rows = list(rel.rows)
+        payloads = list(rel.rows.values())
+        n_cols = len(store.schema)
+        for start in range(0, len(rows), chunk_size):
+            block = rows[start : start + chunk_size]
+            columns = [_pack_typed([t[j] for t in block]) for j in range(n_cols)]
+            anns = [
+                _int_column(col)
+                for col in layout.ann_columns(payloads[start : start + chunk_size])
+            ]
+            zone = ChunkZone(n_cols)
+            zone.rows = len(block)
+            for j, col in enumerate(columns):
+                _column_zone(zone, j, col, layout.cell)
+            ci = len(store.chunks)
+            store.chunks.append(
+                Chunk(layout.batch_cls(store.schema, columns, *anns), zone)
+            )
+            store._row_loc.update(zip(block, zip(repeat(ci), count())))
+        return store
+
+    # -- write path ---------------------------------------------------
+    def on_add(self, t: Tuple[Any, ...], stored: Any, is_new: bool) -> bool:
+        """Fold one ``add`` of row ``t`` in; ``stored`` is the row's
+        payload after it (``rows[t]``).  Returns ``False`` when the
+        store could not stay consistent (the caller drops it)."""
+        self._scan_cache = None
+        if not is_new:
+            loc = self._row_loc.get(t)
+            if loc is None:
+                return False
+            self._set_ann(*loc, stored)
+            return True
+        if self.chunks and len(self.chunks[-1]) < self.chunk_size:
+            ci = len(self.chunks) - 1
+            ch = self.chunks[ci]
+        else:
+            ci = len(self.chunks)
+            ch = Chunk(
+                self.layout.batch_cls(
+                    self.schema,
+                    [[] for _ in self.schema],
+                    *[array("q") for _ in self.layout.ann],
+                ),
+                ChunkZone(len(self.schema)),
+            )
+            self.chunks.append(ch)
+        batch = ch.batch
+        cols = batch.columns
+        zone = ch.zone
+        widen = zone.widen
+        cell = self.layout.cell
+        for j, v in enumerate(t):
+            cols[j] = _append_demote(cols[j], v)
+            lb, sg, ub = cell(v)
+            widen(j, lb, ub)
+            if sg is None:
+                zone.nulls[j] += 1
+        zone.rows += 1
+        for name, (v,) in zip(self.layout.ann, self.layout.ann_columns((stored,))):
+            setattr(batch, name, _append_demote(getattr(batch, name), v))
+        self._row_loc[t] = (ci, len(batch) - 1)
+        return True
+
+    def on_delete(self, t: Tuple[Any, ...], stored: Any) -> bool:
+        """Fold one ``delete`` of row ``t`` in; ``stored`` is the row's
+        payload after it, ``None`` when the row is gone."""
+        self._scan_cache = None
+        loc = self._row_loc.get(t)
+        if loc is None:
+            return False
+        ci, ri = loc
+        if stored is not None:
+            self._set_ann(ci, ri, stored)
+            return True
+        # exact counts, min/max left wide (see ChunkZone)
+        ch = self.chunks[ci]
+        zone = ch.zone
+        cell = self.layout.cell
+        for j, v in enumerate(t):
+            if cell(v)[1] is None:
+                zone.nulls[j] -= 1
+        zone.rows -= 1
+        batch = ch.batch
+        for col in batch.columns:
+            del col[ri]
+        for name in self.layout.ann:
+            del getattr(batch, name)[ri]
+        del self._row_loc[t]
+        if not len(ch):
+            ch.zone = ChunkZone(len(self.schema))
+        _relocate(self._row_loc, batch.columns, ci, ri)
+        return True
+
+    def _set_ann(self, ci: int, ri: int, stored: Any) -> None:
+        """Overwrite row ``ri`` of chunk ``ci``'s annotation columns."""
+        batch = self.chunks[ci].batch
+        for name, (v,) in zip(self.layout.ann, self.layout.ann_columns((stored,))):
+            setattr(batch, name, _set_demote(getattr(batch, name), ri, v))
+
+    # -- read path ----------------------------------------------------
     def chunk_count(self) -> int:
         """Non-empty chunks (deletes may hollow a chunk out entirely)."""
         return sum(1 for ch in self.chunks if len(ch))
@@ -578,7 +767,7 @@ class _BaseStore:
 
     def survivors(
         self, skip: Optional[ChunkSkipPredicate]
-    ) -> Tuple[List[Any], int, int]:
+    ) -> Tuple[List[Chunk], int, int]:
         """Chunks a scan must read: ``(kept, total_nonempty, skipped)``."""
         kept, total, skipped = self.survivor_indices(skip)
         return [self.chunks[ci] for ci in kept], total, skipped
@@ -594,7 +783,7 @@ class _BaseStore:
             return batch, total, 0
         batches, total, skipped = self.iter_batches(skip)
         charge_materialization(sum(map(len, batches)))
-        batch = self.batch_cls.concat(self.schema, batches)
+        batch = self.layout.batch_cls.concat(self.schema, batches)
         if skip is None:
             self._scan_cache = (batch, total)
         return batch, total, skipped
@@ -608,8 +797,8 @@ class _BaseStore:
         (fork-inherited, same-epoch) store — chunk boundaries are
         deterministic for identical relation state, so the batch is
         bit-identical to the parent's."""
-        chunks = [self._chunk_batch(self.chunks[ci]) for ci in indices]
-        return self.batch_cls.concat(self.schema, chunks)
+        batches = [self.chunks[ci].batch for ci in indices]
+        return self.layout.batch_cls.concat(self.schema, batches)
 
     def iter_batches(
         self, skip: Optional[ChunkSkipPredicate] = None
@@ -617,7 +806,7 @@ class _BaseStore:
         """The batches of the chunks a scan must read, in order — the
         streamed form of :meth:`scan`: ``(batches, total, skipped)``."""
         kept, total, skipped = self.survivors(skip)
-        return [self._chunk_batch(ch) for ch in kept], total, skipped
+        return [ch.batch for ch in kept], total, skipped
 
     def morsel_chunk_groups(
         self, partitions: int, skip: Optional[ChunkSkipPredicate] = None
@@ -637,149 +826,12 @@ class _BaseStore:
     def memory_footprint(self) -> int:
         """Resident bytes of the store's chunk payloads (see
         :func:`_col_bytes` for the accounting rules)."""
-        return sum(self._chunk_bytes(ch) for ch in self.chunks)
-
-    def _chunk_bytes(self, ch) -> int:
-        raise NotImplementedError
-
-    def _chunk_batch(self, ch) -> Any:
-        raise NotImplementedError
-
-    def _reindex_tail(self, ci: int, start: int) -> None:
-        raise NotImplementedError
-
-
-class DetChunkStore(_BaseStore):
-    """A ``DetRelation`` as fixed-size columnar chunks with zone maps."""
-
-    __slots__ = ()
-    batch_cls = ColumnBatch
-
-    @classmethod
-    def build(cls, rel, chunk_size: int) -> "DetChunkStore":
-        store = cls(rel.schema, chunk_size)
-        items = list(rel.rows.items())
-        n_cols = len(store.schema)
-        for start in range(0, len(items), chunk_size):
-            block = items[start : start + chunk_size]
-            if n_cols:
-                columns = [
-                    _pack_typed([t[j] for t, _m in block]) for j in range(n_cols)
-                ]
-            else:
-                columns = []
-            mult = array("q")
-            try:
-                for _t, m in block:
-                    mult.append(m)
-            except OverflowError:
-                mult = [m for _t, m in block]
-            chunk = DetChunk(ColumnBatch(store.schema, columns, mult), ChunkZone(n_cols))
-            store._build_zone(chunk)
-            ci = len(store.chunks)
-            store.chunks.append(chunk)
-            for ri, (t, _m) in enumerate(block):
-                store._row_loc[t] = (ci, ri)
-        return store
-
-    # -- write path ---------------------------------------------------
-    def on_add(self, t: Tuple[Any, ...], total_mult: int, is_new: bool) -> bool:
-        """Fold one ``DetRelation.add`` into the store.  ``total_mult``
-        is the row's resulting multiplicity.  Returns ``False`` when the
-        store could not stay consistent (caller must drop it)."""
-        self._scan_cache = None
-        if not is_new:
-            loc = self._row_loc.get(t)
-            if loc is None:
-                return False
-            ci, ri = loc
-            ch = self.chunks[ci]
-            ch.batch.mult = _set_demote(ch.batch.mult, ri, total_mult)
-            return True
-        if self.chunks and len(self.chunks[-1]) < self.chunk_size:
-            ci = len(self.chunks) - 1
-            ch = self.chunks[ci]
-        else:
-            ci = len(self.chunks)
-            ch = DetChunk(
-                ColumnBatch(self.schema, [[] for _ in self.schema], array("q")),
-                ChunkZone(len(self.schema)),
-            )
-            self.chunks.append(ch)
-        cols = ch.batch.columns
-        for j, v in enumerate(t):
-            cols[j] = _append_demote(cols[j], v)
-        ch.batch.mult = _append_demote(ch.batch.mult, total_mult)
-        zone = ch.zone
-        widen = zone.widen
-        for j, v in enumerate(t):
-            widen(j, v, v)
-            if v is None:
-                zone.nulls[j] += 1
-        zone.rows += 1
-        zone.certain += 1
-        self._row_loc[t] = (ci, len(ch.batch) - 1)
-        return True
-
-    def on_delete(self, t: Tuple[Any, ...], remaining: int) -> bool:
-        """Fold one ``DetRelation.delete`` in; ``remaining`` is the
-        row's multiplicity after the delete (0 ⇒ the row is gone)."""
-        self._scan_cache = None
-        loc = self._row_loc.get(t)
-        if loc is None:
-            return False
-        ci, ri = loc
-        ch = self.chunks[ci]
-        if remaining != 0:
-            ch.batch.mult = _set_demote(ch.batch.mult, ri, remaining)
-            return True
-        # exact counts, min/max left wide (see ChunkZone)
-        zone = ch.zone
-        for j, v in enumerate(t):
-            if v is None:
-                zone.nulls[j] -= 1
-        zone.rows -= 1
-        zone.certain -= 1
-        for col in ch.batch.columns:
-            del col[ri]
-        del ch.batch.mult[ri]
-        del self._row_loc[t]
-        if not len(ch):
-            ch.zone = ChunkZone(len(self.schema))
-        self._reindex_tail(ci, ri)
-        return True
-
-    def _reindex_tail(self, ci: int, start: int) -> None:
-        _relocate(self._row_loc, self.chunks[ci].batch.columns, ci, start)
-
-    def _build_zone(self, ch: DetChunk) -> None:
-        """The exact zone of a freshly packed chunk, column by column:
-        C-level ``min``/``max`` where they order the values as the
-        domain order does (:func:`_extent_rank`), the per-value
-        :meth:`ChunkZone.widen` walk for the rest."""
-        n = len(ch.batch)
-        zone = ChunkZone(len(self.schema))
-        zone.rows = zone.certain = n
-        for j, col in enumerate(ch.batch.columns):
-            rank = _extent_rank(col)
-            if rank is not None:
-                zone.min_keys[j] = (rank, min(col))
-                zone.max_keys[j] = (rank, max(col))
-                continue
-            for v in col:
-                zone.widen(j, v, v)
-                if v is None:
-                    zone.nulls[j] += 1
-        ch.zone = zone
-
-    def _chunk_bytes(self, ch: DetChunk) -> int:
-        batch = ch.batch
-        return sum(_col_bytes(col) for col in batch.columns) + _col_bytes(
-            batch.mult
-        )
-
-    def _chunk_batch(self, ch: DetChunk) -> ColumnBatch:
-        return ch.batch
+        total = 0
+        for ch in self.chunks:
+            batch = ch.batch
+            total += sum(map(_col_bytes, batch.columns))
+            total += sum(_col_bytes(getattr(batch, name)) for name in self.layout.ann)
+        return total
 
 
 def _group_runs(
@@ -806,163 +858,14 @@ def _group_runs(
     return groups
 
 
-# ---------------------------------------------------------------------------
-# AU store
-# ---------------------------------------------------------------------------
-
-
-class AUChunk:
-    """One page of an AU-relation.
-
-    ``rv_cols[j]`` keeps the original :class:`RangeValue` objects (the
-    cells handed to the executors — object identity matters for
-    NaN-free equality short-cuts elsewhere); the kernels read the three
-    bounds through the cells, and the zone map is maintained from them
-    on the write path, so no per-bound copy is kept.  The three
-    ``ann_*`` arrays are the ``K^AU`` annotation components.
-    """
-
-    __slots__ = ("rv_cols", "ann_lb", "ann_sg", "ann_ub", "zone", "_batch")
-
-    def __init__(self, n_cols: int) -> None:
-        self.rv_cols: List[Any] = [[] for _ in range(n_cols)]
-        self.ann_lb: Any = array("q")
-        self.ann_sg: Any = array("q")
-        self.ann_ub: Any = array("q")
-        self.zone = ChunkZone(n_cols)
-        self._batch: Optional[AUColumnBatch] = None
-
-    def __len__(self) -> int:
-        return len(self.ann_ub)
-
-    def batch(self, schema: Tuple[str, ...]) -> AUColumnBatch:
-        cached = self._batch
-        if cached is None:
-            cached = AUColumnBatch(
-                schema, self.rv_cols, self.ann_lb, self.ann_sg, self.ann_ub
-            )
-            self._batch = cached
-        return cached
-
-
-class AUChunkStore(_BaseStore):
-    """An ``AURelation`` as chunks of range-value columns with zone maps."""
-
-    __slots__ = ()
-    batch_cls = AUColumnBatch
-
-    @classmethod
-    def build(cls, rel, chunk_size: int) -> "AUChunkStore":
-        store = cls(rel.schema, chunk_size)
-        for t, ann in rel.tuples():
-            store._append(t, ann)
-        return store
-
-    def _append(self, t: Tuple[RangeValue, ...], ann: AUAnnotation) -> None:
-        if self.chunks and len(self.chunks[-1]) < self.chunk_size:
-            ci = len(self.chunks) - 1
-            ch = self.chunks[ci]
-        else:
-            ci = len(self.chunks)
-            ch = AUChunk(len(self.schema))
-            self.chunks.append(ch)
-        ch._batch = None
-        for j, rv in enumerate(t):
-            ch.rv_cols[j].append(rv)
-        ch.ann_lb = _append_demote(ch.ann_lb, ann[0])
-        ch.ann_sg = _append_demote(ch.ann_sg, ann[1])
-        ch.ann_ub = _append_demote(ch.ann_ub, ann[2])
-        zone = ch.zone
-        widen = zone.widen
-        certain = True
-        for j, rv in enumerate(t):
-            widen(j, rv.lb, rv.ub)
-            if rv.sg is None:
-                zone.nulls[j] += 1
-            if certain and not rv.is_certain:
-                certain = False
-        zone.rows += 1
-        zone.certain += certain
-        self._row_loc[t] = (ci, len(ch) - 1)
-
-    # -- write path ---------------------------------------------------
-    def on_add(self, t: Tuple[RangeValue, ...], total_ann: AUAnnotation, is_new: bool) -> bool:
-        self._scan_cache = None
-        if not is_new:
-            loc = self._row_loc.get(t)
-            if loc is None:
-                return False
-            ci, ri = loc
-            ch = self.chunks[ci]
-            ch.ann_lb = _set_demote(ch.ann_lb, ri, total_ann[0])
-            ch.ann_sg = _set_demote(ch.ann_sg, ri, total_ann[1])
-            ch.ann_ub = _set_demote(ch.ann_ub, ri, total_ann[2])
-            ch._batch = None
-            return True
-        self._append(t, total_ann)
-        return True
-
-    def on_delete(
-        self, t: Tuple[RangeValue, ...], remaining: Optional[AUAnnotation]
-    ) -> bool:
-        """``remaining`` is the post-delete annotation, ``None``/all-zero
-        when the tuple is removed outright."""
-        self._scan_cache = None
-        loc = self._row_loc.get(t)
-        if loc is None:
-            return False
-        ci, ri = loc
-        ch = self.chunks[ci]
-        ch._batch = None
-        if remaining is not None and any(remaining):
-            ch.ann_lb = _set_demote(ch.ann_lb, ri, remaining[0])
-            ch.ann_sg = _set_demote(ch.ann_sg, ri, remaining[1])
-            ch.ann_ub = _set_demote(ch.ann_ub, ri, remaining[2])
-            return True
-        # exact counts, min/max left wide (see ChunkZone)
-        zone = ch.zone
-        for j, rv in enumerate(t):
-            if rv.sg is None:
-                zone.nulls[j] -= 1
-        zone.rows -= 1
-        if all(rv.is_certain for rv in t):
-            zone.certain -= 1
-        for col in ch.rv_cols:
-            del col[ri]
-        del ch.ann_lb[ri]
-        del ch.ann_sg[ri]
-        del ch.ann_ub[ri]
-        del self._row_loc[t]
-        if not len(ch):
-            ch.zone = ChunkZone(len(self.schema))
-        self._reindex_tail(ci, ri)
-        return True
-
-    def _reindex_tail(self, ci: int, start: int) -> None:
-        _relocate(self._row_loc, self.chunks[ci].rv_cols, ci, start)
-
-    def _chunk_bytes(self, ch: AUChunk) -> int:
-        total = sum(_col_bytes(col) for col in ch.rv_cols)
-        total += _col_bytes(ch.ann_lb)
-        total += _col_bytes(ch.ann_sg)
-        total += _col_bytes(ch.ann_ub)
-        return total
-
-    def _chunk_batch(self, ch: AUChunk) -> AUColumnBatch:
-        return ch.batch(self.schema)
-
-
-# ---------------------------------------------------------------------------
-# store accessors (cached on the relation's ``_chunk_cache`` slot)
-# ---------------------------------------------------------------------------
-
-
-def _store(cls, rel, chunk_size: Optional[int]):
+def chunk_store(rel, chunk_size: Optional[int]) -> ChunkStore:
+    """The relation's chunk store at ``chunk_size``, cached on its
+    ``_chunk_cache`` slot (built on first use)."""
     size = resolve_chunk_size(chunk_size)
     cached = getattr(rel, "_chunk_cache", None)
-    if isinstance(cached, cls) and cached.chunk_size == size:
+    if cached is not None and cached.chunk_size == size:
         return cached
-    store = cls.build(rel, size)
+    store = ChunkStore.build(rel, size, AU if isinstance(rel, AURelation) else DET)
     _STORE_BUILDS.inc()
     _tm.annotate(store="built")
     try:
@@ -970,16 +873,6 @@ def _store(cls, rel, chunk_size: Optional[int]):
     except AttributeError:
         pass  # duck-typed relation: usable for this scan, not cached
     return store
-
-
-def det_store(rel, chunk_size: Optional[int]) -> DetChunkStore:
-    """The relation's chunk store at ``chunk_size`` (built on first use)."""
-    return _store(DetChunkStore, rel, chunk_size)
-
-
-def au_store(rel, chunk_size: Optional[int]) -> AUChunkStore:
-    """The AU relation's chunk store at ``chunk_size`` (built on first use)."""
-    return _store(AUChunkStore, rel, chunk_size)
 
 
 def storage_report(db, chunk_size: Optional[int] = None) -> Dict[str, int]:

@@ -7,18 +7,40 @@ them.
 
 A :class:`DetRelation` is a named schema plus a bag ``dict[tuple, int]``
 (tuple -> multiplicity), i.e. an ``N``-relation in the paper's K-relation
-terminology.
+terminology.  It shares the write-side bookkeeping of :class:`Relation`
+(epoch, chunk store, delta sinks) and the :class:`Catalog` database base
+with the AU engine's :mod:`repro.core.relation`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-__all__ = ["DetRelation", "DetDatabase"]
+__all__ = ["Relation", "Catalog", "DetRelation", "DetDatabase"]
 
 
-class DetRelation:
-    """An ``N``-relation: bag of tuples with multiplicities."""
+class Relation:
+    """What the relations of both engines keep beside their rows.
+
+    ``rows`` maps each row to its payload: a multiplicity
+    (:class:`DetRelation`) or a ``K^AU`` annotation
+    (:class:`~repro.core.relation.AURelation`).  Each engine's ``add`` /
+    ``delete`` validates the write, applies it to ``rows``, weighs it
+    into the statistics and ends with :meth:`_publish`, which keeps the
+    rest current: the write epoch, the chunk store and the delta sinks.
+    ``add`` / ``delete`` are the only mutation paths.
+    """
 
     __slots__ = (
         "schema",
@@ -30,6 +52,94 @@ class DetRelation:
         "_delta_sinks",
     )
 
+    def __init__(self, schema: Sequence[str]) -> None:
+        self.schema: Tuple[str, ...] = tuple(schema)
+        self.rows: Dict[Tuple[Any, ...], Any] = {}
+        #: monotonically increasing write counter — every write bumps
+        #: it; databases sum it into their catalog epoch, which keys the
+        #: session layer's plan cache (repro.session)
+        self.stats_epoch = 0
+        # memoized per-column statistics (repro.algebra.stats): a write
+        # drops the finalized snapshot when it changes the weighted value
+        # distribution, but keeps the incremental accumulator
+        # (_stats_acc) current, so the next harvest never rescans
+        self._column_stats_cache = None
+        # chunked columnar store (repro.db.chunks.ChunkStore) with
+        # per-chunk zone maps; maintained in place by _publish()
+        self._chunk_cache: Any = None
+        self._stats_acc: Any = None
+        # per-write delta observers (repro.ivm, the telemetry event
+        # log): callables ``sink(tuple, payload, sign)`` fired after the
+        # write is applied, with the written multiplicity or annotation
+        # and sign +1 for add() and -1 for delete()
+        self._delta_sinks: Tuple[Callable[[Any, Any, int], None], ...] = ()
+
+    def _publish(self, t: Tuple[Any, ...], delta: Any, sign: int, is_new: bool) -> None:
+        """Finish a write of ``delta`` to row ``t`` that ``rows``
+        already holds: bump the write epoch (a delete by 2, one for the
+        write and one for the statistics shrinkage an insert cannot
+        cause, so delete-heavy streams reach the session layer's
+        staleness threshold at least as fast as inserts), fold the
+        row's new payload into the chunk store, and fire the sinks."""
+        self.stats_epoch += 1 if sign > 0 else 2
+        store = self._chunk_cache
+        if store is not None:
+            stored = self.rows.get(t)
+            kept = (
+                store.on_add(t, stored, is_new)
+                if sign > 0
+                else store.on_delete(t, stored)
+            )
+            if not kept:
+                self._chunk_cache = None
+        for sink in self._delta_sinks:
+            sink(t, delta, sign)
+
+    def attach_sink(self, sink: Callable[[Any, Any, int], None]) -> None:
+        """Call ``sink(t, payload, sign)`` after every later write."""
+        self._delta_sinks = self._delta_sinks + (sink,)
+
+    def detach_sink(self, sink: Callable[[Any, Any, int], None]) -> None:
+        self._delta_sinks = tuple(s for s in self._delta_sinks if s is not sink)
+
+    def attr_index(self, name: str) -> int:
+        try:
+            return self.schema.index(name)
+        except ValueError:
+            raise KeyError(
+                f"attribute {name!r} not in schema {self.schema}"
+            ) from None
+
+    def tuples(self) -> Iterator[Tuple[Tuple[Any, ...], Any]]:
+        """``(row, payload)`` pairs, in insertion order."""
+        return iter(self.rows.items())
+
+    def memory_footprint(self, chunk_size: int | None = None) -> int:
+        """Resident bytes of this relation's chunked columnar store.
+
+        Builds (and caches) the chunk store at ``chunk_size`` if the
+        relation has none yet, then sums the per-chunk column payloads —
+        typed array buffers exactly, object columns as pointer vector
+        plus per-element headers.
+        """
+        from .chunks import chunk_store
+
+        return chunk_store(self, chunk_size).memory_footprint()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        return iter(self.rows)
+
+
+class DetRelation(Relation):
+    """An ``N``-relation: bag of tuples with multiplicities."""
+
+    __slots__ = ()
+
+    rows: Dict[Tuple[Any, ...], int]
+
     def __init__(
         self,
         schema: Sequence[str],
@@ -37,25 +147,7 @@ class DetRelation:
         | Iterable[Tuple[Any, ...]]
         | None = None,
     ) -> None:
-        self.schema: Tuple[str, ...] = tuple(schema)
-        self.rows: Dict[Tuple[Any, ...], int] = {}
-        #: monotonically increasing write counter — every add() bumps it;
-        #: databases sum it into their catalog epoch, which keys the
-        #: session layer's plan cache (repro.session)
-        self.stats_epoch = 0
-        # memoized per-column statistics (repro.algebra.stats).  add()
-        # and delete() drop the finalized stats snapshot but keep the
-        # incremental accumulator (_stats_acc) current, so the next
-        # harvest never rescans — mutate through them only, as documented
-        self._column_stats_cache = None
-        # chunked columnar store (repro.db.chunks.DetChunkStore) with
-        # per-chunk zone maps; maintained in place by add()/delete()
-        self._chunk_cache = None
-        self._stats_acc = None
-        # per-write delta observers (repro.ivm): callables
-        # ``sink(tuple, multiplicity, sign)`` fired after the write is
-        # applied, with sign +1 for add() and -1 for delete()
-        self._delta_sinks = ()
+        super().__init__(schema)
         if rows is None:
             return
         if isinstance(rows, Mapping):
@@ -77,29 +169,19 @@ class DetRelation:
             )
         existing = self.rows.get(t)
         self.rows[t] = (existing or 0) + multiplicity
-        self.stats_epoch += 1
         self._column_stats_cache = None
-        store = self._chunk_cache
-        if store is not None and not store.on_add(
-            t, self.rows[t], existing is None
-        ):
-            self._chunk_cache = None
         if self._stats_acc is not None:
             # incremental statistics: fold the delta multiplicity in
             # instead of invalidating the whole harvest
             self._stats_acc.observe(t, multiplicity)
-        for sink in self._delta_sinks:
-            sink(t, multiplicity, 1)
+        self._publish(t, multiplicity, 1, existing is None)
 
     def delete(self, t: Tuple[Any, ...], multiplicity: int = 1) -> None:
         """Remove ``multiplicity`` copies of ``t`` from the bag.
 
         Deleting more copies than present raises ``ValueError`` (bags
         hold non-negative multiplicities).  Deletes advance the write
-        epoch by 2 — one for the write itself and one for the statistics
-        shrinkage an insert cannot cause — so delete-heavy streams hit
-        the session layer's staleness threshold at least as fast as
-        insert streams do.
+        epoch by 2 (see :meth:`Relation._publish`).
         """
         if multiplicity < 0:
             raise ValueError("multiplicities must be non-negative")
@@ -116,51 +198,17 @@ class DetRelation:
             self.rows[t] = remaining
         else:
             del self.rows[t]
-        self.stats_epoch += 2
         self._column_stats_cache = None
-        store = self._chunk_cache
-        if store is not None and not store.on_delete(t, remaining):
-            self._chunk_cache = None
         if self._stats_acc is not None:
             self._stats_acc.observe_delete(t, multiplicity)
-        for sink in self._delta_sinks:
-            sink(t, multiplicity, -1)
+        self._publish(t, multiplicity, -1, False)
 
     def multiplicity(self, t: Tuple[Any, ...]) -> int:
         return self.rows.get(tuple(t), 0)
 
-    def attr_index(self, name: str) -> int:
-        try:
-            return self.schema.index(name)
-        except ValueError:
-            raise KeyError(
-                f"attribute {name!r} not in schema {self.schema}"
-            ) from None
-
-    def tuples(self) -> Iterator[Tuple[Tuple[Any, ...], int]]:
-        return iter(self.rows.items())
-
     def total_rows(self) -> int:
         """Bag cardinality (sum of multiplicities)."""
         return sum(self.rows.values())
-
-    def memory_footprint(self, chunk_size: int | None = None) -> int:
-        """Resident bytes of this relation's chunked columnar store.
-
-        Builds (and caches) the chunk store at ``chunk_size`` if the
-        relation has none yet, then sums the per-chunk column payloads —
-        typed array buffers exactly, object columns as pointer vector
-        plus per-element headers.
-        """
-        from .chunks import det_store
-
-        return det_store(self, chunk_size).memory_footprint()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return iter(self.rows)
 
     # NOTE: relations deliberately use *identity* equality and hashing.
     # An earlier revision defined value-based __eq__ next to an identity
@@ -186,13 +234,16 @@ class DetRelation:
         return dict(self.rows)
 
 
-class DetDatabase:
-    """A named collection of deterministic relations."""
+R = TypeVar("R", bound=Relation)
+
+
+class Catalog(Generic[R]):
+    """A named collection of relations with a write epoch."""
 
     __slots__ = ("relations", "_epoch_base")
 
-    def __init__(self, relations: Mapping[str, DetRelation] | None = None) -> None:
-        self.relations: Dict[str, DetRelation] = dict(relations or {})
+    def __init__(self, relations: Mapping[str, R] | None = None) -> None:
+        self.relations: Dict[str, R] = dict(relations or {})
         self._epoch_base = 0
 
     @property
@@ -201,8 +252,8 @@ class DetDatabase:
 
         Sums the per-relation write counters plus a database-level
         counter bumped on relation (re)binding, so *any* write through
-        the supported mutation paths — ``DetRelation.add`` or
-        ``db[name] = rel`` — strictly increases it.  The session layer
+        the supported mutation paths — a relation's ``add`` / ``delete``
+        or ``db[name] = rel`` — strictly increases it.  The session layer
         (:mod:`repro.session`) keys its plan cache and staleness checks
         on this value.  Mutating ``db.relations`` directly bypasses the
         versioning (as it bypasses every cache); don't.
@@ -211,7 +262,7 @@ class DetDatabase:
             rel.stats_epoch for rel in self.relations.values()
         )
 
-    def __getitem__(self, name: str) -> DetRelation:
+    def __getitem__(self, name: str) -> R:
         try:
             return self.relations[name]
         except KeyError:
@@ -219,7 +270,7 @@ class DetDatabase:
                 f"relation {name!r} not found; have {sorted(self.relations)}"
             ) from None
 
-    def __setitem__(self, name: str, rel: DetRelation) -> None:
+    def __setitem__(self, name: str, rel: R) -> None:
         previous = self.relations.get(name)
         # keep the epoch monotone even when the incoming relation's own
         # write counter is behind the one it replaces
@@ -230,3 +281,9 @@ class DetDatabase:
 
     def __contains__(self, name: str) -> bool:
         return name in self.relations
+
+
+class DetDatabase(Catalog[DetRelation]):
+    """A named collection of deterministic relations."""
+
+    __slots__ = ()

@@ -34,6 +34,7 @@ from __future__ import annotations
 from array import array
 from contextlib import contextmanager
 from itertools import repeat
+from math import isnan
 from operator import le
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -95,21 +96,15 @@ def _pack_typed(values: list):
     engines go through Python's identity-or-equality shortcut, so NaN
     columns must keep their original objects.
     """
-    if not values:
+    if not values or type(values[0]) not in (int, float):
         return values
-    kind = type(values[0])
-    if kind is int:
-        for v in values:
-            if type(v) is not int:
-                return values
+    kinds = set(map(type, values))
+    if kinds == {int}:
         try:
             return array("q", values)
         except OverflowError:
             return values
-    if kind is float:
-        for v in values:
-            if type(v) is not float or v != v:
-                return values
+    if kinds == {float} and not any(map(isnan, values)):
         return array("d", values)
     return values
 
@@ -339,7 +334,7 @@ class AUColumnBatch:
         if min(ub):
             rows = dict(zip(tuples, anns))
             if len(rows) == len(anns):  # no two rows value-equal
-                out._rows = rows
+                out.rows = rows
                 return out
         rows = {}
         setdefault = rows.setdefault
@@ -349,7 +344,7 @@ class AUColumnBatch:
             cur = setdefault(t, ann)
             if cur is not ann:
                 rows[t] = (cur[0] + ann[0], cur[1] + ann[1], cur[2] + ann[2])
-        out._rows = rows
+        out.rows = rows
         return out
 
     def merge_duplicates(self) -> Tuple["AUColumnBatch", int]:

@@ -166,7 +166,7 @@ def execute_exchange(parent_exec, node: phys.Exchange):
     db = parent_exec.db
     # morsels map 1:1 onto contiguous runs of surviving chunks, so
     # zone-map skipping prunes work *before* it is handed to workers
-    store = cls.store(db[scan.table], scan.chunk_size)
+    store = _chunks.chunk_store(db[scan.table], scan.chunk_size)
     chunk_groups, group_rows, chunks_total, chunks_skipped = (
         store.morsel_chunk_groups(node.partitions, scan.skip)
     )
@@ -253,12 +253,10 @@ def _run_inline(
 # result / morsel transport
 # ----------------------------------------------------------------------
 def _encode(result) -> tuple:
-    from .vectorized import AUPartialGroups, PartialAggregate
+    from .vectorized import PartialAggregate
 
     if isinstance(result, PartialAggregate):
         return ("partial", result.groups)
-    if isinstance(result, AUPartialGroups):
-        return ("au_partial", result.groups)
     if isinstance(result, AUColumnBatch):
         return (
             "au_batch",
@@ -277,12 +275,10 @@ def _encode(result) -> tuple:
 
 
 def _decode(payload: tuple):
-    from .vectorized import AUPartialGroups, PartialAggregate
+    from .vectorized import PartialAggregate
 
     if payload[0] == "partial":
         return PartialAggregate(payload[1])
-    if payload[0] == "au_partial":
-        return AUPartialGroups(payload[1])
     if payload[0] == "au_batch":
         _tag, schema, columns, lb, sg, ub = payload
         return AUColumnBatch(schema, columns, lb, sg, ub)
@@ -310,7 +306,7 @@ def _run_task(db, task: tuple) -> tuple:
     # the fork-inherited relation state is identical at the same epoch,
     # so chunk boundaries — and therefore the morsel batch — are
     # bit-identical to the parent's
-    store = cls.store(db[scan.table], scan.chunk_size)
+    store = _chunks.chunk_store(db[scan.table], scan.chunk_size)
     bindings[id(scan)] = store.batch_for_chunks(chunk_indices)
     join_tables: Dict[int, Any] = {}
     _prebuild_join_tables(region, scan, bindings, join_tables)

@@ -110,7 +110,6 @@ __all__ = [
     "execute_audb",
     "SubplanMemo",
     "PartialAggregate",
-    "AUPartialGroups",
     "DetGammaState",
     "JoinTable",
     "build_join_table",
@@ -188,28 +187,15 @@ def _annotate_kernel(kernel) -> None:
 class PartialAggregate:
     """Mergeable per-morsel aggregation state (parallel plans only).
 
-    ``groups`` maps group-key tuples to one registry
-    (:data:`~repro.core.aggregation.AGGREGATES`) det state per
-    aggregate; :mod:`repro.exec.parallel` merges the maps exactly and
-    finalizes them through the :class:`~repro.exec.physical.Exchange`'s
-    final operator.
-    """
-
-    __slots__ = ("groups",)
-
-    def __init__(self, groups: Dict[Tuple, List[Any]]) -> None:
-        self.groups = groups
-
-
-class AUPartialGroups:
-    """Mergeable per-morsel AU aggregation state (parallel plans only).
-
-    ``groups`` maps SG group-key tuples to
+    ``groups`` maps group-key tuples to the morsel's state: on the det
+    engine one registry (:data:`~repro.core.aggregation.AGGREGATES`)
+    det state per aggregate, which :mod:`repro.exec.parallel` merges
+    exactly; on the AU engine SG group-key tuples to
     ``[box, ann_sums, agg_states]`` in the layout of
-    :data:`repro.exec.au_aggregate.Groups`;
-    :mod:`repro.exec.parallel` merges them in partition order with
-    :func:`~repro.exec.au_aggregate.merge_partial_groups` and finalizes
-    through :func:`~repro.exec.au_aggregate.finalize_groups`.
+    :data:`repro.exec.au_aggregate.Groups`, merged in partition order
+    with :func:`~repro.exec.au_aggregate.merge_partial_groups`.  Either
+    finalizes through the :class:`~repro.exec.physical.Exchange`'s final
+    operator.
     """
 
     __slots__ = ("groups",)
@@ -379,7 +365,7 @@ class _Executor:
     def _scan(self, p: phys.Scan, stream: bool = False):
         """The table's surviving chunks as one batch — or, ``stream``,
         as the list of their batches."""
-        store = self.store(self.db[p.table], p.chunk_size)
+        store = _chunks.chunk_store(self.db[p.table], p.chunk_size)
         out, total, skipped = (
             store.iter_batches(p.skip) if stream else store.scan(p.skip)
         )
@@ -530,7 +516,6 @@ def _candidates(
 
 class _DetExec(_Executor):
     batch = ColumnBatch
-    store = staticmethod(_chunks.det_store)
     _rows = staticmethod(_bag_rows)
     _distinct = staticmethod(_distinct)
     _except = staticmethod(_except)
@@ -1186,7 +1171,6 @@ def _au_distinct(batch: Any) -> Optional[int]:
 
 class _AUExec(_Executor):
     batch = AUColumnBatch
-    store = staticmethod(_chunks.au_store)
     _rows = staticmethod(_au_rows)
     _actual_rows = staticmethod(_au_distinct)
     _distinct = staticmethod(distinct_batch)
@@ -1207,7 +1191,7 @@ class _AUExec(_Executor):
         if isinstance(p, phys.AUPartialAggregate):
             # raises UncertainGroupError on an uncertain group-by value:
             # the Exchange then re-runs its serial final operator
-            return AUPartialGroups(
+            return PartialAggregate(
                 fold_partial_groups(self.eval(p.child), p.group_by, p.aggregates)
             )
         return super()._engine_node(p)

@@ -56,10 +56,8 @@ from . import telemetry as _tm
 from .algebra.ast import Plan
 from .algebra.optimizer import DeltaPlan, derive_delta, optimize
 from .core import operators as ops
-from .core.relation import AURelation
 from .db import chunks as _chunks
 from .db.engine import _selection as _det_selection
-from .db.storage import DetRelation
 from .exec import physical as phys
 from .exec.au_aggregate import GammaState
 from .exec.vectorized import DetGammaState
@@ -182,12 +180,8 @@ def _private(rel):
     """A new relation holding ``rel``'s rows, in order: maintained
     state never aliases a base table, and a returned result never
     aliases maintained state."""
-    if isinstance(rel, DetRelation):
-        out = DetRelation(rel.schema)
-        out.rows = dict(rel.rows)
-    else:
-        out = AURelation(rel.schema)
-        out._rows = dict(rel._rows)
+    out = type(rel)(rel.schema)
+    out.rows = dict(rel.rows)
     return out
 
 
@@ -318,14 +312,12 @@ class MaterializedView:
         for name in self._tracked:
             rel = self._tracked[name]
             sink = self._make_sink(name)
-            rel._delta_sinks = rel._delta_sinks + (sink,)
+            rel.attach_sink(sink)
             self._sinks.append((rel, sink))
 
     def _detach(self) -> None:
         for rel, sink in self._sinks:
-            rel._delta_sinks = tuple(
-                s for s in rel._delta_sinks if s is not sink
-            )
+            rel.detach_sink(sink)
         self._sinks = []
 
     def _make_sink(self, table: str):
@@ -338,8 +330,8 @@ class MaterializedView:
     def _on_write(self, table: str, t, payload, sign: int) -> None:
         rel = self._tracked.get(table)
         if rel is not None:
-            # the sink fires inside the epoch bump path, after the
-            # relation advanced stats_epoch: re-sync the expectation so
+            # the sink fires from the relation's Relation._publish,
+            # after it advanced stats_epoch: re-sync the expectation so
             # the read-side drift check recognizes this write as ours
             self._expected[table] = rel.stats_epoch
         if self._needs_full_refresh:
@@ -380,19 +372,15 @@ class MaterializedView:
         self._result = None
 
     def _delta_relation(self, table: str, t, payload):
-        schema = self._tracked[table].schema
-        if self._engine == "det":
-            rel = DetRelation(schema)
-            rel.rows[t] = payload
-        else:
-            rel = AURelation(schema)
-            rel._rows[t] = payload
+        base = self._tracked[table]
+        rel = type(base)(base.schema)
+        rel.rows[t] = payload
         return rel
 
     def _merge(self, i: int, out, sign: int) -> None:
         target = self._segs[i]
         write = target.add if sign > 0 else target.delete
-        rows = target.rows if self._engine == "det" else target._rows
+        rows = target.rows
         gamma = self._gamma
         if i != self._gamma_at or self._gamma_stale is not None:
             gamma = None
@@ -512,7 +500,7 @@ class MaterializedView:
         if det:
             source = seg  # the det state folds the segment's rows
         else:
-            source = _chunks.au_store(seg, tail.child.chunk_size).scan()[0]
+            source = _chunks.chunk_store(seg, tail.child.chunk_size).scan()[0]
         out = _tm.run_op(
             tail, lambda _node: self._gamma.rebuild(source), (), None, len
         )

@@ -840,7 +840,7 @@ class EventLog:
             return
         tracked = {id(rel) for rel, _ in self._sinks}
         for name, rel in relations.items():
-            if id(rel) in tracked or not hasattr(rel, "_delta_sinks"):
+            if id(rel) in tracked or not hasattr(rel, "attach_sink"):
                 continue
 
             def sink(row: Any, count: Any, sign: int, _name: str = name) -> None:
@@ -853,15 +853,13 @@ class EventLog:
                     epoch=self.connection.epoch,
                 )
 
-            rel._delta_sinks = rel._delta_sinks + (sink,)
+            rel.attach_sink(sink)
             self._sinks.append((rel, sink))
 
     def close(self) -> None:
         """Detach every write sink (idempotent)."""
         for rel, sink in self._sinks:
-            rel._delta_sinks = tuple(
-                s for s in rel._delta_sinks if s is not sink
-            )
+            rel.detach_sink(sink)
         self._sinks.clear()
 
     # -- recording -----------------------------------------------------

@@ -38,11 +38,8 @@ from repro.core.relation import AURelation
 from repro.db import chunks as chunks_mod
 from repro.db.chunks import (
     DEFAULT_CHUNK_SIZE,
-    AUChunkStore,
-    DetChunkStore,
-    au_store,
+    chunk_store,
     derive_skip,
-    det_store,
     resolve_chunk_size,
 )
 from repro.db.storage import DetDatabase, DetRelation
@@ -107,9 +104,9 @@ def test_chunk_size_zero_rejected_at_every_entry_point():
             evaluate_audb(
                 TableRef("t"), au_db, EvalConfig(backend=backend, chunk_size=0)
             )
-    for store_of, rel in ((det_store, db["t"]), (au_store, au_db["t"])):
+    for rel in (db["t"], au_db["t"]):
         with pytest.raises(ValueError, match="chunk_size"):
-            store_of(rel, 0)
+            chunk_store(rel, 0)
         with pytest.raises(ValueError, match="chunk_size"):
             rel.memory_footprint(0)
     scan = phys.Scan("t", chunk_size=0)
@@ -121,12 +118,12 @@ def test_chunk_size_zero_rejected_at_every_entry_point():
 
 def test_store_accessors_cache_on_relation():
     r = _det_rel()
-    s = det_store(r, 3)
-    assert det_store(r, 3) is s  # cached at the same size
-    assert det_store(r, 4) is not s  # different size rebuilds
+    s = chunk_store(r, 3)
+    assert chunk_store(r, 3) is s  # cached at the same size
+    assert chunk_store(r, 4) is not s  # different size rebuilds
     au = _au_rel()
-    t = au_store(au, 3)
-    assert au_store(au, 3) is t
+    t = chunk_store(au, 3)
+    assert chunk_store(au, 3) is t
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +160,7 @@ def test_parameter_atoms_are_templates_filled_by_binding():
     template = derive_skip(cond)
     assert str(template) == "a>=?0 AND b>?1 AND a<=8"
     assert template.origin == "template" and template.slots() == (0, 1)
-    store = DetChunkStore.build(_det_rel(10), 3)  # [0-2][3-5][6-8][9]
+    store = chunk_store(_det_rel(10), 3)  # [0-2][3-5][6-8][9]
     # an unfilled template skips only through its literal atoms
     _, total, skipped = store.survivors(template)
     assert (total, skipped) == (4, 1)
@@ -194,7 +191,7 @@ def test_parameter_atoms_are_templates_filled_by_binding():
     ],
 )
 def test_zone_skip_rules(cond, expect_kept):
-    store = DetChunkStore.build(_det_rel(10), 3)  # chunks [0-2][3-5][6-8][9]
+    store = chunk_store(_det_rel(10), 3)  # chunks [0-2][3-5][6-8][9]
     kept, total, skipped = store.survivors(derive_skip(cond))
     assert total == 4
     assert len(kept) == expect_kept
@@ -205,7 +202,7 @@ def test_ne_skips_constant_chunk():
     r = DetRelation(["a", "b"])
     for i in range(6):
         r.add((5, i), 1)  # column a is constant 5
-    store = DetChunkStore.build(r, 3)
+    store = chunk_store(r, 3)
     _, total, skipped = store.survivors(derive_skip(Neq(Var("a"), Const(5))))
     assert (total, skipped) == (2, 2)
 
@@ -214,7 +211,7 @@ def test_skip_unknown_column_and_nan_are_permissive():
     r = DetRelation(["a", "b"])
     r.add((float("nan"), 1), 1)
     r.add((2.0, 2), 1)
-    store = DetChunkStore.build(r, 2)
+    store = chunk_store(r, 2)
     # NaN disables column a's zone entry: never skipped on a
     kept, total, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(99))))
     assert (len(kept), skipped) == (1, 0)
@@ -238,7 +235,7 @@ def test_null_skip_rules_det():
         r.add((None, 10 + i), 1)  # chunk 1: a is all-null
     r.add((7, 20), 1)  # chunk 2: mixed — never skippable
     r.add((None, 21), 1)
-    store = DetChunkStore.build(r, 3)
+    store = chunk_store(r, 3)
     # IS NULL proves the null-free chunk empty (zero null count and a
     # min key strictly above None's bottom-of-domain key)
     _, total, skipped = store.survivors(derive_skip(IsNull(Var("a"))))
@@ -256,7 +253,7 @@ def test_null_skip_rules_au():
         r.add([RangeValue(None, None, None), 10 + i], (1, 1, 1))
     for i in range(3):  # chunk 2: possibly null (lb None, guess 5)
         r.add([RangeValue(None, 5, 9), 20 + i], (1, 1, 1))
-    store = AUChunkStore.build(r, 3)
+    store = chunk_store(r, 3)
     # IS NULL skips only the certainly-non-null chunk: the possibly-null
     # rows pull the chunk's min key down to None, so it must be read
     _, total, skipped = store.survivors(derive_skip(IsNull(Var("a"))))
@@ -271,7 +268,7 @@ def test_scan_roundtrip_matches_whole_relation_image():
     r = _det_rel(10)
     flat = ColumnBatch.from_relation(r)
     for size in (1, 3, 64):
-        store = DetChunkStore.build(r, size)
+        store = chunk_store(r, size)
         batch, total, skipped = store.scan(None)
         assert skipped == 0
         assert [tuple(col) for col in map(list, batch.columns)] == [
@@ -285,7 +282,7 @@ def test_scan_roundtrip_matches_whole_relation_image():
 # ----------------------------------------------------------------------
 def test_relation_add_maintains_cached_store():
     r = _det_rel(10)
-    store = det_store(r, 3)
+    store = chunk_store(r, 3)
     r.add((42, 420), 2)  # new row appends and widens the zone
     assert r._chunk_cache is store
     batch, _, _ = store.scan(None)
@@ -299,12 +296,12 @@ def test_relation_add_maintains_cached_store():
 
 def test_delete_keeps_counts_exact_and_bounds_wide():
     r = _det_rel(10)
-    store = det_store(r, 10)
+    store = chunk_store(r, 10)
     ch = store.chunks[0]
     old_max = ch.zone.max_keys[0]
     r.delete((9, 90), 1)  # (9, 90) is the max of both columns
     assert r._chunk_cache is store  # store survived the delete
-    assert ch.zone.rows == ch.zone.certain == 9
+    assert ch.zone.rows == 9
     # the zone keeps the old max: wider than the rows, never narrower,
     # so a>8 reads the chunk (no false skip) and no rebuild ever runs
     assert ch.zone.max_keys[0] == old_max
@@ -315,7 +312,7 @@ def test_delete_keeps_counts_exact_and_bounds_wide():
     # partial delete (multiplicity decrement) leaves the zone alone
     r2 = DetRelation(["a"])
     r2.add((0,), 3)
-    s2 = det_store(r2, 4)
+    s2 = chunk_store(r2, 4)
     r2.delete((0,), 1)
     assert s2.chunks[0].zone.rows == 1
     b, _, _ = s2.scan(None)
@@ -324,7 +321,7 @@ def test_delete_keeps_counts_exact_and_bounds_wide():
 
 def test_emptied_chunk_resets_its_zone():
     r = _au_rel(4)
-    store = au_store(r, 2)  # [0-1][2-3]
+    store = chunk_store(r, 2)  # [0-1][2-3]
     for t, k in list(r.tuples())[:2]:
         r.delete(t, k)
     first = store.chunks[0]
@@ -370,16 +367,13 @@ def au_cells(draw):
 def _check_zones(store, au):
     for ch in store.chunks:
         zone = ch.zone
-        cols = ch.rv_cols if au else ch.batch.columns
-        rows = list(zip(*cols)) if len(ch) else []
+        rows = list(zip(*ch.batch.columns)) if len(ch) else []
         assert zone.rows == len(ch) == len(rows)
         if not rows:  # emptied (or never filled): a fresh zone
             assert zone.min_keys == zone.max_keys == [None, None]
-            assert zone.nulls == [0, 0] and zone.certain == 0
+            assert zone.nulls == [0, 0]
             assert zone.enabled == [True, True]
             continue
-        certain = sum(all(c.is_certain for c in row) for row in rows) if au else len(rows)
-        assert zone.certain == certain
         for j in range(2):
             cells = [row[j] for row in rows]
             guesses = [c.sg for c in cells] if au else cells
@@ -394,13 +388,24 @@ def _check_zones(store, au):
                 assert domain_key(ub) <= zone.max_keys[j]
 
 
+def _check_rows(store, rel, au):
+    """The store holds the relation's rows in order, cells and payload,
+    and its locator points each live row at its chunk position."""
+    batch = store.scan()[0]
+    payloads = batch.annotations() if au else list(batch.mult)
+    assert list(zip(zip(*batch.columns), payloads)) == list(rel.tuples())
+    assert len(store._row_loc) == len(rel)
+    for t in rel.rows:
+        ci, ri = store._row_loc[t]
+        assert tuple(col[ri] for col in store.chunks[ci].batch.columns) == t
+
+
 def _scan_rows(store, au, skip, condition):
     """Rows of the chunks a scan reads under ``skip`` that satisfy
     ``condition`` (AU: in some world)."""
     out = []
     for ch in store.survivors(skip)[0]:
-        cols = ch.rv_cols if au else ch.batch.columns
-        for row in zip(*cols):
+        for row in zip(*ch.batch.columns):
             valuation = dict(zip(("a", "b"), row))
             if au:
                 if condition.eval_range(valuation).ub:
@@ -420,7 +425,7 @@ def test_zones_stay_sound_under_add_delete_interleavings(au, data):
     for row in data.draw(st.lists(rows, max_size=8)):
         rel.add(row, (1, 1, 1) if au else 1)
     chunk_size = data.draw(st.sampled_from([1, 2, 3, 5]))
-    store = (au_store if au else det_store)(rel, chunk_size)
+    store = chunk_store(rel, chunk_size)
     for _ in range(data.draw(st.integers(0, 12))):
         live = list(rel.tuples()) if au else list(rel.rows.items())
         if live and data.draw(st.booleans()):
@@ -430,6 +435,7 @@ def test_zones_stay_sound_under_add_delete_interleavings(au, data):
             rel.add(data.draw(rows), (1, 1, 1) if au else data.draw(st.integers(1, 2)))
         assert rel._chunk_cache is store  # maintained, never dropped
         _check_zones(store, au)
+        _check_rows(store, rel, au)
     for condition in data.draw(st.lists(SKIP_CONDITIONS, min_size=1, max_size=3)):
         skip = derive_skip(condition)
         assert _scan_rows(store, au, skip, condition) == _scan_rows(
@@ -437,14 +443,12 @@ def test_zones_stay_sound_under_add_delete_interleavings(au, data):
         )
 
 
-def test_au_store_roundtrip_and_certain_fraction():
+def test_au_store_roundtrip_and_bounds():
     r = AURelation(["a"])
     r.add([RangeValue(0, 1, 2)], (1, 1, 1))  # uncertain value
     r.add([RangeValue(3, 3, 3)], (1, 1, 1))  # certain value
-    store = au_store(r, 4)
-    zone = store.chunks[0].zone
-    assert zone.rows == 2 and zone.certain == 1
-    assert zone.certain_fraction() == pytest.approx(0.5)
+    store = chunk_store(r, 4)
+    assert store.chunks[0].zone.rows == 2
     batch, _, skipped = store.scan(None)
     assert skipped == 0
     got = {
@@ -469,7 +473,7 @@ def test_au_nan_range_disables_zone_entry():
         object.__setattr__(cell, bound, value)
     r.add([cell], (1, 1, 1))
     r.add([RangeValue(1, 1, 1)], (1, 1, 1))
-    store = au_store(r, 4)
+    store = chunk_store(r, 4)
     zone = store.chunks[0].zone
     assert not zone.enabled[0]
     kept, _, skipped = store.survivors(derive_skip(Gt(Var("a"), Const(10**9))))
@@ -480,7 +484,7 @@ def test_au_nan_range_disables_zone_entry():
 # morsel/chunk alignment
 # ----------------------------------------------------------------------
 def test_morsels_align_with_chunks():
-    store = DetChunkStore.build(_det_rel(10), 3)  # 4 chunks: 3+3+3+1
+    store = chunk_store(_det_rel(10), 3)  # 4 chunks: 3+3+3+1
     groups, group_rows, total, skipped = store.morsel_chunk_groups(4, None)
     assert (total, skipped) == (4, 0)
     assert groups == [[0], [1], [2], [3]]
