@@ -10,6 +10,11 @@ just finalizing the state (the first read builds it).  The baseline re-executes
 the same prepared query after every write and pays the full O(|R|) scan
 + join + aggregation each time.  Results must match write for write.
 
+Every write reaches the view's segment plans as a bound one-row batch,
+so it builds no chunk store: the standalone run reports the stores
+built per write on the det stream and on both AU views below, and fails
+unless each reads 0.
+
 Run standalone for a throughput report (asserts the >=10x acceptance
 bar)::
 
@@ -64,6 +69,7 @@ N_WRITES = 100
 GATE = 10.0  # maintained view vs re-execution, whole stream
 #: the AU GROUP BY view's dirty read vs its read after view.refresh()
 GAMMA_GATE = 0.25
+_BUILDS = get_registry().counter("repro_storage_chunk_store_builds_total")
 
 SQL = (
     "SELECT d, SUM(b) AS total, COUNT(*) AS n "
@@ -139,31 +145,32 @@ def _gamma_rebuilds() -> float:
 def run_au_view(sql: str, n_writes: int = N_WRITES):
     """Write, read the view, then read it again forced from scratch by
     ``view.refresh()``, per op; returns the dirty-read seconds, the
-    refresh-read seconds, the chunk stores built and the γ states
-    rebuilt during the dirty reads, and whether the last read equals a
-    fresh execution."""
+    refresh-read seconds, the chunk stores built by the writes, the
+    chunk stores built and the γ states rebuilt during the dirty reads,
+    and whether the last read equals a fresh execution."""
     db = make_au_orders()
     conn = Connection(db)
     view = conn.subscribe(sql)
     view.result()
-    builds = get_registry().counter("repro_storage_chunk_store_builds_total")
     rng = random.Random(11)
     live = []
     reads = []
     refreshes = []
-    built = rebuilt = 0
+    write_built = built = rebuilt = 0
     for i in range(n_writes):
+        before = _BUILDS.value
         if i % 3 == 2:
             db["orders"].delete(live.pop(), (1, 1, 1))
         else:
             row = (N_ORDERS + i, rng.choice("FOP"), round(rng.uniform(1000.0, 300000.0), 2))
             db["orders"].add(row, (1, 1, 1))
             live.append(row)
-        before = builds.value, _gamma_rebuilds()
+        write_built += _BUILDS.value - before
+        before = _BUILDS.value, _gamma_rebuilds()
         start = time.perf_counter()
         got = view.result()
         reads.append(time.perf_counter() - start)
-        built += builds.value - before[0]
+        built += _BUILDS.value - before[0]
         rebuilt += _gamma_rebuilds() - before[1]
         start = time.perf_counter()
         view.refresh()
@@ -171,7 +178,7 @@ def run_au_view(sql: str, n_writes: int = N_WRITES):
     fresh = Connection(db).execute(sql)
     same = [repr(t) for t in got.tuples()] == [repr(t) for t in fresh.tuples()]
     view.close()
-    return reads, refreshes, built, rebuilt, same
+    return reads, refreshes, write_built, built, rebuilt, same
 
 
 def run_removals_after_rebuild(
@@ -245,21 +252,25 @@ def run_extremum_deletes(n_deletes: int = N_EXTREMUM_DELETES):
     return reads, fresh_times, rebuilt, same
 
 
-def run_maintained(db: DetDatabase, ops, clock=None) -> list:
-    """Write, then read the view, per op; ``clock`` (a two-slot list)
-    accumulates the seconds spent in the writes (storage + delta apply)
-    and in the maintained reads."""
+def run_maintained(db: DetDatabase, ops, tally=None) -> list:
+    """Write, then read the view, per op; ``tally`` (a three-slot list)
+    accumulates the seconds spent in the writes (storage + delta apply),
+    the seconds of the maintained reads and the chunk stores the writes
+    built."""
     conn = Connection(db)
     view = conn.subscribe(SQL)
     out = []
     for op, t, m in ops:
+        builds = _BUILDS.value
         t0 = time.perf_counter()
         getattr(db["r"], op)(t, m)
         t1 = time.perf_counter()
+        built = _BUILDS.value - builds
         out.append(view.result())
-        if clock is not None:
-            clock[0] += t1 - t0
-            clock[1] += time.perf_counter() - t1
+        if tally is not None:
+            tally[0] += t1 - t0
+            tally[1] += time.perf_counter() - t1
+            tally[2] += built
     view.close()
     return out
 
@@ -297,9 +308,9 @@ def main() -> int:
     run_reexecute(make_db(), ops[:4])
 
     db_m = make_db()
-    clock = [0.0, 0.0]
+    tally = [0.0, 0.0, 0]
     start = time.perf_counter()
-    maintained = run_maintained(db_m, ops, clock)
+    maintained = run_maintained(db_m, ops, tally)
     t_m = time.perf_counter() - start
 
     db_r = make_db()
@@ -322,34 +333,41 @@ def main() -> int:
     )
     print(f"re-execute per write : {t_r / N_WRITES * 1e3:8.3f} ms/write")
     print(f"maintained view      : {t_m / N_WRITES * 1e3:8.3f} ms/write")
-    print(f"  write + delta apply: {clock[0] / N_WRITES * 1e6:8.1f} us/write")
-    print(f"  maintained read    : {clock[1] / N_WRITES * 1e6:8.1f} us/read")
+    print(f"  write + delta apply: {tally[0] / N_WRITES * 1e6:8.1f} us/write")
+    print(f"  maintained read    : {tally[1] / N_WRITES * 1e6:8.1f} us/read")
+    print(f"  chunk-store builds : {tally[2] / N_WRITES:8.2f} /write (gate: 0)")
     print(f"speedup              : {speedup:8.1f}x  (gate: >={GATE:.0f}x)")
     if speedup < GATE:
         failures.append(f"speedup {speedup:.1f}x below the {GATE:.0f}x bar")
+    if tally[2]:
+        failures.append(f"det stream: {tally[2]} chunk stores built by its writes")
 
     au_views = {}
     print(f"AU views over orders({N_ORDERS} rows, 1 % uncertain keys), per write:")
     for name, sql in AU_VIEWS.items():
         run_au_view(sql, 4)  # warm-up
-        reads, refreshes, built, rebuilt, same = run_au_view(sql)
+        reads, refreshes, write_built, built, rebuilt, same = run_au_view(sql)
         dirty = statistics.median(reads)
         refresh = statistics.median(refreshes)
         au_views[name] = {
             "dirty_read_ms": round(dirty * 1e3, 4),
             "refresh_read_ms": round(refresh * 1e3, 4),
             "dirty_vs_refresh": round(dirty / refresh, 4),
+            "store_builds_per_write": round(write_built / len(reads), 4),
             "store_builds_per_read": round(built / len(reads), 4),
             "gamma_rebuilds_per_read": round(rebuilt / len(reads), 4),
         }
         print(
             f"  {name:16s}: dirty read {dirty * 1e3:8.3f} ms, refresh read "
             f"{refresh * 1e3:8.3f} ms ({dirty / refresh:.3f}x), "
-            f"{built / len(reads):.2f} chunk-store builds/read, "
+            f"{write_built / len(reads):.2f} chunk-store builds/write, "
+            f"{built / len(reads):.2f}/read, "
             f"{rebuilt / len(reads):.2f} γ-state rebuilds/read"
         )
         if not same:
             failures.append(f"AU view {name}: maintained result differs from fresh")
+        if write_built:
+            failures.append(f"AU view {name}: {write_built} chunk stores built by its writes")
     ratio = au_views["group_by_status"]["dirty_vs_refresh"]
     if ratio > GAMMA_GATE:
         failures.append(
@@ -407,8 +425,9 @@ def main() -> int:
             "dim_rows": N_DIM,
             "writes": N_WRITES,
             "gate": GATE,
-            "write_apply_us": round(clock[0] / N_WRITES * 1e6, 2),
-            "maintained_read_us": round(clock[1] / N_WRITES * 1e6, 2),
+            "write_apply_us": round(tally[0] / N_WRITES * 1e6, 2),
+            "maintained_read_us": round(tally[1] / N_WRITES * 1e6, 2),
+            "store_builds_per_write": round(tally[2] / N_WRITES, 4),
             "maintained_ms_per_write": round(t_m / N_WRITES * 1e3, 4),
             "reexecute_ms_per_write": round(t_r / N_WRITES * 1e3, 4),
             "speedup": round(speedup, 2),

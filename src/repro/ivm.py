@@ -11,10 +11,10 @@ form once (:func:`repro.exec.physical.lower_delta`):
   propagates deltas algebraically: both annotation semirings (bag ``N``
   and the paper's ``K^AU`` triples) distribute over union, so a write
   of ``Δ`` to base table ``R`` changes the view by exactly
-  ``Q[R := Δ]`` — the *same* physical plan evaluated over a shadow
-  database that substitutes the single-tuple delta for ``R`` and reads
-  every other table's current state (join deltas against the memoized
-  opposite side);
+  ``Q[R := Δ]`` — the *same* physical plan run by the one vectorized
+  executor with every ``Scan`` of ``R`` bound to the write as a
+  one-row batch, every other table read in its current state (join
+  deltas against the live opposite side);
 * the **non-linear fragment** (``Difference``, ``Distinct``, ``TopK``,
   ``Aggregate``) cannot absorb one-sided deltas, so
   :func:`~repro.algebra.optimizer.derive_delta` carves the maximal
@@ -36,13 +36,23 @@ form once (:func:`repro.exec.physical.lower_delta`):
 Maintenance is *exact*, never approximate: a write no segment can
 absorb (a self-joined table's write to a linear view, a delete taking a
 segment row negative) raises :class:`DeltaFoldError` internally and
-degrades that view to a full refresh at the next read.  Out-of-band changes —
+degrades that view to a full refresh at the next read; an apply that
+raises anything else (a materialization budget, say) degrades it the
+same way before the error reaches the writer.  Out-of-band changes —
 a table rebound via ``db[name] = ...``, or writes that bypassed the
 subscribed relation objects — are caught by the catalog epoch check on
 read and handled the same way.  The write-interleaving lane of the
 differential fuzzer (``tests/test_fuzz_differential.py``) holds
 maintained results equal to fresh re-execution after every write,
-across both engines and both backends.
+on both engines.
+
+A view runs :func:`~repro.exec.vectorized.execute_det` /
+:func:`~repro.exec.vectorized.execute_audb` by engine, whatever the
+connection's ``EvalConfig.backend`` says, and hands a plan what it
+reads in place of a table through the executor's bindings
+(:class:`~repro.exec.vectorized.SubplanMemo`): the write's batch for
+the segment plans, each kept segment's chunk-store batch for the tail.
+A write builds no chunk store.
 
 Views are not thread-safe; like connections, use one per worker.
 """
@@ -55,12 +65,11 @@ from . import analysis
 from . import telemetry as _tm
 from .algebra.ast import Plan
 from .algebra.optimizer import DeltaPlan, derive_delta, optimize
-from .core import operators as ops
 from .db import chunks as _chunks
-from .db.engine import _selection as _det_selection
 from .exec import physical as phys
 from .exec.au_aggregate import GammaState
-from .exec.vectorized import DetGammaState
+from .exec.batch import AUColumnBatch, ColumnBatch
+from .exec.vectorized import DetGammaState, SubplanMemo, execute_audb, execute_det
 from .sql.parser import parse_sql
 
 __all__ = ["MaterializedView", "DeltaFoldError"]
@@ -131,55 +140,9 @@ def _gamma_state_rebuilt(reason: str) -> None:
     ).inc()
 
 
-def _executor(engine: str, backend: str):
-    """The physical-plan interpreter for an engine/backend pair.
-
-    All four share the ``f(pplan, db)`` calling convention and resolve
-    base tables only through ``db[name]``, which is what makes the
-    shadow-database substitution below work without touching them.
-    """
-    if engine == "det":
-        if backend == "vectorized":
-            from .exec.vectorized import execute_det
-
-            return execute_det
-        from .db.engine import execute_physical_det
-
-        return execute_physical_det
-    if backend == "vectorized":
-        from .exec.vectorized import execute_audb
-
-        return execute_audb
-    from .algebra.evaluator import execute_physical_audb
-
-    return execute_physical_audb
-
-
-class _ShadowDB:
-    """A database view with some tables substituted.
-
-    Per-write delta evaluation runs the *unchanged* segment plan over
-    this: the written table resolves to the one-tuple delta relation,
-    every other table to its live state.  Tail re-execution uses the
-    same trick to read maintained segments back under their synthetic
-    ``__ivm_seg*`` names.
-    """
-
-    __slots__ = ("_base", "_over")
-
-    def __init__(self, base, over: Dict[str, Any]) -> None:
-        self._base = base
-        self._over = over
-
-    def __getitem__(self, name: str):
-        rel = self._over.get(name)
-        return rel if rel is not None else self._base[name]
-
-
 def _private(rel):
-    """A new relation holding ``rel``'s rows, in order: maintained
-    state never aliases a base table, and a returned result never
-    aliases maintained state."""
+    """A new relation holding ``rel``'s rows, in order: a linear view's
+    result never aliases its maintained bag."""
     out = type(rel)(rel.schema)
     out.rows = dict(rel.rows)
     return out
@@ -212,8 +175,7 @@ class MaterializedView:
         config = conn.config
         self._conn = conn
         self._engine = conn.engine
-        self._backend = config.backend
-        self._exec = _executor(conn.engine, config.backend)
+        self._exec = execute_det if conn.engine == "det" else execute_audb
         self._closed = False
         self._semantics = "bag" if conn.engine == "det" else "au"
 
@@ -250,6 +212,15 @@ class MaterializedView:
         conn.metrics.lowerings += 1
         if conn.verify_plans:
             analysis.verify_delta(self._delta, self._dplan, stats)
+        tail = self._dplan.tail_pplan
+        #: every scan of the segment plans and the tail, by table: a
+        #: write is bound to each scan of its table (a self-union reads
+        #: it twice), a kept segment to each tail scan of its name
+        self._scans: Dict[str, List[phys.Scan]] = {}
+        for pplan in filter(None, (*self._dplan.segment_pplans, tail)):
+            for node in pplan.walk():
+                if isinstance(node, phys.Scan):
+                    self._scans.setdefault(node.table, []).append(node)
 
         n_segs = len(self._delta.segments)
         self._tracked: Dict[str, Any] = {}
@@ -269,6 +240,12 @@ class MaterializedView:
         self._gamma_at = phys.gamma_segment(self._dplan)
         self._gamma: Union[DetGammaState, GammaState, None] = None
         self._gamma_stale: Optional[str] = "initial"
+        #: the tail's HAVING, run over the kept state's result
+        self._having = (
+            phys.FusedSelectProject(tail, tail.having, None)
+            if self._gamma_at is not None and tail.having is not None
+            else None
+        )
         # read-side cache: rebuilt only when the catalog epoch moved
         self._result = None
         self._result_epoch: Optional[int] = None
@@ -341,13 +318,18 @@ class MaterializedView:
         except DeltaFoldError as exc:
             self._needs_full_refresh = True
             _fold_fallback(exc)
+        except BaseException:
+            # the write landed but its delta may be half-merged: only a
+            # full refresh is exact again
+            self._needs_full_refresh = True
+            raise
         else:
             self.writes_applied += 1
             _DELTA_APPLIES.inc()
 
     def _apply(self, table: str, t, payload, sign: int) -> None:
         delta = self._delta
-        delta_rel = None
+        memo = None
         for i, seg in enumerate(delta.segments):
             if table not in seg.tables:
                 continue
@@ -360,22 +342,26 @@ class MaterializedView:
                 continue
             if self._seg_dirty[i] and seg.name != "":
                 continue  # already due for a from-scratch rebuild
-            if delta_rel is None:
-                delta_rel = self._delta_relation(table, t, payload)
+            if memo is None:
+                memo = self._delta_memo(table, t, payload)
             out = self._exec(
-                self._dplan.segment_pplans[i],
-                _ShadowDB(self._conn.db, {table: delta_rel}),
+                self._dplan.segment_pplans[i], self._conn.db, memo=memo
             )
             self._merge(i, out, sign)
         if delta.tail is not None:
             self._tail_dirty = True
         self._result = None
 
-    def _delta_relation(self, table: str, t, payload):
-        base = self._tracked[table]
-        rel = type(base)(base.schema)
-        rel.rows[t] = payload
-        return rel
+    def _delta_memo(self, table: str, t, payload) -> SubplanMemo:
+        """The write as one batch, bound to every scan of ``table`` in
+        the segment plans."""
+        schema = self._tracked[table].schema
+        if self._engine == "det":
+            batch = ColumnBatch.from_rows(schema, {t: payload})
+        else:
+            batch = AUColumnBatch.from_rows(schema, [(t, payload)])
+        bound = dict.fromkeys(map(id, self._scans[table]), batch)
+        return SubplanMemo(frozenset(), bound, {})
 
     def _merge(self, i: int, out, sign: int) -> None:
         target = self._segs[i]
@@ -443,8 +429,8 @@ class MaterializedView:
         # refresh: rebuild dirty segments eagerly, then the gated tail
         for i, dirty in enumerate(self._seg_dirty):
             if dirty:
-                self._segs[i] = _private(
-                    self._exec(self._dplan.segment_pplans[i], self._conn.db)
+                self._segs[i] = self._exec(
+                    self._dplan.segment_pplans[i], self._conn.db
                 )
                 self._seg_dirty[i] = False
                 self._tail_dirty = True
@@ -472,16 +458,19 @@ class MaterializedView:
         """The non-linear tail re-executed over the view's current
         segments: what a ``refresh`` view's read returns, computed from
         scratch without touching maintained state."""
-        over = {
-            seg.name: self._segs[i] for i, seg in enumerate(self._delta.segments)
+        bound = {
+            id(scan): self._seg_batch(i, scan)
+            for i, seg in enumerate(self._delta.segments)
+            for scan in self._scans.get(seg.name, ())
         }
-        out = self._exec(self._dplan.tail_pplan, _ShadowDB(self._conn.db, over))
-        if any(out is rel for rel in (*self._segs, *self._tracked.values())):
-            # the tuple interpreters may hand an input back (an AU top-k
-            # over an uncertain order key): a returned result must not
-            # change under later writes
-            out = _private(out)
-        return out
+        memo = SubplanMemo(frozenset(), bound, {})
+        return self._exec(self._dplan.tail_pplan, self._conn.db, memo=memo)
+
+    def _seg_batch(self, i: int, scan: phys.Scan):
+        """Segment ``i`` as the tail's ``scan`` reads it: its chunk
+        store's batch (built on the first read, then maintained by the
+        segment's writes)."""
+        return _chunks.chunk_store(self._segs[i], scan.chunk_size).scan()[0]
 
     def _gamma_rebuild(self):
         """Re-run the tail's aggregate over its segment and keep its γ
@@ -500,7 +489,7 @@ class MaterializedView:
         if det:
             source = seg  # the det state folds the segment's rows
         else:
-            source = _chunks.chunk_store(seg, tail.child.chunk_size).scan()[0]
+            source = self._seg_batch(self._gamma_at, tail.child)
         out = _tm.run_op(
             tail, lambda _node: self._gamma.rebuild(source), (), None, len
         )
@@ -511,13 +500,11 @@ class MaterializedView:
     def _gamma_result(self, batch):
         """The view result of the γ output ``batch``: the result edge and
         the tail's HAVING."""
-        out = batch.to_relation()
-        having = self._dplan.tail_pplan.having
+        having = self._having
         if having is None:
-            return out
-        if self._engine == "det":
-            return _det_selection(out, having)
-        return ops.selection(out, having)
+            return batch.to_relation()
+        memo = SubplanMemo(frozenset(), {id(having.child): batch}, {})
+        return self._exec(having, self._conn.db, memo=memo)
 
     def _materialize(self) -> None:
         """From-scratch (re)build: re-resolve base relations, recompute
@@ -530,12 +517,7 @@ class MaterializedView:
             rel = db[name]
             self._tracked[name] = rel
             self._expected[name] = rel.stats_epoch
-        # from the rows, never the executor's object: a tuple-backend
-        # segment that is a bare Scan returns the base table itself
-        self._segs = [
-            _private(self._exec(pplan, db))
-            for pplan in self._dplan.segment_pplans
-        ]
+        self._segs = [self._exec(pplan, db) for pplan in self._dplan.segment_pplans]
         self._seg_dirty = [False] * len(self._segs)
         self._tail_dirty = True
         self._tail_result = None

@@ -45,10 +45,12 @@ backend, and the paper's semantics promise:
    inserts/deletes/updates (AU deletes with valid delta/remainder
    ``K^AU`` triples) is applied; after every write the maintained
    :class:`~repro.ivm.MaterializedView` result must equal fresh
-   re-execution, on both engines and both backends, whatever the
-   delta-plan classification (linear / aggregate-merge / epoch-gated
+   re-execution by the legacy interpreter, on both engines, whatever
+   the delta-plan classification (linear / aggregate-merge / epoch-gated
    refresh); after ``unsubscribe`` maintenance must stop and the
-   registry entry must be freed.
+   registry entry must be freed.  A view runs on the vectorized
+   executor whatever its connection's backend; the lane subscribes
+   under both ``backend`` settings.
 5. **Det-vs-AU containment** — the AU result must bound the certain
    answer: its selected-guess world equals the Det engine's result over
    the SGW database, and the tuple-matching oracle
@@ -500,7 +502,8 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """Incremental-view-maintenance lane: ``subscribe`` to the plan and
     interleave random inserts/deletes/updates with reads, asserting the
     maintained result equals fresh re-execution after every write, for
-    both engines and both backends.  A ``refresh`` view's read must
+    both engines, on connections of both ``backend`` settings (a view
+    runs on the vectorized executor either way).  A ``refresh`` view's read must
     also equal its tail re-executed over its current segments: on the
     AU engine in row order and by ``repr`` — the comparison with fresh
     execution is by value, which lets ``0`` vs ``0.0``, ``-0.0`` and row
@@ -898,7 +901,7 @@ def _check_case(seed: int) -> None:
 
     # 1f. incremental view maintenance: a subscribed view interleaved
     # with random inserts/deletes/updates equals fresh re-execution
-    # after every write, on both engines and both backends
+    # after every write, on both engines
     _check_ivm_lane(rng, plan, det, audb, context)
 
     # 1g. chunked storage is invisible: every chunk size (including the

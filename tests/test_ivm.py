@@ -15,12 +15,17 @@ Hypothesis properties:
   its tail re-run over the current segment — rows in order, cell and
   annotation ``repr`` — under insert / delete / value-equal-merge
   streams with uncertain keys, ranges and ``0`` / ``0.0`` / ``-0.0`` /
-  ``True`` values, on both backends, with and without a bucket budget;
+  ``True`` values, under either backend setting, with and without a
+  bucket budget;
 * empty-delta writes are complete no-ops (no epoch advance, no
   maintenance work, cached result object preserved);
 * ``unsubscribe`` stops maintenance and frees the registry entry.
 
-Plus golden ``explain_delta`` snapshots locking where the refresh
+Plus what a view's plans read, on both engines: a write reaches every
+scan of its table (a self-union's two), a self-joined table's write is
+recomputed and never folded, the tail reads each kept segment through
+its own scan, and a view answers the same under either ``backend``
+setting.  Plus golden ``explain_delta`` snapshots locking where the refresh
 boundary lands for the non-linear operators (``Difference`` /
 ``Distinct`` / ``TopK`` / a det or AU γ), one pinned case per reason a
 kept γ state goes stale on either engine, bit-identity of those views
@@ -38,9 +43,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algebra.ast import (
     Difference,
     Distinct,
+    Join,
     Limit,
     OrderBy,
     Projection,
+    Rename,
     Selection,
     TableRef,
     Union,
@@ -54,7 +61,7 @@ from repro.core.aggregation import (
     agg_min,
     agg_sum,
 )
-from repro.core.expressions import Const, Gt, Leq, Var
+from repro.core.expressions import Const, Eq, Gt, Leq, Var
 from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.engine import _aggregate, evaluate_det
@@ -165,15 +172,19 @@ def _au_annotations(draw):
     return (lb, sg, sg + draw(st.integers(min_value=0, max_value=1)))
 
 
+#: a self-union: linear, and a write to r reaches both of its scans
+_SELF_UNION = Union(
+    Selection(TableRef("r"), Gt(Var("b"), Const(1))),
+    Selection(TableRef("r"), Leq(Var("a"), Const(2))),
+)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_au_union_view_maintained_equals_fresh(data):
     rel = AURelation(("a", "b"))
     db = AUDatabase({"r": rel})
-    plan = Union(
-        Selection(TableRef("r"), Gt(Var("b"), Const(1))),
-        Selection(TableRef("r"), Leq(Var("a"), Const(2))),
-    )
+    plan = _SELF_UNION
     conn = Connection(db, verify=True)
     view = conn.subscribe(plan)
     assert view.kind == "linear"
@@ -382,7 +393,7 @@ def test_refresh_view_results_are_snapshots(backend, shape):
 
 def test_bare_scan_segment_never_aliases_its_base_table():
     # OrderBy is linear and lowers to nothing: the segment is `Scan r`,
-    # which the tuple interpreter answers with the base table itself
+    # whose maintained copy must not be the base table itself
     db = _small_det_db()
     conn = Connection(db, verify=True, config=EvalConfig(backend="tuple"))
     plan = Distinct(OrderBy(TableRef("r"), ("a",)))
@@ -430,6 +441,233 @@ def test_dirty_au_view_reads_build_no_chunk_store(sql):
     assert view.tail_refreshes == 7 and view.full_refreshes == 0
 
 
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_writes_build_no_chunk_store(engine):
+    # the write reaches each view's segment plan as a bound one-row
+    # batch: no relation, so no store built for it
+    r = [(i % 5, i) for i in range(30)]
+    s = [(c, c * 10) for c in range(5)]
+    if engine == "det":
+        db = DetDatabase(
+            {"r": DetRelation(("a", "b"), dict.fromkeys(r, 1)),
+             "s": DetRelation(("c", "d"), dict.fromkeys(s, 1))}
+        )
+        one = 1
+    else:
+        db = AUDatabase(
+            {"r": AURelation(("a", "b"), [(t, (1, 1, 1)) for t in r]),
+             "s": AURelation(("c", "d"), [(t, (1, 1, 1)) for t in s])}
+        )
+        one = (1, 1, 1)
+    conn = Connection(db, verify=True)
+    queries = [
+        "SELECT a, b, d FROM r, s WHERE a = c",
+        "SELECT d, SUM(b) AS total, COUNT(*) AS n FROM r, s WHERE a = c GROUP BY d",
+        _SELF_UNION,
+    ]
+    views = [conn.subscribe(q) for q in queries]
+    assert [v.kind for v in views] == ["linear", "refresh", "linear"]
+    for view in views:
+        view.result()  # the first read may build the segments' stores
+    writes = [("add", "r", (1, 100)), ("add", "s", (2, 7)), ("delete", "r", (3, 8))]
+    writes += [("delete", "s", (2, 7)), ("add", "r", (9, 1))]
+    for op, table, t in writes:
+        builds = _STORE_BUILDS.value
+        getattr(db[table], op)(t, one)
+        assert _STORE_BUILDS.value == builds, (op, table, t)
+        for query, view in zip(queries, views):
+            fresh = Connection(db).execute(query)
+            assert _bits(view.result()) == _bits(fresh), (query, op, t)
+    assert all(v.writes_applied == 5 and v.full_refreshes == 0 for v in views[:2])
+    assert views[2].writes_applied == 3  # writes to s do not reach it
+
+
+def test_failed_delta_apply_refreshes_the_view():
+    # a compressed join over budget raises out of the write's sink after
+    # the base write landed: the view it interrupted and a second view
+    # whose sink never ran must both answer like a fresh execution
+    from repro.exec.batch import MaterializationBudgetError, materialization_budget
+
+    r = AURelation(("a", "b"), [((i % 4, i), (1, 1, 1)) for i in range(52)])
+    s = AURelation(("c", "d"), [((c, c * 10), (1, 1, 1)) for c in range(4)])
+    db = AUDatabase({"r": r, "s": s})
+    config = EvalConfig(join_buckets=4)
+    conn = Connection(db, config=config)
+    queries = ["SELECT a, b, d FROM r, s WHERE a = c", "SELECT c, d FROM s WHERE d >= 0"]
+    views = [conn.subscribe(q) for q in queries]
+    for view in views:
+        view.result()
+    with materialization_budget(10), pytest.raises(MaterializationBudgetError):
+        s.add((1, 99), (1, 1, 1))
+    assert (1, 99) in {tuple(v.sg for v in t) for t in s.rows}  # it landed
+    for query, view in zip(queries, views):
+        fresh = Connection(db, config=config).execute(query)
+        assert _snapshot(view.result()) == _snapshot(fresh), query
+        assert view.full_refreshes == 1
+    applied = [view.writes_applied for view in views]
+    s.add((2, 5), (1, 1, 1))  # maintenance resumes after the refresh
+    assert [view.writes_applied for view in views] == [n + 1 for n in applied]
+    fresh = Connection(db, config=config).execute(queries[1])
+    assert _snapshot(views[1].result()) == _snapshot(fresh)
+
+
+# ----------------------------------------------------------------------
+# what a view's plans read: Δ bound to every scan, segments to the tail
+# ----------------------------------------------------------------------
+def _engine_db(engine: str, tables: dict):
+    """``tables`` (name -> (schema, rows)) as a det database (each row
+    once) or an AU one (each row certain), with the engine's unit
+    annotation."""
+    if engine == "det":
+        rels = {n: DetRelation(s, dict.fromkeys(rows, 1)) for n, (s, rows) in tables.items()}
+        return DetDatabase(rels), 1
+    rels = {n: AURelation(s, [(t, (1, 1, 1)) for t in rows]) for n, (s, rows) in tables.items()}
+    return AUDatabase(rels), (1, 1, 1)
+
+
+def _weight(rel, t):
+    """The payload of row ``t`` (an AU row by its selected guesses), or
+    ``None`` when ``rel`` does not hold it."""
+    for row, payload in rel.tuples():
+        if tuple(getattr(v, "sg", v) for v in row) == t:
+            return payload
+    return None
+
+
+def _same(engine: str, got, want) -> bool:
+    if engine == "det":
+        return _bits(got) == _bits(want)
+    return sorted(_snapshot(got)) == sorted(_snapshot(want))
+
+
+@pytest.mark.parametrize("op", ["add", "delete"])
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_self_union_write_reaches_both_scans(engine, op):
+    # (2, 5) passes both selections: a write of it changes the view by
+    # two copies, one through each scan of r
+    db, one = _engine_db(engine, {"r": (("a", "b"), [(i % 4, i) for i in range(8)])})
+    t = (2, 5) if op == "delete" else (1, 9)
+    if op == "delete":
+        db["r"].add(t, one)
+    conn = Connection(db, verify=True)
+    view = conn.subscribe(_SELF_UNION)
+    assert view.kind == "linear"
+    before = view.result()
+    getattr(db["r"], op)(t, one)
+    got = view.result()
+    assert _same(engine, got, Connection(db).execute(_SELF_UNION))
+    copies = 2 if engine == "det" else (2, 2, 2)
+    if op == "add":
+        assert (_weight(before, t), _weight(got, t)) == (None, copies)
+    else:
+        assert (_weight(before, t), _weight(got, t)) == (copies, None)
+    assert view.writes_applied == 1 and view.full_refreshes == 0
+
+
+#: r joined with a renamed copy of itself (SQL table aliases do not
+#: qualify attribute names)
+_R_SELF_JOIN = Join(
+    TableRef("r"), Rename(TableRef("r"), {"a": "c", "b": "d"}), Eq(Var("b"), Var("c"))
+)
+_SELF_JOINS = {
+    # linear: the whole view is the segment, so the write refreshes it
+    "linear": _R_SELF_JOIN,
+    # refresh: only the self-joined segment is rebuilt, by the next read
+    "refresh": Distinct(Projection(_R_SELF_JOIN, ((Var("a"), "a"), (Var("d"), "d")))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SELF_JOINS))
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_self_joined_table_write_is_never_folded(engine, kind):
+    # Q[R := Δ] misses the Δ⋈R cross terms of a self-join: the write
+    # must not be bound to the scans and folded, only recomputed
+    plan = _SELF_JOINS[kind]
+    db, one = _engine_db(engine, {"r": (("a", "b"), [(i % 3, i) for i in range(6)])})
+    conn = Connection(db, verify=True)
+    view = conn.subscribe(plan)
+    assert view.kind == kind
+    assert "(self-joined)" in view.explain_delta()
+    view.result()
+    fallbacks = get_registry().counter(
+        "repro_ivm_delta_fold_fallbacks_total", reason="self_join"
+    )
+    before = (fallbacks.value, _SEGMENT_REFRESHES.value)
+    for op, t in [("add", (1, 2)), ("add", (2, 0)), ("delete", (0, 3))]:
+        getattr(db["r"], op)(t, one)
+        assert _same(engine, view.result(), Connection(db).execute(plan)), (op, t)
+    if kind == "linear":
+        assert view.full_refreshes == 3 and view.writes_applied == 0
+        assert (fallbacks.value, _SEGMENT_REFRESHES.value) == (before[0] + 3, before[1])
+    else:
+        assert view.full_refreshes == 0 and view.tail_refreshes == 4
+        assert (fallbacks.value, _SEGMENT_REFRESHES.value) == (before[0], before[1] + 3)
+
+
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_tail_reads_each_segment_through_its_own_scan(engine):
+    # two segments over two tables: the tail's two scans are bound to
+    # two different maintained batches, each changed by its own table
+    db, one = _engine_db(
+        engine,
+        {"r": (("a", "b"), [(i % 5, i) for i in range(10)]),
+         "s": (("c", "d"), [(c, c) for c in range(0, 5, 2)])},
+    )
+    plan = Difference(
+        Projection(TableRef("r"), ((Var("a"), "a"),)),
+        Projection(TableRef("s"), ((Var("c"), "a"),)),
+    )
+    conn = Connection(db, verify=True)
+    view = conn.subscribe(plan)
+    assert view.kind == "refresh"
+    assert view.explain_delta().count("Δ-maintain segment") == 2
+    writes = [("add", "s", (1, 1)), ("add", "r", (7, 0)), ("delete", "s", (0, 0))]
+    writes += [("delete", "r", (3, 3)), ("add", "r", (1, 99))]
+    for op, table, t in writes:
+        getattr(db[table], op)(t, one)
+        got = view.result()
+        assert _same(engine, got, Connection(db).execute(plan)), (op, table, t)
+        assert _same(engine, got, view.run_tail())
+    assert view.writes_applied == 5 and view.full_refreshes == 0
+
+
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_view_maintenance_ignores_the_backend_setting(engine):
+    # a view runs the vectorized executor whatever EvalConfig.backend
+    # says: the same writes leave both connections' views identical
+    db, one = _engine_db(
+        engine,
+        {"r": (("a", "b"), [(i % 4, i) for i in range(12)]),
+         "s": (("c", "d"), [(c, c * 10) for c in range(4)])},
+    )
+    queries = [
+        "SELECT a, b, d FROM r, s WHERE a = c",
+        "SELECT d, COUNT(*) AS n, SUM(b) AS total FROM r, s WHERE a = c GROUP BY d",
+        "SELECT DISTINCT a FROM r WHERE b > 2",
+    ]
+    views = {
+        backend: [
+            Connection(db, verify=True, config=EvalConfig(backend=backend)).subscribe(q)
+            for q in queries
+        ]
+        for backend in ("tuple", "vectorized")
+    }
+    writes = [("add", "r", (1, 50)), ("add", "s", (9, 90)), ("delete", "r", (2, 6))]
+    writes += [("add", "s", (1, 11)), ("delete", "s", (0, 0))]
+    for op, table, t in writes:
+        getattr(db[table], op)(t, one)
+        for query, tuple_view, vec_view in zip(queries, *views.values()):
+            got = tuple_view.result()
+            if engine == "det":
+                assert _bits(got) == _bits(vec_view.result()), (query, op, t)
+            else:
+                assert _snapshot(got) == _snapshot(vec_view.result()), (query, op, t)
+            assert _same(engine, got, Connection(db).execute(query)), (query, op, t)
+    for tuple_view, vec_view in zip(*views.values()):
+        assert tuple_view.writes_applied == vec_view.writes_applied > 0
+        assert tuple_view.full_refreshes == vec_view.full_refreshes == 0
+
+
 def test_derive_delta_classification_and_trace():
     trace: list = []
     delta = derive_delta(
@@ -437,8 +675,6 @@ def test_derive_delta_classification_and_trace():
     )
     assert delta.kind == "linear" and trace == ["delta-derivation"]
     # a self-joined table cannot absorb one-sided deltas
-    from repro.algebra.ast import Join
-
     self_join = Join(TableRef("r"), TableRef("r"), Gt(Var("a"), Const(0)))
     delta = derive_delta(self_join)
     assert delta.kind == "linear"
