@@ -59,6 +59,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..core.expressions import And, Eq, Expression, Var
 from ..analysis import verification_enabled
 from ..core.compression import recommended_buckets
+from ..core.operators import _extract_equi_pairs
 from .ast import (
     Aggregate,
     CrossProduct,
@@ -1346,11 +1347,6 @@ def _self_products(plan: Plan) -> Set[str]:
     return conflicts
 
 
-def _is_linear(plan: Plan, semantics: str) -> bool:
-    nodes = _BAG_LINEAR_NODES if semantics == "bag" else _LINEAR_NODES
-    return all(isinstance(n, nodes) for n in plan.walk())
-
-
 def _segment(name: str, plan: Plan) -> DeltaSegment:
     return DeltaSegment(
         name,
@@ -1366,6 +1362,7 @@ def derive_delta(
     *,
     semantics: str = "bag",
     trace: Optional[List[str]] = None,
+    join_buckets: Optional[int] = None,
 ) -> DeltaPlan:
     """Derive the per-write maintenance strategy for ``plan``.
 
@@ -1373,7 +1370,10 @@ def derive_delta(
     ``semantics`` is ``"bag"`` (deterministic engine) or ``"au"``.  The
     derivation itself is an (exactness-preserving) plan rewrite and is
     recorded in ``trace`` as ``"delta-derivation"`` for the
-    semiring-safety lint, like any optimizer rule.
+    semiring-safety lint, like any optimizer rule.  ``join_buckets`` is
+    the AU lowering's ``Cpr`` join budget: under it an AU equi-join
+    lowers to a compressed join, whose buckets depend on the whole
+    input, so it is not linear and runs in the tail.
 
     The result is ``linear`` (the whole plan is one segment) or
     ``refresh`` (segments plus a tail); a root γ over a linear input is
@@ -1381,8 +1381,26 @@ def derive_delta(
     """
     if trace is not None and "delta-derivation" not in trace:
         trace.append("delta-derivation")
+    nodes = _BAG_LINEAR_NODES if semantics == "bag" else _LINEAR_NODES
+    compressed = semantics == "au" and join_buckets is not None
 
-    if _is_linear(plan, semantics):
+    def compressed_join(node: Plan) -> bool:
+        if not isinstance(node, Join):
+            return False
+        left, right = schema_of(node.left, stats), schema_of(node.right, stats)
+        return (
+            left is not None
+            and right is not None
+            and bool(_extract_equi_pairs(node.condition, left, right))
+        )
+
+    def linear(node: Plan) -> bool:
+        return all(
+            isinstance(n, nodes) and not (compressed and compressed_join(n))
+            for n in node.walk()
+        )
+
+    if linear(plan):
         return DeltaPlan(plan, "linear", (_segment("", plan),), None)
 
     # non-linear fragment: carve out maximal linear subtrees as
@@ -1394,7 +1412,7 @@ def derive_delta(
     gamma_input = plan.child if isinstance(plan, Aggregate) else None
 
     def carve(node: Plan) -> Plan:
-        if _is_linear(node, semantics):
+        if linear(node):
             if isinstance(node, TableRef) and node is not gamma_input:
                 return node  # the tail reads base tables directly
             schema = schema_of(node, stats)

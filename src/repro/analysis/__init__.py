@@ -42,46 +42,15 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterator, List
 
-__all__ = [
-    "verification_enabled",
-    "set_verification",
-    "verified",
-    # errors (repro.analysis.errors)
-    "PlanVerificationError",
-    "PlanReferenceError",
-    "PlanCompatibilityError",
-    "PlanTypeError",
-    "SemiringSafetyError",
-    # schema inference (repro.analysis.schema)
-    "Schema",
-    "ColumnInfo",
-    "infer_logical",
-    "infer_expression",
-    "TYPE_NUMBER",
-    "TYPE_STRING",
-    "TYPE_BOOL",
-    "TYPE_ANY",
-    # verification (repro.analysis.verify)
-    "verify_logical",
-    "verify_physical",
-    "verify_bound",
-    "binding_sites",
-    "binding_spine",
-    "verify_delta",
-    # semiring-safety lint (repro.analysis.lint)
-    "RewriteRule",
-    "REWRITE_RULES",
-    "check_semiring_safety",
-    "rule_allowed",
-    "SEMANTICS",
-]
-
+#: every public name of the submodules, by the submodule that defines it
 _LAZY = {
+    # errors (repro.analysis.errors)
     "PlanVerificationError": "errors",
     "PlanReferenceError": "errors",
     "PlanCompatibilityError": "errors",
     "PlanTypeError": "errors",
     "SemiringSafetyError": "errors",
+    # schema inference (repro.analysis.schema)
     "Schema": "schema",
     "ColumnInfo": "schema",
     "infer_logical": "schema",
@@ -90,18 +59,23 @@ _LAZY = {
     "TYPE_STRING": "schema",
     "TYPE_BOOL": "schema",
     "TYPE_ANY": "schema",
+    # verification (repro.analysis.verify)
     "verify_logical": "verify",
     "verify_physical": "verify",
+    "infer_physical": "verify",
     "verify_bound": "verify",
     "binding_sites": "verify",
     "binding_spine": "verify",
     "verify_delta": "verify",
+    # semiring-safety lint (repro.analysis.lint)
     "RewriteRule": "lint",
     "REWRITE_RULES": "lint",
     "check_semiring_safety": "lint",
     "rule_allowed": "lint",
     "SEMANTICS": "lint",
 }
+
+__all__ = ["verification_enabled", "set_verification", "verified", *_LAZY]
 
 
 def __getattr__(name: str) -> Any:

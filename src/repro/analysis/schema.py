@@ -22,6 +22,13 @@ certain when their harvested ``uncertain_fraction`` is exactly 0,
 constants are certain, ``MakeUncertain`` is not, operators propagate
 the conjunction of their operands, and aggregate outputs are
 conservatively uncertain (group membership may differ across worlds).
+
+Every rule is written once, per operator *shape* (select, project,
+rename, join, set operation, aggregate, order keys): a function of the
+child schemas and the node's own fields.  :func:`infer_logical`
+dispatches each logical node to its shape, and
+:func:`repro.analysis.verify.infer_physical` each physical node, so the
+two IRs cannot drift apart.
 """
 
 from __future__ import annotations
@@ -50,6 +57,13 @@ __all__ = [
     "infer_expression",
     "infer_logical",
     "table_schema",
+    "select_shape",
+    "project_shape",
+    "rename_shape",
+    "join_shape",
+    "set_op_shape",
+    "aggregate_shape",
+    "order_shape",
 ]
 
 TYPE_NUMBER = "number"
@@ -351,156 +365,143 @@ def infer_expression(expr: ex.Expression, env: Env, where: str = "") -> ColumnIn
 
 
 # ----------------------------------------------------------------------
-# plan inference
+# shape rules: one per operator shape, shared by the logical and the
+# physical inference (:func:`repro.analysis.verify.infer_physical`)
 # ----------------------------------------------------------------------
 def _env(schema: Optional[Schema]) -> Env:
     return schema.mapping() if schema is not None else None
 
 
-def _describe(plan: ast.Plan) -> str:
-    if isinstance(plan, ast.TableRef):
-        return f"TableRef({plan.name})"
-    return type(plan).__name__
+def _named(name: str, info: ColumnInfo) -> ColumnInfo:
+    return ColumnInfo(name, info.type, info.nullable, info.certain)
 
 
-def _check_set_op(
+def select_shape(
+    child: Optional[Schema], condition: ex.Expression, where: str
+) -> Optional[Schema]:
+    """σ: the condition resolves over the child, whose schema passes."""
+    infer_expression(condition, _env(child), where)
+    return child
+
+
+def project_shape(
+    child: Optional[Schema],
+    columns: Sequence[Tuple[ex.Expression, str]],
+    where: str,
+) -> Schema:
+    """π: one output column per ``(expression, name)``."""
+    env = _env(child)
+    return Schema(
+        [
+            _named(name, infer_expression(expr, env, f"{where} column {name!r}"))
+            for expr, name in columns
+        ]
+    )
+
+
+def rename_shape(
+    child: Optional[Schema], mapping: Mapping[str, str]
+) -> Optional[Schema]:
+    """ρ: every renamed column exists; types and flags carry over."""
+    if child is None:
+        return None
+    for old in mapping:
+        if old not in child:
+            raise PlanReferenceError(
+                f"Rename of unknown column {old!r}; "
+                f"available columns: {sorted(child.names)}"
+            )
+    return Schema([_named(mapping.get(c.name, c.name), c) for c in child])
+
+
+def join_shape(
+    left: Optional[Schema],
+    right: Optional[Schema],
+    condition: Optional[ex.Expression],
+    where: str,
+) -> Optional[Schema]:
+    """⋈ / ×: the left columns, then the right; the condition (if any)
+    resolves over both."""
+    combined: Optional[Schema] = None
+    if left is not None and right is not None:
+        combined = Schema(left.columns + right.columns)
+    if condition is not None:
+        infer_expression(condition, _env(combined), f"{where} condition")
+    return combined
+
+
+def set_op_shape(
     op: str, left: Optional[Schema], right: Optional[Schema]
-) -> None:
-    if left is None or right is None:
-        return
+) -> Optional[Schema]:
+    """∪ / − (``op`` is ``"union"`` or ``"difference"``): the branches
+    are union-compatible; names follow the left branch, types and flags
+    merge positionally across both."""
+    if left is None:
+        return None
+    if right is None:
+        return left
     if len(left) != len(right):
         raise PlanCompatibilityError(
             f"{op} branches are not union-compatible: left has "
             f"{len(left)} column(s) {left.names}, right has "
             f"{len(right)} column(s) {right.names}"
         )
+    return Schema(
+        [
+            ColumnInfo(
+                a.name,
+                unify(a.type, b.type),
+                a.nullable or b.nullable,
+                a.certain and b.certain,
+            )
+            for a, b in zip(left, right)
+        ]
+    )
 
 
-def infer_logical(
-    plan: ast.Plan, catalog: Any = None
+def aggregate_shape(
+    child: Optional[Schema],
+    group_by: Sequence[str],
+    aggregates: Sequence[AggregateSpec],
+    having: Optional[ex.Expression],
+    where: str,
+) -> Schema:
+    """γ: the group-by columns, then one column per aggregate; HAVING
+    sees the output schema only."""
+    env = _env(child)
+    out: List[ColumnInfo] = []
+    for key in group_by:
+        if env is None:
+            out.append(ColumnInfo(key))
+            continue
+        info = env.get(key)
+        if info is None:
+            raise PlanReferenceError(
+                f"unknown group-by column {key!r} in {where}; "
+                f"available columns: {sorted(env)}"
+            )
+        out.append(_named(key, info))
+    out.extend(_aggregate_output(spec, env) for spec in aggregates)
+    # colliding output names are tolerated (last-wins), matching the
+    # executors' RowView semantics — same as duplicate join columns
+    result = Schema(out)
+    if having is not None:
+        infer_expression(having, result.mapping(), "HAVING clause")
+    return result
+
+
+def order_shape(
+    child: Optional[Schema], keys: Sequence[str], where: str
 ) -> Optional[Schema]:
-    """Infer the output :class:`Schema` of a logical plan bottom-up.
-
-    ``catalog`` is a :class:`~repro.algebra.optimizer.Statistics` (or
-    any object with ``schemas`` / ``columns`` mappings), or ``None``.
-    Returns ``None`` when the schema cannot be determined (unknown
-    table, unknown node type, or an opaque subtree in a position that
-    needs names).  Raises the :mod:`repro.analysis.errors` diagnostics
-    for references, set operations, and expression types that are
-    provably wrong.
-    """
-    if isinstance(plan, ast.TableRef):
-        return table_schema(plan.name, catalog)
-
-    if isinstance(plan, ast.Selection):
-        child = infer_logical(plan.child, catalog)
-        infer_expression(plan.condition, _env(child), f"Selection over {_describe(plan.child)}")
-        return child
-
-    if isinstance(plan, ast.Projection):
-        child = infer_logical(plan.child, catalog)
-        env = _env(child)
-        out: List[ColumnInfo] = []
-        for expr, name in plan.columns:
-            info = infer_expression(expr, env, f"Projection column {name!r}")
-            out.append(ColumnInfo(name, info.type, info.nullable, info.certain))
-        return Schema(out)
-
-    if isinstance(plan, ast.Rename):
-        child = infer_logical(plan.child, catalog)
-        if child is None:
-            return None
-        mapping = plan.mapping_dict()
-        for old in mapping:
-            if old not in child:
+    """Ordering (sort or top-k): every key resolves; the schema passes."""
+    if child is not None:
+        for key in keys:
+            if key not in child:
                 raise PlanReferenceError(
-                    f"Rename of unknown column {old!r}; "
+                    f"unknown column {key!r} in {where} order-by keys; "
                     f"available columns: {sorted(child.names)}"
                 )
-        return Schema(
-            [
-                ColumnInfo(mapping.get(c.name, c.name), c.type, c.nullable, c.certain)
-                for c in child
-            ]
-        )
-
-    if isinstance(plan, (ast.Join, ast.CrossProduct)):
-        left = infer_logical(plan.left, catalog)
-        right = infer_logical(plan.right, catalog)
-        combined: Optional[Schema] = None
-        if left is not None and right is not None:
-            combined = Schema(tuple(left) + tuple(right))
-        if isinstance(plan, ast.Join):
-            infer_expression(plan.condition, _env(combined), "Join condition")
-        return combined
-
-    if isinstance(plan, (ast.Union, ast.Difference)):
-        left = infer_logical(plan.left, catalog)
-        right = infer_logical(plan.right, catalog)
-        op = "union" if isinstance(plan, ast.Union) else "difference"
-        _check_set_op(op, left, right)
-        if left is None:
-            return None
-        if right is None:
-            return left
-        # output names follow the left branch; types/flags merge
-        # positionally across both
-        return Schema(
-            [
-                ColumnInfo(
-                    a.name,
-                    unify(a.type, b.type),
-                    a.nullable or b.nullable,
-                    a.certain and b.certain,
-                )
-                for a, b in zip(left, right)
-            ]
-        )
-
-    if isinstance(plan, ast.Distinct):
-        return infer_logical(plan.child, catalog)
-
-    if isinstance(plan, ast.Aggregate):
-        child = infer_logical(plan.child, catalog)
-        env = _env(child)
-        out = []
-        for key in plan.group_by:
-            if env is None:
-                out.append(ColumnInfo(key))
-                continue
-            info = env.get(key)
-            if info is None:
-                raise PlanReferenceError(
-                    f"unknown group-by column {key!r} in Aggregate; "
-                    f"available columns: {sorted(env)}"
-                )
-            out.append(ColumnInfo(key, info.type, info.nullable, info.certain))
-        for spec in plan.aggregates:
-            out.append(_aggregate_output(spec, env))
-        # colliding output names are tolerated (last-wins), matching the
-        # executors' RowView semantics — same as duplicate join columns
-        result = Schema(out)
-        if plan.having is not None:
-            infer_expression(plan.having, result.mapping(), "HAVING clause")
-        return result
-
-    if isinstance(plan, (ast.OrderBy, ast.TopK)):
-        child = infer_logical(plan.child, catalog)
-        if child is not None:
-            node = "OrderBy" if isinstance(plan, ast.OrderBy) else "TopK"
-            for key in plan.keys:
-                if key not in child:
-                    raise PlanReferenceError(
-                        f"unknown order-by column {key!r} in {node}; "
-                        f"available columns: {sorted(child.names)}"
-                    )
-        return child
-
-    if isinstance(plan, ast.Limit):
-        return infer_logical(plan.child, catalog)
-
-    # unknown plan node (e.g. an extension subclass): opaque, not wrong
-    return None
+    return child
 
 
 def _aggregate_output(spec: AggregateSpec, env: Env) -> ColumnInfo:
@@ -519,3 +520,70 @@ def _aggregate_output(spec: AggregateSpec, env: Env) -> ColumnInfo:
     # aggregate outputs are conservatively uncertain: group membership
     # (and hence the aggregated multiset) can differ across worlds
     return ColumnInfo(spec.name, kind, nullable=nullable, certain=False)
+
+
+# ----------------------------------------------------------------------
+# logical plan inference
+# ----------------------------------------------------------------------
+def _describe(plan: ast.Plan) -> str:
+    if isinstance(plan, ast.TableRef):
+        return f"TableRef({plan.name})"
+    return type(plan).__name__
+
+
+def infer_logical(
+    plan: ast.Plan, catalog: Any = None
+) -> Optional[Schema]:
+    """Infer the output :class:`Schema` of a logical plan bottom-up.
+
+    ``catalog`` is a :class:`~repro.algebra.optimizer.Statistics` (or
+    any object with ``schemas`` / ``columns`` mappings), or ``None``.
+    Returns ``None`` when the schema cannot be determined (unknown
+    table, unknown node type, or an opaque subtree in a position that
+    needs names).  Raises the :mod:`repro.analysis.errors` diagnostics
+    for references, set operations, and expression types that are
+    provably wrong.  Each node dispatches to its operator's shape rule.
+    """
+    if isinstance(plan, ast.TableRef):
+        return table_schema(plan.name, catalog)
+    if isinstance(plan, ast.Selection):
+        return select_shape(
+            infer_logical(plan.child, catalog),
+            plan.condition,
+            f"Selection over {_describe(plan.child)}",
+        )
+    if isinstance(plan, ast.Projection):
+        return project_shape(
+            infer_logical(plan.child, catalog), plan.columns, "Projection"
+        )
+    if isinstance(plan, ast.Rename):
+        return rename_shape(infer_logical(plan.child, catalog), plan.mapping_dict())
+    if isinstance(plan, (ast.Join, ast.CrossProduct)):
+        return join_shape(
+            infer_logical(plan.left, catalog),
+            infer_logical(plan.right, catalog),
+            plan.condition if isinstance(plan, ast.Join) else None,
+            "Join",
+        )
+    if isinstance(plan, (ast.Union, ast.Difference)):
+        return set_op_shape(
+            "union" if isinstance(plan, ast.Union) else "difference",
+            infer_logical(plan.left, catalog),
+            infer_logical(plan.right, catalog),
+        )
+    if isinstance(plan, ast.Aggregate):
+        return aggregate_shape(
+            infer_logical(plan.child, catalog),
+            plan.group_by,
+            plan.aggregates,
+            plan.having,
+            "Aggregate",
+        )
+    if isinstance(plan, (ast.OrderBy, ast.TopK)):
+        return order_shape(
+            infer_logical(plan.child, catalog), plan.keys, type(plan).__name__
+        )
+    if isinstance(plan, (ast.Distinct, ast.Limit)):
+        return infer_logical(plan.child, catalog)
+    # unknown plan node (e.g. an extension subclass): opaque, not wrong
+    return None

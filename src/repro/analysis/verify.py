@@ -16,10 +16,10 @@ physical-only invariants: engine-legal operator sets (an AU plan has no
 partial), :class:`~repro.exec.physical.Exchange` / partial-aggregate
 placement, no non-linear operator fed by a region's morsels, exactly one
 :class:`~repro.exec.physical.ParallelScan` per parallel region,
-resolved ``Cpr`` bucket budgets, and per-node schema consistency (join
-keys resolve on the correct side, projections, renames and top-k keys
-reference real columns, concatenated and subtracted branches stay
-union-compatible).
+resolved ``Cpr`` bucket budgets, and per-node schema consistency
+(:func:`infer_physical`: join keys resolve on the correct side, and
+every other check is the logical rule of the node's operator shape,
+shared with :func:`~repro.analysis.schema.infer_logical`).
 
 Everything here is read-only and catalog-permissive: a subtree whose
 schema cannot be known (table missing from statistics) disables the
@@ -39,7 +39,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from ..algebra import ast
@@ -50,12 +49,16 @@ from .errors import (
     PlanReferenceError,
 )
 from .schema import (
-    ColumnInfo,
     Schema,
-    infer_expression,
+    aggregate_shape,
     infer_logical,
+    join_shape,
+    order_shape,
+    project_shape,
+    rename_shape,
+    select_shape,
+    set_op_shape,
     table_schema,
-    unify,
 )
 
 __all__ = [
@@ -331,10 +334,23 @@ def _phys() -> Any:
 #: uncertain data lowers to the identity, the only sound choice
 _AU_FORBIDDEN = ("Limit",)
 #: operators whose result is not a union of their results over a
-#: partitioning of the input: never fed by a region's morsels
-_NON_LINEAR = ("HashAggregate", "HashDistinct", "HashExcept", "TopK", "Limit")
-#: operators only the AU lowering may produce
-_DET_FORBIDDEN = ("CompressedJoin", "AUPartialAggregate")
+#: partitioning of the input: never fed by a region's morsels (a Cpr
+#: join's buckets depend on its whole input)
+_NON_LINEAR = (
+    "HashAggregate",
+    "HashDistinct",
+    "HashExcept",
+    "TopK",
+    "Limit",
+    "CompressedJoin",
+)
+#: operators only the AU lowering may produce, and why
+_DET_FORBIDDEN = {
+    "CompressedJoin": "compression (Cpr) only applies to AU annotations",
+    "AUPartialAggregate": (
+        "SG-combine partial states only exist in the AU lowering"
+    ),
+}
 
 _MERGE_KINDS = ("concat", "aggregate", "topk", "limit", "distinct", "au_aggregate", "au_topk")
 #: merge kinds whose partial/merge protocol is engine-specific; "concat"
@@ -358,147 +374,65 @@ def _node_name(node: Any) -> str:
 def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
     """Bottom-up :class:`Schema` of a physical plan (``None`` = unknown).
 
-    Shares the logical inference rules through each node's semantics;
-    raises the same reference/compatibility/type diagnostics.
+    Each physical node dispatches to the shape rule of
+    :mod:`repro.analysis.schema` that :func:`infer_logical` uses for
+    the same operator, so both IRs raise the same diagnostics:
+    ``FusedSelectProject`` is select then project, the three joins are
+    join (plus their own equi-key side check), ``HashAggregate`` /
+    ``AUPartialAggregate`` are aggregate (a partial one has no HAVING),
+    ``HashExcept`` / ``Concat`` are set operations and ``TopK`` is
+    order keys.
     """
     phys = _phys()
 
-    def env(schema: Optional[Schema]) -> Optional[Mapping[str, ColumnInfo]]:
-        return schema.mapping() if schema is not None else None
-
-    def join_schema(
-        left: Optional[Schema], right: Optional[Schema]
-    ) -> Optional[Schema]:
-        if left is None or right is None:
-            return None
-        return Schema(tuple(left) + tuple(right))
-
-    def check_pair(
-        pair: Any, left: Optional[Schema], right: Optional[Schema], where: str
-    ) -> None:
-        a, b = pair
-        if left is not None and a not in left:
-            raise PlanReferenceError(
-                f"{where} key {a!r} not in left input columns "
-                f"{sorted(left.names)}"
-            )
-        if right is not None and b not in right:
-            raise PlanReferenceError(
-                f"{where} key {b!r} not in right input columns "
-                f"{sorted(right.names)}"
-            )
-
     def visit(node: Any) -> Optional[Schema]:
-        if isinstance(node, phys.ParallelScan) or isinstance(node, phys.Scan):
+        if isinstance(node, (phys.Scan, phys.ParallelScan)):
             return table_schema(node.table, catalog)
         if isinstance(node, phys.FusedSelectProject):
             child = visit(node.child)
             if node.condition is not None:
-                infer_expression(
-                    node.condition, env(child), "FusedSelectProject filter"
-                )
+                select_shape(child, node.condition, "FusedSelectProject filter")
             if node.columns is None:
                 return child
-            out = []
-            for expr, name in node.columns:
-                info = infer_expression(
-                    expr, env(child), f"FusedSelectProject column {name!r}"
-                )
-                out.append(ColumnInfo(name, info.type, info.nullable, info.certain))
-            return Schema(out)
+            return project_shape(child, node.columns, "FusedSelectProject")
         if isinstance(node, phys.Rename):
-            child = visit(node.child)
-            if child is None:
-                return None
-            for old in node.mapping:
-                if old not in child:
-                    raise PlanReferenceError(
-                        f"Rename of unknown column {old!r}; available "
-                        f"columns: {sorted(child.names)}"
-                    )
-            return Schema(
-                [
-                    ColumnInfo(
-                        node.mapping.get(c.name, c.name),
-                        c.type,
-                        c.nullable,
-                        c.certain,
-                    )
-                    for c in child
-                ]
-            )
-        if isinstance(node, phys.HashJoin):
+            return rename_shape(visit(node.child), node.mapping)
+        if isinstance(node, (phys.HashJoin, phys.NLJoin, phys.CompressedJoin)):
             left, right = visit(node.left), visit(node.right)
-            for pair in node.eq_pairs:
-                check_pair(pair, left, right, "HashJoin equi")
-            combined = join_schema(left, right)
-            infer_expression(node.condition, env(combined), "HashJoin condition")
-            return combined
-        if isinstance(node, phys.CompressedJoin):
-            left, right = visit(node.left), visit(node.right)
-            check_pair(node.pair, left, right, "CompressedJoin equi")
-            combined = join_schema(left, right)
-            infer_expression(
-                node.condition, env(combined), "CompressedJoin condition"
-            )
-            return combined
-        if isinstance(node, phys.NLJoin):
-            left, right = visit(node.left), visit(node.right)
-            combined = join_schema(left, right)
-            if node.condition is not None:
-                infer_expression(node.condition, env(combined), "NLJoin condition")
-            return combined
-        if isinstance(node, phys.HashAggregate):
-            child = visit(node.child)
-            logical = ast.Aggregate(
-                ast.TableRef("?"),
+            name = _node_name(node)
+            if isinstance(node, phys.HashJoin):
+                pairs = node.eq_pairs
+            elif isinstance(node, phys.CompressedJoin):
+                pairs = (node.pair,)
+            else:
+                pairs = ()
+            for a, b in pairs:
+                for key, side, schema in ((a, "left", left), (b, "right", right)):
+                    if schema is not None and key not in schema:
+                        raise PlanReferenceError(
+                            f"{name} equi key {key!r} not in {side} input "
+                            f"columns {sorted(schema.names)}"
+                        )
+            return join_shape(left, right, node.condition, name)
+        if isinstance(node, (phys.HashAggregate, phys.AUPartialAggregate)):
+            # a partial aggregate's HAVING runs at the merge
+            having: Optional[Expression] = None
+            if isinstance(node, phys.HashAggregate) and not node.partial:
+                having = node.having
+            return aggregate_shape(
+                visit(node.child),
                 node.group_by,
                 node.aggregates,
-                None if node.partial else node.having,
+                having,
+                _node_name(node),
             )
-            return _aggregate_like(logical, child)
-        if isinstance(node, phys.HashDistinct):
-            return visit(node.child)
+        if isinstance(node, (phys.HashExcept, phys.Concat)):
+            op = "difference" if isinstance(node, phys.HashExcept) else "union"
+            return set_op_shape(op, visit(node.left), visit(node.right))
         if isinstance(node, phys.TopK):
-            child = visit(node.child)
-            _check_keys(node.keys, child, "TopK")
-            return child
-        if isinstance(node, phys.Limit):
+            return order_shape(visit(node.child), node.keys, "TopK")
+        if isinstance(node, (phys.HashDistinct, phys.Limit)):
             return visit(node.child)
-        if isinstance(node, phys.HashExcept):
-            left, right = visit(node.left), visit(node.right)
-            if left is not None and right is not None and len(left) != len(right):
-                raise PlanCompatibilityError(
-                    f"HashExcept (difference) branches are not "
-                    f"union-compatible: left {left.names}, right {right.names}"
-                )
-            return left
-        if isinstance(node, phys.Concat):
-            left, right = visit(node.left), visit(node.right)
-            if left is not None and right is not None and len(left) != len(right):
-                raise PlanCompatibilityError(
-                    f"Concat (union) branches are not union-compatible: "
-                    f"left {left.names}, right {right.names}"
-                )
-            if left is None or right is None:
-                return left or right
-            return Schema(
-                [
-                    ColumnInfo(
-                        a.name,
-                        unify(a.type, b.type),
-                        a.nullable or b.nullable,
-                        a.certain and b.certain,
-                    )
-                    for a, b in zip(left, right)
-                ]
-            )
-        if isinstance(node, phys.AUPartialAggregate):
-            child = visit(node.child)
-            logical = ast.Aggregate(
-                ast.TableRef("?"), node.group_by, node.aggregates, None
-            )
-            return _aggregate_like(logical, child)
         if isinstance(node, phys.Exchange):
             if node.merge in _AU_MERGE_KINDS and node.final is not None:
                 # the AU merge finalizes the original serial operator's
@@ -506,46 +440,6 @@ def infer_physical(pplan: Any, catalog: Any = None) -> Optional[Schema]:
                 return visit(node.final)
             return visit(node.child)
         return None
-
-    def _check_keys(
-        keys: Sequence[str], schema: Optional[Schema], where: str
-    ) -> None:
-        if schema is None:
-            return
-        for key in keys:
-            if key not in schema:
-                raise PlanReferenceError(
-                    f"unknown column {key!r} in {where}; available "
-                    f"columns: {sorted(schema.names)}"
-                )
-
-    def _aggregate_like(
-        logical: ast.Aggregate, child: Optional[Schema]
-    ) -> Optional[Schema]:
-        # reuse the logical Aggregate rules against the physical child's
-        # schema by substituting an opaque leaf for the child
-        from .schema import _aggregate_output  # shared internals
-
-        child_env = env(child)
-        out = []
-        for key in logical.group_by:
-            if child_env is None:
-                out.append(ColumnInfo(key))
-                continue
-            info = child_env.get(key)
-            if info is None:
-                raise PlanReferenceError(
-                    f"unknown group-by column {key!r} in HashAggregate; "
-                    f"available columns: {sorted(child_env)}"
-                )
-            out.append(ColumnInfo(key, info.type, info.nullable, info.certain))
-        for spec in logical.aggregates:
-            out.append(_aggregate_output(spec, child_env))
-        # colliding output names are last-wins, as everywhere else
-        schema = Schema(out)
-        if logical.having is not None:
-            infer_expression(logical.having, schema.mapping(), "HAVING clause")
-        return schema
 
     return visit(pplan)
 
@@ -578,8 +472,9 @@ def verify_physical(
       ``Exchange(merge="au_aggregate")`` (whose ``final`` is the serial
       ``HashAggregate``), and **no non-linear operator**
       (``HashAggregate``, ``HashDistinct``, ``HashExcept``, ``TopK``,
-      ``Limit``) **fed by a region's morsels** — the non-linear
-      fragment is not partition-distributive and must stay serial;
+      ``Limit``, ``CompressedJoin``) **fed by a region's morsels** — the
+      non-linear fragment is not partition-distributive and must stay
+      serial;
     * parallel regions — exactly one ``ParallelScan`` per ``Exchange``
       region with matching ``partitions``; no ``ParallelScan`` outside a
       region; no nested ``Exchange``;
@@ -608,15 +503,9 @@ def verify_physical(
                 f"{name} is not a legal AU operator: a bare LIMIT over "
                 "uncertain data lowers to the identity"
             )
-        if engine == "det" and isinstance(node, phys.CompressedJoin):
+        if engine == "det" and name in _DET_FORBIDDEN:
             raise PlanCompatibilityError(
-                "CompressedJoin (Cpr) in a deterministic plan: "
-                "compression only applies to AU annotations"
-            )
-        if engine == "det" and isinstance(node, phys.AUPartialAggregate):
-            raise PlanCompatibilityError(
-                "AUPartialAggregate in a deterministic plan: SG-combine "
-                "partial states only exist in the AU lowering"
+                f"{name} in a deterministic plan: {_DET_FORBIDDEN[name]}"
             )
         if (
             in_region

@@ -199,7 +199,11 @@ class MaterializedView:
             conn.metrics.optimizations += 1
         self.plan = plan
         self._delta: DeltaPlan = derive_delta(
-            plan, stats, semantics=self._semantics, trace=trace
+            plan,
+            stats,
+            semantics=self._semantics,
+            trace=trace,
+            join_buckets=config.join_buckets,
         )
         if conn.verify_plans:
             analysis.check_semiring_safety(trace, self._semantics)

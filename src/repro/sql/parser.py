@@ -14,7 +14,9 @@ Aggregates ``SUM/COUNT/MIN/MAX/AVG`` in the select list trigger an
 :class:`~repro.algebra.ast.Aggregate` node; ``CASE WHEN`` maps to
 :class:`~repro.core.expressions.If`.  Attribute names are assumed globally
 unique across joined tables (TPC-H style), which keeps name resolution
-simple and mirrors the paper's examples.
+simple and mirrors the paper's examples; a FROM clause that names one
+table twice (a self-join) is a :class:`SqlSyntaxError` — rename one
+side's columns through a subquery instead.
 
 ``ORDER BY`` keys that the select list projects away (legal SQL) are
 sorted — and, with ``LIMIT``, top-k'd via
@@ -291,23 +293,24 @@ class _Parser:
 
     # -- FROM -------------------------------------------------------------
     def from_clause(self) -> Plan:
-        plan = self.table_factor()
+        named: set = set()
+        plan = self.table_factor(named)
         while True:
             if self.accept("symbol", ","):
-                plan = CrossProduct(plan, self.table_factor())
+                plan = CrossProduct(plan, self.table_factor(named))
             elif self.accept_kw("CROSS", "JOIN"):
-                plan = CrossProduct(plan, self.table_factor())
+                plan = CrossProduct(plan, self.table_factor(named))
             elif self.peek().value in {"JOIN", "INNER"}:
                 self.accept("keyword", "INNER")
                 self.expect("keyword", "JOIN")
-                right = self.table_factor()
+                right = self.table_factor(named)
                 self.expect("keyword", "ON")
                 plan = Join(plan, right, self.expression())
             else:
                 break
         return plan
 
-    def table_factor(self) -> Plan:
+    def table_factor(self, named: set) -> Plan:
         if self.accept("symbol", "("):
             plan = self.select_statement()
             self.expect("symbol", ")")
@@ -315,6 +318,15 @@ class _Parser:
             self.accept("ident")  # optional subquery alias, names pass through
             return plan
         name = self.expect("ident").value
+        if name in named:
+            # attribute names are global: both sides would read one
+            # set of columns
+            raise SqlSyntaxError(
+                f"table {name!r} appears twice in one FROM clause; "
+                "rename one side's columns through a subquery, e.g. "
+                f"(SELECT a AS a2, ... FROM {name}) AS {name}2"
+            )
+        named.add(name)
         # optional table alias (ignored; attribute names are global)
         if self.peek().kind == "ident":
             self.advance()

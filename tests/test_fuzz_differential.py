@@ -502,17 +502,18 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """Incremental-view-maintenance lane: ``subscribe`` to the plan and
     interleave random inserts/deletes/updates with reads, asserting the
     maintained result equals fresh re-execution after every write, for
-    both engines, on connections of both ``backend`` settings (a view
-    runs on the vectorized executor either way).  A ``refresh`` view's read must
-    also equal its tail re-executed over its current segments: on the
-    AU engine in row order and by ``repr`` — the comparison with fresh
-    execution is by value, which lets ``0`` vs ``0.0``, ``-0.0`` and row
-    order through — and on the det engine as a bag, by value like the
-    fresh comparison (a segment keeps the first-written of value-equal
-    rows, a γ state folds the written one).  Every result object read
-    earlier must still equal its snapshot after the later writes: a view
-    never hands out its maintained state.  After ``unsubscribe`` a further
-    write must not be maintained and the registry entry must be freed.
+    both engines (a view runs on the vectorized executor whatever the
+    ``backend`` setting, so each engine subscribes once).  A ``refresh``
+    view's read must also equal its tail re-executed over its current
+    segments: on the AU engine in row order and by ``repr`` — the
+    comparison with fresh execution is by value, which lets ``0`` vs
+    ``0.0``, ``-0.0`` and row order through — and on the det engine as
+    a bag, by value like the fresh comparison (a segment keeps the
+    first-written of value-equal rows, a γ state folds the written one).
+    Every result object read earlier must still equal its snapshot after
+    the later writes: a view never hands out its maintained state.  After
+    ``unsubscribe`` a further write must not be maintained and the
+    registry entry must be freed.
 
     The subscribed connections run on a randomly chosen chunk size while
     the fresh reference evaluation is the legacy tuple interpreter
@@ -522,65 +523,59 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """
     lane_seed = rng.randrange(2**31)
     chunk_size = rng.choice((1, 3, 64, None))
-    for backend in ("tuple", "vectorized"):
-        wrng = random.Random(lane_seed)
-        det_db = _clone_det(det)
-        au_db = _clone_audb(audb)
-        config = EvalConfig(backend=backend, chunk_size=chunk_size)
-        det_conn = Connection(det_db, config=config)
-        au_conn = Connection(au_db, config=config)
-        det_view = det_conn.subscribe(plan)
-        au_view = au_conn.subscribe(plan)
-        # (result object, its rows as read) per earlier read
-        reads = [(r, list(r.tuples())) for r in (det_view.result(), au_view.result())]
-        for step in range(4):
-            _random_write(wrng, det_db, au_db)
-            where = (
-                f"[{backend} ivm/{det_view.kind} chunk={chunk_size} "
-                f"step {step}] {context}"
-            )
-            for earlier, rows in reads:
-                assert list(earlier.tuples()) == rows, (
-                    f"ivm result changed after a later write {where}"
-                )
-            got = det_view.result()
-            want = legacy_det(plan, det_db)
-            assert got.schema == want.schema, f"ivm det schema {where}"
-            assert got.rows == want.rows, f"ivm det bag {where}"
-            if det_view.kind == "refresh":
-                # a maintained γ state or a cached tail result is the
-                # tail re-run over the current segments
-                assert got.rows == det_view.run_tail().rows, (
-                    f"ivm det read vs tail re-run {where}"
-                )
-            got_au = au_view.result()
-            want_au = legacy_au(plan, au_db)
-            assert got_au.schema == want_au.schema, f"ivm AU schema {where}"
-            assert dict(got_au.tuples()) == dict(want_au.tuples()), (
-                f"ivm AU annotations {where}"
-            )
-            if au_view.kind == "refresh":
-                # a maintained γ state or a cached tail result is the
-                # tail re-run over the current segments, to the bit
-                assert _bits_in_order(got_au) == _bits_in_order(
-                    au_view.run_tail()
-                ), f"ivm AU read vs tail re-run {where}"
-            reads += [(r, list(r.tuples())) for r in (got, got_au)]
-        for conn, view in ((det_conn, det_view), (au_conn, au_view)):
-            conn.unsubscribe(view)
-            assert view.closed and not conn.subscriptions, (
-                f"unsubscribe left registry entry [{backend}] {context}"
-            )
+    wrng = random.Random(lane_seed)
+    det_db = _clone_det(det)
+    au_db = _clone_audb(audb)
+    config = EvalConfig(chunk_size=chunk_size)
+    det_conn = Connection(det_db, config=config)
+    au_conn = Connection(au_db, config=config)
+    det_view = det_conn.subscribe(plan)
+    au_view = au_conn.subscribe(plan)
+    # (result object, its rows as read) per earlier read
+    reads = [(r, list(r.tuples())) for r in (det_view.result(), au_view.result())]
+    for step in range(4):
         _random_write(wrng, det_db, au_db)
-        for view in (det_view, au_view):
-            try:
-                view.result()
-            except RuntimeError:
-                pass
-            else:
-                raise AssertionError(
-                    f"closed view still served [{backend}] {context}"
-                )
+        where = f"[ivm/{det_view.kind} chunk={chunk_size} step {step}] {context}"
+        for earlier, rows in reads:
+            assert list(earlier.tuples()) == rows, (
+                f"ivm result changed after a later write {where}"
+            )
+        got = det_view.result()
+        want = legacy_det(plan, det_db)
+        assert got.schema == want.schema, f"ivm det schema {where}"
+        assert got.rows == want.rows, f"ivm det bag {where}"
+        if det_view.kind == "refresh":
+            # a maintained γ state or a cached tail result is the
+            # tail re-run over the current segments
+            assert got.rows == det_view.run_tail().rows, (
+                f"ivm det read vs tail re-run {where}"
+            )
+        got_au = au_view.result()
+        want_au = legacy_au(plan, au_db)
+        assert got_au.schema == want_au.schema, f"ivm AU schema {where}"
+        assert dict(got_au.tuples()) == dict(want_au.tuples()), (
+            f"ivm AU annotations {where}"
+        )
+        if au_view.kind == "refresh":
+            # a maintained γ state or a cached tail result is the
+            # tail re-run over the current segments, to the bit
+            assert _bits_in_order(got_au) == _bits_in_order(
+                au_view.run_tail()
+            ), f"ivm AU read vs tail re-run {where}"
+        reads += [(r, list(r.tuples())) for r in (got, got_au)]
+    for conn, view in ((det_conn, det_view), (au_conn, au_view)):
+        conn.unsubscribe(view)
+        assert view.closed and not conn.subscriptions, (
+            f"unsubscribe left registry entry {context}"
+        )
+    _random_write(wrng, det_db, au_db)
+    for view in (det_view, au_view):
+        try:
+            view.result()
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError(f"closed view still served {context}")
 
 
 def _check_chunk_lane(rng, plan, det, audb, context) -> None:

@@ -284,25 +284,26 @@ _NONLINEAR_PLANS = {
 
 @pytest.mark.parametrize("name", sorted(_NONLINEAR_PLANS))
 def test_nonlinear_views_bit_identical_under_writes(name):
-    for backend in ("tuple", "vectorized"):
-        db = _small_det_db()
-        conn = Connection(db, verify=True, config=EvalConfig(backend=backend))
-        plan = _NONLINEAR_PLANS[name]
-        view = conn.subscribe(plan)
-        assert view.kind == "refresh"
-        writes = [
-            ("add", (1, 9), 2),
-            ("delete", (1, 2), 1),
-            ("add", (4, 2), 1),
-            ("delete", (3, 7), 3),
-        ]
-        for op, t, m in writes:
-            getattr(db["r"], op)(t, m)
-            got = view.result()
+    # a view runs the vectorized executor whatever the backend setting:
+    # one view, checked against fresh execution on both backends
+    db = _small_det_db()
+    plan = _NONLINEAR_PLANS[name]
+    view = Connection(db, verify=True).subscribe(plan)
+    assert view.kind == "refresh"
+    writes = [
+        ("add", (1, 9), 2),
+        ("delete", (1, 2), 1),
+        ("add", (4, 2), 1),
+        ("delete", (3, 7), 3),
+    ]
+    for op, t, m in writes:
+        getattr(db["r"], op)(t, m)
+        got = view.result()
+        for backend in ("tuple", "vectorized"):
             want = evaluate_det(plan, db, backend=backend)
             assert got.schema == want.schema
             assert _bits(got) == _bits(want), (name, backend, op, t)
-        assert view.writes_applied > 0  # segments really were maintained
+    assert view.writes_applied > 0  # segments really were maintained
 
 
 GOLDEN_DELTA_PLANS = {
@@ -365,11 +366,10 @@ _TOPK_VIEWS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
 @pytest.mark.parametrize("shape", sorted(_TOPK_VIEWS))
-def test_refresh_view_results_are_snapshots(backend, shape):
+def test_refresh_view_results_are_snapshots(shape):
     db = _uncertain_v_db()
-    conn = Connection(db, verify=True, config=EvalConfig(backend=backend))
+    conn = Connection(db, verify=True)
     sql = _TOPK_VIEWS[shape]
     view = conn.subscribe(sql)
     assert view.kind == "refresh"
@@ -385,9 +385,10 @@ def test_refresh_view_results_are_snapshots(backend, shape):
         reads.append((result, _snapshot(result)))
         getattr(db["r"], op)(t, ann)
         for earlier, snap in reads:
-            assert _snapshot(earlier) == snap, (backend, shape, op, t)
-        fresh = Connection(db, config=EvalConfig(backend=backend)).execute(sql)
-        assert _snapshot(view.result()) == _snapshot(fresh)
+            assert _snapshot(earlier) == snap, (shape, op, t)
+        for backend in ("tuple", "vectorized"):
+            fresh = Connection(db, config=EvalConfig(backend=backend)).execute(sql)
+            assert _snapshot(view.result()) == _snapshot(fresh), backend
     assert view.writes_applied == len(writes) and view.full_refreshes == 0
 
 
@@ -483,20 +484,23 @@ def test_writes_build_no_chunk_store(engine):
 
 
 def test_failed_delta_apply_refreshes_the_view():
-    # a compressed join over budget raises out of the write's sink after
-    # the base write landed: the view it interrupted and a second view
-    # whose sink never ran must both answer like a fresh execution
+    # a join delta whose scan of r is over budget raises out of the
+    # write's sink after the base write landed: the view it interrupted
+    # and a second view whose sink never ran must both answer like a
+    # fresh execution
     from repro.exec.batch import MaterializationBudgetError, materialization_budget
 
     r = AURelation(("a", "b"), [((i % 4, i), (1, 1, 1)) for i in range(52)])
     s = AURelation(("c", "d"), [((c, c * 10), (1, 1, 1)) for c in range(4)])
     db = AUDatabase({"r": r, "s": s})
-    config = EvalConfig(join_buckets=4)
+    config = EvalConfig()
     conn = Connection(db, config=config)
     queries = ["SELECT a, b, d FROM r, s WHERE a = c", "SELECT c, d FROM s WHERE d >= 0"]
     views = [conn.subscribe(q) for q in queries]
     for view in views:
         view.result()
+    # a write to r drops r's cached scan: Δs ⋈ r re-reads all of r
+    r.add((2, 60), (1, 1, 1))
     with materialization_budget(10), pytest.raises(MaterializationBudgetError):
         s.add((1, 99), (1, 1, 1))
     assert (1, 99) in {tuple(v.sg for v in t) for t in s.rows}  # it landed
@@ -634,7 +638,8 @@ def test_tail_reads_each_segment_through_its_own_scan(engine):
 @pytest.mark.parametrize("engine", ["det", "au"])
 def test_view_maintenance_ignores_the_backend_setting(engine):
     # a view runs the vectorized executor whatever EvalConfig.backend
-    # says: the same writes leave both connections' views identical
+    # says: one view on a tuple-backend connection equals fresh
+    # execution on both backends after every write
     db, one = _engine_db(
         engine,
         {"r": (("a", "b"), [(i % 4, i) for i in range(12)]),
@@ -645,27 +650,41 @@ def test_view_maintenance_ignores_the_backend_setting(engine):
         "SELECT d, COUNT(*) AS n, SUM(b) AS total FROM r, s WHERE a = c GROUP BY d",
         "SELECT DISTINCT a FROM r WHERE b > 2",
     ]
-    views = {
-        backend: [
-            Connection(db, verify=True, config=EvalConfig(backend=backend)).subscribe(q)
-            for q in queries
-        ]
-        for backend in ("tuple", "vectorized")
-    }
+    conn = Connection(db, verify=True, config=EvalConfig(backend="tuple"))
+    views = [conn.subscribe(q) for q in queries]
     writes = [("add", "r", (1, 50)), ("add", "s", (9, 90)), ("delete", "r", (2, 6))]
     writes += [("add", "s", (1, 11)), ("delete", "s", (0, 0))]
     for op, table, t in writes:
         getattr(db[table], op)(t, one)
-        for query, tuple_view, vec_view in zip(queries, *views.values()):
-            got = tuple_view.result()
-            if engine == "det":
-                assert _bits(got) == _bits(vec_view.result()), (query, op, t)
-            else:
-                assert _snapshot(got) == _snapshot(vec_view.result()), (query, op, t)
-            assert _same(engine, got, Connection(db).execute(query)), (query, op, t)
-    for tuple_view, vec_view in zip(*views.values()):
-        assert tuple_view.writes_applied == vec_view.writes_applied > 0
-        assert tuple_view.full_refreshes == vec_view.full_refreshes == 0
+        for query, view in zip(queries, views):
+            got = view.result()
+            for backend in ("tuple", "vectorized"):
+                fresh = Connection(db, config=EvalConfig(backend=backend))
+                assert _same(engine, got, fresh.execute(query)), (query, backend, op, t)
+    for view in views:
+        assert view.writes_applied > 0 and view.full_refreshes == 0
+
+
+def test_compressed_au_join_view_runs_in_the_tail():
+    # a Cpr join's buckets depend on its whole input: under join_buckets
+    # an AU equi-join is not linear, so the view re-runs it in the tail
+    db, one = _engine_db(
+        "au",
+        {"r": (("a", "b"), [(i % 4, i) for i in range(12)]),
+         "s": (("c", "d"), [(c, c * 10) for c in range(4)])},
+    )
+    db["r"].add((between(0, 1, 3), 50), (0, 1, 1))
+    sql = "SELECT a, b, d FROM r, s WHERE a = c"
+    config = EvalConfig(join_buckets=4)
+    view = Connection(db, verify=True, config=config).subscribe(sql)
+    assert view.kind == "refresh" and "CompressedJoin" in view.explain_delta()
+    writes = [("add", "s", (1, 11)), ("add", "r", (2, 70)), ("delete", "r", (0, 0))]
+    writes += [("delete", "s", (0, 0)), ("add", "r", (3, 3))]
+    for op, table, t in writes:
+        getattr(db[table], op)(t, one)
+        fresh = Connection(db, config=config).execute(sql)
+        assert _same("au", view.result(), fresh), (op, table, t)
+    assert view.full_refreshes == 0
 
 
 def test_derive_delta_classification_and_trace():
@@ -902,10 +921,9 @@ def _rebuilds(reason: str) -> float:
     return get_registry().counter(_GAMMA_REBUILDS, reason=reason).value
 
 
-@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
-def test_certain_key_write_folds_without_running_an_aggregate(backend):
+def test_certain_key_write_folds_without_running_an_aggregate():
     db = _orders_db()
-    view = Connection(db, config=EvalConfig(backend=backend)).subscribe(_GAMMA_SQL)
+    view = Connection(db).subscribe(_GAMMA_SQL)
     view.result()
     refreshes = view.tail_refreshes
     writes = [
@@ -1054,24 +1072,30 @@ _DET_STALE_CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["tuple", "vectorized"])
 @pytest.mark.parametrize("reason", sorted(_DET_STALE_CASES))
-def test_det_gamma_state_stale_reasons(reason, backend):
+def test_det_gamma_state_stale_reasons(reason):
     db = _det_join_db()
-    conn = Connection(db, verify=True, config=EvalConfig(backend=backend))
-    view = conn.subscribe(_DET_GAMMA_SQL)
+    view = Connection(db, verify=True).subscribe(_DET_GAMMA_SQL)
+
+    def fresh_on_both_backends() -> bool:
+        got = _bits(view.result())
+        return all(
+            got == _bits(Connection(db, config=EvalConfig(backend=b)).execute(_DET_GAMMA_SQL))
+            for b in ("tuple", "vectorized")
+        )
+
     assert "γ state maintained" in view.explain_delta()
-    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    assert fresh_on_both_backends()
     before, segments = _rebuilds(reason), _SEGMENT_REFRESHES.value
     refreshes = view.tail_refreshes
     op, t = _DET_STALE_CASES[reason]
     getattr(db["r"], op)(t)
-    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    assert fresh_on_both_backends()
     assert _rebuilds(reason) == before + 1
     assert view.tail_refreshes == refreshes + 1
     # rebuilt: the next write folds again
     db["r"].add((2, 5.5))
-    assert _bits(view.result()) == _bits(conn.execute(_DET_GAMMA_SQL))
+    assert fresh_on_both_backends()
     assert view.tail_refreshes == refreshes + 1
     assert view.full_refreshes == 0
     assert _SEGMENT_REFRESHES.value == segments

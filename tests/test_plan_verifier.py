@@ -12,6 +12,8 @@ from repro.algebra.ast import (
     Aggregate,
     Difference,
     Distinct,
+    Join,
+    OrderBy,
     Projection,
     Rename,
     TableRef,
@@ -28,13 +30,14 @@ from repro.analysis import (
     binding_sites,
     check_semiring_safety,
     infer_logical,
+    infer_physical,
     rule_allowed,
     verify_bound,
     verify_logical,
     verify_physical,
 )
 from repro.core.aggregation import agg_count, agg_sum
-from repro.core.expressions import Add, Const, Div, Parameter, Var
+from repro.core.expressions import Add, And, Const, Div, Parameter, Var
 from repro.core.ranges import between
 from repro.core.relation import AUDatabase, AURelation
 from repro.db.storage import DetDatabase, DetRelation
@@ -476,6 +479,23 @@ class TestPhysicalDiagnostics:
         with pytest.raises(PlanCompatibilityError, match="deterministic"):
             verify_physical(join, stats, self._cfg(engine="det"))
 
+    def test_compressed_join_is_never_fed_by_a_region(self, stats):
+        # a Cpr join's buckets depend on its whole input: a morsel of it
+        # would compress differently
+        join = phys.CompressedJoin(
+            phys.ParallelScan("r", 2),
+            phys.Scan("s"),
+            Var("a") == Var("c"),
+            ("a", "c"),
+            buckets=4,
+        )
+        with pytest.raises(PlanCompatibilityError, match="partitioned spine"):
+            verify_physical(
+                phys.Exchange(join, "concat", 2),
+                stats,
+                self._cfg(engine="au", parallelism=2),
+            )
+
     def test_au_plan_has_no_limit(self, stats):
         # a bare LIMIT over uncertain data lowers to the identity; the
         # SG-combining operators are legal AU nodes
@@ -591,6 +611,168 @@ class TestPhysicalDiagnostics:
                 exec_parallel.PARALLEL_MIN_ROWS = old
             schema = verify_physical(pplan, stats, config)
             assert schema is not None and schema.names == ("a", "t")
+
+
+# ======================================================================
+# one rule per operator shape: both IRs raise the same diagnostics
+# ======================================================================
+_BAD = Var("zz") > Const(0)
+_NARROW = Projection(TableRef("s"), [(Var("c"), "c")])
+_NARROW_PHYS = phys.FusedSelectProject(phys.Scan("s"), None, ((Var("c"), "c"),))
+_SUM_B = (agg_sum("b", "t"),)
+_EQ_BAD = And(Var("a") == Var("c"), _BAD)
+#: shape → (broken logical plan, its broken physical counterparts)
+_BROKEN_SHAPES = {
+    "select": (
+        TableRef("r").where(_BAD),
+        [phys.FusedSelectProject(phys.Scan("r"), _BAD, None)],
+    ),
+    "project": (
+        Projection(TableRef("r"), [(Var("zz"), "x")]),
+        [phys.FusedSelectProject(phys.Scan("r"), None, ((Var("zz"), "x"),))],
+    ),
+    "project-type": (
+        Projection(TableRef("s"), [(Add(Var("d"), Var("c")), "x")]),
+        [
+            phys.FusedSelectProject(
+                phys.Scan("s"), None, ((Add(Var("d"), Var("c")), "x"),)
+            )
+        ],
+    ),
+    "rename": (
+        Rename(TableRef("r"), {"zz": "q"}),
+        [phys.Rename(phys.Scan("r"), {"zz": "q"})],
+    ),
+    "join": (
+        Join(TableRef("r"), TableRef("s"), _EQ_BAD),
+        [
+            phys.NLJoin(phys.Scan("r"), phys.Scan("s"), _EQ_BAD),
+            phys.HashJoin(
+                phys.Scan("r"), phys.Scan("s"), _EQ_BAD, (("a", "c"),), False
+            ),
+            phys.CompressedJoin(
+                phys.Scan("r"), phys.Scan("s"), _EQ_BAD, ("a", "c"), 4
+            ),
+        ],
+    ),
+    "union": (
+        Union(TableRef("r"), _NARROW),
+        [phys.Concat(phys.Scan("r"), _NARROW_PHYS)],
+    ),
+    "difference": (
+        Difference(TableRef("r"), _NARROW),
+        [phys.HashExcept(phys.Scan("r"), _NARROW_PHYS)],
+    ),
+    "aggregate-group-by": (
+        Aggregate(TableRef("r"), ("zz",), _SUM_B),
+        [
+            phys.HashAggregate(phys.Scan("r"), ("zz",), _SUM_B, None),
+            phys.HashAggregate(phys.Scan("r"), ("zz",), _SUM_B, None, True),
+            phys.AUPartialAggregate(phys.Scan("r"), ("zz",), _SUM_B),
+        ],
+    ),
+    "aggregate-type": (
+        Aggregate(TableRef("s"), ("c",), (agg_sum("d", "t"),)),
+        [
+            phys.HashAggregate(phys.Scan("s"), ("c",), (agg_sum("d", "t"),), None),
+            phys.AUPartialAggregate(phys.Scan("s"), ("c",), (agg_sum("d", "t"),)),
+        ],
+    ),
+    "aggregate-having": (
+        Aggregate(TableRef("r"), ("a",), _SUM_B, Var("b") > Const(0)),
+        [phys.HashAggregate(phys.Scan("r"), ("a",), _SUM_B, Var("b") > Const(0))],
+    ),
+    "order-keys": (
+        TopK(TableRef("r"), ("zz",), False, 3),
+        [phys.TopK(phys.Scan("r"), ("zz",), False, 3)],
+    ),
+}
+
+
+class TestShapeParity:
+    @pytest.mark.parametrize("shape", sorted(_BROKEN_SHAPES))
+    def test_broken_shape_raises_one_error_class(self, shape, stats):
+        logical, physicals = _BROKEN_SHAPES[shape]
+        with pytest.raises(PlanVerificationError) as want:
+            infer_logical(logical, stats)
+        for pplan in physicals:
+            with pytest.raises(PlanVerificationError) as got:
+                infer_physical(pplan, stats)
+            assert type(got.value) is type(want.value), (shape, pplan)
+
+    def test_physical_partial_aggregate_has_no_having(self, stats):
+        # the HAVING of a partial aggregate is deferred to the merge
+        agg = phys.HashAggregate(
+            phys.Scan("r"), ("a",), _SUM_B, Var("b") > Const(0), True
+        )
+        assert infer_physical(agg, stats).names == ("a", "t")
+
+    def test_order_by_keys_share_the_top_k_wording(self, stats):
+        plan = OrderBy(TableRef("r"), ("zz",))
+        with pytest.raises(PlanReferenceError, match="unknown column 'zz'"):
+            infer_logical(plan, stats)
+
+    def test_difference_merges_both_branch_types(self, stats):
+        # the logical rule: types unify positionally across the branches
+        numbers = phys.FusedSelectProject(phys.Scan("r"), None, None)
+        mixed = phys.FusedSelectProject(
+            phys.Scan("s"), None, ((Var("c"), "c"), (Var("d"), "d"))
+        )
+        for node in (phys.HashExcept, phys.Concat):
+            schema = infer_physical(node(numbers, mixed), stats)
+            assert [c.type for c in schema] == ["number", "any"]
+
+    def test_physical_names_equal_logical_names(self):
+        import os
+        import random as stdrandom
+
+        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+        from test_fuzz_differential import BASE_SEED, make_audb, make_plan
+
+        from repro.experiments.common import sgw_database
+        from repro.tpch.pdbench import make_pdbench
+        from repro.tpch.queries import pdbench_spj_queries, tpch_queries
+
+        cases = []
+        for offset in range(0, 200, 5):
+            rng = stdrandom.Random(BASE_SEED + offset)
+            audb = make_audb(rng)
+            plan, _schema, _used = make_plan(rng, rng.randint(1, 4))
+            cases.append((plan, sgw_database(audb), audb))
+        instance = make_pdbench(scale=0.02, uncertainty=0.05)
+        world, audb = instance.selected_world(), instance.audb()
+        for plan in {**tpch_queries(), **pdbench_spj_queries()}.values():
+            cases.append((plan, world, audb))
+        configs = {
+            "det": [phys.PhysicalConfig(engine="det", parallelism=4)],
+            "au": [
+                phys.PhysicalConfig(engine="au", parallelism=4),
+                phys.PhysicalConfig(
+                    engine="au", join_buckets=4, aggregation_buckets=4
+                ),
+            ],
+        }
+        import repro.exec.parallel as exec_parallel
+
+        old = exec_parallel.PARALLEL_MIN_ROWS
+        exec_parallel.PARALLEL_MIN_ROWS = 0
+        try:
+            for plan, det_db, au_db in cases:
+                for engine, db in (("det", det_db), ("au", au_db)):
+                    stats = Connection(db).statistics()
+                    want = infer_logical(plan, stats)
+                    semantics = "bag" if engine == "det" else "au"
+                    for config in configs[engine]:
+                        pplan = phys.lower(
+                            optimize(plan, stats, semantics=semantics),
+                            stats,
+                            config,
+                            verify=True,
+                        )
+                        got = infer_physical(pplan, stats)
+                        assert got.names == want.names, (engine, config, plan)
+        finally:
+            exec_parallel.PARALLEL_MIN_ROWS = old
 
 
 # ======================================================================

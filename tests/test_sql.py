@@ -192,6 +192,50 @@ class TestEndToEnd:
         assert world == {("east", 3): 1, ("west", 1): 1}
 
 
+class TestSelfJoin:
+    """Attribute names are global, so a FROM clause naming one table
+    twice would read one set of columns for both sides: the front end
+    rejects it at prepare, with one typed error on both engines."""
+
+    @pytest.fixture
+    def dbs(self):
+        from repro.core.relation import AUDatabase, AURelation
+
+        rows = [(i % 2, i) for i in range(6)]
+        det = DetDatabase({"r": DetRelation(["a", "b"], rows)})
+        au = AUDatabase({"r": AURelation.from_certain_rows(["a", "b"], rows)})
+        return det, au
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT x.a, y.b FROM r x, r y WHERE x.a = y.a",
+            "SELECT a FROM r CROSS JOIN r",
+            "SELECT a FROM r JOIN r ON a = a",
+        ],
+    )
+    def test_one_table_twice_is_rejected_on_both_engines(self, dbs, sql):
+        from repro.session import Connection
+
+        for db in dbs:
+            with pytest.raises(SqlSyntaxError, match="'r' appears twice") as exc:
+                Connection(db).prepare(sql)
+            assert "subquery" in str(exc.value)
+
+    def test_renaming_subquery_is_the_way_round(self, dbs):
+        from repro.session import Connection
+
+        sql = (
+            "SELECT a, b2 FROM r, (SELECT a AS a2, b AS b2 FROM r) y "
+            "WHERE a = a2"
+        )
+        det, au = dbs
+        want = Connection(det).execute(sql)
+        assert sum(want.rows.values()) == 18  # 2 keys x 3 x 3 rows
+        got = Connection(au).execute(sql)
+        assert got.selected_guess_world() == want.rows
+
+
 class TestParameters:
     def test_lexer_tokenizes_placeholders(self):
         toks = tokenize("WHERE a >= ? AND b = :low_2")
