@@ -60,6 +60,10 @@ SUM/COUNT/AVG) that dominates every Fig. 10–17 workload's runtime:
   ``=`` lookup on ``l_orderkey``.  A row whose cells are all points
   takes the AU kernel's point lane: one test of the condition on the SG
   values.
+* **RangeValue construction (reported, no gate)**: ns per
+  construction of a point ``[3/3/3]`` and of a range ``[1/2/3]``; every
+  operator that builds cells (a box, an SG collapse, an arithmetic
+  result) pays it per cell.
 * **Top-k (reported, no gate)**: ``ORDER BY o_totalprice DESC LIMIT 10``
   over 7 500 orders as a ``TopK`` over a scan, on the det engine (beside
   the engine's plain two-sort ``take`` over the same merged rows, the
@@ -442,6 +446,21 @@ def topk_timings():
     return {"det": t_det, "take": t_take, "au": t_au}, same
 
 
+def range_value_construction_ns(number: int = 100_000) -> dict:
+    """ns per ``RangeValue`` construction (best of 5 runs of ``number``):
+    a point ``[v/v/v]`` of one int, which returns after the identity
+    test, and an int range ``[1/2/3]``, which runs both order tests."""
+    import timeit
+
+    from repro.core.ranges import RangeValue
+
+    out = {}
+    for shape, stmt in (("point", "R(v, v, v)"), ("range", "R(1, 2, v)")):
+        timer = timeit.Timer(stmt, globals={"R": RangeValue, "v": 3})
+        out[shape] = min(timer.repeat(5, number)) / number * 1e9
+    return out
+
+
 def join_agg_plan():
     """``SELECT o_status, sum(l_price), count(*), avg(l_qty) FROM orders
     JOIN lineitem ON o_id = l_orderkey WHERE l_qty > 10 AND l_price <=
@@ -719,6 +738,11 @@ def main() -> int:
             f"au_det_key_fk_join[{KEY_FK_GATED_SHARE:.0%}]: AU / det "
             f"{key_fk_ratio:.1f}x above the {KEY_FK_GATE:.0f}x bar"
         )
+    construction = range_value_construction_ns()
+    print(
+        f"RangeValue construction: point {construction['point']:.0f} ns, "
+        f"range {construction['range']:.0f} ns"
+    )
     for failure in failures:
         print(f"FAIL: {failure}")
 
@@ -780,6 +804,9 @@ def main() -> int:
                     "au_s": round(t_view_au, 6),
                     "det_s": round(t_view_det, 6),
                     "ratio": round(view_ratio, 4),
+                },
+                "range_value_construction_ns": {
+                    shape: round(ns, 1) for shape, ns in construction.items()
                 },
                 "det_filter": {"ns_per_row": round(filter_ns, 2)},
                 "det_key_fk_join": {"ns_per_probe_row": round(join_ns, 2)},

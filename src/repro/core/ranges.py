@@ -137,7 +137,7 @@ def domain_max(values: Iterable[Any]) -> Any:
     return max(values, key=domain_key)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RangeValue:
     """An element ``[lb / sg / ub]`` of the range-annotated domain ``D_I``.
 
@@ -150,8 +150,12 @@ class RangeValue:
     sg: Any
     ub: Any
 
-    def __post_init__(self) -> None:
-        lb, sg, ub = self.lb, self.sg, self.ub
+    def __init__(self, lb: Any, sg: Any, ub: Any) -> None:
+        # the slots' own setters: a frozen dataclass's generated
+        # __init__ goes through object.__setattr__ and a __post_init__
+        _set_lb(self, lb)
+        _set_sg(self, sg)
+        _set_ub(self, ub)
         if lb is ub and lb is sg and lb == lb:
             return  # a point of anything but NaN is in order
         if lb != lb or sg != sg or ub != ub:
@@ -161,7 +165,7 @@ class RangeValue:
         if not (domain_le(lb, sg) and domain_le(sg, ub)):
             raise ValueError(
                 f"range value must satisfy lb <= sg <= ub, got "
-                f"[{self.lb!r}/{self.sg!r}/{self.ub!r}]"
+                f"[{lb!r}/{sg!r}/{ub!r}]"
             )
 
     # ------------------------------------------------------------------
@@ -250,6 +254,11 @@ class RangeValue:
         if self.is_certain:
             return repr(self.sg)
         return f"[{self.lb!r}/{self.sg!r}/{self.ub!r}]"
+
+
+_set_lb = RangeValue.lb.__set__  # type: ignore[attr-defined]
+_set_sg = RangeValue.sg.__set__  # type: ignore[attr-defined]
+_set_ub = RangeValue.ub.__set__  # type: ignore[attr-defined]
 
 
 def certain(value: Any) -> RangeValue:

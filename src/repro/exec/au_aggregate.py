@@ -446,14 +446,17 @@ def _fold(
     # of its uncertain-key members and that one, in row order
     boxes = [[col[m[0]] for m in members] for col in key_cols]
     box_certain = [True] * len(members)
+    spreads: Dict[int, List[int]] = {}  # group -> the rows its box bounds
     for g in {alpha[r] for r in foreign_capable}:
         box_certain[g] = False
         rows = members[g]
         if len(rows) > 1:
             plain = next((r for r in rows if not key_uncertain[r]), None)
-            spread = [r for r in rows if key_uncertain[r] or r == plain]
-            for box, col in zip(boxes, key_cols):
-                box[g] = _bounding([col[r] for r in spread], col[rows[0]].sg)
+            spreads[g] = [r for r in rows if key_uncertain[r] or r == plain]
+    if spreads:
+        for box, col in zip(boxes, key_cols):
+            for g, cell in zip(spreads, box_runs(col, list(spreads.values()))):
+                box[g] = cell
 
     # -- ð(g) beyond the members: each group's foreign contributors ----
     # (rows by position, Section 10.5 bucket boxes numbered after them)
@@ -634,20 +637,52 @@ def sg_groups(
     return index_of, alpha, members
 
 
-def _bounding(cells: List[RangeValue], sg: Any) -> RangeValue:
-    """The box of ``cells`` around ``sg`` as the reference's left fold
-    of ``RangeValue.merge`` builds it: first minimum lower / first
-    maximum upper bound under ``domain_key``."""
-    lows = [domain_key(cell.lb) for cell in cells]
-    highs = [
-        low if cell.ub is cell.lb else domain_key(cell.ub)
-        for low, cell in zip(lows, cells)
-    ]
-    return RangeValue(
-        cells[lows.index(min(lows))].lb,
-        sg,
-        cells[highs.index(max(highs))].ub,
-    )
+#: value types that order among themselves as their ``domain_key`` does:
+#: ``(1, v)`` for every int / float (not ``bool``), ``(2, v)`` for a str
+_NUMBERS = frozenset({int, float})
+_STRINGS = frozenset({str})
+
+
+def _order_keys(values: List[Any]) -> List[Any]:
+    """Keys ordering ``values`` as ``domain_key`` does, ties included:
+    the values themselves when all are int / float or all str, else
+    the ``domain_key`` of each."""
+    kinds = set(map(type, values))
+    if kinds <= _NUMBERS or kinds <= _STRINGS:
+        return values
+    return list(map(domain_key, values))
+
+
+def box_runs(
+    col: Sequence[RangeValue], runs: Sequence[Sequence[int]]
+) -> List[RangeValue]:
+    """One box per run of row positions over ``col``, as the reference's
+    left fold of ``RangeValue.merge`` builds it: the first minimum lower
+    bound, the run's first SG value and the first maximum upper bound
+    under ``domain_key``; a run of one row keeps its cell.  The keys are
+    computed once per column, over the runs' cells in run order."""
+    cells = [col[r] for run in runs for r in run]
+    lows = _order_keys([cell.lb for cell in cells])
+    highs = _order_keys([cell.ub for cell in cells])
+    out = []
+    start = 0
+    for run in runs:
+        end = start + len(run)
+        first = cells[start]
+        if end - start == 1:
+            out.append(first)
+        else:
+            low = lows[start:end]
+            high = highs[start:end]
+            out.append(
+                RangeValue(
+                    cells[start + low.index(min(low))].lb,
+                    first.sg,
+                    cells[start + high.index(max(high))].ub,
+                )
+            )
+        start = end
+    return out
 
 
 def _bucket_boxes(
@@ -662,24 +697,24 @@ def _bucket_boxes(
 
     The rows are stably sorted on the SG value of column ``sort_on`` and
     cut into at most ``buckets`` runs; a box bounds its run column-wise
-    on the ``read_idx`` columns and keeps the first row's cell elsewhere
-    (nothing reads it).  Over every row and column this is the
-    compressed join's ``Cpr`` (:mod:`repro.exec.compressed_join`).
+    (:func:`box_runs`) on the ``read_idx`` columns and keeps the first
+    row's cell elsewhere (nothing reads it).  Over every row and column
+    this is the compressed join's ``Cpr``
+    (:mod:`repro.exec.compressed_join`).
     """
     sort_col = batch.columns[sort_on]
-    order = sorted(rows, key=lambda r: domain_key(sort_col[r].sg))
+    keys = _order_keys([sort_col[r].sg for r in rows])
+    order = [rows[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
     size = max(1, -(-len(order) // buckets))
     runs = [order[start : start + size] for start in range(0, len(order), size)]
     columns = []
     for j, col in enumerate(batch.columns):
         if size == 1 or j not in read_idx:
             columns.append([col[run[0]] for run in runs])
-            continue
-        columns.append(
-            [_bounding([col[r] for r in run], col[run[0]].sg) for run in runs]
-        )
-    ann_ub = batch.ann_ub
-    return columns, [sum(ann_ub[r] for r in run) for run in runs]
+        else:
+            columns.append(box_runs(col, runs))
+    ann_ub = batch.ann_ub.__getitem__
+    return columns, [sum(map(ann_ub, run)) for run in runs]
 
 
 def _overlapping(

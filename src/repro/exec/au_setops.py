@@ -19,7 +19,8 @@ tuple engine sees.  The shared steps:
   (:func:`~repro.exec.au_aggregate.sg_groups`): a group of one keeps its
   row, a larger group becomes the box of its members built like the
   reference's left fold of ``RangeValue.merge`` (the aggregate's
-  ``_bounding``), with the summed annotation;
+  column-wise :func:`~repro.exec.au_aggregate.box_runs`), with the
+  summed annotation;
 * Definition 22's ``≃`` and ``≡`` are tested against every right row,
   the reference's nested loop;
 * a certain-key top-k first keeps the rows
@@ -38,7 +39,7 @@ from .. import telemetry as _tm
 from ..db import engine as _engine
 from ..core.ranges import order_key
 from ..core.tuples import tuples_certainly_equal, tuples_may_equal
-from .au_aggregate import _attr_index, _bounding, sg_groups
+from .au_aggregate import _attr_index, box_runs, sg_groups
 from .batch import AUColumnBatch, charge_materialization
 
 __all__ = ["sg_combine", "distinct_batch", "except_batch", "topk_batch"]
@@ -52,15 +53,7 @@ def sg_combine(batch: AUColumnBatch) -> Tuple[AUColumnBatch, List[Tuple]]:
     keys = list(index_of)
     if len(members) == len(batch):
         return batch, keys
-    columns = [
-        [
-            col[rows[0]]
-            if len(rows) == 1
-            else _bounding([col[r] for r in rows], col[rows[0]].sg)
-            for rows in members
-        ]
-        for col in batch.columns
-    ]
+    columns = [box_runs(col, members) for col in batch.columns]
     anns = [
         [sum(ann[r] for r in rows) for rows in members]
         for ann in (batch.ann_lb, batch.ann_sg, batch.ann_ub)

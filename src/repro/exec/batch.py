@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
-from itertools import repeat
 from math import isnan
 from operator import le
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -363,7 +362,9 @@ class AUColumnBatch:
             [c.sg if c.lb is c.sg is c.ub else _value_key(c) for c in col]
             for col in self.columns
         ]
-        tuples = zip(*keys) if keys else repeat(())
+        tuples = list(zip(*keys)) if keys else [()] * len(self)
+        if (not tuples or min(self.ann_ub) > 0) and len(set(tuples)) == len(tuples):
+            return self, 0  # no zero row, no two rows value-equal
         rows = zip(tuples, self.ann_lb, self.ann_sg, self.ann_ub)
         for i, (t, a_lb, a_sg, a_ub) in enumerate(rows):
             if not a_ub:

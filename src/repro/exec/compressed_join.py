@@ -26,9 +26,11 @@ The order / dedupe contract, step by step:
   rows they are boxed by the γ's Section 10.5 boxer
   (:func:`repro.exec.au_aggregate._bucket_boxes` over every row and
   column: stably sorted on the compress attribute's SG value, cut into
-  runs, bounded column-wise by first minimum lower bound / first
-  maximum upper bound under ``domain_key``, the run's first SG value,
-  summed ``ub``); the box join is the AU hash join's pairing over the
+  runs, bounded by :func:`~repro.exec.au_aggregate.box_runs` — per
+  column, each cell's bound keys computed once, then per run the first
+  minimum lower bound / first maximum upper bound under ``domain_key``
+  and the run's first SG value — summed ``ub``); the box join is the AU
+  hash join's pairing over the
   boxes — certain-key boxes through the join table, the pairs with an
   uncertain key box from an overlap index in
   :func:`repro.core.operators.join`'s emission order (per probe box the

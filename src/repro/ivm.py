@@ -13,8 +13,9 @@ form once (:func:`repro.exec.physical.lower_delta`):
   of ``Δ`` to base table ``R`` changes the view by exactly
   ``Q[R := Δ]`` — the *same* physical plan run by the one vectorized
   executor with every ``Scan`` of ``R`` bound to the write as a
-  one-row batch, every other table read in its current state (join
-  deltas against the live opposite side);
+  one-row batch, the scans of a union branch beside one that reads
+  ``R`` bound to an empty one, and every other table read in its
+  current state (join deltas against the live opposite side);
 * the **non-linear fragment** (``Difference``, ``Distinct``, ``TopK``,
   ``Aggregate``) cannot absorb one-sided deltas, so
   :func:`~repro.algebra.optimizer.derive_delta` carves the maximal
@@ -225,6 +226,23 @@ class MaterializedView:
             for node in pplan.walk():
                 if isinstance(node, phys.Scan):
                     self._scans.setdefault(node.table, []).append(node)
+        #: per table, the scans of each union branch in the segment plans
+        #: that reads no scan of it beside a branch that does: Q[R := Δ]
+        #: reads them empty, or a union's other branch is counted again
+        #: at every write to R
+        self._silent: Dict[str, List[phys.Scan]] = {}
+        for pplan in self._dplan.segment_pplans:
+            for node in pplan.walk():
+                if not isinstance(node, phys.Concat):
+                    continue
+                sides = [
+                    [n for n in side.walk() if isinstance(n, phys.Scan)]
+                    for side in (node.left, node.right)
+                ]
+                for reads, other in (sides, sides[::-1]):
+                    read = {scan.table for scan in reads}
+                    for table in read.difference(scan.table for scan in other):
+                        self._silent.setdefault(table, []).extend(other)
 
         n_segs = len(self._delta.segments)
         self._tracked: Dict[str, Any] = {}
@@ -358,13 +376,20 @@ class MaterializedView:
 
     def _delta_memo(self, table: str, t, payload) -> SubplanMemo:
         """The write as one batch, bound to every scan of ``table`` in
-        the segment plans."""
+        the segment plans, and an empty batch to every scan a union
+        branch beside one of them reads."""
+        batch_class = ColumnBatch if self._engine == "det" else AUColumnBatch
+        db = self._conn.db
+        bound = {
+            id(scan): batch_class.from_rows(db[scan.table].schema, ())
+            for scan in self._silent.get(table, ())
+        }
         schema = self._tracked[table].schema
         if self._engine == "det":
             batch = ColumnBatch.from_rows(schema, {t: payload})
         else:
             batch = AUColumnBatch.from_rows(schema, [(t, payload)])
-        bound = dict.fromkeys(map(id, self._scans[table]), batch)
+        bound.update(dict.fromkeys(map(id, self._scans[table]), batch))
         return SubplanMemo(frozenset(), bound, {})
 
     def _merge(self, i: int, out, sign: int) -> None:

@@ -384,6 +384,122 @@ def test_point_columns_fold_like_aggregate(rows, buckets):
 
 
 # ----------------------------------------------------------------------
+# the column-wise boxer ≡ the per-run left fold it replaced
+# ----------------------------------------------------------------------
+def fold_box(cells, sg):
+    """The reference: one run's box from ``domain_key`` lists of its
+    cells, the first minimum lower / first maximum upper bound."""
+    lows = [domain_key(c.lb) for c in cells]
+    highs = [low if c.ub is c.lb else domain_key(c.ub) for low, c in zip(lows, cells)]
+    return RangeValue(
+        cells[lows.index(min(lows))].lb, sg, cells[highs.index(max(highs))].ub
+    )
+
+
+def fold_bucket_boxes(batch, rows, sort_on, read_idx, buckets):
+    """The reference Section 10.5 boxer: a stable sort on the SG
+    ``domain_key``, fixed-size runs, one :func:`fold_box` per run."""
+    sort_col = batch.columns[sort_on]
+    order = sorted(rows, key=lambda r: domain_key(sort_col[r].sg))
+    size = max(1, -(-len(order) // buckets))
+    runs = [order[start : start + size] for start in range(0, len(order), size)]
+    columns = [
+        [
+            fold_box([col[r] for r in run], col[run[0]].sg)
+            if size > 1 and j in read_idx
+            else col[run[0]]
+            for run in runs
+        ]
+        for j, col in enumerate(batch.columns)
+    ]
+    return columns, [sum(batch.ann_ub[r] for r in run) for run in runs]
+
+
+def bits(cells):
+    """Each cell's three bounds by ``repr``: a certain cell's own ``repr``
+    hides ``0.0`` vs ``-0.0`` and ``1`` vs ``1.0`` in its bounds."""
+    return [(repr(c.lb), repr(c.sg), repr(c.ub)) for c in cells]
+
+
+#: numbers with ``-0.0`` / ``0.0`` and ``1`` / ``1.0`` ties and
+#: infinities, then strings: a column of only one of them compares raw
+BOX_NUMBERS = st.sampled_from([0, 1, -1, 2, 0.0, -0.0, 1.0, 2.5, math.inf, -math.inf])
+BOX_STRINGS = st.sampled_from(["", "a", "ab", "b"])
+
+
+def plain_cells(scalars):
+    """Points and ordered triples of ``scalars``: no sentinel, no bool."""
+    triples = st.tuples(scalars, scalars, scalars)
+    return st.one_of(
+        scalars.map(certain),
+        triples.map(lambda t: RangeValue(*sorted(t, key=domain_key))),
+    )
+
+
+#: a column's cells: all numbers or all strings (the raw-value lane), or
+#: numbers, strings, bools, ``None``, sentinels and ``[1/1.0/True]``
+#: mixed (the ``domain_key`` lane)
+BOX_COLUMNS = st.one_of(
+    st.lists(plain_cells(BOX_NUMBERS), min_size=1, max_size=12),
+    st.lists(plain_cells(BOX_STRINGS), min_size=1, max_size=12),
+    st.lists(
+        ranges_over(st.one_of(BOX_NUMBERS, BOX_STRINGS, st.booleans(), st.none())),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@st.composite
+def columns_and_runs(draw):
+    """A column and disjoint runs of its rows in any order and length:
+    the group-box and ``Ψ`` shape (a run need not be ascending, and not
+    every row need be in one)."""
+    col = draw(BOX_COLUMNS)
+    rows = draw(st.permutations(range(len(col))))
+    rows = rows[: draw(st.integers(1, len(rows)))]
+    runs = []
+    while rows:
+        size = draw(st.integers(1, len(rows)))
+        runs.append(rows[:size])
+        rows = rows[size:]
+    return col, runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=columns_and_runs())
+def test_box_runs_is_the_left_fold(case):
+    col, runs = case
+    want = [fold_box([col[r] for r in run], col[run[0]].sg) for run in runs]
+    assert bits(au_aggregate.box_runs(col, runs)) == bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.lists(BOX_COLUMNS, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_bucket_boxes_are_the_left_fold(columns, data):
+    # contiguous runs of the rows stably sorted on one column's SG value
+    n = min(map(len, columns))
+    batch = AUColumnBatch(
+        [f"c{j}" for j in range(len(columns))],
+        [col[:n] for col in columns],
+        [0] * n,
+        [1] * n,
+        data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+    )
+    rows = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    sort_on = data.draw(st.integers(0, len(columns) - 1))
+    read_idx = data.draw(st.sets(st.integers(0, len(columns) - 1)))
+    buckets = data.draw(st.integers(1, n + 1))
+    got = au_aggregate._bucket_boxes(batch, rows, sort_on, read_idx, buckets)
+    want = fold_bucket_boxes(batch, rows, sort_on, read_idx, buckets)
+    assert [bits(col) for col in got[0]] == [bits(col) for col in want[0]]
+    assert got[1] == want[1]
+
+
+# ----------------------------------------------------------------------
 # pinned cases
 # ----------------------------------------------------------------------
 def batch_of(schema, rows):

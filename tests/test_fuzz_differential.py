@@ -49,8 +49,9 @@ backend, and the paper's semantics promise:
    the delta-plan classification (linear / aggregate-merge / epoch-gated
    refresh); after ``unsubscribe`` maintenance must stop and the
    registry entry must be freed.  A view runs on the vectorized
-   executor whatever its connection's backend; the lane subscribes
-   under both ``backend`` settings.
+   executor whatever its connection's backend.  Each plan is also
+   subscribed unioned with a table it does not read, so a write reaches
+   one branch of a two-table union.
 5. **Det-vs-AU containment** — the AU result must bound the certain
    answer: its selected-guess world equals the Det engine's result over
    the SGW database, and the tuple-matching oracle
@@ -498,8 +499,23 @@ def _bits_in_order(rel) -> list:
     return [(repr(t), repr(ann)) for t, ann in rel.tuples()]
 
 
-def _check_ivm_lane(rng, plan, det, audb, context) -> None:
-    """Incremental-view-maintenance lane: ``subscribe`` to the plan and
+def _two_table_union(urng: random.Random, plan: Plan, schema, used) -> Plan:
+    """``plan`` (its first two columns at most) unioned, on a random
+    side, with a possibly filtered table it does not read when there is
+    one: a write to either branch's tables must reach the view once."""
+    k = min(len(schema), 2)
+    name = urng.choice(sorted(set(TABLES) - used) or sorted(TABLES))
+    columns = list(TABLES[name][:k])
+    other: Plan = Projection(TableRef(name), [(Var(c), c) for c in columns])
+    if urng.random() < 0.5:
+        other = Selection(other, make_condition(urng, columns))
+    mine = Projection(plan, [(Var(a), a) for a in schema[:k]])
+    return Union(mine, other) if urng.random() < 0.5 else Union(other, mine)
+
+
+def _check_ivm_lane(rng, plan, schema, used, det, audb, context) -> None:
+    """Incremental-view-maintenance lane: ``subscribe`` to the plan, and
+    to its union with another table (:func:`_two_table_union`), and
     interleave random inserts/deletes/updates with reads, asserting the
     maintained result equals fresh re-execution after every write, for
     both engines (a view runs on the vectorized executor whatever the
@@ -523,6 +539,14 @@ def _check_ivm_lane(rng, plan, det, audb, context) -> None:
     """
     lane_seed = rng.randrange(2**31)
     chunk_size = rng.choice((1, 3, 64, None))
+    union = _two_table_union(random.Random(lane_seed + 1), plan, schema, used)
+    for view_plan, where in ((plan, context), (union, f"[union] {context}")):
+        _check_view(view_plan, lane_seed, chunk_size, det, audb, where)
+
+
+def _check_view(plan, lane_seed, chunk_size, det, audb, context) -> None:
+    """One view of the IVM lane (:func:`_check_ivm_lane`), on both
+    engines, over four writes drawn from ``lane_seed``."""
     wrng = random.Random(lane_seed)
     det_db = _clone_det(det)
     au_db = _clone_audb(audb)
@@ -897,7 +921,7 @@ def _check_case(seed: int) -> None:
     # 1f. incremental view maintenance: a subscribed view interleaved
     # with random inserts/deletes/updates equals fresh re-execution
     # after every write, on both engines
-    _check_ivm_lane(rng, plan, det, audb, context)
+    _check_ivm_lane(rng, plan, _schema, _used, det, audb, context)
 
     # 1g. chunked storage is invisible: every chunk size (including the
     # degenerate one-row pages) matches the legacy tuple interpreter

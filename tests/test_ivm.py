@@ -568,6 +568,48 @@ def test_self_union_write_reaches_both_scans(engine, op):
     assert view.writes_applied == 1 and view.full_refreshes == 0
 
 
+#: unions over two different tables: Q[s := Δ] must read the branch
+#: over r as empty, or every write to s counts all of r again
+_TWO_TABLE_UNIONS = {
+    "sql": "SELECT a, b FROM r UNION SELECT c, d FROM s",
+    "under_join": Join(
+        Union(TableRef("r"), Rename(TableRef("s"), {"c": "a", "d": "b"})),
+        TableRef("u"),
+        Eq(Var("a"), Var("e")),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TWO_TABLE_UNIONS))
+@pytest.mark.parametrize("engine", ["det", "au"])
+def test_two_table_union_write_counts_once(engine, shape):
+    plan = _TWO_TABLE_UNIONS[shape]
+    db, one = _engine_db(
+        engine,
+        {"r": (("a", "b"), [(i, i) for i in range(20)]),
+         "s": (("c", "d"), [(1, 1)]),
+         "u": (("e", "f"), [(e, -e) for e in range(0, 10, 3)])},
+    )
+    view = Connection(db, verify=True).subscribe(plan)
+    assert view.kind == "linear"
+    view.result()
+    db["s"].add((5, 5), one)
+    got = view.result()
+    assert _same(engine, got, Connection(db).execute(plan))
+    if shape == "sql":  # r's rows once, s's (1, 1) and Δ (5, 5) beside them
+        two = 2 if engine == "det" else (2, 2, 2)
+        weights = [_weight(got, (i, i)) for i in (0, 1, 5)]
+        assert weights == [one, two, two]
+    writes = [("add", "r", (3, 30)), ("delete", "s", (1, 1)), ("add", "u", (5, 0))]
+    writes += [("add", "s", (6, 6)), ("delete", "r", (0, 0))]
+    for op, table, t in writes:
+        getattr(db[table], op)(t, one)
+        assert _same(engine, view.result(), Connection(db).execute(plan)), (op, table, t)
+    tracked = {"r", "s"} if shape == "sql" else {"r", "s", "u"}
+    assert view.writes_applied == 1 + sum(w[1] in tracked for w in writes)
+    assert view.full_refreshes == 0
+
+
 #: r joined with a renamed copy of itself (SQL table aliases do not
 #: qualify attribute names)
 _R_SELF_JOIN = Join(

@@ -1,6 +1,8 @@
 """Unit tests for range-annotated values (Definitions 6 and 10)."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -76,6 +78,55 @@ class TestConstruction:
         assert hash(v) == hash(between(1, 2, 3))
         with pytest.raises(Exception):
             v.lb = 0
+
+
+class TestDataclassContract:
+    """The hand-written constructor keeps the frozen dataclass's
+    behaviour: fields, immutability, pickling, equality, hash and the
+    two error messages."""
+
+    CELLS = [(1, 2, 3), (5, 5, 5), (0, 0.0, -0.0), (None, "a", "b"), (1, 1.0, True)]
+
+    def test_fields_are_the_bounds(self):
+        assert [f.name for f in dataclasses.fields(RangeValue)] == ["lb", "sg", "ub"]
+
+    @pytest.mark.parametrize("name", ["lb", "sg", "ub"])
+    def test_assignment_raises_frozen_instance_error(self, name):
+        v = between(1, 2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+        assert (v.lb, v.sg, v.ub) == (1, 2, 3)
+
+    @pytest.mark.parametrize("cells", CELLS)
+    def test_pickle_round_trip(self, cells):
+        # the worker pool ships cells this way
+        v = RangeValue(*cells)
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and repr(back) == repr(v)
+        assert [repr(x) for x in (back.lb, back.sg, back.ub)] == [repr(x) for x in cells]
+
+    @pytest.mark.parametrize("cells", CELLS)
+    def test_eq_and_hash_are_the_triples(self, cells):
+        v = RangeValue(*cells)
+        assert hash(v) == hash(cells)
+        assert v == RangeValue(*cells)
+        assert (v == RangeValue(0, 9, 9)) == (cells == (0, 9, 9))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_message_in_each_position(self, position):
+        cells = [1, 1, 1]
+        cells[position] = math.nan
+        with pytest.raises(ValueError) as err:
+            RangeValue(*cells)
+        shown = "/".join(repr(x) for x in cells)
+        assert str(err.value) == f"range value cannot hold NaN, got [{shown}]"
+
+    def test_disorder_message(self):
+        with pytest.raises(ValueError) as err:
+            RangeValue(3, 2, 1)
+        assert str(err.value) == "range value must satisfy lb <= sg <= ub, got [3/2/1]"
 
 
 class TestBounding:
